@@ -441,9 +441,8 @@ def _reexec_witness(cfg: CFG, vfg: ValueFlowGraph, cand: int,
     returns the witness path (``do``-loop candidates restart from the
     loop's exterior successors).
     """
-    st = cfg.nodes.get(cand)
-    if isinstance(st, DoLoop):
-        inside = {s.sid for s in st.walk()}
+    if isinstance(cfg.nodes.get(cand), DoLoop):
+        inside = cfg.loop_interior(cand)
         starts = sorted({s for n in inside for s in cfg.succ.get(n, ())
                          if s not in inside and s not in stop})
     else:

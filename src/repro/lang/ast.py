@@ -262,6 +262,11 @@ class Subroutine:
     params: list[str]
     decls: dict[str, Decl]
     body: list[Stmt]
+    # derived lazily, once per program: the statement list is fixed after
+    # parsing.  ``_layout`` belongs to :mod:`repro.lang.printer`.
+    _index: Optional[dict[int, Stmt]] = field(default=None, repr=False,
+                                              compare=False)
+    _layout: Optional[object] = field(default=None, repr=False, compare=False)
 
     def walk(self) -> Iterator[Stmt]:
         """All statements in the body, pre-order."""
@@ -270,10 +275,12 @@ class Subroutine:
 
     def stmt(self, sid: int) -> Stmt:
         """Look up a statement by its ``sid``."""
-        for s in self.walk():
-            if s.sid == sid:
-                return s
-        raise KeyError(f"no statement with sid {sid}")
+        if self._index is None:
+            self._index = {s.sid: s for s in self.walk()}
+        try:
+            return self._index[sid]
+        except KeyError:
+            raise KeyError(f"no statement with sid {sid}") from None
 
     def labels(self) -> dict[int, Stmt]:
         """Map label number -> labelled statement."""

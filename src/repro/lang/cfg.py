@@ -48,8 +48,14 @@ class CFG:
     pred: dict[int, list[int]] = field(default_factory=dict)
     #: sid -> list of enclosing DoLoop sids, outermost first
     loops_of: dict[int, list[int]] = field(default_factory=dict)
+    # lazily derived facts: the graph is never mutated after :meth:`build`,
+    # so each is computed once per program and shared by every consumer
     _idom: dict[int, int] | None = None
     _ipdom: dict[int, int] | None = None
+    _back_edges: list[tuple[int, int]] | None = None
+    _natural_loops: dict[int, set[int]] | None = None
+    _loops_containing: dict[int, tuple[int, ...]] | None = None
+    _interiors: dict[int, frozenset[int]] = field(default_factory=dict)
 
     # -- construction -------------------------------------------------------
 
@@ -325,16 +331,23 @@ class CFG:
 
     def back_edges(self) -> list[tuple[int, int]]:
         """Edges (a, b) where b dominates a — natural-loop back edges."""
-        out = []
-        for a, succs in self.succ.items():
-            for b in succs:
-                if a != ENTRY and self.dominates(b, a):
-                    out.append((a, b))
-        return out
+        if self._back_edges is None:
+            self._back_edges = [(a, b) for a, succs in self.succ.items()
+                                if a != ENTRY
+                                for b in succs if self.dominates(b, a)]
+        return self._back_edges
 
     def loop_depth(self, sid: int) -> int:
         """Number of enclosing ``do`` loops of a statement."""
         return len(self.loops_of.get(sid, ()))
+
+    def loop_interior(self, header: int) -> frozenset[int]:
+        """Sids of a ``do`` loop's statements, the header included."""
+        inside = self._interiors.get(header)
+        if inside is None:
+            inside = frozenset(s.sid for s in self.nodes[header].walk())
+            self._interiors[header] = inside
+        return inside
 
     def natural_loops(self) -> dict[int, set[int]]:
         """Natural loops by header: goto-formed cycles included.
@@ -344,6 +357,8 @@ class CFG:
         merged.  This sees the label-100/goto-100 convergence loop of the
         paper's TESTIV, which has no ``do`` statement at all.
         """
+        if self._natural_loops is not None:
+            return self._natural_loops
         loops: dict[int, set[int]] = {}
         for a, h in self.back_edges():
             body = {h, a}
@@ -357,4 +372,16 @@ class CFG:
                         body.add(p)
                         stack.append(p)
             loops.setdefault(h, set()).update(body)
+        self._natural_loops = loops
         return loops
+
+    def loops_containing(self, sid: int) -> tuple[int, ...]:
+        """Headers of the natural loops whose body holds ``sid``, in
+        :meth:`natural_loops` order."""
+        if self._loops_containing is None:
+            table: dict[int, list[int]] = {}
+            for header, body in self.natural_loops().items():
+                for n in body:
+                    table.setdefault(n, []).append(header)
+            self._loops_containing = {n: tuple(hs) for n, hs in table.items()}
+        return self._loops_containing.get(sid, ())

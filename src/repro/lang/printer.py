@@ -2,15 +2,20 @@
 
 Regenerates FORTRAN-77-style text in the layout of the paper's figures 9
 and 10: six-space statement indent, labels in columns 1–5, three extra
-spaces per nesting level.  A ``before`` hook lets the placement annotator
-interleave ``C$`` directive comment lines with statements (including the
-split-phase ``C$SYNCHRONIZE POST``/``WAIT`` pairs) without the printer
-knowing anything about directives; ``trailer`` lines render after the last
-statement for end-of-program synchronizations.
+spaces per nesting level.  A subroutine is printed once into a
+:class:`SourceLayout` — its lines plus the index at which each statement
+starts and ends — and every rendering splices comment lines into that:
+``before``/``after`` hooks per statement, ``trailer`` lines ahead of the
+closing ``end`` for end-of-program synchronizations.  The placement
+annotator splices its ``C$`` directives (including the split-phase
+``C$SYNCHRONIZE POST``/``WAIT`` pairs) the same way, so the printer knows
+nothing about directives and a program with hundreds of placements is
+still printed once.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .ast import (
@@ -95,11 +100,38 @@ def _format_const(value) -> str:
     return text
 
 
+@dataclass(frozen=True)
+class SourceLayout:
+    """A subroutine printed once, with the places hook lines splice in.
+
+    ``lines`` is the plain text (header, declarations, statements, ``end``
+    last).  ``starts`` maps each statement's ``sid``, in print order, to
+    the index of its first line — ``before`` lines go in front of it;
+    ``ends`` to the index one past its last line (``end do``/``end if``
+    included) — ``after`` lines go there.
+    """
+
+    lines: tuple[str, ...]
+    starts: dict[int, int]
+    ends: dict[int, int]
+
+    def splice(self, inserts: dict[int, list[str]]) -> str:
+        """The text with ``inserts[i]`` placed in front of line ``i``."""
+        out: list[str] = []
+        prev = 0
+        for at in sorted(inserts):
+            out.extend(self.lines[prev:at])
+            out.extend(inserts[at])
+            prev = at
+        out.extend(self.lines[prev:])
+        return "\n".join(out) + "\n"
+
+
 class _Printer:
-    def __init__(self, before: Optional[BeforeHook], after: Optional[AfterHook]):
-        self.before = before
-        self.after = after
+    def __init__(self) -> None:
         self.lines: list[str] = []
+        self.starts: dict[int, int] = {}
+        self.ends: dict[int, int] = {}
 
     def emit(self, text: str, label: Optional[int], depth: int) -> None:
         if label is not None:
@@ -108,13 +140,8 @@ class _Printer:
             head = " " * 6
         self.lines.append(head + "   " * depth + text)
 
-    def comment(self, text: str) -> None:
-        self.lines.append(text)
-
     def stmt(self, st: Stmt, depth: int) -> None:
-        if self.before is not None:
-            for line in self.before(st):
-                self.comment(line)
+        self.starts[st.sid] = len(self.lines)
         label = st.label
         if isinstance(st, Assign):
             self.emit(f"{format_expr(st.target)} = {format_expr(st.value)}",
@@ -152,9 +179,33 @@ class _Printer:
             self.emit("stop", label, depth)
         else:  # pragma: no cover - exhaustiveness guard
             raise TypeError(f"cannot print {type(st).__name__}")
-        if self.after is not None:
-            for line in self.after(st):
-                self.comment(line)
+        self.ends[st.sid] = len(self.lines)
+
+
+def source_layout(sub: Subroutine) -> SourceLayout:
+    """Print ``sub`` once; later calls return the same layout."""
+    if sub._layout is not None:
+        return sub._layout
+    pr = _Printer()
+    params = ", ".join(sub.params)
+    pr.emit(f"subroutine {sub.name}({params})", None, 0)
+    # declarations: parameters first in stable order, then locals
+    emitted: set[str] = set()
+    order = [p.lower() for p in sub.params] + sorted(
+        n for n in sub.decls if n not in {p.lower() for p in sub.params}
+    )
+    for name in order:
+        if name in emitted or name not in sub.decls:
+            continue
+        emitted.add(name)
+        decl = sub.decls[name]
+        dims = f"({','.join(str(d) for d in decl.dims)})" if decl.dims else ""
+        pr.emit(f"{decl.base} {decl.name}{dims}", None, 0)
+    for st in sub.body:
+        pr.stmt(st, 0)
+    pr.emit("end", None, 0)
+    sub._layout = SourceLayout(tuple(pr.lines), pr.starts, pr.ends)
+    return sub._layout
 
 
 def format_subroutine(
@@ -174,27 +225,18 @@ def format_subroutine(
         Comment lines printed after the last statement, before ``end``
         (figure 10 places a final SYNCHRONIZE there).
     """
-    pr = _Printer(before, after)
-    params = ", ".join(sub.params)
-    pr.emit(f"subroutine {sub.name}({params})", None, 0)
-    # declarations: parameters first in stable order, then locals
-    emitted: set[str] = set()
-    order = [p.lower() for p in sub.params] + sorted(
-        n for n in sub.decls if n not in {p.lower() for p in sub.params}
-    )
-    for name in order:
-        if name in emitted or name not in sub.decls:
-            continue
-        emitted.add(name)
-        decl = sub.decls[name]
-        dims = f"({','.join(str(d) for d in decl.dims)})" if decl.dims else ""
-        pr.emit(f"{decl.base} {decl.name}{dims}", None, 0)
-    for st in sub.body:
-        pr.stmt(st, 0)
-    for line in trailer or []:
-        pr.comment(line)
-    pr.emit("end", None, 0)
-    return "\n".join(pr.lines) + "\n"
+    layout = source_layout(sub)
+    inserts: dict[int, list[str]] = {}
+    # a statement's ``after`` lines precede the next one's ``before`` lines
+    for hook, points in ((after, layout.ends), (before, layout.starts)):
+        if hook is not None:
+            for sid, at in points.items():
+                lines = hook(sub.stmt(sid))
+                if lines:
+                    inserts.setdefault(at, []).extend(lines)
+    if trailer:
+        inserts.setdefault(len(layout.lines) - 1, []).extend(trailer)
+    return layout.splice(inserts)
 
 
 def format_program(prog: Program) -> str:

@@ -18,9 +18,9 @@ role of that user, interpreting the directives over SimMPI.
 
 from __future__ import annotations
 
-from ..lang.ast import DoLoop, Stmt, Subroutine
+from ..lang.ast import Subroutine
 from ..lang.cfg import EXIT
-from ..lang.printer import format_subroutine
+from ..lang.printer import source_layout
 from .comms import Placement
 from .dfg import ValueFlowGraph
 
@@ -31,27 +31,30 @@ def domain_directive(domain: str) -> str:
 
 def annotate_source(sub: Subroutine, vfg: ValueFlowGraph,
                     placement: Placement) -> str:
-    """Render the annotated SPMD program for one placement."""
+    """Render the annotated SPMD program for one placement.
+
+    The subroutine's text is printed once per program
+    (:func:`~repro.lang.printer.source_layout`); a placement only splices
+    its directive lines in front of the statements they anchor to.
+    """
+    layout = source_layout(sub)
+    last = len(layout.lines) - 1   # the closing ``end``: EXIT's anchor
+    inserts: dict[int, list[str]] = {}
+
+    def at(sid: int) -> list[str]:
+        return inserts.setdefault(
+            last if sid == EXIT else layout.starts[sid], [])
+
     # waits (and blocking collectives) render before posts at a shared
     # anchor, matching the runtime's pre-action ordering
-    by_anchor: dict[int, list[str]] = {}
+    for c in placement.comms:
+        at(c.wait_anchor).append(c.directive("WAIT" if c.is_split else None))
     for c in placement.comms:
         if c.is_split:
-            by_anchor.setdefault(c.wait_anchor, []).append(c.directive("WAIT"))
-        else:
-            by_anchor.setdefault(c.wait_anchor, []).append(c.directive())
-    for c in placement.comms:
-        if c.is_split:
-            by_anchor.setdefault(c.post_anchor, []).append(c.directive("POST"))
-
-    def before(st: Stmt) -> list[str]:
-        lines = list(by_anchor.get(st.sid, []))
-        if isinstance(st, DoLoop) and st.sid in placement.domains:
-            lines.append(domain_directive(placement.domains[st.sid]))
-        return lines
-
-    trailer = list(by_anchor.get(EXIT, []))
-    return format_subroutine(sub, before=before, trailer=trailer)
+            at(c.post_anchor).append(c.directive("POST"))
+    for lsid, domain in placement.domains.items():
+        at(lsid).append(domain_directive(domain))
+    return layout.splice(inserts)
 
 
 def placement_summary(sub: Subroutine, vfg: ValueFlowGraph,

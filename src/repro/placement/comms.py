@@ -121,6 +121,103 @@ def _hoist_anchor(cfg: CFG, vfg: ValueFlowGraph, sid: int) -> int:
     return sid
 
 
+class _Paths:
+    """Loop-aware path search over one program, shared by every query.
+
+    A query's answer depends on the CFG and the partitioned-loop set only
+    — never on the solution being post-processed — so answers are kept
+    for the life of the value-flow graph (``vfg._paths``): ``found`` by
+    ``(start, avoid, targets)``, ``exit_ok`` by avoid-set and loop header,
+    ``windows`` by update group (see :func:`extract_comms`).
+    """
+
+    def __init__(self, cfg: CFG, partitioned: frozenset[int]):
+        self.cfg = cfg
+        self.partitioned = partitioned
+        self.found: dict[tuple, Optional[tuple[int, ...]]] = {}
+        self.exit_ok: dict[frozenset[int], dict[int, bool]] = {}
+        self.windows: dict[tuple, tuple[tuple[int, int], ...]] = {}
+
+    def find(self, start: int, avoid: frozenset[int],
+             targets: frozenset[int]) -> Optional[tuple[int, ...]]:
+        key = (start, avoid, targets)
+        if key not in self.found:
+            self.found[key] = self._search_from(start, avoid, targets)
+        return self.found[key]
+
+    def _search_from(self, start: int, avoid: frozenset[int],
+                     targets: frozenset[int]) -> Optional[tuple[int, ...]]:
+        cfg, partitioned = self.cfg, self.partitioned
+        final = self.exit_ok.setdefault(avoid, {})
+        # answers still being computed, or computed from one that was:
+        # good for this query only
+        unsettled: dict[int, bool] = {}
+        unsettled_reads = 0
+
+        def exit_ok(hdr: int) -> bool:
+            nonlocal unsettled_reads
+            known = final.get(hdr)
+            if known is not None:
+                return known
+            known = unsettled.get(hdr)
+            if known is not None:
+                unsettled_reads += 1
+                return known
+            unsettled[hdr] = True  # break recursion conservatively
+            reads_before = unsettled_reads
+            body_first = cfg.nodes[hdr].body[0].sid
+            res = body_first not in avoid and _search(body_first, {hdr}) \
+                is not None
+            if unsettled_reads == reads_before:
+                del unsettled[hdr]
+                final[hdr] = res
+            else:
+                unsettled[hdr] = res
+            return res
+
+        def succs(n: int):
+            st = cfg.nodes.get(n)
+            if n in partitioned and st.body:
+                body_first = st.body[0].sid
+                yield body_first
+                if exit_ok(n):
+                    for s in cfg.succ.get(n, ()):
+                        if s != body_first:
+                            yield s
+            else:
+                yield from cfg.succ.get(n, ())
+
+        def _search(origin: int, goals) -> Optional[tuple[int, ...]]:
+            parent: dict[int, Optional[int]] = {origin: None}
+            queue = [origin]
+            while queue:
+                nxt: list[int] = []
+                for n in queue:
+                    for s in succs(n):
+                        if s in goals and s not in avoid:
+                            path = [s, n]
+                            p = parent[n]
+                            while p is not None:
+                                path.append(p)
+                                p = parent[p]
+                            path.reverse()
+                            return tuple(path)
+                        if s in parent or s in avoid:
+                            continue
+                        parent[s] = n
+                        nxt.append(s)
+                queue = nxt
+            return None
+
+        return _search(start, targets)
+
+
+def _paths(vfg: ValueFlowGraph) -> _Paths:
+    if vfg._paths is None:
+        vfg._paths = _Paths(vfg.graph.cfg, frozenset(vfg.loops))
+    return vfg._paths
+
+
 def find_path_avoiding(cfg: CFG, vfg: ValueFlowGraph, start: int,
                        avoid: set[int], targets: set[int]
                        ) -> Optional[list[int]]:
@@ -138,64 +235,15 @@ def find_path_avoiding(cfg: CFG, vfg: ValueFlowGraph, start: int,
     attaches to its diagnostics; :func:`_reachable_avoiding` is the
     boolean view the extraction predicates use.
     """
-    exit_ok_cache: dict[int, bool] = {}
-
-    def exit_ok(hdr: int) -> bool:
-        cached = exit_ok_cache.get(hdr)
-        if cached is not None:
-            return cached
-        exit_ok_cache[hdr] = True  # break recursion conservatively
-        st = cfg.nodes[hdr]
-        assert isinstance(st, DoLoop)
-        if not st.body:
-            return True
-        body_first = st.body[0].sid
-        res = body_first not in avoid and _search(body_first, {hdr}) \
-            is not None
-        exit_ok_cache[hdr] = res
-        return res
-
-    def succs(n: int):
-        st = cfg.nodes.get(n)
-        if isinstance(st, DoLoop) and n in vfg.loops and st.body:
-            body_first = st.body[0].sid
-            yield body_first
-            if exit_ok(n):
-                for s in cfg.succ.get(n, ()):
-                    if s != body_first:
-                        yield s
-        else:
-            yield from cfg.succ.get(n, ())
-
-    def _search(origin: int, goals: set[int]) -> Optional[list[int]]:
-        parent: dict[int, Optional[int]] = {origin: None}
-        queue = [origin]
-        while queue:
-            nxt: list[int] = []
-            for n in queue:
-                for s in succs(n):
-                    if s in goals and s not in avoid:
-                        path = [s, n]
-                        p = parent[n]
-                        while p is not None:
-                            path.append(p)
-                            p = parent[p]
-                        path.reverse()
-                        return path
-                    if s in parent or s in avoid:
-                        continue
-                    parent[s] = n
-                    nxt.append(s)
-            queue = nxt
-        return None
-
-    return _search(start, targets)
+    path = _paths(vfg).find(start, frozenset(avoid), frozenset(targets))
+    return None if path is None else list(path)
 
 
 def _reachable_avoiding(cfg: CFG, vfg: ValueFlowGraph, start: int,
                         avoid: set[int], targets: set[int]) -> bool:
     """Boolean view of :func:`find_path_avoiding` (same loop semantics)."""
-    return find_path_avoiding(cfg, vfg, start, avoid, targets) is not None
+    return _paths(vfg).find(start, frozenset(avoid),
+                            frozenset(targets)) is not None
 
 
 def _candidate_valid(cfg: CFG, vfg: ValueFlowGraph, cand: int,
@@ -206,13 +254,11 @@ def _candidate_valid(cfg: CFG, vfg: ValueFlowGraph, cand: int,
             return False  # a trailing comm covers only end-of-program uses
         return idempotent or not _reachable_avoiding(
             cfg, vfg, ENTRY, defs, {EXIT})
-    st = cfg.nodes.get(cand)
-    if isinstance(st, DoLoop):
-        inside = {s.sid for s in st.walk()}
-        if defs & inside:
-            # a pre-loop communication cannot order with definitions made
-            # inside the loop it precedes
-            return False
+    if isinstance(cfg.nodes.get(cand), DoLoop) \
+            and defs & cfg.loop_interior(cand):
+        # a pre-loop communication cannot order with definitions made
+        # inside the loop it precedes
+        return False
     # every def→use path must cross the candidate
     for d in defs:
         if _reachable_avoiding(cfg, vfg, d, {cand}, uses):
@@ -237,9 +283,8 @@ def _reexecutes_without_def(cfg: CFG, vfg: ValueFlowGraph, cand: int,
     *entry* — iterating the loop's own body back to its header is not a
     re-execution, so the walk starts from the loop's exterior successors.
     """
-    st = cfg.nodes.get(cand)
-    if isinstance(st, DoLoop):
-        inside = {s.sid for s in st.walk()}
+    if isinstance(cfg.nodes.get(cand), DoLoop):
+        inside = cfg.loop_interior(cand)
         starts = {s for n in inside for s in cfg.succ.get(n, ())
                   if s not in inside and s not in defs}
     else:
@@ -272,8 +317,8 @@ def _post_valid(cfg: CFG, vfg: ValueFlowGraph, cand: int, wait: int,
     # the post is collective: it must sit outside partitioned loops
     if any(l in vfg.loops for l in cfg.loops_of.get(cand, [])):
         return False
-    st = cfg.nodes.get(cand)
-    if isinstance(st, DoLoop) and defs & {s.sid for s in st.walk()}:
+    if isinstance(cfg.nodes.get(cand), DoLoop) \
+            and defs & cfg.loop_interior(cand):
         # posting before a loop that still defines the value is stale
         return False
     # freshness: no definition may execute between the post and its wait
@@ -324,6 +369,30 @@ def _kind_and_op(method: str, vfg: ValueFlowGraph,
     raise PlacementError(f"cannot determine reduction operator for {method!r}")
 
 
+def _group_windows(cfg: CFG, vfg: ValueFlowGraph, defs: set[int],
+                   uses: set[int], idempotent: bool, widen: bool
+                   ) -> Optional[tuple[tuple[int, int], ...]]:
+    """(post, wait) windows of one update group, or None when definition
+    and use are too entangled for any insertion point."""
+
+    def window(wait: int) -> tuple[int, int]:
+        post = _post_anchor(cfg, vfg, wait, defs) if widen else wait
+        return post, wait
+
+    hoisted = {u if u == EXIT else _hoist_anchor(cfg, vfg, u) for u in uses}
+    anchor = _single_anchor(cfg, vfg, defs, uses, hoisted, idempotent)
+    if anchor is not None:
+        return (window(anchor),)
+    # fallback: one communication per hoisted use
+    windows = []
+    for u in sorted(uses, key=lambda s: (s == EXIT, s)):
+        cand = u if u == EXIT else _hoist_anchor(cfg, vfg, u)
+        if not _candidate_valid(cfg, vfg, cand, defs, {u}, idempotent):
+            return None
+        windows.append(window(cand))
+    return tuple(windows)
+
+
 def extract_comms(vfg: ValueFlowGraph, solution: Solution,
                   split_phase: bool = False) -> list[CommOp]:
     """Turn a solution's Update arrows into anchored communication calls.
@@ -332,49 +401,39 @@ def extract_comms(vfg: ValueFlowGraph, solution: Solution,
     valid POST point on its wait anchor's dominator chain (degenerate when
     nothing wider exists); scalar reductions always stay blocking — their
     tree exchange has no separable one-ended post.
+
+    Where a group's communications go is decided by its definitions and
+    uses alone, and the solutions of one program are combinations of few
+    distinct groups: each group's windows are computed once per program
+    and shared by every solution containing it.
     """
     cfg: CFG = vfg.graph.cfg
     spec = vfg.graph.spec
+    memo = _paths(vfg).windows
     out: list[CommOp] = []
     for (var, method), edges in sorted(solution.updates_by_var().items()):
         kind, op = _kind_and_op(method, vfg, edges)
         idempotent = kind == K_OVERLAP
         defs = {e.src.sid for e in edges if e.src.sid != ENTRY}
         uses = {EXIT if e.dst.kind == N_OUT else e.dst.sid for e in edges}
-        hoisted = {u if u == EXIT else _hoist_anchor(cfg, vfg, u)
-                   for u in uses}
-        entity = spec.entity_of_array(var)
-        directive_method = f"{op} reduction" if kind == K_REDUCE else method
-
-        def window(wait: int) -> tuple[int, int]:
-            if split_phase and kind != K_REDUCE:
-                return _post_anchor(cfg, vfg, wait, defs), wait
-            return wait, wait
-
-        anchor = _single_anchor(cfg, vfg, defs, uses, hoisted, idempotent)
-        if anchor is not None:
-            post, wait = window(anchor)
-            out.append(CommOp(post_anchor=post, wait_anchor=wait, kind=kind,
-                              var=var, method=directive_method,
-                              entity=entity, op=op))
-            continue
-        # fallback: one communication per hoisted use
-        for u in sorted(uses, key=lambda s: (s == EXIT, s)):
-            cand = u if u == EXIT else _hoist_anchor(cfg, vfg, u)
-            if not _candidate_valid(cfg, vfg, cand, defs, {u}, idempotent):
+        widen = split_phase and kind != K_REDUCE
+        key = (frozenset(defs), frozenset(uses), idempotent, widen)
+        windows = memo.get(key)
+        if windows is None:
+            windows = _group_windows(cfg, vfg, defs, uses, idempotent, widen)
+            if windows is None:
                 raise PlacementError(
                     f"no valid insertion point for {method} on {var!r} "
                     f"(definition and use too entangled)")
-            post, wait = window(cand)
-            out.append(CommOp(post_anchor=post, wait_anchor=wait, kind=kind,
-                              var=var, method=directive_method,
-                              entity=entity, op=op))
-    # deduplicate identical fallback comms (same anchor/var/method)
-    uniq: list[CommOp] = []
-    for c in sorted(out):
-        if c not in uniq:
-            uniq.append(c)
-    return uniq
+            memo[key] = windows
+        entity = spec.entity_of_array(var)
+        directive_method = f"{op} reduction" if kind == K_REDUCE else method
+        out.extend(CommOp(post_anchor=post, wait_anchor=wait, kind=kind,
+                          var=var, method=directive_method, entity=entity,
+                          op=op)
+                   for post, wait in windows)
+    # fallback comms of one group may coincide (same anchor/var/method)
+    return list(dict.fromkeys(sorted(out)))
 
 
 def widen_placement(vfg: ValueFlowGraph, placement: Placement) -> Placement:
@@ -396,12 +455,10 @@ def _single_anchor(cfg: CFG, vfg: ValueFlowGraph, defs: set[int],
     if uses == {EXIT}:
         return EXIT if _candidate_valid(cfg, vfg, EXIT, defs, uses,
                                         idempotent) else None
+    # with EXIT among the uses, still walk up from the common dominator
+    # of the others: EXIT is reached from everywhere on exit paths, so
+    # crossing-verification decides
     non_exit = sorted(h for h in hoisted if h != EXIT)
-    if EXIT in hoisted:
-        # a point dominating EXIT and the other uses: walk up from the
-        # common dominator of the non-exit uses (EXIT is reached from
-        # everywhere on exit paths, so crossing-verification decides)
-        pass
     start = cfg.common_dominator(non_exit) if non_exit else EXIT
     for cand in cfg.dom_chain(start):
         if cand == ENTRY:

@@ -82,14 +82,9 @@ class CostBreakdown:
 def _seq_loop_weight(cfg: CFG, vfg: ValueFlowGraph, sid: int,
                      model: CostModel) -> float:
     """iterations^depth over *sequential* natural loops containing sid."""
-    if sid == EXIT:
-        return 1.0
     weight = 1.0
-    for header, body in cfg.natural_loops().items():
-        st = cfg.nodes.get(header)
-        if isinstance(st, DoLoop) and header in vfg.loops:
-            continue  # partitioned loops are the parallel dimension
-        if sid in body:
+    for header in cfg.loops_containing(sid):
+        if header not in vfg.loops:  # those are the parallel dimension
             weight *= model.iterations
     return weight
 
@@ -125,10 +120,10 @@ def _window_steps(cfg: CFG, vfg: ValueFlowGraph, placement: Placement,
                     trips *= 1.0 + model.overlap_fraction
             else:
                 trips *= model.iterations
-        for header, body in cfg.natural_loops().items():
+        for header in cfg.loops_containing(sid):
             if isinstance(cfg.nodes.get(header), DoLoop):
                 continue  # do loops handled via loops_of above
-            if sid in body and in_window(header):
+            if in_window(header):
                 trips *= model.iterations
         steps += trips
     return steps
@@ -172,7 +167,7 @@ def estimate_cost(vfg: ValueFlowGraph, placement: Placement,
         loop = cfg.nodes.get(lsid)
         if not isinstance(loop, DoLoop):
             continue
-        body_stmts = max(1, len(list(loop.walk())) - 1)
+        body_stmts = max(1, len(cfg.loop_interior(lsid)) - 1)
         trips = model.kernel_size
         if domain == OVERLAP:
             trips *= 1.0 + model.overlap_fraction

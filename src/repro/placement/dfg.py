@@ -100,6 +100,9 @@ class ValueFlowGraph:
     outputs: dict[str, VNode] = field(default_factory=dict)
     #: input variable -> its VNode
     inputs: dict[str, VNode] = field(default_factory=dict)
+    #: path-search and update-group answers shared by everything downstream
+    #: of the search; built on first use by :mod:`repro.placement.comms`
+    _paths: Optional[object] = field(default=None, repr=False, compare=False)
 
     def out_edges(self, node: VNode) -> list[VEdge]:
         return [e for e in self.edges if e.src == node]

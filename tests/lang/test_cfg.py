@@ -111,6 +111,32 @@ class TestDominators:
         backs = cfg.back_edges()
         assert len(backs) >= 7
 
+    def test_loop_queries_repeat_and_see_the_goto_loop(self):
+        """Repeated calls agree, and TESTIV's label-100 convergence loop —
+        no ``do`` statement — is a natural loop."""
+        cfg = cfg_of(TESTIV_SOURCE)
+        assert cfg.back_edges() == cfg.back_edges()
+        assert cfg.natural_loops() == cfg.natural_loops()
+        head = cfg.sub.labels()[100].sid
+        loops = cfg.natural_loops()
+        assert not isinstance(cfg.nodes[head], DoLoop)
+        assert (stmt_like(cfg, lambda s: isinstance(s, Goto))[0],
+                head) in cfg.back_edges()
+        tests = stmt_like(cfg, lambda s: isinstance(s, IfGoto))
+        assert set(tests) <= loops[head]
+
+    def test_loops_containing_and_interior_agree_with_natural_loops(self):
+        cfg = cfg_of(TESTIV_SOURCE)
+        loops = cfg.natural_loops()
+        for sid in list(cfg.nodes) + [ENTRY, EXIT]:
+            assert list(cfg.loops_containing(sid)) \
+                == [h for h, body in loops.items() if sid in body]
+        for sid in stmt_like(cfg, lambda s: isinstance(s, DoLoop)):
+            assert cfg.loop_interior(sid) \
+                == {s.sid for s in cfg.nodes[sid].walk()}
+            # a do loop's natural loop is its interior: no goto leaves one
+            assert loops[sid] == cfg.loop_interior(sid)
+
     def test_testiv_label100_dominates_convergence_test(self):
         cfg = cfg_of(TESTIV_SOURCE)
         sub = cfg.sub

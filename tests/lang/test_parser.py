@@ -89,6 +89,10 @@ class TestStructure:
         sids = [s.sid for s in sub.walk()]
         assert len(sids) == len(set(sids))
         assert sub.stmt(sids[0]) is next(iter(sub.walk()))
+        for st in sub.walk():
+            assert sub.stmt(st.sid) is st
+        with pytest.raises(KeyError, match="no statement with sid 0"):
+            sub.stmt(0)
 
 
 class TestStatements:

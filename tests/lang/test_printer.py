@@ -7,6 +7,7 @@ from repro.lang import (
     parse_subroutine,
 )
 from repro.lang.ast import Assign, DoLoop
+from repro.lang.printer import source_layout
 
 
 def roundtrip(src: str):
@@ -52,6 +53,26 @@ class TestPrinter:
         lines = [l for l in text.splitlines() if l.strip()]
         assert lines[-1].strip() == "end"
         assert lines[-2] == "C$SYNCHRONIZE LAST"
+
+
+    def test_hooks_and_trailer_splice_in_statement_order(self):
+        sub = parse_subroutine("subroutine t(n)\n  do i = 1,n\n    x = i\n"
+                               "  end do\n  y = 1.0\nend\n")
+        name = {s.sid: type(s).__name__ + str(k)
+                for k, s in enumerate(sub.walk())}
+        plain = format_subroutine(sub)
+        text = format_subroutine(sub, before=lambda st: [f"C<{name[st.sid]}"],
+                                 after=lambda st: [f"C>{name[st.sid]}"],
+                                 trailer=["C$LAST"])
+        marks = [l for l in text.splitlines() if l.startswith("C")
+                 or l.strip() in ("end do", "end")]
+        assert marks == ["C<DoLoop0", "C<Assign1", "C>Assign1", "      end do",
+                         "C>DoLoop0", "C<Assign2", "C>Assign2", "C$LAST",
+                         "      end"]
+        assert [l for l in text.splitlines() if not l.startswith("C")] \
+            == plain.splitlines()
+        assert format_subroutine(sub) == plain
+        assert source_layout(sub) is source_layout(sub)  # printed once
 
 
 class TestFormatExpr:
