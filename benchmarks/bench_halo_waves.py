@@ -1,16 +1,9 @@
-"""Experiment S5: block-wave halos beat per-message halos at scale.
+"""Experiment S5: block halo waves at scale.
 
-The halo collectives have two interchangeable wire strategies (PR 5):
-the per-message reference path pushes one Python payload per neighbour
-through ``isend_batch``/``waitall_recv``, while the block path gathers
-every rank's contribution into one concatenated float64 block by fancy
-indexing and moves it in a single ``send_block``/``recv_block`` wave.
-This benchmark drives a synthetic 6-neighbour overlap schedule through
-``overlap_update`` on both strategies at 32/128/256 ranks on the ring
-transport, asserts the results stay bit-identical while timing them, and
-reports the block/per-message throughput ratio.
-
-Two scale companions ride along:
+The halo collectives move float64 fields as one concatenated block per
+wave (``send_block``/``recv_block``), gathered by fancy indexing from the
+schedule's index arrays.  Two probes drive a synthetic 6-neighbour
+overlap schedule and the packed-id tables:
 
 * ``test_block_wave_scaling_to_4096`` pushes the block path (with and
   without the flat store of :mod:`repro.runtime.flatstore`) to 1024 and
@@ -18,13 +11,12 @@ Two scale companions ride along:
   per-message cost at 4096 ranks within 2× of 256 ranks, i.e. the wave
   cost grows with traffic, not with rank count.
 * ``test_packed_vs_dict_lookup`` times owner/local resolution through
-  packed int64 ids (:mod:`repro.mesh.packedid`) against the historical
-  per-entity dict probes they replaced.
+  packed int64 ids (:mod:`repro.mesh.packedid`) against per-entity dict
+  probes.
 
-The acceptance gate is block ≥ 2× per-message at 128 ranks on the clean
-path.  Wall-clock ratios are only meaningful on quiet hardware, so all
-hard asserts are opt-in (``REPRO_PERF_ASSERT=1``, set by the dedicated
-perf job); elsewhere the ratios are reported without failing the run.
+Wall-clock ratios are only meaningful on quiet hardware, so all hard
+asserts are opt-in (``REPRO_PERF_ASSERT=1``, set by the dedicated perf
+job); elsewhere the ratios are reported without failing the run.
 """
 
 import os
@@ -35,8 +27,7 @@ import pytest
 
 from conftest import emit_report
 from repro.mesh import OverlapSchedule, build_entity_packing
-from repro.runtime import SimComm, build_flat_store, envs_bit_identical
-from repro.runtime.halos import WAVE_BLOCK, WAVE_MESSAGES, overlap_update
+from repro.runtime import SimComm, build_flat_store, overlap_update
 
 N_KERNEL = 64     # owned words per rank
 DEGREE = 6        # neighbours per rank
@@ -70,70 +61,18 @@ def _make_envs(nranks: int) -> list[dict]:
     return [{"v": rng.standard_normal(size)} for _ in range(nranks)]
 
 
-def _exchange_throughput(wave: str, nranks: int, sched: OverlapSchedule,
-                         nwaves: int, rounds: int = 3):
-    """Best-of-``rounds`` sustained halo messages/second, plus the final
-    environments for the bit-identity cross-check."""
-    nmsg = sched.message_count()
-    best, out = 0.0, None
-    for _ in range(rounds):
-        comm = SimComm(nranks, transport="ring")
-        envs = _make_envs(nranks)
-        t0 = time.perf_counter()
-        for _ in range(nwaves):
-            overlap_update(comm, envs, "v", sched, wave=wave)
-        elapsed = time.perf_counter() - t0
-        comm.assert_drained()
-        comm.assert_no_pending_requests()
-        best = max(best, nwaves * nmsg / elapsed)
-        out = envs
-    return best, out
-
-
-@pytest.mark.perf
-def test_halo_wave_throughput():
-    lines = []
-    ratio_at = {}
-    for nranks in (32, 128, 256):
-        sched = _overlap_schedule(nranks)
-        nwaves = max(10, 20_000 // sched.message_count())
-        block, block_envs = _exchange_throughput(WAVE_BLOCK, nranks, sched,
-                                                 nwaves)
-        msgs, msg_envs = _exchange_throughput(WAVE_MESSAGES, nranks, sched,
-                                              nwaves)
-        # same schedule, same inputs — the strategies may only differ in
-        # speed, never in the values they deliver
-        assert envs_bit_identical(block_envs, msg_envs) is None
-        ratio_at[nranks] = block / msgs
-        lines.append(
-            f"{nranks:4d} ranks ({sched.message_count():5d} msg/wave): "
-            f"block {block / 1e6:5.2f} M msg/s   "
-            f"per-message {msgs / 1e6:5.2f} M msg/s   "
-            f"block/per-message {block / msgs:5.2f}x")
-    lines.append("")
-    lines.append(f"overlap_update on the ring transport, {NWORDS}-word "
-                 f"float64 payloads, {DEGREE} neighbours/rank, best of 3")
-    emit_report("S5 halo wave throughput (block vs per-message)",
-                "\n".join(lines))
-    # the scale gate: at 128 ranks one concatenated block per wave must
-    # beat per-neighbour Python payload handling by 2x on the clean path
-    if os.environ.get("REPRO_PERF_ASSERT"):
-        assert ratio_at[128] >= 2.0, ratio_at
-
-
 def _block_wave_cost(nranks: int, sched: OverlapSchedule, nwaves: int,
                      flat: bool, rounds: int = 3) -> float:
     """Best-of-``rounds`` seconds per halo message on the block path."""
     nmsg = sched.message_count()
     best = float("inf")
     for _ in range(rounds):
-        comm = SimComm(nranks, transport="ring")
+        comm = SimComm(nranks)
         envs = _make_envs(nranks)
         store = build_flat_store(envs, ["v"]) if flat else None
         t0 = time.perf_counter()
         for _ in range(nwaves):
-            overlap_update(comm, envs, "v", sched, wave=WAVE_BLOCK,
-                           store=store)
+            overlap_update(comm, envs, "v", sched, store=store)
         best = min(best, (time.perf_counter() - t0) / (nwaves * nmsg))
         comm.assert_drained()
     return best
@@ -160,7 +99,7 @@ def test_block_wave_scaling_to_4096():
     lines.append("")
     lines.append(f"flat-store per-message cost 4096 vs 256 ranks: "
                  f"{flatness:.2f}x (gate: <= 2.0x)")
-    lines.append(f"block waves on the ring transport, {NWORDS}-word "
+    lines.append(f"block waves, {NWORDS}-word "
                  f"float64 payloads, {DEGREE} neighbours/rank, best of 3")
     emit_report("S5b block wave scaling (256 -> 4096 ranks)",
                 "\n".join(lines))

@@ -103,16 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="receive retry budget in fabric steps (0 = "
                           "fail fast on a missing message); needed to "
                           "recover from delay/drop fault rules")
-    run.add_argument("--transport", choices=("ring", "deque"), default=None,
-                     help="SimMPI wire implementation: 'ring' (vectorized "
-                          "numpy fabric, the default) or 'deque' (the "
-                          "reference per-channel implementation)")
-    run.add_argument("--halo-wave", choices=("block", "per-message"),
-                     default="block",
-                     help="halo wire strategy: 'block' (one concatenated "
-                          "float64 block per wave, the default) or "
-                          "'per-message' (the per-neighbour reference "
-                          "path); the two are bit-identical")
     run.add_argument("--recovery", choices=("global", "local"),
                      default="global",
                      help="what a kill fault costs: 'global' rewinds every "
@@ -333,8 +323,6 @@ def _run_pipeline_cli(args, spec, result, out) -> int:
                        split_phase=args.split_phase,
                        fault_plan=fault_plan,
                        comm_timeout=args.comm_timeout,
-                       transport=args.transport,
-                       halo_wave=args.halo_wave,
                        recovery=args.recovery,
                        checkpoint_keep=args.checkpoint_keep,
                        checkpoint_budget=args.checkpoint_budget,

@@ -255,8 +255,6 @@ def run_pipeline(source_or_sub: Union[str, Subroutine],
                  split_phase: bool = False,
                  fault_plan: Optional[FaultPlan] = None,
                  comm_timeout: int = 0,
-                 transport: Optional[str] = None,
-                 halo_wave: str = "block",
                  recovery: str = "global",
                  checkpoint_keep: int = 1,
                  checkpoint_budget: Optional[int] = None,
@@ -279,11 +277,8 @@ def run_pipeline(source_or_sub: Union[str, Subroutine],
     POST/WAIT windows before executing.  ``fault_plan``/``comm_timeout``
     run the SPMD half on the fault-injection fabric with a receive retry
     budget (the sequential oracle always runs fault-free) — the verified
-    outputs then demonstrate recovery, not just agreement.  ``transport``
-    picks the SimMPI wire implementation (``"ring"`` vectorized default,
-    ``"deque"`` reference oracle); ``halo_wave`` the halo wire strategy
-    (``"block"`` concatenated waves default, ``"per-message"`` reference
-    path — bit-identical).  ``recovery`` picks what a kill fault costs
+    outputs then demonstrate recovery, not just agreement.
+    ``recovery`` picks what a kill fault costs
     (``"global"`` rollback of every rank, or ``"local"`` localized
     restart of the dead rank against the sender-side message log) and
     ``checkpoint_keep``/``checkpoint_budget`` size the retained
@@ -367,8 +362,7 @@ def run_pipeline(source_or_sub: Union[str, Subroutine],
                                  rebalance_at=tuple(rebalance_at or ()))
     spmd = executor.run({k.lower(): v for k, v in global_values.items()},
                         max_steps=max_steps, faults=fault_plan,
-                        comm_timeout=comm_timeout, transport=transport,
-                        halo_wave=halo_wave, recovery=recovery,
+                        comm_timeout=comm_timeout, recovery=recovery,
                         checkpoint_keep=checkpoint_keep,
                         checkpoint_budget=checkpoint_budget,
                         rebalance=policy)

@@ -20,7 +20,7 @@ partition (see ``tests/mesh/test_migrate.py::TestResume``).
 Construction is packed-id arithmetic end to end: the *old* partition's
 packed table answers "which rank held entity ``g``, at which local slot"
 for every entity of every *new* sub-mesh with one fancy index plus shift
-and mask (:mod:`repro.mesh.packedid`) — no ``g2l`` dicts.
+and mask (:mod:`repro.mesh.packedid`) — no global→local dicts.
 """
 
 from __future__ import annotations

@@ -29,8 +29,7 @@ Entity identity is also available in **packed** form
 (:mod:`repro.mesh.packedid`): ``rank << SHIFT | owner_local_index`` as
 one int64, so owner lookup and owner-local extraction on schedule
 construction paths are shifts and masks over arrays instead of dict
-probes.  ``SubMesh.g2l`` survives as a deprecated dict shim for external
-callers; nothing inside the package uses it on a hot path any more.
+probes.
 """
 
 from __future__ import annotations
@@ -63,9 +62,6 @@ class SubMesh:
     elements: np.ndarray
     #: local edge connectivity over local node ids, or None
     edges: Optional[np.ndarray] = None
-    #: entity -> (source l2g array, {global: local}) — lazy, identity-keyed
-    _g2l: dict[str, tuple[np.ndarray, dict[int, int]]] = field(
-        default_factory=dict, repr=False)
     #: entity -> (source l2g array, packed ids per local slot) — lazy
     _packed: dict[str, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, repr=False)
@@ -74,29 +70,12 @@ class SubMesh:
         """(kernel, total) local extents of one entity."""
         return self.kernel_count[entity], len(self.l2g[entity])
 
-    def g2l(self, entity: str) -> dict[int, int]:
-        """global→local id mapping — **deprecated dict shim**.
-
-        Kept for external callers; all package-internal schedule and
-        migration construction goes through packed ids instead
-        (:meth:`packed_ids`).  The cache is keyed on the identity of the
-        ``l2g`` array, so a migration (or anything else) that replaces
-        ``l2g[entity]`` invalidates the mapping instead of serving stale
-        local indices.
-        """
-        arr = self.l2g[entity]
-        cached = self._g2l.get(entity)
-        if cached is None or cached[0] is not arr:
-            mapping = {int(g): l for l, g in enumerate(arr)}
-            self._g2l[entity] = (arr, mapping)
-            return mapping
-        return cached[1]
-
     def packed_ids(self, entity: str, packing: EntityPacking) -> np.ndarray:
         """Packed ids of this rank's local entities, aligned with ``l2g``.
 
-        Cached per entity and invalidated (like :meth:`g2l`) when the
-        ``l2g`` array is replaced.
+        Cached per entity, keyed on the identity of the ``l2g`` array, so
+        a migration (or anything else) that replaces ``l2g[entity]``
+        invalidates the cache instead of serving stale local indices.
         """
         arr = self.l2g[entity]
         cached = self._packed.get(entity)

@@ -26,10 +26,7 @@ from .faults import (
     make_comm,
 )
 from .halos import (
-    HALO_WAVES,
     REDUCE_OPS,
-    WAVE_BLOCK,
-    WAVE_MESSAGES,
     PendingCombine,
     PendingOverlap,
     allreduce_scalar,
@@ -48,12 +45,7 @@ from .perfmodel import (
     parallel_time,
     sequential_time,
 )
-from .ringbuf import (
-    DEFAULT_TRANSPORT,
-    DequeTransport,
-    RingTransport,
-    make_transport,
-)
+from .ringbuf import RingTransport
 from .simmpi import CollectiveRecord, CommStats, RankComm, Request, SimComm
 from .trace import (
     Timeline,
@@ -64,17 +56,16 @@ from .trace import (
 
 __all__ = [
     "Checkpoint", "CheckpointManager", "CollectiveRecord", "CommStats",
-    "DEFAULT_TRANSPORT", "DequeTransport", "FaultComm", "FaultPlan",
-    "FaultRule", "FlatField", "HALO_WAVES", "KillRule", "MachineModel",
+    "FaultComm", "FaultPlan", "FaultRule", "FlatField", "KillRule",
+    "MachineModel",
     "MessageLog", "build_flat_store", "PendingCombine",
     "PendingOverlap", "RECOVERY_GLOBAL", "RECOVERY_LOCAL", "RECOVERY_MODES",
     "REDUCE_OPS", "RankComm", "RankSnapshot", "ReplayFilter", "Request",
     "RingTransport", "SPMDExecutor", "SPMDResult", "SimComm",
-    "TimeBreakdown", "WAVE_BLOCK", "WAVE_MESSAGES",
-    "adversarial_check", "allreduce_scalar",
+    "TimeBreakdown", "adversarial_check", "allreduce_scalar",
     "Timeline", "calibrated_model", "combine_complete", "combine_post",
     "combine_update", "copy_env", "envs_bit_identical", "make_comm",
-    "make_transport", "overlap_complete", "overlap_post", "overlap_update",
+    "overlap_complete", "overlap_post", "overlap_update",
     "parallel_time", "render_fault_report", "render_timeline",
     "restore_rank_snapshot", "sequential_time", "snapshot_digest",
     "timeline_report",

@@ -58,10 +58,8 @@ from .flatstore import FlatField, build_flat_store, rebuild_flat_store
 from .msglog import MessageLog, ReplayFilter
 from .halos import (
     REDUCE_OPS,
-    WAVE_BLOCK,
     _TAG_REDUCE,
     _TAG_RETURN,
-    _check_wave,
     allreduce_scalar,
     combine_complete,
     combine_post,
@@ -146,6 +144,8 @@ class SPMDExecutor:
                     self.loop_entity[st.sid] = ent
         self._overlap_scheds: dict[str, Any] = {}
         self._combine_scheds: dict[str, Any] = {}
+        #: flat rank-batched store of the current run (None before one)
+        self._store: Optional[dict[str, FlatField]] = None
 
     # -- schedules ----------------------------------------------------------
 
@@ -287,9 +287,6 @@ class SPMDExecutor:
             checkpoint_keep: int = 1,
             checkpoint_budget: Optional[int] = None,
             recovery: str = RECOVERY_GLOBAL,
-            watchdog: bool = True,
-            transport: Optional[str] = None,
-            halo_wave: str = WAVE_BLOCK,
             rebalance: Optional[RebalancePolicy] = None) -> SPMDResult:
         """Execute all ranks in lockstep; returns envs, steps and traffic.
 
@@ -306,7 +303,9 @@ class SPMDExecutor:
             message polls the fabric that many times (releasing delayed
             messages, triggering retransmissions of dropped ones) before
             raising a :class:`~repro.errors.CommTimeout` that carries the
-            outstanding-communication ledger.
+            outstanding-communication ledger, enriched with a per-rank
+            deadlock diagnostic naming the stalled CommOp, its anchor and
+            the missing peer.
         ``checkpoint``
             Snapshot quiescent collective boundaries so a kill rule is
             survived by rolling every rank back and replaying (results
@@ -335,19 +334,6 @@ class SPMDExecutor:
             O(one rank) words instead of O(P).  Message logging is armed
             only for ``"local"`` runs with checkpointing enabled — the
             default path stays zero-overhead.
-        ``watchdog``
-            Enrich fabric timeouts with a per-rank deadlock diagnostic
-            naming the stalled CommOp, its anchor and the missing peer.
-        ``transport``
-            Wire implementation: ``"ring"`` (vectorized numpy fabric,
-            the default) or ``"deque"`` (reference oracle) — see
-            :mod:`repro.runtime.ringbuf`.
-        ``halo_wave``
-            Halo wire strategy: ``"block"`` (one concatenated float64
-            block per wave through ``send_block``/``recv_block``, the
-            default) or ``"per-message"`` (the historical per-neighbour
-            reference path) — see :mod:`repro.runtime.halos`.  The two
-            are bit-identical.
         ``rebalance``
             A :class:`~repro.mesh.migrate.RebalancePolicy` arming online
             repartitioning: at quiescent collective boundaries (no open
@@ -360,9 +346,10 @@ class SPMDExecutor:
             epoch.  A scheduled event that lands inside a non-quiescent
             stretch fires at the next quiescent boundary.
         """
-        _check_wave(halo_wave)
-        self._halo_wave = halo_wave
-        comm = make_comm(self.partition.nparts, faults, transport=transport)
+        if recovery not in RECOVERY_MODES:
+            raise RuntimeFault(f"unknown recovery mode {recovery!r} "
+                               f"(expected one of {', '.join(RECOVERY_MODES)})")
+        comm = make_comm(self.partition.nparts, faults)
         comm.comm_timeout = comm_timeout
         envs = [self.make_rank_env(sub_mesh, global_values)
                 for sub_mesh in self.partition.subs]
@@ -370,8 +357,7 @@ class SPMDExecutor:
         # all-ranks buffer; rank envs hold zero-copy views, so the halo
         # collectives below move all ranks' data with single fancy-index
         # gathers/scatters instead of per-rank loops
-        self._store: dict[str, FlatField] = build_flat_store(
-            envs, self._flat_variables())
+        self._store = build_flat_store(envs, self._flat_variables())
         gens = []
         interps = []
         states = [MachineState() for _ in envs]
@@ -384,9 +370,6 @@ class SPMDExecutor:
         results: list[Optional[Any]] = [None] * len(gens)
         #: id(op) -> (op, handle, post event index, post step snapshot)
         pending: dict[int, tuple[CommOp, Any, int, list[int]]] = {}
-        if recovery not in RECOVERY_MODES:
-            raise RuntimeFault(f"unknown recovery mode {recovery!r} "
-                               f"(expected one of {', '.join(RECOVERY_MODES)})")
         if checkpoint is None:
             checkpoint = faults is not None and bool(faults.kills)
         ckpt = CheckpointManager(every=checkpoint_every,
@@ -433,8 +416,6 @@ class SPMDExecutor:
                 gens[rank] = interps[rank].run_gen(envs[rank], states[rank])
 
         def guarded(fn, op: CommOp, phase: Optional[str]):
-            if not watchdog:
-                return fn()
             try:
                 return fn()
             except CommTimeout as exc:
@@ -473,8 +454,6 @@ class SPMDExecutor:
                     f"{cp.event_count})")
 
             def guarded_replay(fn, op: CommOp, phase: Optional[str]):
-                if not watchdog:
-                    return fn()
                 try:
                     return fn()
                 except CommTimeout as exc:
@@ -851,17 +830,15 @@ class SPMDExecutor:
 
     def _post(self, op: CommOp, comm: SimComm, envs: list[Env]) -> Any:
         """Fire the initiating half of a split window; returns the handle."""
-        wave = getattr(self, "_halo_wave", WAVE_BLOCK)
-        store = getattr(self, "_store", None)
         if op.kind == K_OVERLAP:
             return overlap_post(comm, envs, op.var,
                                 self._overlap_schedule(op.entity),
-                                label=op.var, wave=wave, store=store)
+                                label=op.var, store=self._store)
         if op.kind == K_COMBINE:
             return combine_post(comm, envs, op.var,
                                 self._combine_schedule(op.entity),
-                                op=op.op or "+", label=op.var, wave=wave,
-                                store=store)
+                                op=op.op or "+", label=op.var,
+                                store=self._store)
         # K_REDUCE (and anything else) cannot split: the binomial tree is
         # a chain of dependent rounds with no one-ended post
         raise RuntimeFault(
@@ -878,17 +855,15 @@ class SPMDExecutor:
                 f"{op.kind} communication on {op.var!r} cannot be split-phase")
 
     def _perform(self, op: CommOp, comm: SimComm, envs: list[Env]) -> None:
-        wave = getattr(self, "_halo_wave", WAVE_BLOCK)
-        store = getattr(self, "_store", None)
         if op.kind == K_OVERLAP:
             overlap_update(comm, envs, op.var,
                            self._overlap_schedule(op.entity), label=op.var,
-                           wave=wave, store=store)
+                           store=self._store)
         elif op.kind == K_COMBINE:
             combine_update(comm, envs, op.var,
                            self._combine_schedule(op.entity),
-                           op=op.op or "+", label=op.var, wave=wave,
-                           store=store)
+                           op=op.op or "+", label=op.var,
+                           store=self._store)
         elif op.kind == K_REDUCE:
             allreduce_scalar(comm, envs, op.var, op=op.op or "+",
                              label=op.var)
@@ -897,7 +872,7 @@ class SPMDExecutor:
 
     # -- localized restart: single-rank replay bodies ------------------------
     #
-    # These mirror the per-message reference path of runtime.halos exactly
+    # These mirror the per-message path of runtime.halos exactly
     # (which the block wave is proven bit-identical to), restricted to one
     # rank: the recovering rank re-emits its sends (all suppressed by the
     # replay filter, in the original order, so the filter's seq cursors

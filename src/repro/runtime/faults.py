@@ -234,9 +234,8 @@ class FaultComm(SimComm):
     :meth:`_progress` and the retransmit lookup are masked array scans.
     """
 
-    def __init__(self, size: int, plan: FaultPlan,
-                 transport: Optional[str] = None):
-        super().__init__(size, transport=transport)
+    def __init__(self, size: int, plan: FaultPlan):
+        super().__init__(size)
         self.plan = plan
         self.rng = np.random.default_rng(plan.seed)
         self.clock = 0
@@ -488,18 +487,15 @@ def _corrupt(payload: Any, rng: np.random.Generator) -> Any:
     return payload
 
 
-def make_comm(size: int, plan: Optional[FaultPlan],
-              transport: Optional[str] = None) -> SimComm:
+def make_comm(size: int, plan: Optional[FaultPlan]) -> SimComm:
     """The executor's fabric factory: perfect unless a plan says otherwise.
 
     >>> type(make_comm(2, None)) is SimComm
     True
-    >>> make_comm(2, None, transport="deque").transport_name
-    'deque'
     """
     if plan is None:
-        return SimComm(size, transport=transport)
-    return FaultComm(size, plan, transport=transport)
+        return SimComm(size)
+    return FaultComm(size, plan)
 
 
 # -- adversarial-schedule checker -------------------------------------------
@@ -527,8 +523,7 @@ def envs_bit_identical(a: list[dict], b: list[dict]) -> Optional[str]:
 
 def adversarial_check(placements, spec, partition, global_values,
                       seeds: tuple[int, ...] = (11, 23, 47),
-                      indices: Optional[list[int]] = None,
-                      transport: Optional[str] = None) -> list[str]:
+                      indices: Optional[list[int]] = None) -> list[str]:
     """Replay placements under randomized message orderings.
 
     For every ranked placement (or the chosen ``indices``), runs the SPMD
@@ -546,14 +541,12 @@ def adversarial_check(placements, spec, partition, global_values,
     for idx in chosen:
         rp = placements.ranked[idx]
         base = SPMDExecutor(placements.sub, spec, rp.placement,
-                            partition).run(dict(global_values),
-                                           transport=transport)
+                            partition).run(dict(global_values))
         for seed in seeds:
             plan = FaultPlan(rules=[FaultRule(action="reorder")], seed=seed)
             res = SPMDExecutor(placements.sub, spec, rp.placement,
                                partition).run(dict(global_values),
-                                              faults=plan,
-                                              transport=transport)
+                                              faults=plan)
             diff = envs_bit_identical(base.envs, res.envs)
             if diff is not None:
                 failures.append(
@@ -597,22 +590,17 @@ def soak_check(placements, spec, partition, global_values,
                seeds: tuple[int, ...] = (11, 23, 47),
                prob: float = 0.05,
                indices: Optional[list[int]] = None,
-               transport: Optional[str] = None,
                rebalance: Optional[tuple[int, ...]] = None) -> list[str]:
-    """Probabilistic soak: low-rate faults, every seed, both halo waves.
+    """Probabilistic soak: low-rate faults, every seed.
 
     For each placement and seed, runs the executor under four low-rate
-    ``prob=``-thinned fault plans — drop, delay, reorder, corrupt — once
-    per halo wire strategy (block and per-message).  Checks:
+    ``prob=``-thinned fault plans — drop, delay, reorder, corrupt.
+    Checks:
 
     * drop/delay/reorder runs finish **bit-identical** to the fault-free
       baseline (recovery must be invisible);
     * corrupt runs finish and drain (a flipped payload legitimately
       changes values, so only liveness is asserted);
-    * for every plan, the block-wave run is bit-identical to the
-      per-message run under the *same* plan — both paths must present
-      the same message sequence to the fabric, so the seeded rules fire
-      on the same wire traffic;
     * one seed-derived kill per placement×seed (alone, and composed with
       low-rate reorder), recovered under **both** recovery modes with a
       sparse checkpoint cadence: global rollback and localized restart
@@ -631,7 +619,6 @@ def soak_check(placements, spec, partition, global_values,
     a per-PR gate.
     """
     from .executor import SPMDExecutor
-    from .halos import WAVE_BLOCK, WAVE_MESSAGES
 
     policy = rebalance_policy(partition, tuple(rebalance)) \
         if rebalance else None
@@ -648,26 +635,24 @@ def soak_check(placements, spec, partition, global_values,
     for idx in chosen:
         rp = placements.ranked[idx]
 
-        def execute(wave, plan=None, timeout=0, recovery="global",
+        def execute(plan=None, timeout=0, recovery="global",
                     checkpoint_every=1, policy=policy):
             return SPMDExecutor(placements.sub, spec, rp.placement,
                                 partition).run(dict(global_values),
                                                faults=plan,
                                                comm_timeout=timeout,
-                                               transport=transport,
-                                               halo_wave=wave,
                                                recovery=recovery,
                                                rebalance=policy,
                                                checkpoint_every=
                                                checkpoint_every)
 
-        base = execute(WAVE_BLOCK)
+        base = execute()
         if policy is not None:
             # migration differential: the rank-permutation plan must be
             # invisible in the assembled outputs — compare the migrated
             # baseline's gathers against a never-migrated run
             where = f"placement #{idx} rebalance at {policy.rebalance_at}"
-            plain = execute(WAVE_BLOCK, policy=None)
+            plain = execute(policy=None)
             if not base.migration or base.migration["epochs"] == 0:
                 failures.append(f"{where}: no migration epoch ran")
             for var in sorted(base.envs[0]):
@@ -681,23 +666,14 @@ def soak_check(placements, spec, partition, global_values,
         for seed in seeds:
             for kind, rules, timeout in soak_plans:
                 where = f"placement #{idx} seed {seed} {kind} prob={prob}"
-                runs = {}
-                for wave in (WAVE_BLOCK, WAVE_MESSAGES):
-                    plan = FaultPlan(rules=list(rules), seed=seed)
-                    try:
-                        runs[wave] = execute(wave, plan, timeout)
-                    except ReproError as exc:
-                        failures.append(f"{where} [{wave}]: {exc}")
-                if len(runs) < 2:
+                plan = FaultPlan(rules=list(rules), seed=seed)
+                try:
+                    run = execute(plan, timeout)
+                except ReproError as exc:
+                    failures.append(f"{where}: {exc}")
                     continue
-                diff = envs_bit_identical(runs[WAVE_BLOCK].envs,
-                                          runs[WAVE_MESSAGES].envs)
-                if diff is not None:
-                    failures.append(f"{where}: block vs per-message "
-                                    f"diverge — {diff}")
                 if kind != "corrupt":
-                    diff = envs_bit_identical(base.envs,
-                                              runs[WAVE_BLOCK].envs)
+                    diff = envs_bit_identical(base.envs, run.envs)
                     if diff is not None:
                         failures.append(f"{where}: recovery not "
                                         f"bit-identical — {diff}")
@@ -719,8 +695,7 @@ def soak_check(placements, spec, partition, global_values,
                     plan = FaultPlan(rules=list(rules), kills=[kill],
                                      seed=seed)
                     try:
-                        recovered[mode] = execute(WAVE_BLOCK, plan,
-                                                  recovery=mode,
+                        recovered[mode] = execute(plan, recovery=mode,
                                                   checkpoint_every=3)
                     except ReproError as exc:
                         failures.append(f"{where} [{mode}]: {exc}")
@@ -741,7 +716,6 @@ def soak_check(placements, spec, partition, global_values,
 def kill_check(placements, spec, partition, global_values,
                events: tuple[int, ...] = (1, 3),
                indices: Optional[list[int]] = None,
-               transport: Optional[str] = None,
                rebalance: Optional[tuple[int, ...]] = None) -> list[str]:
     """Deterministic kill sweep recovered under both recovery modes.
 
@@ -773,7 +747,6 @@ def kill_check(placements, spec, partition, global_values,
             return SPMDExecutor(placements.sub, spec, rp.placement,
                                 partition).run(dict(global_values),
                                                faults=plan,
-                                               transport=transport,
                                                recovery=recovery,
                                                rebalance=policy,
                                                checkpoint_every=3)
@@ -834,14 +807,12 @@ def main(argv: Optional[list[str]] = None) -> int:
                     help="TESTIV sweep count (default 3)")
     ap.add_argument("--seeds", type=int, nargs="+", default=[11, 23, 47],
                     help="reorder seeds per placement")
-    ap.add_argument("--transport", choices=("ring", "deque"), default=None,
-                    help="message transport (default: the runtime default)")
     ap.add_argument("--soak", action="store_true",
                     help="probabilistic soak instead of the adversarial "
                          "reorder sweep: low-rate prob= drop/delay/"
-                         "reorder/corrupt plans per seed, run on both "
-                         "halo wave paths and checked bit-identical "
-                         "(sized for a scheduled CI job)")
+                         "reorder/corrupt plans per seed, checked "
+                         "bit-identical to the fault-free run (sized "
+                         "for a scheduled CI job)")
     ap.add_argument("--prob", type=float, default=0.05,
                     help="per-message fault probability in --soak mode "
                          "(default 0.05)")
@@ -875,24 +846,21 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.soak:
             found = soak_check(placements, spec, partition, values,
                                seeds=tuple(args.seeds), prob=args.prob,
-                               transport=args.transport,
                                rebalance=rebalance)
             print(f"nparts={nparts}: {len(placements.ranked)} placements x "
-                  f"{len(args.seeds)} soak seeds x (4 fault kinds x 2 halo "
-                  f"waves + 2 kill plans x 2 recovery modes) "
+                  f"{len(args.seeds)} soak seeds x (4 fault kinds + "
+                  f"2 kill plans x 2 recovery modes) "
                   f"(prob={args.prob}){reb_note} — "
                   f"{'OK' if not found else f'{len(found)} FAILURES'}")
         elif args.kills:
             found = kill_check(placements, spec, partition, values,
-                               transport=args.transport,
                                rebalance=rebalance)
             print(f"nparts={nparts}: {len(placements.ranked)} placements, "
                   f"kill sweep x 2 recovery modes{reb_note} — "
                   f"{'OK' if not found else f'{len(found)} FAILURES'}")
         else:
             found = adversarial_check(placements, spec, partition, values,
-                                      seeds=tuple(args.seeds),
-                                      transport=args.transport)
+                                      seeds=tuple(args.seeds))
             print(f"nparts={nparts}: {len(placements.ranked)} placements x "
                   f"{len(args.seeds)} adversarial seeds — "
                   f"{'OK' if not found else f'{len(found)} FAILURES'}")

@@ -29,25 +29,26 @@ All of these run in the single-process lockstep world of the SPMD executor:
 every rank is suspended at the same program point, so a collective is a
 plain loop over ranks pushing and then draining SimMPI queues.
 
-Each array collective has two interchangeable wire strategies, selected by
-the ``wave`` argument (``--halo-wave`` on the CLI):
+Each array collective moves its payloads one of two ways, chosen per call
+from the payload itself:
 
-``"block"`` (default)
+block
     One concatenated float64 block per wave, built by fancy indexing from
     the schedule's materialized index arrays
     (:meth:`~repro.mesh.schedule.OverlapSchedule.wave`) and moved through
-    ``send_block``/``recv_block`` — zero per-message Python on the ring
-    transport.  Falls back to per-message automatically for payloads the
+    ``send_block``/``recv_block`` — zero per-message Python.  Taken when
+    the variable has a flat-store field, or when every rank holds it as a
+    1-D float64 array (:func:`_block_eligible`).
+per-message
+    One Python payload per neighbour through
+    ``isend_batch``/``waitall_recv`` — the only path for payloads the
     block wire cannot carry bit-exactly (non-float64 or multi-dimensional
     arrays).
-``"per-message"``
-    The historical reference path: one Python payload per neighbour
-    through ``isend_batch``/``waitall_recv``.
 
-The two are bit-identical — same values, same ``CommStats`` columns, same
-tag sequence, same fault/retry behaviour — which
-``tests/runtime/test_halo_waves.py`` asserts differentially over the whole
-TESTIV corpus.
+On payloads both can carry the two are bit-identical — same values, same
+``CommStats`` columns, same tag sequence, same fault/retry behaviour —
+which ``tests/runtime/test_halo_waves.py`` asserts differentially over the
+whole TESTIV corpus.
 """
 
 from __future__ import annotations
@@ -76,21 +77,10 @@ REDUCE_OPS: dict[str, Callable] = {
 _ACCUM_UFUNC = {"+": np.add, "*": np.multiply,
                 "max": np.maximum, "min": np.minimum}
 
-#: halo wire strategies (see module docstring)
-WAVE_BLOCK = "block"
-WAVE_MESSAGES = "per-message"
-HALO_WAVES = (WAVE_BLOCK, WAVE_MESSAGES)
-
 _TAG_OVERLAP = 101
 _TAG_GATHER = 102
 _TAG_RETURN = 103
 _TAG_REDUCE = 104
-
-
-def _check_wave(wave: str) -> None:
-    if wave not in HALO_WAVES:
-        raise RuntimeFault(f"unknown halo wave mode {wave!r} "
-                           f"(expected one of {', '.join(HALO_WAVES)})")
 
 
 def _block_eligible(envs: list[dict], var: str) -> bool:
@@ -98,7 +88,7 @@ def _block_eligible(envs: list[dict], var: str) -> bool:
 
     ``send_block``/``recv_block`` move one contiguous float64 block; any
     rank holding a non-float64 or multi-dimensional value routes the
-    whole collective down the per-message reference path instead.
+    whole collective down the per-message path instead.
     """
     for env in envs:
         arr = env[var]
@@ -120,8 +110,9 @@ class PendingOverlap:
     recvs: list[tuple[int, int, np.ndarray, Request]] = field(
         default_factory=list)
     sends: list[Request] = field(default_factory=list)
-    #: wire strategy chosen at post time (the complete half must match)
-    wave: str = WAVE_MESSAGES
+    #: whether the post half took the block wire (the complete half must
+    #: match)
+    block: bool = False
     tag: int = 0
     #: receive side of the block wave (block path only)
     recv_side: Optional[WaveSide] = None
@@ -143,8 +134,9 @@ class PendingCombine:
     recvs: list[tuple[int, int, np.ndarray, Request]] = field(
         default_factory=list)
     sends: list[Request] = field(default_factory=list)
-    #: wire strategy chosen at post time (the complete half must match)
-    wave: str = WAVE_MESSAGES
+    #: whether the post half took the block wire (the complete half must
+    #: match)
+    block: bool = False
     tag: int = 0
     #: flat-store field backing ``var`` (store-backed block path only)
     field: Optional[FlatField] = None
@@ -152,7 +144,7 @@ class PendingCombine:
 
 def overlap_post(comm: SimComm, envs: list[dict], var: str,
                  schedule: OverlapSchedule, label: str = "",
-                 wave: str = WAVE_BLOCK, _log: bool = True,
+                 _log: bool = True,
                  store: Optional[dict[str, FlatField]] = None
                  ) -> PendingOverlap:
     """Start an overlap update: owners' values leave now, on a fresh tag.
@@ -162,28 +154,22 @@ def overlap_post(comm: SimComm, envs: list[dict], var: str,
     buffer; eligibility is by construction (store fields are 1-D float64
     on every rank), so no per-rank sweep runs at all.
     """
-    _check_wave(wave)
     before = _rank_words(comm)
     tag = comm.fresh_tag()
     pending = PendingOverlap(comm=comm, envs=envs, var=var,
                              label=label or var, tag=tag)
-    field = store.get(var) if (store is not None
-                               and wave == WAVE_BLOCK) else None
-    if field is not None:
+    field = store.get(var) if store is not None else None
+    if field is not None or _block_eligible(envs, var):
         w = schedule.wave()
-        block = w.send.flat_gather(field.flat, field.offsets)
+        if field is not None:
+            block = w.send.flat_gather(field.flat, field.offsets)
+        else:
+            block = w.send.gather([env[var] for env in envs])
         comm.send_block(w.send.srcs, w.send.dsts, block, w.send.words,
                         tag=tag)
-        pending.wave = WAVE_BLOCK
+        pending.block = True
         pending.recv_side = w.recv
         pending.field = field
-    elif wave == WAVE_BLOCK and _block_eligible(envs, var):
-        w = schedule.wave()
-        block = w.send.gather([env[var] for env in envs])
-        comm.send_block(w.send.srcs, w.send.dsts, block, w.send.words,
-                        tag=tag)
-        pending.wave = WAVE_BLOCK
-        pending.recv_side = w.recv
     else:
         srcs: list[int] = []
         dsts: list[int] = []
@@ -210,7 +196,7 @@ def overlap_complete(pending: PendingOverlap, overlap_steps: int = 0,
     """Finish a posted overlap update: write received values in place."""
     comm = pending.comm
     before = _rank_words(comm)
-    if pending.wave == WAVE_BLOCK:
+    if pending.block:
         side = pending.recv_side
         block, _words = comm.recv_block(side.srcs, side.dsts,
                                         tag=pending.tag)
@@ -232,20 +218,18 @@ def overlap_complete(pending: PendingOverlap, overlap_steps: int = 0,
 
 def overlap_update(comm: SimComm, envs: list[dict], var: str,
                    schedule: OverlapSchedule, label: str = "",
-                   wave: str = WAVE_BLOCK,
                    store: Optional[dict[str, FlatField]] = None) -> None:
     """Refresh overlap copies of ``var`` from their kernel owners."""
     before = _rank_words(comm)
-    pending = overlap_post(comm, envs, var, schedule, label, wave=wave,
-                           _log=False, store=store)
+    pending = overlap_post(comm, envs, var, schedule, label, _log=False,
+                           store=store)
     overlap_complete(pending, _log=False)
     _log_collective(comm, f"overlap:{label or var}", before)
 
 
 def combine_post(comm: SimComm, envs: list[dict], var: str,
                  schedule: CombineSchedule, op: str = "+",
-                 label: str = "", wave: str = WAVE_BLOCK,
-                 _log: bool = True,
+                 label: str = "", _log: bool = True,
                  store: Optional[dict[str, FlatField]] = None
                  ) -> PendingCombine:
     """Start a combine: the gather round (holders → owners) leaves now.
@@ -256,26 +240,21 @@ def combine_post(comm: SimComm, envs: list[dict], var: str,
     """
     if REDUCE_OPS.get(op) is None:
         raise RuntimeFault(f"unknown combine operator {op!r}")
-    _check_wave(wave)
     before = _rank_words(comm)
     tag = comm.fresh_tag()
     pending = PendingCombine(comm=comm, envs=envs, var=var, op=op,
                              label=label or var, schedule=schedule, tag=tag)
-    field = store.get(var) if (store is not None
-                               and wave == WAVE_BLOCK) else None
-    if field is not None:
+    field = store.get(var) if store is not None else None
+    if field is not None or _block_eligible(envs, var):
         w = schedule.wave()
-        block = w.gather_send.flat_gather(field.flat, field.offsets)
+        if field is not None:
+            block = w.gather_send.flat_gather(field.flat, field.offsets)
+        else:
+            block = w.gather_send.gather([env[var] for env in envs])
         comm.send_block(w.gather_send.srcs, w.gather_send.dsts, block,
                         w.gather_send.words, tag=tag)
-        pending.wave = WAVE_BLOCK
+        pending.block = True
         pending.field = field
-    elif wave == WAVE_BLOCK and _block_eligible(envs, var):
-        w = schedule.wave()
-        block = w.gather_send.gather([env[var] for env in envs])
-        comm.send_block(w.gather_send.srcs, w.gather_send.dsts, block,
-                        w.gather_send.words, tag=tag)
-        pending.wave = WAVE_BLOCK
     else:
         srcs: list[int] = []
         dsts: list[int] = []
@@ -311,7 +290,7 @@ def combine_complete(pending: PendingCombine, overlap_steps: int = 0,
     envs, var, op = pending.envs, pending.var, pending.op
     schedule = pending.schedule
     before = _rank_words(comm)
-    if pending.wave == WAVE_BLOCK:
+    if pending.block:
         w = schedule.wave()
         field = pending.field
         block, _words = comm.recv_block(w.gather_recv.srcs,
@@ -379,12 +358,12 @@ def combine_complete(pending: PendingCombine, overlap_steps: int = 0,
 
 def combine_update(comm: SimComm, envs: list[dict], var: str,
                    schedule: CombineSchedule, op: str = "+",
-                   label: str = "", wave: str = WAVE_BLOCK,
+                   label: str = "",
                    store: Optional[dict[str, FlatField]] = None) -> None:
     """Assemble partial contributions of ``var`` and redistribute totals."""
     before = _rank_words(comm)
-    pending = combine_post(comm, envs, var, schedule, op, label, wave=wave,
-                           _log=False, store=store)
+    pending = combine_post(comm, envs, var, schedule, op, label, _log=False,
+                           store=store)
     combine_complete(pending, _log=False)
     _log_collective(comm, f"combine:{label or var}", before)
 

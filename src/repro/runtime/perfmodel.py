@@ -89,7 +89,7 @@ def parallel_time(rank_steps: list[int], stats: CommStats,
     the waited record itself (e.g. a combine's return round) is blocking
     and charged in full, as is any post that never found its wait.
 
-    ``halo_wave=True`` models the block-wave halo path: an ``overlap:``
+    A true ``halo_wave`` models the block-wave halo path: an ``overlap:``
     or ``combine:`` record pays ``alpha`` once per *wave* rather than per
     message on its busiest rank — message setup is amortized into one
     block injection.  A blocking combine record is two waves (gather +
@@ -144,32 +144,31 @@ def parallel_time(rank_steps: list[int], stats: CommStats,
                          comm_hidden=hidden, comm_fault=fault)
 
 
-def calibrated_model(transport: str | None = None, *,
-                     messages: int = 2048, words: int = 64,
+def calibrated_model(*, messages: int = 2048, words: int = 64,
                      t_step: float = MachineModel.t_step,
                      timer=time.perf_counter) -> MachineModel:
     """Fit ``alpha``/``beta`` to the measured in-process fabric.
 
     The historical defaults approximate a 1990s MPP; when the simulated
-    fabric itself is the object of study (transport sweeps in
-    ``bench_fault_overhead``), the model should charge what the *actual*
-    transport costs.  This times two message waves through a two-rank
-    communicator on the chosen transport — one with empty payloads (pure
-    per-message overhead → ``alpha``) and one carrying ``words`` float64
-    words each (the marginal per-word cost → ``beta``) — and returns a
+    fabric itself is the object of study (the rank-scaling probe in
+    ``bench_halo_waves``), the model should charge what the *actual*
+    wire costs.  This times two message waves through a two-rank
+    communicator — one with empty payloads (pure per-message overhead →
+    ``alpha``) and one carrying ``words`` float64 words each (the
+    marginal per-word cost → ``beta``) — and returns a
     :class:`MachineModel` with those measured coefficients.
 
     Wall-clock measurement: results vary run to run and must never feed
     a bit-identity assertion, only throughput reporting.
 
-    >>> m = calibrated_model("ring", messages=64, words=8)
+    >>> m = calibrated_model(messages=64, words=8)
     >>> m.alpha > 0 and m.beta > 0
     True
     """
     from .simmpi import SimComm
 
     def wave_cost(nwords: int) -> float:
-        comm = SimComm(2, transport=transport)
+        comm = SimComm(2)
         payloads = [np.zeros(nwords) for _ in range(messages)]
         srcs = np.zeros(messages, np.int64)
         dsts = np.ones(messages, np.int64)

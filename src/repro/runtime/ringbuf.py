@@ -1,42 +1,38 @@
-"""Message transports for SimMPI: the deque oracle and the numpy ring buffer.
+"""The SimMPI wire: a numpy ring buffer of message headers over a payload slab.
 
 A *transport* owns the wire of a :class:`~repro.runtime.simmpi.SimComm`:
-messages that have been sent and not yet received.  Two interchangeable
-implementations live here, selected by ``SimComm(size, transport=...)``:
+messages that have been sent and not yet received.  Its specification is
+the ``(src, dst, tag)`` channel semantics of the MP-net model — each
+channel is a FIFO, channels are independent — which
+:mod:`repro.analysis.mpnet` checks statically and the differential tests
+check against a deque-per-channel reference kept in the test tree.
 
-:class:`DequeTransport` (``"deque"``)
-    The historical fabric — one Python :class:`~collections.deque` per
-    ``(src, dst, tag)`` channel.  Obviously correct and kept as the
-    reference oracle: the differential tests replay whole placement
-    corpora on both transports and require bit-identical behaviour.
+:class:`RingTransport` keeps message *headers* ``(src, dst, tag, seq,
+flags, payload_slot, words)`` in one preallocated numpy structured array
+(:data:`HEADER_DTYPE`); numeric *payloads* live in a float64 slab
+addressed by ``payload_slot``/``words`` (a bump allocator that resets
+whenever the wire drains — the free list is the suffix above the
+cursor); payloads the slab cannot hold bit-exactly (scalars, lists, bool
+or 2-D arrays) fall back to an object side table.  Every whole-fabric
+question — pending counts, per-channel tallies, batched receive
+matching, drain checks — becomes a masked scan over the header columns
+instead of a Python loop over channels, which is what lets
+``bench_halo_waves`` push one wave through 4096 ranks.
 
-:class:`RingTransport` (``"ring"``)
-    The scale fabric.  Message *headers* ``(src, dst, tag, seq, flags,
-    payload_slot, words)`` live in one preallocated numpy structured
-    array (:data:`HEADER_DTYPE`); numeric *payloads* live in a float64
-    slab addressed by ``payload_slot``/``words`` (a bump allocator that
-    resets whenever the wire drains — the free list is the suffix above
-    the cursor); payloads the slab cannot hold bit-exactly (scalars,
-    lists, bool or 2-D arrays) fall back to an object side table.  Every
-    whole-fabric question — pending counts, per-channel tallies, batched
-    receive matching, drain checks — becomes a masked scan over the
-    header columns instead of a Python loop over channels, which is what
-    lets `bench_fault_overhead` sweep 128+ ranks.
-
-Both transports speak the same small interface (``push``/``push_batch``/
-``push_block``/``pop``/``pop_batch``/``pop_block``/``count``/``channels``/
-``move_last``/``snapshot``/``restore``), documented on
-:class:`DequeTransport`.  The by-value capture contract is split:
-``push`` receives an already-captured payload (the communicator copied
-it), while ``push_batch``/``push_block`` capture in-place — the ring
-writes arrays straight into its slab, which *is* the copy.
+The interface is small: ``push``/``push_batch``/``push_block`` deliver,
+``pop``/``pop_batch``/``pop_block`` match receives (returning
+:data:`MISSING` when a requested message has not arrived),
+``count``/``pending_total``/``channels`` scan, ``move_last`` is the
+fault fabric's reorder hook and ``clear``/``snapshot``/``restore``
+serve checkpoints.  The by-value capture contract is split: ``push``
+receives an already-captured payload (the communicator copied it), while
+``push_batch``/``push_block`` capture in-place — the ring writes arrays
+straight into its slab, which *is* the copy.
 
 The throughput path is the *block* pair ``push_block``/``pop_block``: the
 caller hands one concatenated float64 block plus a words column, so the
-ring transport's cost per wave is one slab copy, one vectorized header
-write and one sorted match — no Python object is touched per message.
-The deque transport serves the same calls message-by-message, which is
-exactly the asymmetry ``bench_fault_overhead`` measures.
+cost per wave is one slab copy, one vectorized header write and one
+sorted match — no Python object is touched per message.
 
 >>> t = RingTransport()
 >>> import numpy as np
@@ -57,9 +53,6 @@ from typing import Any, Optional
 import numpy as np
 
 from ..errors import RuntimeFault
-
-#: transport registry key used when ``SimComm(transport=None)``
-DEFAULT_TRANSPORT = "ring"
 
 #: sentinel returned by ``pop``/``pop_batch``/``pop_block`` when the
 #: requested message has not arrived (distinct from any payload, None
@@ -86,23 +79,6 @@ _KEY_BITS = 21
 _KEY_LIMIT = 1 << _KEY_BITS
 
 
-def make_transport(name: Optional[str]):
-    """Transport factory for :class:`~repro.runtime.simmpi.SimComm`.
-
-    >>> make_transport("deque").name
-    'deque'
-    >>> make_transport(None).name == DEFAULT_TRANSPORT
-    True
-    """
-    name = DEFAULT_TRANSPORT if name is None else name
-    if name == "deque":
-        return DequeTransport()
-    if name == "ring":
-        return RingTransport()
-    raise RuntimeFault(f"unknown transport {name!r} "
-                       f"(expected 'ring' or 'deque')")
-
-
 def _capture(payload: Any) -> Any:
     """By-value capture: arrays are copied, everything else shared."""
     return payload.copy() if isinstance(payload, np.ndarray) else payload
@@ -112,101 +88,6 @@ def _encode_keys(src, dst, tag):
     """Pack (src, dst, tag) columns into one sortable int64 key each."""
     return (np.asarray(src, np.int64) << (2 * _KEY_BITS)) \
         | (np.asarray(dst, np.int64) << _KEY_BITS) | np.asarray(tag, np.int64)
-
-
-class DequeTransport:
-    """Reference wire: one FIFO deque per (src, dst, tag) channel.
-
-    This is the transport SimMPI shipped with originally; every method
-    here defines the semantics the ring transport must reproduce
-    bit-for-bit.
-    """
-
-    name = "deque"
-
-    def __init__(self):
-        self._queues: dict[tuple[int, int, int], deque] = {}
-
-    # -- delivery ------------------------------------------------------------
-
-    def push(self, src: int, dst: int, tag: int, payload: Any) -> None:
-        """Append one already-captured message to its channel FIFO."""
-        self._queues.setdefault((src, dst, tag), deque()).append(payload)
-
-    def push_batch(self, srcs, dsts, tag: int, payloads) -> None:
-        """Deliver a wave of messages, capturing each payload by value."""
-        q = self._queues
-        for s, d, p in zip(srcs, dsts, payloads):
-            q.setdefault((int(s), int(d), tag), deque()).append(_capture(p))
-
-    def push_block(self, srcs, dsts, tag: int, block, words) -> None:
-        """Deliver a concatenated float64 wave (see :class:`RingTransport`).
-
-        The deque has no block representation: the wave is captured once
-        and split back into one per-channel append per message — its
-        native (and only) delivery granularity.
-        """
-        blk = np.ascontiguousarray(block, _F8).copy()
-        q = self._queues
-        offset = 0
-        for s, d, w in zip(np.asarray(srcs).tolist(),
-                           np.asarray(dsts).tolist(),
-                           np.asarray(words).tolist()):
-            q.setdefault((s, d, tag), deque()).append(blk[offset:offset + w])
-            offset += w
-
-    # -- receive matching ----------------------------------------------------
-
-    def pop(self, src: int, dst: int, tag: int) -> Any:
-        """Oldest message of one channel, or :data:`MISSING`."""
-        q = self._queues.get((src, dst, tag))
-        if q:
-            return q.popleft()
-        return MISSING
-
-    def pop_batch(self, srcs, dsts, tag: int) -> Any:
-        """Batched matching is a ring-transport specialization."""
-        return MISSING
-
-    def pop_block(self, srcs, dsts, tag: int) -> Any:
-        """Block delivery is a ring-transport specialization."""
-        return MISSING
-
-    # -- scans ---------------------------------------------------------------
-
-    def count(self, src: int, dst: int, tag: int) -> int:
-        q = self._queues.get((src, dst, tag))
-        return len(q) if q else 0
-
-    def pending_total(self) -> int:
-        return sum(len(q) for q in self._queues.values())
-
-    def channels(self) -> list[tuple[int, int, int, int]]:
-        """Non-empty channels as sorted (src, dst, tag, count) tuples."""
-        return [(s, d, t, len(q))
-                for (s, d, t), q in sorted(self._queues.items()) if q]
-
-    # -- fault-fabric hooks --------------------------------------------------
-
-    def move_last(self, src: int, dst: int, tag: int, pos: int) -> None:
-        """Reorder rule: move a channel's newest message to position
-        ``pos`` (0 = front of the FIFO)."""
-        q = self._queues[(src, dst, tag)]
-        q.insert(pos, q.pop())
-
-    # -- lifecycle / snapshots -----------------------------------------------
-
-    def clear(self) -> None:
-        self._queues.clear()
-
-    def snapshot(self) -> dict:
-        """Freeze the in-flight wire (payloads captured by value)."""
-        return {"queues": {key: [_capture(p) for p in q]
-                           for key, q in self._queues.items() if q}}
-
-    def restore(self, snap: dict) -> None:
-        self._queues = {key: deque(_capture(p) for p in msgs)
-                        for key, msgs in snap["queues"].items()}
 
 
 class RingTransport:
@@ -232,11 +113,9 @@ class RingTransport:
       over the live headers instead of per-channel scans.
 
     Capacity doubles on demand; nothing is ever shrunk.  All public
-    results use Python ints so diagnostics render identically to the
-    deque oracle's.
+    results use Python ints so diagnostics render plain numbers, never
+    numpy scalar reprs.
     """
-
-    name = "ring"
 
     def __init__(self, capacity: int = 256, slab_words: int = 4096):
         self._cap = int(capacity)
@@ -483,6 +362,7 @@ class RingTransport:
             self._chan = {}
 
     def pop(self, src: int, dst: int, tag: int) -> Any:
+        """Oldest message of one channel, or :data:`MISSING`."""
         self._ensure_chan()
         fifo = self._chan.get((src, dst, tag))
         if not fifo:
@@ -643,14 +523,15 @@ class RingTransport:
     # -- fault-fabric hooks --------------------------------------------------
 
     def move_last(self, src: int, dst: int, tag: int, pos: int) -> None:
-        """Reorder rule, implemented by permuting ``seq`` stamps.
+        """Reorder rule: move a channel's newest message to FIFO position
+        ``pos`` (0 = front), implemented by permuting ``seq`` stamps.
 
         ``seq`` order is the single source of truth for every consumer —
         per-message pops (via the rebuilt ``_chan`` index), the batched
         matchers behind ``pop_batch``/``pop_block``, and ``snapshot`` —
         so the reorder is expressed there: the channel's newest header
         takes the seq stamp of FIFO position ``pos`` and the displaced
-        headers shift up, exactly ``deque.insert(pos, deque.pop())``.
+        headers shift up, exactly ``fifo.insert(pos, fifo.pop())``.
         Mutating only the lazy ``_chan`` index would silently revert the
         reorder the next time bulk delivery or matching rebuilt it.
         """

@@ -14,14 +14,12 @@ communicator tracks every outstanding request —
 :meth:`SimComm.assert_no_pending_requests` is the leak detector that
 catches a POST whose WAIT never ran.
 
-The wire itself is pluggable (``SimComm(size, transport=...)``): the
-default ``"ring"`` transport keeps message headers in a preallocated
-numpy structured array and payloads in a float64 slab so whole-fabric
-scans are vectorized, while ``"deque"`` retains the original
-deque-per-channel implementation as a reference oracle — see
-:mod:`repro.runtime.ringbuf`.  Collectives move whole waves at once
-through :meth:`SimComm.isend_batch` / :meth:`SimComm.recv_block`, which
-the ring transport serves without touching Python per message.
+The wire is a :class:`~repro.runtime.ringbuf.RingTransport`: message
+headers in a preallocated numpy structured array and payloads in a
+float64 slab, so whole-fabric scans are vectorized.  Collectives move
+whole waves at once through :meth:`SimComm.send_block` /
+:meth:`SimComm.recv_block`, which the ring serves without touching
+Python per message.
 
 Every send is accounted (message count, payload words) per (source,
 destination) pair; :mod:`repro.runtime.perfmodel` turns the ledger into
@@ -43,7 +41,7 @@ from typing import Any, Optional
 import numpy as np
 
 from ..errors import CommTimeout, RuntimeFault
-from .ringbuf import MISSING, make_transport
+from .ringbuf import MISSING, RingTransport
 
 
 @dataclass
@@ -304,14 +302,10 @@ class SimComm:
     """A communicator over ``size`` simulated ranks.
 
     The mpi4py-style per-rank handle is :class:`RankComm`
-    (``comm.view(rank)``); this object owns the wire and the ledger.
-    ``transport`` selects the wire implementation — ``"ring"`` (default,
-    vectorized) or ``"deque"`` (reference oracle); see
-    :mod:`repro.runtime.ringbuf`.
+    (``comm.view(rank)``); this object owns the wire
+    (:mod:`repro.runtime.ringbuf`) and the ledger.
 
-    >>> comm = SimComm(3, transport="deque")
-    >>> comm.transport_name
-    'deque'
+    >>> comm = SimComm(3)
     >>> reqs = comm.isend_batch([0, 0], [1, 2], [np.arange(2.0)] * 2, tag=5)
     >>> comm.pending_channels()
     [(0, 1, 5, 1), (0, 2, 5, 1)]
@@ -323,11 +317,11 @@ class SimComm:
     #: used by the halo collectives
     FRESH_TAG_BASE = 1000
 
-    def __init__(self, size: int, transport: Optional[str] = None):
+    def __init__(self, size: int):
         if size < 1:
             raise RuntimeFault("communicator needs at least one rank")
         self.size = size
-        self._transport = make_transport(transport)
+        self._transport = RingTransport()
         self._next_tag = self.FRESH_TAG_BASE
         self._pending_requests: set["Request"] = set()
         self.stats = CommStats()
@@ -341,11 +335,6 @@ class SimComm:
         #: duplicate-suppression filter, non-None only while a killed
         #: rank is being re-driven against the log
         self._replay = None
-
-    @property
-    def transport_name(self) -> str:
-        """Name of the active wire implementation (``ring`` or ``deque``)."""
-        return self._transport.name
 
     def fresh_tag(self) -> int:
         """A tag no other exchange uses — isolates one split-phase window."""

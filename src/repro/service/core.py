@@ -29,7 +29,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from ..errors import ReproError
@@ -211,12 +211,8 @@ class PlacementService:
                  flags: dict, metrics: RequestMetrics) -> PlacementResult:
         sub = self._parse(program, metrics)
         spec = self._spec(spec_text, metrics)
-        model = CostModel(alpha=flags["alpha"], beta=flags["beta"],
-                          gamma=flags["gamma"],
-                          iterations=flags["iterations"],
-                          kernel_size=flags["kernel_size"],
-                          overlap_fraction=flags["overlap_fraction"],
-                          loss_rate=flags["loss_rate"])
+        model = CostModel(**{f.name: flags[f.name]
+                             for f in fields(CostModel)})
         with metrics.time("analysis"):
             result = enumerate_placements(
                 sub, spec, limit=flags["limit"], model=model,

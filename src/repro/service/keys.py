@@ -34,27 +34,24 @@ False
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 from typing import Optional
 
 from ..errors import ReproError
+from ..placement.cost import CostModel
 
-#: analysis flags that participate in the key, with their defaults
-#: (mirrors enumerate_placements + CostModel; see docs/service.md)
+#: analysis flags that participate in the key, with their defaults: the
+#: enumerate_placements knobs, every CostModel field, and the pre-flight
+#: check's model-checker knobs (see docs/service.md)
 FLAG_DEFAULTS: dict[str, object] = {
     "split_phase": False,
     "use_reduction": True,
     "preconstrain": True,
     "limit": None,
-    "alpha": 100.0,
-    "beta": 0.05,
-    "gamma": 1.0,
-    "iterations": 50.0,
-    "kernel_size": 1000.0,
-    "overlap_fraction": 0.10,
-    "loss_rate": 0.0,
+    **{f.name: f.default for f in dataclasses.fields(CostModel)},
     "model_check": False,
     "net_bound": 20000,
 }

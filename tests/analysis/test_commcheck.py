@@ -184,8 +184,7 @@ class TestCleanCorpus:
                                sub=testiv.sub)
         assert sink.clean, sink.render()
 
-    @pytest.mark.parametrize("transport", ["ring", "deque"])
-    def test_pipeline_hook_clean_on_both_transports(self, transport):
+    def test_pipeline_hook_clean(self):
         from repro.driver import run_pipeline
 
         mesh = structured_tri_mesh(5, 5)
@@ -194,8 +193,7 @@ class TestCleanCorpus:
             fields={"init": np.linspace(0.0, 1.0, mesh.entity_count("node")),
                     "airetri": mesh.triangle_areas,
                     "airesom": mesh.node_areas},
-            scalars={"epsilon": 1e-12, "maxloop": 3},
-            transport=transport, check="strict")
+            scalars={"epsilon": 1e-12, "maxloop": 3}, check="strict")
         assert run.diagnostics is not None and run.diagnostics.clean
         run.verify()
 

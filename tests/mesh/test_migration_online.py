@@ -3,10 +3,11 @@
 A run that migrates entities mid-solve must be indistinguishable — in
 its distributed outputs — from a run that never migrated.  The corpus
 differential forces a **rank-permutation** migration (swap ranks 0 and
-1) at a mid-solve collective boundary on every ranked TESTIV placement,
-under both wire strategies and both transports, and requires *bit
-identity* of every gathered distributed field: a permutation relabels
-ranks without changing any owner-local layout, so even the fused
+1) at a mid-solve collective boundary on every ranked TESTIV placement —
+on the production path and against each reference (the deque wire, the
+per-message halos) — and requires *bit identity* of every gathered
+distributed field: a permutation relabels ranks without changing any
+owner-local layout, so even the fused
 ``np.add.at`` accumulation orders are preserved (swapping the first two
 leaves of the binomial reduce tree is IEEE-commutative).
 
@@ -21,6 +22,8 @@ recovery straddling a migration epoch (kills before and after the epoch,
 both ``recovery="global"`` and ``"local"``).
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -33,8 +36,6 @@ from repro.mesh import (
 )
 from repro.placement import enumerate_placements, widen_placement
 from repro.runtime import (
-    WAVE_BLOCK,
-    WAVE_MESSAGES,
     FaultPlan,
     SPMDExecutor,
     envs_bit_identical,
@@ -64,16 +65,14 @@ def setup():
 _PERM = (1, 0, 2)
 
 
-def _run(setup, index, wave=WAVE_BLOCK, transport="ring", split=False,
-         rebalance=None, plan=None, recovery="global", checkpoint_every=1,
-         timeout=0):
+def _run(setup, index, split=False, rebalance=None, plan=None,
+         recovery="global", checkpoint_every=1, timeout=0):
     placements, spec, partition, values = setup
     placement = placements.ranked[index].placement
     if split:
         placement = widen_placement(placements.vfg, placement)
     ex = SPMDExecutor(placements.sub, spec, placement, partition)
     return ex.run(dict(values), faults=plan, comm_timeout=timeout,
-                  transport=transport, halo_wave=wave,
                   rebalance=rebalance, recovery=recovery,
                   checkpoint_every=checkpoint_every)
 
@@ -118,22 +117,26 @@ def _assert_swap_invisible(base, mig, spec, where, check_scalars=True):
 
 
 class TestCorpusMigrationDifferential:
-    """All 16 placements × {blocking, split} × {ring, deque}."""
+    """All 16 placements × {blocking, split}: the never-migrated
+    production run against a migrated run on the production path and on
+    each reference (deque wire, per-message halos)."""
 
-    def test_all_16_placements_both_phases_both_transports(self, setup):
+    def test_all_16_placements_both_phases_both_transports(
+            self, setup, reference_wire, reference_halos):
         placements, spec = setup[0], setup[1]
         policy = rebalance_policy(setup[2], (2,))
         assert len(placements.ranked) == 16
+        paths = {"production": nullcontext, "deque": reference_wire,
+                 "per-message": reference_halos}
         for index in range(16):
             for split in (False, True):
-                for transport in ("ring", "deque"):
-                    for wave in (WAVE_BLOCK, WAVE_MESSAGES):
-                        where = (f"placement #{index} split={split} "
-                                 f"{transport} {wave}")
-                        base = _run(setup, index, wave, transport, split)
-                        mig = _run(setup, index, wave, transport, split,
-                                   rebalance=policy)
-                        _assert_swap_invisible(base, mig, spec, where)
+                base = _run(setup, index, split)
+                for name, path in paths.items():
+                    with path():
+                        mig = _run(setup, index, split, rebalance=policy)
+                    _assert_swap_invisible(
+                        base, mig, spec,
+                        f"placement #{index} split={split} {name}")
 
 
 class TestQuiescenceContract:

@@ -1,28 +1,29 @@
 """Differential oracle: block-wave halos must be indistinguishable.
 
-The per-message halo path is the reference implementation; the block-wave
-path (one concatenated float64 block per wave through
-``send_block``/``recv_block``) is the scale implementation.  These tests
-replay the whole TESTIV placement corpus — all 16 ranked placements —
-under every combination of {blocking, split-phase} × {ring, deque} and
-require *bit identity*: final environments, the CollectiveRecord stream,
+The per-message halo path is the reference (forced for every payload by
+the ``reference_halos`` fixture); the block-wave path (one concatenated
+float64 block per wave through ``send_block``/``recv_block``) is what
+production picks for float64 fields.  These tests replay the whole
+TESTIV placement corpus — all 16 ranked placements, blocking and
+split-phase — on the production path and against each reference (the
+per-message halos, and both halo paths over the deque wire) and require
+*bit identity*: final environments, the CollectiveRecord stream,
 traffic totals, and a clean drain.  A seeded fault sweep then checks the
 two paths present the same message sequence to a hostile fabric: same
 recovery, same failure diagnostics, same checkpoint replay.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
 from repro.corpus import TESTIV_SOURCE
-from repro.errors import RuntimeFault
+from repro.errors import ReproError, RuntimeFault
 from repro.mesh import CombineSchedule, OverlapSchedule, build_partition, \
     structured_tri_mesh
 from repro.placement import enumerate_placements, widen_placement
 from repro.runtime import (
-    HALO_WAVES,
-    WAVE_BLOCK,
-    WAVE_MESSAGES,
     FaultPlan,
     MachineModel,
     SPMDExecutor,
@@ -30,7 +31,7 @@ from repro.runtime import (
     envs_bit_identical,
     parallel_time,
 )
-from repro.runtime.faults import soak_check
+from repro.runtime.faults import FaultRule, soak_check
 from repro.runtime.halos import combine_complete, combine_post, \
     combine_update, overlap_post, overlap_update
 from repro.spec import spec_for_testiv
@@ -53,16 +54,20 @@ def setup():
     return placements, spec, partition, values
 
 
-def _run(setup, index, wave, transport="ring", split=False, plan_text=None,
-         timeout=0):
+@pytest.fixture
+def waves(reference_halos):
+    """Both halo paths by name: production block, per-message reference."""
+    return {"block": nullcontext, "per-message": reference_halos}
+
+
+def _run(setup, index, split=False, plan_text=None, timeout=0):
     placements, spec, partition, values = setup
     placement = placements.ranked[index].placement
     if split:
         placement = widen_placement(placements.vfg, placement)
     plan = FaultPlan.parse(plan_text) if plan_text else None
     ex = SPMDExecutor(placements.sub, spec, placement, partition)
-    return ex.run(dict(values), faults=plan, comm_timeout=timeout,
-                  transport=transport, halo_wave=wave)
+    return ex.run(dict(values), faults=plan, comm_timeout=timeout)
 
 
 def _record_stream(stats):
@@ -82,25 +87,33 @@ def _assert_twin(block, msgs, where):
 
 
 class TestCorpusWaveDifferential:
-    """All 16 placements × {blocking, split} × {ring, deque}.
+    """All 16 placements × {blocking, split}: production vs each reference.
 
-    The executor itself asserts a clean drain (``assert_drained`` and
-    ``assert_no_pending_requests`` run on every successful ``run()``),
-    so a completed pair here *is* a drained pair.
+    The production run (ring wire, block halos) is compared with the
+    per-message halos on the ring, the block halos on the deque wire,
+    and both references at once — so block ≡ per-message holds on either
+    wire.  The executor itself asserts a clean drain (``assert_drained``
+    and ``assert_no_pending_requests`` run on every successful
+    ``run()``), so a completed pair here *is* a drained pair.
     """
 
-    def test_all_16_placements_both_phases_both_transports(self, setup):
+    def test_all_16_placements_both_phases_both_transports(
+            self, setup, reference_wire, reference_halos):
         placements = setup[0]
         assert len(placements.ranked) == 16
         for index in range(16):
             for split in (False, True):
-                for transport in ("ring", "deque"):
-                    block = _run(setup, index, WAVE_BLOCK, transport, split)
-                    msgs = _run(setup, index, WAVE_MESSAGES, transport,
-                                split)
-                    _assert_twin(block, msgs,
-                                 f"placement #{index} split={split} "
-                                 f"{transport}")
+                where = f"placement #{index} split={split}"
+                prod = _run(setup, index, split)
+                with reference_halos():
+                    _assert_twin(prod, _run(setup, index, split),
+                                 f"{where} per-message")
+                with reference_wire():
+                    _assert_twin(prod, _run(setup, index, split),
+                                 f"{where} deque")
+                    with reference_halos():
+                        _assert_twin(prod, _run(setup, index, split),
+                                     f"{where} deque per-message")
 
 
 class TestWaveFaultRegression:
@@ -109,39 +122,44 @@ class TestWaveFaultRegression:
     #: the first fresh tag — the corpus' first overlap/gather window
     HALO_TAG = SimComm.FRESH_TAG_BASE
 
-    def test_reorder_on_halo_tag_bit_identical(self, setup):
-        clean = _run(setup, 0, WAVE_BLOCK)
-        for wave in HALO_WAVES:
-            res = _run(setup, 0, wave,
-                       plan_text=f"reorder tag={self.HALO_TAG}; seed=11")
+    def test_reorder_on_halo_tag_bit_identical(self, setup, waves):
+        clean = _run(setup, 0)
+        for wave, path in waves.items():
+            with path():
+                res = _run(setup, 0,
+                           plan_text=f"reorder tag={self.HALO_TAG}; seed=11")
             diff = envs_bit_identical(clean.envs, res.envs)
             assert diff is None, f"{wave}: {diff}"
 
-    def test_drop_with_retransmit_same_recovery(self, setup):
-        runs = {wave: _run(setup, 0, wave,
-                           plan_text="drop count=2; seed=3", timeout=16)
-                for wave in HALO_WAVES}
-        _assert_twin(runs[WAVE_BLOCK], runs[WAVE_MESSAGES],
+    def test_drop_with_retransmit_same_recovery(self, setup, waves):
+        runs = {}
+        for wave, path in waves.items():
+            with path():
+                runs[wave] = _run(setup, 0, plan_text="drop count=2; seed=3",
+                                  timeout=16)
+        _assert_twin(runs["block"], runs["per-message"],
                      "drop count=2 seed=3")
-        assert runs[WAVE_BLOCK].stats.retransmits > 0
+        assert runs["block"].stats.retransmits > 0
 
-    def test_duplicate_on_halo_tag_same_failure(self, setup):
+    def test_duplicate_on_halo_tag_same_failure(self, setup, waves):
         # a duplicated halo message leaves a stray on the wire; both
         # paths must fail the post-run drain with the same report
         texts = {}
-        for wave in HALO_WAVES:
-            with pytest.raises(RuntimeFault) as err:
-                _run(setup, 0, wave,
+        for wave, path in waves.items():
+            with path(), pytest.raises(RuntimeFault) as err:
+                _run(setup, 0,
                      plan_text=f"duplicate tag={self.HALO_TAG} count=1; "
                                f"seed=2")
             texts[wave] = str(err.value)
-        assert texts[WAVE_BLOCK] == texts[WAVE_MESSAGES]
+        assert texts["block"] == texts["per-message"]
 
-    def test_kill_and_replay_bit_identical(self, setup):
-        clean = _run(setup, 0, WAVE_BLOCK)
-        runs = {wave: _run(setup, 0, wave,
-                           plan_text="kill rank=1 event=4; seed=6")
-                for wave in HALO_WAVES}
+    def test_kill_and_replay_bit_identical(self, setup, waves):
+        clean = _run(setup, 0)
+        runs = {}
+        for wave, path in waves.items():
+            with path():
+                runs[wave] = _run(setup, 0,
+                                  plan_text="kill rank=1 event=4; seed=6")
         for wave, res in runs.items():
             assert any("rolled back" in f for f in res.timeline.faults), wave
             diff = envs_bit_identical(clean.envs, res.envs)
@@ -149,7 +167,7 @@ class TestWaveFaultRegression:
 
 
 class TestWaveEligibility:
-    """Payloads the float64 block wire cannot carry fall back cleanly."""
+    """The payload alone picks the path: no argument, no store."""
 
     def _schedule(self):
         idx = np.array([0], dtype=np.int64)
@@ -160,23 +178,48 @@ class TestWaveEligibility:
         comm = SimComm(2)
         envs = [{"v": np.arange(4, dtype=np.int64)},
                 {"v": np.zeros(4, dtype=np.int64)}]
-        pending = overlap_post(comm, envs, "v", self._schedule(),
-                               wave=WAVE_BLOCK)
-        assert pending.wave == WAVE_MESSAGES
+        pending = overlap_post(comm, envs, "v", self._schedule())
+        assert not pending.block
 
     def test_float64_takes_the_block_path(self):
         comm = SimComm(2)
         envs = [{"v": np.arange(4.0)}, {"v": np.zeros(4)}]
-        pending = overlap_post(comm, envs, "v", self._schedule(),
-                               wave=WAVE_BLOCK)
-        assert pending.wave == WAVE_BLOCK
+        pending = overlap_post(comm, envs, "v", self._schedule())
+        assert pending.block
         assert pending.recv_side is not None
 
-    def test_unknown_wave_rejected(self):
+    @pytest.mark.parametrize("make", [
+        lambda n: np.arange(n, dtype=np.int64) + 1,
+        lambda n: np.arange(2.0 * n).reshape(n, 2) + 1.0,
+    ], ids=["int64", "2-D"])
+    def test_ineligible_payloads_complete_per_message(self, make,
+                                                      monkeypatch):
+        """int64 and 2-D fields go through ``overlap_update`` and
+        ``combine_update`` with no argument naming a path: zero block
+        waves, right values, dtype and shape preserved."""
+        blocks = []
+        monkeypatch.setattr(
+            SimComm, "send_block",
+            lambda self, *a, **k: blocks.append(a))
+        src = make(4)
+        idx = np.array([1, 2], dtype=np.int64)
         comm = SimComm(2)
-        envs = [{"v": np.arange(4.0)}, {"v": np.zeros(4)}]
-        with pytest.raises(RuntimeFault, match="unknown halo wave"):
-            overlap_update(comm, envs, "v", self._schedule(), wave="burst")
+        envs = [{"v": src.copy()}, {"v": np.zeros_like(src)}]
+        overlap_update(comm, envs, "v", OverlapSchedule(
+            entity="node", sends=[{1: idx}, {}], recvs=[{}, {0: idx}]))
+        assert np.array_equal(envs[1]["v"][idx], src[idx])
+        assert envs[1]["v"].dtype == src.dtype
+        envs = [{"v": src.copy()}, {"v": src.copy()}]
+        combine_update(comm, envs, "v", CombineSchedule(
+            entity="node",
+            gather_sends=[{}, {0: idx}], gather_recvs=[{1: idx}, {}],
+            return_sends=[{1: idx}, {}], return_recvs=[{}, {0: idx}]))
+        for env in envs:
+            assert np.array_equal(env["v"][idx], 2 * src[idx])
+            assert env["v"].shape == src.shape
+        comm.assert_drained()
+        assert not blocks
+        assert comm.stats.total_messages() == 3
 
     def test_empty_wave_completes(self):
         # ranks sharing nothing: the block path must move zero words and
@@ -185,7 +228,7 @@ class TestWaveEligibility:
         envs = [{"v": np.arange(4.0)}, {"v": np.zeros(4)}]
         sched = OverlapSchedule(entity="node", sends=[{}, {}],
                                 recvs=[{}, {}])
-        overlap_update(comm, envs, "v", sched, wave=WAVE_BLOCK)
+        overlap_update(comm, envs, "v", sched)
         comm.assert_drained()
         assert comm.stats.total_messages() == 0
 
@@ -203,41 +246,76 @@ class TestCombineWaveOps:
             return_recvs=[{}, {0: i01}])
 
     @pytest.mark.parametrize("op", ["+", "*", "max", "min"])
-    def test_ops_bit_identical(self, op):
+    def test_ops_bit_identical(self, op, waves):
         rng = np.random.default_rng(5)
         base = [rng.standard_normal(4), rng.standard_normal(4)]
         outs = {}
-        for wave in HALO_WAVES:
+        for wave, path in waves.items():
             envs = [{"v": base[0].copy()}, {"v": base[1].copy()}]
             comm = SimComm(2)
-            combine_update(comm, envs, "v", self._schedule(), op=op,
-                           wave=wave)
+            with path():
+                combine_update(comm, envs, "v", self._schedule(), op=op)
             comm.assert_drained()
             outs[wave] = envs
-        diff = envs_bit_identical(outs[WAVE_BLOCK], outs[WAVE_MESSAGES])
+        diff = envs_bit_identical(outs["block"], outs["per-message"])
         assert diff is None, f"op {op}: {diff}"
 
-    def test_split_phase_combine_bit_identical(self):
+    def test_split_phase_combine_bit_identical(self, waves):
         rng = np.random.default_rng(9)
         base = [rng.standard_normal(4), rng.standard_normal(4)]
         outs = {}
-        for wave in HALO_WAVES:
+        for wave, path in waves.items():
             envs = [{"v": base[0].copy()}, {"v": base[1].copy()}]
             comm = SimComm(2)
-            pending = combine_post(comm, envs, "v", self._schedule(),
-                                   op="+", wave=wave)
-            assert pending.wave == wave
-            combine_complete(pending)
+            with path():
+                pending = combine_post(comm, envs, "v", self._schedule(),
+                                       op="+")
+                assert pending.block == (wave == "block")
+                combine_complete(pending)
             comm.assert_drained()
             comm.assert_no_pending_requests()
             outs[wave] = envs
-        diff = envs_bit_identical(outs[WAVE_BLOCK], outs[WAVE_MESSAGES])
+        diff = envs_bit_identical(outs["block"], outs["per-message"])
         assert diff is None, diff
+
+
+class TestReferenceHalosFixture:
+    """The fixture itself: a differential must never compare block to
+    block."""
+
+    def test_production_run_sends_blocks_reference_run_none(
+            self, setup, reference_halos, monkeypatch):
+        sent = []
+        real = SimComm.send_block
+
+        def counting_send_block(self, *args, **kwargs):
+            sent.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(SimComm, "send_block", counting_send_block)
+        _run(setup, 0)
+        assert sent, "the production run never took the block path"
+        del sent[:]
+        with reference_halos():
+            _run(setup, 0)
+        assert not sent
+
+    def test_block_wave_under_the_fixture_is_rejected(self, reference_halos):
+        comm = SimComm(2)
+        with pytest.raises(AssertionError, match="block wave"):
+            with reference_halos():
+                comm.isend_batch([0], [1], [np.zeros(1)], tag=3)
+                comm.send_block([0], [1], np.zeros(2), [2], tag=5)
+
+    def test_empty_block_is_rejected(self, reference_halos):
+        with pytest.raises(AssertionError, match="no per-message"):
+            with reference_halos():
+                pass
 
 
 class TestPerfModelWaves:
     def test_halo_wave_amortizes_latency(self, setup):
-        res = _run(setup, 0, WAVE_BLOCK)
+        res = _run(setup, 0)
         model = MachineModel()
         per_msg = parallel_time(res.rank_steps, res.stats, model)
         waved = parallel_time(res.rank_steps, res.stats, model,
@@ -250,7 +328,7 @@ class TestPerfModelWaves:
     def test_reduce_latency_unchanged(self, setup):
         # only overlap:/combine: records amortize; the binomial reduce
         # keeps its per-message alpha charge
-        res = _run(setup, 0, WAVE_BLOCK)
+        res = _run(setup, 0)
         model = MachineModel(beta=0.0)
         reduce_lat = sum(
             model.alpha * max(rec.msgs)
@@ -281,4 +359,41 @@ class TestProbabilisticSoak:
         failures = soak_check(placements, spec, partition, values,
                               seeds=(11, 23), prob=0.05,
                               indices=[0, 7, 15])
+        assert not failures, "\n".join(failures)
+
+    def test_soak_block_vs_per_message(self, setup, waves):
+        """Under every low-rate plan the block run equals the
+        per-message run: both paths must present the same message
+        sequence to the fabric, so the seeded rules fire on the same
+        wire traffic."""
+        soak_plans = [
+            ("drop", FaultRule(action="drop", prob=0.05), 64),
+            ("delay", FaultRule(action="delay", steps=2, prob=0.05), 64),
+            ("reorder", FaultRule(action="reorder", prob=0.05), 0),
+            ("corrupt", FaultRule(action="corrupt", prob=0.05), 0),
+        ]
+        placements, spec, partition, values = setup
+        failures = []
+        for index in (0, 7, 15):
+            ex = SPMDExecutor(placements.sub, spec,
+                              placements.ranked[index].placement, partition)
+            for seed in (11, 23):
+                for kind, rule, timeout in soak_plans:
+                    where = f"placement #{index} seed {seed} {kind}"
+                    runs = {}
+                    for wave, path in waves.items():
+                        plan = FaultPlan(rules=[rule], seed=seed)
+                        try:
+                            with path():
+                                runs[wave] = ex.run(dict(values),
+                                                    faults=plan,
+                                                    comm_timeout=timeout)
+                        except ReproError as exc:
+                            failures.append(f"{where} [{wave}]: {exc}")
+                    if len(runs) == 2:
+                        diff = envs_bit_identical(runs["block"].envs,
+                                                  runs["per-message"].envs)
+                        if diff is not None:
+                            failures.append(f"{where}: block vs "
+                                            f"per-message diverge — {diff}")
         assert not failures, "\n".join(failures)

@@ -6,8 +6,8 @@ sender-side message log while the survivors wait — is the scale
 implementation.  These tests require *bit identity* between the two
 modes and the fault-free run: final environments, step counts, the event
 log, and (for local mode) the untouched traffic ledger.  A corpus slice
-runs in tier 1; the full 16-placement × phase × transport × wave cross
-rides the scheduled soak job.
+runs in tier 1; the full 16-placement kill sweep, on the production wire
+and on the reference wire, rides the scheduled soak job.
 """
 
 import numpy as np
@@ -20,8 +20,6 @@ from repro.placement import enumerate_placements, widen_placement
 from repro.runtime import (
     RECOVERY_LOCAL,
     RECOVERY_MODES,
-    WAVE_BLOCK,
-    WAVE_MESSAGES,
     CheckpointManager,
     FaultPlan,
     SPMDExecutor,
@@ -50,16 +48,14 @@ def setup():
     return placements, spec, partition, values
 
 
-def _run(setup, index=0, split=False, transport="ring", wave="block",
-         plan_text=None, timeout=0, **kw):
+def _run(setup, index=0, split=False, plan_text=None, timeout=0, **kw):
     placements, spec, partition, values = setup
     placement = placements.ranked[index].placement
     if split:
         placement = widen_placement(placements.vfg, placement)
     plan = FaultPlan.parse(plan_text) if plan_text else None
     ex = SPMDExecutor(placements.sub, spec, placement, partition)
-    return ex.run(dict(values), faults=plan, comm_timeout=timeout,
-                  transport=transport, halo_wave=wave, **kw)
+    return ex.run(dict(values), faults=plan, comm_timeout=timeout, **kw)
 
 
 def _record_stream(stats):
@@ -108,12 +104,13 @@ class TestCorpusLocalDifferential:
                 assert diff is None, f"rank {rank} event {event}: {diff}"
 
     @pytest.mark.soak
-    def test_full_corpus_cross(self, setup):
+    def test_full_corpus_cross(self, setup, reference_wire):
         placements, spec, partition, values = setup
-        for transport in ("ring", "deque"):
-            failures = kill_check(placements, spec, partition, values,
-                                  transport=transport)
-            assert not failures, "\n".join(failures)
+        failures = kill_check(placements, spec, partition, values)
+        assert not failures, "\n".join(failures)
+        with reference_wire():
+            failures = kill_check(placements, spec, partition, values)
+        assert not failures, "\n".join(failures)
 
 
 class TestLocalizedRestart:
@@ -187,11 +184,11 @@ class TestLocalizedRestart:
             diff = envs_bit_identical(base.envs, res.envs)
             assert diff is None, f"{plan}: {diff}"
 
-    def test_per_message_wave_recovers_too(self, setup):
-        base = _run(setup, wave=WAVE_MESSAGES)
-        res = _run(setup, wave=WAVE_MESSAGES,
-                   plan_text="kill rank=1 event=4",
-                   recovery=RECOVERY_LOCAL, checkpoint_every=3)
+    def test_per_message_wave_recovers_too(self, setup, reference_halos):
+        with reference_halos():
+            base = _run(setup)
+            res = _run(setup, plan_text="kill rank=1 event=4",
+                       recovery=RECOVERY_LOCAL, checkpoint_every=3)
         assert envs_bit_identical(base.envs, res.envs) is None
 
     def test_restored_words_local_is_one_rank_global_is_all(self, setup):

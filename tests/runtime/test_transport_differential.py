@@ -1,14 +1,17 @@
-"""Differential oracle: the ring transport must be indistinguishable.
+"""Differential oracle: the ring wire must match its reference.
 
-The deque transport is the reference implementation; the ring transport
-is the scale implementation.  These tests replay the whole TESTIV
-placement corpus (all 16 ranked placements) on both transports under the
+The deque transport (``reference_wire.py``, reached through the
+``reference_wire`` fixture) is the reference implementation; the ring
+transport is the production wire.  These tests replay the whole TESTIV
+placement corpus (all 16 ranked placements) on both under the
 adversarial fault schedules of the resilience PR and require *bit
 identity* — final environments, the CollectiveRecord stream, traffic
 totals — plus byte-identical diagnostics (``assert_drained`` leftovers,
 ``CommTimeout`` ledgers) so a failure report never depends on which wire
 implementation produced it.
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -24,8 +27,9 @@ from repro.runtime import (
     envs_bit_identical,
     make_comm,
 )
-from repro.runtime.ringbuf import MISSING, make_transport
+from repro.runtime.ringbuf import MISSING, RingTransport
 from repro.spec import spec_for_testiv
+from tests.runtime.reference_wire import DequeTransport
 
 #: adversarial schedules from the fault-injection PR: randomized
 #: reordering, lossy-with-retransmit, delayed delivery, kill + recovery
@@ -55,13 +59,18 @@ def setup():
     return placements, spec, partition, values
 
 
-def _run(setup, index, transport, plan_text, timeout):
+@pytest.fixture
+def wires(reference_wire):
+    """Both wires by name: the production ring and the deque reference."""
+    return {"ring": nullcontext, "deque": reference_wire}
+
+
+def _run(setup, index, plan_text, timeout):
     placements, spec, partition, values = setup
     plan = FaultPlan.parse(plan_text) if plan_text else None
     ex = SPMDExecutor(placements.sub, spec,
                       placements.ranked[index].placement, partition)
-    return ex.run(dict(values), faults=plan, comm_timeout=timeout,
-                  transport=transport)
+    return ex.run(dict(values), faults=plan, comm_timeout=timeout)
 
 
 def _record_stream(stats):
@@ -70,13 +79,14 @@ def _record_stream(stats):
 
 
 class TestCorpusDifferential:
-    def test_all_16_placements_all_schedules(self, setup):
+    def test_all_16_placements_all_schedules(self, setup, reference_wire):
         placements = setup[0]
         assert len(placements.ranked) == 16
         for index in range(16):
             for name, plan_text, timeout in SCHEDULES:
-                ring = _run(setup, index, "ring", plan_text, timeout)
-                deque_ = _run(setup, index, "deque", plan_text, timeout)
+                ring = _run(setup, index, plan_text, timeout)
+                with reference_wire():
+                    deque_ = _run(setup, index, plan_text, timeout)
                 where = f"placement #{index} schedule {name}"
                 diff = envs_bit_identical(ring.envs, deque_.envs)
                 assert diff is None, f"{where}: {diff}"
@@ -92,10 +102,10 @@ class TestCorpusDifferential:
                     == deque_.stats.retransmits, where
 
 
-def _leftover_comm(transport):
+def _leftover_comm():
     """A communicator with undrained channels, pushed in shuffled order
     so the diagnostics sorting actually matters."""
-    comm = SimComm(4, transport=transport)
+    comm = SimComm(4)
     for src, dst, tag in [(2, 1, 7), (0, 3, 7), (2, 1, 7), (1, 0, 2),
                           (3, 2, 9), (0, 1, 7)]:
         comm.view(src).send(np.arange(3.0), dest=dst, tag=tag)
@@ -103,11 +113,11 @@ def _leftover_comm(transport):
 
 
 class TestDiagnosticsDifferential:
-    def test_assert_drained_text_identical(self):
+    def test_assert_drained_text_identical(self, wires):
         texts = {}
-        for transport in ("ring", "deque"):
-            with pytest.raises(RuntimeFault) as err:
-                _leftover_comm(transport).assert_drained()
+        for transport, wire in wires.items():
+            with wire(), pytest.raises(RuntimeFault) as err:
+                _leftover_comm().assert_drained()
             texts[transport] = str(err.value)
         assert texts["ring"] == texts["deque"]
         # sorted by (src, dst, tag): deterministic, channel-ordered
@@ -115,10 +125,11 @@ class TestDiagnosticsDifferential:
         assert texts["ring"].index("0->1 tag=7") \
             < texts["ring"].index("2->1 tag=7")
 
-    def test_commtimeout_ledger_identical(self):
+    def test_commtimeout_ledger_identical(self, wires):
         ledgers, texts = {}, {}
-        for transport in ("ring", "deque"):
-            comm = _leftover_comm(transport)
+        for transport, wire in wires.items():
+            with wire():
+                comm = _leftover_comm()
             comm.comm_timeout = 2
             with pytest.raises(CommTimeout) as err:
                 comm.view(0).recv(source=3, tag=5)
@@ -127,9 +138,10 @@ class TestDiagnosticsDifferential:
         assert texts["ring"] == texts["deque"]
         assert ledgers["ring"] == ledgers["deque"]
 
-    def test_pending_requests_sorted(self):
-        for transport in ("ring", "deque"):
-            comm = SimComm(4, transport=transport)
+    def test_pending_requests_sorted(self, wires):
+        for wire in wires.values():
+            with wire():
+                comm = SimComm(4)
             comm.view(3).irecv(source=2, tag=5)
             comm.view(1).irecv(source=0, tag=9)
             comm.view(1).irecv(source=0, tag=3)
@@ -137,13 +149,13 @@ class TestDiagnosticsDifferential:
             keys = [(r.src, r.dest, r.tag) for r in left]
             assert keys == sorted(keys)
 
-    def test_fault_ledger_text_identical(self, setup):
-        del setup
+    def test_fault_ledger_text_identical(self, wires):
         plan = FaultPlan.parse("drop src=0 count=1; delay steps=9 count=1; "
                                "seed=2")
         texts = {}
-        for transport in ("ring", "deque"):
-            comm = make_comm(3, plan, transport=transport)
+        for transport, wire in wires.items():
+            with wire():
+                comm = make_comm(3, plan)
             for _ in range(3):
                 comm.view(0).send(np.arange(2.0), dest=1, tag=4)
             with pytest.raises(CommTimeout) as err:
@@ -165,8 +177,8 @@ class TestReorderSingleSourceOfTruth:
 
     def _pair(self):
         pair = {}
-        for name in ("ring", "deque"):
-            t = make_transport(name)
+        for name, t in (("ring", RingTransport()),
+                        ("deque", DequeTransport())):
             for k in range(3):
                 t.push(0, 1, 7, np.arange(2.0) + k)
             t.push(0, 2, 7, np.full(2, 9.0))  # bystander channel, depth 1
@@ -202,7 +214,7 @@ class TestReorderSingleSourceOfTruth:
 
     def test_snapshot_restore_keeps_reorder(self):
         ring, oracle = self._pair()
-        ring2, oracle2 = make_transport("ring"), make_transport("deque")
+        ring2, oracle2 = RingTransport(), DequeTransport()
         ring2.restore(ring.snapshot())
         oracle2.restore(oracle.snapshot())
         for a, b in zip(self._drain(ring2), self._drain(oracle2)):
@@ -220,7 +232,7 @@ class TestReorderSingleSourceOfTruth:
             for a, b in zip(got, self._drain(oracle)):
                 assert np.array_equal(a, b)
 
-    def test_recv_batch_under_reorder_plan_identical(self):
+    def test_recv_batch_under_reorder_plan_identical(self, wires):
         # end to end: a seeded reorder plan fires the same move_last calls
         # on both fabrics, and the batched receive path must deliver the
         # same payload per request even with depth-4 channels
@@ -229,12 +241,44 @@ class TestReorderSingleSourceOfTruth:
         rng = np.random.default_rng(7)
         payloads = [rng.standard_normal(3) for _ in srcs]
         outs = {}
-        for transport in ("ring", "deque"):
-            comm = make_comm(4, FaultPlan.parse("reorder; seed=11"),
-                             transport=transport)
+        for transport, wire in wires.items():
+            with wire():
+                comm = make_comm(4, FaultPlan.parse("reorder; seed=11"))
             for s, d, p in zip(srcs.tolist(), dsts.tolist(), payloads):
                 comm.view(s).send(p, dest=d, tag=2)
             outs[transport] = comm.recv_batch(srcs, dsts, tag=2)
             comm.assert_drained()
         for a, b in zip(outs["ring"], outs["deque"]):
             assert np.array_equal(a, b)
+
+
+class TestReferenceWireFixture:
+    """The fixture itself: a differential must never compare ring to ring."""
+
+    def test_comms_hold_the_reference_only_inside_the_block(
+            self, reference_wire):
+        assert type(SimComm(2)._transport) is RingTransport
+        with reference_wire():
+            assert type(SimComm(2)._transport) is DequeTransport
+            assert type(make_comm(2, FaultPlan.parse("reorder"))
+                        ._transport) is DequeTransport
+        assert type(SimComm(2)._transport) is RingTransport
+
+    def test_executor_run_is_checked_on_exit(self, setup, reference_wire,
+                                             monkeypatch):
+        with reference_wire():
+            _run(setup, 0, None, 0)
+        # an executor that kept a production communicator trips the
+        # fixture's exit assertion
+        ring_comm = SimComm(3)
+        monkeypatch.setattr("repro.runtime.executor.make_comm",
+                            lambda size, plan: ring_comm)
+        with pytest.raises(AssertionError, match="production wire"):
+            with reference_wire():
+                SimComm(2)
+                _run(setup, 0, None, 0)
+
+    def test_empty_block_is_rejected(self, reference_wire):
+        with pytest.raises(AssertionError, match="no communicator"):
+            with reference_wire():
+                pass

@@ -50,6 +50,34 @@ class TestCanonicalFlags:
         assert flags_json({"model_check": 1}) == \
             flags_json({"model_check": True})
 
+    def test_default_flags_json_is_pinned(self):
+        # every cache key hashes this string: deriving the defaults from
+        # CostModel's fields must not move a single byte of it
+        assert flags_json({}) == (
+            '{"alpha":100.0,"beta":0.05,"gamma":1.0,"iterations":50.0,'
+            '"kernel_size":1000.0,"limit":null,"loss_rate":0.0,'
+            '"model_check":false,"net_bound":20000,"overlap_fraction":0.1,'
+            '"preconstrain":true,"split_phase":false,"use_reduction":true}')
+
+    def test_defaults_match_the_signatures_they_mirror(self):
+        import dataclasses
+        import inspect
+
+        from repro.driver.pipeline import check
+        from repro.placement import enumerate_placements
+        from repro.placement.cost import CostModel
+
+        mirrored = {}
+        for fn, names in (
+                (enumerate_placements,
+                 ("split_phase", "use_reduction", "preconstrain", "limit")),
+                (check, ("model_check", "net_bound"))):
+            params = inspect.signature(fn).parameters
+            mirrored.update({name: params[name].default for name in names})
+        cost = {f.name: f.default for f in dataclasses.fields(CostModel)}
+        assert not set(mirrored) & set(cost)
+        assert {**mirrored, **cost} == FLAG_DEFAULTS
+
 
 class TestKeySensitivity:
     def test_stable_within_process(self):
