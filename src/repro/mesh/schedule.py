@@ -157,6 +157,13 @@ class WaveSide:
                               compare=False)
 
 
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Per-rank start offsets of contiguous block segments."""
+    starts = np.zeros(len(counts), np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    return starts
+
+
 def _wave_side(plans: list[PeerPlan], owner_is_src: bool) -> WaveSide:
     """Flatten one ``PeerPlan`` list into a :class:`WaveSide`.
 
@@ -171,7 +178,7 @@ def _wave_side(plans: list[PeerPlan], owner_is_src: bool) -> WaveSide:
     counts = np.zeros(nranks, np.int64)
     for r, plan in enumerate(plans):
         pieces: list[np.ndarray] = []
-        for peer, ix in plan.items():  # _freeze sorted the peers
+        for peer, ix in plan.items():  # peers are rank-ascending
             srcs.append(r if owner_is_src else peer)
             dsts.append(peer if owner_is_src else r)
             words.append(len(ix))
@@ -179,12 +186,10 @@ def _wave_side(plans: list[PeerPlan], owner_is_src: bool) -> WaveSide:
         idx.append(np.concatenate(pieces) if pieces
                    else np.zeros(0, np.int64))
         counts[r] = len(idx[r])
-    starts = np.zeros(nranks, np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
     return WaveSide(srcs=np.asarray(srcs, np.int64),
                     dsts=np.asarray(dsts, np.int64),
                     words=np.asarray(words, np.int64),
-                    idx=idx, starts=starts, counts=counts,
+                    idx=idx, starts=_starts(counts), counts=counts,
                     _owner_is_src=owner_is_src)
 
 
@@ -209,6 +214,11 @@ class CombineWave:
     return_recv: WaveSide
 
 
+def _only(plans: list[PeerPlan], rank: int) -> list[PeerPlan]:
+    """``plans`` with every rank's plan but ``rank``'s emptied."""
+    return [plan if r == rank else {} for r, plan in enumerate(plans)]
+
+
 @dataclass
 class OverlapSchedule:
     """Owner→copy refresh plan for one entity."""
@@ -231,6 +241,17 @@ class OverlapSchedule:
     def wave(self) -> OverlapWave:
         """Flat index-array form for the block-wave halo path (cached)."""
         return self._wave
+
+    def for_rank(self, rank: int) -> "OverlapSchedule":
+        """One rank's rows of this schedule: the messages ``rank`` sends
+        and the messages it receives, every other rank's plan empty.
+
+        A collective driven over the restriction moves (and writes) only
+        ``rank``'s slice, on the same ``(src, dst, tag)`` channels in the
+        same per-channel order — what localized restart re-drives.
+        """
+        return OverlapSchedule(self.entity, _only(self.sends, rank),
+                               _only(self.recvs, rank))
 
 
 @dataclass
@@ -263,14 +284,13 @@ class CombineSchedule:
         """Flat index-array form for the block-wave halo path (cached)."""
         return self._wave
 
-
-def _empty_plans(nparts: int) -> list[dict[int, list[int]]]:
-    return [dict() for _ in range(nparts)]
-
-
-def _freeze(plans: list[dict[int, list[int]]]) -> list[PeerPlan]:
-    return [{peer: np.array(idx, dtype=np.int64)
-             for peer, idx in sorted(p.items())} for p in plans]
+    def for_rank(self, rank: int) -> "CombineSchedule":
+        """One rank's rows of both rounds (see
+        :meth:`OverlapSchedule.for_rank`)."""
+        return CombineSchedule(
+            self.entity,
+            _only(self.gather_sends, rank), _only(self.gather_recvs, rank),
+            _only(self.return_sends, rank), _only(self.return_recvs, rank))
 
 
 @dataclass(frozen=True)
@@ -383,11 +403,6 @@ def _assemble_tables(profiles: list[_HolderProfile],
             o_rank.append(owner)
             o_peer.append(holder)
             o_words.append(len(seg))
-
-    def _starts(counts: np.ndarray) -> np.ndarray:
-        starts = np.zeros(nranks, np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        return starts
 
     holder = _PackedTables(rank=np.asarray(h_rank, np.int64),
                            peer=np.asarray(h_peer, np.int64),
@@ -574,21 +589,17 @@ def _schedule_tables(sched) -> tuple[_PackedTables, _PackedTables]:
     see :func:`_overlap_from_tables` / :func:`_combine_from_tables` —
     so no recomputation happens here, only column relabeling.
     """
+    def table(side: WaveSide, plan_is_src: bool) -> _PackedTables:
+        rank, peer = ((side.srcs, side.dsts) if plan_is_src
+                      else (side.dsts, side.srcs))
+        return _PackedTables(rank=rank, peer=peer, words=side.words,
+                             idx=side.idx, starts=side.starts,
+                             counts=side.counts)
+
+    w = sched.wave()
     if isinstance(sched, OverlapSchedule):
-        send, recv = sched.wave().send, sched.wave().recv
-        owner = _PackedTables(rank=send.srcs, peer=send.dsts,
-                              words=send.words, idx=send.idx,
-                              starts=send.starts, counts=send.counts)
-        holder = _PackedTables(rank=recv.dsts, peer=recv.srcs,
-                               words=recv.words, idx=recv.idx,
-                               starts=recv.starts, counts=recv.counts)
-        return holder, owner
-    gs, gr = sched.wave().gather_send, sched.wave().gather_recv
-    holder = _PackedTables(rank=gs.srcs, peer=gs.dsts, words=gs.words,
-                           idx=gs.idx, starts=gs.starts, counts=gs.counts)
-    owner = _PackedTables(rank=gr.dsts, peer=gr.srcs, words=gr.words,
-                          idx=gr.idx, starts=gr.starts, counts=gr.counts)
-    return holder, owner
+        return table(w.recv, False), table(w.send, True)
+    return table(w.gather_send, True), table(w.gather_recv, False)
 
 
 def _table_rows(table: _PackedTables, rank: int) -> tuple[int, int]:
@@ -709,11 +720,6 @@ def _repair_tables(old_holder: _PackedTables, old_owner: _PackedTables,
     o_counts = old_owner.counts.copy()
     for o in touched_sorted:
         o_counts[o] = len(fresh_idx[o])
-
-    def _starts(counts: np.ndarray) -> np.ndarray:
-        starts = np.zeros(nranks, np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        return starts
 
     holder = _PackedTables(rank=h_rank, peer=h_peer, words=h_words,
                            idx=h_idx, starts=_starts(h_counts),

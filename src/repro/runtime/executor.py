@@ -19,6 +19,14 @@ program points), so executions are deterministic and comparable
 bit-for-bit against the sequential oracle: the placement guarantees the
 posted values equal what a blocking exchange at the wait would send, and
 the complete halves apply them in the blocking order.
+
+:meth:`SPMDExecutor.run` is one loop over collective boundaries with a
+fixed order per boundary — due kill rules, the collective, a due
+checkpoint, the rebalance policy — each a private method over the
+per-run :class:`_Run` record.  There is one collective path: the live
+loop performs an event for all ranks, localized restart re-drives the
+same event for the one dead rank on its rows of the schedule
+(``for_rank``), against the message log.
 """
 
 from __future__ import annotations
@@ -57,9 +65,6 @@ from .faults import FaultPlan, make_comm
 from .flatstore import FlatField, build_flat_store, rebuild_flat_store
 from .msglog import MessageLog, ReplayFilter
 from .halos import (
-    REDUCE_OPS,
-    _TAG_REDUCE,
-    _TAG_RETURN,
     allreduce_scalar,
     combine_complete,
     combine_post,
@@ -113,6 +118,39 @@ class SPMDResult:
         return out
 
 
+@dataclass
+class _Run:
+    """Everything one :meth:`SPMDExecutor.run` call mutates."""
+
+    comm: SimComm
+    envs: list[Env]
+    interps: list[Interpreter]
+    states: list[MachineState]
+    gens: list
+    results: list[Optional[Any]]
+    timeline: Timeline
+    recovery: str
+    ckpt: Optional[CheckpointManager]
+    #: kill rules not fired yet
+    kills: list
+    rebalance: Optional[RebalancePolicy]
+    #: scheduled rebalance events not consumed yet, ascending
+    sched_events: list[int]
+    #: per-rank step counts at the last migration epoch (load = delta)
+    epoch_loads_base: list[int]
+    last_epoch_event: int = -(10 ** 9)
+    #: open windows: id(op) -> (op, handle, post event index, post steps)
+    pending: dict[int, tuple] = field(default_factory=dict)
+    #: localized-restart totals, under their ``SPMDResult.recovery`` keys
+    replay_totals: dict[str, int] = field(default_factory=lambda: {
+        "replayed_events": 0, "replayed_messages": 0, "replayed_words": 0,
+        "suppressed_sends": 0, "suppressed_words": 0})
+    mig_totals: dict[str, int] = field(default_factory=lambda: {
+        "epochs": 0, "deferred": 0, "moved_entities": 0,
+        "messages": 0, "words": 0, "repacked_words": 0,
+        "dirty_ranks": 0, "schedules_repaired": 0})
+
+
 class SPMDExecutor:
     """Runs one placed subroutine over a partitioned mesh."""
 
@@ -146,22 +184,20 @@ class SPMDExecutor:
         self._combine_scheds: dict[str, Any] = {}
         #: flat rank-batched store of the current run (None before one)
         self._store: Optional[dict[str, FlatField]] = None
+        self._actions = self._phase_actions()
 
     # -- schedules ----------------------------------------------------------
 
-    def _overlap_schedule(self, entity: str):
-        sched = self._overlap_scheds.get(entity)
+    def _schedule(self, op: CommOp, rank: Optional[int] = None):
+        """The cached wave schedule of ``op``'s entity — or, for the one
+        recovering ``rank`` of a localized restart, that rank's rows."""
+        cache, build = ((self._overlap_scheds, build_overlap_schedule)
+                        if op.kind == K_OVERLAP
+                        else (self._combine_scheds, build_combine_schedule))
+        sched = cache.get(op.entity)
         if sched is None:
-            sched = build_overlap_schedule(self.partition, entity)
-            self._overlap_scheds[entity] = sched
-        return sched
-
-    def _combine_schedule(self, entity: str):
-        sched = self._combine_scheds.get(entity)
-        if sched is None:
-            sched = build_combine_schedule(self.partition, entity)
-            self._combine_scheds[entity] = sched
-        return sched
+            sched = cache[op.entity] = build(self.partition, op.entity)
+        return sched if rank is None else sched.for_rank(rank)
 
     # -- environments ----------------------------------------------------------
 
@@ -169,21 +205,29 @@ class SPMDExecutor:
                       global_values: dict[str, Any]) -> Env:
         """Build one rank's environment from the global inputs."""
         env: Env = {}
+        extents = self._rank_extents(sub_mesh)
         for name, decl in self.sub.decls.items():
             if decl.is_array:
                 env[name] = self._make_rank_array(sub_mesh, name, decl,
                                                   global_values)
-            else:
-                ent = self.spec.entity_of_extent_var(name)
-                if ent is not None:
-                    env[name] = len(sub_mesh.l2g[ent])
-                elif name in global_values:
-                    env[name] = global_values[name]
+            elif name in extents:
+                env[name] = extents[name]
+            elif name in global_values:
+                env[name] = global_values[name]
         for name, value in global_values.items():
             low = name.lower()
             if low not in env and low not in self.sub.decls:
                 env[low] = value
         return env
+
+    def _rank_extents(self, sub_mesh: SubMesh) -> dict[str, int]:
+        """Extent variables (``nsom``, ``ntri`` …) sized to one sub-mesh."""
+        extents = {}
+        for name, decl in self.sub.decls.items():
+            ent = self.spec.entity_of_extent_var(name)
+            if ent is not None and not decl.is_array:
+                extents[name] = len(sub_mesh.l2g[ent])
+        return extents
 
     def _make_rank_array(self, sub_mesh: SubMesh, name: str, decl,
                          global_values: dict[str, Any]) -> np.ndarray:
@@ -258,9 +302,7 @@ class SPMDExecutor:
                 acts.append((op.post_anchor, ("post", op)))
         return acts
 
-    def _interpreter(self, max_steps: int) -> Interpreter:
-        if getattr(self, "_actions", None) is None:
-            self._actions: list[tuple[int, Any]] = self._phase_actions()
+    def _interpreter(self, max_steps: int, sub_mesh: SubMesh) -> Interpreter:
         pre_actions: dict[int, list] = {}
         on_return: list = []
         for anchor, payload in self._actions:
@@ -269,14 +311,20 @@ class SPMDExecutor:
                 on_return.append(action)
             else:
                 pre_actions.setdefault(anchor, []).append(action)
-        loop_bounds = {}
-        for lsid, domain in self.placement.domains.items():
-            entity = self.loop_entity[lsid]
-            loop_bounds[lsid] = _DomainBound(entity, domain)
         return Interpreter(self.code, max_steps=max_steps,
                            pre_actions=pre_actions, on_return=on_return,
-                           loop_bounds=loop_bounds,
+                           loop_bounds=self._loop_bounds(sub_mesh),
                            vector_loops=self.kernels)
+
+    def _loop_bounds(self, sub_mesh: SubMesh) -> dict[int, Any]:
+        """Loop-bound hooks applying the placement's KERNEL/OVERLAP
+        iteration domains over one sub-mesh."""
+        bounds = {}
+        for lsid, domain in self.placement.domains.items():
+            kernel, total = sub_mesh.counts(self.loop_entity[lsid])
+            count = kernel if domain == KERNEL else total
+            bounds[lsid] = lambda _env, lo, _hi, step, n=count: (lo, n, step)
+        return bounds
 
     def run(self, global_values: dict[str, Any],
             max_steps: int = 50_000_000, *,
@@ -289,6 +337,12 @@ class SPMDExecutor:
             recovery: str = RECOVERY_GLOBAL,
             rebalance: Optional[RebalancePolicy] = None) -> SPMDResult:
         """Execute all ranks in lockstep; returns envs, steps and traffic.
+
+        Every rank advances to its next collective boundary; each
+        boundary is then handled in one fixed order — kill rules due at
+        it, the collective itself, a checkpoint if one is due and the
+        boundary is quiescent, the rebalance policy — until every rank
+        has returned.
 
         The default path is the historical one: a perfect FIFO fabric, no
         retries, no snapshots — bit-identical to previous releases.  The
@@ -349,7 +403,13 @@ class SPMDExecutor:
         if recovery not in RECOVERY_MODES:
             raise RuntimeFault(f"unknown recovery mode {recovery!r} "
                                f"(expected one of {', '.join(RECOVERY_MODES)})")
-        comm = make_comm(self.partition.nparts, faults)
+        nranks = self.partition.nparts
+        kills = list(faults.kills) if faults is not None else []
+        for kill in kills:
+            if not 0 <= kill.rank < nranks:
+                raise RuntimeFault(f"fault plan clause {kill.describe()!r} "
+                                   f"names a rank outside 0..{nranks - 1}")
+        comm = make_comm(nranks, faults)
         comm.comm_timeout = comm_timeout
         envs = [self.make_rank_env(sub_mesh, global_values)
                 for sub_mesh in self.partition.subs]
@@ -358,20 +418,11 @@ class SPMDExecutor:
         # collectives below move all ranks' data with single fancy-index
         # gathers/scatters instead of per-rank loops
         self._store = build_flat_store(envs, self._flat_variables())
-        gens = []
-        interps = []
         states = [MachineState() for _ in envs]
-        for rank, env in enumerate(envs):
-            interp = self._interpreter(max_steps)
-            _bind_domain_bounds(interp, self.partition.subs[rank])
-            interps.append(interp)
-            gens.append(interp.run_gen(env, states[rank]))
-        timeline = Timeline(nranks=len(gens))
-        results: list[Optional[Any]] = [None] * len(gens)
-        #: id(op) -> (op, handle, post event index, post step snapshot)
-        pending: dict[int, tuple[CommOp, Any, int, list[int]]] = {}
+        interps = [self._interpreter(max_steps, sub_mesh)
+                   for sub_mesh in self.partition.subs]
         if checkpoint is None:
-            checkpoint = faults is not None and bool(faults.kills)
+            checkpoint = bool(kills)
         ckpt = CheckpointManager(every=checkpoint_every,
                                  keep=checkpoint_keep,
                                  budget_words=checkpoint_budget) \
@@ -380,301 +431,279 @@ class SPMDExecutor:
             # arm sender-side message logging: localized restart replays a
             # killed rank against this log instead of rewinding everyone
             comm.msglog = MessageLog()
-        replay_totals = {"events": 0, "messages": 0, "words": 0,
-                         "suppressed": 0, "suppressed_words": 0}
-        mig_totals = {"epochs": 0, "deferred": 0, "moved_entities": 0,
-                      "messages": 0, "words": 0, "repacked_words": 0,
-                      "dirty_ranks": 0, "schedules_repaired": 0}
-        sched_events = sorted(rebalance.rebalance_at) \
-            if rebalance is not None else []
-        epoch_loads_base = [0] * len(self.partition.subs)
-        last_epoch_event = -(10 ** 9)
-
-        def take_checkpoint() -> None:
-            mark = comm.msglog.mark() if comm.msglog is not None else 0
-            ckpt.take(comm, envs, states, len(timeline.events),
-                      len(timeline.spans), log_mark=mark)
-            if comm.msglog is not None:
-                # entries older than every retained checkpoint can never
-                # be replayed again — drop them
-                comm.msglog.truncate_before(ckpt.oldest_mark())
-
-        kills = list(faults.kills) if faults is not None else []
+        run = _Run(comm=comm, envs=envs, interps=interps, states=states,
+                   gens=[interp.run_gen(env, state) for interp, env, state
+                         in zip(interps, envs, states)],
+                   results=[None] * nranks, timeline=Timeline(nranks=nranks),
+                   recovery=recovery, ckpt=ckpt, kills=kills,
+                   rebalance=rebalance,
+                   sched_events=sorted(rebalance.rebalance_at)
+                   if rebalance is not None else [],
+                   epoch_loads_base=[0] * nranks)
         if ckpt is not None:
-            take_checkpoint()
-
-        def rollback(reason: str) -> None:
-            cp = ckpt.restore(comm, envs, states)
-            pending.clear()
-            del timeline.events[cp.event_count:]
-            del timeline.spans[cp.span_count:]
-            timeline.faults.append(
-                f"{reason}; rolled back to {snapshot_digest(cp)} "
-                f"and replayed")
-            for rank in range(len(gens)):
-                results[rank] = None
-                gens[rank] = interps[rank].run_gen(envs[rank], states[rank])
-
-        def guarded(fn, op: CommOp, phase: Optional[str]):
-            try:
-                return fn()
-            except CommTimeout as exc:
-                anchor = ("EXIT" if op.wait_anchor == EXIT
-                          else f"sid {op.wait_anchor}")
-                report = render_fault_report(
-                    op.kind, op.var, anchor, phase, exc,
-                    [i.last_steps for i in interps], timeline)
-                raise CommTimeout(
-                    f"{op.kind}:{op.var} stalled at anchor {anchor}: "
-                    f"{exc.args[0]}\n{report}",
-                    src=exc.src, dst=exc.dst, tag=exc.tag,
-                    waited=exc.waited, ledger=exc.ledger,
-                    op=op, anchor=op.wait_anchor) from exc
-
-        def recover_local(kill, live) -> None:
-            """Localized restart: restore only the dead rank, re-drive it
-            to the failure boundary against the message log.
-
-            The survivors, the transport, the stats ledger and the
-            timeline stay untouched — the dead rank's re-emitted sends
-            are suppressed by log seq (peers consumed the originals long
-            ago) and the messages it needs are re-delivered from the log,
-            except those still sitting on the wire for an open
-            split-phase window, whose original requests remain valid.
-            """
-            rank = kill.rank
-            event_no = len(timeline.events)
-            cp = ckpt.restore_rank(rank, envs, states)
-            gens[rank] = interps[rank].run_gen(envs[rank], states[rank])
-            n_msgs, n_words = comm.msglog.replay_onto(comm, rank,
-                                                      cp.log_mark)
-            filt = ReplayFilter(comm.msglog, rank, cp.log_mark)
-            desc = (f"localized restart of rank {rank} (killed before "
-                    f"event {event_no}, replaying from event "
-                    f"{cp.event_count})")
-
-            def guarded_replay(fn, op: CommOp, phase: Optional[str]):
-                try:
-                    return fn()
-                except CommTimeout as exc:
-                    anchor = ("EXIT" if op.wait_anchor == EXIT
-                              else f"sid {op.wait_anchor}")
-                    report = render_fault_report(
-                        op.kind, op.var, anchor, phase, exc,
-                        [i.last_steps for i in interps], timeline,
-                        recovery=desc)
-                    raise CommTimeout(
-                        f"{op.kind}:{op.var} stalled during {desc}: "
-                        f"{exc.args[0]}\n{report}",
-                        src=exc.src, dst=exc.dst, tag=exc.tag,
-                        waited=exc.waited, ledger=exc.ledger,
-                        op=op, anchor=op.wait_anchor) from exc
-
-            def diverged(why: str) -> RuntimeFault:
-                return RuntimeFault(f"{desc} diverged: {why}")
-
-            comm.begin_replay(filt)
-            # the replayed rank re-allocates the window tags the original
-            # segment drew, in the original order, without touching the
-            # communicator's live counter
-            replay_tag = cp.transport["next_tag"]
-            open_tags: dict[int, int] = {}
-            try:
-                for _ev in range(cp.event_count, event_no):
-                    try:
-                        action = next(gens[rank])
-                    except StopIteration:
-                        raise diverged("the restored rank returned before "
-                                       "reaching the failure boundary") \
-                            from None
-                    payload_r = action.payload
-                    phase_r, op_r = (payload_r
-                                     if isinstance(payload_r, tuple)
-                                     else (None, payload_r))
-                    if phase_r == "post":
-                        tag = replay_tag
-                        replay_tag += 1
-                        open_tags[id(op_r)] = tag
-                        guarded_replay(
-                            lambda: self._replay_post(op_r, comm, envs,
-                                                      rank, tag),
-                            op_r, "post")
-                    elif phase_r == "wait":
-                        tag = open_tags.pop(id(op_r), None)
-                        if tag is None:
-                            raise diverged(
-                                f"wait for {op_r.kind}:{op_r.var} with no "
-                                f"post in the replay window")
-                        guarded_replay(
-                            lambda: self._replay_wait(op_r, comm, envs,
-                                                      rank, tag),
-                            op_r, "wait")
-                    elif op_r.kind == K_REDUCE:
-                        guarded_replay(
-                            lambda: self._replay_reduce(op_r, comm, envs,
-                                                        rank),
-                            op_r, None)
-                    else:
-                        tag = replay_tag
-                        replay_tag += 1
-                        guarded_replay(
-                            lambda: (self._replay_post(op_r, comm, envs,
-                                                       rank, tag),
-                                     self._replay_wait(op_r, comm, envs,
-                                                       rank, tag)),
-                            op_r, None)
-                try:
-                    boundary = next(gens[rank])
-                except StopIteration:
-                    raise diverged("the restored rank returned before "
-                                   "reaching the failure boundary") \
-                        from None
-            finally:
-                comm.end_replay()
-            if boundary.payload is not live[0].payload:
-                raise diverged("the restored rank reached a different "
-                               "collective than the survivors")
-            live[rank] = boundary
-            replay_totals["events"] += event_no - cp.event_count
-            replay_totals["messages"] += n_msgs
-            replay_totals["words"] += n_words
-            replay_totals["suppressed"] += filt.suppressed
-            replay_totals["suppressed_words"] += filt.suppressed_words
-            timeline.faults.append(
-                f"rank {rank} killed before event {event_no}; localized "
-                f"restart from {snapshot_digest(cp)}: replayed "
-                f"{event_no - cp.event_count} event(s), re-delivered "
-                f"{n_msgs} logged message(s) ({n_words} word(s)), "
-                f"suppressed {filt.suppressed} re-sent message(s)")
-
+            self._take_checkpoint(run)
         while True:
-            live = _advance_to_boundary(gens, results)
+            live = _advance_to_boundary(run.gens, run.results)
             if live is None:
                 break
-            event_no = len(timeline.events)
-            kill = next((k for k in kills if k.event == event_no), None)
-            if kill is not None:
-                # the rank died somewhere in the segment it just executed:
-                # its partial work must be rewound — alone under localized
-                # restart, together with everyone under global rollback
-                kills.remove(kill)
-                if ckpt is None:
-                    raise RankKilled(
-                        f"rank {kill.rank} killed before collective event "
-                        f"{kill.event} and checkpointing is disabled — "
-                        f"no recovery possible",
-                        rank=kill.rank, event=kill.event)
-                if recovery == RECOVERY_LOCAL:
-                    recover_local(kill, live)
-                    # further ranks may die at the same boundary: recover
-                    # each alone, then perform the event as usual
-                    while True:
-                        kill = next((k for k in kills
-                                     if k.event == event_no), None)
-                        if kill is None:
-                            break
-                        kills.remove(kill)
-                        recover_local(kill, live)
-                else:
-                    rollback(f"rank {kill.rank} killed before event "
-                             f"{kill.event}")
-                    continue
-            payload = live[0].payload
-            snapshot = [i.last_steps for i in interps]
-            phase, op = payload if isinstance(payload, tuple) else (None,
-                                                                    payload)
-            if phase == "post":
-                if id(op) in pending:
+            if self._fire_kills(run, live):
+                continue  # global rollback: every rank rewound, re-advance
+            self._collective(run, live[0].payload)
+            # an injected duplicate can leave a stray message on the wire
+            # — skip the checkpoint, don't crash
+            if ckpt is not None and self._quiescent(run) \
+                    and ckpt.due(len(run.timeline.events)):
+                self._take_checkpoint(run)
+            if rebalance is not None:
+                self._consult_rebalance(run)
+        return self._finish(run)
+
+    # -- the boundary loop's steps ---------------------------------------------
+
+    def _quiescent(self, run: _Run, between_loops: bool = False) -> bool:
+        """Nothing posted, nothing on the wire, no request outstanding —
+        the only boundaries that can be snapshotted.  Migration also needs
+        ``between_loops``: no rank suspended inside an entity-bounded loop
+        (its live bounds and index maps would change under it)."""
+        return (not run.pending
+                and not run.comm.pending_messages()
+                and not run.comm.pending_requests()
+                and not (between_loops and any(
+                    st.remaining.get(lsid, 0) > 0
+                    for st in run.states for lsid in self.loop_entity)))
+
+    def _take_checkpoint(self, run: _Run) -> None:
+        comm, timeline = run.comm, run.timeline
+        mark = comm.msglog.mark() if comm.msglog is not None else 0
+        run.ckpt.take(comm, run.envs, run.states, len(timeline.events),
+                      len(timeline.spans), log_mark=mark)
+        if comm.msglog is not None:
+            # entries older than every retained checkpoint can never be
+            # replayed again — drop them
+            comm.msglog.truncate_before(run.ckpt.oldest_mark())
+
+    def _fire_kills(self, run: _Run, live: list) -> bool:
+        """Apply every kill rule due at this boundary.
+
+        The rank died somewhere in the segment it just executed: its
+        partial work is rewound — alone under localized restart (each
+        dead rank in turn, then the event is performed as usual),
+        together with everyone under global rollback, which returns True
+        so the loop re-advances from the checkpoint.
+        """
+        event_no = len(run.timeline.events)
+        for kill in [k for k in run.kills if k.event == event_no]:
+            run.kills.remove(kill)
+            if run.ckpt is None:
+                raise RankKilled(
+                    f"rank {kill.rank} killed before collective event "
+                    f"{kill.event} and checkpointing is disabled — "
+                    f"no recovery possible",
+                    rank=kill.rank, event=kill.event)
+            if run.recovery == RECOVERY_GLOBAL:
+                self._rollback(run, f"rank {kill.rank} killed before event "
+                                    f"{kill.event}")
+                return True
+            self._recover_local(run, kill, live)
+        return False
+
+    def _rollback(self, run: _Run, reason: str) -> None:
+        cp = run.ckpt.restore(run.comm, run.envs, run.states)
+        run.pending.clear()
+        del run.timeline.events[cp.event_count:]
+        del run.timeline.spans[cp.span_count:]
+        run.timeline.faults.append(
+            f"{reason}; rolled back to {snapshot_digest(cp)} "
+            f"and replayed")
+        for rank, interp in enumerate(run.interps):
+            run.results[rank] = None
+            run.gens[rank] = interp.run_gen(run.envs[rank], run.states[rank])
+
+    def _recover_local(self, run: _Run, kill, live: list) -> None:
+        """Localized restart: restore only the dead rank, re-drive it
+        to the failure boundary against the message log.
+
+        The survivors, the transport, the stats ledger and the
+        timeline stay untouched — the dead rank re-runs each event of
+        the segment through :meth:`_collective` restricted to itself:
+        its re-emitted sends are suppressed by log seq (peers consumed
+        the originals long ago) and the messages it needs are
+        re-delivered from the log, except those still sitting on the
+        wire for an open split-phase window, whose original requests
+        remain valid.
+        """
+        rank, comm, timeline = kill.rank, run.comm, run.timeline
+        event_no = len(timeline.events)
+        cp = run.ckpt.restore_rank(rank, run.envs, run.states)
+        gen = run.gens[rank] = run.interps[rank].run_gen(run.envs[rank],
+                                                         run.states[rank])
+        n_msgs, n_words = comm.msglog.replay_onto(comm, rank, cp.log_mark)
+        filt = ReplayFilter(comm.msglog, rank, cp.log_mark)
+        desc = (f"localized restart of rank {rank} (killed before "
+                f"event {event_no}, replaying from event "
+                f"{cp.event_count})")
+        windows: dict[int, tuple] = {}  # the replayed rank's open windows
+        comm.begin_replay(filt, cp.transport["next_tag"])
+        try:
+            for ev in range(cp.event_count, event_no + 1):
+                boundary = next(gen, None)
+                if boundary is None:
                     raise RuntimeFault(
-                        f"double post of {op.kind}:{op.var} (window "
-                        f"re-entered without a wait)")
-                timeline.events.append((f"post:{op.kind}:{op.var}", snapshot))
-                handle = guarded(lambda: self._post(op, comm, envs),
-                                 op, "post")
-                pending[id(op)] = (op, handle,
-                                   len(timeline.events) - 1, snapshot)
-            elif phase == "wait":
-                entry = pending.pop(id(op), None)
-                if entry is None:
-                    raise RuntimeFault(
-                        f"wait for {op.kind}:{op.var} with no matching post")
-                _op, handle, post_idx, post_snap = entry
+                        f"{desc} diverged: the restored rank returned "
+                        f"before reaching the failure boundary")
+                if ev < event_no:
+                    self._collective(run, boundary.payload, rank, windows,
+                                     desc)
+        finally:
+            comm.end_replay()
+        if boundary.payload is not live[0].payload:
+            raise RuntimeFault(f"{desc} diverged: the restored rank reached "
+                               f"a different collective than the survivors")
+        live[rank] = boundary
+        totals = run.replay_totals
+        totals["replayed_events"] += event_no - cp.event_count
+        totals["replayed_messages"] += n_msgs
+        totals["replayed_words"] += n_words
+        totals["suppressed_sends"] += filt.suppressed
+        totals["suppressed_words"] += filt.suppressed_words
+        timeline.faults.append(
+            f"rank {rank} killed before event {event_no}; localized "
+            f"restart from {snapshot_digest(cp)}: replayed "
+            f"{event_no - cp.event_count} event(s), re-delivered "
+            f"{n_msgs} logged message(s) ({n_words} word(s)), "
+            f"suppressed {filt.suppressed} re-sent message(s)")
+
+    def _collective(self, run: _Run, payload: Any,
+                    rank: Optional[int] = None,
+                    windows: Optional[dict] = None,
+                    recovery: Optional[str] = None) -> None:
+        """Perform one collective event: decode the payload, keep the
+        open-window table, fire the post / complete / blocking body.
+
+        The live loop calls it for all ranks and records the timeline.
+        Localized restart calls it for the one recovering ``rank`` with
+        its own ``windows`` table and the ``recovery`` description: the
+        same bodies on that rank's rows of the schedule, no timeline
+        event and no ``CollectiveRecord``.
+        """
+        comm, envs, timeline = run.comm, run.envs, run.timeline
+        live = rank is None
+        if live:
+            windows = run.pending
+        phase, op = payload if isinstance(payload, tuple) else (None,
+                                                                payload)
+        name = f"{op.kind}:{op.var}"
+        where = f"{recovery} diverged: " if recovery else ""
+        snapshot = [i.last_steps for i in run.interps] if live else None
+        if phase == "post":
+            if id(op) in windows:
+                raise RuntimeFault(
+                    f"{where}double post of {name} (window re-entered "
+                    f"without a wait)")
+            if live:
+                timeline.events.append((f"post:{name}", snapshot))
+            handle = self._guarded(
+                run, lambda: self._post(op, comm, envs, rank),
+                op, "post", recovery)
+            windows[id(op)] = (op, handle, len(timeline.events) - 1,
+                               snapshot)
+        elif phase == "wait":
+            entry = windows.pop(id(op), None)
+            if entry is None:
+                raise RuntimeFault(
+                    f"{where}wait for {name} with no matching post")
+            _op, handle, post_idx, post_snap = entry
+            overlap_steps = 0
+            if live:
                 overlap_steps = min(s - p
                                     for s, p in zip(snapshot, post_snap))
-                timeline.events.append((f"wait:{op.kind}:{op.var}", snapshot))
-                timeline.spans.append((f"{op.kind}:{op.var}", post_idx,
+                timeline.events.append((f"wait:{name}", snapshot))
+                timeline.spans.append((name, post_idx,
                                        len(timeline.events) - 1))
-                guarded(lambda: self._complete(op, handle, overlap_steps),
-                        op, "wait")
-            else:
-                timeline.events.append((f"{op.kind}:{op.var}", snapshot))
-                guarded(lambda: self._perform(op, comm, envs), op, None)
-            # only quiescent points are snapshotable; an injected duplicate
-            # can leave a stray message on the wire — skip, don't crash
-            if ckpt is not None and not pending \
-                    and not comm.pending_messages() \
-                    and not comm.pending_requests() \
-                    and ckpt.due(len(timeline.events)):
-                take_checkpoint()
-            if rebalance is not None:
-                event_count = len(timeline.events)
-                due_sched = [e for e in sched_events if e <= event_count]
-                loads = [i.last_steps - base
-                         for i, base in zip(interps, epoch_loads_base)]
-                want = bool(due_sched) or (
-                    mig_totals["epochs"] < rebalance.max_epochs
-                    and event_count - last_epoch_event >= rebalance.cooldown
-                    and rebalance.triggered(loads))
-                if want:
-                    # migration needs full quiescence: nothing posted,
-                    # nothing on the wire, and no rank suspended inside an
-                    # entity-bounded loop (its live bounds and index maps
-                    # would change under it mid-iteration)
-                    quiescent = (not pending
-                                 and not comm.pending_messages()
-                                 and not comm.pending_requests()
-                                 and not any(
-                                     st.remaining.get(lsid, 0) > 0
-                                     for st in states
-                                     for lsid in self.loop_entity))
-                    if not quiescent:
-                        mig_totals["deferred"] += 1
-                    else:
-                        for e in due_sched:
-                            sched_events.remove(e)
-                        new_part = rebalance.target(
-                            self.partition, loads=loads,
-                            event=due_sched[0] if due_sched else None)
-                        if new_part is not None \
-                                and new_part is not self.partition:
-                            self._migrate_epoch(
-                                new_part, comm, envs, interps, states,
-                                timeline, ckpt, take_checkpoint,
-                                mig_totals, event_count)
-                            last_epoch_event = event_count
-                            epoch_loads_base = [i.last_steps
-                                                for i in interps]
-        if pending:
+            self._guarded(
+                run, lambda: self._complete(op, handle, overlap_steps),
+                op, "wait", recovery)
+        else:
+            if live:
+                timeline.events.append((name, snapshot))
+            self._guarded(run, lambda: self._perform(op, comm, envs, rank),
+                          op, None, recovery)
+
+    def _guarded(self, run: _Run, fn, op: CommOp, phase: Optional[str],
+                 recovery: Optional[str] = None):
+        """Run one collective body; a fabric timeout becomes the
+        per-rank stall report (naming the recovery in progress, if any)."""
+        try:
+            return fn()
+        except CommTimeout as exc:
+            anchor = ("EXIT" if op.wait_anchor == EXIT
+                      else f"sid {op.wait_anchor}")
+            report = render_fault_report(
+                op.kind, op.var, anchor, phase, exc,
+                [i.last_steps for i in run.interps], run.timeline,
+                recovery=recovery)
+            where = f"during {recovery}" if recovery else f"at anchor {anchor}"
+            raise CommTimeout(
+                f"{op.kind}:{op.var} stalled {where}: "
+                f"{exc.args[0]}\n{report}",
+                src=exc.src, dst=exc.dst, tag=exc.tag,
+                waited=exc.waited, ledger=exc.ledger,
+                op=op, anchor=op.wait_anchor) from exc
+
+    def _consult_rebalance(self, run: _Run) -> None:
+        """Ask the policy whether this boundary starts a migration epoch."""
+        rebalance, totals = run.rebalance, run.mig_totals
+        event_count = len(run.timeline.events)
+        due_sched = [e for e in run.sched_events if e <= event_count]
+        loads = [i.last_steps - base
+                 for i, base in zip(run.interps, run.epoch_loads_base)]
+        want = bool(due_sched) or (
+            totals["epochs"] < rebalance.max_epochs
+            and event_count - run.last_epoch_event >= rebalance.cooldown
+            and rebalance.triggered(loads))
+        if not want:
+            return
+        if not self._quiescent(run, between_loops=True):
+            totals["deferred"] += 1
+            return
+        for e in due_sched:
+            run.sched_events.remove(e)
+        new_part = rebalance.target(
+            self.partition, loads=loads,
+            event=due_sched[0] if due_sched else None)
+        if new_part is not None and new_part is not self.partition:
+            self._migrate_epoch(run, new_part, event_count)
+            run.last_epoch_event = event_count
+            run.epoch_loads_base = [i.last_steps for i in run.interps]
+
+    def _finish(self, run: _Run) -> SPMDResult:
+        """Leak checks, then the result record."""
+        comm, timeline, ckpt = run.comm, run.timeline, run.ckpt
+        if run.pending:
             leaked = ", ".join(f"{op.kind}:{op.var}"
-                               for op, *_ in pending.values())
+                               for op, *_ in run.pending.values())
             from ..analysis.diagnostics import Diagnostic
             diag = Diagnostic(
                 code="CC103",
-                message=f"{len(pending)} communication window(s) never "
+                message=f"{len(run.pending)} communication window(s) never "
                         f"waited: {leaked}",
                 data={"windows": [[op.kind, op.var, op.post_anchor,
                                    op.wait_anchor]
-                                  for op, *_ in pending.values()]})
+                                  for op, *_ in run.pending.values()]})
             err = RuntimeFault(f"CC103: {diag.message}")
             err.diagnostic = diag
             raise err
         comm.assert_drained()
         comm.assert_no_pending_requests()
-        timeline.final_steps = [r.steps for r in results]
+        timeline.final_steps = [r.steps for r in run.results]
+        for kill in run.kills:
+            timeline.faults.append(
+                f"{kill.describe()} never fired: the run ended after "
+                f"{len(timeline.events)} collective event(s)")
         recovery_info = None
         if ckpt is not None:
             recovery_info = {
-                "mode": recovery,
+                "mode": run.recovery,
                 "checkpoints_taken": ckpt.taken,
                 "checkpoints_evicted": ckpt.evicted,
                 "checkpoints_retained": len(ckpt.checkpoints),
@@ -683,28 +712,23 @@ class SPMDExecutor:
                 "rank_restores": ckpt.rank_restores,
                 "restored_words": ckpt.restored_words,
                 "restore_seconds": ckpt.restore_seconds,
-                "replayed_events": replay_totals["events"],
-                "replayed_messages": replay_totals["messages"],
-                "replayed_words": replay_totals["words"],
-                "suppressed_sends": replay_totals["suppressed"],
-                "suppressed_words": replay_totals["suppressed_words"],
+                **run.replay_totals,
                 "log_entries": (len(comm.msglog)
                                 if comm.msglog is not None else 0),
             }
         return SPMDResult(
-            envs=envs,
-            rank_steps=[r.steps for r in results],
+            envs=run.envs,
+            rank_steps=[r.steps for r in run.results],
             stats=comm.stats,
             partition=self.partition,
             spec=self.spec,
             timeline=timeline,
             recovery=recovery_info,
-            migration=dict(mig_totals) if rebalance is not None else None)
+            migration=dict(run.mig_totals)
+            if run.rebalance is not None else None)
 
-    def _migrate_epoch(self, new_part: MeshPartition, comm: SimComm,
-                       envs: list[Env], interps: list, states: list,
-                       timeline: Timeline, ckpt, take_checkpoint,
-                       mig_totals: dict, event_count: int) -> None:
+    def _migrate_epoch(self, run: _Run, new_part: MeshPartition,
+                       event_count: int) -> None:
         """Move the running solve onto ``new_part`` at a quiescent boundary.
 
         In order: rewrite packed ids incrementally (the new partition's
@@ -721,8 +745,8 @@ class SPMDExecutor:
         appended to ``timeline.events``: a rebalanced run's event
         numbering keeps naming the same boundaries as the baseline run.
         """
+        comm, envs, totals = run.comm, run.envs, run.mig_totals
         old_part = self.partition
-        nranks = old_part.nparts
         entities = list(old_part.subs[0].l2g)
         moved: dict[str, np.ndarray] = {}
         for ent in entities:
@@ -733,7 +757,7 @@ class SPMDExecutor:
             new_part._packings[ent] = rewrite_packing(
                 old_part.packing(ent), old_kern, new_kern)
             moved[ent] = moved_entity_gids(old_part, new_part, ent)
-            mig_totals["moved_entities"] += len(moved[ent])
+            totals["moved_entities"] += len(moved[ent])
         if comm.msglog is not None:
             comm.msglog.pause()
         try:
@@ -741,15 +765,10 @@ class SPMDExecutor:
             for name, decl in self.sub.decls.items():
                 if not decl.is_array:
                     continue
-                im = self.spec.index_map(name)
-                if im is not None:
-                    for rank, sub in enumerate(new_part.subs):
-                        conn = self._local_connectivity(sub, im)
-                        rows = max(decl.dims[0], len(conn))
-                        arr = np.zeros((rows,) + conn.shape[1:],
-                                       dtype=np.int64)
-                        arr[:len(conn)] = conn + 1  # FORTRAN is 1-based
-                        envs[rank][name] = arr
+                if self.spec.index_map(name) is not None:
+                    for env, sub_mesh in zip(envs, new_part.subs):
+                        env[name] = self._make_rank_array(sub_mesh, name,
+                                                          decl, {})
                     continue
                 ent = self.spec.entity_of_array(name)
                 if ent is None:
@@ -759,84 +778,74 @@ class SPMDExecutor:
                     sched = build_migration_schedule(old_part, new_part,
                                                      ent)
                     mig_scheds[ent] = sched
-                    mig_totals["messages"] += sched.message_count()
-                    mig_totals["words"] += sched.volume()
-                vals = [np.asarray(envs[r][name])
-                        [:len(old_part.subs[r].l2g[ent])]
-                        for r in range(nranks)]
+                    totals["messages"] += sched.message_count()
+                    totals["words"] += sched.volume()
+                vals = [np.asarray(env[name])[:len(sub_mesh.l2g[ent])]
+                        for env, sub_mesh in zip(envs, old_part.subs)]
                 out = migrate(vals, old_part, new_part, ent,
                               schedule=sched, comm=comm)
-                for rank, values in enumerate(out):
+                for env, values in zip(envs, out):
                     rows = max(decl.dims[0], len(values))
                     arr = np.zeros((rows,) + values.shape[1:],
                                    dtype=values.dtype)
                     arr[:len(values)] = values
-                    envs[rank][name] = arr
-            for name, decl in self.sub.decls.items():
-                if decl.is_array:
-                    continue
-                ent = self.spec.entity_of_extent_var(name)
-                if ent is not None:
-                    for rank in range(nranks):
-                        envs[rank][name] = len(new_part.subs[rank].l2g[ent])
+                    env[name] = arr
         finally:
             if comm.msglog is not None:
                 comm.msglog.resume()
+        for env, sub_mesh in zip(envs, new_part.subs):
+            env.update(self._rank_extents(sub_mesh))
         self._store, repacked = rebuild_flat_store(envs,
                                                    self._flat_variables())
-        mig_totals["repacked_words"] += repacked
+        totals["repacked_words"] += repacked
         dirty_seen = 0
-        dirty = {ent: schedule_dirty_ranks(old_part, new_part, ent,
-                                           moved[ent])
-                 for ent in entities}
-        # both schedules of one entity relabel the same message tables,
-        # so repairing them as a pair runs the delta-argsort once
-        for ent in sorted(set(self._overlap_scheds)
-                          & set(self._combine_scheds)):
-            ov, cb = repair_wave_schedules(
-                self._overlap_scheds[ent], self._combine_scheds[ent],
-                old_part, new_part, ent, moved[ent], dirty=dirty[ent])
-            self._overlap_scheds[ent], self._combine_scheds[ent] = ov, cb
-            mig_totals["schedules_repaired"] += 2
-        for ent, sched in list(self._overlap_scheds.items()):
-            if ent in self._combine_scheds:
-                continue
-            self._overlap_scheds[ent] = repair_overlap_schedule(
-                sched, old_part, new_part, ent, moved[ent],
-                dirty=dirty[ent])
-            mig_totals["schedules_repaired"] += 1
-        for ent, sched in list(self._combine_scheds.items()):
-            if ent in self._overlap_scheds:
-                continue
-            self._combine_scheds[ent] = repair_combine_schedule(
-                sched, old_part, new_part, ent, moved[ent],
-                dirty=dirty[ent])
-            mig_totals["schedules_repaired"] += 1
         for ent in entities:
-            dirty_seen = max(dirty_seen, len(dirty[ent]))
-        mig_totals["dirty_ranks"] = max(mig_totals["dirty_ranks"],
-                                        dirty_seen)
-        for rank, interp in enumerate(interps):
-            _bind_domain_bounds(interp, new_part.subs[rank])
+            delta = (old_part, new_part, ent, moved[ent])
+            dirty = schedule_dirty_ranks(*delta)
+            dirty_seen = max(dirty_seen, len(dirty))
+            ov = self._overlap_scheds.get(ent)
+            cb = self._combine_scheds.get(ent)
+            if ov is not None and cb is not None:
+                # both schedules of one entity relabel the same message
+                # tables: repaired as a pair, the delta-argsort runs once
+                self._overlap_scheds[ent], self._combine_scheds[ent] = \
+                    repair_wave_schedules(ov, cb, *delta, dirty=dirty)
+            elif ov is not None:
+                self._overlap_scheds[ent] = repair_overlap_schedule(
+                    ov, *delta, dirty=dirty)
+            elif cb is not None:
+                self._combine_scheds[ent] = repair_combine_schedule(
+                    cb, *delta, dirty=dirty)
+            totals["schedules_repaired"] += (ov is not None) + (cb is not None)
+        totals["dirty_ranks"] = max(totals["dirty_ranks"], dirty_seen)
+        for interp, sub_mesh in zip(run.interps, new_part.subs):
+            interp.loop_bounds = self._loop_bounds(sub_mesh)
         self.partition = new_part
-        if ckpt is not None:
-            ckpt.reset_epoch()
-            take_checkpoint()
-        mig_totals["epochs"] += 1
-        timeline.migrations.append(
+        if run.ckpt is not None:
+            run.ckpt.reset_epoch()
+            self._take_checkpoint(run)
+        totals["epochs"] += 1
+        run.timeline.migrations.append(
             f"migration epoch at event {event_count}: moved "
             f"{sum(len(m) for m in moved.values())} entity slot(s) "
             f"across {dirty_seen} dirty rank(s)")
 
-    def _post(self, op: CommOp, comm: SimComm, envs: list[Env]) -> Any:
+    # -- the collective bodies ---------------------------------------------
+    #
+    # ``rank`` names the one recovering rank of a localized restart: the
+    # very same halo collectives then run on that rank's rows of the
+    # schedule (``for_rank``) — its re-emitted sends all suppressed by
+    # the replay filter in the original order, its receives served from
+    # the replayed log.
+
+    def _post(self, op: CommOp, comm: SimComm, envs: list[Env],
+              rank: Optional[int] = None) -> Any:
         """Fire the initiating half of a split window; returns the handle."""
         if op.kind == K_OVERLAP:
-            return overlap_post(comm, envs, op.var,
-                                self._overlap_schedule(op.entity),
+            return overlap_post(comm, envs, op.var, self._schedule(op, rank),
                                 label=op.var, store=self._store)
         if op.kind == K_COMBINE:
-            return combine_post(comm, envs, op.var,
-                                self._combine_schedule(op.entity),
+            return combine_post(comm, envs, op.var, self._schedule(op, rank),
                                 op=op.op or "+", label=op.var,
                                 store=self._store)
         # K_REDUCE (and anything else) cannot split: the binomial tree is
@@ -854,101 +863,19 @@ class SPMDExecutor:
             raise RuntimeFault(
                 f"{op.kind} communication on {op.var!r} cannot be split-phase")
 
-    def _perform(self, op: CommOp, comm: SimComm, envs: list[Env]) -> None:
+    def _perform(self, op: CommOp, comm: SimComm, envs: list[Env],
+                 rank: Optional[int] = None) -> None:
         if op.kind == K_OVERLAP:
-            overlap_update(comm, envs, op.var,
-                           self._overlap_schedule(op.entity), label=op.var,
-                           store=self._store)
+            overlap_update(comm, envs, op.var, self._schedule(op, rank),
+                           label=op.var, store=self._store)
         elif op.kind == K_COMBINE:
-            combine_update(comm, envs, op.var,
-                           self._combine_schedule(op.entity),
-                           op=op.op or "+", label=op.var,
-                           store=self._store)
+            combine_update(comm, envs, op.var, self._schedule(op, rank),
+                           op=op.op or "+", label=op.var, store=self._store)
         elif op.kind == K_REDUCE:
             allreduce_scalar(comm, envs, op.var, op=op.op or "+",
-                             label=op.var)
+                             label=op.var, rank=rank)
         else:  # pragma: no cover - exhaustiveness guard
             raise RuntimeFault(f"unknown communication kind {op.kind!r}")
-
-    # -- localized restart: single-rank replay bodies ------------------------
-    #
-    # These mirror the per-message path of runtime.halos exactly
-    # (which the block wave is proven bit-identical to), restricted to one
-    # rank: the recovering rank re-emits its sends (all suppressed by the
-    # replay filter, in the original order, so the filter's seq cursors
-    # stay aligned) and receives its messages from the replayed log, in
-    # the blocking order so combine accumulation rounds identically.  No
-    # CollectiveRecord is appended — the original events already logged
-    # theirs and the stats ledger is never rewound under localized restart.
-
-    def _replay_post(self, op: CommOp, comm: SimComm, envs: list[Env],
-                     rank: int, tag: int) -> None:
-        """Re-emit one restored rank's send half of a collective event."""
-        if op.kind == K_OVERLAP:
-            plan = self._overlap_schedule(op.entity).sends[rank]
-        elif op.kind == K_COMBINE:
-            plan = self._combine_schedule(op.entity).gather_sends[rank]
-        else:  # pragma: no cover - _post already rejected it
-            raise RuntimeFault(
-                f"{op.kind} communication on {op.var!r} cannot be "
-                f"split-phase")
-        arr = envs[rank][op.var]
-        for dest, idx in plan.items():
-            comm._send(rank, dest, tag, arr[idx])
-
-    def _replay_wait(self, op: CommOp, comm: SimComm, envs: list[Env],
-                     rank: int, tag: int) -> None:
-        """Apply one restored rank's receive half from replayed messages."""
-        arr = envs[rank][op.var]
-        if op.kind == K_OVERLAP:
-            sched = self._overlap_schedule(op.entity)
-            for src, idx in sched.recvs[rank].items():
-                arr[idx] = comm._recv(src, rank, tag)
-            return
-        sched = self._combine_schedule(op.entity)
-        opname = op.op or "+"
-        for src, idx in sched.gather_recvs[rank].items():
-            incoming = comm._recv(src, rank, tag)
-            if opname == "+":
-                arr[idx] += incoming
-            elif opname == "*":
-                arr[idx] *= incoming
-            else:
-                arr[idx] = np.maximum(arr[idx], incoming) \
-                    if opname == "max" else np.minimum(arr[idx], incoming)
-        # return round: totals back to holders (owner sends suppressed)
-        for dest, idx in sched.return_sends[rank].items():
-            comm._send(rank, dest, _TAG_RETURN, arr[idx])
-        for owner, idx in sched.return_recvs[rank].items():
-            arr[idx] = comm._recv(owner, rank, _TAG_RETURN)
-
-    def _replay_reduce(self, op: CommOp, comm: SimComm, envs: list[Env],
-                       rank: int) -> None:
-        """Re-run one rank's slice of the binomial allreduce tree.
-
-        The tree pairing is a pure function of (rank, size, level), so a
-        single rank's sends (suppressed) and receives (replayed partial
-        totals) can be re-walked without the other ranks participating.
-        """
-        reducer = REDUCE_OPS[op.op or "+"]
-        size = comm.size
-        value = envs[rank][op.var]
-        step = 1
-        while step < size:
-            if rank >= step and (rank - step) % (2 * step) == 0:
-                comm._send(rank, rank - step, _TAG_REDUCE, value)
-            if rank % (2 * step) == 0 and rank < size - step:
-                got = comm._recv(rank + step, rank, _TAG_REDUCE)
-                value = reducer(value, got)
-            step *= 2
-        step //= 2
-        while step >= 1:
-            if rank % (2 * step) == 0 and rank < size - step:
-                comm._send(rank, rank + step, _TAG_REDUCE, value)
-            if rank >= step and (rank - step) % (2 * step) == 0:
-                value = comm._recv(rank - step, rank, _TAG_REDUCE)
-            step //= 2
-        envs[rank][op.var] = value
 
 
 def _advance_to_boundary(
@@ -964,17 +891,13 @@ def _advance_to_boundary(
     *same* collective — lockstep is what makes the batched collective
     dispatch (one ``send_block``/``recv_block`` wave for all ranks) legal.
     """
-    yielded: list[Optional[CollectiveAction]] = []
+    live: list[CollectiveAction] = []
     for rank, gen in enumerate(gens):
-        if results[rank] is not None:
-            yielded.append(None)
-            continue
-        try:
-            yielded.append(next(gen))
-        except StopIteration as stop:
-            results[rank] = stop.value
-            yielded.append(None)
-    live = [y for y in yielded if y is not None]
+        if results[rank] is None:
+            try:
+                live.append(next(gen))
+            except StopIteration as stop:
+                results[rank] = stop.value
     if not live:
         return None
     if len(live) != len(gens):
@@ -985,28 +908,3 @@ def _advance_to_boundary(
     if len(ops) != 1:
         raise RuntimeFault("ranks reached different collectives")
     return live
-
-
-class _DomainBound:
-    """Loop-bound hook applying a KERNEL/OVERLAP iteration domain."""
-
-    def __init__(self, entity: str, domain: str):
-        self.entity = entity
-        self.domain = domain
-        self.kernel = 0
-        self.total = 0
-
-    def bind(self, sub_mesh: SubMesh) -> "_DomainBound":
-        bound = _DomainBound(self.entity, self.domain)
-        bound.kernel, bound.total = sub_mesh.counts(self.entity)
-        return bound
-
-    def __call__(self, env: Env, lo, hi, step):
-        count = self.kernel if self.domain == KERNEL else self.total
-        return lo, count, step
-
-
-def _bind_domain_bounds(interp: Interpreter, sub_mesh: SubMesh) -> None:
-    interp.loop_bounds = {
-        lsid: hook.bind(sub_mesh)
-        for lsid, hook in interp.loop_bounds.items()}

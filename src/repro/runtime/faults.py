@@ -155,39 +155,49 @@ class FaultPlan:
             clause = raw.split("#", 1)[0].strip()
             if not clause:
                 continue
-            head, *pairs = clause.split()
-            kv: dict[str, str] = {}
-            for p in pairs:
-                if "=" not in p:
-                    raise ReproError(
-                        f"bad fault clause {clause!r}: expected KEY=VALUE, "
-                        f"got {p!r}")
-                k, v = p.split("=", 1)
-                kv[k.strip()] = v.strip()
-            if head.startswith("seed"):
-                if "=" in head:
-                    plan.seed = int(head.split("=", 1)[1])
-                elif "seed" in kv:
-                    plan.seed = int(kv["seed"])
-                else:
-                    raise ReproError(f"bad seed clause {clause!r}")
-            elif head == "no-retransmit":
-                plan.retransmit = False
-            elif head == "kill":
-                plan.kills.append(KillRule(rank=int(kv["rank"]),
-                                           event=int(kv["event"])))
-            elif head in ACTIONS:
-                plan.rules.append(FaultRule(
-                    action=head,
-                    src=int(kv["src"]) if "src" in kv else None,
-                    dst=int(kv["dst"]) if "dst" in kv else None,
-                    tag=int(kv["tag"]) if "tag" in kv else None,
-                    count=int(kv.get("count", -1)),
-                    steps=int(kv.get("steps", 1)),
-                    prob=float(kv.get("prob", 1.0))))
-            else:
-                raise ReproError(f"unknown fault clause {head!r}")
+            try:
+                plan._add_clause(clause)
+            except KeyError as exc:
+                raise ReproError(f"bad fault clause {clause!r}: missing "
+                                 f"{exc.args[0]}=") from None
+            except ValueError as exc:
+                raise ReproError(
+                    f"bad fault clause {clause!r}: {exc}") from None
         return plan
+
+    def _add_clause(self, clause: str) -> None:
+        head, *pairs = clause.split()
+        kv: dict[str, str] = {}
+        for p in pairs:
+            if "=" not in p:
+                raise ReproError(
+                    f"bad fault clause {clause!r}: expected KEY=VALUE, "
+                    f"got {p!r}")
+            k, v = p.split("=", 1)
+            kv[k.strip()] = v.strip()
+        if head.startswith("seed"):
+            if "=" in head:
+                self.seed = int(head.split("=", 1)[1])
+            elif "seed" in kv:
+                self.seed = int(kv["seed"])
+            else:
+                raise ReproError(f"bad seed clause {clause!r}")
+        elif head == "no-retransmit":
+            self.retransmit = False
+        elif head == "kill":
+            self.kills.append(KillRule(rank=int(kv["rank"]),
+                                       event=int(kv["event"])))
+        elif head in ACTIONS:
+            self.rules.append(FaultRule(
+                action=head,
+                src=int(kv["src"]) if "src" in kv else None,
+                dst=int(kv["dst"]) if "dst" in kv else None,
+                tag=int(kv["tag"]) if "tag" in kv else None,
+                count=int(kv.get("count", -1)),
+                steps=int(kv.get("steps", 1)),
+                prob=float(kv.get("prob", 1.0))))
+        else:
+            raise ReproError(f"unknown fault clause {head!r}")
 
     @classmethod
     def from_file(cls, path: str) -> "FaultPlan":

@@ -142,6 +142,47 @@ class PendingCombine:
     field: Optional[FlatField] = None
 
 
+def _gather(side: WaveSide, envs: list[dict], var: str,
+            field: Optional[FlatField]) -> np.ndarray:
+    """One wave side's send block — one fancy index over the flat store
+    when ``var`` has a field there, else a per-rank gather."""
+    if field is not None:
+        return side.flat_gather(field.flat, field.offsets)
+    return side.gather([env[var] for env in envs])
+
+
+def _scatter(side: WaveSide, envs: list[dict], var: str,
+             field: Optional[FlatField], block: np.ndarray,
+             op=None) -> None:
+    """Write (or ``op.at``-accumulate) one received block in place."""
+    if field is not None:
+        side.flat_scatter(field.flat, field.offsets, block, op=op)
+    else:
+        side.scatter([env[var] for env in envs], block, op=op)
+
+
+def _messages(plans: list, envs: list[dict],
+              var: str) -> tuple[list[int], list[int], list[np.ndarray]]:
+    """Send plans as per-message (srcs, dsts, payloads), wave order."""
+    srcs: list[int] = []
+    dsts: list[int] = []
+    payloads: list[np.ndarray] = []
+    for r, plan in enumerate(plans):
+        arr = envs[r][var]
+        for dest, idx in plan.items():
+            srcs.append(r)
+            dsts.append(dest)
+            payloads.append(arr[idx])
+    return srcs, dsts, payloads
+
+
+def _irecvs(comm: SimComm, plans: list,
+            tag: int) -> list[tuple[int, int, np.ndarray, Request]]:
+    """One irecv per receive-plan entry, in blocking-recv order."""
+    return [(r, src, idx, comm.view(r).irecv(src, tag=tag))
+            for r, plan in enumerate(plans) for src, idx in plan.items()]
+
+
 def overlap_post(comm: SimComm, envs: list[dict], var: str,
                  schedule: OverlapSchedule, label: str = "",
                  _log: bool = True,
@@ -161,30 +202,16 @@ def overlap_post(comm: SimComm, envs: list[dict], var: str,
     field = store.get(var) if store is not None else None
     if field is not None or _block_eligible(envs, var):
         w = schedule.wave()
-        if field is not None:
-            block = w.send.flat_gather(field.flat, field.offsets)
-        else:
-            block = w.send.gather([env[var] for env in envs])
-        comm.send_block(w.send.srcs, w.send.dsts, block, w.send.words,
+        comm.send_block(w.send.srcs, w.send.dsts,
+                        _gather(w.send, envs, var, field), w.send.words,
                         tag=tag)
         pending.block = True
         pending.recv_side = w.recv
         pending.field = field
     else:
-        srcs: list[int] = []
-        dsts: list[int] = []
-        payloads: list[np.ndarray] = []
-        for r, plan in enumerate(schedule.sends):
-            arr = envs[r][var]
-            for dest, idx in plan.items():
-                srcs.append(r)
-                dsts.append(dest)
-                payloads.append(arr[idx])
-        pending.sends = comm.isend_batch(srcs, dsts, payloads, tag=tag)
-        for r, plan in enumerate(schedule.recvs):
-            view = comm.view(r)
-            for src, idx in plan.items():
-                pending.recvs.append((r, src, idx, view.irecv(src, tag=tag)))
+        pending.sends = comm.isend_batch(
+            *_messages(schedule.sends, envs, var), tag=tag)
+        pending.recvs = _irecvs(comm, schedule.recvs, tag)
     if _log:
         _log_collective(comm, f"overlap:{pending.label}", before,
                         window="posted")
@@ -200,11 +227,7 @@ def overlap_complete(pending: PendingOverlap, overlap_steps: int = 0,
         side = pending.recv_side
         block, _words = comm.recv_block(side.srcs, side.dsts,
                                         tag=pending.tag)
-        if pending.field is not None:
-            side.flat_scatter(pending.field.flat, pending.field.offsets,
-                              block)
-        else:
-            side.scatter([env[pending.var] for env in pending.envs], block)
+        _scatter(side, pending.envs, pending.var, pending.field, block)
     else:
         incoming = comm.waitall_recv([req for *_hdr, req in pending.recvs])
         for (r, _src, idx, _req), payload in zip(pending.recvs, incoming):
@@ -246,30 +269,15 @@ def combine_post(comm: SimComm, envs: list[dict], var: str,
                              label=label or var, schedule=schedule, tag=tag)
     field = store.get(var) if store is not None else None
     if field is not None or _block_eligible(envs, var):
-        w = schedule.wave()
-        if field is not None:
-            block = w.gather_send.flat_gather(field.flat, field.offsets)
-        else:
-            block = w.gather_send.gather([env[var] for env in envs])
-        comm.send_block(w.gather_send.srcs, w.gather_send.dsts, block,
-                        w.gather_send.words, tag=tag)
+        side = schedule.wave().gather_send
+        comm.send_block(side.srcs, side.dsts,
+                        _gather(side, envs, var, field), side.words, tag=tag)
         pending.block = True
         pending.field = field
     else:
-        srcs: list[int] = []
-        dsts: list[int] = []
-        payloads: list[np.ndarray] = []
-        for r, plan in enumerate(schedule.gather_sends):
-            arr = envs[r][var]
-            for owner, idx in plan.items():
-                srcs.append(r)
-                dsts.append(owner)
-                payloads.append(arr[idx])
-        pending.sends = comm.isend_batch(srcs, dsts, payloads, tag=tag)
-        for o, plan in enumerate(schedule.gather_recvs):
-            view = comm.view(o)
-            for src, idx in plan.items():
-                pending.recvs.append((o, src, idx, view.irecv(src, tag=tag)))
+        pending.sends = comm.isend_batch(
+            *_messages(schedule.gather_sends, envs, var), tag=tag)
+        pending.recvs = _irecvs(comm, schedule.gather_recvs, tag)
     if _log:
         _log_collective(comm, f"combine:{pending.label}", before,
                         window="posted")
@@ -285,72 +293,42 @@ def combine_complete(pending: PendingCombine, overlap_steps: int = 0,
     On the block path, ``ufunc.at`` over the concatenated gather indices
     applies repeated entries sequentially in array order — the same
     (owner, source) sequence — so the two waves round identically too.
+    The return round (owners → holders) is blocking: its totals exist
+    only once the gather round has been assembled.
     """
     comm = pending.comm
-    envs, var, op = pending.envs, pending.var, pending.op
+    envs, var, field = pending.envs, pending.var, pending.field
     schedule = pending.schedule
+    accum = _ACCUM_UFUNC[pending.op]
     before = _rank_words(comm)
     if pending.block:
         w = schedule.wave()
-        field = pending.field
         block, _words = comm.recv_block(w.gather_recv.srcs,
                                         w.gather_recv.dsts, tag=pending.tag)
-        if field is not None:
-            w.gather_recv.flat_scatter(field.flat, field.offsets, block,
-                                       op=_ACCUM_UFUNC[op])
-            # return round: owners -> holders (totals exist only now)
-            rblock = w.return_send.flat_gather(field.flat, field.offsets)
-        else:
-            arrays = [env[var] for env in envs]
-            w.gather_recv.scatter(arrays, block, op=_ACCUM_UFUNC[op])
-            rblock = w.return_send.gather(arrays)
-        comm.send_block(w.return_send.srcs, w.return_send.dsts, rblock,
+        _scatter(w.gather_recv, envs, var, field, block, op=accum)
+        comm.send_block(w.return_send.srcs, w.return_send.dsts,
+                        _gather(w.return_send, envs, var, field),
                         w.return_send.words, tag=_TAG_RETURN)
-        tblock, _words = comm.recv_block(w.return_recv.srcs,
-                                         w.return_recv.dsts, tag=_TAG_RETURN)
-        if field is not None:
-            w.return_recv.flat_scatter(field.flat, field.offsets, tblock)
-        else:
-            w.return_recv.scatter(arrays, tblock)
-        if _log:
-            _log_collective(comm, f"combine:{pending.label}", before,
-                            window="waited", overlap_steps=overlap_steps)
-        return
-    gathered = comm.waitall_recv([req for *_hdr, req in pending.recvs])
-    for (o, _src, idx, _req), incoming in zip(pending.recvs, gathered):
-        arr = envs[o][var]
-        if op == "+":
-            arr[idx] += incoming
-        elif op == "*":
-            arr[idx] *= incoming
-        else:
-            arr[idx] = np.maximum(arr[idx], incoming) if op == "max" \
-                else np.minimum(arr[idx], incoming)
-    for req in pending.sends:
-        req.wait()
-    # return round: owners -> holders, blocking (totals exist only now)
-    srcs: list[int] = []
-    dsts: list[int] = []
-    payloads: list[np.ndarray] = []
-    for o, plan in enumerate(schedule.return_sends):
-        arr = envs[o][var]
-        for dest, idx in plan.items():
-            srcs.append(o)
-            dsts.append(dest)
-            payloads.append(arr[idx])
-    comm.send_batch(srcs, dsts, payloads, tag=_TAG_RETURN)
-    rsrcs: list[int] = []
-    rdsts: list[int] = []
-    targets: list[tuple[np.ndarray, np.ndarray]] = []
-    for r, plan in enumerate(schedule.return_recvs):
-        arr = envs[r][var]
-        for owner, idx in plan.items():
-            rsrcs.append(owner)
-            rdsts.append(r)
-            targets.append((arr, idx))
-    totals = comm.recv_batch(rsrcs, rdsts, tag=_TAG_RETURN)
-    for (arr, idx), payload in zip(targets, totals):
-        arr[idx] = payload
+        block, _words = comm.recv_block(w.return_recv.srcs,
+                                        w.return_recv.dsts, tag=_TAG_RETURN)
+        _scatter(w.return_recv, envs, var, field, block)
+    else:
+        gathered = comm.waitall_recv([req for *_hdr, req in pending.recvs])
+        for (o, _src, idx, _req), incoming in zip(pending.recvs, gathered):
+            arr = envs[o][var]
+            arr[idx] = accum(arr[idx], incoming)
+        for req in pending.sends:
+            req.wait()
+        comm.send_batch(*_messages(schedule.return_sends, envs, var),
+                        tag=_TAG_RETURN)
+        targets = [(r, owner, idx)
+                   for r, plan in enumerate(schedule.return_recvs)
+                   for owner, idx in plan.items()]
+        totals = comm.recv_batch([owner for _r, owner, _idx in targets],
+                                 [r for r, _owner, _idx in targets],
+                                 tag=_TAG_RETURN)
+        for (r, _owner, idx), payload in zip(targets, totals):
+            envs[r][var][idx] = payload
     if _log:
         _log_collective(comm, f"combine:{pending.label}", before,
                         window="waited", overlap_steps=overlap_steps)
@@ -369,7 +347,8 @@ def combine_update(comm: SimComm, envs: list[dict], var: str,
 
 
 def allreduce_scalar(comm: SimComm, envs: list[dict], var: str,
-                     op: str = "+", label: str = "") -> None:
+                     op: str = "+", label: str = "",
+                     rank: Optional[int] = None) -> None:
     """Combine per-rank scalar partials; every rank gets the total.
 
     Binomial-tree reduce followed by a binomial broadcast: every rank
@@ -378,8 +357,12 @@ def allreduce_scalar(comm: SimComm, envs: list[dict], var: str,
     fixed tree, so results are deterministic run-to-run (though, like any
     parallel sum, rounded differently from the sequential left-to-right
     order).  Each tree level goes to the fabric as one batched send and
-    one batched receive over all its rank pairs; the pairing (and with it
-    every combine) is identical to the historical per-pair loop.
+    one batched receive over all its rank pairs.
+
+    ``rank`` names the one participating rank of a localized restart:
+    the pairing is a pure function of (rank, size, level), so each
+    level's pair lists are filtered to the sends it originates and the
+    receives it terminates, and only its value is written back.
     """
     reducer = REDUCE_OPS.get(op)
     if reducer is None:
@@ -393,11 +376,7 @@ def allreduce_scalar(comm: SimComm, envs: list[dict], var: str,
     while step < size:
         roots = list(range(0, size - step, 2 * step))
         partners = [r + step for r in roots]
-        comm.send_batch(partners, roots,
-                        [values[p] for p in partners], tag=_TAG_REDUCE)
-        for r, got in zip(roots,
-                          comm.recv_batch(partners, roots,
-                                          tag=_TAG_REDUCE)):
+        for r, got in _tree_level(comm, values, partners, roots, rank):
             values[r] = reducer(values[r], got)
         step *= 2
     # broadcast down the same tree
@@ -405,16 +384,32 @@ def allreduce_scalar(comm: SimComm, envs: list[dict], var: str,
     while step >= 1:
         roots = list(range(0, size - step, 2 * step))
         partners = [r + step for r in roots]
-        comm.send_batch(roots, partners,
-                        [values[r] for r in roots], tag=_TAG_REDUCE)
-        for p, got in zip(partners,
-                          comm.recv_batch(roots, partners,
-                                          tag=_TAG_REDUCE)):
+        for p, got in _tree_level(comm, values, roots, partners, rank):
             values[p] = got
         step //= 2
-    for r in range(size):
+    for r in range(size) if rank is None else (rank,):
         envs[r][var] = values[r]
     _log_collective(comm, f"reduce[{op}]:{label or var}", before)
+
+
+def _tree_level(comm: SimComm, values: list, srcs: list[int],
+                dsts: list[int], rank: Optional[int]) -> list[tuple]:
+    """One tree level: ``srcs[i]`` sends its value to ``dsts[i]``.
+
+    Returns the ``(dst, received value)`` pairs; with a participating
+    ``rank`` only the pairs it is the sending or receiving end of touch
+    the fabric.
+    """
+    sends = recvs = list(zip(srcs, dsts))
+    if rank is not None:
+        sends = [(s, d) for s, d in sends if s == rank]
+        recvs = [(s, d) for s, d in recvs if d == rank]
+    if sends:
+        comm.send_batch([s for s, _d in sends], [d for _s, d in sends],
+                        [values[s] for s, _d in sends], tag=_TAG_REDUCE)
+    got = comm.recv_batch([s for s, _d in recvs], [d for _s, d in recvs],
+                          tag=_TAG_REDUCE) if recvs else []
+    return [(d, value) for (_s, d), value in zip(recvs, got)]
 
 
 def _rank_words(comm: SimComm) -> tuple[np.ndarray, np.ndarray]:
@@ -426,6 +421,11 @@ def _log_collective(comm: SimComm, label: str,
                     before: tuple[np.ndarray, np.ndarray],
                     window: str = "blocking",
                     overlap_steps: int = 0) -> None:
+    if comm._replay is not None:
+        # a recovering rank is re-driving an event whose record the
+        # original logged; its re-sends are suppressed before accounting,
+        # and the ledger is never rewound under localized restart
+        return
     msgs_now, words_now = comm.stats.rank_counters(comm.size)
     comm.stats.collectives.append(CollectiveRecord(
         label=label, msgs=(msgs_now - before[0]).tolist(),

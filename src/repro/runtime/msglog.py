@@ -68,6 +68,7 @@ import numpy as np
 
 from ..errors import RuntimeFault
 from .ringbuf import F_I8, F_OBJ, _capture
+from .simmpi import _payload_words
 
 #: one logged delivery; ``seq`` is the absolute append index (stable
 #: across truncation), ``flags`` reuses the ring transport's payload
@@ -80,17 +81,6 @@ LOG_DTYPE = np.dtype([
 
 _F8 = np.dtype(np.float64)
 _I8 = np.dtype(np.int64)
-
-
-def _log_words(obj: Any) -> int:
-    """Accounting size of a payload (mirrors ``simmpi._payload_words``)."""
-    if isinstance(obj, np.ndarray):
-        return int(obj.size)
-    if isinstance(obj, (int, float, bool, np.number)):
-        return 1
-    if isinstance(obj, (list, tuple)):
-        return sum(_log_words(o) for o in obj)
-    return 1
 
 
 class MessageLog:
@@ -189,7 +179,7 @@ class MessageLog:
         else:
             self._objs.append(_capture(payload))
             self._append_row(src, dst, tag, F_OBJ, len(self._objs) - 1,
-                             _log_words(payload))
+                             _payload_words(payload))
 
     def record_batch(self, srcs, dsts, tag: int, payloads: list) -> None:
         """Log one wave of per-message payloads (reference wave path)."""

@@ -333,8 +333,10 @@ class SimComm:
         #: default fault-free path pays one ``is not None`` check per wave
         self.msglog = None
         #: duplicate-suppression filter, non-None only while a killed
-        #: rank is being re-driven against the log
+        #: rank is being re-driven against the log; ``_live`` holds the
+        #: live (tag counter, request serial) meanwhile
         self._replay = None
+        self._live = (self._next_tag, 0)
 
     def fresh_tag(self) -> int:
         """A tag no other exchange uses — isolates one split-phase window."""
@@ -567,11 +569,8 @@ class SimComm:
                 f"send_block: block holds {block.size} word(s) but the "
                 f"words column sums to {int(words.sum())}")
         if self._replay is not None:
-            offsets = np.concatenate(([0], np.cumsum(words)))
-            for i, (s, d) in enumerate(zip(srcs.tolist(), dsts.tolist())):
-                self._send(int(s), int(d), tag,
-                           block[offsets[i]:offsets[i + 1]])
-            return
+            return self._send_batch(srcs, dsts, tag,
+                                    np.split(block, np.cumsum(words)[:-1]))
         self.stats.note_batch(srcs, dsts, words)
         self._deliver_block(srcs, dsts, tag, block, words)
 
@@ -655,20 +654,35 @@ class SimComm:
 
     # -- localized restart ---------------------------------------------------
 
-    def begin_replay(self, filt) -> None:
+    def begin_replay(self, filt, next_tag: int) -> None:
         """Install a :class:`~repro.runtime.msglog.ReplayFilter`.
 
         While installed, every send is checked against the filter first:
         replay duplicates (sends the recovering rank re-emits while being
         re-driven against the message log) are discarded before any
         accounting, so the ledger stays exactly the fault-free one.
+        ``next_tag`` is the restored checkpoint's saved tag counter:
+        :meth:`fresh_tag` re-draws the window tags the original segment
+        drew, in the original order, until :meth:`end_replay` puts the
+        live counter back.
         """
         self._replay = filt
+        self._live = (self._next_tag, Request._serial)
+        self._next_tag = next_tag
 
-    def end_replay(self):
-        """Remove the replay filter; returns it for its counters."""
-        filt, self._replay = self._replay, None
-        return filt
+    def end_replay(self) -> None:
+        """Remove the replay filter and put the live tag counter back.
+
+        A window still open at the failure boundary was re-posted by the
+        replay, but the live wait completes it through the *original*
+        requests (still registered, matching the messages still on the
+        wire) — the replay's duplicates are dropped here, or the run
+        would end on a CC102 leak.
+        """
+        self._replay = None
+        self._next_tag, serial = self._live
+        self._pending_requests = {r for r in self._pending_requests
+                                  if r.serial <= serial}
 
     # -- checkpoint support --------------------------------------------------
 

@@ -86,6 +86,35 @@ class TestFaultPlan:
         with pytest.raises(ReproError, match="unknown fault action"):
             FaultRule("melt")
 
+    @pytest.mark.parametrize("text, why", [
+        ("kill rank=1", "missing event="),
+        ("kill rank=x event=2", "invalid literal"),
+        ("drop count=abc", "invalid literal"),
+        ("reorder; delay prob=often", "could not convert"),
+        ("seed=lucky", "invalid literal"),
+    ])
+    def test_malformed_values_name_the_clause(self, text, why):
+        # a diagnostic the CLI's ``except ReproError`` prints, never a
+        # KeyError/ValueError traceback
+        clause = text.split(";")[-1].strip()
+        with pytest.raises(ReproError, match=why) as err:
+            FaultPlan.parse(text)
+        assert repr(clause) in str(err.value)
+
+    def test_cli_reports_a_bad_plan_without_a_traceback(self, tmp_path,
+                                                        capsys):
+        from repro.cli import main
+        from repro.mesh.io import write_mesh
+
+        (tmp_path / "p.f").write_text(TESTIV_SOURCE)
+        (tmp_path / "p.spec").write_text(spec_for_testiv().serialize())
+        write_mesh(structured_tri_mesh(4, 4), str(tmp_path / "g.mesh"))
+        code = main([str(tmp_path / "p.f"), str(tmp_path / "p.spec"),
+                     "--run", str(tmp_path / "g.mesh"), "--nparts", "2",
+                     "--fault-plan", "kill rank=1"])
+        assert code != 0
+        assert "bad fault clause 'kill rank=1'" in capsys.readouterr().err
+
     def test_rule_matching_wildcards(self):
         rule = FaultRule("drop", src=0, tag=5)
         assert rule.matches(0, 3, 5) and not rule.matches(1, 3, 5)
@@ -241,6 +270,33 @@ class TestKillRecovery:
         res = executor(setup).run(inputs_for(mesh), faults=plan)
         assert envs_bit_identical(baseline.envs, res.envs) is None
         assert len(res.timeline.faults) == 2
+
+    @pytest.mark.parametrize("mode", ["global", "local"])
+    def test_kill_rank_out_of_range_rejected_before_any_rank_runs(
+            self, setup, mode, monkeypatch):
+        from repro.runtime import executor as executor_module
+
+        mesh = setup[0]  # 3 ranks
+        monkeypatch.setattr(
+            executor_module, "make_comm",
+            lambda *a, **k: pytest.fail("a communicator was built"))
+        for rank in (7, 3, -1):
+            plan = FaultPlan(kills=[KillRule(rank=rank, event=2)])
+            with pytest.raises(RuntimeFault, match="outside 0..2") as err:
+                executor(setup).run(inputs_for(mesh), faults=plan,
+                                    recovery=mode)
+            assert f"kill rank={rank} event=2" in str(err.value)
+
+    def test_unfired_kill_is_noted(self, setup, baseline):
+        mesh = setup[0]
+        nevents = len(baseline.timeline.events)
+        plan = FaultPlan.parse("kill rank=1 event=3; kill rank=0 event=999")
+        res = executor(setup).run(inputs_for(mesh), faults=plan)
+        assert envs_bit_identical(baseline.envs, res.envs) is None
+        assert len(res.timeline.faults) == 2
+        note = res.timeline.faults[-1]
+        assert "kill rank=0 event=999 never fired" in note
+        assert f"after {nevents} collective event(s)" in note
 
     def test_sparse_checkpoint_cadence_still_recovers(self, setup, baseline):
         mesh = setup[0]

@@ -191,6 +191,42 @@ class TestLocalizedRestart:
                        recovery=RECOVERY_LOCAL, checkpoint_every=3)
         assert envs_bit_identical(base.envs, res.envs) is None
 
+    def test_per_message_split_windows_every_rank_every_event(
+            self, setup, reference_halos):
+        # a window still open at the kill boundary is re-posted by the
+        # replay; on the per-message wire that registers duplicate
+        # Requests, which must be dropped when replay ends (else CC102)
+        with reference_halos():
+            base = _run(setup, split=True)
+            nevents = len(base.timeline.events)
+            for event in range(1, nevents):
+                for rank in range(3):
+                    res = _run(setup, split=True,
+                               plan_text=f"kill rank={rank} event={event}",
+                               recovery=RECOVERY_LOCAL, checkpoint_every=3)
+                    diff = envs_bit_identical(base.envs, res.envs)
+                    assert diff is None, f"rank {rank} event {event}: {diff}"
+
+    def test_replayed_reduction_on_a_non_power_of_two_tree(self, setup):
+        # 5 ranks: the binomial tree has an unpaired rank at the first
+        # level; every rank's slice of it (sender, receiver, both,
+        # neither per level) is re-driven through allreduce_scalar
+        placements, spec, partition, values = setup
+        five = (placements, spec,
+                build_partition(partition.mesh, 5, spec.pattern), values)
+        base = _run(five)
+        labels = [e[0] for e in base.timeline.events]
+        assert labels[4:6] == ["overlap:old", "reduce:sqrdiff"]
+        for rank in range(5):
+            res = _run(five, plan_text=f"kill rank={rank} event=6",
+                       recovery=RECOVERY_LOCAL, checkpoint_every=4)
+            assert res.recovery["replayed_events"] == 2  # events 4 and 5
+            diff = envs_bit_identical(base.envs, res.envs)
+            assert diff is None, f"rank {rank}: {diff}"
+            assert _record_stream(res.stats) == _record_stream(base.stats)
+            assert res.stats.messages == base.stats.messages
+            assert res.stats.words == base.stats.words
+
     def test_restored_words_local_is_one_rank_global_is_all(self, setup):
         plan = "kill rank=1 event=4"
         local = _run(setup, plan_text=plan, recovery=RECOVERY_LOCAL,
