@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from conftest import emit_report
-from repro.mesh import OverlapSchedule, build_entity_packing
+from repro.mesh import HaloSchedule, WaveSide, build_entity_packing
 from repro.runtime import SimComm, build_flat_store, overlap_update
 
 N_KERNEL = 64     # owned words per rank
@@ -34,25 +34,33 @@ DEGREE = 6        # neighbours per rank
 NWORDS = 8        # words per halo message
 
 
-def _overlap_schedule(nranks: int) -> OverlapSchedule:
+def _overlap_schedule(nranks: int) -> HaloSchedule:
     """A ring-of-neighbours halo: rank r owns words it pushes to the
     ``DEGREE`` ranks after it, and holds overlap copies from the
-    ``DEGREE`` ranks before it."""
-    sends: list[dict] = [dict() for _ in range(nranks)]
-    recvs: list[dict] = [dict() for _ in range(nranks)]
-    for r in range(nranks):
-        for k in range(1, DEGREE + 1):
-            dst = (r + k) % nranks
-            if dst == r:
-                continue
-            sends[r][dst] = np.arange((k - 1) * NWORDS, k * NWORDS,
-                                      dtype=np.int64)
-            recvs[dst][r] = np.arange(N_KERNEL + (k - 1) * NWORDS,
-                                      N_KERNEL + k * NWORDS,
-                                      dtype=np.int64)
-    sends = [dict(sorted(p.items())) for p in sends]
-    recvs = [dict(sorted(p.items())) for p in recvs]
-    return OverlapSchedule(entity="node", sends=sends, recvs=recvs)
+    ``DEGREE`` ranks before it — both message tables written straight
+    as numpy columns."""
+    ranks = np.arange(nranks, dtype=np.int64)
+    hops = np.arange(1, DEGREE + 1, dtype=np.int64)
+
+    def table(peer: np.ndarray, base: int, sends: bool) -> WaveSide:
+        # peer[r, k-1] is the other end of rank r's k-th hop; rows go
+        # peer-ascending inside a rank, hop k's words at base + (k-1)*NWORDS
+        order = np.argsort(peer, axis=1, kind="stable")
+        idx = base + (order[:, :, None] * NWORDS
+                      + np.arange(NWORDS, dtype=np.int64))
+        per_rank = DEGREE * NWORDS
+        return WaveSide(
+            rank=np.repeat(ranks, DEGREE),
+            peer=np.take_along_axis(peer, order, axis=1).ravel(),
+            words=np.full(nranks * DEGREE, NWORDS, np.int64),
+            idx=list(idx.reshape(nranks, per_rank)),
+            starts=ranks * per_rank,
+            counts=np.full(nranks, per_rank, np.int64), sends=sends)
+
+    return HaloSchedule(
+        "node",
+        holder=table((ranks[:, None] - hops) % nranks, N_KERNEL, False),
+        owner=table((ranks[:, None] + hops) % nranks, 0, True))
 
 
 def _make_envs(nranks: int) -> list[dict]:
@@ -61,7 +69,7 @@ def _make_envs(nranks: int) -> list[dict]:
     return [{"v": rng.standard_normal(size)} for _ in range(nranks)]
 
 
-def _block_wave_cost(nranks: int, sched: OverlapSchedule, nwaves: int,
+def _block_wave_cost(nranks: int, sched: HaloSchedule, nwaves: int,
                      flat: bool, rounds: int = 3) -> float:
     """Best-of-``rounds`` seconds per halo message on the block path."""
     nmsg = sched.message_count()

@@ -1,19 +1,23 @@
-"""Experiment S6: incremental schedule repair beats full rebuild.
+"""Experiment S6: incremental schedule repair beats a full build.
 
 Online repartitioning (PR 10) rewrites the packed-id tables and repairs
-the overlap/combine wave schedules in place of rebuilding them.  The
-claim being sold: repair cost is proportional to the *moved entities*
-(through the dirty ranks they touch), not to the mesh — so at 128 ranks
-with a few percent of elements moving, the online path must be far
-cheaper than ``build_overlap_schedule`` + ``build_combine_schedule`` +
-``build_entity_packing`` from scratch.
+each entity's halo schedule in place of building it again.  The claim
+being sold: repair cost is proportional to the *moved entities* (through
+the dirty ranks they touch), not to the mesh — so at 128 ranks with a
+few percent of elements moving, the online path must be cheaper than
+``build_entity_packing`` + ``build_halo_schedule`` from scratch.
 
 The benchmark perturbs a 128-rank partition of a 128x128 structured mesh
-at increasing moved-element fractions, times both paths over both
-entity kinds, cross-checks the repaired schedules against the rebuilt
-oracle once per fraction, and reports the full/incremental ratio.  The
-acceptance gate (repair >= 5x faster when under 10% of entities move)
-is opt-in via ``REPRO_PERF_ASSERT=1``, like every wall-clock gate.
+at increasing moved-element fractions, times one build and one repair
+per entity kind, cross-checks both tables of every repaired schedule
+against the built one once per fraction, and reports both absolute
+times and their ratio.  Since one ``HaloSchedule`` serves an entity's
+overlap updates and combines, the full build it divides by is half what
+it was when the two kinds were built separately — the ratio fell with
+the denominator, the repair did not get slower.  The acceptance gate
+(when under 10% of entities move: repair >= 2x faster than the build,
+and no slower in milliseconds than the pair repair it replaced) is
+opt-in via ``REPRO_PERF_ASSERT=1``, like every wall-clock gate.
 """
 
 import os
@@ -24,11 +28,10 @@ import pytest
 
 from conftest import emit_report
 from repro.mesh import (
-    build_combine_schedule,
-    build_overlap_schedule,
+    build_halo_schedule,
     build_partition,
     moved_entity_gids,
-    repair_wave_schedules,
+    repair_halo_schedule,
     repartition,
     rewrite_packing,
     schedule_dirty_ranks,
@@ -39,6 +42,9 @@ from repro.spec import spec_for_testiv
 NRANKS = 128
 MESH_N = 128
 ENTITIES = ("node", "triangle")
+#: the overlap+combine pair repair this replaced (PR 16),
+#: smallest shift, slowest of three runs on the reference box
+PARENT_REPAIR_MS = 3.6
 
 
 def _shift_load(partition, npairs):
@@ -63,21 +69,20 @@ def _kernels(partition, entity):
 
 
 def _time_full(new, rounds=7):
-    """Fresh packings + both schedules for both entities, from scratch."""
+    """Fresh packing + halo schedule for both entities, from scratch."""
     best = float("inf")
     for _ in range(rounds):
         new._packings.clear()
         t0 = time.perf_counter()
         for entity in ENTITIES:
             new.packing(entity)
-            build_overlap_schedule(new, entity)
-            build_combine_schedule(new, entity)
+            build_halo_schedule(new, entity)
         best = min(best, time.perf_counter() - t0)
     return best
 
 
 def _time_incremental(old, new, old_scheds, rounds=7):
-    """The online path: rewrite packings, repair both schedules."""
+    """The online path: rewrite packings, repair each schedule."""
     best, out = float("inf"), None
     for _ in range(rounds):
         new._packings.clear()
@@ -89,16 +94,17 @@ def _time_incremental(old, new, old_scheds, rounds=7):
                 _kernels(new, entity))
             moved = moved_entity_gids(old, new, entity)
             dirty = schedule_dirty_ranks(old, new, entity, moved)
-            ov, cb = repair_wave_schedules(*old_scheds[entity], old, new,
-                                           entity, moved, dirty=dirty)
-            repaired[entity] = (ov, cb, len(moved))
+            sched = repair_halo_schedule(old_scheds[entity], old, new,
+                                         entity, moved, dirty=dirty)
+            repaired[entity] = (sched, len(moved))
         best = min(best, time.perf_counter() - t0)
         out = repaired
     return best, out
 
 
 def _assert_sides_equal(a, b):
-    np.testing.assert_array_equal(a.srcs, b.srcs)
+    np.testing.assert_array_equal(a.rank, b.rank)
+    np.testing.assert_array_equal(a.peer, b.peer)
     np.testing.assert_array_equal(a.words, b.words)
     for ia, ib in zip(a.idx, b.idx):
         np.testing.assert_array_equal(ia, ib)
@@ -109,30 +115,27 @@ def test_incremental_repair_vs_full_rebuild():
     pattern = spec_for_testiv().pattern
     mesh = structured_tri_mesh(MESH_N, MESH_N)
     old = build_partition(mesh, NRANKS, pattern)
-    old_scheds = {e: (build_overlap_schedule(old, e),
-                      build_combine_schedule(old, e)) for e in ENTITIES}
+    old_scheds = {e: build_halo_schedule(old, e) for e in ENTITIES}
 
     lines = []
-    ratio_small = None
+    ratio_small = inc_small = None
     for npairs in (2, 8, 48):
         new = repartition(old, _shift_load(old, npairs))
         full_s = _time_full(new)
         inc_s, repaired = _time_incremental(old, new, old_scheds)
-        moved_total = sum(r[2] for r in repaired.values())
+        moved_total = sum(r[1] for r in repaired.values())
         n_total = sum(mesh.entity_count(e) for e in ENTITIES)
-        # honesty check: the repaired schedules ARE the rebuilt ones
+        # honesty check: the repaired tables ARE the built ones
         for entity in ENTITIES:
-            ov, cb, _ = repaired[entity]
-            _assert_sides_equal(ov.wave().send,
-                                build_overlap_schedule(new, entity)
-                                .wave().send)
-            _assert_sides_equal(cb.wave().gather_send,
-                                build_combine_schedule(new, entity)
-                                .wave().gather_send)
+            sched = repaired[entity][0]
+            built = build_halo_schedule(new, entity)
+            _assert_sides_equal(sched.holder, built.holder)
+            _assert_sides_equal(sched.owner, built.owner)
         moved_pct = 100.0 * moved_total / n_total
         ratio = full_s / inc_s
         if moved_pct < 10.0 and ratio_small is None:
-            ratio_small = ratio  # gate at the smallest (production) shift
+            # gate at the smallest (production) shift
+            ratio_small, inc_small = ratio, inc_s
         lines.append(
             f"{npairs:3d} rank pairs shifting load "
             f"({moved_total:5d} entities moved, {moved_pct:4.1f}%): "
@@ -141,11 +144,17 @@ def test_incremental_repair_vs_full_rebuild():
             f"full/incremental {ratio:5.1f}x")
     lines.append("")
     lines.append(f"{NRANKS} ranks over a {MESH_N}x{MESH_N} structured "
-                 f"mesh, packings + overlap + combine schedules for "
-                 f"node and triangle entities, best of 7")
-    emit_report("S6 incremental schedule repair vs full rebuild",
+                 f"mesh, packing + one halo schedule (both tables) for "
+                 f"each of node and triangle, best of 7")
+    lines.append(f"gates at the smallest shift: full/incremental >= 2.0x, "
+                 f"incremental <= {PARENT_REPAIR_MS} ms (what repairing "
+                 f"the overlap + combine pair cost before the two became "
+                 f"one schedule; building that pair cost 14-23 ms)")
+    emit_report("S6 incremental schedule repair vs full build",
                 "\n".join(lines))
     # the online-repartitioning gate: when under 10% of entities move,
-    # repairing must beat rebuilding by 5x
+    # repairing must beat building by 2x, at no more milliseconds than
+    # the pair repair it replaced
     if os.environ.get("REPRO_PERF_ASSERT"):
-        assert ratio_small is not None and ratio_small >= 5.0, lines
+        assert ratio_small is not None and ratio_small >= 2.0, lines
+        assert inc_small * 1e3 <= PARENT_REPAIR_MS, lines

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import emit_report
 from repro.mesh import (
-    build_overlap_schedule,
+    build_halo_schedule,
     build_partition,
     measure_partition,
     partition_elements,
@@ -31,7 +31,7 @@ def evaluate(mesh, ranks):
     q = measure_partition(mesh, ranks)
     part = build_partition(mesh, NPARTS, "overlap-elements-2d",
                            elem_ranks=ranks)
-    sched = build_overlap_schedule(part, "node")
+    sched = build_halo_schedule(part, "node")
     return q, sched.message_count(), sched.volume()
 
 

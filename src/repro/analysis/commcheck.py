@@ -259,16 +259,52 @@ def side_verdicts(orders: list[list]):
     return aligned, skewed
 
 
+def _replay(comm, gens: list) -> Optional[CommTimeout]:
+    """Drive per-rank programs cooperatively over a real ``SimComm``.
+
+    Each generator yields the ``(src, dst, tag)`` channel it is about to
+    receive on; a rank advances only while its channel has a message
+    pending.  When no rank can progress the stalled receive is *actually
+    issued*, so the runtime deadlock watchdog produces its verdict: the
+    :class:`~repro.errors.CommTimeout` it raised, or None when every
+    program ran to its end.
+    """
+    waiting: dict[int, tuple[int, int, int]] = {}
+
+    def advance(rank: int) -> None:
+        try:
+            waiting[rank] = next(gens[rank])
+        except StopIteration:
+            waiting.pop(rank, None)
+
+    for r in range(len(gens)):
+        advance(r)
+    while waiting:
+        channels = {(s, d, t) for s, d, t, _n in comm.pending_channels()}
+        runnable = [r for r, ch in waiting.items() if ch in channels]
+        if not runnable:
+            # deadlock: let the watchdog of the first stalled rank speak
+            rank = min(waiting)
+            src, _dst, tag = waiting[rank]
+            try:
+                comm.view(rank).recv(source=src, tag=tag)
+            except CommTimeout as exc:
+                return exc
+            raise AssertionError("stalled rank received unexpectedly")
+        for r in sorted(runnable):
+            advance(r)
+    return None
+
+
 def replay_events(net: MPNet, comm_timeout: int = 2):
     """Execute an MP net's micro-op programs over a real :class:`SimComm`.
 
     The ground truth the model checker is validated against: one
     simulated rank per class runs its compiled send/recv sequence with
-    the net's *actual* tags.  Ranks advance cooperatively; when none
-    can progress the stalled receive is issued for real so the runtime
-    deadlock watchdog speaks.  Returns the :class:`CommTimeout` it
-    raised, the :class:`~repro.errors.ReproError` of an undrained wire
-    (unmatched send), or None when the run completed clean.
+    the net's *actual* tags (see :func:`_replay`).  Returns the
+    :class:`CommTimeout` the watchdog raised, the
+    :class:`~repro.errors.ReproError` of an undrained wire (unmatched
+    send), or None when the run completed clean.
     """
     import numpy as np
 
@@ -290,32 +326,9 @@ def replay_events(net: MPNet, comm_timeout: int = 2):
                 view.send(np.array([float(rank)]), dest=op.peer,
                           tag=op.tag)
 
-    gens = [program(r) for r in range(size)]
-    waiting: dict[int, tuple[int, int, int]] = {}
-    done: set[int] = set()
-
-    def advance(rank: int) -> None:
-        try:
-            waiting[rank] = next(gens[rank])
-        except StopIteration:
-            waiting.pop(rank, None)
-            done.add(rank)
-
-    for r in range(size):
-        advance(r)
-    while len(done) < size:
-        channels = {(s, d, t) for s, d, t, _n in comm.pending_channels()}
-        runnable = [r for r, ch in waiting.items() if ch in channels]
-        if not runnable:
-            rank = min(waiting)
-            src, _dst, tag = waiting[rank]
-            try:
-                comm.view(rank).recv(source=src, tag=tag)
-            except CommTimeout as exc:
-                return exc
-            raise AssertionError("stalled rank received unexpectedly")
-        for r in sorted(runnable):
-            advance(r)
+    timeout = _replay(comm, [program(r) for r in range(size)])
+    if timeout is not None:
+        return timeout
     try:
         comm.assert_drained()
     except ReproError as exc:
@@ -329,9 +342,7 @@ def replay_orders(orders: list[list], comm_timeout: int = 2
 
     One simulated rank per order; each collective identity is modelled as
     its message pattern (send to every peer, then receive from every
-    peer, one tag per identity).  Ranks advance cooperatively; when no
-    rank can progress the stalled receive is *actually issued* so the
-    runtime deadlock watchdog produces its verdict.  Returns the
+    peer, one tag per identity), driven by :func:`_replay`.  Returns the
     :class:`~repro.errors.CommTimeout` the watchdog raised, or None when
     every order completed and the wire drained — the ground truth CC005
     is checked against.
@@ -362,35 +373,10 @@ def replay_orders(orders: list[list], comm_timeout: int = 2
                     yield (peer, rank, tag)
                     view.recv(source=peer, tag=tag)
 
-    gens = [program(r) for r in range(size)]
-    waiting: dict[int, tuple[int, int, int]] = {}
-    done: set[int] = set()
-
-    def advance(rank: int) -> None:
-        try:
-            waiting[rank] = next(gens[rank])
-        except StopIteration:
-            waiting.pop(rank, None)
-            done.add(rank)
-
-    for r in range(size):
-        advance(r)
-    while len(done) < size:
-        channels = {(s, d, t) for s, d, t, _n in comm.pending_channels()}
-        runnable = [r for r, ch in waiting.items() if ch in channels]
-        if not runnable:
-            # deadlock: let the watchdog of the first stalled rank speak
-            rank = min(waiting)
-            src, _dst, tag = waiting[rank]
-            try:
-                comm.view(rank).recv(source=src, tag=tag)
-            except CommTimeout as exc:
-                return exc
-            raise AssertionError("stalled rank received unexpectedly")
-        for r in sorted(runnable):
-            advance(r)
-    comm.assert_drained()
-    return None
+    timeout = _replay(comm, [program(r) for r in range(size)])
+    if timeout is None:
+        comm.assert_drained()
+    return timeout
 
 
 # ---------------------------------------------------------------------------
@@ -937,87 +923,72 @@ def _emit_coverage(sink: DiagnosticSink, sub: Subroutine, cfg: CFG,
 # ---------------------------------------------------------------------------
 
 def check_schedules(partition, placement: Placement,
-                    overlap: Optional[dict] = None,
-                    combine: Optional[dict] = None,
+                    schedules: Optional[dict] = None,
                     sub: Optional[Subroutine] = None,
                     sink: Optional[DiagnosticSink] = None) -> DiagnosticSink:
     """Verify the halo schedules cover what the placement relies on.
 
-    For every OVERLAP update the placement performs, each rank's overlap
-    copies ``[kern, total)`` must be filled by exactly one owner message
-    (and every send must have its matching receive); combine schedules
-    must have symmetric gather/return phases.  Pass prebuilt schedules via
-    ``overlap``/``combine`` (entity → schedule) to check the runtime's
-    actual plans; otherwise they are built fresh from the partition.
+    For every entity the placement updates or combines, each rank's
+    overlap copies ``[kern, total)`` must appear exactly once in its
+    holder-table indices, and the owner and holder tables must agree
+    word count by word count on every (owner, holder) channel — the very
+    tables the wire executes, in either direction.  Pass prebuilt
+    schedules via ``schedules`` (entity → :class:`HaloSchedule`) to check
+    the runtime's own; otherwise one is built per entity.
     """
-    from ..mesh.schedule import build_combine_schedule, build_overlap_schedule
+    import numpy as np
+
+    from ..mesh.schedule import build_halo_schedule
 
     if sink is None:
         sink = DiagnosticSink()
-
-    def op_anchor(entity: str, kind: str):
-        for op in placement.comms:
-            if op.entity == entity and op.kind == kind:
-                if sub is not None:
-                    return (anchor_for(sub, op.wait_anchor),)
-        return ()
-
-    overlap_entities = sorted({op.entity for op in placement.comms
-                               if op.kind == K_OVERLAP and op.entity})
-    for ent in overlap_entities:
-        sched = (overlap or {}).get(ent)
+    ops = {}
+    for op in placement.comms:
+        if op.kind in (K_OVERLAP, K_COMBINE) and op.entity:
+            ops.setdefault(op.entity, op)
+    for ent in sorted(ops):
+        sched = (schedules or {}).get(ent)
         if sched is None:
-            sched = build_overlap_schedule(partition, ent)
+            sched = build_halo_schedule(partition, ent)
+        anchors = ((anchor_for(sub, ops[ent].wait_anchor),)
+                   if sub is not None else ())
         for r in range(partition.nparts):
             kern, total = partition.subs[r].counts(ent)
-            covered: set[int] = set()
-            for idx in sched.recvs[r].values():
-                covered.update(int(i) for i in idx)
-            missing = sorted(set(range(kern, total)) - covered)
-            if missing:
+            fills = np.bincount(sched.holder.idx[r],
+                                minlength=total)[kern:total]
+            for what, hit in (("unfilled", fills == 0),
+                              ("filled more than once", fills > 1)):
+                slots = (np.flatnonzero(hit) + kern).tolist()
+                if slots:
+                    sink.emit(Diagnostic(
+                        code="CC008", var=ent,
+                        message=f"halo schedule for entity {ent!r} leaves "
+                                f"{len(slots)} of rank {r}'s overlap copies "
+                                f"{what} (locals {slots[:6]}"
+                                f"{'…' if len(slots) > 6 else ''}) — reads "
+                                f"after the update are stale or "
+                                f"order-dependent",
+                        anchors=anchors,
+                        data={"entity": ent, "rank": r, "what": what,
+                              "slots": slots[:32]}))
+        owner, holder = sched.owner, sched.holder
+        sent = dict(zip(zip(owner.rank.tolist(), owner.peer.tolist()),
+                        owner.words.tolist()))
+        held = dict(zip(zip(holder.peer.tolist(), holder.rank.tolist()),
+                        holder.words.tolist()))
+        for o, h in sorted(sent.keys() | held.keys()):
+            s, e = sent.get((o, h), 0), held.get((o, h), 0)
+            if s != e:  # words the owner table moves vs the holder table
                 sink.emit(Diagnostic(
                     code="CC008", var=ent,
-                    message=f"overlap schedule for entity {ent!r} leaves "
-                            f"{len(missing)} of rank {r}'s overlap copies "
-                            f"unfilled (locals {missing[:6]}"
-                            f"{'…' if len(missing) > 6 else ''}) — reads "
-                            f"after the update stay stale",
-                    anchors=op_anchor(ent, K_OVERLAP),
-                    data={"entity": ent, "rank": r,
-                          "missing": missing[:32]}))
-        for r in range(partition.nparts):
-            for peer, idx in sched.sends[r].items():
-                got = len(sched.recvs[peer].get(r, ()))
-                if got != len(idx):
-                    sink.emit(Diagnostic(
-                        code="CC008", var=ent,
-                        message=f"overlap schedule for entity {ent!r} is "
-                                f"asymmetric: rank {r} sends {len(idx)} "
-                                f"value(s) to rank {peer} which expects "
-                                f"{got} — the exchange deadlocks or "
-                                f"misaligns",
-                        anchors=op_anchor(ent, K_OVERLAP),
-                        data={"entity": ent, "src": r, "dst": peer,
-                              "send": len(idx), "recv": got}))
-    combine_entities = sorted({op.entity for op in placement.comms
-                               if op.kind == K_COMBINE and op.entity})
-    for ent in combine_entities:
-        sched = (combine or {}).get(ent)
-        if sched is None:
-            sched = build_combine_schedule(partition, ent)
-        for r in range(partition.nparts):
-            for peer, idx in sched.gather_sends[r].items():
-                got = len(sched.gather_recvs[peer].get(r, ()))
-                back = len(sched.return_recvs[r].get(peer, ()))
-                if got != len(idx) or back != len(idx):
-                    sink.emit(Diagnostic(
-                        code="CC008", var=ent,
-                        message=f"combine schedule for entity {ent!r} is "
-                                f"asymmetric on the {r}<->{peer} channel: "
-                                f"{len(idx)} partial(s) out, {got} "
-                                f"gathered, {back} returned",
-                        anchors=op_anchor(ent, K_COMBINE),
-                        data={"entity": ent, "src": r, "dst": peer}))
+                    message=f"halo schedule for entity {ent!r} is "
+                            f"asymmetric: owner rank {o} exchanges {s} "
+                            f"value(s) with holder rank {h}, which "
+                            f"expects {e} — the exchange deadlocks or "
+                            f"misaligns",
+                    anchors=anchors,
+                    data={"entity": ent, "owner": o, "holder": h,
+                          "owner_words": s, "holder_words": e}))
     return sink
 
 

@@ -46,34 +46,29 @@ from .partition import (
 )
 from .quality import PartitionQuality, measure_partition
 from .schedule import (
-    CombineSchedule,
-    CombineWave,
-    OverlapSchedule,
-    OverlapWave,
+    HaloSchedule,
     WaveSide,
     build_combine_schedule,
+    build_halo_schedule,
     build_overlap_schedule,
     moved_entity_gids,
-    repair_combine_schedule,
-    repair_overlap_schedule,
-    repair_wave_schedules,
+    repair_halo_schedule,
     schedule_dirty_ranks,
 )
 
 __all__ = [
-    "CombineSchedule", "CombineWave", "EntityPacking", "MeshPartition",
+    "EntityPacking", "HaloSchedule", "MeshPartition",
     "MigrationSchedule", "RebalancePolicy",
-    "OverlapSchedule", "OverlapWave", "PackedIDSpace", "WaveSide",
+    "PackedIDSpace", "WaveSide",
     "PartitionQuality", "SubMesh", "TetMesh", "TriMesh",
     "build_combine_schedule", "build_entity_packing",
-    "build_overlap_schedule", "build_partition",
+    "build_halo_schedule", "build_overlap_schedule", "build_partition",
     "build_migration_schedule", "element_dual_edges", "measure_partition",
     "migrate", "moved_entity_gids", "partition_elements",
     "partition_greedy", "partition_rcb", "partition_spectral",
     "permute_partition", "random_delaunay_mesh", "read_mesh",
     "read_partition", "read_triangle", "rebalance_elem_ranks",
-    "refine_partition", "repair_combine_schedule",
-    "repair_overlap_schedule", "repair_wave_schedules",
+    "refine_partition", "repair_halo_schedule",
     "repartition", "rewrite_packing",
     "schedule_dirty_ranks", "structured_tet_mesh",
     "structured_tri_mesh", "two_triangle_mesh", "write_mesh",

@@ -31,7 +31,8 @@ import numpy as np
 
 from ..errors import MeshError
 from .overlap import MeshPartition, build_partition
-from .schedule import PeerPlan
+
+PeerPlan = dict[int, np.ndarray]  # peer rank -> local indices (ordered)
 
 
 @dataclass

@@ -5,76 +5,123 @@ inspector phase in inspector/executor systems (paper section 5.1: "in our
 tool, the run-time inspector phase is replaced by an extra static analysis
 done by the mesh splitter").
 
-Two schedule shapes:
+Figures 1, 2 and 8 are three readings of one fact — which rank holds a
+copy of which owner's entity — so there is one :class:`HaloSchedule` per
+entity, holding that fact as two message tables (:class:`WaveSide`):
 
-* :class:`OverlapSchedule` (figures 1/8): owners push authoritative
-  values onto the overlap copies of their neighbours; one message per
-  (owner, holder) pair, indices sorted by global id so exchanges are
-  deterministic and self-consistent.
-* :class:`CombineSchedule` (figure 2): two phases — holders send their
-  partial contributions to each entity's owner, the owner assembles
-  (associative/commutative op) and returns the total to every holder.
+* the **holder** table: one row per (holder, owner) pair, plan rank = the
+  rank holding overlap copies, indices = the holder-local overlap slots;
+* the **owner** table: the same pairs grouped by kernel owner, indices =
+  the owner-local kernel slots the copies mirror.
 
-Both schedules also materialize as *wave plans* (:meth:`OverlapSchedule.wave`
-/ :meth:`CombineSchedule.wave`): per-peer index columns flattened into
-numpy channel columns plus per-rank concatenated gather/scatter index
-arrays, so the halo collectives can move one concatenated float64 block per
-wave (``SimComm.send_block``/``recv_block``) instead of one Python payload
-per neighbour.  A wave side is exactly the ``PeerPlan`` list re-expressed —
-the property tests round-trip one into the other.
+Owners pushing authoritative values onto the copies (an overlap update,
+figures 1/8, and the return round of a combine) read the owner table as
+the sending side and the holder table as the receiving side; holders
+sending partial contributions to the owner (the gather round of a
+combine, figure 2) read the same two tables the other way round.  One
+message per pair, indices sorted by global id, so exchanges are
+deterministic and self-consistent.
+
+The tables are flat numpy channel columns plus per-rank concatenated
+gather/scatter index arrays, so the halo collectives move one
+concatenated float64 block per wave (``SimComm.send_block``/
+``recv_block``); :meth:`WaveSide.messages` walks the same rows one
+message at a time for payloads the block wire cannot carry.  What
+``check_schedules`` (CC008) verifies is these very tables.
 
 Construction is dict-free: every overlap entity's owner rank and
 owner-local index come from its **packed id** (``rank << SHIFT | local``,
 :mod:`repro.mesh.packedid`) by shift and mask, and one stable argsort by
-owner groups a rank's overlap into per-peer messages.  The wave index
-arrays are built directly from those sorted columns; the ``PeerPlan``
-dictionaries the public API (and the per-message reference path) expose
-are *derived* from the waves via :meth:`WaveSide.plans`, not the other
-way round.
+owner groups a rank's overlap into per-peer messages.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
 from ..errors import MeshError
 from .overlap import MeshPartition
 
-PeerPlan = dict[int, np.ndarray]  # peer rank -> local indices (ordered)
+_EMPTY = np.zeros(0, np.int64)
 
 
 @dataclass(frozen=True)
 class WaveSide:
-    """One direction of a halo wave, flattened for the block-wave API.
+    """One message table of a halo schedule, flattened for block waves.
 
-    The messages appear in exactly the order the per-message collectives
-    iterate them — plan-owner rank ascending, then peer rank ascending —
-    so a block built from (or scattered through) this side is
-    bit-compatible with the historical per-neighbour loop:
+    Rows are in exactly the order the per-message collectives iterate
+    them — plan rank ascending, then peer in insertion (rank-ascending)
+    order — so a block built from (or scattered through) this table is
+    bit-compatible with the per-neighbour loop:
 
-    * ``srcs``/``dsts``/``words`` — one entry per message, wave order;
-      these are the columns handed to ``send_block``/``recv_block``.
+    * ``rank``/``peer``/``words`` — one entry per message, wave order;
+      ``sends`` says which end the plan rank is, which makes them the
+      ``srcs``/``dsts`` columns handed to ``send_block``/``recv_block``.
     * ``idx[r]`` — rank ``r``'s local indices for all its messages,
-      concatenated in wave order (gather indices on a send side,
-      scatter indices on a receive side).
+      concatenated in wave order (gather indices when it sends, scatter
+      indices when it receives).
     * ``starts[r]``/``counts[r]`` — rank ``r``'s word segment inside the
       concatenated block (ranks' segments are contiguous in wave order).
     """
 
-    srcs: np.ndarray
-    dsts: np.ndarray
+    rank: np.ndarray
+    peer: np.ndarray
     words: np.ndarray
     idx: list[np.ndarray]
     starts: np.ndarray
     counts: np.ndarray
+    #: whether the plan rank is the sending end of every message
+    sends: bool
+    #: offsets-table bytes -> rebased flat wave index (lazy; shared by
+    #: both readings of one table, which index the same words)
+    _flat_cache: dict = field(default_factory=dict, repr=False,
+                              compare=False)
+
+    @property
+    def srcs(self) -> np.ndarray:
+        return self.rank if self.sends else self.peer
+
+    @property
+    def dsts(self) -> np.ndarray:
+        return self.peer if self.sends else self.rank
 
     @property
     def active(self) -> np.ndarray:
         """Ranks whose block segment is non-empty, ascending."""
         return np.flatnonzero(self.counts)
+
+    def _rows(self, rank: int) -> slice:
+        """Row range of one plan rank (the rank column is ascending)."""
+        return slice(np.searchsorted(self.rank, rank, side="left"),
+                     np.searchsorted(self.rank, rank, side="right"))
+
+    def messages(self, rank: int | None = None
+                 ) -> Iterator[tuple[int, int, np.ndarray]]:
+        """Walk the rows as ``(rank, peer, index segment)``, wave order —
+        all of them, or one plan ``rank``'s."""
+        rows = slice(None) if rank is None else self._rows(rank)
+        prev, cursor = -1, 0
+        for r, peer, w in zip(self.rank[rows].tolist(),
+                              self.peer[rows].tolist(),
+                              self.words[rows].tolist()):
+            if r != prev:
+                prev, cursor = r, 0
+            yield r, peer, self.idx[r][cursor:cursor + w]
+            cursor += w
+
+    def for_rank(self, rank: int) -> "WaveSide":
+        """The rows whose plan rank is ``rank``; its index array shared."""
+        rows = self._rows(rank)
+        counts = np.zeros_like(self.counts)
+        counts[rank] = self.counts[rank]
+        idx = [_EMPTY] * len(self.idx)
+        idx[rank] = self.idx[rank]
+        return _table(self.rank[rows], self.peer[rows], self.words[rows],
+                      idx, counts, self.sends)
 
     def gather(self, arrays: list[np.ndarray]) -> np.ndarray:
         """Assemble the wave's send block from per-rank value arrays."""
@@ -137,185 +184,71 @@ class WaveSide:
         else:
             op.at(flat, fidx, block)
 
-    def plans(self, nranks: int) -> list[PeerPlan]:
-        """Reconstruct the ``PeerPlan`` list this side was built from."""
-        out: list[PeerPlan] = [dict() for _ in range(nranks)]
-        cursor = np.zeros(nranks, np.int64)
-        for i in range(len(self.srcs)):
-            s, d, w = int(self.srcs[i]), int(self.dsts[i]), int(self.words[i])
-            r = s if self._owner_is_src else d
-            peer = d if self._owner_is_src else s
-            start = int(cursor[r])
-            out[r][peer] = self.idx[r][start:start + w]
-            cursor[r] += w
-        return out
 
-    # set by _wave_side; dataclass(frozen) forbids plain assignment
-    _owner_is_src: bool = True
-    #: offsets-table bytes -> rebased flat wave index (lazy)
-    _flat_cache: dict = field(default_factory=dict, repr=False,
-                              compare=False)
-
-
-def _starts(counts: np.ndarray) -> np.ndarray:
-    """Per-rank start offsets of contiguous block segments."""
+def _table(rank, peer, words, idx: list[np.ndarray], counts: np.ndarray,
+           sends: bool) -> WaveSide:
+    """A :class:`WaveSide` over message columns and per-rank index
+    blocks; per-rank block segments are contiguous in wave order."""
     starts = np.zeros(len(counts), np.int64)
     np.cumsum(counts[:-1], out=starts[1:])
-    return starts
-
-
-def _wave_side(plans: list[PeerPlan], owner_is_src: bool) -> WaveSide:
-    """Flatten one ``PeerPlan`` list into a :class:`WaveSide`.
-
-    ``owner_is_src`` says which message endpoint the outer list indexes:
-    True for send plans (plan owner transmits), False for receive plans.
-    """
-    nranks = len(plans)
-    srcs: list[int] = []
-    dsts: list[int] = []
-    words: list[int] = []
-    idx: list[np.ndarray] = []
-    counts = np.zeros(nranks, np.int64)
-    for r, plan in enumerate(plans):
-        pieces: list[np.ndarray] = []
-        for peer, ix in plan.items():  # peers are rank-ascending
-            srcs.append(r if owner_is_src else peer)
-            dsts.append(peer if owner_is_src else r)
-            words.append(len(ix))
-            pieces.append(ix)
-        idx.append(np.concatenate(pieces) if pieces
-                   else np.zeros(0, np.int64))
-        counts[r] = len(idx[r])
-    return WaveSide(srcs=np.asarray(srcs, np.int64),
-                    dsts=np.asarray(dsts, np.int64),
+    return WaveSide(rank=np.asarray(rank, np.int64),
+                    peer=np.asarray(peer, np.int64),
                     words=np.asarray(words, np.int64),
-                    idx=idx, starts=_starts(counts), counts=counts,
-                    _owner_is_src=owner_is_src)
+                    idx=idx, starts=starts, counts=counts, sends=sends)
 
 
 @dataclass(frozen=True)
-class OverlapWave:
-    """Block-wave form of an :class:`OverlapSchedule`: one send wave
-    (owners push) and its receiving side (holders fill)."""
+class HaloSchedule:
+    """One entity's halo traffic: the holder table and the owner table.
 
-    send: WaveSide
-    recv: WaveSide
+    The collectives read the pair four ways, every reading a view that
+    shares the two tables' arrays:
 
-
-@dataclass(frozen=True)
-class CombineWave:
-    """Block-wave form of a :class:`CombineSchedule`: the gather round
-    (holders → owners) and the return round (owners → holders), each as
-    a send side and a receive side."""
-
-    gather_send: WaveSide
-    gather_recv: WaveSide
-    return_send: WaveSide
-    return_recv: WaveSide
-
-
-def _only(plans: list[PeerPlan], rank: int) -> list[PeerPlan]:
-    """``plans`` with every rank's plan but ``rank``'s emptied."""
-    return [plan if r == rank else {} for r, plan in enumerate(plans)]
-
-
-@dataclass
-class OverlapSchedule:
-    """Owner→copy refresh plan for one entity."""
+    * ``send``/``recv`` — owner → holder: an overlap update, and the
+      return round of a combine (the owner table sends, the holder
+      table receives);
+    * ``gather_send``/``gather_recv`` — holder → owner: the gather round
+      of a combine (the holder table sends, the owner table receives).
+    """
 
     entity: str
-    sends: list[PeerPlan]   # sends[r][dest] = local indices at r to send
-    recvs: list[PeerPlan]   # recvs[r][src]  = local indices at r to fill
+    holder: WaveSide   # plan rank = the rank holding overlap copies
+    owner: WaveSide    # plan rank = the kernel owner
 
-    def message_count(self) -> int:
-        return sum(len(p) for p in self.sends)
+    @property
+    def send(self) -> WaveSide:
+        return self.owner
 
-    def volume(self) -> int:
-        return sum(len(idx) for p in self.sends for idx in p.values())
+    @property
+    def recv(self) -> WaveSide:
+        return self.holder
 
     @cached_property
-    def _wave(self) -> OverlapWave:
-        return OverlapWave(send=_wave_side(self.sends, owner_is_src=True),
-                           recv=_wave_side(self.recvs, owner_is_src=False))
+    def gather_send(self) -> WaveSide:
+        return replace(self.holder, sends=True)
 
-    def wave(self) -> OverlapWave:
-        """Flat index-array form for the block-wave halo path (cached)."""
-        return self._wave
+    @cached_property
+    def gather_recv(self) -> WaveSide:
+        return replace(self.owner, sends=False)
 
-    def for_rank(self, rank: int) -> "OverlapSchedule":
-        """One rank's rows of this schedule: the messages ``rank`` sends
-        and the messages it receives, every other rank's plan empty.
+    def message_count(self) -> int:
+        """Messages of one wave (a combine moves two waves)."""
+        return len(self.owner.words)
+
+    def volume(self) -> int:
+        """Words of one wave (a combine moves two waves)."""
+        return int(self.owner.words.sum())
+
+    def for_rank(self, rank: int) -> "HaloSchedule":
+        """One rank's rows of both tables: the messages ``rank`` sends
+        and the messages it receives, in either direction.
 
         A collective driven over the restriction moves (and writes) only
         ``rank``'s slice, on the same ``(src, dst, tag)`` channels in the
         same per-channel order — what localized restart re-drives.
         """
-        return OverlapSchedule(self.entity, _only(self.sends, rank),
-                               _only(self.recvs, rank))
-
-
-@dataclass
-class CombineSchedule:
-    """Two-phase gather/assemble/return plan for one entity."""
-
-    entity: str
-    gather_sends: list[PeerPlan]   # holder -> owner (partials out)
-    gather_recvs: list[PeerPlan]   # owner  <- holder
-    return_sends: list[PeerPlan]   # owner -> holder (totals back)
-    return_recvs: list[PeerPlan]   # holder <- owner
-
-    def message_count(self) -> int:
-        return (sum(len(p) for p in self.gather_sends)
-                + sum(len(p) for p in self.return_sends))
-
-    def volume(self) -> int:
-        return (sum(len(i) for p in self.gather_sends for i in p.values())
-                + sum(len(i) for p in self.return_sends for i in p.values()))
-
-    @cached_property
-    def _wave(self) -> CombineWave:
-        return CombineWave(
-            gather_send=_wave_side(self.gather_sends, owner_is_src=True),
-            gather_recv=_wave_side(self.gather_recvs, owner_is_src=False),
-            return_send=_wave_side(self.return_sends, owner_is_src=True),
-            return_recv=_wave_side(self.return_recvs, owner_is_src=False))
-
-    def wave(self) -> CombineWave:
-        """Flat index-array form for the block-wave halo path (cached)."""
-        return self._wave
-
-    def for_rank(self, rank: int) -> "CombineSchedule":
-        """One rank's rows of both rounds (see
-        :meth:`OverlapSchedule.for_rank`)."""
-        return CombineSchedule(
-            self.entity,
-            _only(self.gather_sends, rank), _only(self.gather_recvs, rank),
-            _only(self.return_sends, rank), _only(self.return_recvs, rank))
-
-
-@dataclass(frozen=True)
-class _PackedTables:
-    """Per-direction flat message tables over one entity's overlap.
-
-    ``rank``/``peer``/``words`` are message columns in plan order (plan
-    owner ascending, then peer ascending); ``idx[r]`` concatenates plan
-    owner r's local indices in the same order.
-    """
-
-    rank: np.ndarray
-    peer: np.ndarray
-    words: np.ndarray
-    idx: list[np.ndarray]
-    starts: np.ndarray
-    counts: np.ndarray
-
-    def side(self, *, owner_is_src: bool, plan_is_src: bool) -> WaveSide:
-        """Materialize a :class:`WaveSide` over these tables."""
-        srcs, dsts = ((self.rank, self.peer) if plan_is_src
-                      else (self.peer, self.rank))
-        return WaveSide(srcs=srcs, dsts=dsts, words=self.words,
-                        idx=self.idx, starts=self.starts, counts=self.counts,
-                        _owner_is_src=owner_is_src)
+        return HaloSchedule(self.entity, self.holder.for_rank(rank),
+                            self.owner.for_rank(rank))
 
 
 #: one rank's holder-side slice of an entity's halo traffic: peer owner
@@ -364,8 +297,8 @@ def _holder_profile(sub, entity: str, packing) -> _HolderProfile:
 
 
 def _assemble_tables(profiles: list[_HolderProfile],
-                     nranks: int) -> tuple[_PackedTables, _PackedTables]:
-    """Assemble both message tables from per-rank holder profiles.
+                     nranks: int) -> tuple[WaveSide, WaveSide]:
+    """Assemble the holder and the owner table from per-rank profiles.
 
     Holder rows concatenate rank-ascending (profiles are indexed by
     rank); owner rows group each owner's pieces with holders ascending —
@@ -404,115 +337,23 @@ def _assemble_tables(profiles: list[_HolderProfile],
             o_peer.append(holder)
             o_words.append(len(seg))
 
-    holder = _PackedTables(rank=np.asarray(h_rank, np.int64),
-                           peer=np.asarray(h_peer, np.int64),
-                           words=np.asarray(h_words, np.int64),
-                           idx=h_idx, starts=_starts(h_counts),
-                           counts=h_counts)
-    owner_t = _PackedTables(rank=np.asarray(o_rank, np.int64),
-                            peer=np.asarray(o_peer, np.int64),
-                            words=np.asarray(o_words, np.int64),
-                            idx=o_idx, starts=_starts(o_counts),
-                            counts=o_counts)
-    return holder, owner_t
+    return (_table(h_rank, h_peer, h_words, h_idx, h_counts, sends=False),
+            _table(o_rank, o_peer, o_words, o_idx, o_counts, sends=True))
 
 
-def _packed_tables(partition: MeshPartition,
-                   entity: str) -> tuple[_PackedTables, _PackedTables]:
-    """Both directions of one entity's halo traffic, dict-free.
-
-    Returns the **holder-plan** tables (plan owner = the rank holding
-    overlap copies) and the **owner-plan** tables (plan owner = the
-    kernel owner), which between them express all four wave sides of
-    overlap and combine schedules.
-    """
+def build_halo_schedule(partition: MeshPartition,
+                        entity: str) -> HaloSchedule:
+    """Plan one entity's halo traffic, both directions, dict-free."""
     packing = partition.packing(entity)
     profiles = [_holder_profile(sub, entity, packing)
                 for sub in partition.subs]
-    return _assemble_tables(profiles, partition.nparts)
+    return HaloSchedule(entity,
+                        *_assemble_tables(profiles, partition.nparts))
 
 
-def _table_plans(table: _PackedTables, nranks: int,
-                 old_plans: Optional[list[PeerPlan]] = None,
-                 rebuild: Optional[set] = None) -> list[PeerPlan]:
-    """Per-rank ``PeerPlan`` dicts straight from a message table.
-
-    Row order within a rank is peer insertion order, so the dicts come
-    out identical to :meth:`WaveSide.plans` on the matching side.  With
-    ``old_plans``/``rebuild``, only the ranks in ``rebuild`` are
-    re-derived; every other rank reuses its old dict by reference —
-    the incremental-repair fast path.
-    """
-    bounds = np.searchsorted(table.rank, np.arange(nranks + 1))
-    ranks = range(nranks) if old_plans is None else sorted(rebuild)
-    out = [None] * nranks if old_plans is None else list(old_plans)
-    for r in ranks:
-        block = table.idx[r]
-        plan: PeerPlan = {}
-        cursor = 0
-        for i in range(int(bounds[r]), int(bounds[r + 1])):
-            w = int(table.words[i])
-            plan[int(table.peer[i])] = block[cursor:cursor + w]
-            cursor += w
-        out[r] = plan
-    return out
-
-
-def _overlap_from_tables(holder: _PackedTables, owner: _PackedTables,
-                         nparts: int, entity: str,
-                         reuse=None) -> OverlapSchedule:
-    """``reuse=(old_sched, dirty_holders, touched_owners)`` keeps clean
-    ranks' plan dicts from ``old_sched`` by reference."""
-    wave = OverlapWave(
-        send=owner.side(owner_is_src=True, plan_is_src=True),
-        recv=holder.side(owner_is_src=False, plan_is_src=False))
-    old_sends = old_recvs = dirty = touched = None
-    if reuse is not None:
-        old_sched, dirty, touched = reuse
-        old_sends, old_recvs = old_sched.sends, old_sched.recvs
-    sched = OverlapSchedule(
-        entity=entity,
-        sends=_table_plans(owner, nparts, old_sends, touched),
-        recvs=_table_plans(holder, nparts, old_recvs, dirty))
-    sched._wave = wave  # pre-seed the cached_property: waves *are* primary
-    return sched
-
-
-def _combine_from_tables(holder: _PackedTables, owner: _PackedTables,
-                         nparts: int, entity: str,
-                         reuse=None) -> CombineSchedule:
-    wave = CombineWave(
-        gather_send=holder.side(owner_is_src=True, plan_is_src=True),
-        gather_recv=owner.side(owner_is_src=False, plan_is_src=False),
-        return_send=owner.side(owner_is_src=True, plan_is_src=True),
-        return_recv=holder.side(owner_is_src=False, plan_is_src=False))
-    old_gs = old_gr = old_rs = old_rr = dirty = touched = None
-    if reuse is not None:
-        old_sched, dirty, touched = reuse
-        old_gs, old_gr = old_sched.gather_sends, old_sched.gather_recvs
-        old_rs, old_rr = old_sched.return_sends, old_sched.return_recvs
-    sched = CombineSchedule(
-        entity=entity,
-        gather_sends=_table_plans(holder, nparts, old_gs, dirty),
-        gather_recvs=_table_plans(owner, nparts, old_gr, touched),
-        return_sends=_table_plans(owner, nparts, old_rs, touched),
-        return_recvs=_table_plans(holder, nparts, old_rr, dirty))
-    sched._wave = wave  # pre-seed the cached_property
-    return sched
-
-
-def build_overlap_schedule(partition: MeshPartition,
-                           entity: str) -> OverlapSchedule:
-    """Plan the owner→overlap refresh of one entity's values."""
-    holder, owner = _packed_tables(partition, entity)
-    return _overlap_from_tables(holder, owner, partition.nparts, entity)
-
-
-def build_combine_schedule(partition: MeshPartition,
-                           entity: str) -> CombineSchedule:
-    """Plan the gather/assemble/return combine of one entity's values."""
-    holder, owner = _packed_tables(partition, entity)
-    return _combine_from_tables(holder, owner, partition.nparts, entity)
+#: an overlap update and a combine run over the same schedule; the two
+#: historical builder names are kept for callers that say which they mean
+build_overlap_schedule = build_combine_schedule = build_halo_schedule
 
 
 # -- incremental repair (online repartitioning) ------------------------------
@@ -522,9 +363,9 @@ def build_combine_schedule(partition: MeshPartition,
 # holder profile — peers, message words, gather/scatter index arrays —
 # bit-for-bit, so instead of re-deriving all waves the repair path
 # recomputes the per-rank argsort only over the *dirty* ranks and splices
-# the surviving index blocks (by reference) into fresh tables.  The full
-# rebuild stays available as the oracle; the property suite asserts
-# repair ≡ rebuild on random partitions and random moved sets.
+# the surviving index blocks (by reference) into fresh tables.  The
+# property suite asserts repair ≡ build on random partitions and random
+# moved sets.
 
 
 def moved_entity_gids(old: MeshPartition, new: MeshPartition,
@@ -582,51 +423,9 @@ def schedule_dirty_ranks(old: MeshPartition, new: MeshPartition,
     return np.flatnonzero(dirty_mask).astype(np.int64)
 
 
-def _schedule_tables(sched) -> tuple[_PackedTables, _PackedTables]:
-    """Recover the holder/owner message tables from a schedule's waves.
-
-    The wave sides *are* the tables under different (src, dst) labels —
-    see :func:`_overlap_from_tables` / :func:`_combine_from_tables` —
-    so no recomputation happens here, only column relabeling.
-    """
-    def table(side: WaveSide, plan_is_src: bool) -> _PackedTables:
-        rank, peer = ((side.srcs, side.dsts) if plan_is_src
-                      else (side.dsts, side.srcs))
-        return _PackedTables(rank=rank, peer=peer, words=side.words,
-                             idx=side.idx, starts=side.starts,
-                             counts=side.counts)
-
-    w = sched.wave()
-    if isinstance(sched, OverlapSchedule):
-        return table(w.recv, False), table(w.send, True)
-    return table(w.gather_send, True), table(w.gather_recv, False)
-
-
-def _table_rows(table: _PackedTables, rank: int) -> tuple[int, int]:
-    """Row range of one plan rank (the rank column is sorted ascending)."""
-    lo = int(np.searchsorted(table.rank, rank, side="left"))
-    hi = int(np.searchsorted(table.rank, rank, side="right"))
-    return lo, hi
-
-
-def _owner_segments(owner_t: _PackedTables, owner: int) -> dict[int,
-                                                               np.ndarray]:
-    """Per-holder owner-local index segments of one owner's old block."""
-    lo, hi = _table_rows(owner_t, owner)
-    segs: dict[int, np.ndarray] = {}
-    cursor = 0
-    block = owner_t.idx[owner]
-    for i in range(lo, hi):
-        nwords = int(owner_t.words[i])
-        segs[int(owner_t.peer[i])] = block[cursor:cursor + nwords]
-        cursor += nwords
-    return segs
-
-
-def _repair_tables(old_holder: _PackedTables, old_owner: _PackedTables,
+def _repair_tables(old_holder: WaveSide, old_owner: WaveSide,
                    new: MeshPartition, entity: str,
-                   dirty: np.ndarray) -> tuple[_PackedTables,
-                                               _PackedTables, set, set]:
+                   dirty: np.ndarray) -> tuple[WaveSide, WaveSide]:
     """Delta argsort: fresh profiles for dirty ranks, reuse for the rest.
 
     An owner's block must be reassembled iff a dirty holder contributed
@@ -646,8 +445,6 @@ def _repair_tables(old_holder: _PackedTables, old_owner: _PackedTables,
         lo, hi = int(h_bounds[rank]), int(h_bounds[rank + 1])
         touched.update(old_holder.peer[lo:hi].tolist())
         touched.update(fresh[rank][0].tolist())
-    old_segs = {owner: _owner_segments(old_owner, owner)
-                for owner in touched}
 
     # holder table: drop the dirty ranks' old rows, append their fresh
     # rows, and stable-sort the rank column back into place — a dirty
@@ -678,7 +475,7 @@ def _repair_tables(old_holder: _PackedTables, old_owner: _PackedTables,
     # the touched traffic, not the mesh
     own_pieces: dict[int, list[tuple[int, np.ndarray]]] = {}
     for owner in touched:
-        clean_it = [(h, seg) for h, seg in old_segs[owner].items()
+        clean_it = [(h, seg) for _o, h, seg in old_owner.messages(owner)
                     if h not in dirty_set]
         fresh_it = [(h, fresh[h][3][owner]) for h in dirty_sorted
                     if owner in fresh[h][3]]
@@ -721,91 +518,23 @@ def _repair_tables(old_holder: _PackedTables, old_owner: _PackedTables,
     for o in touched_sorted:
         o_counts[o] = len(fresh_idx[o])
 
-    holder = _PackedTables(rank=h_rank, peer=h_peer, words=h_words,
-                           idx=h_idx, starts=_starts(h_counts),
-                           counts=h_counts)
-    owner_t = _PackedTables(rank=o_rank, peer=o_peer, words=o_words,
-                            idx=o_idx, starts=_starts(o_counts),
-                            counts=o_counts)
-    return holder, owner_t, dirty_set, touched
+    return (_table(h_rank, h_peer, h_words, h_idx, h_counts, sends=False),
+            _table(o_rank, o_peer, o_words, o_idx, o_counts, sends=True))
 
 
-def repair_overlap_schedule(old_sched: OverlapSchedule,
-                            old: MeshPartition, new: MeshPartition,
-                            entity: str,
-                            moved: np.ndarray | None = None,
-                            dirty: np.ndarray | None = None
-                            ) -> OverlapSchedule:
-    """Incrementally repair an overlap schedule after a migration.
+def repair_halo_schedule(old_sched: HaloSchedule,
+                         old: MeshPartition, new: MeshPartition,
+                         entity: str,
+                         moved: np.ndarray | None = None,
+                         dirty: np.ndarray | None = None) -> HaloSchedule:
+    """Incrementally repair a halo schedule after a migration.
 
-    Equivalent to ``build_overlap_schedule(new, entity)`` — same flat
-    index arrays, same ``PeerPlan`` round-trip — at a cost proportional
-    to the dirty ranks, not the mesh.  ``dirty`` takes a precomputed
-    :func:`schedule_dirty_ranks` result so a caller repairing several
-    schedules of one entity pays for it once.
+    Equivalent to ``build_halo_schedule(new, entity)`` — both tables
+    column for column — at a cost proportional to the dirty ranks, not
+    the mesh; clean ranks' index arrays are the old ones by reference.
+    ``dirty`` takes a precomputed :func:`schedule_dirty_ranks` result.
     """
     if dirty is None:
         dirty = schedule_dirty_ranks(old, new, entity, moved)
-    holder, owner, dirty_set, touched = _repair_tables(
-        *_schedule_tables(old_sched), new, entity, dirty)
-    return _overlap_from_tables(holder, owner, new.nparts, entity,
-                                reuse=(old_sched, dirty_set, touched))
-
-
-def repair_combine_schedule(old_sched: CombineSchedule,
-                            old: MeshPartition, new: MeshPartition,
-                            entity: str,
-                            moved: np.ndarray | None = None,
-                            dirty: np.ndarray | None = None
-                            ) -> CombineSchedule:
-    """Incrementally repair a combine schedule after a migration."""
-    if dirty is None:
-        dirty = schedule_dirty_ranks(old, new, entity, moved)
-    holder, owner, dirty_set, touched = _repair_tables(
-        *_schedule_tables(old_sched), new, entity, dirty)
-    return _combine_from_tables(holder, owner, new.nparts, entity,
-                                reuse=(old_sched, dirty_set, touched))
-
-
-def repair_wave_schedules(old_overlap: OverlapSchedule,
-                          old_combine: CombineSchedule,
-                          old: MeshPartition, new: MeshPartition,
-                          entity: str,
-                          moved: np.ndarray | None = None,
-                          dirty: np.ndarray | None = None
-                          ) -> tuple[OverlapSchedule, CombineSchedule]:
-    """Repair both wave schedules of one entity in one table pass.
-
-    An overlap schedule and a combine schedule are two (src, dst)
-    relabelings of the *same* holder/owner message tables — see
-    :func:`_schedule_tables` — so repairing them separately runs the
-    identical delta-argsort twice.  The online path calls this instead
-    and pays for :func:`_repair_tables` once per entity.
-    """
-    if dirty is None:
-        dirty = schedule_dirty_ranks(old, new, entity, moved)
-    nparts = new.nparts
-    holder, owner, dirty_set, touched = _repair_tables(
-        *_schedule_tables(old_overlap), new, entity, dirty)
-    # the six plan lists of the pair are three aliases each of two
-    # distinct derivations: holder-table plans (dirty ranks re-derived)
-    # and owner-table plans (touched owners re-derived)
-    holder_plans = _table_plans(holder, nparts, old_overlap.recvs,
-                                dirty_set)
-    owner_plans = _table_plans(owner, nparts, old_overlap.sends, touched)
-    ov = OverlapSchedule(entity=entity, sends=owner_plans,
-                         recvs=holder_plans)
-    ov._wave = OverlapWave(
-        send=owner.side(owner_is_src=True, plan_is_src=True),
-        recv=holder.side(owner_is_src=False, plan_is_src=False))
-    cb = CombineSchedule(entity=entity,
-                         gather_sends=list(holder_plans),
-                         gather_recvs=list(owner_plans),
-                         return_sends=list(owner_plans),
-                         return_recvs=list(holder_plans))
-    cb._wave = CombineWave(
-        gather_send=holder.side(owner_is_src=True, plan_is_src=True),
-        gather_recv=owner.side(owner_is_src=False, plan_is_src=False),
-        return_send=owner.side(owner_is_src=True, plan_is_src=True),
-        return_recv=holder.side(owner_is_src=False, plan_is_src=False))
-    return ov, cb
+    return HaloSchedule(entity, *_repair_tables(
+        old_sched.holder, old_sched.owner, new, entity, dirty))

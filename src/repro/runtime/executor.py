@@ -50,12 +50,10 @@ from ..mesh.migrate import (
 from ..mesh.overlap import MeshPartition, SubMesh
 from ..mesh.packedid import rewrite_packing
 from ..mesh.schedule import (
-    build_combine_schedule,
-    build_overlap_schedule,
+    HaloSchedule,
+    build_halo_schedule,
     moved_entity_gids,
-    repair_combine_schedule,
-    repair_overlap_schedule,
-    repair_wave_schedules,
+    repair_halo_schedule,
     schedule_dirty_ranks,
 )
 from ..placement.comms import CommOp, K_COMBINE, K_OVERLAP, K_REDUCE, Placement
@@ -180,23 +178,21 @@ class SPMDExecutor:
                 ent = spec.entity_of_loop(st)
                 if ent is not None:
                     self.loop_entity[st.sid] = ent
-        self._overlap_scheds: dict[str, Any] = {}
-        self._combine_scheds: dict[str, Any] = {}
+        self._scheds: dict[str, HaloSchedule] = {}
         #: flat rank-batched store of the current run (None before one)
         self._store: Optional[dict[str, FlatField]] = None
         self._actions = self._phase_actions()
 
     # -- schedules ----------------------------------------------------------
 
-    def _schedule(self, op: CommOp, rank: Optional[int] = None):
-        """The cached wave schedule of ``op``'s entity — or, for the one
+    def _schedule(self, op: CommOp,
+                  rank: Optional[int] = None) -> HaloSchedule:
+        """The cached halo schedule of ``op``'s entity — or, for the one
         recovering ``rank`` of a localized restart, that rank's rows."""
-        cache, build = ((self._overlap_scheds, build_overlap_schedule)
-                        if op.kind == K_OVERLAP
-                        else (self._combine_scheds, build_combine_schedule))
-        sched = cache.get(op.entity)
+        sched = self._scheds.get(op.entity)
         if sched is None:
-            sched = cache[op.entity] = build(self.partition, op.entity)
+            sched = self._scheds[op.entity] = build_halo_schedule(
+                self.partition, op.entity)
         return sched if rank is None else sched.for_rank(rank)
 
     # -- environments ----------------------------------------------------------
@@ -395,7 +391,7 @@ class SPMDExecutor:
             loop mid-iteration) the policy's scheduled events and
             imbalance trigger are consulted, and a migration epoch moves
             owned entities and their values to the new layout, rewrites
-            packed ids, incrementally repairs the cached wave schedules,
+            packed ids, incrementally repairs the cached halo schedules,
             and (when checkpointing is armed) starts a fresh recovery
             epoch.  A scheduled event that lands inside a non-quiescent
             stretch fires at the next quiescent boundary.
@@ -736,8 +732,8 @@ class SPMDExecutor:
         entity values owner→new-holder over the wire (message logging
         paused — epoch traffic is never replayed), rebuild index-map
         arrays and extent vars from the new sub-meshes, repack the flat
-        store, incrementally repair the cached wave schedules against
-        the full-rebuild oracle's contract, rebind loop bounds, and —
+        store, incrementally repair each cached entity's halo schedule
+        (≡ a fresh build on the new partition), rebind loop bounds, and —
         when checkpointing is armed — start a fresh recovery epoch
         (:meth:`~repro.runtime.checkpoint.CheckpointManager.reset_epoch`
         plus an immediate post-migration checkpoint, so a later kill
@@ -800,23 +796,12 @@ class SPMDExecutor:
         totals["repacked_words"] += repacked
         dirty_seen = 0
         for ent in entities:
-            delta = (old_part, new_part, ent, moved[ent])
-            dirty = schedule_dirty_ranks(*delta)
+            dirty = schedule_dirty_ranks(old_part, new_part, ent, moved[ent])
             dirty_seen = max(dirty_seen, len(dirty))
-            ov = self._overlap_scheds.get(ent)
-            cb = self._combine_scheds.get(ent)
-            if ov is not None and cb is not None:
-                # both schedules of one entity relabel the same message
-                # tables: repaired as a pair, the delta-argsort runs once
-                self._overlap_scheds[ent], self._combine_scheds[ent] = \
-                    repair_wave_schedules(ov, cb, *delta, dirty=dirty)
-            elif ov is not None:
-                self._overlap_scheds[ent] = repair_overlap_schedule(
-                    ov, *delta, dirty=dirty)
-            elif cb is not None:
-                self._combine_scheds[ent] = repair_combine_schedule(
-                    cb, *delta, dirty=dirty)
-            totals["schedules_repaired"] += (ov is not None) + (cb is not None)
+            if ent in self._scheds:
+                self._scheds[ent] = repair_halo_schedule(
+                    self._scheds[ent], old_part, new_part, ent, dirty=dirty)
+                totals["schedules_repaired"] += 1
         totals["dirty_ranks"] = max(totals["dirty_ranks"], dirty_seen)
         for interp, sub_mesh in zip(run.interps, new_part.subs):
             interp.loop_bounds = self._loop_bounds(sub_mesh)

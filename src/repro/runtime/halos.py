@@ -34,13 +34,14 @@ from the payload itself:
 
 block
     One concatenated float64 block per wave, built by fancy indexing from
-    the schedule's materialized index arrays
-    (:meth:`~repro.mesh.schedule.OverlapSchedule.wave`) and moved through
+    the schedule's message tables
+    (:class:`~repro.mesh.schedule.HaloSchedule`) and moved through
     ``send_block``/``recv_block`` — zero per-message Python.  Taken when
     the variable has a flat-store field, or when every rank holds it as a
     1-D float64 array (:func:`_block_eligible`).
 per-message
-    One Python payload per neighbour through
+    One Python payload per row of the same tables
+    (:meth:`~repro.mesh.schedule.WaveSide.messages`) through
     ``isend_batch``/``waitall_recv`` — the only path for payloads the
     block wire cannot carry bit-exactly (non-float64 or multi-dimensional
     arrays).
@@ -59,7 +60,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..errors import RuntimeFault
-from ..mesh.schedule import CombineSchedule, OverlapSchedule, WaveSide
+from ..mesh.schedule import HaloSchedule, WaveSide
 from .flatstore import FlatField
 from .simmpi import CollectiveRecord, Request, SimComm
 
@@ -129,7 +130,7 @@ class PendingCombine:
     var: str
     op: str
     label: str
-    schedule: CombineSchedule
+    schedule: HaloSchedule
     #: (owner, src, index array, request) in blocking gather-recv order
     recvs: list[tuple[int, int, np.ndarray, Request]] = field(
         default_factory=list)
@@ -161,30 +162,22 @@ def _scatter(side: WaveSide, envs: list[dict], var: str,
         side.scatter([env[var] for env in envs], block, op=op)
 
 
-def _messages(plans: list, envs: list[dict],
+def _messages(side: WaveSide, envs: list[dict],
               var: str) -> tuple[list[int], list[int], list[np.ndarray]]:
-    """Send plans as per-message (srcs, dsts, payloads), wave order."""
-    srcs: list[int] = []
-    dsts: list[int] = []
-    payloads: list[np.ndarray] = []
-    for r, plan in enumerate(plans):
-        arr = envs[r][var]
-        for dest, idx in plan.items():
-            srcs.append(r)
-            dsts.append(dest)
-            payloads.append(arr[idx])
-    return srcs, dsts, payloads
+    """A sending side as per-message (srcs, dsts, payloads), wave order."""
+    payloads = [envs[r][var][idx] for r, _dest, idx in side.messages()]
+    return side.srcs.tolist(), side.dsts.tolist(), payloads
 
 
-def _irecvs(comm: SimComm, plans: list,
+def _irecvs(comm: SimComm, side: WaveSide,
             tag: int) -> list[tuple[int, int, np.ndarray, Request]]:
-    """One irecv per receive-plan entry, in blocking-recv order."""
+    """One irecv per receiving-side row, in blocking-recv order."""
     return [(r, src, idx, comm.view(r).irecv(src, tag=tag))
-            for r, plan in enumerate(plans) for src, idx in plan.items()]
+            for r, src, idx in side.messages()]
 
 
 def overlap_post(comm: SimComm, envs: list[dict], var: str,
-                 schedule: OverlapSchedule, label: str = "",
+                 schedule: HaloSchedule, label: str = "",
                  _log: bool = True,
                  store: Optional[dict[str, FlatField]] = None
                  ) -> PendingOverlap:
@@ -201,17 +194,17 @@ def overlap_post(comm: SimComm, envs: list[dict], var: str,
                              label=label or var, tag=tag)
     field = store.get(var) if store is not None else None
     if field is not None or _block_eligible(envs, var):
-        w = schedule.wave()
-        comm.send_block(w.send.srcs, w.send.dsts,
-                        _gather(w.send, envs, var, field), w.send.words,
+        side = schedule.send
+        comm.send_block(side.srcs, side.dsts,
+                        _gather(side, envs, var, field), side.words,
                         tag=tag)
         pending.block = True
-        pending.recv_side = w.recv
+        pending.recv_side = schedule.recv
         pending.field = field
     else:
         pending.sends = comm.isend_batch(
-            *_messages(schedule.sends, envs, var), tag=tag)
-        pending.recvs = _irecvs(comm, schedule.recvs, tag)
+            *_messages(schedule.send, envs, var), tag=tag)
+        pending.recvs = _irecvs(comm, schedule.recv, tag)
     if _log:
         _log_collective(comm, f"overlap:{pending.label}", before,
                         window="posted")
@@ -240,7 +233,7 @@ def overlap_complete(pending: PendingOverlap, overlap_steps: int = 0,
 
 
 def overlap_update(comm: SimComm, envs: list[dict], var: str,
-                   schedule: OverlapSchedule, label: str = "",
+                   schedule: HaloSchedule, label: str = "",
                    store: Optional[dict[str, FlatField]] = None) -> None:
     """Refresh overlap copies of ``var`` from their kernel owners."""
     before = _rank_words(comm)
@@ -251,7 +244,7 @@ def overlap_update(comm: SimComm, envs: list[dict], var: str,
 
 
 def combine_post(comm: SimComm, envs: list[dict], var: str,
-                 schedule: CombineSchedule, op: str = "+",
+                 schedule: HaloSchedule, op: str = "+",
                  label: str = "", _log: bool = True,
                  store: Optional[dict[str, FlatField]] = None
                  ) -> PendingCombine:
@@ -269,15 +262,15 @@ def combine_post(comm: SimComm, envs: list[dict], var: str,
                              label=label or var, schedule=schedule, tag=tag)
     field = store.get(var) if store is not None else None
     if field is not None or _block_eligible(envs, var):
-        side = schedule.wave().gather_send
+        side = schedule.gather_send
         comm.send_block(side.srcs, side.dsts,
                         _gather(side, envs, var, field), side.words, tag=tag)
         pending.block = True
         pending.field = field
     else:
         pending.sends = comm.isend_batch(
-            *_messages(schedule.gather_sends, envs, var), tag=tag)
-        pending.recvs = _irecvs(comm, schedule.gather_recvs, tag)
+            *_messages(schedule.gather_send, envs, var), tag=tag)
+        pending.recvs = _irecvs(comm, schedule.gather_recv, tag)
     if _log:
         _log_collective(comm, f"combine:{pending.label}", before,
                         window="posted")
@@ -302,16 +295,18 @@ def combine_complete(pending: PendingCombine, overlap_steps: int = 0,
     accum = _ACCUM_UFUNC[pending.op]
     before = _rank_words(comm)
     if pending.block:
-        w = schedule.wave()
-        block, _words = comm.recv_block(w.gather_recv.srcs,
-                                        w.gather_recv.dsts, tag=pending.tag)
-        _scatter(w.gather_recv, envs, var, field, block, op=accum)
-        comm.send_block(w.return_send.srcs, w.return_send.dsts,
-                        _gather(w.return_send, envs, var, field),
-                        w.return_send.words, tag=_TAG_RETURN)
-        block, _words = comm.recv_block(w.return_recv.srcs,
-                                        w.return_recv.dsts, tag=_TAG_RETURN)
-        _scatter(w.return_recv, envs, var, field, block)
+        side = schedule.gather_recv
+        block, _words = comm.recv_block(side.srcs, side.dsts,
+                                        tag=pending.tag)
+        _scatter(side, envs, var, field, block, op=accum)
+        side = schedule.send
+        comm.send_block(side.srcs, side.dsts,
+                        _gather(side, envs, var, field), side.words,
+                        tag=_TAG_RETURN)
+        side = schedule.recv
+        block, _words = comm.recv_block(side.srcs, side.dsts,
+                                        tag=_TAG_RETURN)
+        _scatter(side, envs, var, field, block)
     else:
         gathered = comm.waitall_recv([req for *_hdr, req in pending.recvs])
         for (o, _src, idx, _req), incoming in zip(pending.recvs, gathered):
@@ -319,15 +314,12 @@ def combine_complete(pending: PendingCombine, overlap_steps: int = 0,
             arr[idx] = accum(arr[idx], incoming)
         for req in pending.sends:
             req.wait()
-        comm.send_batch(*_messages(schedule.return_sends, envs, var),
+        comm.send_batch(*_messages(schedule.send, envs, var),
                         tag=_TAG_RETURN)
-        targets = [(r, owner, idx)
-                   for r, plan in enumerate(schedule.return_recvs)
-                   for owner, idx in plan.items()]
-        totals = comm.recv_batch([owner for _r, owner, _idx in targets],
-                                 [r for r, _owner, _idx in targets],
+        side = schedule.recv
+        totals = comm.recv_batch(side.srcs.tolist(), side.dsts.tolist(),
                                  tag=_TAG_RETURN)
-        for (r, _owner, idx), payload in zip(targets, totals):
+        for (r, _owner, idx), payload in zip(side.messages(), totals):
             envs[r][var][idx] = payload
     if _log:
         _log_collective(comm, f"combine:{pending.label}", before,
@@ -335,7 +327,7 @@ def combine_complete(pending: PendingCombine, overlap_steps: int = 0,
 
 
 def combine_update(comm: SimComm, envs: list[dict], var: str,
-                   schedule: CombineSchedule, op: str = "+",
+                   schedule: HaloSchedule, op: str = "+",
                    label: str = "",
                    store: Optional[dict[str, FlatField]] = None) -> None:
     """Assemble partial contributions of ``var`` and redistribute totals."""

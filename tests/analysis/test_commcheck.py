@@ -39,7 +39,7 @@ from repro.errors import CommCheckError, CommTimeout, ReproError, RuntimeFault
 from repro.lang.cfg import EXIT
 from repro.mesh import structured_tri_mesh
 from repro.mesh.overlap import build_partition
-from repro.mesh.schedule import build_overlap_schedule
+from repro.mesh.schedule import HaloSchedule, build_halo_schedule
 from repro.placement.comms import (
     CommOp,
     K_OVERLAP,
@@ -346,17 +346,64 @@ class TestMutations:
         sink = check_placement(res.vfg, mutate(base, comms), res.automaton)
         assert self.only_code(sink) == "CC007"
 
+    @staticmethod
+    def _resized(side, row, delta, index=None):
+        """``side`` with message ``row`` one word longer (``index``
+        appended to its segment) or shorter (its last index dropped)."""
+        rank = int(side.rank[row])
+        first = int(np.searchsorted(side.rank, rank))
+        end = int(side.words[first:row + 1].sum())
+        idx = list(side.idx)
+        idx[rank] = (np.insert(idx[rank], end, index) if delta > 0
+                     else np.delete(idx[rank], end - 1))
+        words, counts = side.words.copy(), side.counts.copy()
+        words[row] += delta
+        counts[rank] += delta
+        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        return dataclasses.replace(side, idx=idx, words=words,
+                                   counts=counts, starts=starts,
+                                   _flat_cache={})
+
     def test_cc008_truncated_halo_schedule(self, testiv):
         mesh = structured_tri_mesh(6, 6)
         part = build_partition(mesh, 4, "overlap-elements-2d")
-        sched = build_overlap_schedule(part, "node")
-        rank = next(r for r in range(part.nparts) if sched.recvs[r])
-        peer = next(iter(sched.recvs[rank]))
-        sched.recvs[rank][peer] = sched.recvs[rank][peer][:-1]
+        sched = build_halo_schedule(part, "node")
+        cut = HaloSchedule("node", self._resized(sched.holder, 0, -1),
+                           sched.owner)
         sink = check_schedules(part, testiv.ranked[0].placement,
-                               overlap={"node": sched}, sub=testiv.sub)
+                               schedules={"node": cut}, sub=testiv.sub)
         assert sink.codes() == {"CC008"}
         assert any("unfilled" in d.message for d in sink.diagnostics)
+        assert any("asymmetric" in d.message for d in sink.diagnostics)
+
+    @pytest.mark.parametrize("pattern", ["overlap-elements-2d",
+                                         "shared-nodes-2d"])
+    def test_cc008_slot_filled_twice(self, pattern):
+        """A holder slot listed twice, the owner sending the extra word:
+        every count still matches and no slot is unfilled, so only the
+        exactly-once check can see it — on an overlap placement and on a
+        combine-only (shared-nodes) one alike."""
+        res = enumerate_placements(TESTIV_SOURCE, spec_for_testiv(pattern))
+        placement = res.ranked[0].placement
+        kinds = {op.kind for op in placement.comms if op.entity == "node"}
+        assert kinds == ({"combine"} if pattern.startswith("shared")
+                         else {"overlap"})
+        part = build_partition(structured_tri_mesh(6, 6), 4, pattern)
+        sched = build_halo_schedule(part, "node")
+        assert check_schedules(part, placement,
+                               schedules={"node": sched}).clean
+        holder, owner = sched.holder, sched.owner
+        h, o = int(holder.rank[0]), int(holder.peer[0])
+        row = int(np.flatnonzero((owner.rank == o) & (owner.peer == h))[0])
+        twice = HaloSchedule(
+            "node",
+            self._resized(holder, 0, +1, index=holder.idx[h][0]),
+            self._resized(owner, row, +1, index=owner.idx[o][0]))
+        sink = check_schedules(part, placement, schedules={"node": twice},
+                               sub=res.sub)
+        assert sink.codes() == {"CC008"}
+        assert all("more than once" in d.message for d in sink.diagnostics)
+        assert [d.data["rank"] for d in sink.diagnostics] == [h]
 
 
 class TestDiagnosticFramework:

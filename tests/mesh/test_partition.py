@@ -1,11 +1,14 @@
 """Unit tests for partitioners, overlap construction and schedules."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
 from repro.errors import MeshError
 from repro.mesh import (
     build_combine_schedule,
+    build_halo_schedule,
     build_overlap_schedule,
     build_partition,
     measure_partition,
@@ -16,6 +19,8 @@ from repro.mesh import (
     structured_tri_mesh,
     two_triangle_mesh,
 )
+from repro.runtime import SimComm, combine_update, overlap_update
+from tests.halo_views import plans
 
 
 @pytest.fixture(scope="module")
@@ -284,9 +289,10 @@ class TestSchedules:
 
     def test_overlap_schedule_consistent(self, part):
         sched = build_overlap_schedule(part, "node")
-        for r, plan in enumerate(sched.sends):
+        recvs = plans(sched.recv)
+        for r, plan in enumerate(plans(sched.send)):
             for dest, idx in plan.items():
-                recv_idx = sched.recvs[dest][r]
+                recv_idx = recvs[dest][r]
                 assert len(idx) == len(recv_idx)
                 send_g = part.subs[r].l2g["node"][idx]
                 recv_g = part.subs[dest].l2g["node"][recv_idx]
@@ -296,9 +302,7 @@ class TestSchedules:
         sched = build_overlap_schedule(part, "node")
         for sub in part.subs:
             kern, total = sub.counts("node")
-            received = sorted(
-                int(i) for plan in [sched.recvs[sub.rank]]
-                for idx in plan.values() for i in idx)
+            received = sorted(sched.recv.idx[sub.rank].tolist())
             assert received == list(range(kern, total))
 
     def test_overlap_update_effect(self, part):
@@ -310,10 +314,10 @@ class TestSchedules:
         for sub, arr in zip(part.subs, local):
             arr[sub.kernel_count["node"]:] = -999.0
         sched = build_overlap_schedule(part, "node")
-        for r in range(part.nparts):
-            for src, ridx in sched.recvs[r].items():
-                sidx = sched.sends[src][r]
-                local[r][ridx] = local[src][sidx]
+        sends = plans(sched.send)
+        for r, plan in enumerate(plans(sched.recv)):
+            for src, ridx in plan.items():
+                local[r][ridx] = local[src][sends[src][r]]
         for sub, arr in zip(part.subs, local):
             np.testing.assert_array_equal(arr, glob[sub.l2g["node"]])
 
@@ -330,15 +334,15 @@ class TestSchedules:
             local.append(acc)
         sched = build_combine_schedule(part, "node")
         # phase 1: owners accumulate partials
-        for o in range(part.nparts):
-            for src, oidx in sched.gather_recvs[o].items():
-                sidx = sched.gather_sends[src][o]
-                local[o][oidx] += local[src][sidx]
+        gather_sends = plans(sched.gather_send)
+        for o, plan in enumerate(plans(sched.gather_recv)):
+            for src, oidx in plan.items():
+                local[o][oidx] += local[src][gather_sends[src][o]]
         # phase 2: totals go back
-        for o in range(part.nparts):
-            for dest, oidx in sched.return_sends[o].items():
-                didx = sched.return_recvs[dest][o]
-                local[dest][didx] = local[o][oidx]
+        return_recvs = plans(sched.recv)
+        for o, plan in enumerate(plans(sched.send)):
+            for dest, oidx in plan.items():
+                local[dest][return_recvs[dest][o]] = local[o][oidx]
         degree = np.zeros(part.mesh.n_nodes)
         np.add.at(degree, part.mesh.triangles.ravel(), 1.0)
         for sub, arr in zip(part.subs, local):
@@ -407,11 +411,13 @@ def _assert_plans_equal(got, want, where):
 class TestPackedScheduleOracle:
     """Packed-id schedule construction versus the dict-based reference.
 
-    The builders derive every message from ``rank << SHIFT | local``
+    The builder derives every message from ``rank << SHIFT | local``
     arithmetic and one argsort; the reference here re-runs the historical
-    per-entity dict walk over ``g2l`` and owners.  Both must agree
-    exactly — peers, ordering, and index values — on every pattern,
-    method, and entity kind.
+    per-entity dict walk over ``g2l`` and owners.  *One* built schedule
+    per entity must agree exactly — peers, ordering, and index values —
+    with both the overlap and the combine oracle, on every pattern,
+    method, and entity kind, and that same object must drive both
+    collectives to the oracle's values.
     """
 
     @pytest.fixture(scope="class", params=[
@@ -426,18 +432,70 @@ class TestPackedScheduleOracle:
             else structured_tet_mesh(3, 3, 2)
         return build_partition(mesh, nparts, pattern, method=method)
 
-    def test_overlap_schedule_matches_dict_oracle(self, part):
-        for entity in part.subs[0].l2g:
-            sched = build_overlap_schedule(part, entity)
-            sends, recvs = _reference_overlap(part, entity)
-            _assert_plans_equal(sched.sends, sends, f"{entity} sends")
-            _assert_plans_equal(sched.recvs, recvs, f"{entity} recvs")
+    @pytest.fixture(scope="class")
+    def scheds(self, part):
+        """The one schedule per entity every test of this class reads."""
+        return {entity: build_halo_schedule(part, entity)
+                for entity in part.subs[0].l2g}
 
-    def test_combine_schedule_matches_dict_oracle(self, part):
-        for entity in part.subs[0].l2g:
-            sched = build_combine_schedule(part, entity)
+    def test_overlap_schedule_matches_dict_oracle(self, part, scheds):
+        for entity, sched in scheds.items():
+            sends, recvs = _reference_overlap(part, entity)
+            _assert_plans_equal(plans(sched.send), sends, f"{entity} sends")
+            _assert_plans_equal(plans(sched.recv), recvs, f"{entity} recvs")
+
+    def test_combine_schedule_matches_dict_oracle(self, part, scheds):
+        for entity, sched in scheds.items():
             gs, gr, rs, rr = _reference_combine(part, entity)
-            _assert_plans_equal(sched.gather_sends, gs, f"{entity} gsend")
-            _assert_plans_equal(sched.gather_recvs, gr, f"{entity} grecv")
-            _assert_plans_equal(sched.return_sends, rs, f"{entity} rsend")
-            _assert_plans_equal(sched.return_recvs, rr, f"{entity} rrecv")
+            _assert_plans_equal(plans(sched.gather_send), gs,
+                                f"{entity} gsend")
+            _assert_plans_equal(plans(sched.gather_recv), gr,
+                                f"{entity} grecv")
+            _assert_plans_equal(plans(sched.send), rs, f"{entity} rsend")
+            _assert_plans_equal(plans(sched.recv), rr, f"{entity} rrecv")
+
+    @staticmethod
+    def _oracle_values(part, entity, start):
+        """What the dict oracle says each collective leaves behind."""
+        sends, recvs = _reference_overlap(part, entity)
+        pushed = [v.copy() for v in start]
+        for r, plan in enumerate(recvs):
+            for src, ridx in plan.items():
+                pushed[r][ridx] = start[src][sends[src][r]]
+        gs, gr, rs, rr = _reference_combine(part, entity)
+        summed = [v.copy() for v in start]
+        for o, plan in enumerate(gr):
+            for src, oidx in plan.items():
+                summed[o][oidx] = summed[o][oidx] + summed[src][gs[src][o]]
+        for o, plan in enumerate(rs):
+            for dest, oidx in plan.items():
+                summed[dest][rr[dest][o]] = summed[o][oidx]
+        return pushed, summed
+
+    @pytest.mark.parametrize("make", [
+        lambda rng, n: rng.standard_normal(n),
+        lambda rng, n: rng.integers(-50, 50, size=n),
+        lambda rng, n: rng.standard_normal((n, 2)),
+    ], ids=["float64", "int64", "2-D"])
+    def test_one_schedule_drives_both_updates(self, part, scheds, make,
+                                              reference_halos):
+        """The very object compared against the oracles moves the data:
+        float64 on the block wire and per-message, int64/2-D (which only
+        the per-message body carries) on a *built* schedule."""
+        for entity, sched in scheds.items():
+            rng = np.random.default_rng(17)
+            start = [make(rng, len(sub.l2g[entity])) for sub in part.subs]
+            pushed, summed = self._oracle_values(part, entity, start)
+            block = start[0].dtype == np.float64 and start[0].ndim == 1
+            for path in ([nullcontext, reference_halos] if block
+                         else [nullcontext]):
+                for update, want in ((overlap_update, pushed),
+                                     (combine_update, summed)):
+                    envs = [{"v": v.copy()} for v in start]
+                    comm = SimComm(part.nparts)
+                    with path():
+                        update(comm, envs, "v", sched)
+                    comm.assert_drained()
+                    for env, expect in zip(envs, want):
+                        np.testing.assert_array_equal(env["v"], expect)
+                        assert env["v"].dtype == expect.dtype

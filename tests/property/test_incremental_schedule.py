@@ -1,14 +1,14 @@
 """Property-based tests (hypothesis) for incremental schedule repair.
 
-Online repartitioning repairs existing wave schedules instead of
-rebuilding them; these properties pin the repair path to the full
-rebuild **oracle** on random meshes, partitions, and moved-entity sets:
+Online repartitioning repairs existing halo schedules instead of
+rebuilding them; these properties pin the repair path to a fresh build
+on random meshes, partitions, and moved-entity sets:
 
-* :func:`~repro.mesh.schedule.repair_overlap_schedule` and
-  :func:`~repro.mesh.schedule.repair_combine_schedule` produce the same
-  flat wave index arrays (``srcs``/``dsts``/``words``/``starts``/
-  ``counts`` and every per-rank ``idx`` block) and the same ``PeerPlan``
-  round-trip as ``build_*_schedule`` on the new partition;
+* :func:`~repro.mesh.schedule.repair_halo_schedule` produces the same
+  two message tables, column for column (``rank``/``peer``/``words``/
+  ``starts``/``counts`` and every per-rank ``idx`` block), as
+  :func:`~repro.mesh.schedule.build_halo_schedule` on the new
+  partition, and clean ranks' ``idx`` blocks are the old arrays;
 * :func:`~repro.mesh.packedid.rewrite_packing` is a bijection on packed
   ids that preserves owner/local decode — including the widen-SHIFT
   fallback when a kernel outgrows the low field.
@@ -19,12 +19,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.mesh import (
-    build_combine_schedule,
-    build_overlap_schedule,
+    build_halo_schedule,
     build_partition,
     moved_entity_gids,
-    repair_combine_schedule,
-    repair_overlap_schedule,
+    repair_halo_schedule,
     repartition,
     rewrite_packing,
     schedule_dirty_ranks,
@@ -63,6 +61,9 @@ def _perturbed_ranks(partition, seed, frac):
 
 
 def _sides_equal(a, b):
+    assert a.sends == b.sends
+    np.testing.assert_array_equal(a.rank, b.rank)
+    np.testing.assert_array_equal(a.peer, b.peer)
     np.testing.assert_array_equal(a.srcs, b.srcs)
     np.testing.assert_array_equal(a.dsts, b.dsts)
     np.testing.assert_array_equal(a.words, b.words)
@@ -71,14 +72,6 @@ def _sides_equal(a, b):
     assert len(a.idx) == len(b.idx)
     for ia, ib in zip(a.idx, b.idx):
         np.testing.assert_array_equal(ia, ib)
-
-
-def _plans_equal(a, b):
-    assert len(a) == len(b)
-    for pa, pb in zip(a, b):
-        assert sorted(pa) == sorted(pb)
-        for peer in pa:
-            np.testing.assert_array_equal(pa[peer], pb[peer])
 
 
 @settings(max_examples=20, deadline=None,
@@ -92,17 +85,26 @@ def test_overlap_repair_matches_full_rebuild(dims, nparts, method, entity,
                                              seed, frac):
     old = _partition(dims, nparts, method)
     new = repartition(old, _perturbed_ranks(old, seed, frac))
-    old_sched = build_overlap_schedule(old, entity)
-    full = build_overlap_schedule(new, entity)
-    inc = repair_overlap_schedule(old_sched, old, new, entity)
-    _sides_equal(inc.wave().send, full.wave().send)
-    _sides_equal(inc.wave().recv, full.wave().recv)
-    _plans_equal(inc.sends, full.sends)
-    _plans_equal(inc.recvs, full.recvs)
-    _plans_equal(inc.wave().send.plans(new.nparts), full.sends)
-    _plans_equal(inc.wave().recv.plans(new.nparts), full.recvs)
+    old_sched = build_halo_schedule(old, entity)
+    full = build_halo_schedule(new, entity)
+    inc = repair_halo_schedule(old_sched, old, new, entity)
+    _sides_equal(inc.holder, full.holder)
+    _sides_equal(inc.owner, full.owner)
+    _sides_equal(inc.send, full.send)
+    _sides_equal(inc.recv, full.recv)
     assert inc.message_count() == full.message_count()
     assert inc.volume() == full.volume()
+    # a clean rank's holder block is spliced in, not recomputed (an
+    # owner block also survives unless a dirty holder touches it)
+    dirty = set(schedule_dirty_ranks(old, new, entity).tolist())
+    for rank in set(range(old.nparts)) - dirty:
+        assert inc.holder.idx[rank] is old_sched.holder.idx[rank]
+    # a precomputed dirty set gives the same tables
+    pre = repair_halo_schedule(
+        old_sched, old, new, entity,
+        dirty=np.array(sorted(dirty), dtype=np.int64))
+    _sides_equal(pre.holder, full.holder)
+    _sides_equal(pre.owner, full.owner)
 
 
 @settings(max_examples=15, deadline=None,
@@ -115,18 +117,14 @@ def test_combine_repair_matches_full_rebuild(dims, nparts, entity, seed,
                                              frac):
     old = _partition(dims, nparts, "rcb")
     new = repartition(old, _perturbed_ranks(old, seed, frac))
-    old_sched = build_combine_schedule(old, entity)
-    full = build_combine_schedule(new, entity)
-    inc = repair_combine_schedule(old_sched, old, new, entity)
-    for side in ("gather_send", "gather_recv", "return_send",
-                 "return_recv"):
-        _sides_equal(getattr(inc.wave(), side), getattr(full.wave(), side))
-    _plans_equal(inc.gather_sends, full.gather_sends)
-    _plans_equal(inc.gather_recvs, full.gather_recvs)
-    _plans_equal(inc.return_sends, full.return_sends)
-    _plans_equal(inc.return_recvs, full.return_recvs)
-    assert inc.message_count() == full.message_count()
-    assert inc.volume() == full.volume()
+    old_sched = build_halo_schedule(old, entity)
+    full = build_halo_schedule(new, entity)
+    inc = repair_halo_schedule(old_sched, old, new, entity)
+    for side in ("gather_send", "gather_recv", "send", "recv"):
+        _sides_equal(getattr(inc, side), getattr(full, side))
+    # the gather readings are views of the repaired tables, not copies
+    assert inc.gather_send.idx is inc.holder.idx
+    assert inc.gather_recv.idx is inc.owner.idx
 
 
 @settings(max_examples=15, deadline=None,

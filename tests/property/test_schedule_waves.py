@@ -1,13 +1,14 @@
-"""Property-based tests (hypothesis) on materialized wave index arrays.
+"""Property-based tests (hypothesis) on the halo message tables.
 
-A :class:`~repro.mesh.schedule.WaveSide` is a flattened re-expression of
-one ``PeerPlan`` list; these properties pin the equivalence on random
-meshes and partitions:
+A :class:`~repro.mesh.schedule.HaloSchedule` is two
+:class:`~repro.mesh.schedule.WaveSide` tables read four ways; these
+properties pin the readings on random meshes and partitions:
 
-* ``plans()`` round-trips a side back to the exact per-peer index
-  dictionaries it was built from;
-* the wave's message columns reproduce ``message_count()``/``volume()``;
-* a gather → scatter through the wave equals the per-message exchange.
+* ``messages()`` walks a table back out row by row: the segments tile
+  each rank's index block and carry the table's word counts;
+* the message columns reproduce ``message_count()``/``volume()`` (one
+  wave — a combine moves two);
+* a gather → scatter through the tables equals the per-message exchange.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.mesh import (
     structured_tri_mesh,
 )
 from repro.spec import spec_for_testiv
+from tests.halo_views import plans
 
 _mesh_params = st.tuples(st.integers(3, 7), st.integers(3, 7))
 _pattern = spec_for_testiv().pattern
@@ -32,12 +34,20 @@ def _partition(dims, nparts, method):
     return build_partition(mesh, nparts, _pattern, method=method)
 
 
-def _plans_equal(a, b):
-    assert len(a) == len(b)
-    for pa, pb in zip(a, b):
-        assert sorted(pa) == sorted(pb)
-        for peer in pa:
-            np.testing.assert_array_equal(pa[peer], pb[peer])
+def _columns(side):
+    return np.stack([side.srcs, side.dsts, side.words])
+
+
+def _messages_tile_the_table(side):
+    rows = list(side.messages())
+    np.testing.assert_array_equal([r for r, _p, _i in rows], side.rank)
+    np.testing.assert_array_equal([p for _r, p, _i in rows], side.peer)
+    np.testing.assert_array_equal([len(i) for _r, _p, i in rows],
+                                  side.words)
+    for r, block in enumerate(side.idx):
+        segs = [i for q, _p, i in rows if q == r]
+        np.testing.assert_array_equal(
+            np.concatenate(segs) if segs else np.zeros(0, np.int64), block)
 
 
 @settings(max_examples=25, deadline=None,
@@ -48,18 +58,23 @@ def _plans_equal(a, b):
 def test_overlap_wave_roundtrips_and_counts(dims, nparts, method, entity):
     partition = _partition(dims, nparts, method)
     sched = build_overlap_schedule(partition, entity)
-    w = sched.wave()
-    _plans_equal(w.send.plans(partition.nparts), sched.sends)
-    _plans_equal(w.recv.plans(partition.nparts), sched.recvs)
-    assert len(w.send.srcs) == sched.message_count()
-    assert len(w.recv.srcs) == sched.message_count()
-    assert int(w.send.words.sum()) == sched.volume()
-    np.testing.assert_array_equal(np.sort(w.send.words),
-                                  np.sort(w.recv.words))
-    # a send side's per-rank segments tile the block exactly
-    assert int(w.send.counts.sum()) == sched.volume()
+    _messages_tile_the_table(sched.send)
+    _messages_tile_the_table(sched.recv)
+    # the two tables are one relation: the owner table's (src, dst, words)
+    # rows are the holder table's, in the other grouping
     np.testing.assert_array_equal(
-        w.send.starts, np.concatenate([[0], np.cumsum(w.send.counts)[:-1]]))
+        np.unique(_columns(sched.send), axis=1),
+        np.unique(_columns(sched.recv), axis=1))
+    assert len(sched.send.srcs) == sched.message_count()
+    assert len(sched.recv.srcs) == sched.message_count()
+    assert int(sched.send.words.sum()) == sched.volume()
+    np.testing.assert_array_equal(np.sort(sched.send.words),
+                                  np.sort(sched.recv.words))
+    # a send side's per-rank segments tile the block exactly
+    assert int(sched.send.counts.sum()) == sched.volume()
+    np.testing.assert_array_equal(
+        sched.send.starts,
+        np.concatenate([[0], np.cumsum(sched.send.counts)[:-1]]))
 
 
 @settings(max_examples=15, deadline=None,
@@ -69,15 +84,20 @@ def test_overlap_wave_roundtrips_and_counts(dims, nparts, method, entity):
 def test_combine_wave_roundtrips_and_counts(dims, nparts, entity):
     partition = _partition(dims, nparts, "rcb")
     sched = build_combine_schedule(partition, entity)
-    w = sched.wave()
-    _plans_equal(w.gather_send.plans(partition.nparts), sched.gather_sends)
-    _plans_equal(w.gather_recv.plans(partition.nparts), sched.gather_recvs)
-    _plans_equal(w.return_send.plans(partition.nparts), sched.return_sends)
-    _plans_equal(w.return_recv.plans(partition.nparts), sched.return_recvs)
-    assert (len(w.gather_send.srcs) + len(w.return_send.srcs)
-            == sched.message_count())
-    assert (int(w.gather_send.words.sum()) + int(w.return_send.words.sum())
-            == sched.volume())
+    _messages_tile_the_table(sched.gather_send)
+    _messages_tile_the_table(sched.gather_recv)
+    # the gather round is the return round with every message reversed:
+    # same tables, same index arrays, the other end sending
+    for gather, back in ((sched.gather_send, sched.recv),
+                         (sched.gather_recv, sched.send)):
+        np.testing.assert_array_equal(gather.srcs, back.dsts)
+        np.testing.assert_array_equal(gather.dsts, back.srcs)
+        assert gather.words is back.words and gather.idx is back.idx
+    # a combine moves two waves of message_count()/volume() each
+    assert (len(sched.gather_send.srcs) + len(sched.send.srcs)
+            == 2 * sched.message_count())
+    assert (int(sched.gather_send.words.sum()) + int(sched.send.words.sum())
+            == 2 * sched.volume())
 
 
 @settings(max_examples=20, deadline=None,
@@ -91,28 +111,25 @@ def test_gather_scatter_equals_per_message_exchange(dims, nparts, seed):
               for sub in partition.subs]
     # reference: the per-message copy loop
     expect = [v.copy() for v in values]
-    for r, plan in enumerate(sched.recvs):
+    sends = plans(sched.send)
+    for r, plan in enumerate(plans(sched.recv)):
         for src, idx in plan.items():
-            expect[r][idx] = values[src][sched.sends[src][r]]
+            expect[r][idx] = values[src][sends[src][r]]
     # wave: one gather into a block, one scatter out of it, emulating the
     # wire's per-(src, dst) channel matching between the two orders
-    w = sched.wave()
-    block = w.send.gather(values)
+    block = sched.send.gather(values)
     assert block.dtype == np.float64 and block.ndim == 1
-    offs = np.concatenate([[0], np.cumsum(w.send.words)])
+    offs = np.concatenate([[0], np.cumsum(sched.send.words)])
     channel = {(int(s), int(d)): block[offs[i]:offs[i + 1]]
-               for i, (s, d) in enumerate(zip(w.send.srcs, w.send.dsts))}
+               for i, (s, d) in enumerate(zip(sched.send.srcs,
+                                              sched.send.dsts))}
     pieces = [channel[(int(s), int(d))]
-              for s, d in zip(w.recv.srcs, w.recv.dsts)]
+              for s, d in zip(sched.recv.srcs, sched.recv.dsts)]
     rblock = np.concatenate(pieces) if pieces else block
     got = [v.copy() for v in values]
-    w.recv.scatter(got, rblock)
+    sched.recv.scatter(got, rblock)
     for a, b in zip(got, expect):
         np.testing.assert_array_equal(a, b)
-
-
-def _columns(side):
-    return np.stack([side.srcs, side.dsts, side.words])
 
 
 @settings(max_examples=15, deadline=None,
@@ -132,16 +149,16 @@ def test_for_rank_partitions_the_schedule_and_writes_one_rank(
     for build, update, sides in (
             (build_overlap_schedule, overlap_update, ("send", "recv")),
             (build_combine_schedule, combine_update,
-             ("gather_send", "gather_recv", "return_send", "return_recv"))):
+             ("gather_send", "gather_recv", "send", "recv"))):
         sched = build(partition, "node")
         slices = [sched.for_rank(r) for r in range(nranks)]
         # the rank slices partition the messages of every wave side
         # exactly: rank-ascending concatenation is the full side
         for name in sides:
             np.testing.assert_array_equal(
-                np.concatenate([_columns(getattr(s.wave(), name))
+                np.concatenate([_columns(getattr(s, name))
                                 for s in slices], axis=1),
-                _columns(getattr(sched.wave(), name)))
+                _columns(getattr(sched, name)))
         # the full collective, logged at the sender side of the wire
         comm = SimComm(nranks)
         comm.msglog = MessageLog()

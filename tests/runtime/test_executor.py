@@ -8,6 +8,7 @@ from repro.errors import RuntimeFault
 from repro.lang import parse_subroutine
 from repro.mesh import build_partition, structured_tri_mesh
 from repro.placement import enumerate_placements
+from repro.placement.comms import CommOp, K_COMBINE, K_OVERLAP
 from repro.runtime import SPMDExecutor
 from repro.spec import spec_for_testiv
 
@@ -81,6 +82,29 @@ class TestEnvConstruction:
         with pytest.raises(RuntimeFault, match="pattern"):
             SPMDExecutor(placements.sub, spec,
                          placements.best().placement, other)
+
+
+class TestScheduleCache:
+    def test_one_schedule_per_entity_for_both_kinds(self, setup):
+        """An overlap and a combine on one entity share one cached
+        schedule, and a recovering rank's rows share its index arrays."""
+        _mesh, spec, placements, partition = setup
+        ex = SPMDExecutor(placements.sub, spec,
+                          placements.best().placement, partition)
+        overlap = CommOp(0, 0, K_OVERLAP, "old", "overlap-som",
+                         entity="node")
+        combine = CommOp(0, 0, K_COMBINE, "new", "combine-som",
+                         entity="node", op="+")
+        sched = ex._schedule(overlap)
+        assert ex._schedule(combine) is sched
+        assert list(ex._scheds) == ["node"]
+        for r in range(partition.nparts):
+            rows = ex._schedule(combine, rank=r)
+            assert rows.holder.idx[r] is sched.holder.idx[r]
+            assert rows.owner.idx[r] is sched.owner.idx[r]
+            assert set(rows.holder.rank.tolist()) <= {r}
+            assert set(rows.owner.rank.tolist()) <= {r}
+        assert ex._schedule(overlap) is sched  # for_rank did not evict it
 
 
 class TestExecution:

@@ -60,7 +60,7 @@ class TestFlatWaveEquivalence:
     def wave_and_arrays(self):
         part = build_partition(structured_tri_mesh(6, 6), 3,
                                "overlap-elements-2d")
-        wave = build_overlap_schedule(part, "node").wave()
+        wave = build_overlap_schedule(part, "node")
         rng = np.random.default_rng(3)
         arrays = [rng.standard_normal(len(s.l2g["node"]))
                   for s in part.subs]

@@ -20,8 +20,7 @@ import pytest
 
 from repro.corpus import TESTIV_SOURCE
 from repro.errors import ReproError, RuntimeFault
-from repro.mesh import CombineSchedule, OverlapSchedule, build_partition, \
-    structured_tri_mesh
+from repro.mesh import build_partition, structured_tri_mesh
 from repro.placement import enumerate_placements, widen_placement
 from repro.runtime import (
     FaultPlan,
@@ -35,6 +34,7 @@ from repro.runtime.faults import FaultRule, soak_check
 from repro.runtime.halos import combine_complete, combine_post, \
     combine_update, overlap_post, overlap_update
 from repro.spec import spec_for_testiv
+from tests.halo_views import halo_schedule
 
 
 @pytest.fixture(scope="module")
@@ -171,8 +171,7 @@ class TestWaveEligibility:
 
     def _schedule(self):
         idx = np.array([0], dtype=np.int64)
-        return OverlapSchedule(entity="node", sends=[{1: idx}, {}],
-                               recvs=[{}, {0: idx}])
+        return halo_schedule(holder=[{}, {0: idx}], owner=[{1: idx}, {}])
 
     def test_non_float64_falls_back_to_messages(self):
         comm = SimComm(2)
@@ -205,15 +204,12 @@ class TestWaveEligibility:
         idx = np.array([1, 2], dtype=np.int64)
         comm = SimComm(2)
         envs = [{"v": src.copy()}, {"v": np.zeros_like(src)}]
-        overlap_update(comm, envs, "v", OverlapSchedule(
-            entity="node", sends=[{1: idx}, {}], recvs=[{}, {0: idx}]))
+        sched = halo_schedule(holder=[{}, {0: idx}], owner=[{1: idx}, {}])
+        overlap_update(comm, envs, "v", sched)
         assert np.array_equal(envs[1]["v"][idx], src[idx])
         assert envs[1]["v"].dtype == src.dtype
         envs = [{"v": src.copy()}, {"v": src.copy()}]
-        combine_update(comm, envs, "v", CombineSchedule(
-            entity="node",
-            gather_sends=[{}, {0: idx}], gather_recvs=[{1: idx}, {}],
-            return_sends=[{1: idx}, {}], return_recvs=[{}, {0: idx}]))
+        combine_update(comm, envs, "v", sched)
         for env in envs:
             assert np.array_equal(env["v"][idx], 2 * src[idx])
             assert env["v"].shape == src.shape
@@ -226,8 +222,7 @@ class TestWaveEligibility:
         # count zero traffic, like the per-message path always has
         comm = SimComm(2)
         envs = [{"v": np.arange(4.0)}, {"v": np.zeros(4)}]
-        sched = OverlapSchedule(entity="node", sends=[{}, {}],
-                                recvs=[{}, {}])
+        sched = halo_schedule(holder=[{}, {}], owner=[{}, {}])
         overlap_update(comm, envs, "v", sched)
         comm.assert_drained()
         assert comm.stats.total_messages() == 0
@@ -238,12 +233,7 @@ class TestCombineWaveOps:
 
     def _schedule(self):
         i01 = np.array([1, 2], dtype=np.int64)
-        return CombineSchedule(
-            entity="node",
-            gather_sends=[{}, {0: i01}],
-            gather_recvs=[{1: i01}, {}],
-            return_sends=[{1: i01}, {}],
-            return_recvs=[{}, {0: i01}])
+        return halo_schedule(holder=[{}, {0: i01}], owner=[{1: i01}, {}])
 
     @pytest.mark.parametrize("op", ["+", "*", "max", "min"])
     def test_ops_bit_identical(self, op, waves):

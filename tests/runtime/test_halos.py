@@ -5,8 +5,6 @@ import pytest
 
 from repro.errors import RuntimeFault
 from repro.mesh import (
-    CombineSchedule,
-    OverlapSchedule,
     build_combine_schedule,
     build_overlap_schedule,
     build_partition,
@@ -25,6 +23,7 @@ from repro.runtime import (
     parallel_time,
     sequential_time,
 )
+from tests.halo_views import halo_schedule
 
 
 @pytest.fixture(scope="module")
@@ -192,19 +191,13 @@ class TestZeroOverlapRanks:
     EMPTY = np.array([], dtype=np.int64)
 
     def _no_peer_overlap(self):
-        return OverlapSchedule(entity="node", sends=[{}, {}], recvs=[{}, {}])
+        return halo_schedule(holder=[{}, {}], owner=[{}, {}])
 
     def _empty_payload_overlap(self):
-        return OverlapSchedule(entity="node",
-                               sends=[{1: self.EMPTY}, {}],
-                               recvs=[{}, {0: self.EMPTY}])
+        return halo_schedule(holder=[{}, {0: self.EMPTY}],
+                             owner=[{1: self.EMPTY}, {}])
 
-    def _empty_payload_combine(self):
-        return CombineSchedule(entity="node",
-                               gather_sends=[{}, {0: self.EMPTY}],
-                               gather_recvs=[{1: self.EMPTY}, {}],
-                               return_sends=[{1: self.EMPTY}, {}],
-                               return_recvs=[{}, {0: self.EMPTY}])
+    _empty_payload_combine = _empty_payload_overlap
 
     def _envs(self):
         return [{"v": np.arange(4.0)}, {"v": np.arange(4.0) * 10}]
