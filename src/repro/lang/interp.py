@@ -16,13 +16,18 @@ Extension hooks used by the SPMD executor (:mod:`repro.runtime.executor`):
     overrides iteration bounds — KERNEL/OVERLAP domains are applied here.
 ``on_return``
     Callables run when the subroutine returns (end-of-program comms).
+``loop_requests``
+    Sids of vector loops the executor runs itself: reaching one, the
+    generator yields a :class:`LoopRequest` instead of calling the
+    kernel, and does the loop's bookkeeping when resumed — which lets the
+    executor serve the same loop of every rank in one kernel sweep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Collection, Optional
 
 import numpy as np
 
@@ -130,7 +135,7 @@ def _binop(op: str, a: Any, b: Any) -> Any:
     if op == "*":
         return a * b
     if op == "/":
-        if isinstance(a, int) and isinstance(b, int):
+        if _is_integer(a) and _is_integer(b):
             if b == 0:
                 raise InterpError("integer division by zero")
             q = a // b
@@ -154,6 +159,11 @@ def _binop(op: str, a: Any, b: Any) -> Any:
     if op == "/=":
         return a != b
     raise InterpError(f"unknown operator {op!r}")
+
+
+def _is_integer(x: Any) -> bool:
+    # an integer loaded from an array is np.int64, not int
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _array(name: str, env: Env) -> np.ndarray:
@@ -246,6 +256,25 @@ class CollectiveAction:
         return f"CollectiveAction({self.payload!r})"
 
 
+class LoopRequest:
+    """A vector loop one rank asks the SPMD harness to run for it.
+
+    Yielded by :meth:`Interpreter.run_gen` in place of the kernel call for
+    the loops named in ``loop_requests``; the harness runs the loop over
+    ``lo..hi`` of that rank (alone or fused with the other ranks' requests
+    for the same loop) and resumes the generator.  Never a checkpoint
+    boundary: :class:`MachineState` is synced at collectives only.
+    """
+
+    __slots__ = ("sid", "lo", "hi")
+
+    def __init__(self, sid: int, lo: int, hi: int):
+        self.sid, self.lo, self.hi = sid, lo, hi
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"LoopRequest({self.sid}, {self.lo}, {self.hi})"
+
+
 class Interpreter:
     """Program-counter machine over :class:`FlatCode`."""
 
@@ -259,6 +288,7 @@ class Interpreter:
         externals: Optional[dict[str, Callable]] = None,
         count_visits: bool = False,
         vector_loops: Optional[dict[int, "LoopKernelLike"]] = None,
+        loop_requests: Collection[int] = (),
     ):
         self.code = code
         self.max_steps = max_steps
@@ -291,12 +321,16 @@ class Interpreter:
             if any(pc in body_range for pc in self._action_pcs):
                 continue
             self.vector_loops[sid] = kernel
+        #: loops whose kernel the harness runs (see :class:`LoopRequest`)
+        self.loop_requests = (frozenset(loop_requests)
+                              & self.vector_loops.keys())
 
     def run(self, env: Env) -> RunResult:
         """Execute to completion, mutating and returning ``env``.
 
-        Raises :class:`InterpError` if a :class:`CollectiveAction` is met —
-        those only make sense under the SPMD executor (:meth:`run_gen`).
+        Raises :class:`InterpError` if a :class:`CollectiveAction` (or a
+        :class:`LoopRequest`) is met — those only make sense under the
+        SPMD executor (:meth:`run_gen`).
         """
         gen = self.run_gen(env)
         try:
@@ -306,7 +340,8 @@ class Interpreter:
         raise InterpError("collective action encountered in sequential run")
 
     def run_gen(self, env: Env, state: Optional[MachineState] = None):
-        """Generator execution: yields each CollectiveAction, returns RunResult.
+        """Generator execution: yields each CollectiveAction (and each
+        armed LoopRequest), returns RunResult.
 
         ``state`` (default: a fresh :class:`MachineState`) is kept in sync
         at every yield, so a copy taken while the generator is suspended
@@ -372,8 +407,12 @@ class Interpreter:
                                       f"{self.code.sub.stmt(ins.sid).line}")
                 kernel = self.vector_loops.get(ins.sid)
                 if kernel is not None and step == 1:
-                    # fast path: run the whole iteration range vectorized
-                    kernel(env, lo, hi)
+                    # fast path: the whole iteration range vectorized,
+                    # by the harness when it asked to run this loop itself
+                    if ins.sid in self.loop_requests:
+                        yield LoopRequest(ins.sid, lo, hi)
+                    else:
+                        kernel(env, lo, hi)
                     trips = max(0, hi - lo + 1)
                     env[ins.var] = lo + trips
                     steps += trips * kernel.body_weight

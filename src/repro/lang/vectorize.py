@@ -19,14 +19,25 @@ interpreter — correctness never depends on the fast path.
 
 Floating-point caveat: vector execution reorders additions (per-statement
 sweeps, pairwise sums), so results match the scalar order to rounding
-(~1e-15 relative), not bitwise.  Tests compare with tolerances; the
-sequential *oracle* always uses the scalar interpreter.
+(~1e-15 relative), not bitwise.  Tests compare with tolerances, and the
+oracle-grade sequential run is the scalar interpreter's — though
+``run_sequential(backend="vector")`` runs these kernels too, which is
+what the vector pipeline verifies against.
+
+A kernel is compiled once and executed over an *address space*: one
+environment (:meth:`LoopKernel.__call__` — the sequential run, a single
+rank) or a :class:`RankBatch`, the concatenated iterations of many SPMD
+ranks addressing each array through one all-ranks buffer
+(:class:`Slab`).  The batch is bitwise equal to calling the kernel rank
+by rank: elementwise steps and ``np.add.at`` see every rank's elements
+in the per-rank order, and each rank's reduction partial is the same
+reducer over that rank's contiguous slice of the operand vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +54,7 @@ from .ast import (
     UnOp,
     Var,
 )
+from .interp import _is_integer
 
 Env = dict
 
@@ -63,26 +75,132 @@ _NP_INTRINSICS: dict[str, Callable] = {
 _REDUCERS = {"+": np.sum, "*": np.prod, "max": np.max, "min": np.min}
 
 
+def _fold(op: str, base, partial):
+    """Fold one sweep's reduction partial into the accumulator."""
+    if op == "+":
+        return base + partial
+    if op == "*":
+        return base * partial
+    if op == "max":
+        return max(base, float(partial))
+    return min(base, float(partial))
+
+
+class _OneEnv:
+    """The address space of one environment: a whole-range call."""
+
+    def __init__(self, env: Env, lo: int, hi: int):
+        self.env = env
+        self.idx = np.arange(lo - 1, hi)  # 0-based iteration indices
+
+    def scalar(self, name: str):
+        return self.env[name]
+
+    def locate(self, name: str, subs: list):
+        """(buffer, 0-based key) addressing ``name(subs)``."""
+        arr = self.env[name]
+        return arr, _index_key(subs, arr.shape)
+
+    def reduce(self, name: str, op: str, vec: np.ndarray) -> None:
+        self.env[name] = _fold(op, self.env[name], _REDUCERS[op](vec))
+
+
+class Slab(NamedTuple):
+    """One array's rows for every rank, rank segments concatenated along
+    axis 0 in rank order; each rank's own array is a view of its segment
+    (a flat-store field, an index map)."""
+
+    flat: np.ndarray
+    #: per-rank row count; rank r's rows start at ``sum(rows[:r])``
+    rows: tuple
+
+
+class RankBatch:
+    """Many ranks' iterations of one loop as one address space.
+
+    ``idx`` concatenates ``arange(lo_r - 1, hi_r)`` over the ranks with at
+    least one trip, in rank order (a zero-trip rank takes no part: its
+    accumulators stay untouched, as the per-rank call leaves them).
+    Subscripts stay rank-local and 1-based; an array is addressed at
+    ``local + offset[rank of the iteration]`` in its :class:`Slab`, after
+    the same bounds check as the per-rank call — against the rows of the
+    iteration's *own* rank, so an index that would spill into the next
+    rank's segment still raises.
+    """
+
+    def __init__(self, envs: Sequence[Env], bounds: Sequence[tuple],
+                 slabs: dict[str, Slab]):
+        #: the per-rank ``(lo, hi)`` this batch was built for
+        self.bounds = bounds
+        self.slabs = slabs
+        live = [(r, lo, hi) for r, (lo, hi) in enumerate(bounds) if hi >= lo]
+        self.envs = [envs[r] for r, _lo, _hi in live]
+        self.ranks = np.array([r for r, _lo, _hi in live], dtype=np.int64)
+        self.trips = np.array([hi - lo + 1 for _r, lo, hi in live],
+                              dtype=np.int64)
+        #: rank k of the batch owns ``idx[starts[k]:starts[k + 1]]``
+        self.starts = np.concatenate(([0], np.cumsum(self.trips)))
+        self.idx = np.concatenate([np.arange(0)] + [
+            np.arange(lo - 1, hi) for _r, lo, hi in live])
+        #: per distinct slab geometry: (rows per batch rank, row offset
+        #: of every iteration's rank)
+        self._geometry: dict[tuple, tuple] = {}
+
+    def scalar(self, name: str):
+        """The ranks' common value, or one value per iteration."""
+        vals = [env[name] for env in self.envs]
+        if vals.count(vals[0]) == len(vals) \
+                and len({type(v) for v in vals}) == 1:
+            return vals[0]
+        return np.repeat(np.array(vals), self.trips)
+
+    def locate(self, name: str, subs: list):
+        slab = self.slabs[name]
+        geometry = self._geometry.get(slab.rows)
+        if geometry is None:
+            rows = np.array(slab.rows, dtype=np.int64)
+            offsets = np.cumsum(rows) - rows
+            geometry = self._geometry[slab.rows] = (
+                rows[self.ranks], np.repeat(offsets[self.ranks], self.trips))
+        rows, base = geometry
+        key = _index_key(subs, slab.flat.shape, (self.starts[:-1], rows))
+        if isinstance(key, tuple):
+            return slab.flat, (key[0] + base,) + key[1:]
+        return slab.flat, key + base
+
+    def reduce(self, name: str, op: str, vec: np.ndarray) -> None:
+        reducer = _REDUCERS[op]
+        starts = self.starts.tolist()
+        for env, a, b in zip(self.envs, starts, starts[1:]):
+            env[name] = _fold(op, env[name], reducer(vec[a:b]))
+
+
 @dataclass
 class LoopKernel:
     """A compiled vector execution of one ``do`` loop.
 
     Calling it runs the whole iteration range at once; ``body_weight`` is
     the per-iteration instruction count (so interpreters can keep their
-    step accounting comparable to scalar execution).
+    step accounting comparable to scalar execution).  :meth:`sweep` runs
+    the same steps over any address space — a :class:`RankBatch` executes
+    the loop for many ranks in one pass.
     """
 
     loop: DoLoop
     steps: list[Callable]
     body_weight: int
+    #: every array the body reads or writes
+    arrays: frozenset
 
     def __call__(self, env: Env, lo: int, hi: int) -> None:
-        if hi < lo:
+        self.sweep(_OneEnv(env, lo, hi))
+
+    def sweep(self, space) -> None:
+        if not len(space.idx):
             return
-        idx = np.arange(lo - 1, hi)  # 0-based iteration indices
         locals_: dict[str, np.ndarray] = {}
         for step in self.steps:
-            step(env, idx, locals_)
+            step(space, locals_)
 
 
 class _Bail(Exception):
@@ -147,7 +265,9 @@ def _compile(loop: DoLoop, sub: Subroutine) -> LoopKernel:
                 raise _Bail
         elif not all(reads):
             raise _Bail
-    return LoopKernel(loop=loop, steps=steps, body_weight=weight + 2)
+    return LoopKernel(loop=loop, steps=steps, body_weight=weight + 2,
+                      arrays=frozenset(ctx.array_writes)
+                      | {name for name, _lv in ctx.array_reads})
 
 
 def _compile_stmt(st: Assign, ctx: _Ctx) -> Callable:
@@ -162,33 +282,25 @@ def _compile_stmt(st: Assign, ctx: _Ctx) -> Callable:
             op, operand = shape
             if _mentions(operand, tgt.name):
                 raise _Bail
+            if isinstance(st.value, BinOp) and st.value.op == "-":
+                operand = UnOp("-", operand)  # s = s - e sums -e
             operand_fn = _compile_expr(operand, ctx)
-            reducer = _REDUCERS[op]
             ctx.reduced.add(tgt.name)
             name = tgt.name
 
-            def reduce_step(env, idx, locals_, _fn=operand_fn,
-                            _red=reducer, _name=name, _op=op):
-                vec = np.broadcast_to(_fn(env, idx, locals_), idx.shape)
-                partial = _red(vec)
-                base = env[_name]
-                if _op == "+":
-                    env[_name] = base + partial
-                elif _op == "*":
-                    env[_name] = base * partial
-                elif _op == "max":
-                    env[_name] = max(base, float(partial))
-                else:
-                    env[_name] = min(base, float(partial))
+            def reduce_step(space, locals_, _fn=operand_fn, _name=name,
+                            _op=op):
+                space.reduce(_name, _op, np.broadcast_to(
+                    _fn(space, locals_), space.idx.shape))
 
             return reduce_step
         value_fn = _compile_expr(st.value, ctx)
         ctx.localized.add(tgt.name)
         name = tgt.name
 
-        def local_step(env, idx, locals_, _fn=value_fn, _name=name):
-            locals_[_name] = np.broadcast_to(_fn(env, idx, locals_),
-                                             idx.shape)
+        def local_step(space, locals_, _fn=value_fn, _name=name):
+            locals_[_name] = np.broadcast_to(_fn(space, locals_),
+                                             space.idx.shape)
 
         return local_step
 
@@ -206,11 +318,11 @@ def _compile_stmt(st: Assign, ctx: _Ctx) -> Callable:
         index_fns = [_compile_expr(s, ctx) for s in tgt.subs]
         operand_fn = _compile_expr(operand, ctx)
 
-        def accum_step(env, idx, locals_, _fns=index_fns, _fn=operand_fn,
+        def accum_step(space, locals_, _fns=index_fns, _fn=operand_fn,
                        _name=name):
-            arr = env[_name]
-            key = _index_key(_fns, env, idx, locals_, arr)
-            vec = np.broadcast_to(_fn(env, idx, locals_), idx.shape)
+            arr, key = space.locate(_name,
+                                    [f(space, locals_) for f in _fns])
+            vec = np.broadcast_to(_fn(space, locals_), space.idx.shape)
             np.add.at(arr, key, vec)
 
         return accum_step
@@ -223,27 +335,42 @@ def _compile_stmt(st: Assign, ctx: _Ctx) -> Callable:
     index_fns = [_compile_expr(s, ctx) for s in tgt.subs]
     value_fn = _compile_expr(st.value, ctx)
 
-    def store_step(env, idx, locals_, _fns=index_fns, _fn=value_fn,
+    def store_step(space, locals_, _fns=index_fns, _fn=value_fn,
                    _name=name):
-        arr = env[_name]
-        key = _index_key(_fns, env, idx, locals_, arr)
-        arr[key] = _fn(env, idx, locals_)
+        arr, key = space.locate(_name, [f(space, locals_) for f in _fns])
+        arr[key] = _fn(space, locals_)
 
     return store_step
 
 
-def _index_key(index_fns, env, idx, locals_, arr):
+def _index_key(subs, shape, segments=None):
+    """0-based key for 1-based subscript values, bounds-checked.
+
+    ``segments`` — a rank batch's ``(segment starts, rows per rank)`` —
+    checks axis 0 segment by segment against each rank's own row count
+    rather than against ``shape[0]``.
+    """
     parts = []
-    for axis, fn in enumerate(index_fns):
-        iv = fn(env, idx, locals_)
+    for axis, iv in enumerate(subs):
         iv = np.asarray(iv) - 1
+        limit = shape[axis]
         if iv.ndim == 0:
             iv = int(iv)
-            if not 0 <= iv < arr.shape[axis]:
+            if axis == 0 and segments is not None:
+                limit = segments[1].min()
+            if not 0 <= iv < limit:
                 raise InterpError(
                     f"vector subscript {iv + 1} out of bounds on axis {axis}")
         else:
-            if iv.size and (iv.min() < 0 or iv.max() >= arr.shape[axis]):
+            if axis == 0 and segments is not None:
+                starts, limit = segments
+                low = np.minimum.reduceat(iv, starts)
+                high = np.maximum.reduceat(iv, starts)
+            elif iv.size:
+                low, high = iv.min(), iv.max()
+            else:
+                low, high = 0, -1
+            if np.any(low < 0) or np.any(high >= limit):
                 raise InterpError(
                     f"vector subscript out of bounds on axis {axis}")
         parts.append(iv)
@@ -253,17 +380,17 @@ def _index_key(index_fns, env, idx, locals_, arr):
 def _compile_expr(ex: Expr, ctx: _Ctx) -> Callable:
     if isinstance(ex, Const):
         v = ex.value
-        return lambda env, idx, locals_: v
+        return lambda space, locals_: v
     if isinstance(ex, Var):
         name = ex.name
         if name == ctx.loop.var:
-            return lambda env, idx, locals_: idx + 1  # FORTRAN index value
+            return lambda space, locals_: space.idx + 1  # FORTRAN index
         if name in ctx.localized:
-            return lambda env, idx, locals_: locals_[name]
+            return lambda space, locals_: locals_[name]
         if name in ctx.arrays:
             raise _Bail  # whole-array reference in expression
         ctx.env_scalar_reads.add(name)
-        return lambda env, idx, locals_: env[name]
+        return lambda space, locals_: space.scalar(name)
     if isinstance(ex, ArrayRef):
         name = ex.name
         if name not in ctx.arrays:
@@ -273,9 +400,10 @@ def _compile_expr(ex: Expr, ctx: _Ctx) -> Callable:
         ctx.array_reads.append((name, first_is_loopvar))
         index_fns = [_compile_expr(s, ctx) for s in ex.subs]
 
-        def read(env, idx, locals_, _name=name, _fns=index_fns):
-            arr = env[_name]
-            return arr[_index_key(_fns, env, idx, locals_, arr)]
+        def read(space, locals_, _name=name, _fns=index_fns):
+            arr, key = space.locate(_name,
+                                    [f(space, locals_) for f in _fns])
+            return arr[key]
 
         return read
     if isinstance(ex, BinOp):
@@ -285,9 +413,8 @@ def _compile_expr(ex: Expr, ctx: _Ctx) -> Callable:
         right = _compile_expr(ex.right, ctx)
         op = ex.op
 
-        def binop(env, idx, locals_, _l=left, _r=right, _op=op):
-            return _apply_binop(_op, _l(env, idx, locals_),
-                                _r(env, idx, locals_))
+        def binop(space, locals_, _l=left, _r=right, _op=op):
+            return _apply_binop(_op, _l(space, locals_), _r(space, locals_))
 
         return binop
     if isinstance(ex, UnOp):
@@ -296,15 +423,15 @@ def _compile_expr(ex: Expr, ctx: _Ctx) -> Callable:
         inner = _compile_expr(ex.operand, ctx)
         if ex.op == "+":
             return inner
-        return lambda env, idx, locals_, _f=inner: -_f(env, idx, locals_)
+        return lambda space, locals_, _f=inner: -_f(space, locals_)
     if isinstance(ex, Intrinsic):
         fn = _NP_INTRINSICS.get(ex.name)
         if fn is None:
             raise _Bail
         arg_fns = [_compile_expr(a, ctx) for a in ex.args]
 
-        def call(env, idx, locals_, _fn=fn, _args=arg_fns):
-            return _fn(*(a(env, idx, locals_) for a in _args))
+        def call(space, locals_, _fn=fn, _args=arg_fns):
+            return _fn(*(a(space, locals_) for a in _args))
 
         return call
     raise _Bail
@@ -320,6 +447,8 @@ def _apply_binop(op: str, a, b):
     if op == "/":
         if _is_integral(a) and _is_integral(b):
             # FORTRAN integer division truncates toward zero
+            if np.any(b == 0):
+                raise InterpError("integer division by zero")
             q = np.floor_divide(np.abs(a), np.abs(b))
             return q * np.sign(a) * np.sign(b)
         return a / b
@@ -341,11 +470,8 @@ def _apply_binop(op: str, a, b):
 
 
 def _is_integral(x) -> bool:
-    if isinstance(x, bool):
-        return False
-    if isinstance(x, (int, np.integer)):
-        return True
-    return isinstance(x, np.ndarray) and np.issubdtype(x.dtype, np.integer)
+    return _is_integer(x) or (isinstance(x, np.ndarray)
+                              and np.issubdtype(x.dtype, np.integer))
 
 
 def _reduction_shape(st: Assign):

@@ -20,6 +20,14 @@ bit-for-bit against the sequential oracle: the placement guarantees the
 posted values equal what a blocking exchange at the wait would send, and
 the complete halves apply them in the blocking order.
 
+On the vector backend the lockstep is finer: a rank reaching a loop whose
+arrays all live in one all-ranks buffer (flat-store fields, index maps)
+yields a :class:`~repro.lang.interp.LoopRequest`, and once
+every rank has asked for the same loop its kernel runs *once* over the
+concatenated iterations of all ranks
+(:class:`~repro.lang.vectorize.RankBatch`) — bitwise what rank-by-rank
+calls compute, which is how localized restart re-drives one rank alone.
+
 :meth:`SPMDExecutor.run` is one loop over collective boundaries with a
 fixed order per boundary — due kill rules, the collective, a due
 checkpoint, the rebalance policy — each a private method over the
@@ -31,7 +39,9 @@ same event for the one dead rank on its rows of the schedule
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Any, Optional
 
 import numpy as np
@@ -39,8 +49,15 @@ import numpy as np
 from ..errors import CommTimeout, RankKilled, RuntimeFault
 from ..lang.ast import DoLoop, Subroutine
 from ..lang.cfg import EXIT
-from ..lang.interp import CollectiveAction, Env, Interpreter, MachineState
+from ..lang.interp import (
+    CollectiveAction,
+    Env,
+    Interpreter,
+    LoopRequest,
+    MachineState,
+)
 from ..lang.lower import lower_subroutine
+from ..lang.vectorize import RankBatch, Slab, build_vector_kernels
 from ..automata.automaton import KERNEL
 from ..mesh.migrate import (
     RebalancePolicy,
@@ -139,6 +156,12 @@ class _Run:
     last_epoch_event: int = -(10 ** 9)
     #: open windows: id(op) -> (op, handle, post event index, post steps)
     pending: dict[int, tuple] = field(default_factory=dict)
+    #: rank-fused compute tables of the current epoch, never checkpointed:
+    #: array name -> :class:`Slab`, loop sid -> :class:`RankBatch` (lazy)
+    slabs: dict[str, Slab] = field(default_factory=dict)
+    batches: dict[int, RankBatch] = field(default_factory=dict)
+    #: ``perf_counter`` reading at the last ``_lap``
+    clock: float = 0.0
     #: localized-restart totals, under their ``SPMDResult.recovery`` keys
     replay_totals: dict[str, int] = field(default_factory=lambda: {
         "replayed_events": 0, "replayed_messages": 0, "replayed_words": 0,
@@ -169,8 +192,6 @@ class SPMDExecutor:
         self.code = lower_subroutine(sub)
         self.kernels = {}
         if backend == "vector":
-            from ..lang.vectorize import build_vector_kernels
-
             self.kernels = build_vector_kernels(sub)
         self.loop_entity: dict[int, str] = {}
         for st in sub.walk():
@@ -200,12 +221,20 @@ class SPMDExecutor:
     def make_rank_env(self, sub_mesh: SubMesh,
                       global_values: dict[str, Any]) -> Env:
         """Build one rank's environment from the global inputs."""
+        env = self._rank_values(sub_mesh, global_values)
+        self._bind_index_maps([env], [sub_mesh])
+        return env
+
+    def _rank_values(self, sub_mesh: SubMesh,
+                     global_values: dict[str, Any]) -> Env:
+        """One rank's environment, index maps excepted."""
         env: Env = {}
         extents = self._rank_extents(sub_mesh)
         for name, decl in self.sub.decls.items():
             if decl.is_array:
-                env[name] = self._make_rank_array(sub_mesh, name, decl,
-                                                  global_values)
+                if self.spec.index_map(name) is None:
+                    env[name] = self._make_rank_array(sub_mesh, name, decl,
+                                                      global_values)
             elif name in extents:
                 env[name] = extents[name]
             elif name in global_values:
@@ -225,15 +254,37 @@ class SPMDExecutor:
                 extents[name] = len(sub_mesh.l2g[ent])
         return extents
 
+    def _bind_index_maps(self, envs: list[Env],
+                         subs: list[SubMesh]) -> dict[str, Slab]:
+        """Bind every index-map array of ``envs``, built from ``subs``.
+
+        All ranks' rows of one map — local connectivity, FORTRAN 1-based,
+        padded with zero rows to the declared extent — live in one
+        :class:`Slab`, each env binding its rows as a view, as the flat
+        store does for float fields; rank-fused loops read the map there.
+        The buffer is an anonymous zero mapping: the declared rows no
+        sub-mesh reaches (nine tenths of the array at 128 ranks) are
+        never written and so never take physical memory.
+        """
+        slabs = {}
+        for name, decl in self.sub.decls.items():
+            im = self.spec.index_map(name)
+            if im is None:
+                continue
+            conns = [self._local_connectivity(sub_mesh, im)
+                     for sub_mesh in subs]
+            rows = tuple(max(decl.dims[0], len(conn)) for conn in conns)
+            flat = _zero_mapping((sum(rows),) + conns[0].shape[1:])
+            start = 0
+            for env, conn, n in zip(envs, conns, rows):
+                env[name] = flat[start:start + n]
+                env[name][:len(conn)] = conn + 1  # FORTRAN is 1-based
+                start += n
+            slabs[name] = Slab(flat, rows)
+        return slabs
+
     def _make_rank_array(self, sub_mesh: SubMesh, name: str, decl,
                          global_values: dict[str, Any]) -> np.ndarray:
-        im = self.spec.index_map(name)
-        if im is not None:
-            conn = self._local_connectivity(sub_mesh, im)
-            rows = max(decl.dims[0], len(conn))
-            arr = np.zeros((rows,) + conn.shape[1:], dtype=np.int64)
-            arr[:len(conn)] = conn + 1  # FORTRAN is 1-based
-            return arr
         entity = self.spec.entity_of_array(name)
         dtype = _DTYPES[decl.base]
         if entity is None:
@@ -298,7 +349,8 @@ class SPMDExecutor:
                 acts.append((op.post_anchor, ("post", op)))
         return acts
 
-    def _interpreter(self, max_steps: int, sub_mesh: SubMesh) -> Interpreter:
+    def _interpreter(self, max_steps: int, sub_mesh: SubMesh,
+                     fused: frozenset) -> Interpreter:
         pre_actions: dict[int, list] = {}
         on_return: list = []
         for anchor, payload in self._actions:
@@ -310,7 +362,7 @@ class SPMDExecutor:
         return Interpreter(self.code, max_steps=max_steps,
                            pre_actions=pre_actions, on_return=on_return,
                            loop_bounds=self._loop_bounds(sub_mesh),
-                           vector_loops=self.kernels)
+                           vector_loops=self.kernels, loop_requests=fused)
 
     def _loop_bounds(self, sub_mesh: SubMesh) -> dict[int, Any]:
         """Loop-bound hooks applying the placement's KERNEL/OVERLAP
@@ -321,6 +373,35 @@ class SPMDExecutor:
             count = kernel if domain == KERNEL else total
             bounds[lsid] = lambda _env, lo, _hi, step, n=count: (lo, n, step)
         return bounds
+
+    def _slabs(self, index_maps: dict[str, Slab]) -> dict[str, Slab]:
+        """Every array whose rows for all ranks share one buffer: the
+        index maps and the flat store's fields."""
+        return {**index_maps, **{
+            name: Slab(stored.flat, tuple(len(v) for v in stored.views))
+            for name, stored in (self._store or {}).items()}}
+
+    def _fused_loops(self, slabs: dict[str, Slab]) -> frozenset:
+        """Sids of the loops run once for all ranks (see :meth:`_serve`).
+
+        A loop fuses when every array its kernel touches has a
+        :class:`Slab` (replicated arrays, 2-D real and integer entity
+        arrays have none) and no enclosing loop is partitioned — ranks
+        would reach it different numbers of times, and fusing needs
+        lockstep.
+        """
+        fused = set()
+
+        def visit(stmts) -> None:
+            for st in stmts:
+                kernel = self.kernels.get(st.sid)
+                if kernel is not None and kernel.arrays <= slabs.keys():
+                    fused.add(st.sid)
+                if st.sid not in self.loop_entity:
+                    visit(st.children())
+
+        visit(self.sub.body)
+        return frozenset(fused)
 
     def run(self, global_values: dict[str, Any],
             max_steps: int = 50_000_000, *,
@@ -399,6 +480,7 @@ class SPMDExecutor:
         if recovery not in RECOVERY_MODES:
             raise RuntimeFault(f"unknown recovery mode {recovery!r} "
                                f"(expected one of {', '.join(RECOVERY_MODES)})")
+        started = perf_counter()
         nranks = self.partition.nparts
         kills = list(faults.kills) if faults is not None else []
         for kill in kills:
@@ -407,15 +489,18 @@ class SPMDExecutor:
                                    f"names a rank outside 0..{nranks - 1}")
         comm = make_comm(nranks, faults)
         comm.comm_timeout = comm_timeout
-        envs = [self.make_rank_env(sub_mesh, global_values)
+        envs = [self._rank_values(sub_mesh, global_values)
                 for sub_mesh in self.partition.subs]
+        index_maps = self._bind_index_maps(envs, self.partition.subs)
         # flat rank-batched store: every eligible field becomes one flat
         # all-ranks buffer; rank envs hold zero-copy views, so the halo
         # collectives below move all ranks' data with single fancy-index
         # gathers/scatters instead of per-rank loops
         self._store = build_flat_store(envs, self._flat_variables())
         states = [MachineState() for _ in envs]
-        interps = [self._interpreter(max_steps, sub_mesh)
+        slabs = self._slabs(index_maps)
+        fused = self._fused_loops(slabs)
+        interps = [self._interpreter(max_steps, sub_mesh, fused)
                    for sub_mesh in self.partition.subs]
         if checkpoint is None:
             checkpoint = bool(kills)
@@ -435,24 +520,107 @@ class SPMDExecutor:
                    rebalance=rebalance,
                    sched_events=sorted(rebalance.rebalance_at)
                    if rebalance is not None else [],
-                   epoch_loads_base=[0] * nranks)
+                   epoch_loads_base=[0] * nranks, slabs=slabs,
+                   clock=started)
+        _lap(run, "setup")
         if ckpt is not None:
             self._take_checkpoint(run)
+            _lap(run, "checkpoint")
         while True:
-            live = _advance_to_boundary(run.gens, run.results)
+            live = self._advance_to_boundary(run)
+            _lap(run, "compute")
             if live is None:
                 break
-            if self._fire_kills(run, live):
+            rolled_back = self._fire_kills(run, live)
+            _lap(run, "checkpoint")
+            if rolled_back:
                 continue  # global rollback: every rank rewound, re-advance
             self._collective(run, live[0].payload)
+            _lap(run, "collective")
             # an injected duplicate can leave a stray message on the wire
             # — skip the checkpoint, don't crash
             if ckpt is not None and self._quiescent(run) \
                     and ckpt.due(len(run.timeline.events)):
                 self._take_checkpoint(run)
+                _lap(run, "checkpoint")
             if rebalance is not None:
                 self._consult_rebalance(run)
-        return self._finish(run)
+                _lap(run, "migrate")
+        result = self._finish(run)
+        _lap(run, "setup")
+        return result
+
+    # -- compute between boundaries ----------------------------------------
+
+    def _advance_to_boundary(
+            self, run: _Run) -> Optional[list[CollectiveAction]]:
+        """Advance every live rank to its next collective boundary.
+
+        The inter-boundary compute of the whole rank batch runs here, one
+        suspended interpreter generator per rank, in lockstep at loop
+        granularity: when every rank has yielded a
+        :class:`~repro.lang.interp.LoopRequest` for the same loop it is
+        served once (:meth:`_serve`) and the ranks resume; a boundary is
+        reached when every live rank has yielded its next
+        :class:`CollectiveAction`.  Returns the actions (one per rank,
+        sharing a payload object), or ``None`` once every rank has
+        returned.  All ranks must arrive at the *same* loop or collective
+        — lockstep is what makes the fused kernel sweep and the batched
+        collective dispatch (one ``send_block``/``recv_block`` wave for
+        all ranks) legal.
+        """
+        gens, results = run.gens, run.results
+        while True:
+            live = []
+            for rank, gen in enumerate(gens):
+                if results[rank] is None:
+                    try:
+                        live.append(next(gen))
+                    except StopIteration as stop:
+                        results[rank] = stop.value
+            if not live:
+                return None
+            if len(live) != len(gens):
+                raise RuntimeFault(
+                    "ranks diverged: some finished while others wait at a "
+                    "collective (control flow not replicated?)")
+            if all(isinstance(y, CollectiveAction) for y in live):
+                if len({id(y.payload) for y in live}) != 1:
+                    raise RuntimeFault("ranks reached different collectives")
+                return live
+            if len({y.sid if isinstance(y, LoopRequest) else None
+                    for y in live}) != 1:
+                raise RuntimeFault(
+                    "ranks diverged: not all at the same loop or collective "
+                    "(control flow not replicated?)")
+            self._serve(run, live)
+
+    def _serve(self, run: _Run, requests: list[LoopRequest]) -> None:
+        """Run the loop every rank asked for in one kernel sweep over the
+        rank batch, whose tables are cached per loop until the ranks'
+        bounds change or a migration epoch drops them."""
+        sid = requests[0].sid
+        kernel = self.kernels[sid]
+        bounds = [(req.lo, req.hi) for req in requests]
+        batch = run.batches.get(sid)
+        if batch is None or batch.bounds != bounds:
+            batch = run.batches[sid] = RankBatch(run.envs, bounds, run.slabs)
+        kernel.sweep(batch)
+
+    def _serve_one(self, run: _Run, rank: int, request: LoopRequest) -> None:
+        """Run one rank's requested loop alone: a batch of one rank over
+        its env is the plain kernel call."""
+        self.kernels[request.sid](run.envs[rank], request.lo, request.hi)
+
+    def _advance_rank(self, run: _Run,
+                      rank: int) -> Optional[CollectiveAction]:
+        """Advance *one* rank to its next collective, serving its loop
+        requests singly; ``None`` if it returned instead."""
+        for boundary in run.gens[rank]:
+            if isinstance(boundary, CollectiveAction):
+                return boundary
+            self._serve_one(run, rank, boundary)
+        return None
 
     # -- the boundary loop's steps ---------------------------------------------
 
@@ -531,8 +699,8 @@ class SPMDExecutor:
         rank, comm, timeline = kill.rank, run.comm, run.timeline
         event_no = len(timeline.events)
         cp = run.ckpt.restore_rank(rank, run.envs, run.states)
-        gen = run.gens[rank] = run.interps[rank].run_gen(run.envs[rank],
-                                                         run.states[rank])
+        run.gens[rank] = run.interps[rank].run_gen(run.envs[rank],
+                                                   run.states[rank])
         n_msgs, n_words = comm.msglog.replay_onto(comm, rank, cp.log_mark)
         filt = ReplayFilter(comm.msglog, rank, cp.log_mark)
         desc = (f"localized restart of rank {rank} (killed before "
@@ -542,7 +710,7 @@ class SPMDExecutor:
         comm.begin_replay(filt, cp.transport["next_tag"])
         try:
             for ev in range(cp.event_count, event_no + 1):
-                boundary = next(gen, None)
+                boundary = self._advance_rank(run, rank)
                 if boundary is None:
                     raise RuntimeFault(
                         f"{desc} diverged: the restored rank returned "
@@ -762,10 +930,7 @@ class SPMDExecutor:
                 if not decl.is_array:
                     continue
                 if self.spec.index_map(name) is not None:
-                    for env, sub_mesh in zip(envs, new_part.subs):
-                        env[name] = self._make_rank_array(sub_mesh, name,
-                                                          decl, {})
-                    continue
+                    continue  # rebuilt from the new sub-meshes below
                 ent = self.spec.entity_of_array(name)
                 if ent is None:
                     continue  # replicated: every rank already has it all
@@ -791,6 +956,7 @@ class SPMDExecutor:
                 comm.msglog.resume()
         for env, sub_mesh in zip(envs, new_part.subs):
             env.update(self._rank_extents(sub_mesh))
+        index_maps = self._bind_index_maps(envs, new_part.subs)
         self._store, repacked = rebuild_flat_store(envs,
                                                    self._flat_variables())
         totals["repacked_words"] += repacked
@@ -805,6 +971,8 @@ class SPMDExecutor:
         totals["dirty_ranks"] = max(totals["dirty_ranks"], dirty_seen)
         for interp, sub_mesh in zip(run.interps, new_part.subs):
             interp.loop_bounds = self._loop_bounds(sub_mesh)
+        run.slabs = self._slabs(index_maps)
+        run.batches.clear()
         self.partition = new_part
         if run.ckpt is not None:
             run.ckpt.reset_epoch()
@@ -863,33 +1031,17 @@ class SPMDExecutor:
             raise RuntimeFault(f"unknown communication kind {op.kind!r}")
 
 
-def _advance_to_boundary(
-        gens: list, results: list[Optional[Any]]
-) -> Optional[list[CollectiveAction]]:
-    """Advance every live rank to its next collective boundary.
+def _zero_mapping(shape: tuple) -> np.ndarray:
+    """An int64 zero array on an anonymous mapping, whose pages take
+    physical memory only once written (``np.zeros`` promises that only
+    for the allocations malloc happens to serve by ``mmap``)."""
+    count = int(np.prod(shape))
+    return np.frombuffer(mmap.mmap(-1, max(8, 8 * count)), np.int64,
+                         count).reshape(shape)
 
-    The inter-boundary compute of the whole rank batch runs here, one
-    suspended interpreter generator per rank; a boundary is reached when
-    every live rank has yielded its next :class:`CollectiveAction`.
-    Returns the actions (one per rank, sharing a payload object), or
-    ``None`` once every rank has returned.  All ranks must arrive at the
-    *same* collective — lockstep is what makes the batched collective
-    dispatch (one ``send_block``/``recv_block`` wave for all ranks) legal.
-    """
-    live: list[CollectiveAction] = []
-    for rank, gen in enumerate(gens):
-        if results[rank] is None:
-            try:
-                live.append(next(gen))
-            except StopIteration as stop:
-                results[rank] = stop.value
-    if not live:
-        return None
-    if len(live) != len(gens):
-        raise RuntimeFault(
-            "ranks diverged: some finished while others wait at a "
-            "collective (control flow not replicated?)")
-    ops = {id(y.payload) for y in live}
-    if len(ops) != 1:
-        raise RuntimeFault("ranks reached different collectives")
-    return live
+
+def _lap(run: _Run, phase: str) -> None:
+    """Charge the wall time since the previous lap to ``phase``."""
+    now = perf_counter()
+    run.timeline.seconds[phase] += now - run.clock
+    run.clock = now

@@ -23,6 +23,9 @@ import numpy as np
 
 from .perfmodel import MachineModel
 
+#: what :attr:`Timeline.seconds` splits a run's wall clock into
+PHASES = ("setup", "compute", "collective", "checkpoint", "migrate")
+
 
 @dataclass
 class Timeline:
@@ -42,6 +45,15 @@ class Timeline:
     #: reason: a rebalanced run's event numbering must keep meaning the
     #: same boundaries as the never-migrated run (kill events, spans)
     migrations: list[str] = field(default_factory=list)
+    #: run-total wall seconds per phase, summing to the time inside
+    #: ``SPMDExecutor.run``: ``setup`` (envs, flat store, interpreters, the
+    #: closing leak checks), ``compute`` (ranks advancing between
+    #: boundaries), ``collective``, ``checkpoint`` (snapshots, rollbacks,
+    #: localized restarts) and ``migrate`` (the rebalance consult and its
+    #: epochs).  Unlike ``events`` these are never rewound: a replayed
+    #: segment simply adds its seconds.
+    seconds: dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(PHASES, 0.0))
 
     def span_overlap_steps(self, span: tuple[str, int, int]) -> int:
         """Steps every rank computed inside one post→wait window (min)."""
@@ -146,6 +158,8 @@ def timeline_report(timeline: Timeline,
     lines.append(f"worst per-segment imbalance: {timeline.imbalance():.1%}")
     lines.append(f"time lost waiting at collectives: "
                  f"{timeline.wait_fraction():.1%}")
+    lines.append("wall seconds: " + ", ".join(
+        f"{phase} {timeline.seconds[phase]:.3f}" for phase in PHASES))
     if timeline.spans:
         overlapped = sum(timeline.span_overlap_steps(s)
                         for s in timeline.spans)

@@ -1,15 +1,20 @@
 """Shared fixtures: the reference implementations differentials compare to.
 
-Production has one wire (:class:`~repro.runtime.ringbuf.RingTransport`)
-and picks the halo path from the payload.  The differential suites still
-compare against two references, reached only through these fixtures:
+Production has one wire (:class:`~repro.runtime.ringbuf.RingTransport`),
+picks the halo path from the payload and, on the vector backend, runs
+each fusable loop once for all ranks.  The differential suites still
+compare against three references, reached only through these fixtures:
 
 ``reference_wire``
     the deque-per-channel transport of ``tests/runtime/reference_wire.py``
     swapped in for the class ``SimComm`` constructs;
 ``reference_halos``
     the per-message halo path forced for every payload, by declaring
-    nothing block-eligible and hiding the executor's flat store.
+    nothing block-eligible and hiding the executor's flat store;
+``reference_compute``
+    every fused loop served rank by rank instead of in one sweep, through
+    the executor's own single-rank serving path (the one localized
+    restart re-drives a rank with) — no second kernel implementation.
 
 Each fixture is a context-manager factory, so one test can run the
 production path and a reference side by side::
@@ -84,6 +89,21 @@ def _reference_halos():
         "no per-message halo wave was posted under reference_halos"
 
 
+@contextmanager
+def _reference_compute():
+    served = []   # ranks of every loop served inside the block
+
+    def serve_singly(self, run, requests):
+        for rank, request in enumerate(requests):
+            self._serve_one(run, rank, request)
+        served.append(len(requests))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(executor.SPMDExecutor, "_serve", serve_singly)
+        yield
+    assert served, "no loop request was served under reference_compute"
+
+
 @pytest.fixture
 def reference_wire():
     """``with reference_wire():`` — communicators get the deque wire."""
@@ -94,3 +114,9 @@ def reference_wire():
 def reference_halos():
     """``with reference_halos():`` — halos take the per-message path."""
     return _reference_halos
+
+
+@pytest.fixture
+def reference_compute():
+    """``with reference_compute():`` — fused loops run rank by rank."""
+    return _reference_compute

@@ -73,6 +73,20 @@ class TestBasics:
         env = run("subroutine t(n)\n  k = (-7) / 2\n  m = 7 / 2\nend\n", n=0)
         assert env["k"] == -3 and env["m"] == 3
 
+    _ARRAY_DIV = ("subroutine t(a, k, n)\n  real a(3)\n  integer k(3)\n"
+                  "  integer i\n  do i = 1,n\n"
+                  "    a(i) = (7 / k(i)) * 1.0\n  end do\nend\n")
+
+    def test_integer_division_by_an_array_element_truncates(self):
+        # an integer loaded from an array is np.int64, not int: still
+        # FORTRAN integer division, for either sign of the divisor
+        env = run(self._ARRAY_DIV, k=np.array([2, -2, 7]), n=3)
+        assert env["a"].tolist() == [3.0, -3.0, 1.0]
+
+    def test_integer_division_by_a_zero_array_element_raises(self):
+        with pytest.raises(InterpError, match="integer division by zero"):
+            run(self._ARRAY_DIV, k=np.array([2, 0, 7]), n=3)
+
     def test_intrinsics(self):
         env = run("subroutine t(n)\n  x = sqrt(4.0)\n  y = max(1.0, 2.0)\n"
                   "  k = mod(7, 3)\nend\n", n=0)

@@ -129,6 +129,14 @@ class TestEquivalence:
             n=30, a=np.linspace(-1, 1, 50))
         assert e2["s"] == pytest.approx(e1["s"], rel=1e-13)
 
+    def test_subtracting_reduction_keeps_its_sign(self):
+        _, e1, e2, kernels = run_both(
+            "subroutine t(a, n, s)\nreal a(4)\nreal s\ninteger i\n"
+            "  do i = 1,n\n    s = s - a(i)\n  end do\nend\n",
+            a=np.array([1.0, 2.0, 3.0, 4.0]), n=4, s=10.0)
+        assert len(kernels) == 1
+        assert e1["s"] == e2["s"] == 0.0
+
     def test_max_reduction(self):
         _, e1, e2, _ = run_both(
             "subroutine t(a, n, s)\nreal a(50)\nreal s\ninteger i\n"
@@ -187,6 +195,25 @@ class TestEquivalence:
                                    e1["result"][:mesh.n_nodes], rtol=1e-11)
         assert e1["loop"] == e2["loop"]
 
+    _ARRAY_DIV = ("subroutine t(a, k, n)\nreal a(3)\ninteger k(3)\n"
+                  "integer i\n  do i = 1,n\n"
+                  "    a(i) = (7 / k(i)) * 1.0\n  end do\nend\n")
+
+    def test_integer_division_by_an_array_element(self):
+        # both backends truncate toward zero, for either sign of divisor
+        _, e1, e2, kernels = run_both(self._ARRAY_DIV,
+                                      k=np.array([2, -2, 7]), n=3)
+        assert len(kernels) == 1
+        assert e1["a"].tolist() == e2["a"].tolist() == [3.0, -3.0, 1.0]
+
+    def test_integer_division_by_zero_raises_in_both_backends(self):
+        sub = parse_subroutine(self._ARRAY_DIV)
+        code = lower_subroutine(sub)
+        for loops in ({}, build_vector_kernels(sub)):
+            env = make_env(sub, k=np.array([2, 0, 7]), n=3)
+            with pytest.raises(InterpError, match="integer division by zero"):
+                Interpreter(code, vector_loops=loops).run(env)
+
     def test_bounds_check_preserved(self):
         sub = parse_subroutine(
             "subroutine t(a, p, n, s)\nreal a(10)\ninteger p(10)\n"
@@ -198,6 +225,58 @@ class TestEquivalence:
                        p=np.array([1, 99, 2] + [0] * 7), a=np.ones(10))
         with pytest.raises(InterpError, match="out of bounds"):
             Interpreter(code, vector_loops=kernels).run(env)
+
+
+class TestLoopRequests:
+    """Only a harness that armed ``loop_requests`` ever sees one."""
+
+    def _program(self):
+        sub = parse_subroutine(TESTIV_SOURCE)
+        som, airetri, airesom = (np.zeros((2000, 3), dtype=np.int64),
+                                 np.full(2000, 0.5), np.ones(1000))
+        som[:2] = [(1, 2, 3), (2, 4, 3)]
+        values = dict(init=np.arange(1000.0), nsom=4, ntri=2, som=som,
+                      airetri=airetri, airesom=airesom, epsilon=1e-30,
+                      maxloop=3)
+        return sub, lambda: make_env(sub, **{
+            k: (v.copy() if isinstance(v, np.ndarray) else v)
+            for k, v in values.items()})
+
+    def test_sequential_runs_never_yield_one(self):
+        from repro.driver.pipeline import build_interpreter, run_sequential
+
+        sub, env = self._program()
+        interp = build_interpreter(sub, backend="vector")
+        assert len(interp.vector_loops) == 6
+        assert interp.loop_requests == frozenset()
+        # both front doors raise if the generator yields anything at all
+        seq = run_sequential(sub, env(), backend="vector")
+        again = interp.run(env())
+        assert seq.steps == again.steps
+        assert list(interp.run_gen(env())) == []
+
+    def test_armed_generator_yields_then_keeps_the_books(self):
+        sub, env = self._program()
+        code = lower_subroutine(sub)
+        kernels = build_vector_kernels(sub)
+        plain = Interpreter(code, vector_loops=kernels).run(env())
+        armed = Interpreter(code, vector_loops=kernels,
+                            loop_requests=kernels.keys())
+        served, e2 = [], env()
+        gen = armed.run_gen(e2)
+        try:
+            while True:
+                request = next(gen)
+                served.append(request.sid)
+                kernels[request.sid](e2, request.lo, request.hi)
+        except StopIteration as stop:
+            result = stop.value
+        assert set(served) == set(kernels) and len(served) > len(kernels)
+        assert result.steps == plain.steps
+        assert e2["i"] == plain.env["i"] and e2["loop"] == plain.env["loop"]
+        assert np.array_equal(e2["result"], plain.env["result"])
+        with pytest.raises(InterpError, match="sequential run"):
+            armed.run(env())
 
 
 class TestSPMDVectorBackend:

@@ -66,12 +66,14 @@ _PERM = (1, 0, 2)
 
 
 def _run(setup, index, split=False, rebalance=None, plan=None,
-         recovery="global", checkpoint_every=1, timeout=0):
+         recovery="global", checkpoint_every=1, timeout=0,
+         backend="interp"):
     placements, spec, partition, values = setup
     placement = placements.ranked[index].placement
     if split:
         placement = widen_placement(placements.vfg, placement)
-    ex = SPMDExecutor(placements.sub, spec, placement, partition)
+    ex = SPMDExecutor(placements.sub, spec, placement, partition,
+                      backend=backend)
     return ex.run(dict(values), faults=plan, comm_timeout=timeout,
                   rebalance=rebalance, recovery=recovery,
                   checkpoint_every=checkpoint_every)
@@ -181,6 +183,38 @@ class TestRecoveryAcrossMigration:
         diff = envs_bit_identical(clean.envs, res.envs)
         assert diff is None, f"kill event={event} [{mode}]: {diff}"
         assert res.migration["epochs"] == clean.migration["epochs"]
+
+
+class TestVectorBackend:
+    """Migration epochs (and kills around them) on the rank-fused compute
+    path: an epoch drops the fused tables — iteration vectors, offsets,
+    concatenated index maps — and they are rebuilt for the new layout."""
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_swap_is_invisible(self, setup, split):
+        policy = rebalance_policy(setup[2], (2,))
+        base = _run(setup, 0, split, backend="vector")
+        mig = _run(setup, 0, split, rebalance=policy, backend="vector")
+        _assert_swap_invisible(base, mig, setup[1], f"vector split={split}")
+        ref = _run(setup, 0, split, rebalance=policy)
+        assert mig.migration == ref.migration
+
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("event", [1, 3])
+    @pytest.mark.parametrize("mode", ["global", "local"])
+    def test_kill_straddles_migration(self, setup, event, mode, split):
+        policy = rebalance_policy(setup[2], (2,))
+        base = _run(setup, 0, split, backend="vector")
+        kw = dict(rebalance=policy, recovery=mode,
+                  plan=FaultPlan(kills=[KillRule(rank=1, event=event)]))
+        res = _run(setup, 0, split, backend="vector", **kw)
+        where = f"vector kill event={event} [{mode}] split={split}"
+        _assert_swap_invisible(base, res, setup[1], where)
+        assert len(res.timeline.faults) == 1, where
+        ref = _run(setup, 0, split, **kw)
+        assert res.migration == ref.migration, where
+        for key in ref.recovery.keys() - {"restore_seconds"}:
+            assert res.recovery[key] == ref.recovery[key], (where, key)
 
 
 class TestLoadShiftMigration:

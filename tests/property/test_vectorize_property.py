@@ -1,5 +1,6 @@
-"""Property test: the vector backend agrees with the interpreter on random
-loop bodies built from the target class's statement shapes."""
+"""Property tests on random loop bodies built from the target class's
+statement shapes: the vector backend agrees with the interpreter, and one
+kernel sweep over a batch of pseudo-ranks is bitwise the per-rank calls."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from repro.lang import (
     make_env,
     parse_subroutine,
 )
+from repro.lang.vectorize import RankBatch, Slab
+from repro.runtime.flatstore import build_flat_store
 
 N = 24  # extent of every array
 
@@ -29,6 +32,7 @@ _STMT_TEMPLATES = [
     "a(i) = {e1} + {e2}",
     "b(i) = {e1}*0.5",
     "s = s + {e1}",
+    "s = s - {e1}",
     "s = max(s, {e1})",
     "b(p(i)) = b(p(i)) + {e1}",
     "a(p(i)) = a(p(i)) - {e1}",
@@ -94,3 +98,43 @@ def test_backends_agree(body, seed):
         np.testing.assert_allclose(e2[var], e1[var], rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(e2["s"], e1["s"], rtol=1e-10, atol=1e-12)
     assert e1["i"] == e2["i"]
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(loop_bodies(), st.integers(0, 10_000), st.integers(1, 5),
+       st.booleans())
+def test_rank_batch_equals_per_rank_calls(body, seed, nranks, vary_scalar):
+    """Split the work over ``nranks`` contiguous pseudo-ranks, each with
+    its own local arrays, index map, bounds (zero-trip ranks included) and
+    accumulator: the fused sweep must leave every rank bit for bit where
+    calling the kernel rank by rank leaves it."""
+    kernels = build_vector_kernels(parse_subroutine(build_program(body)))
+    if not kernels:
+        return
+    (kernel,) = kernels.values()
+    rng = np.random.default_rng(seed)
+    envs, bounds = [], []
+    for rank in range(nranks):
+        rows = int(rng.integers(1, N + 1))
+        envs.append({
+            "a": rng.standard_normal(rows), "b": rng.standard_normal(rows),
+            "p": rng.integers(1, rows + 1, size=rows),
+            "s": float(rng.standard_normal()),
+            "c": 0.75 + (rank if vary_scalar else 0), "d": -1.25})
+        lo = int(rng.integers(1, rows + 1))
+        bounds.append((lo, int(rng.integers(lo - 1, rows + 1))))
+    singly = [{k: (v.copy() if isinstance(v, np.ndarray) else v)
+               for k, v in env.items()} for env in envs]
+    for env, (lo, hi) in zip(singly, bounds):
+        kernel(env, lo, hi)
+    slabs = {name: Slab(field.flat, tuple(len(v) for v in field.views))
+             for name, field in build_flat_store(envs, ["a", "b"]).items()}
+    slabs["p"] = Slab(np.concatenate([env["p"] for env in envs]),
+                      tuple(len(env["p"]) for env in envs))
+    kernel.sweep(RankBatch(envs, bounds, slabs))
+    for fused, alone in zip(envs, singly):
+        for var in ("a", "b"):
+            assert np.array_equal(fused[var], alone[var], equal_nan=True)
+        assert np.array_equal(fused["s"], alone["s"], equal_nan=True)
+        assert type(fused["s"]) is type(alone["s"])

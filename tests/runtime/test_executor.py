@@ -58,6 +58,28 @@ class TestEnvConstruction:
         glob = mesh.triangles[sub0.l2g["triangle"]]
         assert (np.sort(back, axis=1) == np.sort(glob, axis=1)).all()
 
+    def test_index_maps_of_all_ranks_share_one_zero_padded_buffer(
+            self, setup):
+        mesh, spec, placements, partition = setup
+        ex = SPMDExecutor(placements.sub, spec,
+                          placements.best().placement, partition)
+        res = ex.run(inputs_for(mesh))
+        soms = [env["som"] for env in res.envs]
+        declared = placements.sub.decls["som"].dims
+        for som, sub in zip(soms, partition.subs):
+            n_loc = len(sub.l2g["triangle"])
+            assert som.shape == (max(declared[0], n_loc), declared[1])
+            assert som.dtype == np.int64 and som.flags.writeable
+            assert not som[n_loc:].any()          # padding reads as zeros
+            np.testing.assert_array_equal(som[:n_loc], sub.elements + 1)
+        # consecutive rank segments of one buffer, as in the flat store
+        for a, b in zip(soms, soms[1:]):
+            assert a.base is b.base
+            assert (b.__array_interface__["data"][0]
+                    - a.__array_interface__["data"][0]) == a.nbytes
+        # a copy (what a checkpoint takes) is an ordinary array
+        assert soms[0].copy().flags.owndata
+
     def test_field_localization(self, setup):
         mesh, spec, placements, partition = setup
         ex = SPMDExecutor(placements.sub, spec,

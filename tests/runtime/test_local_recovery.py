@@ -48,14 +48,21 @@ def setup():
     return placements, spec, partition, values
 
 
-def _run(setup, index=0, split=False, plan_text=None, timeout=0, **kw):
+def _run(setup, index=0, split=False, plan_text=None, timeout=0,
+         backend="interp", **kw):
     placements, spec, partition, values = setup
     placement = placements.ranked[index].placement
     if split:
         placement = widen_placement(placements.vfg, placement)
     plan = FaultPlan.parse(plan_text) if plan_text else None
-    ex = SPMDExecutor(placements.sub, spec, placement, partition)
+    ex = SPMDExecutor(placements.sub, spec, placement, partition,
+                      backend=backend)
     return ex.run(dict(values), faults=plan, comm_timeout=timeout, **kw)
+
+
+def _counts(recovery):
+    """A run's recovery accounting, minus the one wall-clock entry."""
+    return {k: v for k, v in recovery.items() if k != "restore_seconds"}
 
 
 def _record_stream(stats):
@@ -243,6 +250,48 @@ class TestLocalizedRestart:
     def test_unknown_recovery_mode_rejected(self, setup):
         with pytest.raises(RuntimeFault, match="unknown recovery mode"):
             _run(setup, recovery="optimistic")
+
+
+class TestVectorBackend:
+    """Kills on the rank-fused compute path.
+
+    The undisturbed run executes every loop once for all ranks; a global
+    rollback replays fused, a localized restart re-drives the dead rank's
+    loops *alone* — so bit identity here is batch-of-P ≡ batch-of-one
+    across a recovery.  The accounting must not know the backend.
+    """
+
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("mode", RECOVERY_MODES)
+    def test_kill_mid_sweep(self, setup, split, mode):
+        spec = setup[1]
+        base = _run(setup, split=split, backend="vector")
+        for event in (2, 5):
+            kw = dict(split=split, plan_text=f"kill rank=1 event={event}",
+                      recovery=mode, checkpoint_every=3)
+            res = _run(setup, backend="vector", **kw)
+            where = f"split={split} {mode} event={event}"
+            diff = envs_bit_identical(base.envs, res.envs)
+            assert diff is None, f"{where}: {diff}"
+            for var in sorted(base.envs[0]):
+                if spec.entity_of_array(var) is not None:
+                    assert np.array_equal(base.gather(var),
+                                          res.gather(var)), where
+            assert res.rank_steps == base.rank_steps, where
+            assert res.timeline.events == base.timeline.events, where
+            assert len(res.timeline.faults) == 1, where
+            ref = _run(setup, backend="interp", **kw)
+            assert _counts(res.recovery) == _counts(ref.recovery), where
+
+    def test_every_rank_every_event_local(self, setup):
+        base = _run(setup, split=True, backend="vector")
+        for event in range(1, len(base.timeline.events)):
+            for rank in range(3):
+                res = _run(setup, split=True, backend="vector",
+                           plan_text=f"kill rank={rank} event={event}",
+                           recovery=RECOVERY_LOCAL, checkpoint_every=3)
+                diff = envs_bit_identical(base.envs, res.envs)
+                assert diff is None, f"rank {rank} event {event}: {diff}"
 
 
 class TestRetentionPolicy:

@@ -1,5 +1,7 @@
 """Unit tests for execution timelines."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,14 @@ from repro.corpus import TESTIV_SOURCE
 from repro.mesh import build_partition, structured_tri_mesh
 from repro.placement import enumerate_placements, widen_placement
 from repro.runtime import (
+    FaultPlan,
     SPMDExecutor,
     Timeline,
     render_timeline,
     timeline_report,
 )
+from repro.runtime.faults import rebalance_policy
+from repro.runtime.trace import PHASES
 from repro.spec import spec_for_testiv
 
 VALUES = {"epsilon": 1e-12, "maxloop": 4}
@@ -97,6 +102,48 @@ class TestTimelineAnalysis:
                       final_steps=[20, 40])
         assert tl.imbalance() == pytest.approx(0.5)
         assert tl.wait_fraction() > 0.0
+
+
+class TestWallSeconds:
+    """``Timeline.seconds``: where the wall clock of one run went."""
+
+    def _timed(self, problem, backend="interp", **kw):
+        spec, placements, partition, values = problem
+        ex = SPMDExecutor(placements.sub, spec,
+                          placements.best().placement, partition,
+                          backend=backend)
+        t0 = time.perf_counter()
+        res = ex.run(dict(values), **kw)
+        return res, time.perf_counter() - t0
+
+    @pytest.mark.parametrize("backend", ["interp", "vector"])
+    def test_phases_sum_to_the_wall_clock_around_run(self, problem, backend):
+        res, wall = self._timed(problem, backend)
+        seconds = res.timeline.seconds
+        assert tuple(seconds) == PHASES
+        assert all(v >= 0.0 for v in seconds.values())
+        assert seconds["compute"] > 0 and seconds["collective"] > 0
+        assert seconds["checkpoint"] < 0.1 * wall   # nothing armed
+        assert seconds["migrate"] == 0.0
+        assert sum(seconds.values()) == pytest.approx(wall, rel=0.05)
+
+    def test_recovery_and_migration_are_charged_and_replays_add(
+            self, problem):
+        res, wall = self._timed(
+            problem, faults=FaultPlan.parse("kill rank=1 event=4"),
+            checkpoint_every=2, rebalance=rebalance_policy(problem[2], (2,)))
+        seconds = res.timeline.seconds
+        assert res.recovery["restores"] == 1
+        assert res.migration["epochs"] == 1
+        assert seconds["checkpoint"] > 0 and seconds["migrate"] > 0
+        assert sum(seconds.values()) == pytest.approx(wall, rel=0.05)
+
+    def test_report_prints_the_split(self, result):
+        line = next(line for line in
+                    timeline_report(result.timeline).splitlines()
+                    if line.startswith("wall seconds:"))
+        assert [part.split()[0] for part in
+                line[len("wall seconds:"):].split(",")] == list(PHASES)
 
 
 class TestRendering:
