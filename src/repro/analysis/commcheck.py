@@ -527,8 +527,9 @@ def check_net(net: MPNet, sink: Optional[DiagnosticSink] = None,
     emits CC005 for a reachable deadlock marking (with the explorer's
     fired-transition witness trace), CC004 for a terminal marking with
     unmatched sends left in channel places, CC010 for a
-    nondeterministic receive match, and CC011 — always an error — when
-    the two engines disagree on the deadlock verdict.
+    nondeterministic receive match, CC011 — always an error — when
+    the two engines disagree on the deadlock verdict, and CC012 when the
+    exploration was truncated without finding a deadlock (no verdict).
     """
     if sink is None:
         sink = DiagnosticSink()
@@ -568,6 +569,13 @@ def check_net(net: MPNet, sink: Optional[DiagnosticSink] = None,
                     "class(es)",
             anchors=anchors,
             data=dict(stats, blocked=dl["blocked"], cycle=dl["cycle"])))
+    elif cc.model.truncated:
+        sink.emit(Diagnostic(
+            code="CC012",
+            message=f"exploration stopped after {cc.model.states} states "
+                    f"(net_bound={net_bound}); no verdict",
+            anchors=anchors,
+            data=stats))
     for race in cc.model.races:
         chan = race["channel"]
         sink.emit(Diagnostic(
@@ -778,7 +786,7 @@ def check_placement(vfg: ValueFlowGraph, placement: Placement,
                 witness=_witness(sub, path),
                 data={"method": group.method, "anchor": a}))
 
-    # -- formal model: CC005 / CC004 / CC010 / CC011 over the MP net --------
+    # -- formal model: CC005 / CC004 / CC010–CC012 over the MP net --------
     if model_check and placement.comms:
         net = compile_placement(sub, placement)
         first = min(placement.comms, key=lambda op: op.wait_anchor)
@@ -1111,7 +1119,7 @@ def lint_main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--model-check", action="store_true",
                         help="additionally compile each placed schedule "
                              "into an MP net and model-check it "
-                             "(CC005/CC004/CC010/CC011)")
+                             "(CC005/CC004/CC010/CC011/CC012)")
     parser.add_argument("--net-bound", type=int, default=DEFAULT_NET_BOUND,
                         help="explored-state budget per net "
                              f"(default {DEFAULT_NET_BOUND})")

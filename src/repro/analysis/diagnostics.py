@@ -48,6 +48,8 @@ CC010  tag-conflict              two in-flight messages share one
 CC011  model-divergence          the MP-net explorer and the wait-for
                                  dataflow pass disagree on a deadlock
                                  verdict (a checker bug, always an error)
+CC012  model-inconclusive        the MP-net exploration stopped at its
+                                 state bound before reaching a verdict
 CC101  undrained-channel         runtime: messages sent but never received
 CC102  leaked-request            runtime: requests posted but never waited
 CC103  leaked-window             runtime: communication window never waited
@@ -80,6 +82,7 @@ CODES: dict[str, tuple[str, str]] = {
     "CC009": ("illegal-dependence", SEV_ERROR),
     "CC010": ("tag-conflict", SEV_WARNING),
     "CC011": ("model-divergence", SEV_ERROR),
+    "CC012": ("model-inconclusive", SEV_WARNING),
     "CC101": ("undrained-channel", SEV_ERROR),
     "CC102": ("leaked-request", SEV_ERROR),
     "CC103": ("leaked-window", SEV_ERROR),

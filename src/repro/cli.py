@@ -27,6 +27,7 @@ from .automata import all_patterns, automaton_for, to_dot
 from .errors import ReproError
 from .lang import parse_subroutine
 from .placement import CostModel, enumerate_placements
+from .placement.engine import _ranked_at
 from .spec import PartitionSpec
 
 
@@ -111,15 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "it against the sender-side message log — O(1 "
                           "rank) restored words instead of O(P); both are "
                           "bit-identical to the fault-free run")
-    run.add_argument("--checkpoint-keep", type=int, default=1,
-                     metavar="K",
-                     help="how many checkpoints to retain (keep-K ring, "
-                          "oldest evicted first; default 1)")
-    run.add_argument("--checkpoint-budget", type=int, default=None,
-                     metavar="WORDS",
-                     help="total array-word budget for the retained "
-                          "checkpoint ring (the newest checkpoint is "
-                          "never evicted; default unlimited)")
     run.add_argument("--rebalance", type=float, default=None,
                      metavar="THRESH",
                      help="arm online repartitioning: migrate entities "
@@ -229,7 +221,8 @@ def main(argv: list[str] | None = None) -> int:
                     summary = placement_summary(result.sub, result.vfg, wide)
                 out.write(f"#{i}: cost={cost.total:.0f}  {summary}\n")
             return 0
-        chosen = result.ranked if args.all else [result.ranked[args.index]]
+        chosen = result.ranked if args.all \
+            else [_ranked_at(result, args.index)]
         for i, rp in enumerate(chosen):
             idx = i if args.all else args.index
             placement, cost, annotated = rp.placement, rp.cost, rp.annotated
@@ -248,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
                       f"{len(placement.comms)} synchronizations)\n")
             out.write(annotated)
         return 0
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 
@@ -293,8 +286,12 @@ def _run_pipeline_cli(args, spec, result, out) -> int:
     rng = np.random.default_rng(args.seed)
     scalars = {}
     for name, value in _parse_kv(args.scalars, "--set").items():
-        scalars[name] = int(value) if value.lstrip("+-").isdigit() \
-            else float(value)
+        try:
+            scalars[name] = int(value) if value.lstrip("+-").isdigit() \
+                else float(value)
+        except ValueError:
+            raise ReproError(f"bad --set {name}={value!r}: "
+                             f"expected a number") from None
     fields = {}
     for name, spec_text in _parse_kv(args.fields, "--field").items():
         entity = spec.entity_of_array(name)
@@ -324,8 +321,6 @@ def _run_pipeline_cli(args, spec, result, out) -> int:
                        fault_plan=fault_plan,
                        comm_timeout=args.comm_timeout,
                        recovery=args.recovery,
-                       checkpoint_keep=args.checkpoint_keep,
-                       checkpoint_budget=args.checkpoint_budget,
                        rebalance=args.rebalance,
                        rebalance_at=args.rebalance_at,
                        check="strict" if args.strict else "warn",

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..errors import ReproError
 from ..lang.ast import Subroutine
-from ..lang.interp import Env, Interpreter, RunResult
+from ..lang.interp import DEFAULT_MAX_STEPS, Env, Interpreter, RunResult
 from ..lang.lower import lower_subroutine
 from ..mesh.migrate import RebalancePolicy
 from ..mesh.overlap import MeshPartition, build_partition
@@ -36,6 +36,7 @@ from ..placement.comms import widen_placement
 from ..placement.engine import (
     PlacementResult,
     RankedPlacement,
+    _ranked_at,
     enumerate_placements,
 )
 from ..runtime.executor import SPMDExecutor, SPMDResult
@@ -96,15 +97,14 @@ def _connectivity(mesh: Mesh, im) -> np.ndarray:
     raise ReproError(f"no mesh connectivity for index map {im.name!r}")
 
 
-def build_interpreter(sub: Subroutine, max_steps: int = 200_000_000,
+def build_interpreter(sub: Subroutine, max_steps: int = DEFAULT_MAX_STEPS,
                       backend: str = "interp") -> Interpreter:
     """Lower ``sub`` once and return a reusable sequential interpreter.
 
     Lowering (and, for ``backend="vector"``, kernel compilation) is the
     per-request setup cost of a sequential execution; the placement
     service's batch workers keep one interpreter warm per content key
-    and start each run from a fresh
-    :class:`~repro.lang.interp.MachineState` instead of re-lowering.
+    instead of re-lowering for each run.
     """
     kernels = {}
     if backend == "vector":
@@ -116,31 +116,20 @@ def build_interpreter(sub: Subroutine, max_steps: int = 200_000_000,
 
 
 def run_sequential(sub: Subroutine, env: Env,
-                   max_steps: int = 200_000_000,
+                   max_steps: int = DEFAULT_MAX_STEPS,
                    backend: str = "interp",
-                   interpreter: Optional[Interpreter] = None,
-                   state: Optional[Any] = None) -> RunResult:
+                   interpreter: Optional[Interpreter] = None) -> RunResult:
     """Reference execution of the original program.
 
     ``backend="vector"`` uses the numpy fast path
     (:mod:`repro.lang.vectorize`) — results then match the scalar order to
     rounding only, so the oracle comparisons keep the default.
-    ``interpreter`` (see :func:`build_interpreter`) skips re-lowering;
-    ``state`` seeds the run with a caller-owned
-    :class:`~repro.lang.interp.MachineState` (must be fresh or a copy —
-    the run mutates it).
+    ``interpreter`` (see :func:`build_interpreter`) skips re-lowering.
     """
     if interpreter is None:
         interpreter = build_interpreter(sub, max_steps=max_steps,
                                         backend=backend)
-    gen = interpreter.run_gen(env, state=state)
-    try:
-        next(gen)
-    except StopIteration as stop:
-        return stop.value
-    from ..lang.interp import InterpError
-
-    raise InterpError("collective action encountered in sequential run")
+    return interpreter.run(env)
 
 
 @dataclass
@@ -249,24 +238,20 @@ def run_pipeline(source_or_sub: Union[str, Subroutine],
                  scalars: Optional[dict[str, Any]] = None,
                  placement_index: int = 0,
                  method: str = "rcb",
-                 max_steps: int = 200_000_000,
+                 max_steps: int = DEFAULT_MAX_STEPS,
                  placements: Optional[PlacementResult] = None,
                  backend: str = "interp",
                  split_phase: bool = False,
                  fault_plan: Optional[FaultPlan] = None,
                  comm_timeout: int = 0,
                  recovery: str = "global",
-                 checkpoint_keep: int = 1,
-                 checkpoint_budget: Optional[int] = None,
                  rebalance: Optional[float] = None,
                  rebalance_at: Optional[Sequence[int]] = None,
                  check: str = "warn",
-                 loss_rate: float = 0.0,
                  model_check: bool = False,
                  net_bound: int = 20000,
                  service: Optional[Any] = None,
-                 seq_interpreter: Optional[Interpreter] = None,
-                 seq_state: Optional[Any] = None) -> PipelineRun:
+                 seq_interpreter: Optional[Interpreter] = None) -> PipelineRun:
     """Run the full figure-3 process and collect both executions.
 
     ``placement_index`` selects among the ranked placements (0 = cheapest);
@@ -280,11 +265,10 @@ def run_pipeline(source_or_sub: Union[str, Subroutine],
     outputs then demonstrate recovery, not just agreement.
     ``recovery`` picks what a kill fault costs
     (``"global"`` rollback of every rank, or ``"local"`` localized
-    restart of the dead rank against the sender-side message log) and
-    ``checkpoint_keep``/``checkpoint_budget`` size the retained
-    checkpoint ring.  ``rebalance``/``rebalance_at`` arm online
-    repartitioning (a :class:`~repro.mesh.migrate.RebalancePolicy` with
-    that imbalance threshold and/or explicit boundary-event schedule):
+    restart of the dead rank against the sender-side message log).
+    ``rebalance``/``rebalance_at`` arm online repartitioning (a
+    :class:`~repro.mesh.migrate.RebalancePolicy` with that imbalance
+    threshold and/or explicit boundary-event schedule):
     the SPMD half then migrates entities mid-solve at quiescent
     boundaries while the sequential oracle runs unchanged — the output
     comparison proves the migrated run still computes the same answer.
@@ -292,18 +276,18 @@ def run_pipeline(source_or_sub: Union[str, Subroutine],
     commcheck hook (``"warn"`` default, ``"strict"`` to fail, ``"off"``);
     ``model_check`` extends it with the MP-net model checker (bounded
     by ``net_bound`` explored states; both flags participate in the
-    service cache key); ``loss_rate`` feeds the expected-loss cost term
-    when this call does the placement enumeration itself.
+    service cache key).  The placement enumeration this call does itself
+    uses the default :class:`~repro.placement.cost.CostModel`; pass
+    ``placements`` enumerated under another one.
 
     Cache-aware boundaries: ``service`` (a
     :class:`~repro.service.core.PlacementService`) replaces the analysis
     stage with a content-addressed lookup — placements and the
     pre-flight verdict come from the artifact store when warm, and the
     run is proven equivalent through
-    :attr:`PipelineRun.fingerprints`.  ``seq_interpreter``/``seq_state``
-    (see :func:`build_interpreter`) let a long-lived caller reuse the
-    lowered sequential interpreter across executions, starting each from
-    a fresh :class:`~repro.lang.interp.MachineState`.
+    :attr:`PipelineRun.fingerprints`.  ``seq_interpreter``
+    (see :func:`build_interpreter`) lets a long-lived caller reuse the
+    lowered sequential interpreter across executions.
     """
     static_sink = None
     service_key = None
@@ -313,18 +297,15 @@ def run_pipeline(source_or_sub: Union[str, Subroutine],
                 raise ReproError(
                     "the placement service is content-addressed: pass "
                     "the program source text, not a parsed Subroutine")
-            flags = {"split_phase": split_phase, "loss_rate": loss_rate,
-                     "model_check": model_check, "net_bound": net_bound}
+            flags = {"split_phase": split_phase, "model_check": model_check,
+                     "net_bound": net_bound}
             placements, _metrics = service.placements(
                 source_or_sub, spec.serialize(), flags)
             service_key = _metrics.key
         else:
-            from ..placement.cost import CostModel
-
-            placements = enumerate_placements(
-                source_or_sub, spec, model=CostModel(loss_rate=loss_rate))
+            placements = enumerate_placements(source_or_sub, spec)
     sub = placements.sub
-    chosen = placements.ranked[placement_index]
+    chosen = _ranked_at(placements, placement_index)
     placement = chosen.placement
     if split_phase:
         if placements.vfg is not None:
@@ -350,7 +331,7 @@ def run_pipeline(source_or_sub: Union[str, Subroutine],
 
     seq_env = build_global_env(sub, spec, mesh, fields, scalars)
     seq = run_sequential(sub, seq_env, max_steps=max_steps, backend=backend,
-                         interpreter=seq_interpreter, state=seq_state)
+                         interpreter=seq_interpreter)
 
     executor = SPMDExecutor(sub, spec, placement, partition,
                             backend=backend)
@@ -363,8 +344,6 @@ def run_pipeline(source_or_sub: Union[str, Subroutine],
     spmd = executor.run({k.lower(): v for k, v in global_values.items()},
                         max_steps=max_steps, faults=fault_plan,
                         comm_timeout=comm_timeout, recovery=recovery,
-                        checkpoint_keep=checkpoint_keep,
-                        checkpoint_budget=checkpoint_budget,
                         rebalance=policy)
 
     run = PipelineRun(placements=placements, chosen=chosen,

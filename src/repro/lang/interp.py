@@ -57,6 +57,10 @@ from ..errors import InterpError
 
 Env = dict[str, Any]
 
+#: the runaway guard every ``max_steps`` defaults to (interpreter,
+#: executor, pipeline, service worker): a program passes all doors or none
+DEFAULT_MAX_STEPS = 200_000_000
+
 #: anything callable as ``kernel(env, lo, hi)`` with a ``body_weight``
 #: attribute — in practice :class:`repro.lang.vectorize.LoopKernel`
 LoopKernelLike = Any
@@ -281,7 +285,7 @@ class Interpreter:
     def __init__(
         self,
         code: FlatCode,
-        max_steps: int = 50_000_000,
+        max_steps: int = DEFAULT_MAX_STEPS,
         pre_actions: Optional[dict[int, list[Callable[[Env], None]]]] = None,
         loop_bounds: Optional[dict[int, Callable]] = None,
         on_return: Optional[list[Callable[[Env], None]]] = None,
@@ -472,7 +476,7 @@ class Interpreter:
 def run_subroutine(
     sub: Subroutine,
     env: Env,
-    max_steps: int = 50_000_000,
+    max_steps: int = DEFAULT_MAX_STEPS,
     externals: Optional[dict[str, Callable]] = None,
 ) -> RunResult:
     """Convenience wrapper: lower and execute ``sub`` over ``env``."""

@@ -254,8 +254,6 @@ class RebalancePolicy:
     threshold: float | None = None
     rebalance_at: tuple = ()
     plans: dict | None = None
-    max_epochs: int = 4
-    cooldown: int = 2
 
     def triggered(self, loads) -> bool:
         """Does observed work imbalance warrant a migration epoch?"""

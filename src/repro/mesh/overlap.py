@@ -328,15 +328,14 @@ def _kernel_first(ids: np.ndarray, owner: np.ndarray,
 
 def build_partition(mesh: Mesh, nparts: int,
                     pattern: Union[str, PatternDescription],
-                    method: str = "rcb", refine: bool = False,
+                    method: str = "rcb",
                     elem_ranks: Optional[np.ndarray] = None,
                     with_edges: Optional[bool] = None) -> MeshPartition:
     """Split ``mesh`` into ``nparts`` overlapped sub-meshes under ``pattern``."""
     if isinstance(pattern, str):
         pattern = get_pattern(pattern)
     if elem_ranks is None:
-        elem_ranks = partition_elements(mesh, nparts, method=method,
-                                        refine=refine)
+        elem_ranks = partition_elements(mesh, nparts, method=method)
     elem_ranks = np.asarray(elem_ranks, dtype=np.int64)
     if len(elem_ranks) != len(mesh.elements):
         raise MeshError("elem_ranks length mismatch")

@@ -248,8 +248,8 @@ _METHODS: dict[str, Callable] = {
 }
 
 
-def partition_elements(mesh: Mesh, nparts: int, method: str = "rcb",
-                       refine: bool = False) -> np.ndarray:
+def partition_elements(mesh: Mesh, nparts: int,
+                       method: str = "rcb") -> np.ndarray:
     """Partition elements into ``nparts`` with the named method."""
     if nparts < 1:
         raise MeshError("nparts must be positive")
@@ -259,7 +259,4 @@ def partition_elements(mesh: Mesh, nparts: int, method: str = "rcb",
     if method not in _METHODS:
         raise MeshError(f"unknown partition method {method!r} "
                         f"(known: {sorted(_METHODS)})")
-    ranks = _METHODS[method](mesh, nparts)
-    if refine:
-        ranks = refine_partition(mesh, ranks)
-    return ranks
+    return _METHODS[method](mesh, nparts)

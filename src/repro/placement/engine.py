@@ -81,6 +81,15 @@ class PlacementResult:
         return len(self.ranked)
 
 
+def _ranked_at(result: PlacementResult, index: int) -> RankedPlacement:
+    """``result.ranked[index]``, range-checked: the one check behind
+    ``--index``, ``placement_index`` and the service's ``index``."""
+    if not 0 <= index < len(result.ranked):
+        raise PlacementError(f"placement index {index} out of range: "
+                             f"{len(result.ranked)} consistent placement(s)")
+    return result.ranked[index]
+
+
 def analyze(source_or_sub: Union[str, Subroutine],
             spec: PartitionSpec) -> tuple[Subroutine, DepGraph, Idioms,
                                           LegalityReport, ValueFlowGraph]:
@@ -100,14 +109,12 @@ def enumerate_placements(source_or_sub: Union[str, Subroutine],
                          spec: PartitionSpec,
                          limit: Optional[int] = None,
                          model: CostModel = CostModel(),
-                         use_reduction: bool = True,
-                         preconstrain: bool = True,
                          split_phase: bool = False) -> PlacementResult:
     """Run the whole tool and return all placements, cheapest first.
 
-    ``use_reduction`` applies the §5.2 dfg reduction before the search;
-    ``preconstrain`` prunes forced loop domains.  Both default on; the
-    benchmarks flip them to measure their effect.  ``split_phase`` widens
+    The search runs over the §5.2-reduced dfg with forced loop domains
+    pre-constrained; neither changes the solution set.  ``limit`` stops
+    the enumeration after that many solutions.  ``split_phase`` widens
     every communication to its (post, wait) window so the annotated output
     carries ``C$SYNCHRONIZE POST``/``WAIT`` pairs and the ranking counts
     hidden latency; off by default, which preserves the paper's blocking
@@ -115,10 +122,8 @@ def enumerate_placements(source_or_sub: Union[str, Subroutine],
     """
     sub, graph, idioms, legality, vfg = analyze(source_or_sub, spec)
     automaton = automaton_for(spec.pattern)
-    search_vfg = vfg
-    if use_reduction:
-        search_vfg, _stats = reduce_vfg(vfg, automaton)
-    prop = Propagator(search_vfg, automaton, preconstrain=preconstrain)
+    search_vfg, _stats = reduce_vfg(vfg, automaton)
+    prop = Propagator(search_vfg, automaton)
     placements: list[Placement] = []
     for sol in prop.solutions(limit=limit):
         comms = extract_comms(search_vfg, sol, split_phase=split_phase)

@@ -41,7 +41,6 @@ from .msglog import MessageLog, ReplayFilter
 from .perfmodel import (
     MachineModel,
     TimeBreakdown,
-    calibrated_model,
     parallel_time,
     sequential_time,
 )
@@ -63,7 +62,7 @@ __all__ = [
     "REDUCE_OPS", "RankComm", "RankSnapshot", "ReplayFilter", "Request",
     "RingTransport", "SPMDExecutor", "SPMDResult", "SimComm",
     "TimeBreakdown", "adversarial_check", "allreduce_scalar",
-    "Timeline", "calibrated_model", "combine_complete", "combine_post",
+    "Timeline", "combine_complete", "combine_post",
     "combine_update", "copy_env", "envs_bit_identical", "make_comm",
     "overlap_complete", "overlap_post", "overlap_update",
     "parallel_time", "render_fault_report", "render_timeline",

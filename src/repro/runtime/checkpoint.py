@@ -26,12 +26,9 @@ Two recovery modes consume these snapshots:
     log (:mod:`repro.runtime.msglog`).  Restored words are O(one rank)
     instead of O(P).
 
-The manager retains a *ring* of checkpoints (``keep`` newest, optionally
-squeezed under a ``budget_words`` size budget — the newest checkpoint is
-never evicted) and can adapt its cadence to a measured overhead target:
-with ``every="auto"`` it spaces checkpoints so the fault-free snapshot
-cost stays near ``adaptive_target`` of the run (the same trade
-``bench_fault_overhead`` measures).
+The manager holds *one* checkpoint, the newest: both recovery modes
+rewind to it and nothing ever reads an older one, so each take replaces
+its predecessor.
 
 In-place restore is deliberate: environment arrays are written *into*
 (``cur[...] = val``) whenever shape and dtype match, so flat-store views
@@ -49,15 +46,15 @@ their column arrays.
 True
 >>> mgr.taken, mgr.restores
 (0, 0)
->>> CheckpointManager(keep=3, budget_words=4096).keep
-3
+>>> mgr.last is None
+True
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 import numpy as np
 
@@ -151,46 +148,21 @@ class Checkpoint:
 
 
 class CheckpointManager:
-    """Takes, retains and restores :class:`Checkpoint` s for one SPMD run.
+    """Takes, holds and restores the :class:`Checkpoint` of one SPMD run.
 
-    ``every`` is the checkpoint cadence in collective events, or
-    ``"auto"`` for an adaptive cadence that spaces checkpoints so the
-    measured snapshot cost stays near ``adaptive_target`` (default 5%) of
-    the fault-free run — the trade ``bench_fault_overhead`` measures.
-    ``keep`` bounds how many checkpoints are retained (a keep-K ring,
-    oldest evicted first) and ``budget_words`` optionally squeezes the
-    ring under a total array-word budget; the newest checkpoint is never
-    evicted, even when it alone exceeds the budget.
-
-    >>> mgr = CheckpointManager(keep=2)
-    >>> mgr.checkpoints
-    []
+    ``every`` is the checkpoint cadence in collective events.  Only the
+    newest checkpoint is held (:attr:`last`): it is the one restore
+    target of both recovery modes.
     """
 
-    def __init__(self, every: Union[int, str] = 1, keep: int = 1,
-                 budget_words: Optional[int] = None,
-                 adaptive_target: Optional[float] = None):
-        self.adaptive = every == "auto" or adaptive_target is not None
-        if every == "auto":
-            every = 1
+    def __init__(self, every: int = 1):
         if not isinstance(every, int) or every < 1:
             raise RuntimeFault(f"checkpoint cadence must be >= 1, "
                                f"got {every}")
-        if keep < 1:
-            raise RuntimeFault(f"checkpoint retention must keep >= 1, "
-                               f"got {keep}")
-        if budget_words is not None and budget_words < 1:
-            raise RuntimeFault(f"checkpoint budget must be >= 1 word(s), "
-                               f"got {budget_words}")
         self.every = every
-        self.keep = keep
-        self.budget_words = budget_words
-        self.adaptive_target = (0.05 if adaptive_target is None
-                                else adaptive_target)
-        #: retained ring, oldest first; ``last`` is the newest
-        self.checkpoints: list[Checkpoint] = []
+        #: the newest checkpoint (the restore target), or None
+        self.last: Optional[Checkpoint] = None
         self.taken = 0
-        self.evicted = 0
         self.restores = 0
         self.rank_restores = 0
         #: array words copied back by restores (global: O(P) per restore;
@@ -198,60 +170,22 @@ class CheckpointManager:
         self.restored_words = 0
         #: seconds spent inside restore calls
         self.restore_seconds = 0.0
-        # adaptive-cadence measurement state
-        self._auto_every = every
-        self._take_cost = 0.0       # EWMA of snapshot wall seconds
-        self._event_cost = 0.0      # EWMA of fault-free seconds per event
-        self._last_end: Optional[float] = None
-        self._last_events = 0
-
-    @property
-    def last(self) -> Optional[Checkpoint]:
-        """The newest retained checkpoint (restore target), or None."""
-        return self.checkpoints[-1] if self.checkpoints else None
 
     def reset_epoch(self) -> None:
-        """Drop the whole retained ring at a migration-epoch boundary.
+        """Drop the held checkpoint at a migration-epoch boundary.
 
-        Pre-migration snapshots hold the *old* layout — restoring one
+        A pre-migration snapshot holds the *old* layout — restoring it
         after entities moved would resurrect arrays whose shapes and
-        slots no longer match the live schedules — so they must never be
-        restore targets.  The executor calls this immediately before
-        taking the fresh post-migration checkpoint; the drops count as
-        evictions so the retention accounting stays honest.
+        slots no longer match the live schedules — so it must never be a
+        restore target.  The executor calls this immediately before
+        taking the fresh post-migration checkpoint.
         """
-        self.evicted += len(self.checkpoints)
-        self.checkpoints.clear()
-
-    def total_words(self) -> int:
-        """Array words held by the whole retained ring."""
-        return sum(cp.words for cp in self.checkpoints)
+        self.last = None
 
     def due(self, event_count: int) -> bool:
         """Is a checkpoint due at this event count?"""
-        if not self.checkpoints:
-            return True
-        cadence = self._auto_every if self.adaptive else self.every
-        return event_count - self.checkpoints[-1].event_count >= cadence
-
-    @staticmethod
-    def suggest_cadence(take_seconds: float, event_seconds: float,
-                        target: float = 0.05) -> int:
-        """Events per checkpoint so snapshot overhead ≈ ``target``.
-
-        The fault-free cost of cadence N is one snapshot per N events:
-        ``take_seconds / (N * event_seconds)``; solving for the target
-        overhead fraction gives N.  Clamped to [1, 256].
-
-        >>> CheckpointManager.suggest_cadence(0.010, 0.020, target=0.05)
-        10
-        >>> CheckpointManager.suggest_cadence(0.0, 0.020)
-        1
-        """
-        if take_seconds <= 0.0 or event_seconds <= 0.0 or target <= 0.0:
-            return 1
-        n = int(np.ceil(take_seconds / (target * event_seconds)))
-        return max(1, min(256, n))
+        return (self.last is None
+                or event_count - self.last.event_count >= self.every)
 
     def take(self, comm, envs: list[Env], states: list[MachineState],
              event_count: int, span_count: int,
@@ -259,9 +193,8 @@ class CheckpointManager:
         """Snapshot a quiescent point (caller guarantees quiescence).
 
         Raises a structured CC104 diagnostic when the point is not
-        actually quiescent (messages or requests in flight).  Appends the
-        checkpoint to the retained ring and evicts from the oldest end
-        until both the keep-K and word-budget constraints hold again.
+        actually quiescent (messages or requests in flight).  The new
+        checkpoint replaces the held one.
         """
         n_msgs = comm.pending_messages()
         reqs = comm.pending_requests()
@@ -280,7 +213,6 @@ class CheckpointManager:
             err = RuntimeFault(f"CC104: {diag.message}")
             err.diagnostic = diag
             raise err
-        start = time.perf_counter()
         cp = Checkpoint(
             event_count=event_count,
             span_count=span_count,
@@ -290,58 +222,14 @@ class CheckpointManager:
             log_mark=log_mark)
         cp.words = sum(snap.words for snap in cp.ranks)
         cp.nbytes = sum(_env_bytes(snap.env) for snap in cp.ranks)
-        end = time.perf_counter()
-        self.checkpoints.append(cp)
+        self.last = cp
         self.taken += 1
-        self._evict()
-        self._observe(start, end, event_count)
         return cp
-
-    def _evict(self) -> None:
-        """Enforce keep-K and the word budget; never evict the newest."""
-        while len(self.checkpoints) > self.keep:
-            self.checkpoints.pop(0)
-            self.evicted += 1
-        if self.budget_words is not None:
-            while (len(self.checkpoints) > 1
-                   and self.total_words() > self.budget_words):
-                self.checkpoints.pop(0)
-                self.evicted += 1
-
-    def _observe(self, start: float, end: float, event_count: int) -> None:
-        """Feed one take's measured costs into the adaptive cadence."""
-        if self._last_end is not None:
-            segment = max(0.0, start - self._last_end)
-            events = max(1, event_count - self._last_events)
-            per_event = segment / events
-            ewma = 0.5
-            self._event_cost = (per_event if self._event_cost == 0.0 else
-                                ewma * per_event
-                                + (1 - ewma) * self._event_cost)
-            cost = end - start
-            self._take_cost = (cost if self._take_cost == 0.0 else
-                               ewma * cost + (1 - ewma) * self._take_cost)
-            if self.adaptive:
-                self._auto_every = self.suggest_cadence(
-                    self._take_cost, self._event_cost,
-                    target=self.adaptive_target)
-        self._last_end = end
-        self._last_events = event_count
-
-    def oldest_mark(self) -> int:
-        """Smallest ``log_mark`` of the retained ring (0 when empty).
-
-        Everything before this mark can never be replayed again — the
-        executor truncates the message log at this point after each take.
-        """
-        if not self.checkpoints:
-            return 0
-        return min(cp.log_mark for cp in self.checkpoints)
 
     def restore(self, comm, envs: list[Env],
                 states: list[MachineState]) -> Checkpoint:
-        """Rewind ``comm``/``envs``/``states`` in place to the newest
-        retained checkpoint; the caller rebuilds the rank generators from
+        """Rewind ``comm``/``envs``/``states`` in place to the held
+        checkpoint; the caller rebuilds the rank generators from
         the restored states and truncates its timeline to the returned
         checkpoint's ``event_count``/``span_count``."""
         cp = self.last
@@ -358,7 +246,7 @@ class CheckpointManager:
 
     def restore_rank(self, rank: int, envs: list[Env],
                      states: list[MachineState]) -> Checkpoint:
-        """Rewind *one* rank in place to the newest retained checkpoint.
+        """Rewind *one* rank in place to the held checkpoint.
 
         The localized-restart half of :meth:`restore`: the transport, the
         surviving ranks and the caller's timeline are left untouched; the

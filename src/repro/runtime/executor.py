@@ -50,6 +50,7 @@ from ..errors import CommTimeout, RankKilled, RuntimeFault
 from ..lang.ast import DoLoop, Subroutine
 from ..lang.cfg import EXIT
 from ..lang.interp import (
+    DEFAULT_MAX_STEPS,
     CollectiveAction,
     Env,
     Interpreter,
@@ -97,6 +98,12 @@ _DTYPES = {"integer": np.int64, "real": np.float64, "logical": np.bool_}
 RECOVERY_GLOBAL = "global"
 RECOVERY_LOCAL = "local"
 RECOVERY_MODES = (RECOVERY_GLOBAL, RECOVERY_LOCAL)
+
+#: the imbalance trigger of a rebalance policy stops once a run has had
+#: ``_MAX_EPOCHS`` migration epochs and waits ``_COOLDOWN`` collective
+#: events after one (scheduled ``rebalance_at`` events are exempt)
+_MAX_EPOCHS = 4
+_COOLDOWN = 2
 
 
 @dataclass
@@ -404,13 +411,11 @@ class SPMDExecutor:
         return frozenset(fused)
 
     def run(self, global_values: dict[str, Any],
-            max_steps: int = 50_000_000, *,
+            max_steps: int = DEFAULT_MAX_STEPS, *,
             faults: Optional[FaultPlan] = None,
             comm_timeout: int = 0,
             checkpoint: Optional[bool] = None,
-            checkpoint_every: Any = 1,
-            checkpoint_keep: int = 1,
-            checkpoint_budget: Optional[int] = None,
+            checkpoint_every: int = 1,
             recovery: str = RECOVERY_GLOBAL,
             rebalance: Optional[RebalancePolicy] = None) -> SPMDResult:
         """Execute all ranks in lockstep; returns envs, steps and traffic.
@@ -443,16 +448,8 @@ class SPMDExecutor:
             stay bit-identical to a fault-free run).  Default (None)
             enables checkpointing exactly when the plan contains kills.
         ``checkpoint_every``
-            Checkpoint cadence in collective events, or ``"auto"`` for an
-            adaptive cadence driven by the measured snapshot vs inter-
-            checkpoint cost (see
-            :meth:`~repro.runtime.checkpoint.CheckpointManager.suggest_cadence`).
-        ``checkpoint_keep``
-            How many checkpoints to retain (a keep-K ring, oldest evicted
-            first).
-        ``checkpoint_budget``
-            Optional total array-word budget for the retained ring; the
-            newest checkpoint is never evicted.
+            Checkpoint cadence in collective events.  One checkpoint is
+            held, the newest — the only one either recovery mode reads.
         ``recovery``
             What a kill rule costs: ``"global"`` (historical — every rank
             rewinds to the newest checkpoint and the segment replays) or
@@ -504,9 +501,7 @@ class SPMDExecutor:
                    for sub_mesh in self.partition.subs]
         if checkpoint is None:
             checkpoint = bool(kills)
-        ckpt = CheckpointManager(every=checkpoint_every,
-                                 keep=checkpoint_keep,
-                                 budget_words=checkpoint_budget) \
+        ckpt = CheckpointManager(every=checkpoint_every) \
             if checkpoint else None
         if ckpt is not None and recovery == RECOVERY_LOCAL:
             # arm sender-side message logging: localized restart replays a
@@ -642,9 +637,9 @@ class SPMDExecutor:
         run.ckpt.take(comm, run.envs, run.states, len(timeline.events),
                       len(timeline.spans), log_mark=mark)
         if comm.msglog is not None:
-            # entries older than every retained checkpoint can never be
+            # entries older than the checkpoint just taken can never be
             # replayed again — drop them
-            comm.msglog.truncate_before(run.ckpt.oldest_mark())
+            comm.msglog.truncate_before(mark)
 
     def _fire_kills(self, run: _Run, live: list) -> bool:
         """Apply every kill rule due at this boundary.
@@ -822,8 +817,8 @@ class SPMDExecutor:
         loads = [i.last_steps - base
                  for i, base in zip(run.interps, run.epoch_loads_base)]
         want = bool(due_sched) or (
-            totals["epochs"] < rebalance.max_epochs
-            and event_count - run.last_epoch_event >= rebalance.cooldown
+            totals["epochs"] < _MAX_EPOCHS
+            and event_count - run.last_epoch_event >= _COOLDOWN
             and rebalance.triggered(loads))
         if not want:
             return
@@ -869,9 +864,7 @@ class SPMDExecutor:
             recovery_info = {
                 "mode": run.recovery,
                 "checkpoints_taken": ckpt.taken,
-                "checkpoints_evicted": ckpt.evicted,
-                "checkpoints_retained": len(ckpt.checkpoints),
-                "checkpoint_words": ckpt.total_words(),
+                "checkpoint_words": ckpt.last.words,
                 "restores": ckpt.restores,
                 "rank_restores": ckpt.rank_restores,
                 "restored_words": ckpt.restored_words,

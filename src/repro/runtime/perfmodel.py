@@ -20,10 +20,7 @@ match absolute numbers.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from .simmpi import CommStats
 
@@ -71,8 +68,7 @@ def sequential_time(steps: int, model: MachineModel = MachineModel()) -> float:
 
 
 def parallel_time(rank_steps: list[int], stats: CommStats,
-                  model: MachineModel = MachineModel(),
-                  halo_wave: bool = False) -> TimeBreakdown:
+                  model: MachineModel = MachineModel()) -> TimeBreakdown:
     """Simulated time of one SPMD run.
 
     ``rank_steps`` are the per-rank interpreter step counts; ``stats`` is
@@ -88,15 +84,6 @@ def parallel_time(rank_steps: list[int], stats: CommStats,
     the window could not cover stays on the critical path.  Traffic on
     the waited record itself (e.g. a combine's return round) is blocking
     and charged in full, as is any post that never found its wait.
-
-    A true ``halo_wave`` models the block-wave halo path: an ``overlap:``
-    or ``combine:`` record pays ``alpha`` once per *wave* rather than per
-    message on its busiest rank — message setup is amortized into one
-    block injection.  A blocking combine record is two waves (gather +
-    return); every other halo record with traffic is one.  The per-word
-    ``beta`` charge is unchanged (the same words cross the wire), and
-    ``reduce[`` records keep per-message latency — the binomial tree
-    sends genuinely separate messages either way.
     """
     compute = max(rank_steps) * model.t_step if rank_steps else 0.0
     latency = 0.0
@@ -107,11 +94,6 @@ def parallel_time(rank_steps: list[int], stats: CommStats,
         window = getattr(rec, "window", "blocking")
         label, msgs, words = rec
         rlat = model.alpha * (max(msgs) if msgs else 0)
-        if halo_wave and max(msgs, default=0) > 0 \
-                and label.startswith(("overlap:", "combine:")):
-            waves = 2 if label.startswith("combine:") \
-                and window == "blocking" else 1
-            rlat = model.alpha * waves
         rvol = model.beta * (max(words) if words else 0)
         if window == "posted":
             posted.setdefault(label, []).append((rlat, rvol))
@@ -142,42 +124,3 @@ def parallel_time(rank_steps: list[int], stats: CommStats,
     return TimeBreakdown(compute=compute, comm_latency=latency,
                          comm_volume=volume, nranks=len(rank_steps),
                          comm_hidden=hidden, comm_fault=fault)
-
-
-def calibrated_model(*, messages: int = 2048, words: int = 64,
-                     t_step: float = MachineModel.t_step,
-                     timer=time.perf_counter) -> MachineModel:
-    """Fit ``alpha``/``beta`` to the measured in-process fabric.
-
-    The historical defaults approximate a 1990s MPP; when the simulated
-    fabric itself is the object of study (the rank-scaling probe in
-    ``bench_halo_waves``), the model should charge what the *actual*
-    wire costs.  This times two message waves through a two-rank
-    communicator — one with empty payloads (pure per-message overhead →
-    ``alpha``) and one carrying ``words`` float64 words each (the
-    marginal per-word cost → ``beta``) — and returns a
-    :class:`MachineModel` with those measured coefficients.
-
-    Wall-clock measurement: results vary run to run and must never feed
-    a bit-identity assertion, only throughput reporting.
-
-    >>> m = calibrated_model(messages=64, words=8)
-    >>> m.alpha > 0 and m.beta > 0
-    True
-    """
-    from .simmpi import SimComm
-
-    def wave_cost(nwords: int) -> float:
-        comm = SimComm(2)
-        payloads = [np.zeros(nwords) for _ in range(messages)]
-        srcs = np.zeros(messages, np.int64)
-        dsts = np.ones(messages, np.int64)
-        t0 = timer()
-        comm.send_batch(srcs, dsts, payloads, tag=1)
-        comm.recv_batch(srcs, dsts, tag=1)
-        comm.assert_drained()
-        return (timer() - t0) / messages
-
-    alpha = wave_cost(0)
-    beta = max(wave_cost(words) - alpha, 1e-12) / words
-    return MachineModel(t_step=t_step, alpha=alpha, beta=beta)

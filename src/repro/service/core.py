@@ -32,10 +32,13 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from ..errors import ReproError
 from ..lang.parser import parse_subroutine
 from ..placement.cost import CostModel
-from ..placement.engine import PlacementResult, enumerate_placements
+from ..placement.engine import (
+    PlacementResult,
+    _ranked_at,
+    enumerate_placements,
+)
 from ..placement.serialize import (
     decode_result,
     encode_result,
@@ -216,8 +219,6 @@ class PlacementService:
         with metrics.time("analysis"):
             result = enumerate_placements(
                 sub, spec, limit=flags["limit"], model=model,
-                use_reduction=flags["use_reduction"],
-                preconstrain=flags["preconstrain"],
                 split_phase=flags["split_phase"])
         # record the full canonical flag set: a restored artifact must be
         # able to reproduce its own request key (pipeline static_sink)
@@ -274,15 +275,10 @@ class PlacementService:
               annotate: bool = True) -> dict:
         """One placement request, as the HTTP endpoint answers it."""
         result, metrics = self.placements(program, spec_text, flags)
-        if not result.ranked:
-            raise ReproError("no consistent placement exists")
-        if not 0 <= index < len(result.ranked):
-            raise ReproError(
-                f"placement index {index} out of range 0..{len(result) - 1}")
+        chosen = _ranked_at(result, index)
         key = metrics.key
         checks = self.store.get(key, STAGE_COMMCHECK)
         verdicts = json.loads(checks.decode("utf-8")) if checks else []
-        chosen = result.ranked[index]
         response = {
             "key": key,
             "fingerprint": result_fingerprint(result),

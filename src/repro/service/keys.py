@@ -48,8 +48,6 @@ from ..placement.cost import CostModel
 #: check's model-checker knobs (see docs/service.md)
 FLAG_DEFAULTS: dict[str, object] = {
     "split_phase": False,
-    "use_reduction": True,
-    "preconstrain": True,
     "limit": None,
     **{f.name: f.default for f in dataclasses.fields(CostModel)},
     "model_check": False,

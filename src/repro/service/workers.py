@@ -12,10 +12,8 @@ them into its memory tier without re-reading the disk.
 differential run on a generated mesh).  Workers keep a warm per-key
 execution context: the parsed subroutine, the cache-restored
 placements, and the **lowered sequential interpreter** — each request
-then starts the reference execution from a fresh
-:class:`~repro.lang.interp.MachineState` copy instead of re-lowering
-the program (the same snapshotable state object the SPMD executor's
-checkpointing uses; see docs/service.md §Batching).
+then starts the reference execution on it instead of re-lowering the
+program (see docs/service.md §Batching).
 """
 
 from __future__ import annotations
@@ -91,8 +89,7 @@ def _exec_context(cache_dir: Optional[str], salt: str, request: dict) -> dict:
     """Warm per-key execution context: sub, spec, placements, interpreter.
 
     The sequential reference interpreter is lowered once per key and
-    reused across requests; each run starts from a fresh
-    ``MachineState`` copy of the stored template.
+    reused across requests.
     """
     service = _local_service(cache_dir, salt)
     key = service.key(request["program"], request["spec"],
@@ -102,20 +99,19 @@ def _exec_context(cache_dir: Optional[str], salt: str, request: dict) -> dict:
         _EXEC_MEMO.move_to_end(key)
         return ctx
     from ..driver.pipeline import build_interpreter
-    from ..lang.interp import MachineState
+    from ..lang.interp import DEFAULT_MAX_STEPS
 
     result, metrics = service.placements(request["program"],
                                          request["spec"],
                                          request.get("flags"))
     backend = request.get("backend", "interp")
-    max_steps = int(request.get("max_steps", 200_000_000))
+    max_steps = int(request.get("max_steps", DEFAULT_MAX_STEPS))
     ctx = {
         "key": key,
         "result": result,
         "tier": metrics.tier,
         "interpreter": build_interpreter(result.sub, max_steps=max_steps,
                                          backend=backend),
-        "state_template": MachineState(),
     }
     _EXEC_MEMO[key] = ctx
     while len(_EXEC_MEMO) > _EXEC_MEMO_LIMIT:
@@ -160,8 +156,7 @@ def run_request(cache_dir: Optional[str], salt: str, request: dict) -> dict:
         placements=result,
         backend=request.get("backend", "interp"),
         service=service,
-        seq_interpreter=ctx["interpreter"],
-        seq_state=ctx["state_template"].copy())
+        seq_interpreter=ctx["interpreter"])
     run.verify()
     return {
         "key": ctx["key"],

@@ -549,6 +549,7 @@ class TestCostModelLossRate:
 
     def test_loss_rate_threads_through_pipeline(self):
         from repro.driver import run_pipeline
+        from repro.placement.cost import CostModel
 
         mesh = structured_tri_mesh(4, 4)
         run = run_pipeline(
@@ -557,7 +558,9 @@ class TestCostModelLossRate:
                     "airetri": mesh.triangle_areas,
                     "airesom": mesh.node_areas},
             scalars={"epsilon": 1e-12, "maxloop": 2},
-            loss_rate=0.05)
+            placements=enumerate_placements(
+                TESTIV_SOURCE, spec_for_testiv(),
+                model=CostModel(loss_rate=0.05)))
         assert run.chosen.cost.comm_fault > 0.0
         run.verify()
 

@@ -280,6 +280,24 @@ class TestCheckNetDiagnostics:
         assert {d.code for d in sink.diagnostics} == {"CC010"}
         assert sink.ok and not sink.clean
 
+    def test_truncated_exploration_is_inconclusive_not_clean(self, testiv):
+        # stopping at the state bound without a finding is no verdict:
+        # it must be visible (and fail --strict), never silence
+        net = compile_placement(testiv.sub, testiv.ranked[0].placement)
+        sink = check_net(net, net_bound=1)
+        assert [d.code for d in sink.diagnostics] == ["CC012"]
+        diag = sink.diagnostics[0]
+        assert diag.name == "model-inconclusive"
+        assert diag.severity == "warning" and not sink.clean
+        assert diag.message == ("exploration stopped after 1 states "
+                                "(net_bound=1); no verdict")
+        assert diag.data["truncated"] and diag.data["net_bound"] == 1
+
+    def test_finished_exploration_emits_no_cc012(self, testiv):
+        for rp in testiv.ranked:
+            net = compile_placement(testiv.sub, rp.placement)
+            assert check_net(net).clean
+
 
 class TestCorpusSweep:
     def test_corpus_mode_clean_and_strict_exit_zero(self, capsys):

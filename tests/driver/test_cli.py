@@ -193,6 +193,52 @@ class TestCLI:
         assert rc == 1
         assert "not a partitioned array" in capsys.readouterr().err
 
+    def _bad(self, argv, capsys):
+        """Bad input ends in ``error: …`` and status 1, never a traceback."""
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("missing", ["program", "spec"])
+    def test_missing_input_file_reports_error(self, files, tmp_path, capsys,
+                                              missing):
+        prog, spec = files
+        gone = str(tmp_path / "gone.txt")
+        argv = [gone, spec] if missing == "program" else [prog, gone]
+        assert "gone.txt" in self._bad(argv, capsys)
+
+    def test_missing_fault_plan_file_reports_error(self, files, tmp_path,
+                                                   capsys):
+        from repro.mesh import structured_tri_mesh, write_mesh
+
+        write_mesh(structured_tri_mesh(4, 4), tmp_path / "m.mesh")
+        err = self._bad([*files, "--run", str(tmp_path / "m.mesh"),
+                         "--fault-plan", f"@{tmp_path / 'missing.txt'}"],
+                        capsys)
+        assert "missing.txt" in err
+
+    def test_non_numeric_set_reports_error(self, files, tmp_path, capsys):
+        from repro.mesh import structured_tri_mesh, write_mesh
+
+        write_mesh(structured_tri_mesh(4, 4), tmp_path / "m.mesh")
+        err = self._bad([*files, "--run", str(tmp_path / "m.mesh"),
+                         "--set", "maxloop=abc"], capsys)
+        assert "--set maxloop='abc'" in err
+
+    @pytest.mark.parametrize("run", [False, True])
+    def test_index_out_of_range_reports_error(self, files, tmp_path, capsys,
+                                              run):
+        from repro.mesh import structured_tri_mesh, write_mesh
+
+        write_mesh(structured_tri_mesh(4, 4), tmp_path / "m.mesh")
+        argv = [*files, "--index", "99"]
+        if run:
+            argv += ["--run", str(tmp_path / "m.mesh")]
+        err = self._bad(argv, capsys)
+        assert "placement index 99 out of range" in err
+        assert "16 consistent placement(s)" in err
+
     def test_check_mode_flags_missing_sync(self, files, tmp_path, capsys):
         from repro.placement import enumerate_placements
         from repro.corpus import TESTIV_SOURCE

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.corpus import TESTIV_SOURCE
 from repro.errors import RuntimeFault
 from repro.lang import parse_subroutine
 from repro.lang.ast import Assign
@@ -13,12 +14,20 @@ from repro.lang.interp import (
     make_env,
 )
 from repro.lang.lower import lower_subroutine
+from repro.mesh import build_partition, structured_tri_mesh
+from repro.placement import enumerate_placements
 from repro.runtime import (
+    RECOVERY_LOCAL,
     CheckpointManager,
+    FaultPlan,
+    MessageLog,
     SimComm,
+    SPMDExecutor,
     copy_env,
     snapshot_digest,
 )
+from repro.runtime.faults import rebalance_policy
+from repro.spec import spec_for_testiv
 
 SOURCE = """\
       subroutine s(n, a, total)
@@ -179,16 +188,83 @@ class TestCheckpointManager:
         assert mgr.due(3)
 
     def test_bad_cadence_rejected(self):
-        with pytest.raises(RuntimeFault, match="cadence"):
-            CheckpointManager(every=0)
+        for every in (0, "auto"):  # the cadence is an integer, nothing else
+            with pytest.raises(RuntimeFault, match="cadence must be >= 1"):
+                CheckpointManager(every=every)
 
     def test_restore_without_checkpoint_rejected(self):
         comm, envs, states = self._world()
         with pytest.raises(RuntimeFault, match="no checkpoint"):
             CheckpointManager().restore(comm, envs, states)
 
+    def test_restore_rewinds_to_newest_take_after_poison(self):
+        # one checkpoint is held: whatever came before, and however the
+        # live state was clobbered since, restore lands on the last take
+        comm, envs, states = self._world()
+        mgr = CheckpointManager()
+        for ev in range(5):
+            states[0].pc = ev
+            envs[0]["a"][:] = float(ev)
+            cp = mgr.take(comm, envs, states, ev, 0, log_mark=ev)
+            assert mgr.last is cp
+        states[0].pc = 1 << 30
+        envs[0]["a"][:] = -1.0
+        envs[1]["k"] = "poison"
+        cp = mgr.restore(comm, envs, states)
+        assert cp.event_count == 4 and cp.log_mark == 4
+        assert states[0].pc == 4 and envs[1]["k"] == 2
+        np.testing.assert_array_equal(envs[0]["a"], np.full(3, 4.0))
+        assert mgr.taken == 5 and mgr.restores == 1
+
+    def test_reset_epoch_leaves_nothing_to_restore(self):
+        comm, envs, states = self._world()
+        mgr = CheckpointManager(every=3)
+        mgr.take(comm, envs, states, 0, 0)
+        mgr.reset_epoch()
+        assert mgr.last is None and mgr.due(1)
+        with pytest.raises(RuntimeFault, match="no checkpoint"):
+            mgr.restore(comm, envs, states)
+        with pytest.raises(RuntimeFault, match="no checkpoint"):
+            mgr.restore_rank(0, envs, states)
+        assert mgr.taken == 1  # the counters survive the epoch
+
     def test_digest_names_event_and_ranks(self):
         comm, envs, states = self._world()
         cp = CheckpointManager().take(comm, envs, states, 7, 2)
         text = snapshot_digest(cp)
         assert "event 7" in text and "2 rank(s)" in text
+
+
+class TestLogFloor:
+    """The executor truncates the message log at the mark of the
+    checkpoint it just took; a floor that moved backwards would mean a
+    replay window already discarded."""
+
+    def test_floor_never_moves_backwards_over_a_run(self, monkeypatch):
+        mesh = structured_tri_mesh(6, 6)
+        spec = spec_for_testiv()
+        placements = enumerate_placements(TESTIV_SOURCE, spec)
+        partition = build_partition(mesh, 3, spec.pattern)
+        values = {"init": np.random.default_rng(0)
+                  .standard_normal(mesh.n_nodes),
+                  "airetri": mesh.triangle_areas,
+                  "airesom": mesh.node_areas,
+                  "epsilon": 1e-8, "maxloop": 3}
+        floors = []
+        truncate = MessageLog.truncate_before
+
+        def spy(log, mark):
+            floors.append(mark)
+            return truncate(log, mark)
+
+        monkeypatch.setattr(MessageLog, "truncate_before", spy)
+        ex = SPMDExecutor(placements.sub, spec,
+                          placements.ranked[0].placement, partition)
+        res = ex.run(values, recovery=RECOVERY_LOCAL, checkpoint_every=2,
+                     faults=FaultPlan.parse("kill rank=1 event=5"),
+                     rebalance=rebalance_policy(partition, (3,)))
+        # one truncation per take, migration epoch's fresh take included
+        assert res.migration["epochs"] == 1
+        assert len(floors) == res.recovery["checkpoints_taken"] >= 3
+        assert floors == sorted(floors) and floors[-1] > floors[0]
+        assert res.recovery["rank_restores"] == 1

@@ -24,11 +24,9 @@ from repro.mesh import build_partition, structured_tri_mesh
 from repro.placement import enumerate_placements, widen_placement
 from repro.runtime import (
     FaultPlan,
-    MachineModel,
     SPMDExecutor,
     SimComm,
     envs_bit_identical,
-    parallel_time,
 )
 from repro.runtime.faults import FaultRule, soak_check
 from repro.runtime.halos import combine_complete, combine_post, \
@@ -301,39 +299,6 @@ class TestReferenceHalosFixture:
         with pytest.raises(AssertionError, match="no per-message"):
             with reference_halos():
                 pass
-
-
-class TestPerfModelWaves:
-    def test_halo_wave_amortizes_latency(self, setup):
-        res = _run(setup, 0)
-        model = MachineModel()
-        per_msg = parallel_time(res.rank_steps, res.stats, model)
-        waved = parallel_time(res.rank_steps, res.stats, model,
-                              halo_wave=True)
-        # same words cross the wire, but message setup is amortized
-        assert waved.comm_volume == per_msg.comm_volume
-        assert waved.comm_latency < per_msg.comm_latency
-        assert waved.compute == per_msg.compute
-
-    def test_reduce_latency_unchanged(self, setup):
-        # only overlap:/combine: records amortize; the binomial reduce
-        # keeps its per-message alpha charge
-        res = _run(setup, 0)
-        model = MachineModel(beta=0.0)
-        reduce_lat = sum(
-            model.alpha * max(rec.msgs)
-            for rec in res.stats.collectives
-            if rec.label.startswith("reduce["))
-        waved = parallel_time(res.rank_steps, res.stats, model,
-                              halo_wave=True)
-        halo_records = [rec for rec in res.stats.collectives
-                        if not rec.label.startswith("reduce[")
-                        and max(rec.msgs) > 0]
-        expected = reduce_lat + sum(
-            model.alpha * (2 if rec.label.startswith("combine:")
-                           and rec.window == "blocking" else 1)
-            for rec in halo_records)
-        assert waved.comm_latency == pytest.approx(expected)
 
 
 @pytest.mark.soak

@@ -57,7 +57,7 @@ class TestCanonicalFlags:
             '{"alpha":100.0,"beta":0.05,"gamma":1.0,"iterations":50.0,'
             '"kernel_size":1000.0,"limit":null,"loss_rate":0.0,'
             '"model_check":false,"net_bound":20000,"overlap_fraction":0.1,'
-            '"preconstrain":true,"split_phase":false,"use_reduction":true}')
+            '"split_phase":false}')
 
     def test_defaults_match_the_signatures_they_mirror(self):
         import dataclasses
@@ -67,16 +67,20 @@ class TestCanonicalFlags:
         from repro.placement import enumerate_placements
         from repro.placement.cost import CostModel
 
-        mirrored = {}
-        for fn, names in (
-                (enumerate_placements,
-                 ("split_phase", "use_reduction", "preconstrain", "limit")),
-                (check, ("model_check", "net_bound"))):
-            params = inspect.signature(fn).parameters
-            mirrored.update({name: params[name].default for name in names})
+        # every defaulted keyword of the front door is a flag (``model``
+        # is spelled out field by field), so a new one cannot miss the key
+        mirrored = {
+            name: p.default
+            for name, p in inspect.signature(
+                enumerate_placements).parameters.items()
+            if p.default is not p.empty and name != "model"}
+        params = inspect.signature(check).parameters
+        mirrored.update({name: params[name].default
+                         for name in ("model_check", "net_bound")})
         cost = {f.name: f.default for f in dataclasses.fields(CostModel)}
         assert not set(mirrored) & set(cost)
         assert {**mirrored, **cost} == FLAG_DEFAULTS
+        assert len(FLAG_DEFAULTS) == 11
 
 
 class TestKeySensitivity:
@@ -95,8 +99,6 @@ class TestKeySensitivity:
 
     @pytest.mark.parametrize("flag,value", [
         ("split_phase", True),
-        ("use_reduction", False),
-        ("preconstrain", False),
         ("limit", 4),
         ("alpha", 99.0),
         ("beta", 0.06),
