@@ -19,6 +19,18 @@ import numpy as np
 from ..errors import MeshError
 
 
+def group_by_key(keys: np.ndarray,
+                 n_keys: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``keys`` grouped by value, CSR-shaped.
+
+    Returns ``(order, offsets)``: ``order[offsets[k]:offsets[k + 1]]`` are
+    the positions holding key ``k``, ascending.
+    """
+    offsets = np.zeros(n_keys + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n_keys), out=offsets[1:])
+    return np.argsort(keys, kind="stable"), offsets
+
+
 @dataclass
 class TriMesh:
     """An unstructured triangular mesh."""
@@ -70,8 +82,9 @@ class TriMesh:
         return self.triangles
 
     def entity_count(self, entity: str) -> int:
-        return {"node": self.n_nodes, "edge": self.n_edges,
-                "triangle": self.n_triangles}[entity]
+        # by name, so counting nodes does not derive the edge table
+        return getattr(self, {"node": "n_nodes", "edge": "n_edges",
+                              "triangle": "n_triangles"}[entity])
 
     # -- derived connectivity ------------------------------------------------
 
@@ -85,29 +98,11 @@ class TriMesh:
         return np.unique(sides, axis=0)
 
     @cached_property
-    def node_to_triangles(self) -> list[np.ndarray]:
-        """For each node, the triangles touching it."""
-        out: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for t, tri in enumerate(self.triangles):
-            for n in tri:
-                out[n].append(t)
-        return [np.array(ts, dtype=np.int64) for ts in out]
-
-    @cached_property
-    def triangle_adjacency(self) -> list[np.ndarray]:
-        """Triangles sharing an edge with each triangle (dual graph)."""
-        edge_map: dict[tuple[int, int], list[int]] = {}
-        for t, tri in enumerate(self.triangles):
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (min(a, b), max(a, b))
-                edge_map.setdefault(key, []).append(t)
-        adj: list[set[int]] = [set() for _ in range(self.n_triangles)]
-        for ts in edge_map.values():
-            for a in ts:
-                for b in ts:
-                    if a != b:
-                        adj[a].add(b)
-        return [np.array(sorted(s), dtype=np.int64) for s in adj]
+    def node_incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """Node → incident triangles as CSR ``(elems, offsets)``:
+        ``elems[offsets[n]:offsets[n + 1]]`` touch node ``n``, ascending."""
+        order, offsets = group_by_key(self.triangles.ravel(), self.n_nodes)
+        return order // 3, offsets
 
     @cached_property
     def boundary_edges(self) -> np.ndarray:

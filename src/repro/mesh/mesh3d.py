@@ -8,6 +8,7 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import MeshError
+from .mesh2d import group_by_key
 
 #: the six edges of a tetrahedron, as local vertex index pairs
 _TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -62,8 +63,10 @@ class TetMesh:
         return self.tets
 
     def entity_count(self, entity: str) -> int:
-        return {"node": self.n_nodes, "edge": self.n_edges,
-                "triangle": len(self.faces), "tetra": self.n_tets}[entity]
+        # by name, so counting nodes derives neither edges nor faces
+        table = {"node": "points", "edge": "edges", "triangle": "faces",
+                 "tetra": "tets"}[entity]
+        return len(getattr(self, table))
 
     @cached_property
     def edges(self) -> np.ndarray:
@@ -82,12 +85,11 @@ class TetMesh:
         return np.unique(tris, axis=0)
 
     @cached_property
-    def node_to_tets(self) -> list[np.ndarray]:
-        out: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for t, tet in enumerate(self.tets):
-            for n in tet:
-                out[n].append(t)
-        return [np.array(ts, dtype=np.int64) for ts in out]
+    def node_incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """Node → incident tetrahedra as CSR ``(elems, offsets)``:
+        ``elems[offsets[n]:offsets[n + 1]]`` touch node ``n``, ascending."""
+        order, offsets = group_by_key(self.tets.ravel(), self.n_nodes)
+        return order // 4, offsets
 
     @cached_property
     def tet_volumes(self) -> np.ndarray:

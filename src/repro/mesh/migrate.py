@@ -185,8 +185,7 @@ def repartition(partition: MeshPartition,
     """A fresh partition of the same mesh under new element ownership."""
     return build_partition(
         partition.mesh, partition.nparts, partition.pattern,
-        elem_ranks=np.asarray(elem_ranks, dtype=np.int64),
-        with_edges="edge" in partition.subs[0].l2g)
+        elem_ranks=elem_ranks, with_edges="edge" in partition.subs[0].l2g)
 
 
 def rebalance_elem_ranks(partition: MeshPartition,
@@ -272,8 +271,7 @@ class RebalancePolicy:
         if plan is not None:
             if isinstance(plan, MeshPartition):
                 return plan
-            return repartition(partition,
-                               np.asarray(plan, dtype=np.int64))
+            return repartition(partition, plan)
         new_ranks = rebalance_elem_ranks(partition, loads)
         if new_ranks is None:
             return None

@@ -20,7 +20,8 @@ program text never changes, only its loop bounds.
 
 Ownership rules (deterministic, documented for reproducibility):
 
-* a node is owned by the smallest rank among the owners of its elements;
+* a node is owned by the rank owning most of its elements; ranks that
+  tie take turns by node id (:func:`_node_owners`);
 * an edge is owned by the smaller of its endpoint owners — which is
   always a rank holding the edge locally, so kernel edge sets cover every
   edge exactly once.
@@ -35,17 +36,15 @@ probes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from ..automata.patterns import PatternDescription, get_pattern
 from ..errors import MeshError
-from .mesh2d import TriMesh
-from .mesh3d import TetMesh
+from .mesh2d import group_by_key
 from .packedid import EntityPacking, build_entity_packing
-from .partition import Mesh, partition_elements
+from .partition import Mesh, node_rank_runs, partition_elements, run_starts
 
 
 @dataclass
@@ -62,27 +61,14 @@ class SubMesh:
     elements: np.ndarray
     #: local edge connectivity over local node ids, or None
     edges: Optional[np.ndarray] = None
-    #: entity -> (source l2g array, packed ids per local slot) — lazy
-    _packed: dict[str, tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, repr=False)
 
     def counts(self, entity: str) -> tuple[int, int]:
         """(kernel, total) local extents of one entity."""
         return self.kernel_count[entity], len(self.l2g[entity])
 
     def packed_ids(self, entity: str, packing: EntityPacking) -> np.ndarray:
-        """Packed ids of this rank's local entities, aligned with ``l2g``.
-
-        Cached per entity, keyed on the identity of the ``l2g`` array, so
-        a migration (or anything else) that replaces ``l2g[entity]``
-        invalidates the cache instead of serving stale local indices.
-        """
-        arr = self.l2g[entity]
-        cached = self._packed.get(entity)
-        if cached is None or cached[0] is not arr:
-            cached = (arr, packing.pack(arr))
-            self._packed[entity] = cached
-        return cached[1]
+        """Packed ids of this rank's local entities, aligned with ``l2g``."""
+        return packing.pack(self.l2g[entity])
 
     def localize(self, entity: str, global_values: np.ndarray) -> np.ndarray:
         """Restrict a global per-entity array to this sub-mesh's numbering."""
@@ -156,35 +142,17 @@ class MeshPartition:
         cached = self._holder_csr.get(entity)
         if cached is not None:
             return cached
-        n = self.mesh.entity_count(entity)
         gids = np.concatenate([s.l2g[entity] for s in self.subs]) \
             if self.subs else np.zeros(0, np.int64)
         ranks = np.repeat(
             np.arange(self.nparts, dtype=np.int64),
             [len(s.l2g[entity]) for s in self.subs])
-        # concatenation order is rank-ascending, so a stable sort by gid
-        # leaves each gid's holder list sorted by rank
-        order = np.argsort(gids, kind="stable")
+        # concatenation order is rank-ascending, so the stable grouping by
+        # gid leaves each gid's holder list sorted by rank
+        order, offsets = group_by_key(gids, self.mesh.entity_count(entity))
         ranks = ranks[order]
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(gids, minlength=n), out=offsets[1:])
         self._holder_csr[entity] = (ranks, offsets)
         return ranks, offsets
-
-    @cached_property
-    def holders(self) -> dict[str, list[list[int]]]:
-        """entity -> global id -> ranks holding a local copy (sorted).
-
-        Compatibility view over :meth:`holder_csr`; prefer the CSR form
-        for anything that scales with entity count.
-        """
-        out: dict[str, list[list[int]]] = {}
-        for entity in self.subs[0].l2g:
-            ranks, offsets = self.holder_csr(entity)
-            out[entity] = [
-                ranks[offsets[g]:offsets[g + 1]].tolist()
-                for g in range(len(offsets) - 1)]
-        return out
 
     def overlap_sizes(self, entity: str) -> list[int]:
         """Per-rank number of overlap (non-kernel) entities."""
@@ -222,51 +190,45 @@ class MeshPartition:
           (the scatter-correctness condition of the overlap patterns);
         * local connectivity round-trips to global connectivity.
         """
-        for entity, l2gs in ((e, [s.l2g[e] for s in self.subs])
-                             for e in self.subs[0].l2g):
-            kernel_ids: list[int] = []
-            for sub, l2g in zip(self.subs, l2gs):
-                kernel_ids.extend(int(g) for g in
-                                  l2g[:sub.kernel_count[entity]])
-            if sorted(kernel_ids) != list(range(self.mesh.entity_count(entity))):
+        rank_ids = np.arange(self.nparts, dtype=np.int64)
+        kernel_rank: dict[str, np.ndarray] = {}
+        for entity in self.subs[0].l2g:
+            n = self.mesh.entity_count(entity)
+            sizes = self.kernel_sizes(entity)
+            ids = np.concatenate([s.l2g[entity][:k]
+                                  for s, k in zip(self.subs, sizes)])
+            if (((ids < 0) | (ids >= n)).any()
+                    or (np.bincount(ids, minlength=n) != 1).any()):
                 raise MeshError(f"kernels do not partition {entity!r}s")
+            kernel_rank[entity] = np.empty(n, dtype=np.int64)
+            kernel_rank[entity][ids] = np.repeat(rank_ids, sizes)
         elem = self.element_name
+        if self.pattern.duplicated_elements:
+            # scatter-correctness: a kernel node must see every one of
+            # its elements locally (shared-node partitions instead rely
+            # on the combine communication).  A rank holds its kernel
+            # elements by construction, so only incidences whose node and
+            # element have different kernel ranks are looked up, as
+            # (rank, element) keys among the ranks' overlap elements
+            n_elems = np.int64(len(self.mesh.elements))
+            k = self.mesh.elements.shape[1]
+            nodes = self.mesh.elements.ravel()   # incidence i: element i // k
+            ranks = kernel_rank["node"][nodes]
+            cross = np.flatnonzero(ranks != np.repeat(kernel_rank[elem], k))
+            held = np.concatenate([s.l2g[elem][s.kernel_count[elem]:]
+                                   for s in self.subs])
+            held += n_elems * np.repeat(rank_ids, self.overlap_sizes(elem))
+            lost = cross[~np.isin(ranks[cross] * n_elems + cross // k, held)]
+            if len(lost):
+                raise MeshError(
+                    f"rank {ranks[lost[0]]}: element {lost[0] // k} of "
+                    f"kernel node {nodes[lost[0]]} is not local")
         for sub in self.subs:
-            local_elems = set(int(g) for g in sub.l2g[elem])
-            if self.pattern.duplicated_elements:
-                # scatter-correctness: a kernel node must see every one of
-                # its elements locally (shared-node partitions instead rely
-                # on the combine communication)
-                for g_node in sub.l2g["node"][:sub.kernel_count["node"]]:
-                    for e in _elements_of_node(self.mesh, int(g_node)):
-                        if e not in local_elems:
-                            raise MeshError(
-                                f"rank {sub.rank}: element {e} of kernel "
-                                f"node {int(g_node)} is not local")
             # connectivity round-trip
             g_elems = self.mesh.elements[sub.l2g[elem]]
             back = sub.l2g["node"][sub.elements]
             if not (np.sort(back, axis=1) == np.sort(g_elems, axis=1)).all():
                 raise MeshError(f"rank {sub.rank}: local connectivity broken")
-
-
-def _elements_of_node(mesh: Mesh, node: int) -> np.ndarray:
-    if isinstance(mesh, TriMesh):
-        return mesh.node_to_triangles[node]
-    return mesh.node_to_tets[node]
-
-
-def _incidence_csr(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Node → incident elements as ``(elems, offsets)`` CSR arrays."""
-    n_nodes = mesh.entity_count("node")
-    k = mesh.elements.shape[1]
-    flat_nodes = mesh.elements.ravel()
-    flat_elems = np.repeat(np.arange(len(mesh.elements), dtype=np.int64), k)
-    order = np.argsort(flat_nodes, kind="stable")
-    elems = flat_elems[order]
-    offsets = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(flat_nodes, minlength=n_nodes), out=offsets[1:])
-    return elems, offsets
 
 
 def _csr_gather(data: np.ndarray, offsets: np.ndarray,
@@ -291,30 +253,20 @@ def _node_owners(mesh: Mesh, elem_ranks: np.ndarray) -> np.ndarray:
     this is what keeps the 32-rank load balance in the speedup
     experiment near the paper's.  Deterministic by construction.
     """
-    n_nodes = mesh.entity_count("node")
-    nodes = mesh.elements.ravel()
-    ranks = np.repeat(elem_ranks, mesh.elements.shape[1])
-    order = np.lexsort((ranks, nodes))
-    nodes, ranks = nodes[order], ranks[order]
-    owners = np.zeros(n_nodes, dtype=np.int64)
-    i, total = 0, len(nodes)
-    while i < total:
-        node = nodes[i]
-        j = i
-        best: list[int] = []
-        best_count = 0
-        while j < total and nodes[j] == node:
-            k = j
-            while k < total and nodes[k] == node and ranks[k] == ranks[j]:
-                k += 1
-            count = k - j
-            if count > best_count:
-                best, best_count = [int(ranks[j])], count
-            elif count == best_count:
-                best.append(int(ranks[j]))
-            j = k
-        owners[node] = best[int(node) % len(best)]
-        i = j
+    owners = np.zeros(mesh.entity_count("node"), dtype=np.int64)
+    nodes, ranks, counts = node_rank_runs(mesh, elem_ranks)
+    if not len(nodes):
+        return owners
+    first = run_starts(nodes)   # one segment of the table per node
+    best = np.maximum.reduceat(counts, first)
+    tied = np.flatnonzero(
+        counts == np.repeat(best, np.diff(first, append=len(nodes))))
+    # the tied rows of a node are consecutive in ``tied`` and
+    # rank-ascending: the owner is tied row number ``node % n_tied``
+    tied_first = np.searchsorted(tied, first)
+    n_tied = np.diff(tied_first, append=len(tied))
+    node = nodes[first]
+    owners[node] = ranks[tied[tied_first + node % n_tied]]
     return owners
 
 
@@ -336,9 +288,16 @@ def build_partition(mesh: Mesh, nparts: int,
         pattern = get_pattern(pattern)
     if elem_ranks is None:
         elem_ranks = partition_elements(mesh, nparts, method=method)
-    elem_ranks = np.asarray(elem_ranks, dtype=np.int64)
-    if len(elem_ranks) != len(mesh.elements):
+    given = np.asarray(elem_ranks)
+    if len(given) != len(mesh.elements):
         raise MeshError("elem_ranks length mismatch")
+    with np.errstate(invalid="ignore"):
+        elem_ranks = given.astype(np.int64, copy=False)
+    bad = np.flatnonzero((elem_ranks != given) | (elem_ranks < 0)
+                         | (elem_ranks >= nparts))
+    if len(bad):
+        raise MeshError(f"elem_ranks[{bad[0]}] = {given[bad[0]]}: not an "
+                        f"integer rank in 0..{nparts - 1}")
     elem = mesh.element_name
     if elem != pattern.element:
         raise MeshError(f"pattern {pattern.name!r} expects "
@@ -361,35 +320,38 @@ def build_partition(mesh: Mesh, nparts: int,
         # vertex pair straight to its edge gid
         edge_keys = edges[:, 0] * np.int64(n_nodes) + edges[:, 1]
 
-    inc_elems, inc_offsets = (None, None)
     if pattern.duplicated_elements:
-        inc_elems, inc_offsets = _incidence_csr(mesh)
+        inc_elems, inc_offsets = mesh.node_incidence
+    # scratch shared by all ranks — the dense global→local node map and
+    # the local-element mask — reset where a rank wrote, and entities
+    # grouped by owner once: the loop is O(N + Σ local), not O(P·N)
+    node_g2l = np.full(n_nodes, -1, dtype=np.int64)
+    local_mask = np.zeros(len(mesh.elements), dtype=bool)
+    elems_of, elem_cuts = group_by_key(elem_ranks, nparts)
+    nodes_of, node_cuts = group_by_key(node_owner, nparts)
 
     subs: list[SubMesh] = []
     for rank in range(nparts):
-        owned_elems = np.nonzero(elem_ranks == rank)[0]
-        kernel_nodes = np.nonzero(node_owner == rank)[0]
+        owned_elems = elems_of[elem_cuts[rank]:elem_cuts[rank + 1]]
+        kernel_nodes = nodes_of[node_cuts[rank]:node_cuts[rank + 1]]
+        local_elem_ids = owned_elems
         if pattern.duplicated_elements:
-            local_mask = np.zeros(len(mesh.elements), dtype=bool)
             local_mask[owned_elems] = True
             frontier_nodes = kernel_nodes
             for _layer in range(pattern.layers):
                 cand = _csr_gather(inc_elems, inc_offsets, frontier_nodes)
                 added = np.unique(cand[~local_mask[cand]])
                 local_mask[added] = True
+                local_elem_ids = np.concatenate([local_elem_ids, added])
                 # next layer grows from the nodes of newly added elements
                 frontier_nodes = np.unique(mesh.elements[added])
-            local_elem_ids = np.flatnonzero(local_mask)
-        else:
-            local_elem_ids = owned_elems
+            local_mask[local_elem_ids] = False
         elem_l2g, n_kern_elems = _kernel_first(local_elem_ids, elem_ranks,
                                                rank)
         local_nodes = np.unique(mesh.elements[elem_l2g].ravel()) \
             if len(elem_l2g) else np.array([], dtype=np.int64)
         node_l2g, n_kern_nodes = _kernel_first(local_nodes, node_owner, rank)
 
-        # dense global→local node map: one fancy-indexed store, no dict
-        node_g2l = np.full(n_nodes, -1, dtype=np.int64)
         node_g2l[node_l2g] = np.arange(len(node_l2g), dtype=np.int64)
         local_conn = node_g2l[mesh.elements[elem_l2g]]
 
@@ -414,6 +376,7 @@ def build_partition(mesh: Mesh, nparts: int,
             l2g["edge"] = edge_l2g
             kernel_count["edge"] = n_kern_edges
             local_edges = node_g2l[mesh.edges[edge_l2g]]
+        node_g2l[node_l2g] = -1
         subs.append(SubMesh(rank=rank, pattern=pattern, l2g=l2g,
                             kernel_count=kernel_count, elements=local_conn,
                             edges=local_edges))

@@ -61,6 +61,32 @@ def element_dual_edges(mesh: Mesh) -> np.ndarray:
     return pairs
 
 
+def run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal adjacent ``values`` starts."""
+    head = np.ones(len(values), dtype=bool)
+    head[1:] = values[1:] != values[:-1]
+    return np.flatnonzero(head)
+
+
+def node_rank_runs(mesh: Mesh, elem_ranks: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The node–rank incidence table of an element partition.
+
+    Every (node, element) incidence of ``mesh.elements`` carries its
+    element's rank; sorted and run-length encoded that is one row per
+    distinct (node, rank) pair — ``(nodes, ranks, counts)``, ordered by
+    node then rank, ``counts`` the number of the node's elements the
+    rank owns.  Ranks must be non-negative.
+    """
+    span = int(elem_ranks.max()) + 1 if len(elem_ranks) else 1
+    keys = np.sort(mesh.elements.ravel() * np.int64(span)
+                   + np.repeat(elem_ranks, mesh.elements.shape[1]))
+    heads = run_starts(keys)
+    counts = np.diff(heads, append=len(keys))
+    nodes, ranks = np.divmod(keys[heads], np.int64(span))
+    return nodes, ranks, counts
+
+
 def _dual_adjacency(mesh: Mesh) -> sp.csr_matrix:
     n = len(mesh.elements)
     pairs = element_dual_edges(mesh)
@@ -78,9 +104,16 @@ def _dual_adjacency(mesh: Mesh) -> sp.csr_matrix:
 
 
 def partition_rcb(mesh: Mesh, nparts: int) -> np.ndarray:
-    """Recursive coordinate bisection on element centroids."""
-    cent = element_centroids(mesh)
-    ranks = np.zeros(len(cent), dtype=np.int64)
+    """Recursive coordinate bisection on element centroids.
+
+    Elements with equal keys on the cut axis keep their index order (the
+    stable order).  Distinct keys have only one sorted order, so the
+    stable sort is paid only by a group that has ties — structured
+    meshes; a Delaunay mesh never takes it.
+    """
+    # one contiguous row per axis: min/max and the sort read whole rows
+    cent = np.ascontiguousarray(element_centroids(mesh).T)
+    ranks = np.zeros(cent.shape[1], dtype=np.int64)
 
     def split(idx: np.ndarray, parts: int, base: int) -> None:
         if parts == 1:
@@ -88,14 +121,18 @@ def partition_rcb(mesh: Mesh, nparts: int) -> np.ndarray:
             return
         left_parts = parts // 2
         frac = left_parts / parts
-        spans = cent[idx].max(axis=0) - cent[idx].min(axis=0)
-        axis = int(np.argmax(spans))
-        order = idx[np.argsort(cent[idx, axis], kind="stable")]
+        pts = cent.take(idx, axis=1)
+        keys = pts[np.argmax(pts.max(axis=1) - pts.min(axis=1))]
+        order = np.argsort(keys)
+        in_order = keys[order]
+        if (in_order[1:] == in_order[:-1]).any():
+            order = np.argsort(keys, kind="stable")
+        order = idx[order]
         cut = int(round(len(order) * frac))
         split(order[:cut], left_parts, base)
         split(order[cut:], parts - left_parts, base + left_parts)
 
-    split(np.arange(len(cent)), nparts, 0)
+    split(np.arange(cent.shape[1]), nparts, 0)
     return ranks
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import Mesh, element_dual_edges
+from .partition import Mesh, element_dual_edges, node_rank_runs
 
 
 @dataclass(frozen=True)
@@ -39,21 +39,14 @@ def measure_partition(mesh: Mesh, ranks: np.ndarray) -> PartitionQuality:
     pairs = element_dual_edges(mesh)
     edge_cut = int((ranks[pairs[:, 0]] != ranks[pairs[:, 1]]).sum()) \
         if len(pairs) else 0
-    # interface nodes: nodes whose adjacent elements span several parts
-    n_nodes = mesh.entity_count("node")
-    first = np.full(n_nodes, -1, dtype=np.int64)
-    multi = np.zeros(n_nodes, dtype=bool)
-    for e, elem in enumerate(mesh.elements):
-        r = ranks[e]
-        for n in elem:
-            if first[n] < 0:
-                first[n] = r
-            elif first[n] != r:
-                multi[n] = True
+    # interface nodes: nodes whose adjacent elements span several parts,
+    # i.e. nodes with two or more rows in the node–rank table
+    nodes, _ranks, _counts = node_rank_runs(mesh, ranks)
+    interface_nodes = int((np.bincount(nodes) > 1).sum())
     return PartitionQuality(
         nparts=nparts,
         sizes=tuple(int(s) for s in sizes),
         imbalance=imbalance,
         edge_cut=edge_cut,
-        interface_nodes=int(multi.sum()),
+        interface_nodes=interface_nodes,
     )

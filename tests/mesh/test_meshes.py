@@ -7,6 +7,7 @@ from repro.errors import MeshError
 from repro.mesh import (
     TetMesh,
     TriMesh,
+    element_dual_edges,
     random_delaunay_mesh,
     structured_tet_mesh,
     structured_tri_mesh,
@@ -42,13 +43,34 @@ class TestTriMesh:
         assert m.n_nodes - m.n_edges + m.n_triangles == 1
 
     def test_node_to_triangles(self):
-        m = two_triangle_mesh()
-        assert set(m.node_to_triangles[1].tolist()) == {0, 1}
-        assert set(m.node_to_triangles[0].tolist()) == {0}
+        elems, offsets = two_triangle_mesh().node_incidence
+        assert elems[offsets[1]:offsets[2]].tolist() == [0, 1]
+        assert elems[offsets[0]:offsets[1]].tolist() == [0]
+
+    def test_node_incidence_is_the_transposed_connectivity(self):
+        for m in (structured_tri_mesh(5, 4), structured_tet_mesh(2, 3, 2)):
+            elems, offsets = m.node_incidence
+            assert offsets[0] == 0 and offsets[-1] == m.elements.size
+            for n in range(m.n_nodes):
+                want = np.flatnonzero((m.elements == n).any(axis=1))
+                np.testing.assert_array_equal(
+                    elems[offsets[n]:offsets[n + 1]], want)
+
+    def test_counting_nodes_derives_no_edge_table(self):
+        # entity_count used to evaluate every count to return one: the
+        # first node count of a 2-D run paid for np.unique over all sides
+        tri, tet = structured_tri_mesh(3, 3), structured_tet_mesh(2, 2, 2)
+        assert tri.entity_count("node") == 16
+        assert tet.entity_count("node") == 27 and tet.entity_count("tetra") == 48
+        assert "edges" not in vars(tri)
+        assert "edges" not in vars(tet) and "faces" not in vars(tet)
+        assert tri.entity_count("edge") == tri.n_edges == 33
+        assert tet.entity_count("triangle") == len(tet.faces)
+        with pytest.raises(KeyError):
+            tri.entity_count("tetra")
 
     def test_triangle_adjacency(self):
-        m = two_triangle_mesh()
-        assert m.triangle_adjacency[0].tolist() == [1]
+        assert element_dual_edges(two_triangle_mesh()).tolist() == [[0, 1]]
 
     def test_boundary_edges(self):
         m = two_triangle_mesh()
@@ -119,9 +141,9 @@ class TestTetMesh:
         assert len(np.unique(m.faces, axis=0)) == len(m.faces)
 
     def test_node_to_tets(self):
-        m = structured_tet_mesh(1, 1, 1)
+        elems, offsets = structured_tet_mesh(1, 1, 1).node_incidence
         # corner 0 of the Kuhn decomposition belongs to all six tets
-        assert len(m.node_to_tets[0]) == 6
+        assert elems[offsets[0]:offsets[1]].tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_degenerate_rejected(self):
         with pytest.raises(MeshError, match="degenerate"):
