@@ -111,6 +111,9 @@ class FlatCode:
     first_pc: dict[int, int] = field(default_factory=dict)
     #: loop sid -> (pc of ILoopInit)
     loop_pc: dict[int, int] = field(default_factory=dict)
+    #: what :mod:`repro.lang.interp` executes, built by it on first use and
+    #: shared by every interpreter over this code
+    compiled: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.instrs)

@@ -58,18 +58,32 @@ from .interp import _is_integer
 
 Env = dict
 
+
+def _np_mod(a, b):
+    """FORTRAN-77 ``MOD``: the remainder takes the sign of the dividend."""
+    if _is_integral(a) and _is_integral(b) and np.any(b == 0):
+        raise InterpError("integer modulo by zero")
+    return np.fmod(a, b)
+
+
+def _np_nint(x):
+    """FORTRAN-77 ``NINT``: halves round away from zero."""
+    r = np.floor(np.abs(x))
+    return (np.sign(x) * (r + (np.abs(x) - r >= 0.5))).astype(np.int64)
+
+
 _NP_INTRINSICS: dict[str, Callable] = {
     "abs": np.abs, "sqrt": np.sqrt, "exp": np.exp, "log": np.log,
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "atan": np.arctan,
     "max": np.maximum, "min": np.minimum,
     "amax1": np.maximum, "amin1": np.minimum,
     "max0": np.maximum, "min0": np.minimum,
-    "mod": np.mod,
+    "mod": _np_mod,
     "float": lambda x: np.asarray(x, dtype=np.float64),
     "real": lambda x: np.asarray(x, dtype=np.float64),
     "dble": lambda x: np.asarray(x, dtype=np.float64),
     "int": lambda x: np.trunc(x).astype(np.int64),
-    "nint": lambda x: np.rint(x).astype(np.int64),
+    "nint": _np_nint,
 }
 
 _REDUCERS = {"+": np.sum, "*": np.prod, "max": np.max, "min": np.min}

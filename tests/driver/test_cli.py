@@ -226,6 +226,25 @@ class TestCLI:
                          "--set", "maxloop=abc"], capsys)
         assert "--set maxloop='abc'" in err
 
+    def test_arithmetic_fault_in_the_run_reports_error(self, tmp_path, capsys):
+        from repro.mesh import structured_tri_mesh, write_mesh
+
+        write_mesh(structured_tri_mesh(4, 4), tmp_path / "m.mesh")
+        prog, spec = tmp_path / "scale.f", tmp_path / "scale.spec"
+        prog.write_text(
+            "      subroutine SCALE(X0, X1, nsom, d)\n"
+            "      integer nsom\n      real X0(100), X1(100)\n"
+            "      real d, r\n      integer i\n"
+            "      r = 1.0 / d\n"
+            "      do i = 1,nsom\n         X1(i) = X0(i) * r\n"
+            "      end do\n      end\n")
+        spec.write_text("pattern overlap-elements-2d\nextent node nsom\n"
+                        "array x0 node\narray x1 node\n")
+        err = self._bad([str(prog), str(spec), "--run",
+                         str(tmp_path / "m.mesh"), "--field", "x0=random",
+                         "--set", "d=0.0"], capsys)
+        assert "line 6: float division by zero" in err
+
     @pytest.mark.parametrize("run", [False, True])
     def test_index_out_of_range_reports_error(self, files, tmp_path, capsys,
                                               run):
