@@ -22,9 +22,9 @@ from repro.corpus import TESTIV_SOURCE
 from repro.errors import RuntimeFault
 from repro.mesh import build_partition, structured_tri_mesh
 from repro.placement import (
-    Placement,
     check_annotated_program,
     enumerate_placements,
+    parse_annotated,
 )
 from repro.runtime import SPMDExecutor
 from repro.spec import spec_for_testiv
@@ -45,10 +45,9 @@ def main() -> None:
     print(buggy)
 
     print("=== static test mode (paper section 5.2) ===")
-    report = check_annotated_program(buggy, spec)
-    print(report.summary())
-    for msg in report.missing:
-        print(f"  MISSING: {msg}")
+    sink = check_annotated_program(buggy, spec)
+    print("COMPATIBLE" if sink.ok else "INCOMPATIBLE")
+    print(sink.render())
 
     print("\n=== what happens if it runs anyway ===")
     mesh = structured_tri_mesh(10, 10)
@@ -58,12 +57,11 @@ def main() -> None:
     values = {"init": init, "airetri": mesh.triangle_areas,
               "airesom": mesh.node_areas, "epsilon": 1e-2, "maxloop": 300}
     partition = build_partition(mesh, 4, spec.pattern)
-    placements = enumerate_placements(TESTIV_SOURCE, spec)
-    good = placements.best().placement
-    broken = Placement(solution=good.solution,
-                       comms=[c for c in good.comms if c.var != "sqrdiff"])
+    # the placement the buggy *text* declares, not a doctored CommOp list
+    legacy = parse_annotated(buggy, spec)
     try:
-        SPMDExecutor(placements.sub, spec, broken, partition).run(values)
+        SPMDExecutor(legacy.sub, spec, legacy.best().placement,
+                     partition).run(values)
         print("ranks happened to agree this time — the subtle case the "
               "paper warns about")
     except RuntimeFault as exc:
@@ -72,7 +70,9 @@ def main() -> None:
               "sweep — the paper's 'different convergence rate')")
 
     print("\n=== the correct program runs fine ===")
-    res = SPMDExecutor(placements.sub, spec, good, partition).run(values)
+    placements = enumerate_placements(TESTIV_SOURCE, spec)
+    res = SPMDExecutor(placements.sub, spec, placements.best().placement,
+                       partition).run(values)
     loops = {env["loop"] for env in res.envs}
     print(f"all ranks stopped after the same {loops.pop()} sweeps; "
           f"result range [{res.gather('result').min():.3f}, "

@@ -18,7 +18,12 @@ before a single message is sent — that
 * checkpoint boundaries cannot fall inside an open window, which would
   make the PR-2 quiescence condition unreachable (CC006);
 * the halo schedules actually cover the overlap the placement relies on
-  (CC008).
+  (CC008);
+* and — what only hand-written text can get wrong, this being the judge
+  of the §5.2 test mode too (:mod:`repro.placement.checkmode`) — that the
+  iteration domains admit an overlap state at all (CC014) and every
+  declared communication belongs to an update some dependence needs
+  (CC013).
 
 Two engines cooperate.  The **path predicates** reuse the extraction
 machinery's loop-aware search (:func:`repro.placement.comms.find_path_avoiding`
@@ -51,8 +56,9 @@ from ..placement.comms import (
     K_OVERLAP,
     K_REDUCE,
     Placement,
-    _kind_and_op,
     find_path_avoiding,
+    find_reexecution,
+    kind_and_op,
 )
 from ..placement.dfg import N_DEF, N_OUT, ValueFlowGraph
 from ..placement.propagate import Propagator
@@ -406,9 +412,9 @@ def _groups(vfg: ValueFlowGraph, placement: Placement) -> list[_Group]:
     out = []
     for (var, method), edges in sorted(
             placement.solution.updates_by_var().items()):
-        kind, _op = _kind_and_op(method, vfg, edges)
+        kind, op = kind_and_op(method, vfg, edges)
         ops = [c for c in placement.comms
-               if c.var == var and c.kind == kind]
+               if (c.var, c.kind, c.op) == (var, kind, op)]
         out.append(_Group(var=var, method=method, kind=kind,
                           edges=edges, ops=ops))
     return out
@@ -419,27 +425,14 @@ def _all_defs_of(vfg: ValueFlowGraph, var: str) -> set[int]:
             if n.kind == N_DEF and n.var == var and n.sid != ENTRY}
 
 
-def _reexec_witness(cfg: CFG, vfg: ValueFlowGraph, cand: int,
-                    stop: set[int]) -> Optional[list[int]]:
-    """Path re-reaching ``cand``'s pre-action while avoiding ``stop``.
+def _live(cfg: CFG, anchors: set[int], d: int) -> set[int]:
+    """The ``anchors`` that order with the definition at ``d``.
 
-    Mirrors :func:`repro.placement.comms._reexecutes_without_def` but
-    returns the witness path (``do``-loop candidates restart from the
-    loop's exterior successors).
+    A communication in front of a ``do`` loop runs once per loop *entry*:
+    it orders with no definition made inside that loop, whatever the
+    back-edge arrival at the header looks like to the path search.
     """
-    if isinstance(cfg.nodes.get(cand), DoLoop):
-        inside = cfg.loop_interior(cand)
-        starts = sorted({s for n in inside for s in cfg.succ.get(n, ())
-                         if s not in inside and s not in stop})
-    else:
-        starts = sorted(s for s in cfg.succ.get(cand, ()) if s not in stop)
-    for s in starts:
-        if s == cand:
-            return [cand, cand]
-        path = find_path_avoiding(cfg, vfg, s, stop, {cand})
-        if path is not None:
-            return [cand] + path
-    return None
+    return anchors.difference(cfg.loops_of.get(d, ()))
 
 
 def _side_region(cfg: CFG, start: int, branch: int, join: int) -> set[int]:
@@ -609,7 +602,9 @@ def check_placement(vfg: ValueFlowGraph, placement: Placement,
                     with_facts: bool = True,
                     model_check: bool = False,
                     net_bound: int = DEFAULT_NET_BOUND) -> DiagnosticSink:
-    """Run every static check over one placed program.
+    """Run every static check over one placed program — generated, or
+    read back from annotated text (CC014 ends the check: without states
+    there are no update groups to judge).
 
     ``source`` (when given) is scanned for ``commcheck: disable=CCnnn``
     suppression comments; explicit ``suppress`` codes are added on top.
@@ -625,16 +620,35 @@ def check_placement(vfg: ValueFlowGraph, placement: Placement,
         if source:
             codes |= parse_suppressions(source)
         sink = DiagnosticSink(suppress=codes)
+    if automaton is None:
+        from ..automata.library import automaton_for
+        automaton = automaton_for(vfg.graph.spec.pattern)
+    placement = _check_domains(sink, sub, vfg, placement, automaton)
+    if placement is None:
+        return sink
 
     facts: Optional[ProgramFacts] = None
     if with_facts:
-        if automaton is None:
-            from ..automata.library import automaton_for
-            automaton = automaton_for(vfg.graph.spec.pattern)
         try:
             facts = compute_facts(vfg, placement, automaton)
         except (ReproError, KeyError, AssertionError):
             facts = None  # enrichment only; the predicates still run
+
+    # -- CC004: a collective inside a partitioned loop runs once per local
+    # entity, a count that differs from rank to rank -----------------------
+    for op in placement.comms:
+        for a in sorted({op.post_anchor, op.wait_anchor}):
+            for loop in cfg.loops_of.get(a, ()):
+                if loop in vfg.loops:
+                    at, hdr = anchor_for(sub, a), anchor_for(sub, loop)
+                    sink.emit(Diagnostic(
+                        code="CC004", var=op.var,
+                        message=f"{op.method} on {op.var!r} at {at.label()} "
+                                f"sits inside the partitioned loop at "
+                                f"{hdr.label()}: ranks iterate it different "
+                                f"numbers of times, so the collective goes "
+                                f"unmatched",
+                        anchors=(at, hdr), witness=(hdr, at)))
 
     # -- CC003 / CC002 / CC006: window pairing and window contents ----------
     broken_ops: set[int] = set()
@@ -655,7 +669,7 @@ def check_placement(vfg: ValueFlowGraph, placement: Placement,
                 witness=_witness(sub, path),
                 data={"post": post, "wait": wait, "fault": "wait-before-post"}))
             continue
-        path = _reexec_witness(cfg, vfg, post, {wait})
+        path = find_reexecution(cfg, vfg, post, {wait})
         if path is not None:
             broken_ops.add(idx)
             sink.emit(Diagnostic(
@@ -668,7 +682,7 @@ def check_placement(vfg: ValueFlowGraph, placement: Placement,
                 data={"post": post, "wait": wait, "fault": "double-post"}))
             continue
         if wait != EXIT:
-            path = _reexec_witness(cfg, vfg, wait, {post})
+            path = find_reexecution(cfg, vfg, wait, {post})
             if path is not None:
                 broken_ops.add(idx)
                 sink.emit(Diagnostic(
@@ -741,6 +755,16 @@ def check_placement(vfg: ValueFlowGraph, placement: Placement,
     # -- coverage: CC001 / CC004 / CC005 / CC007 ----------------------------
     groups = _groups(vfg, placement)
     broken_vars = {placement.comms[i].var for i in broken_ops}
+    grouped = {op for group in groups for op in group.ops}
+    for op in placement.comms:
+        if op not in grouped:  # CC013 — only hand-written text declares one
+            at = anchor_for(sub, op.wait_anchor)
+            sink.emit(Diagnostic(
+                code="CC013", var=op.var, anchors=(at,),
+                message=f"{op.method} on {op.var!r} at {at.label()} is "
+                        f"superfluous: no dependence under the declared "
+                        f"domains requires it",
+                data={"post": op.post_anchor, "wait": op.wait_anchor}))
     ipdom = cfg.ipdom()
     emitted: set[tuple] = set()
     for group in groups:
@@ -752,7 +776,8 @@ def check_placement(vfg: ValueFlowGraph, placement: Placement,
             if d == ENTRY:
                 continue
             use = EXIT if e.dst.kind == N_OUT else e.dst.sid
-            path = find_path_avoiding(cfg, vfg, d, anchors, {use})
+            path = find_path_avoiding(cfg, vfg, d, _live(cfg, anchors, d),
+                                      {use})
             if path is None:
                 continue
             _emit_coverage(sink, sub, cfg, vfg, placement, group, e, d, use,
@@ -765,7 +790,7 @@ def check_placement(vfg: ValueFlowGraph, placement: Placement,
             key = ("CC007-fresh", group.var, a)
             path = find_path_avoiding(cfg, vfg, ENTRY, group.defs, {a})
             if path is None:
-                path_w = _reexec_witness(cfg, vfg, a, group.defs)
+                path_w = find_reexecution(cfg, vfg, a, group.defs)
                 if path_w is None:
                     continue
                 msg = (f"{group.method} of {group.var!r} at "
@@ -795,6 +820,39 @@ def check_placement(vfg: ValueFlowGraph, placement: Placement,
     return sink
 
 
+def _check_domains(sink: DiagnosticSink, sub: Subroutine,
+                   vfg: ValueFlowGraph, placement: Placement,
+                   automaton: OverlapAutomaton) -> Optional[Placement]:
+    """The placement to judge — evaluated here if it came without states
+    (read from a payload, or from text whose domains may admit none) — or
+    ``None`` after CC014: a partitioned loop has no domain, or the domains
+    admit no state."""
+    domains = placement.domains
+    bare = sorted(set(vfg.loops) - set(domains))
+    for lsid in bare:
+        sink.emit(Diagnostic(
+            code="CC014", anchors=(anchor_for(sub, lsid),),
+            message=f"partitioned loop at {anchor_for(sub, lsid).label()} "
+                    f"has no ITERATION DOMAIN directive"))
+    if bare:
+        return None
+    if placement.solution.states:
+        return placement
+    prop = Propagator(vfg, automaton)
+    solution = prop.evaluate(domains)
+    if solution is not None:
+        return Placement(solution, placement.comms)
+    # the definition whose state the pattern excludes, or (a delivery
+    # failed on an edge) the loops whose domains disagree
+    stuck = [n.sid for n in vfg.def_nodes() if n.sid != ENTRY
+             and prop.def_state(n, domains) is None]
+    sink.emit(Diagnostic(
+        code="CC014", anchors=_witness(sub, stuck[:1] or sorted(domains)),
+        message="no overlap state is consistent with the iteration domains "
+                "(an incoherent state the pattern excludes is produced)"))
+    return None
+
+
 def _emit_coverage(sink: DiagnosticSink, sub: Subroutine, cfg: CFG,
                    vfg: ValueFlowGraph, placement: Placement, group: _Group,
                    edge, d: int, use: int, path: list[int],
@@ -804,7 +862,15 @@ def _emit_coverage(sink: DiagnosticSink, sub: Subroutine, cfg: CFG,
     """Classify one uncovered def→use path into CC001/CC004/CC005/CC007."""
     fact_names = facts.describe(use, group.var, sub) if facts is not None \
         and use != EXIT else []
-    if edge.guard in (G_CONTROL, G_BOUND) and use not in (ENTRY, EXIT):
+    # an assembling communication of another kind or operator declared on
+    # the path leaves every rank the same — wrong — value
+    rivals = [c for c in placement.comms if c.var == group.var
+              and c.kind != K_OVERLAP and c not in group.ops]
+    uniform = bool(rivals) and find_path_avoiding(
+        cfg, vfg, d, _live(cfg, {c.wait_anchor for c in rivals}, d),
+        {use}) is None
+    if edge.guard in (G_CONTROL, G_BOUND) and use not in (ENTRY, EXIT) \
+            and not uniform:
         # an incoherent branch condition: ranks may diverge — compare the
         # collective events each side of the branch executes
         join = ipdom.get(use, EXIT)
@@ -919,7 +985,9 @@ def _emit_coverage(sink: DiagnosticSink, sub: Subroutine, cfg: CFG,
         code=code, var=group.var,
         message=f"{what} of {group.var!r} at {where}: the path from its "
                 f"definition at {anchor_for(sub, d).label()} crosses no "
-                f"{group.method} communication (anchors: {covered})",
+                f"{group.method} communication (anchors: {covered})"
+                + (f"; {rivals[0].method} assembles another value"
+                   if uniform else ""),
         anchors=(anchor_for(sub, use), anchor_for(sub, d)),
         witness=_witness(sub, path),
         data={"method": group.method, "def": d, "use": use,

@@ -50,6 +50,10 @@ CC011  model-divergence          the MP-net explorer and the wait-for
                                  verdict (a checker bug, always an error)
 CC012  model-inconclusive        the MP-net exploration stopped at its
                                  state bound before reaching a verdict
+CC013  superfluous-sync          a declared communication outside every
+                                 update group: no dependence needs it
+CC014  domain-inconsistent       a partitioned loop without an iteration
+                                 domain, or domains no overlap state fits
 CC101  undrained-channel         runtime: messages sent but never received
 CC102  leaked-request            runtime: requests posted but never waited
 CC103  leaked-window             runtime: communication window never waited
@@ -83,6 +87,8 @@ CODES: dict[str, tuple[str, str]] = {
     "CC010": ("tag-conflict", SEV_WARNING),
     "CC011": ("model-divergence", SEV_ERROR),
     "CC012": ("model-inconclusive", SEV_WARNING),
+    "CC013": ("superfluous-sync", SEV_WARNING),
+    "CC014": ("domain-inconsistent", SEV_ERROR),
     "CC101": ("undrained-channel", SEV_ERROR),
     "CC102": ("leaked-request", SEV_ERROR),
     "CC103": ("leaked-window", SEV_ERROR),

@@ -49,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="test mode (paper §5.2): the program file is an "
                         "already-annotated SPMD source; verify its "
-                        "placement instead of generating one")
+                        "placement instead of generating one (with --run, "
+                        "then execute it)")
     p.add_argument("--summary", action="store_true",
                    help="print one line per solution instead of full sources")
     p.add_argument("--split-phase", action="store_true",
@@ -180,17 +181,19 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.spec) as fh:
             spec = PartitionSpec.parse(fh.read())
         if args.check:
-            from .placement import check_annotated_program
+            from .analysis.commcheck import check_placement
+            from .analysis.diagnostics import DiagnosticSink
+            from .placement import parse_annotated
 
-            report = check_annotated_program(source, spec)
-            out.write(report.summary() + "\n")
-            for msg in report.errors:
-                out.write(f"  error: {msg}\n")
-            for msg in report.missing:
-                out.write(f"  missing: {msg}\n")
-            for d in report.superfluous:
-                out.write(f"  superfluous: {d.method} on {d.var}\n")
-            return 0 if report.ok else 2
+            sink = DiagnosticSink()
+            result = parse_annotated(source, spec, sink)
+            check_placement(result.vfg, result.best().placement,
+                            result.automaton, sink=sink)
+            out.write(("COMPATIBLE" if sink.ok else "INCOMPATIBLE")
+                      + "\n" + sink.render() + "\n")
+            if not sink.ok or not args.run:
+                return 0 if sink.ok else 2
+            return _run_pipeline_cli(args, spec, result, out)
         sub = parse_subroutine(source)
         if args.legality:
             report = check_legality(sub, spec)

@@ -7,12 +7,7 @@ by :func:`place_communications` / :func:`enumerate_placements`.
 """
 
 from .annotate import annotate_source, domain_directive, placement_summary
-from .checkmode import (
-    CheckReport,
-    DeclaredSync,
-    check_annotated_program,
-    parse_annotated,
-)
+from .checkmode import check_annotated_program, parse_annotated
 from .comms import (
     CommOp,
     K_COMBINE,
@@ -45,8 +40,7 @@ from .propagate import Propagator, Solution
 from .reduce import ReductionStats, reduce_vfg
 
 __all__ = [
-    "CheckReport", "CommOp", "CostBreakdown", "CostModel",
-    "DeclaredSync", "K_COMBINE", "K_OVERLAP",
+    "CommOp", "CostBreakdown", "CostModel", "K_COMBINE", "K_OVERLAP",
     "check_annotated_program", "parse_annotated",
     "K_REDUCE", "N_DEF", "N_IN", "N_OUT", "N_USE", "Placement",
     "PlacementResult", "Propagator", "RankedPlacement", "ReductionStats",

@@ -65,11 +65,13 @@ def placement_summary(sub: Subroutine, vfg: ValueFlowGraph,
         st = sub.stmt(lsid)
         ent = vfg.loops.get(lsid, "?")
         parts.append(f"loop@{st.line}({ent})={placement.domains[lsid]}")
+    def at(sid: int) -> str:
+        return "@end" if sid == EXIT else f"@{sub.stmt(sid).line}"
+
     for c in placement.comms:
-        wait = "@end" if c.anchor == EXIT else f"@{sub.stmt(c.anchor).line}"
         if c.is_split:
-            where = f"post@{sub.stmt(c.post_anchor).line}→wait{wait}"
+            where = f"post{at(c.post_anchor)}→wait{at(c.wait_anchor)}"
         else:
-            where = wait if c.anchor != EXIT else "end"
+            where = "end" if c.anchor == EXIT else at(c.anchor)
         parts.append(f"sync[{c.method}:{c.var}]{where}")
     return "  ".join(parts)

@@ -1,216 +1,99 @@
-"""Test mode: verify a hand-annotated SPMD program — paper section 5.2.
+"""Test mode: read a hand-annotated SPMD program back — paper section 5.2.
 
 "Suppose that we start with the dfg with communication calls already
 placed.  Then our algorithm may run in test mode, checking that this
 particular placement gives a behavior compatible with the overlap."
 
-Given an annotated source (``C$ITERATION DOMAIN`` / ``C$SYNCHRONIZE``
-directives, exactly the figures-9/10 format — e.g. a legacy program an
-engineer transformed by hand), this module:
-
-1. parses the directives and attaches them to statements;
-2. evaluates the overlap states under the declared domains;
-3. checks every Update the automaton demands is covered by a declared
-   synchronization at a valid program point (and flags declared
-   synchronizations that no dependence needs).
-
-This is the mechanized version of the paper's section-6 motivation: manual
-placements harbor errors that "may be very difficult to trace, since bad
-synchronizations sometimes imply a small imprecision of the result, and/or
-a different convergence rate" — test mode finds them statically.
+The annotated source (figures 9/10) is the interchange format:
+:func:`parse_annotated` reads it back into the placement it was printed
+from, and :func:`repro.analysis.commcheck.check_placement` — the judge
+every generated placement faces — decides.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Optional
 
+from ..analysis.diagnostics import Diagnostic, DiagnosticSink, anchor_for
 from ..automata.library import automaton_for
 from ..errors import PlacementError
-from ..lang.ast import DoLoop, Subroutine
-from ..lang.cfg import ENTRY, EXIT
+from ..lang.ast import DoLoop
+from ..lang.cfg import EXIT
 from ..lang.lexer import scan_directives, sync_phase
-from ..lang.parser import parse_subroutine
 from ..spec import PartitionSpec
-from .comms import _candidate_valid, _hoist_anchor, _kind_and_op, _post_valid
-from .dfg import N_OUT, build_value_flow_graph
-from .engine import analyze
-from .propagate import Propagator
+from .comms import CommOp, Placement, kind_and_op
+from .engine import PlacementResult, analyze, ranked_result
+from .propagate import Propagator, Solution
 
 _DOMAIN_RE = re.compile(r"ITERATION\s+DOMAIN:\s*(KERNEL|OVERLAP)", re.I)
 _SYNC_RE = re.compile(
-    r"SYNCHRONIZE\s+METHOD:\s*(?P<method>[^ ]+(?:\s+reduction)?)\s+ON\s+"
+    r"SYNCHRONIZE\s+METHOD:\s*(?P<method>[^ ]+(?: reduction)?)\s+ON\s+"
     r"(?:ARRAY|SCALAR):\s*(?P<var>\w+)", re.I)
 
 
-@dataclass(frozen=True)
-class DeclaredSync:
-    """One C$SYNCHRONIZE directive found in the source."""
+def parse_annotated(source: str, spec: PartitionSpec,
+                    sink: DiagnosticSink | None = None) -> PlacementResult:
+    """Annotated text → the one-entry result it declares.
 
-    method: str
-    var: str
-    anchor: int  # sid of the following statement; EXIT for trailing
-    phase: Optional[str] = None  # "POST" | "WAIT" | None (blocking)
-
-
-@dataclass
-class CheckReport:
-    """Outcome of verifying one annotated program."""
-
-    sub: Subroutine
-    domains: dict[int, str]
-    declared: list[DeclaredSync]
-    #: updates the automaton demands but no declared sync covers
-    missing: list[str] = field(default_factory=list)
-    #: declared syncs no dependence requires
-    superfluous: list[DeclaredSync] = field(default_factory=list)
-    #: structural problems (bad anchors, inconsistent domains…)
-    errors: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.missing and not self.errors
-
-    def summary(self) -> str:
-        state = "COMPATIBLE" if self.ok else "INCOMPATIBLE"
-        extra = f", {len(self.superfluous)} superfluous sync(s)" \
-            if self.superfluous else ""
-        return (f"{state}: {len(self.declared)} declared sync(s), "
-                f"{len(self.missing)} missing, "
-                f"{len(self.errors)} error(s){extra}")
-
-
-def parse_annotated(source: str) -> tuple[Subroutine, dict[int, str],
-                                          list[DeclaredSync]]:
-    """Split an annotated source into program, domains, and declared syncs.
-
-    Directives attach to the next statement by *source line*; trailing
-    synchronizations (after the last statement) anchor at EXIT.
+    Directives attach to the next statement by *source line*, trailing
+    ones to EXIT; the k-th POST of a (variable, method) pairs with its k-th
+    WAIT.  A lone half is a CC003 in ``sink``, else a :class:`PlacementError`.
     """
-    sub = parse_subroutine(source)
-    # map: first statement at or after each source line
+    sub, _graph, _idioms, legality, vfg = analyze(source, spec)
     stmts = sorted(sub.walk(), key=lambda s: (s.line, s.sid))
-
-    def stmt_after(line: int):
-        for st in stmts:
-            if st.line > line:
-                return st
-        return None
-
     domains: dict[int, str] = {}
-    declared: list[DeclaredSync] = []
+    halves: dict[tuple, dict] = {}   # (var, method) -> phase -> anchors
     for line, text in scan_directives(source):
+        st = next((s for s in stmts if s.line > line), None)
         m = _DOMAIN_RE.search(text)
         if m:
-            st = stmt_after(line)
             if not isinstance(st, DoLoop):
-                raise PlacementError(
-                    f"line {line}: ITERATION DOMAIN directive not followed "
-                    f"by a do loop")
+                raise PlacementError(f"line {line}: ITERATION DOMAIN "
+                                     f"directive not followed by a do loop")
             domains[st.sid] = m.group(1).upper()
             continue
         phase, body = sync_phase(text)
         m = _SYNC_RE.search(body)
-        if m:
-            st = stmt_after(line)
-            declared.append(DeclaredSync(
-                method=m.group("method").strip().lower(),
-                var=m.group("var").lower(),
-                anchor=st.sid if st is not None else EXIT,
-                phase=phase))
-            continue
-        raise PlacementError(f"line {line}: unrecognized directive {text!r}")
-    return sub, domains, declared
-
-
-def check_annotated_program(source: str, spec: PartitionSpec) -> CheckReport:
-    """Run the section-5.2 test mode on an annotated program."""
-    sub, domains, declared = parse_annotated(source)
-    _sub, graph, idioms, _legality, vfg = analyze(sub, spec)
+        if not m:
+            raise PlacementError(f"line {line}: unrecognized directive "
+                                 f"{text!r}")
+        key = m.group("var").lower(), m.group("method").lower()
+        halves.setdefault(key, {}).setdefault(phase, []).append(
+            EXIT if st is None else st.sid)
+    comms = []
+    for (var, method), phases in halves.items():
+        kind, op = kind_and_op(method)
+        posts, waits = phases.get("POST", []), phases.get("WAIT", [])
+        windows = list(zip(posts, waits))
+        windows += [(a, a) for a in phases.get(None, [])]
+        comms += [CommOp(post, wait, kind, var, method,
+                         spec.entity_of_array(var), op)
+                  for post, wait in windows]
+        for phase, lone in (("POST", posts[len(waits):]),
+                            ("WAIT", waits[len(posts):])):
+            for at in (anchor_for(sub, a) for a in lone):
+                message = f"{phase} of {method} on {var!r} has no partner"
+                if sink is None:
+                    raise PlacementError(f"{at.label()}: {message}")
+                sink.emit(Diagnostic(
+                    code="CC003", var=var, anchors=(at,), witness=(at,),
+                    message=message,
+                    data={"fault": f"unpaired-{phase.lower()}"}))
     automaton = automaton_for(spec.pattern)
-    prop = Propagator(vfg, automaton)
-    report = CheckReport(sub=sub, domains=domains, declared=declared)
-
-    # every partitioned loop must carry a domain directive
-    for lsid, entity in sorted(vfg.loops.items()):
-        if lsid not in domains:
-            report.errors.append(
-                f"partitioned loop at line {sub.stmt(lsid).line} has no "
-                f"ITERATION DOMAIN directive")
-            domains = dict(domains)
-            domains[lsid] = automaton.domains_for(entity)[0]
-
-    solution = prop.evaluate(domains)
-    if solution is None:
-        report.errors.append(
-            "no overlap state is consistent with the declared iteration "
-            "domains (an incoherent state the pattern excludes is produced)")
-        return report
-
-    cfg = graph.cfg
-    used = [False] * len(declared)
-    for (var, method), edges in sorted(solution.updates_by_var().items()):
-        kind, _op = _kind_and_op(method, vfg, edges)
-        idempotent = kind == "overlap"
-        defs = {e.src.sid for e in edges if e.src.sid != ENTRY}
-        uses = {EXIT if e.dst.kind == N_OUT else e.dst.sid for e in edges}
-        # a declared sync covers a use when it is valid between the defs
-        # and that use
-        for use in sorted(uses, key=lambda s: (s == EXIT, s)):
-            covered = False
-            for i, d in enumerate(declared):
-                if d.var != var or not _method_matches(d.method, method):
-                    continue
-                if d.phase == "POST":
-                    # only the completing half orders with the uses
-                    continue
-                if _candidate_valid(cfg, vfg, d.anchor, defs, {use},
-                                    idempotent):
-                    covered = True
-                    used[i] = True
-            if not covered:
-                where = ("program exit" if use == EXIT
-                         else f"line {sub.stmt(use).line}")
-                report.missing.append(
-                    f"{method} on {var!r} required before {where}")
-    # split-phase pairs: every POST must form a valid window with a WAIT
-    # of the same variable/method (post dominates wait, value final inside
-    # the window, one-to-one request pairing)
-    for i, d in enumerate(declared):
-        if d.phase != "POST":
-            continue
-        waits = [(j, w) for j, w in enumerate(declared)
-                 if w.phase == "WAIT" and w.var == d.var
-                 and _method_matches(w.method, d.method)]
-        if not waits:
-            report.errors.append(
-                f"POST for {d.method} on {d.var!r} has no matching WAIT")
-            continue
-        defs: set[int] = set()
-        for (var, method), edges in solution.updates_by_var().items():
-            if var == d.var and _method_matches(d.method, method):
-                defs |= {e.src.sid for e in edges if e.src.sid != ENTRY}
-        paired = False
-        for j, w in waits:
-            if _post_valid(cfg, vfg, d.anchor, w.anchor, defs):
-                paired = True
-                if used[j]:
-                    used[i] = True
-        if not paired:
-            where = ("program exit" if d.anchor == EXIT
-                     else f"line {sub.stmt(d.anchor).line}")
-            report.errors.append(
-                f"POST for {d.method} on {d.var!r} at {where} does not form "
-                f"a valid window with any matching WAIT")
-    report.superfluous = [d for d, u in zip(declared, used) if not u]
-    return report
+    solution = None  # a loop left bare, or no state for the domains: CC014
+    if set(vfg.loops) <= set(domains):
+        solution = Propagator(vfg, automaton).evaluate(domains)
+    placement = Placement(solution or Solution(domains, {}, {}), sorted(comms))
+    return ranked_result(sub, spec, automaton, legality, vfg, [placement],
+                         any(c.is_split for c in comms))
 
 
-def _method_matches(declared: str, required: str) -> bool:
-    d = declared.replace(" ", "")
-    r = required.replace(" ", "")
-    if d == r:
-        return True
-    # "+ reduction" in the figures vs the canonical "reduction" method
-    return d.endswith("reduction") and r.endswith("reduction")
+def check_annotated_program(source: str, spec: PartitionSpec
+                            ) -> DiagnosticSink:
+    """Run the section-5.2 test mode: commcheck's verdict on the text."""
+    from ..analysis.commcheck import check_placement
+
+    sink = DiagnosticSink()
+    result = parse_annotated(source, spec, sink)
+    return check_placement(result.vfg, result.best().placement,
+                           result.automaton, sink=sink)

@@ -46,7 +46,7 @@ collective and renders as the single figure-9/10 directive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..analysis.depgraph import DepGraph
 from ..errors import PlacementError
@@ -270,14 +270,15 @@ def _candidate_valid(cfg: CFG, vfg: ValueFlowGraph, cand: int,
         # definition in between
         if _reachable_avoiding(cfg, vfg, ENTRY, defs, {cand}):
             return False
-        if _reexecutes_without_def(cfg, vfg, cand, defs):
+        if find_reexecution(cfg, vfg, cand, defs) is not None:
             return False
     return True
 
 
-def _reexecutes_without_def(cfg: CFG, vfg: ValueFlowGraph, cand: int,
-                            defs: set[int]) -> bool:
-    """Can control re-reach the anchor's pre-action without passing a def?
+def find_reexecution(cfg: CFG, vfg: ValueFlowGraph, cand: int,
+                     stop: set[int]) -> Optional[list[int]]:
+    """Path on which control re-reaches ``cand``'s pre-action without
+    entering ``stop`` (``[cand, …, cand]``), or None.
 
     A communication inserted before a ``do`` loop executes once per loop
     *entry* — iterating the loop's own body back to its header is not a
@@ -286,15 +287,16 @@ def _reexecutes_without_def(cfg: CFG, vfg: ValueFlowGraph, cand: int,
     if isinstance(cfg.nodes.get(cand), DoLoop):
         inside = cfg.loop_interior(cand)
         starts = {s for n in inside for s in cfg.succ.get(n, ())
-                  if s not in inside and s not in defs}
+                  if s not in inside}
     else:
-        starts = {s for s in cfg.succ.get(cand, ()) if s not in defs}
-    for s in starts:
+        starts = set(cfg.succ.get(cand, ()))
+    for s in sorted(starts - stop):
         if s == cand:
-            return True
-        if _reachable_avoiding(cfg, vfg, s, defs, {cand}):
-            return True
-    return False
+            return [cand, cand]
+        path = find_path_avoiding(cfg, vfg, s, stop, {cand})
+        if path is not None:
+            return [cand] + path
+    return None
 
 
 def _post_valid(cfg: CFG, vfg: ValueFlowGraph, cand: int, wait: int,
@@ -326,10 +328,11 @@ def _post_valid(cfg: CFG, vfg: ValueFlowGraph, cand: int, wait: int,
         if _reachable_avoiding(cfg, vfg, cand, {wait}, {d}):
             return False
     # pairing: control must not re-reach the post without waiting, ...
-    if _reexecutes_without_def(cfg, vfg, cand, {wait}):
+    if find_reexecution(cfg, vfg, cand, {wait}) is not None:
         return False
     # ... re-reach the wait without re-posting, ...
-    if wait != EXIT and _reexecutes_without_def(cfg, vfg, wait, {cand}):
+    if wait != EXIT \
+            and find_reexecution(cfg, vfg, wait, {cand}) is not None:
         return False
     # ... or exit the program with the request still pending
     if _reachable_avoiding(cfg, vfg, cand, {wait}, {EXIT}):
@@ -355,18 +358,26 @@ def _post_anchor(cfg: CFG, vfg: ValueFlowGraph, wait: int,
     return best
 
 
-def _kind_and_op(method: str, vfg: ValueFlowGraph,
-                 edges: list[VEdge]) -> tuple[str, Optional[str]]:
+def kind_and_op(method: str, vfg: Optional[ValueFlowGraph] = None,
+                edges: Iterable[VEdge] = ()) -> tuple[str, Optional[str]]:
+    """Communication kind and operator of an update or directive method.
+
+    A directive spells a reduction's operator out (``+ reduction``); the
+    automaton's bare ``reduction`` takes it from the producing statement.
+    """
     if method.startswith("overlap-"):
         return K_OVERLAP, None
     if method.startswith("combine-"):
         return K_COMBINE, "+"
-    # scalar reduction: the operator comes from the producing statement
-    for e in edges:
-        red = vfg.idioms.reduction_for(e.src.sid)
-        if red is not None:
-            return K_REDUCE, red.op
-    raise PlacementError(f"cannot determine reduction operator for {method!r}")
+    if method.endswith("reduction"):
+        op = method[:-len("reduction")].strip()
+        if op:
+            return K_REDUCE, op
+        for e in edges:
+            red = vfg.idioms.reduction_for(e.src.sid)
+            if red is not None:
+                return K_REDUCE, red.op
+    raise PlacementError(f"no communication kind or operator for {method!r}")
 
 
 def _group_windows(cfg: CFG, vfg: ValueFlowGraph, defs: set[int],
@@ -412,7 +423,7 @@ def extract_comms(vfg: ValueFlowGraph, solution: Solution,
     memo = _paths(vfg).windows
     out: list[CommOp] = []
     for (var, method), edges in sorted(solution.updates_by_var().items()):
-        kind, op = _kind_and_op(method, vfg, edges)
+        kind, op = kind_and_op(method, vfg, edges)
         idempotent = kind == K_OVERLAP
         defs = {e.src.sid for e in edges if e.src.sid != ENTRY}
         uses = {EXIT if e.dst.kind == N_OUT else e.dst.sid for e in edges}

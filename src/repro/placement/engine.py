@@ -90,6 +90,24 @@ def _ranked_at(result: PlacementResult, index: int) -> RankedPlacement:
     return result.ranked[index]
 
 
+def ranked_result(sub: Subroutine, spec: PartitionSpec,
+                  automaton: OverlapAutomaton, legality: LegalityReport,
+                  vfg: ValueFlowGraph, placements: list[Placement],
+                  split_phase: bool,
+                  model: CostModel = CostModel()) -> PlacementResult:
+    """The result over ``placements``: each with its cost, annotated text
+    and summary, cheapest first."""
+    ranked = [RankedPlacement(placement=placement,
+                              annotated=annotate_source(sub, vfg, placement),
+                              cost=cost,
+                              summary=placement_summary(sub, vfg, placement))
+              for placement, cost in rank_placements(vfg, placements, model)]
+    return PlacementResult(sub=sub, spec=spec, automaton=automaton,
+                           legality=legality, vfg=vfg, ranked=ranked,
+                           outputs=frozenset(vfg.outputs),
+                           flags={"split_phase": split_phase})
+
+
 def analyze(source_or_sub: Union[str, Subroutine],
             spec: PartitionSpec) -> tuple[Subroutine, DepGraph, Idioms,
                                           LegalityReport, ValueFlowGraph]:
@@ -128,17 +146,8 @@ def enumerate_placements(source_or_sub: Union[str, Subroutine],
     for sol in prop.solutions(limit=limit):
         comms = extract_comms(search_vfg, sol, split_phase=split_phase)
         placements.append(Placement(solution=sol, comms=comms))
-    result = PlacementResult(sub=sub, spec=spec, automaton=automaton,
-                             legality=legality, vfg=vfg,
-                             outputs=frozenset(vfg.outputs),
-                             flags={"split_phase": split_phase})
-    for placement, cost in rank_placements(vfg, placements, model):
-        result.ranked.append(RankedPlacement(
-            placement=placement,
-            annotated=annotate_source(sub, vfg, placement),
-            cost=cost,
-            summary=placement_summary(sub, vfg, placement)))
-    return result
+    return ranked_result(sub, spec, automaton, legality, vfg, placements,
+                         split_phase, model)
 
 
 def place_communications(source_or_sub: Union[str, Subroutine],

@@ -36,6 +36,7 @@ from repro.analysis.diagnostics import (
 )
 from repro.corpus import FIG5_SKETCH_SOURCE, TESTIV_SOURCE
 from repro.errors import CommCheckError, CommTimeout, ReproError, RuntimeFault
+from repro.lang.ast import DoLoop
 from repro.lang.cfg import EXIT
 from repro.mesh import structured_tri_mesh
 from repro.mesh.overlap import build_partition
@@ -46,7 +47,10 @@ from repro.placement.comms import (
     Placement,
     widen_placement,
 )
+from repro.placement.annotate import annotate_source
+from repro.placement.checkmode import check_annotated_program
 from repro.placement.engine import enumerate_placements
+from repro.placement.propagate import Solution
 from repro.spec import PartitionSpec, spec_for_testiv
 
 FIG5_SPEC = PartitionSpec.parse(
@@ -170,6 +174,16 @@ class TestCleanCorpus:
             sink = check_placement(testiv.vfg, wide, testiv.automaton)
             assert sink.clean, f"widened #{i}: {sink.render()}"
 
+    def test_placement_without_states_is_evaluated_then_judged(self, testiv):
+        # what serialize.ranked_from_payload builds: domains + comms only
+        rp = testiv.best()
+        bare = Placement(Solution(rp.placement.domains, {}, {}),
+                         rp.placement.comms)
+        assert check_placement(testiv.vfg, bare, testiv.automaton).clean
+        bare.comms = [c for c in bare.comms if c.var != "sqrdiff"]
+        sink = check_placement(testiv.vfg, bare, testiv.automaton)
+        assert sink.codes() == {"CC004"}, sink.render()
+
     def test_fig5_and_divrg_lint_clean(self, divrg):
         fig5 = enumerate_placements(FIG5_SKETCH_SOURCE, FIG5_SPEC)
         for res in (fig5, divrg):
@@ -198,8 +212,18 @@ class TestCleanCorpus:
         run.verify()
 
 
+def judge(res, placement: Placement) -> DiagnosticSink:
+    """``check_placement``'s verdict — which the text the placement prints
+    as must earn as well, read back through the section-5.2 route."""
+    sink = check_placement(res.vfg, placement, res.automaton)
+    text = annotate_source(res.sub, res.vfg, placement)
+    assert check_annotated_program(text, res.spec).codes() == sink.codes()
+    return sink
+
+
 class TestMutations:
-    """Each seeded mutation yields exactly its expected code + witness."""
+    """Each seeded mutation yields exactly its expected code + witness,
+    directly and through text → parse → check."""
 
     def only_code(self, sink: DiagnosticSink) -> str:
         codes = sink.codes()
@@ -215,10 +239,45 @@ class TestMutations:
         comms = [c for c in base.comms
                  if not (c.var == "new" and c.kind == K_OVERLAP)]
         assert len(comms) == len(base.comms) - 1
-        sink = check_placement(testiv.vfg, mutate(base, comms),
-                               testiv.automaton)
+        sink = judge(testiv, mutate(base, comms))
         assert self.only_code(sink) == "CC001"
         assert all(d.var == "new" for d in sink.diagnostics)
+
+    @pytest.mark.parametrize("var,line", [("result", 40), ("old", 11)])
+    def test_cc001_update_in_front_of_the_defining_loop(self, testiv, var,
+                                                        line):
+        # RESULT's trailing update moved in front of label 200's loop, OLD's
+        # in front of the ``old(i) = init(i)`` loop: a communication before
+        # a ``do`` runs once per loop entry, so the back-edge arrival at the
+        # header orders it with nothing the loop body defines
+        base = testiv.ranked[0].placement
+        op = next(c for c in base.comms if c.var == var)
+        header = sid_at(testiv.sub, line)
+        assert isinstance(testiv.sub.stmt(header), DoLoop)
+        early = dataclasses.replace(op, post_anchor=header,
+                                    wait_anchor=header)
+        sink = judge(testiv, mutate(base, [early if c is op else c
+                                           for c in base.comms]))
+        assert self.only_code(sink) == "CC001"
+        assert {d.var for d in sink.diagnostics} == {var}
+        witness = [a.sid for a in sink.diagnostics[0].witness]
+        assert witness[0] in {st.sid for st in
+                              testiv.sub.stmt(header).walk()} - {header}
+
+    def test_cc007_reduction_in_front_of_the_defining_loop(self):
+        res = enumerate_placements(FIG5_SKETCH_SOURCE, FIG5_SPEC)
+        base = res.ranked[0].placement
+        op = next(c for c in base.comms if c.var == "sqrdiff")
+        (header,) = [l for l in res.vfg.loops
+                     if any(n.var == "sqrdiff" and n.sid in
+                            {st.sid for st in res.sub.stmt(l).walk()}
+                            for n in res.vfg.def_nodes())]
+        early = dataclasses.replace(op, post_anchor=header,
+                                    wait_anchor=header)
+        sink = judge(res, mutate(base, [early if c is op else c
+                                        for c in base.comms]))
+        assert sink.codes() == {"CC007"}
+        assert all(d.witness for d in sink.diagnostics)
 
     def test_cc002_write_inside_open_window(self, testiv):
         # widen NEW's update into a window posted before the copy loop
@@ -227,11 +286,8 @@ class TestMutations:
         new_op = next(c for c in base.comms if c.var == "new")
         widened = dataclasses.replace(new_op,
                                       post_anchor=sid_at(testiv.sub, 16))
-        sink = check_placement(
-            testiv.vfg,
-            mutate(base, [widened if c is new_op else c
-                          for c in base.comms]),
-            testiv.automaton)
+        sink = judge(testiv, mutate(base, [widened if c is new_op else c
+                                           for c in base.comms]))
         assert self.only_code(sink) == "CC002"
 
     def test_cc003_swapped_post_wait(self, testiv):
@@ -241,11 +297,8 @@ class TestMutations:
         swapped = dataclasses.replace(old_op,
                                       post_anchor=old_op.wait_anchor,
                                       wait_anchor=old_op.post_anchor)
-        sink = check_placement(
-            testiv.vfg,
-            mutate(wide, [swapped if c is old_op else c
-                          for c in wide.comms]),
-            testiv.automaton)
+        sink = judge(testiv, mutate(wide, [swapped if c is old_op else c
+                                           for c in wide.comms]))
         assert self.only_code(sink) == "CC003"
         assert sink.diagnostics[0].data["fault"] == "wait-before-post"
 
@@ -257,10 +310,8 @@ class TestMutations:
         leaky = dataclasses.replace(old_op,
                                     post_anchor=sid_at(testiv.sub, 29),
                                     wait_anchor=sid_at(testiv.sub, 36))
-        sink = check_placement(
-            testiv.vfg,
-            mutate(wide, [leaky if c is old_op else c for c in wide.comms]),
-            testiv.automaton)
+        sink = judge(testiv, mutate(wide, [leaky if c is old_op else c
+                                           for c in wide.comms]))
         assert "CC003" in sink.codes()
         faults = {d.data.get("fault") for d in sink.diagnostics
                   if d.code == "CC003"}
@@ -271,8 +322,7 @@ class TestMutations:
         # rank-divergent with OLD's update only on the loop-back side
         base = testiv.ranked[0].placement
         comms = [c for c in base.comms if c.var != "sqrdiff"]
-        sink = check_placement(testiv.vfg, mutate(base, comms),
-                               testiv.automaton)
+        sink = judge(testiv, mutate(base, comms))
         assert self.only_code(sink) == "CC004"
         assert "old/overlap-som" in sink.diagnostics[0].message
 
@@ -292,8 +342,7 @@ class TestMutations:
             dataclasses.replace(uop, post_anchor=loops[3],
                                 wait_anchor=loops[3]),
         ]
-        sink = check_placement(divrg.vfg, mutate(base, comms),
-                               divrg.automaton)
+        sink = judge(divrg, mutate(base, comms))
         assert self.only_code(sink) == "CC005"
         assert sink.diagnostics[0].data["cycle"]
 
@@ -314,8 +363,7 @@ class TestMutations:
             dataclasses.replace(uop, post_anchor=loops[3],
                                 wait_anchor=loops[3]),
         ]
-        sink = check_placement(divrg.vfg, mutate(base, comms),
-                               divrg.automaton)
+        sink = judge(divrg, mutate(base, comms))
         orders = sink.diagnostics[0].data["orders"]
         assert deadlock_cycle([list(o) for o in orders]) is not None
         exc = replay_orders(orders)
@@ -327,15 +375,15 @@ class TestMutations:
     def test_cc006_no_quiescent_boundary(self, testiv):
         # a whole-program window over INIT covers every interior
         # collective boundary: checkpointing silently never happens
+        # (and, INIT needing no update at all, the window is superfluous)
         base = testiv.ranked[0].placement
         blanket = CommOp(post_anchor=sid_at(testiv.sub, 11),
                          wait_anchor=EXIT, kind="overlap",
                          var="init", method="overlap-som", entity="node")
-        sink = check_placement(testiv.vfg,
-                               mutate(base, list(base.comms) + [blanket]),
-                               testiv.automaton)
-        assert self.only_code(sink) == "CC006"
-        assert sink.ok  # CC006 is a warning: strict-only failure
+        sink = judge(testiv, mutate(base, list(base.comms) + [blanket]))
+        assert sink.codes() == {"CC006", "CC013"}
+        assert all(d.witness for d in sink.diagnostics if d.code == "CC006")
+        assert sink.ok  # both are warnings: strict-only failure
 
     def test_cc007_dropped_reduction_combine(self):
         # fig-5's sqrdiff feeds a *value* use — dropping the allreduce is
@@ -343,7 +391,7 @@ class TestMutations:
         res = enumerate_placements(FIG5_SKETCH_SOURCE, FIG5_SPEC)
         base = res.ranked[0].placement
         comms = [c for c in base.comms if c.var != "sqrdiff"]
-        sink = check_placement(res.vfg, mutate(base, comms), res.automaton)
+        sink = judge(res, mutate(base, comms))
         assert self.only_code(sink) == "CC007"
 
     @staticmethod

@@ -89,7 +89,39 @@ class TestCLI:
         annotated.write_text(result.best().annotated)
         _, spec = files
         assert main([str(annotated), spec, "--check"]) == 0
-        assert "COMPATIBLE" in capsys.readouterr().out
+        assert capsys.readouterr().out == "COMPATIBLE\ncommcheck: clean\n"
+
+    def test_check_mode_runs_the_annotated_program(self, files, tmp_path,
+                                                   capsys):
+        """``--check --run``: the placement the *text* declares goes
+        through the pipeline, pre-flight included."""
+        from repro.mesh import structured_tri_mesh, write_mesh
+        from repro.placement import enumerate_placements
+
+        result = enumerate_placements(TESTIV_SOURCE, spec_for_testiv())
+        annotated = tmp_path / "annotated.f"
+        annotated.write_text(result.ranked[-1].annotated)
+        write_mesh(structured_tri_mesh(6, 6), tmp_path / "m.mesh")
+        rc = main([str(annotated), files[1], "--check", "--strict",
+                   "--run", str(tmp_path / "m.mesh"), "--nparts", "3",
+                   "--field", "init=random",
+                   "--field", "airetri=triangle-areas",
+                   "--field", "airesom=node-areas",
+                   "--set", "epsilon=1e-9", "--set", "maxloop=4"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.startswith("COMPATIBLE\n") and "VERIFIED" in out
+        # the worst placement's extra NEW update came through the text
+        assert "1 placement(s) found" in out
+        assert "sync[overlap-som:new]" in out
+
+    def test_check_mode_bad_directive_is_an_error(self, files, tmp_path,
+                                                  capsys):
+        annotated = tmp_path / "bad.f"
+        annotated.write_text("C$FROBNICATE EVERYTHING\n" + TESTIV_SOURCE)
+        assert main([str(annotated), files[1], "--check"]) == 1
+        assert "error: line 1: unrecognized directive" \
+            in capsys.readouterr().err
 
     def test_run_mode_end_to_end(self, files, tmp_path, capsys):
         from repro.mesh import structured_tri_mesh, write_mesh
@@ -270,4 +302,8 @@ class TestCLI:
         _, spec = files
         assert main([str(annotated), spec, "--check"]) == 2
         out = capsys.readouterr().out
-        assert "INCOMPATIBLE" in out and "missing" in out
+        assert out.startswith("INCOMPATIBLE\nCC004 error")
+        assert "witness path:" in out
+        # an incompatible text is not run
+        assert main([str(annotated), spec, "--check", "--run",
+                     str(tmp_path / "no-such.mesh")]) == 2

@@ -1,17 +1,28 @@
-"""Unit tests for the section-5.2 test mode (verify annotated programs)."""
+"""Section-5.2 test mode: the annotated text read back and judged.
+
+``parse_annotated`` is the inverse of ``annotate_source`` — the round
+trip is pinned as a property over every enumerated placement — and
+``check_annotated_program`` is commcheck's verdict on the parsed
+placement, so the assertions are on CC codes, not on prose.
+"""
 
 import pytest
 
-from repro.automata import KERNEL, OVERLAP
+from repro.analysis.commcheck import check_placement
 from repro.corpus import TESTIV_SOURCE
 from repro.errors import PlacementError
 from repro.lang import DoLoop
+from repro.lang.cfg import EXIT
 from repro.placement import (
+    annotate_source,
     check_annotated_program,
     enumerate_placements,
     parse_annotated,
+    widen_placement,
 )
+from repro.placement.serialize import _sid_to_pos, comm_to_row
 from repro.spec import spec_for_testiv
+from tests.placement.test_shared_postprocessing import PROGRAMS
 
 
 @pytest.fixture(scope="module")
@@ -21,118 +32,237 @@ def annotated():
     return result
 
 
+def without(text: str, needle: str) -> str:
+    return "\n".join(l for l in text.splitlines() if needle not in l) + "\n"
+
+
+def moved(text: str, needle: str, before: str) -> str:
+    """``text`` with its ``needle`` line re-inserted in front of the first
+    line containing ``before``."""
+    lines = text.splitlines()
+    (line,) = [l for l in lines if needle in l]
+    lines.remove(line)
+    lines.insert(next(i for i, l in enumerate(lines) if before in l), line)
+    return "\n".join(lines) + "\n"
+
+
 class TestParseAnnotated:
     def test_roundtrip_of_generated_output(self, annotated):
         rp = annotated.best()
-        sub, domains, declared = parse_annotated(rp.annotated)
-        assert len(domains) == 6
-        assert len(declared) == len(rp.placement.comms)
-        assert {d.var for d in declared} \
-            == {c.var for c in rp.placement.comms}
+        result = parse_annotated(rp.annotated, spec_for_testiv())
+        assert len(result) == 1
+        parsed = result.best()
+        assert len(parsed.placement.domains) == 6
+        assert len(parsed.placement.comms) == len(rp.placement.comms)
+        assert parsed.annotated == rp.annotated
+        assert parsed.cost == rp.cost
 
     def test_domains_attach_to_loops(self, annotated):
-        sub, domains, _ = parse_annotated(annotated.best().annotated)
-        for sid in domains:
-            assert isinstance(sub.stmt(sid), DoLoop)
+        result = parse_annotated(annotated.best().annotated,
+                                 spec_for_testiv())
+        for sid in result.best().placement.domains:
+            assert isinstance(result.sub.stmt(sid), DoLoop)
 
     def test_trailing_sync_anchors_at_exit(self, annotated):
-        from repro.lang.cfg import EXIT
-
         for rp in annotated.ranked:
             if any(c.anchor == EXIT for c in rp.placement.comms):
-                _, _, declared = parse_annotated(rp.annotated)
-                assert any(d.anchor == EXIT for d in declared)
+                parsed = parse_annotated(rp.annotated, spec_for_testiv())
+                assert any(c.anchor == EXIT
+                           for c in parsed.best().placement.comms)
                 return
         pytest.fail("no placement with a trailing sync")
 
     def test_bad_directive_rejected(self):
         src = "C$FROBNICATE EVERYTHING\n" + TESTIV_SOURCE
         with pytest.raises(PlacementError, match="unrecognized"):
-            parse_annotated(src)
+            parse_annotated(src, spec_for_testiv())
 
     def test_domain_without_loop_rejected(self):
         src = TESTIV_SOURCE.replace(
             "      loop = 0", "C$ITERATION DOMAIN: KERNEL\n      loop = 0")
         with pytest.raises(PlacementError, match="do loop"):
-            parse_annotated(src)
+            parse_annotated(src, spec_for_testiv())
+
+    def test_unknown_method_rejected(self, annotated):
+        src = annotated.best().annotated.replace("overlap-som ON ARRAY: OLD",
+                                                 "frobnicate ON ARRAY: OLD")
+        with pytest.raises(PlacementError, match="frobnicate"):
+            parse_annotated(src, spec_for_testiv())
 
 
 class TestCheckMode:
     def test_all_generated_placements_check_out(self, annotated):
         """Self-consistency: everything the tool emits passes test mode."""
         for rp in annotated.ranked:
-            report = check_annotated_program(rp.annotated, spec_for_testiv())
-            assert report.ok, report.summary() + "\n" + "\n".join(
-                report.missing + report.errors)
-            assert not report.superfluous
+            sink = check_annotated_program(rp.annotated, spec_for_testiv())
+            assert sink.clean, sink.render()
 
     def test_missing_reduction_sync_detected(self, annotated):
-        rp = annotated.best()
-        broken = "\n".join(
-            l for l in rp.annotated.splitlines()
-            if "SQRDIFF" not in l) + "\n"
-        report = check_annotated_program(broken, spec_for_testiv())
-        assert not report.ok
-        assert any("sqrdiff" in m for m in report.missing)
+        # sqrdiff feeds the convergence branch: without its allreduce the
+        # ranks diverge, OLD's update on the loop-back side only
+        sink = check_annotated_program(
+            without(annotated.best().annotated, "SQRDIFF"),
+            spec_for_testiv())
+        assert sink.codes() == {"CC004"}
+        assert {d.var for d in sink.diagnostics} == {"sqrdiff"}
 
     def test_missing_overlap_sync_detected(self, annotated):
-        rp = annotated.best()
-        broken = "\n".join(
-            l for l in rp.annotated.splitlines()
-            if "SYNCHRONIZE METHOD: overlap-som" not in l) + "\n"
-        report = check_annotated_program(broken, spec_for_testiv())
-        assert not report.ok
+        sink = check_annotated_program(
+            without(annotated.best().annotated,
+                    "SYNCHRONIZE METHOD: overlap-som"),
+            spec_for_testiv())
+        assert sink.codes() == {"CC001"}
+        assert {d.var for d in sink.diagnostics} == {"old", "result"}
+        assert all(d.witness for d in sink.diagnostics)
 
     def test_superfluous_sync_flagged(self, annotated):
-        rp = annotated.best()
-        lines = rp.annotated.splitlines()
-        # add a pointless extra OLD update at the very top
+        lines = annotated.best().annotated.splitlines()
+        # add a pointless extra INIT update at the very top
         idx = next(i for i, l in enumerate(lines) if "do i" in l)
         lines.insert(idx, "C$SYNCHRONIZE METHOD: overlap-som ON ARRAY: INIT")
-        report = check_annotated_program("\n".join(lines) + "\n",
-                                         spec_for_testiv())
-        assert report.ok  # harmless, but flagged
-        assert any(d.var == "init" for d in report.superfluous)
+        sink = check_annotated_program("\n".join(lines) + "\n",
+                                       spec_for_testiv())
+        assert sink.ok  # harmless, but flagged
+        assert [(d.code, d.var) for d in sink.diagnostics] \
+            == [("CC013", "init")]
+
+    def test_duplicated_sync_passes(self, annotated):
+        # placement #15 updates NEW once for both of its readers; a second
+        # update further down cuts no path the first leaves open.  It is
+        # in an update group, so not CC013: extract_comms' per-use fallback
+        # emits such communications itself (12 of synthetic-8's 64), and
+        # the judge does not reject what the generator prints
+        text = annotated.ranked[15].annotated
+        (line,) = [l for l in text.splitlines() if "ARRAY: NEW" in l]
+        lines = text.splitlines()
+        lines.insert(next(i for i, l in enumerate(lines)
+                          if "200   do" in l) - 1, line)
+        assert check_annotated_program("\n".join(lines) + "\n",
+                                       spec_for_testiv()).clean
 
     def test_misplaced_sync_detected(self, annotated):
         """A sync placed before the defining loop cannot cover the use."""
-        rp = annotated.best()
-        lines = [l for l in rp.annotated.splitlines()
-                 if "SQRDIFF" not in l]
-        # reinsert the reduction sync too early: before the sqrdiff loop
-        idx = next(i for i, l in enumerate(lines) if "sqrdiff = 0.0" in l)
-        lines.insert(idx, "C$SYNCHRONIZE METHOD: + reduction ON SCALAR: SQRDIFF")
-        report = check_annotated_program("\n".join(lines) + "\n",
-                                         spec_for_testiv())
-        assert not report.ok
-        assert any("sqrdiff" in m for m in report.missing)
+        text = moved(annotated.best().annotated, "SQRDIFF", "sqrdiff = 0.0")
+        sink = check_annotated_program(text, spec_for_testiv())
+        assert not sink.ok
+        # the branch is uncovered, and the allreduce where it now stands
+        # runs before any contribution
+        assert sink.codes() == {"CC004", "CC007"}
+        assert {d.var for d in sink.diagnostics} == {"sqrdiff"}
+
+    def test_sync_inside_a_partitioned_loop_rejected(self, annotated):
+        # every path from OLD's definitions to its gather still crosses the
+        # update — once per local triangle, a count no two ranks share
+        text = moved(annotated.best().annotated, "ARRAY: OLD",
+                     "s1 = som(i,1)")
+        sink = check_annotated_program(text, spec_for_testiv())
+        assert sink.codes() == {"CC004"} and not sink.ok
+        assert [d.var for d in sink.diagnostics] == ["old"]
+        assert all(d.witness for d in sink.diagnostics)
+
+    def test_wrong_operator_reduction_rejected(self, annotated):
+        # every rank gets the same value — the wrong one: a missing
+        # combine, not a divergent branch, plus the sync nothing asked for
+        for method in ("max reduction", "combine-som"):
+            text = annotated.best().annotated.replace(
+                "+ reduction ON SCALAR: SQRDIFF",
+                f"{method} ON SCALAR: SQRDIFF")
+            sink = check_annotated_program(text, spec_for_testiv())
+            assert sink.codes() == {"CC007", "CC013"}, sink.render()
+            assert not sink.ok
 
     def test_missing_domain_directive_reported(self, annotated):
-        rp = annotated.best()
-        lines = rp.annotated.splitlines()
+        lines = annotated.best().annotated.splitlines()
         first = next(i for i, l in enumerate(lines)
                      if l.startswith("C$ITERATION"))
         del lines[first]
-        report = check_annotated_program("\n".join(lines) + "\n",
-                                         spec_for_testiv())
-        assert any("no\nITERATION" in e or "ITERATION DOMAIN" in e
-                   for e in report.errors)
+        sink = check_annotated_program("\n".join(lines) + "\n",
+                                       spec_for_testiv())
+        assert sink.codes() == {"CC014"}
+        assert "ITERATION DOMAIN" in sink.diagnostics[0].message
 
     def test_infeasible_domains_reported(self, annotated):
         # force the triangle loop onto the KERNEL domain: the scatter then
         # misses frontier contributions — the automaton has no state for it
-        rp = annotated.best()
-        lines = rp.annotated.splitlines()
+        lines = annotated.best().annotated.splitlines()
         tri_hdr = next(i for i, l in enumerate(lines)
                        if "do i = 1,ntri" in l)
         assert lines[tri_hdr - 1] == "C$ITERATION DOMAIN: OVERLAP"
         lines[tri_hdr - 1] = "C$ITERATION DOMAIN: KERNEL"
-        report = check_annotated_program("\n".join(lines) + "\n",
-                                         spec_for_testiv())
-        assert not report.ok
-        assert any("no overlap state" in e for e in report.errors)
+        sink = check_annotated_program("\n".join(lines) + "\n",
+                                       spec_for_testiv())
+        assert sink.codes() == {"CC014"} and not sink.ok
+        (diag,) = sink.diagnostics
+        # ... and the finding points at the scatter it has none for
+        assert "new(s1) = new(s1)" in lines[diag.anchors[0].line - 1]
 
     def test_summary_readable(self, annotated):
-        report = check_annotated_program(annotated.best().annotated,
-                                         spec_for_testiv())
-        assert "COMPATIBLE" in report.summary()
+        sink = check_annotated_program(annotated.best().annotated,
+                                       spec_for_testiv())
+        assert sink.render() == "commcheck: clean"
+
+
+SMALL = ["testiv-p1", "testiv-p2", "advect-p1", "advect-p2", "heat",
+         "jacobi-node", "edge-smooth-3d"]
+
+
+def positional(sub, placement):
+    """A placement in walk positions — the coordinates two parses of one
+    text share (sids come from a process-global counter)."""
+    pos = _sid_to_pos(sub)
+    return ({pos[sid]: dom for sid, dom in placement.domains.items()},
+            sorted(comm_to_row(c, pos) for c in placement.comms),
+            sorted(placement.solution.updates_by_var()))
+
+
+#: What the judge finds in the tool's own output, by (rank, widened): eight
+#: widened placements of synthetic-8 whose per-use fallback communications
+#: share one POST that ``widen_placement`` hoists above a definition of the
+#: array it sends — flagged identically before this suite existed.
+FLAGGED = {"synthetic-8": {(rank, True): {"CC002"}
+                           for rank in (37, 38, 51, 52, 53, 54, 61, 62)}}
+
+
+def assert_round_trips(name, chosen=slice(None)):
+    source, spec, limit = PROGRAMS[name]
+    result = enumerate_placements(source, spec, limit=limit)
+    ranks = range(len(result.ranked))[chosen]
+    assert ranks
+    flagged = {}
+    for rank in ranks:
+        blocking = result.ranked[rank].placement
+        for placement in (blocking, widen_placement(result.vfg, blocking)):
+            text = annotate_source(result.sub, result.vfg, placement)
+            back = parse_annotated(text, spec)
+            assert positional(back.sub, back.best().placement) \
+                == positional(result.sub, placement), text
+            assert back.best().annotated == text
+            sink = check_placement(back.vfg, back.best().placement,
+                                   back.automaton)
+            if not sink.clean:
+                flagged[rank, placement is not blocking] = sink.codes()
+    # no placement the tool generates is flagged, but for the known eight
+    assert flagged == FLAGGED.get(name, {})
+
+
+class TestRoundTrip:
+    """``parse_annotated(annotate_source(p)) == p`` in positional ids —
+    and commcheck-clean — for the ``place-corpus`` programs, blocking and
+    widened: 180 round trips in tier-1, the other 640 under ``-m soak``."""
+
+    @pytest.mark.parametrize("name", SMALL)
+    def test_every_placement_of_the_small_programs(self, name):
+        assert_round_trips(name)
+
+    def test_sixteen_of_shallow(self):
+        assert_round_trips("shallow", slice(0, 256, 16))
+
+    @pytest.mark.soak
+    def test_the_rest_of_shallow(self):
+        for first in range(1, 16):
+            assert_round_trips("shallow", slice(first, 256, 16))
+
+    @pytest.mark.soak
+    @pytest.mark.parametrize("name", ["synthetic-8", "synthetic-16"])
+    def test_every_placement_of_the_synthetic_programs(self, name):
+        assert_round_trips(name)

@@ -11,6 +11,7 @@ section-5.2 check mode's window validation.
 import pytest
 
 from repro.corpus import TESTIV_SOURCE
+from repro.errors import PlacementError
 from repro.lang import Assign, DoLoop, IfGoto
 from repro.lang.cfg import EXIT
 from repro.lang.lexer import scan_directives, sync_phase
@@ -19,6 +20,7 @@ from repro.placement import (
     check_annotated_program,
     enumerate_placements,
     extract_comms,
+    parse_annotated,
     widen_placement,
 )
 from repro.placement.engine import analyze
@@ -191,70 +193,77 @@ class TestSyncPhase:
         assert sync_phase(d) == (None, d)
 
 
+def widened_text(placements) -> str:
+    """The first TESTIV placement with a real window, as annotated text."""
+    from repro.placement import annotate_source
+
+    for rp in placements.ranked:
+        wide = widen_placement(placements.vfg, rp.placement)
+        if any(c.is_split for c in wide.comms):
+            return annotate_source(placements.sub, placements.vfg, wide)
+    raise AssertionError("no placement widened")
+
+
 class TestCheckMode:
     def test_widened_annotated_source_checks_compatible(self, placements):
-        from repro.placement import annotate_source
-
-        spec = spec_for_testiv()
-        for rp in placements.ranked:
-            wide = widen_placement(placements.vfg, rp.placement)
-            if not any(c.is_split for c in wide.comms):
-                continue
-            text = annotate_source(placements.sub, placements.vfg, wide)
-            report = check_annotated_program(text, spec)
-            assert report.ok, report.summary()
-            assert any(d.phase == "POST" for d in report.declared)
-            assert any(d.phase == "WAIT" for d in report.declared)
-            return
-        raise AssertionError("no placement widened")
+        text = widened_text(placements)
+        assert check_annotated_program(text, spec_for_testiv()).clean
+        parsed = parse_annotated(text, spec_for_testiv())
+        assert any(c.is_split for c in parsed.best().placement.comms)
+        assert parsed.flags == {"split_phase": True}
 
     def test_post_without_wait_is_error(self, placements):
-        from repro.placement import annotate_source
-
-        spec = spec_for_testiv()
-        for rp in placements.ranked:
-            wide = widen_placement(placements.vfg, rp.placement)
-            if not any(c.is_split for c in wide.comms):
-                continue
-            text = annotate_source(placements.sub, placements.vfg, wide)
-            broken = "\n".join(l for l in text.splitlines()
-                               if "SYNCHRONIZE WAIT" not in l) + "\n"
-            report = check_annotated_program(broken, spec)
-            assert not report.ok
-            assert any("no matching WAIT" in e for e in report.errors)
-            return
-        raise AssertionError("no placement widened")
+        broken = "\n".join(l for l in widened_text(placements).splitlines()
+                           if "SYNCHRONIZE WAIT" not in l) + "\n"
+        sink = check_annotated_program(broken, spec_for_testiv())
+        assert not sink.ok
+        faults = [d.data.get("fault") for d in sink.diagnostics
+                  if d.code == "CC003"]
+        assert faults and set(faults) == {"unpaired-post"}
+        # the use the lost wait covered is stale as well
+        assert sink.codes() == {"CC001", "CC003"}
+        # read without a sink to report to, no Placement holds a lone half
+        with pytest.raises(PlacementError, match="POST .* has no partner"):
+            parse_annotated(broken, spec_for_testiv())
 
     def test_post_after_definition_is_invalid_window(self, placements):
-        """Moving a POST inside the defining loop breaks freshness: the
-        check must reject the window."""
-        from repro.placement import annotate_source
+        """Moving a POST in front of the defining loop breaks the window:
+        the check must reject it."""
+        lines = widened_text(placements).splitlines()
+        # move the POST directive to the very top of the body: before
+        # the definitions, where the posted values would be stale
+        post_lines = [l for l in lines if "SYNCHRONIZE POST" in l]
+        rest = [l for l in lines if "SYNCHRONIZE POST" not in l]
+        insert_at = next(i for i, l in enumerate(rest)
+                         if "subroutine" in l) + 1
+        # skip declarations: directives attach to the next statement
+        while insert_at < len(rest) and (
+                rest[insert_at].strip().startswith(("integer", "real",
+                                                    "logical"))):
+            insert_at += 1
+        moved = rest[:insert_at] + post_lines + rest[insert_at:]
+        sink = check_annotated_program("\n".join(moved) + "\n",
+                                       spec_for_testiv())
+        assert not sink.ok
+        assert sink.codes() == {"CC003"}
+        # posted once, waited every sweep
+        assert {d.data["fault"] for d in sink.diagnostics} \
+            == {"unmatched-wait"}
+        assert all(d.witness for d in sink.diagnostics)
 
-        spec = spec_for_testiv()
-        for rp in placements.ranked:
-            wide = widen_placement(placements.vfg, rp.placement)
-            split = [c for c in wide.comms if c.is_split]
-            if not split:
-                continue
-            text = annotate_source(placements.sub, placements.vfg, wide)
-            lines = text.splitlines()
-            # move the POST directive to the very top of the body: before
-            # the definitions, where the posted values would be stale
-            post_lines = [l for l in lines if "SYNCHRONIZE POST" in l]
-            rest = [l for l in lines if "SYNCHRONIZE POST" not in l]
-            insert_at = next(i for i, l in enumerate(rest)
-                             if "subroutine" in l) + 1
-            # skip declarations: directives attach to the next statement
-            while insert_at < len(rest) and (
-                    rest[insert_at].strip().startswith(("integer", "real",
-                                                        "logical"))):
-                insert_at += 1
-            moved = rest[:insert_at] + post_lines + rest[insert_at:]
-            report = check_annotated_program("\n".join(moved) + "\n", spec)
-            assert not report.ok
-            assert any("valid window" in e for e in report.errors)
-            return
-        raise AssertionError("no placement widened")
+    def test_post_behind_goto_is_wait_before_post(self, placements):
+        """A POST that does not dominate its WAIT: moved behind ``goto
+        100``, the first WAIT is reached without it."""
+        lines = widened_text(placements).splitlines()
+        (post,) = [l for l in lines if "SYNCHRONIZE POST" in l]
+        lines.remove(post)
+        lines.insert(next(i for i, l in enumerate(lines)
+                          if "goto 100" in l) + 1, post)
+        sink = check_annotated_program("\n".join(lines) + "\n",
+                                       spec_for_testiv())
+        assert sink.codes() == {"CC003"} and not sink.ok
+        (diag,) = sink.diagnostics
+        assert diag.data["fault"] == "wait-before-post" and diag.witness
 
 
 class TestCostPreference:
