@@ -31,8 +31,9 @@ machinery's loop-aware search (:func:`repro.placement.comms.find_path_avoiding`
 anchor counts as crossing it), so a violation always comes with a concrete
 statement path witness.  On top, a classical **forward dataflow** pass
 (:func:`compute_facts`) abstractly interprets the automaton's coherence
-states (``Nod₀/Nod₁/Sca₁``…) and the open-window set over the CFG; its
-per-statement facts enrich the diagnostics and power ``--facts``.
+states (``Nod₀/Nod₁/Sca₁``…) and the open-window set over the CFG.  Facts
+enrich diagnostics, computed when one is emitted: no verdict reads them,
+so a clean placement never runs the dataflow (``--facts`` dumps them).
 
 Surfaces: ``python -m repro.analysis.commcheck``, the ``repro lint`` CLI
 subcommand (:func:`lint_main`), and the ``check(...)`` hook
@@ -42,6 +43,7 @@ subcommand (:func:`lint_main`), and the ``check(...)`` hook
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -599,7 +601,6 @@ def check_placement(vfg: ValueFlowGraph, placement: Placement,
                     source: Optional[str] = None,
                     suppress: Iterable[str] = (),
                     sink: Optional[DiagnosticSink] = None,
-                    with_facts: bool = True,
                     model_check: bool = False,
                     net_bound: int = DEFAULT_NET_BOUND) -> DiagnosticSink:
     """Run every static check over one placed program — generated, or
@@ -627,12 +628,13 @@ def check_placement(vfg: ValueFlowGraph, placement: Placement,
     if placement is None:
         return sink
 
-    facts: Optional[ProgramFacts] = None
-    if with_facts:
+    @functools.cache
+    def facts() -> Optional[ProgramFacts]:
+        """The coherence facts, for the first diagnostic that cites them."""
         try:
-            facts = compute_facts(vfg, placement, automaton)
+            return compute_facts(vfg, placement, automaton)
         except (ReproError, KeyError, AssertionError):
-            facts = None  # enrichment only; the predicates still run
+            return None  # enrichment only; the predicates still run
 
     # -- CC004: a collective inside a partitioned loop runs once per local
     # entity, a count that differs from rank to rank -----------------------
@@ -740,8 +742,8 @@ def check_placement(vfg: ValueFlowGraph, placement: Placement,
                     anchors=(anchor_for(sub, d), anchor_for(sub, post)),
                     witness=_witness(sub, path),
                     data={"post": post, "wait": wait, "def": d})
-                if facts is not None:
-                    may = facts.windows.get(d, (frozenset(), frozenset()))[0]
+                if facts() is not None:
+                    may = facts().windows.get(d, (frozenset(), frozenset()))[0]
                     diag.data["window_may_be_open"] = idx in may
                 sink.emit(diag)
     # CC006 — every checkpoint boundary crossed by an open window.  The
@@ -857,11 +859,10 @@ def _emit_coverage(sink: DiagnosticSink, sub: Subroutine, cfg: CFG,
                    vfg: ValueFlowGraph, placement: Placement, group: _Group,
                    edge, d: int, use: int, path: list[int],
                    anchors: set[int], ipdom: dict[int, int],
-                   facts: Optional[ProgramFacts],
-                   emitted: set[tuple]) -> None:
+                   facts, emitted: set[tuple]) -> None:
     """Classify one uncovered def→use path into CC001/CC004/CC005/CC007."""
-    fact_names = facts.describe(use, group.var, sub) if facts is not None \
-        and use != EXIT else []
+    fact_names = facts().describe(use, group.var, sub) if use != EXIT \
+        and facts() is not None else []
     # an assembling communication of another kind or operator declared on
     # the path leaves every rank the same — wrong — value
     rivals = [c for c in placement.comms if c.var == group.var
@@ -1076,7 +1077,6 @@ def lint_source(source: str, spec, *,
                 split_phase: bool = False,
                 indices: Optional[list[int]] = None,
                 suppress: Iterable[str] = (),
-                with_facts: bool = True,
                 model_check: bool = False,
                 net_bound: int = DEFAULT_NET_BOUND):
     """Lint every (or selected) placement of one program.
@@ -1105,8 +1105,8 @@ def lint_source(source: str, spec, *,
     for i in chosen:
         placement = result.ranked[i].placement
         sink = check_placement(result.vfg, placement, result.automaton,
-                               suppress=codes, with_facts=with_facts,
-                               model_check=model_check, net_bound=net_bound)
+                               suppress=codes, model_check=model_check,
+                               net_bound=net_bound)
         findings.append((i, sink))
     return result, findings
 

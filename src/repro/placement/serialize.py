@@ -63,7 +63,7 @@ from .engine import PlacementResult, RankedPlacement
 from .propagate import Solution
 
 #: bump when the payload layout changes — decoders refuse other versions
-PAYLOAD_VERSION = 1
+PAYLOAD_VERSION = 2
 
 #: CommOp fields in encoding order (one row per communication)
 _COMM_FIELDS = ("post_anchor", "wait_anchor", "kind", "var", "method",
@@ -147,20 +147,26 @@ def ranked_from_payload(payload: dict,
                            cost=cost, summary=payload["summary"])
 
 
-def _result_payload(result: PlacementResult) -> dict:
+def _result_body(result: PlacementResult) -> bytes:
+    """What the analysis produced, canonically: everything but ``flags``.
+    ``"version"`` stays 1 — every recorded fingerprint hashes it; the
+    layout's own version rides on the payload's head line."""
     to_pos = _sid_to_pos(result.sub)
-    return {
-        "version": PAYLOAD_VERSION,
+    return _canonical({
+        "version": 1,
         "pattern": result.spec.pattern,
-        "flags": result.flags or {},
         "outputs": sorted(result.output_vars()),
         "solutions": [ranked_to_payload(rp, to_pos) for rp in result.ranked],
-    }
+    })
 
 
 def encode_result(result: PlacementResult) -> bytes:
-    """Canonical bytes for a :class:`PlacementResult`'s rankable half."""
-    return _canonical(_result_payload(result))
+    """Canonical bytes for a :class:`PlacementResult`'s rankable half:
+    a head line (layout version, request flags), a newline — canonical
+    JSON never holds a raw one — and the body the fingerprint digests."""
+    head = _canonical({"version": PAYLOAD_VERSION,
+                       "flags": result.flags or {}})
+    return head + b"\n" + _result_body(result)
 
 
 def decode_result(payload: bytes, sub: Subroutine,
@@ -171,11 +177,13 @@ def decode_result(payload: bytes, sub: Subroutine,
     artifact stores neither, because both are already pinned by the cache
     key that addressed the payload.
     """
-    data = json.loads(payload.decode("utf-8"))
-    if data.get("version") != PAYLOAD_VERSION:
+    head, _, body = payload.partition(b"\n")
+    head = json.loads(head.decode("utf-8"))
+    if head.get("version") != PAYLOAD_VERSION:
         raise ReproError(
-            f"placement artifact version {data.get('version')!r} "
+            f"placement artifact version {head.get('version')!r} "
             f"!= supported {PAYLOAD_VERSION} (stale cache entry?)")
+    data = json.loads(body.decode("utf-8"))
     if data["pattern"] != spec.pattern:
         raise ReproError(
             f"placement artifact pattern {data['pattern']!r} does not "
@@ -185,7 +193,13 @@ def decode_result(payload: bytes, sub: Subroutine,
         sub=sub, spec=spec, automaton=None, legality=None, vfg=None,
         ranked=[ranked_from_payload(p, to_sid) for p in data["solutions"]],
         outputs=frozenset(data["outputs"]),
-        flags=dict(data["flags"]))
+        flags=dict(head["flags"]))
+
+
+def payload_fingerprint(payload: bytes) -> str:
+    """:func:`result_fingerprint` of the result ``payload`` encodes, read
+    off the stored bytes: the digest of everything after the head line."""
+    return hashlib.sha256(payload.partition(b"\n")[2]).hexdigest()
 
 
 def result_fingerprint(result: PlacementResult) -> str:
@@ -199,9 +213,7 @@ def result_fingerprint(result: PlacementResult) -> str:
     was given), while the fingerprint identifies what the analysis
     *produced*.
     """
-    payload = {k: v for k, v in _result_payload(result).items()
-               if k != "flags"}
-    return hashlib.sha256(_canonical(payload)).hexdigest()
+    return hashlib.sha256(_result_body(result)).hexdigest()
 
 
 def outputs_fingerprint(outputs: dict) -> str:

@@ -11,6 +11,10 @@ requests.  Each request is addressed by its content key
    coalescing identical in-flight requests onto the same computation,
    and persists the placements artifact plus the commcheck verdicts.
 
+What a response holds that is a function of the artifact alone
+(fingerprint, outputs, solutions table, parsed verdicts) is derived when
+the artifact enters tier 1 (:class:`_Admitted`), not per request.
+
 Distinct requests can be batched across worker processes
 (:meth:`PlacementService.place_many` → :mod:`repro.service.workers`);
 the workers share the disk tier, so everything they compute lands warm
@@ -23,14 +27,17 @@ aggregated for the ``/status`` endpoint.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import statistics
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from concurrent.futures import Future
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..lang.parser import parse_subroutine
 from ..placement.cost import CostModel
@@ -42,7 +49,7 @@ from ..placement.engine import (
 from ..placement.serialize import (
     decode_result,
     encode_result,
-    result_fingerprint,
+    payload_fingerprint,
     sink_from_payload,
 )
 from ..spec import PartitionSpec
@@ -60,24 +67,21 @@ class RequestMetrics:
     timings: dict = field(default_factory=dict)
     artifact_bytes: int = 0
     nsolutions: int = 0
+    started: float = field(default_factory=time.perf_counter)
 
     @property
     def total(self) -> float:
         return sum(self.timings.values())
 
+    @contextmanager
     def time(self, stage: str):
         """Context manager recording one stage's wall time."""
-        metrics = self
-
-        class _Timer:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                metrics.timings[stage] = metrics.timings.get(stage, 0.0) \
-                    + time.perf_counter() - self.t0
-
-        return _Timer()
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.timings[stage] = self.timings.get(stage, 0.0) \
+                + time.perf_counter() - t0
 
     def to_json(self) -> dict:
         return {
@@ -98,6 +102,25 @@ class RequestMetrics:
                 + (f" {stages}" if stages else ""))
 
 
+class _Admitted(NamedTuple):
+    """A placements artifact as tier 1 holds it: the result, and the
+    response parts that are functions of it alone."""
+
+    result: PlacementResult
+    fingerprint: str
+    outputs: list
+    solutions: list
+
+    @classmethod
+    def of(cls, result: PlacementResult, payload: bytes) -> "_Admitted":
+        return cls(result, payload_fingerprint(payload),
+                   sorted(result.output_vars()),
+                   [{"index": i, "cost_total": rp.cost.total,
+                     "summary": rp.summary,
+                     "comm_count": rp.placement.comm_count()}
+                    for i, rp in enumerate(result.ranked)])
+
+
 class PlacementService:
     """Long-lived, cache-backed front end of the analysis pipeline."""
 
@@ -113,6 +136,8 @@ class PlacementService:
         self.started = time.time()
         self.requests = 0
         self.coalesced = 0
+        #: tier -> [requests answered, their latest latencies in seconds]
+        self._tiers: dict[str, list] = {}
         self._inflight: dict[str, Future] = {}
         self._inflight_lock = threading.Lock()
         self._parse_memo: OrderedDict[str, object] = OrderedDict()
@@ -155,16 +180,30 @@ class PlacementService:
         the request metrics.  Identical concurrent requests coalesce
         onto one computation; its artifacts are stored once.
         """
-        flags = canonical_flags(flags)
+        entry, metrics = self._admitted(program, spec_text,
+                                        canonical_flags(flags))
+        self._note(metrics)
+        return entry.result, metrics
+
+    def _note(self, metrics: RequestMetrics) -> None:
+        """One more request answered, for ``status()``'s per-tier table."""
+        with self._inflight_lock:
+            served = self._tiers.setdefault(metrics.tier,
+                                            [0, deque(maxlen=1024)])
+            served[0] += 1
+            served[1].append(time.perf_counter() - metrics.started)
+
+    def _admitted(self, program: str, spec_text: str,
+                  flags: dict) -> tuple[_Admitted, RequestMetrics]:
         key = self.key(program, spec_text, flags)
         metrics = RequestMetrics(key=key)
         self.requests += 1
 
         with metrics.time("lookup"):
-            result = self._cached_result(key, program, spec_text, metrics)
-        if result is not None:
-            metrics.nsolutions = len(result)
-            return result, metrics
+            entry = self._cached_result(key, program, spec_text, metrics)
+        if entry is not None:
+            metrics.nsolutions = len(entry.result)
+            return entry, metrics
 
         # coalesce: one computation per key, everyone gets its result
         with self._inflight_lock:
@@ -175,14 +214,14 @@ class PlacementService:
                 self._inflight[key] = fut
         if not owner:
             with metrics.time("coalesced_wait"):
-                result = fut.result()
+                entry = fut.result()
             self.coalesced += 1
             metrics.tier = "coalesced"
-            metrics.nsolutions = len(result)
-            return result, metrics
+            metrics.nsolutions = len(entry.result)
+            return entry, metrics
         try:
-            result = self._compute(key, program, spec_text, flags, metrics)
-            fut.set_result(result)
+            entry = self._compute(key, program, spec_text, flags, metrics)
+            fut.set_result(entry)
         except BaseException as exc:
             fut.set_exception(exc)
             raise
@@ -190,28 +229,25 @@ class PlacementService:
             with self._inflight_lock:
                 self._inflight.pop(key, None)
         metrics.tier = "miss"
-        metrics.nsolutions = len(result)
-        return result, metrics
+        metrics.nsolutions = len(entry.result)
+        return entry, metrics
 
     def _cached_result(self, key: str, program: str, spec_text: str,
-                       metrics: RequestMetrics) -> Optional[PlacementResult]:
-        before = self.store.stats.mem_hits
-
-        def _decode(payload: bytes) -> PlacementResult:
+                       metrics: RequestMetrics) -> Optional[_Admitted]:
+        def _decode(payload: bytes) -> _Admitted:
             sub = self._parse(program, metrics)
             spec = self._spec(spec_text, metrics)
             with metrics.time("decode"):
-                return decode_result(payload, sub, spec)
+                return _Admitted.of(decode_result(payload, sub, spec),
+                                    payload)
 
-        result = self.store.get_object(key, STAGE_PLACEMENTS, _decode)
-        if result is None:
-            return None
-        metrics.tier = "mem" if self.store.stats.mem_hits > before \
-            else "disk"
-        return result
+        entry, tier = self.store.get_object(key, STAGE_PLACEMENTS, _decode)
+        if entry is not None:
+            metrics.tier = tier
+        return entry
 
     def _compute(self, key: str, program: str, spec_text: str,
-                 flags: dict, metrics: RequestMetrics) -> PlacementResult:
+                 flags: dict, metrics: RequestMetrics) -> _Admitted:
         sub = self._parse(program, metrics)
         spec = self._spec(spec_text, metrics)
         model = CostModel(**{f.name: flags[f.name]
@@ -227,13 +263,14 @@ class PlacementService:
             verdicts = self._check_all(program, result, flags)
         with metrics.time("encode"):
             payload = encode_result(result)
+            entry = _Admitted.of(result, payload)
             checks = json.dumps(verdicts, sort_keys=True,
                                 separators=(",", ":")).encode("utf-8")
         with metrics.time("persist"):
-            self.store.put_object(key, STAGE_PLACEMENTS, result, payload)
-            self.store.put(key, STAGE_COMMCHECK, checks)
+            self.store.put_object(key, STAGE_PLACEMENTS, entry, payload)
+            self.store.put_object(key, STAGE_COMMCHECK, verdicts, checks)
         metrics.artifact_bytes = len(payload) + len(checks)
-        return result
+        return entry
 
     @staticmethod
     def _check_all(program: str, result: PlacementResult,
@@ -258,12 +295,14 @@ class PlacementService:
 
     # -- cached commcheck verdicts -----------------------------------------
 
+    def _verdicts(self, key: str) -> list:
+        """The cached verdict JSON of every ranked placement ([] = none)."""
+        return self.store.get_object(key, STAGE_COMMCHECK, json.loads)[0] \
+            or []
+
     def static_sink(self, key: str, index: int = 0):
         """The cached placement-level commcheck sink, or None."""
-        payload = self.store.get(key, STAGE_COMMCHECK)
-        if payload is None:
-            return None
-        verdicts = json.loads(payload.decode("utf-8"))
+        verdicts = self._verdicts(key)
         if not 0 <= index < len(verdicts):
             return None
         return sink_from_payload(verdicts[index])
@@ -274,33 +313,32 @@ class PlacementService:
               flags: Optional[dict] = None, index: int = 0,
               annotate: bool = True) -> dict:
         """One placement request, as the HTTP endpoint answers it."""
-        result, metrics = self.placements(program, spec_text, flags)
-        chosen = _ranked_at(result, index)
-        key = metrics.key
-        checks = self.store.get(key, STAGE_COMMCHECK)
-        verdicts = json.loads(checks.decode("utf-8")) if checks else []
-        response = {
-            "key": key,
-            "fingerprint": result_fingerprint(result),
-            "code_version": self.salt,
-            "tier": metrics.tier,
-            "nsolutions": len(result),
-            "outputs": sorted(result.output_vars()),
-            "flags": canonical_flags(flags),
-            "index": index,
-            "cost_total": chosen.cost.total,
-            "summary": chosen.summary,
-            "comm_count": chosen.placement.comm_count(),
-            "diagnostics": verdicts[index] if index < len(verdicts) else [],
-            "solutions": [
-                {"index": i, "cost_total": rp.cost.total,
-                 "summary": rp.summary,
-                 "comm_count": rp.placement.comm_count()}
-                for i, rp in enumerate(result.ranked)],
-            "metrics": metrics.to_json(),
-        }
-        if annotate:
-            response["annotated"] = chosen.annotated
+        flags = canonical_flags(flags)
+        entry, metrics = self._admitted(program, spec_text, flags)
+        with metrics.time("respond"):
+            chosen = _ranked_at(entry.result, index)
+            verdicts = self._verdicts(metrics.key)
+            response = {
+                "key": metrics.key,
+                "fingerprint": entry.fingerprint,
+                "code_version": self.salt,
+                "tier": metrics.tier,
+                "nsolutions": len(entry.result),
+                "outputs": list(entry.outputs),
+                "flags": flags,
+                "index": index,
+                "cost_total": chosen.cost.total,
+                "summary": chosen.summary,
+                "comm_count": chosen.placement.comm_count(),
+                # tier 1 shares its parts: each response gets its own copy
+                "diagnostics": copy.deepcopy(verdicts[index])
+                if index < len(verdicts) else [],
+                "solutions": [dict(s) for s in entry.solutions],
+            }
+            if annotate:
+                response["annotated"] = chosen.annotated
+        self._note(metrics)
+        response["metrics"] = metrics.to_json()
         return response
 
     def place_many(self, requests: list[dict],
@@ -326,10 +364,9 @@ class PlacementService:
 
             folded = place_batch(self.store.root, self.salt,
                                  list(cold.values()), workers)
-            for k, payloads in folded.items():
-                placements_payload, commcheck_payload = payloads
-                self.store.put(k, STAGE_PLACEMENTS, placements_payload)
-                self.store.put(k, STAGE_COMMCHECK, commcheck_payload)
+            for k, (placements, commcheck) in folded.items():
+                self.store.put(k, STAGE_PLACEMENTS, placements)
+                self.store.put(k, STAGE_COMMCHECK, commcheck)
         return [self.place(req["program"], req["spec"], req.get("flags"),
                            index=req.get("index", 0),
                            annotate=req.get("annotate", True))
@@ -350,6 +387,9 @@ class PlacementService:
             "disk_bytes": nbytes,
             "disk_budget": self.store.disk_budget,
             "cache": self.store.stats.to_json(),
+            "tiers": {tier: {"requests": n, "p50_ms": round(
+                statistics.median(seconds) * 1e3, 3)}
+                for tier, (n, seconds) in sorted(self._tiers.items())},
         }
 
     def clear(self) -> int:

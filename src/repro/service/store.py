@@ -170,29 +170,36 @@ class ArtifactStore:
     # -- the object tier (decoded artifacts) -------------------------------
 
     def get_object(self, key: str, stage: str,
-                   decode: Callable[[bytes], object]) -> Optional[object]:
-        """Decoded artifact: live object on a memory hit, else disk bytes
-        through ``decode`` (the decoded object is promoted to tier 1)."""
+                   decode: Callable[[bytes], object]
+                   ) -> tuple[Optional[object], Optional[str]]:
+        """Decoded artifact and the tier that served it: ``"mem"`` (the
+        live object; bytes a batch folded into tier 1 are decoded in
+        place), ``"disk"`` (bytes through ``decode``, the object promoted
+        to tier 1) or ``(None, None)``."""
         with self._lock:
-            if (key, stage) in self._mem:
-                obj = self._mem[(key, stage)]
-                if not isinstance(obj, bytes):
-                    self._mem.move_to_end((key, stage))
-                    self.stats.mem_hits += 1
-                    self.stats.note(stage, True)
-                    return obj
+            obj = self._mem.get((key, stage))
+            if obj is not None:
+                self._mem.move_to_end((key, stage))
+                self.stats.mem_hits += 1
+                self.stats.note(stage, True)
+        if obj is not None:
+            if isinstance(obj, bytes):
+                obj = decode(obj)
+                with self._lock:
+                    self._mem_put((key, stage), obj)
+            return obj, "mem"
         payload = self._disk_read(key, stage)
         if payload is None:
             with self._lock:
                 self.stats.misses += 1
                 self.stats.note(stage, False)
-            return None
+            return None, None
         obj = decode(payload)
         with self._lock:
             self.stats.disk_hits += 1
             self.stats.note(stage, True)
             self._mem_put((key, stage), obj)
-        return obj
+        return obj, "disk"
 
     def put_object(self, key: str, stage: str, obj: object,
                    payload: bytes) -> None:

@@ -8,13 +8,17 @@ cross-checked against the runtime watchdog executing the same per-rank
 collective orders.
 """
 
+import contextlib
 import dataclasses
 import io
 import json
+import os
+import pathlib
 
 import numpy as np
 import pytest
 
+from repro.analysis import commcheck
 from repro.analysis.commcheck import (
     check_placement,
     check_schedules,
@@ -212,10 +216,48 @@ class TestCleanCorpus:
         run.verify()
 
 
+@contextlib.contextmanager
+def facts_spy():
+    """The arguments of every ``compute_facts`` call commcheck makes."""
+    calls = []
+    real = commcheck.compute_facts
+    commcheck.compute_facts = lambda *a: calls.append(a) or real(*a)
+    try:
+        yield calls
+    finally:
+        commcheck.compute_facts = real
+
+
+#: what the eager dataflow of PR 23 put into every mutation's diagnostics
+#: (sid-free: code, var, message, data["facts"], data["window_may_be_open"])
+PARENT_DIAGNOSTICS = json.loads(
+    (pathlib.Path(__file__).parent / "golden"
+     / "mutation_diagnostics.json").read_text("utf-8"))
+
+
+def enrichment(sink: DiagnosticSink) -> list:
+    # describe() orders origins by process-global sid: compare them sorted
+    return [[d.code, d.var, d.message,
+             sorted(d.data["facts"]) if "facts" in d.data else None,
+             d.data.get("window_may_be_open")] for d in sink.sorted()]
+
+
+def same_as_parent(sink: DiagnosticSink) -> None:
+    case = os.environ["PYTEST_CURRENT_TEST"].split("::")[-1].split(" ")[0]
+    assert enrichment(sink) == PARENT_DIAGNOSTICS[case]
+
+
 def judge(res, placement: Placement) -> DiagnosticSink:
     """``check_placement``'s verdict — which the text the placement prints
-    as must earn as well, read back through the section-5.2 route."""
-    sink = check_placement(res.vfg, placement, res.automaton)
+    as must earn as well, read back through the section-5.2 route — with
+    the parent's enrichment, from one run of the facts dataflow if any
+    diagnostic cites it and none otherwise."""
+    with facts_spy() as calls:
+        sink = check_placement(res.vfg, placement, res.automaton)
+    same_as_parent(sink)
+    cited = any(d.data.get("facts") or "window_may_be_open" in d.data
+                for d in sink.diagnostics)
+    assert len(calls) == int(cited), sink.render()
     text = annotate_source(res.sub, res.vfg, placement)
     assert check_annotated_program(text, res.spec).codes() == sink.codes()
     return sink
@@ -682,8 +724,12 @@ class TestLintSurfaces:
         assert main(["lint", str(prog), str(specf)]) == 0
 
     def test_module_corpus_mode_clean(self, capsys):
-        assert lint_main(["--corpus", "--strict"]) == 0
+        with facts_spy() as calls:
+            assert lint_main(["--corpus", "--strict"]) == 0
         assert "corpus lint: clean" in capsys.readouterr().out
+        # blocking and widened, every placement clean: the facts dataflow
+        # enriches diagnostics, so a sweep that emits none never runs it
+        assert calls == []
 
     def test_module_corpus_model_check_clean(self, capsys):
         assert lint_main(["--corpus", "--strict", "--model-check"]) == 0

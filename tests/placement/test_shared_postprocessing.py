@@ -28,7 +28,7 @@ from repro.corpus import (
     synthetic_source,
     synthetic_spec,
 )
-from repro.errors import PlacementError
+from repro.errors import PlacementError, ReproError
 from repro.lang.cfg import CFG
 from repro.placement import Propagator, enumerate_placements, extract_comms
 from repro.placement.annotate import annotate_source, placement_summary
@@ -36,7 +36,12 @@ from repro.placement.comms import Placement
 from repro.placement.cost import estimate_cost
 from repro.placement.engine import analyze
 from repro.placement.reduce import reduce_vfg
-from repro.placement.serialize import result_fingerprint
+from repro.placement.serialize import (
+    decode_result,
+    encode_result,
+    payload_fingerprint,
+    result_fingerprint,
+)
 from repro.spec import PartitionSpec, spec_for_testiv
 
 P1 = "overlap-elements-2d"
@@ -192,8 +197,28 @@ class TestGoldenFingerprints:
         source, spec, limit = PROGRAMS[name]
         result = enumerate_placements(source, spec, limit=limit,
                                       split_phase=MODES[mode])
-        assert result_fingerprint(result) \
-            == self.GOLDEN["fingerprints"][f"{name}/{mode}"]
+        golden = self.GOLDEN["fingerprints"][f"{name}/{mode}"]
+        assert result_fingerprint(result) == golden
+        # ... which is the digest of the body the artifact stores: the
+        # service reads its name off the bytes, it never re-renders
+        payload = encode_result(result)
+        assert payload_fingerprint(payload) == golden
+        restored = decode_result(payload, result.sub, result.spec)
+        assert result_fingerprint(restored) == golden
+        assert encode_result(restored) == payload
+
+    def test_version_1_payload_is_refused_as_stale(self):
+        source, spec, limit = PROGRAMS[sorted(PROGRAMS)[0]]
+        result = enumerate_placements(source, spec, limit=limit)
+        head, _, body = encode_result(result).partition(b"\n")
+        head = json.loads(head)
+        assert head == {"flags": result.flags, "version": 2}
+        # the layout before PR 24: one object, flags beside the rest
+        v1 = json.dumps({**json.loads(body), "flags": head["flags"]},
+                        sort_keys=True, separators=(",", ":")).encode()
+        with pytest.raises(ReproError, match=r"version 1 != supported 2 "
+                                             r"\(stale cache entry\?\)"):
+            decode_result(v1, result.sub, result.spec)
 
     def test_golden_covers_exactly_the_programs(self):
         assert sorted(self.GOLDEN["fingerprints"]) == sorted(

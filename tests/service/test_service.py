@@ -149,6 +149,33 @@ class TestPipelineDifferential:
         run.verify()
 
 
+class TestTierAttribution:
+    def test_disk_hit_is_a_disk_hit_whatever_lands_mid_lookup(
+            self, tmp_path, monkeypatch):
+        """Under the threading server another request's memory hits land
+        between a lookup's start and end; the tier is the store's word,
+        not a before/after reading of the shared hit counter."""
+        from repro.service import core
+
+        other = (synthetic_source(1), synthetic_spec().serialize())
+        cold = PlacementService(str(tmp_path / "cache"))
+        cold.placements(TESTIV_SOURCE, SPEC_TEXT)
+        cold.placements(*other)
+        svc = PlacementService(str(tmp_path / "cache"))
+        assert svc.placements(*other)[1].tier == "disk"
+        real = core.decode_result
+
+        def busy(payload, sub, spec):
+            for _ in range(3):
+                assert svc.placements(*other)[1].tier == "mem"
+            return real(payload, sub, spec)
+
+        monkeypatch.setattr(core, "decode_result", busy)
+        response = svc.place(TESTIV_SOURCE, SPEC_TEXT)
+        assert response["tier"] == response["metrics"]["tier"] == "disk"
+        assert svc.status()["tiers"]["disk"]["requests"] == 2
+
+
 class TestCoalescing:
     def test_identical_inflight_requests_compute_once(self):
         svc = PlacementService()     # memory only
@@ -184,7 +211,11 @@ class TestBatching:
                 for i in range(3)]
         svc = PlacementService(str(tmp_path / "cache"), workers=2)
         first = svc.place_many(reqs)
-        assert all(r["tier"] in ("disk", "mem", "miss") for r in first)
+        # the fold put the workers' bytes into tier 1: they are decoded in
+        # place, never read (and digest-verified) a second time from disk
+        assert [r["tier"] for r in first] == ["mem"] * 3
+        assert svc.store.stats.bytes_read == 0
+        assert svc.store.stats.disk_hits == 0
         warm = svc.place_many(reqs)
         assert all(r["tier"] == "mem" for r in warm)
         for a, b in zip(first, warm):

@@ -46,11 +46,46 @@ class TestRoundTrip:
 
         store.put(_key(), "placements", b"x")
         fresh = ArtifactStore(str(tmp_path))
-        obj1 = fresh.get_object(_key(), "placements", decode)
-        obj2 = fresh.get_object(_key(), "placements", decode)
+        obj1, tier1 = fresh.get_object(_key(), "placements", decode)
+        obj2, tier2 = fresh.get_object(_key(), "placements", decode)
         assert obj1 == {"decoded": b"x"}
         assert obj2 is obj1           # tier-1 hit returns the same object
         assert len(calls) == 1        # decode ran exactly once
+        assert (tier1, tier2) == ("disk", "mem")
+        assert fresh.get_object(_key(1), "placements", decode) == (None, None)
+
+    def test_object_tier_names_the_tier_it_served_from(self, tmp_path):
+        """The tier is decided inside the lookup, not read off the shared
+        counters afterwards: memory hits landing mid-decode (another
+        request, under the threading server) leave a disk hit a disk hit."""
+        warm = ArtifactStore(str(tmp_path))
+        for i in range(4):
+            warm.put(_key(i), "placements", b"p%d" % i)
+        store = ArtifactStore(str(tmp_path))
+        for i in (1, 2, 3):
+            store.get_object(_key(i), "placements", bytes.upper)
+
+        def decode(payload):
+            for i in (1, 2, 3):
+                assert store.get_object(_key(i), "placements",
+                                        bytes.upper)[1] == "mem"
+            return payload.upper()
+
+        before = store.stats.mem_hits
+        assert store.get_object(_key(0), "placements", decode) == \
+            (b"P0", "disk")
+        assert store.stats.mem_hits == before + 3
+
+    def test_bytes_in_tier_one_are_decoded_in_place(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        store.put(_key(), "placements", b"folded")   # what a batch fold does
+        read = store.stats.bytes_read
+        obj, tier = store.get_object(_key(), "placements",
+                                     lambda b: {"decoded": b})
+        assert (obj, tier) == ({"decoded": b"folded"}, "mem")
+        assert store.get_object(_key(), "placements", None)[0] is obj
+        assert store.stats.bytes_read == read
+        assert (store.stats.mem_hits, store.stats.disk_hits) == (2, 0)
 
 
 class TestCorruption:
