@@ -127,6 +127,13 @@ class Slab(NamedTuple):
     flat: np.ndarray
     #: per-rank row count; rank r's rows start at ``sum(rows[:r])``
     rows: tuple
+    #: the per-rank views the envs were bound to (empty when unknown)
+    views: tuple = ()
+
+    def installed_in(self, envs: Sequence[Env], name: str) -> bool:
+        """Whether every rank env still binds ``name`` to its view here."""
+        return len(self.views) == len(envs) and all(
+            env.get(name) is view for env, view in zip(envs, self.views))
 
 
 class RankBatch:

@@ -4,7 +4,6 @@ from .checkpoint import (
     Checkpoint,
     CheckpointManager,
     RankSnapshot,
-    copy_env,
     restore_rank_snapshot,
     snapshot_digest,
 )
@@ -63,7 +62,7 @@ __all__ = [
     "RingTransport", "SPMDExecutor", "SPMDResult", "SimComm",
     "TimeBreakdown", "adversarial_check", "allreduce_scalar",
     "Timeline", "combine_complete", "combine_post",
-    "combine_update", "copy_env", "envs_bit_identical", "make_comm",
+    "combine_update", "envs_bit_identical", "make_comm",
     "overlap_complete", "overlap_post", "overlap_update",
     "parallel_time", "render_fault_report", "render_timeline",
     "restore_rank_snapshot", "sequential_time", "snapshot_digest",

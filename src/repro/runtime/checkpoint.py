@@ -54,28 +54,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..errors import RuntimeFault
 from ..lang.interp import Env, MachineState
-
-
-def copy_env(env: Env) -> Env:
-    """Value copy of a rank environment (arrays copied, scalars shared)."""
-    return {k: v.copy() if isinstance(v, np.ndarray) else v
-            for k, v in env.items()}
+from ..lang.vectorize import Slab
 
 
 def _env_words(env: Env) -> int:
     """Array words held by one environment (accounting unit of budgets)."""
     return sum(int(v.size) for v in env.values()
-               if isinstance(v, np.ndarray))
-
-
-def _env_bytes(env: Env) -> int:
-    return sum(int(v.nbytes) for v in env.values()
                if isinstance(v, np.ndarray))
 
 
@@ -188,10 +178,13 @@ class CheckpointManager:
                 or event_count - self.last.event_count >= self.every)
 
     def take(self, comm, envs: list[Env], states: list[MachineState],
-             event_count: int, span_count: int,
-             log_mark: int = 0) -> Checkpoint:
+             event_count: int, span_count: int, log_mark: int = 0,
+             slabs: Optional[dict[str, Slab]] = None) -> Checkpoint:
         """Snapshot a quiescent point (caller guarantees quiescence).
 
+        ``slabs`` names the all-ranks buffers the envs bind views of; each
+        one still installed is copied once, and every rank snapshot views
+        its rows of the copy.  Other arrays are copied rank by rank.
         Raises a structured CC104 diagnostic when the point is not
         actually quiescent (messages or requests in flight).  The new
         checkpoint replaces the held one.
@@ -213,15 +206,31 @@ class CheckpointManager:
             err = RuntimeFault(f"CC104: {diag.message}")
             err.diagnostic = diag
             raise err
+        saved = [dict(env) for env in envs]
+        copies = []
+        for name, slab in (slabs or {}).items():
+            if not slab.installed_in(envs, name):
+                continue
+            buf = slab.flat[:sum(slab.rows)].copy()
+            copies.append(buf)
+            start = 0
+            for env, n in zip(saved, slab.rows):
+                env[name] = buf[start:start + n]
+                start += n
+        for env, own in zip(saved, envs):
+            for key, val in own.items():
+                if isinstance(val, np.ndarray) and env[key] is val:
+                    env[key] = val.copy()
+                    copies.append(env[key])
         cp = Checkpoint(
             event_count=event_count,
             span_count=span_count,
-            ranks=[RankSnapshot(env=copy_env(env), state=state.copy())
-                   for env, state in zip(envs, states)],
+            ranks=[RankSnapshot(env=env, state=state.copy())
+                   for env, state in zip(saved, states)],
             transport=comm.transport_snapshot(),
+            words=sum(a.size for a in copies),
+            nbytes=sum(a.nbytes for a in copies),
             log_mark=log_mark)
-        cp.words = sum(snap.words for snap in cp.ranks)
-        cp.nbytes = sum(_env_bytes(snap.env) for snap in cp.ranks)
         self.last = cp
         self.taken += 1
         return cp
@@ -269,7 +278,5 @@ class CheckpointManager:
 
 def snapshot_digest(cp: Checkpoint) -> str:
     """One-line description of a checkpoint, for watchdog diagnostics."""
-    words: Any = cp.words or sum(snap.words for snap in cp.ranks)
-    nbytes = cp.nbytes or sum(_env_bytes(snap.env) for snap in cp.ranks)
     return (f"checkpoint@event {cp.event_count}: {len(cp.ranks)} rank(s), "
-            f"{words} array word(s) ({nbytes} bytes) captured")
+            f"{cp.words} array word(s) ({cp.nbytes} bytes) captured")

@@ -163,7 +163,7 @@ class _Run:
     last_epoch_event: int = -(10 ** 9)
     #: open windows: id(op) -> (op, handle, post event index, post steps)
     pending: dict[int, tuple] = field(default_factory=dict)
-    #: rank-fused compute tables of the current epoch, never checkpointed:
+    #: rank-fused compute tables of the current epoch (a take copies slabs):
     #: array name -> :class:`Slab`, loop sid -> :class:`RankBatch` (lazy)
     slabs: dict[str, Slab] = field(default_factory=dict)
     batches: dict[int, RankBatch] = field(default_factory=dict)
@@ -287,7 +287,7 @@ class SPMDExecutor:
                 env[name] = flat[start:start + n]
                 env[name][:len(conn)] = conn + 1  # FORTRAN is 1-based
                 start += n
-            slabs[name] = Slab(flat, rows)
+            slabs[name] = Slab(flat, rows, tuple(env[name] for env in envs))
         return slabs
 
     def _make_rank_array(self, sub_mesh: SubMesh, name: str, decl,
@@ -385,7 +385,8 @@ class SPMDExecutor:
         """Every array whose rows for all ranks share one buffer: the
         index maps and the flat store's fields."""
         return {**index_maps, **{
-            name: Slab(stored.flat, tuple(len(v) for v in stored.views))
+            name: Slab(stored.flat, tuple(len(v) for v in stored.views),
+                       tuple(stored.views))
             for name, stored in (self._store or {}).items()}}
 
     def _fused_loops(self, slabs: dict[str, Slab]) -> frozenset:
@@ -635,7 +636,7 @@ class SPMDExecutor:
         comm, timeline = run.comm, run.timeline
         mark = comm.msglog.mark() if comm.msglog is not None else 0
         run.ckpt.take(comm, run.envs, run.states, len(timeline.events),
-                      len(timeline.spans), log_mark=mark)
+                      len(timeline.spans), log_mark=mark, slabs=run.slabs)
         if comm.msglog is not None:
             # entries older than the checkpoint just taken can never be
             # replayed again — drop them

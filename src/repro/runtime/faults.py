@@ -17,8 +17,9 @@ makes the fabric hostile on demand:
     A :class:`~repro.runtime.simmpi.SimComm` whose delivery hooks apply
     the plan.  Rule targeting is by (src, dst, tag) only, so a batched
     wave is split with one boolean-mask pass over the compiled rule
-    arrays: untouched messages take the vectorized transport path and
-    only rule-matched ones run the per-message engine.  Everything is
+    arrays: messages no *live* rule (one whose ``count`` is not spent)
+    targets take the vectorized transport path and only the rest run
+    the per-message engine.  Everything is
     deterministic: randomness comes from one seeded generator, delays
     are indexed in fabric steps (one step per receive retry poll), and
     the whole fabric state — clock, the column-array delayed and dropped
@@ -90,6 +91,17 @@ class FaultRule:
         if self.action not in ACTIONS:
             raise ReproError(f"unknown fault action {self.action!r} "
                              f"(expected one of {', '.join(ACTIONS)})")
+        # a NaN prob fails both comparisons, so it is refused too
+        for bad, problem in (
+                (not 0.0 <= self.prob <= 1.0, "prob must lie in [0, 1]"),
+                (self.count < -1, "count must be >= 0, or -1 for unlimited"),
+                (self.steps < 1, f"steps={self.steps} must be >= 1"),
+                (any(v is not None and v < 0
+                     for v in (self.src, self.dst, self.tag)),
+                 "src/dst/tag must be >= 0")):
+            if bad:
+                raise ReproError(
+                    f"bad fault clause {self.describe()!r}: {problem}")
 
     def matches(self, src: int, dst: int, tag: int) -> bool:
         return ((self.src is None or self.src == src)
@@ -104,9 +116,9 @@ class FaultRule:
                 parts.append(f"{name}={v}")
         if self.action == "delay":
             parts.append(f"steps={self.steps}")
-        if self.count >= 0:
+        if self.count != -1:
             parts.append(f"count={self.count}")
-        if self.prob < 1.0:
+        if self.prob != 1.0:
             parts.append(f"prob={self.prob}")
         return " ".join(parts)
 
@@ -238,10 +250,11 @@ class FaultComm(SimComm):
     the full fabric state rides along in transport snapshots so a
     checkpoint replay re-observes bit-identical faults.
 
-    Rule targeting is compiled to three int64 arrays (-1 = wildcard); the
-    delayed and dropped ledgers are kept column-wise — (src, dst, tag)
-    key rows, due clocks, serials — so the release sweep in
-    :meth:`_progress` and the retransmit lookup are masked array scans.
+    Rule targeting is compiled to int64 arrays (-1 = wildcard, and the
+    ``count`` column that retires spent rules); the delayed and dropped
+    ledgers are kept column-wise — (src, dst, tag) key rows, due clocks,
+    serials — so the release sweep in :meth:`_progress` and the
+    retransmit lookup are masked array scans.
     """
 
     def __init__(self, size: int, plan: FaultPlan):
@@ -270,6 +283,7 @@ class FaultComm(SimComm):
             [-1 if r.dst is None else r.dst for r in plan.rules], np.int64)
         self._r_tag = np.asarray(
             [-1 if r.tag is None else r.tag for r in plan.rules], np.int64)
+        self._r_count = np.asarray([r.count for r in plan.rules], np.int64)
 
     @property
     def dropped(self) -> list[DroppedMessage]:
@@ -309,8 +323,7 @@ class FaultComm(SimComm):
             if rule.action == "delay":
                 self._delay_serial += 1
                 self._d_key = np.vstack((self._d_key, [[src, dest, tag]]))
-                self._d_due = np.append(self._d_due,
-                                        self.clock + max(1, rule.steps))
+                self._d_due = np.append(self._d_due, self.clock + rule.steps)
                 self._d_serial = np.append(self._d_serial,
                                            self._delay_serial)
                 self._d_payloads.append(payload)
@@ -358,7 +371,7 @@ class FaultComm(SimComm):
                        block: np.ndarray, words: np.ndarray) -> None:
         """Rule-mask pass for the concatenated-block send path.
 
-        The clean-wave case (no rule targets any message) stays fully
+        The clean-wave case (no live rule targets any message) stays fully
         vectorized; otherwise the block is split back into per-message
         payload views and routed through the batch rule engine, whose
         channel-based split preserves FIFO order and RNG draw order.
@@ -372,11 +385,14 @@ class FaultComm(SimComm):
 
     def _match_any(self, srcs: np.ndarray,
                    dsts: np.ndarray, tag: int) -> Optional[np.ndarray]:
-        """Which wave messages any rule targets; None when there are no
-        rules at all (the zero-overhead empty-plan path)."""
-        if not len(self._r_src):
+        """Which wave messages any *live* rule targets; None when no rule
+        is live.  A rule whose ``count`` is spent can never fire again
+        (``_fires`` tests the count before any RNG draw); its liveness
+        derives from ``_fired``, so a rollback re-arms it."""
+        live = (self._r_count < 0) | (self._fired < self._r_count)
+        if not live.any():
             return None
-        tag_ok = (self._r_tag < 0) | (self._r_tag == tag)
+        tag_ok = live & ((self._r_tag < 0) | (self._r_tag == tag))
         m = ((self._r_src < 0) | (self._r_src == srcs[:, None])) \
             & ((self._r_dst < 0) | (self._r_dst == dsts[:, None])) \
             & tag_ok

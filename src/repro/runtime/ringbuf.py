@@ -566,11 +566,11 @@ class RingTransport:
 
         Live headers are copied in ``seq`` order together with
         materialized payload copies; at the quiescent points where
-        checkpoints are taken this is empty, but the round trip is exact
-        for any wire state (the fault fabric snapshots mid-flight delay
-        ledgers through the same mechanism).
+        checkpoints are taken the live count says it is empty (no scan),
+        but the round trip is exact for any wire state (the fault fabric
+        snapshots mid-flight delay ledgers through the same mechanism).
         """
-        li = np.flatnonzero(self._live)
+        li = np.flatnonzero(self._live) if self._nlive else np.zeros(0, int)
         order = np.argsort(self._col["seq"][li], kind="stable")
         li = li[order]
         return {"headers": self._h[li].copy(),

@@ -71,11 +71,6 @@ class CollectiveRecord:
     def __iter__(self):
         return iter((self.label, list(self.msgs), list(self.words)))
 
-    def clone(self) -> "CollectiveRecord":
-        return CollectiveRecord(label=self.label, msgs=list(self.msgs),
-                                words=list(self.words), window=self.window,
-                                overlap_steps=self.overlap_steps)
-
 
 #: singles are flushed into an immutable array chunk at this length
 _FLUSH_AT = 1 << 15
@@ -158,8 +153,8 @@ class CommStats:
         counters is deferred until a counter is read, so a send-side hot
         loop pays one list append per wave, not four bincounts.  The
         columns are copied on ingest: chunks are immutable once in the
-        ledger (clones share them), so the ledger must own them even if
-        the caller reuses or mutates its buffers afterwards.
+        ledger (snapshots keep them by length), so the ledger must own
+        them even if the caller reuses or mutates its buffers afterwards.
         """
         n = len(srcs)
         if n == 0:
@@ -260,25 +255,27 @@ class CommStats:
 
     # -- snapshots -----------------------------------------------------------
 
-    def clone(self) -> "CommStats":
-        """Deep copy, for checkpoint snapshots.
-
-        Event-log chunks are immutable once flushed, so the clone shares
-        them; counters and collective records are copied.
-        """
+    def snapshot(self) -> tuple:
+        """Freeze the ledger by length, for checkpoint snapshots: both
+        logs are append-only (no record or flushed chunk ever changes), so
+        two lengths plus the counters are the whole snapshot, O(ranks)
+        whatever the history."""
         self._flush()
         self._fold()
-        cp = CommStats()
-        cp.collectives = [rec.clone() for rec in self.collectives]
-        cp.retries = self.retries
-        cp.retransmits = self.retransmits
-        cp.retransmit_words = self.retransmit_words
-        cp._chunks = list(self._chunks)
-        cp._rank_msgs = self._rank_msgs.copy()
-        cp._rank_wrds = self._rank_wrds.copy()
-        cp._nmsgs = self._nmsgs
-        cp._nwords = self._nwords
-        return cp
+        return (len(self.collectives), len(self._chunks), self.retries,
+                self.retransmits, self.retransmit_words,
+                self._rank_msgs.copy(), self._rank_wrds.copy(),
+                self._nmsgs, self._nwords)
+
+    def restore(self, snap: tuple) -> None:
+        """Rewind in place to a :meth:`snapshot` by truncating the logs."""
+        (ncoll, nchunks, self.retries, self.retransmits,
+         self.retransmit_words, msgs, wrds, self._nmsgs, self._nwords) = snap
+        del self.collectives[ncoll:]
+        del self._chunks[nchunks:]
+        self._s, self._d, self._w, self._unfolded = [], [], [], []
+        self._rank_msgs, self._rank_wrds = msgs.copy(), wrds.copy()
+        self._pair_cache = None
 
 
 def _payload_words(obj: Any) -> int:
@@ -695,7 +692,7 @@ class SimComm:
         checkpoints are taken).  Fabric subclasses extend the dict with
         their own clocks/ledgers.
         """
-        return {"next_tag": self._next_tag, "stats": self.stats.clone(),
+        return {"next_tag": self._next_tag, "stats": self.stats.snapshot(),
                 "wire": self._transport.snapshot()}
 
     def transport_restore(self, snap: dict) -> None:
@@ -703,7 +700,7 @@ class SimComm:
         self._transport.restore(snap["wire"])
         self._pending_requests.clear()
         self._next_tag = snap["next_tag"]
-        self.stats = snap["stats"].clone()
+        self.stats.restore(snap["stats"])
 
 
 class Request:

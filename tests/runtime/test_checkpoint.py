@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.corpus import TESTIV_SOURCE
 from repro.errors import RuntimeFault
@@ -14,6 +16,7 @@ from repro.lang.interp import (
     make_env,
 )
 from repro.lang.lower import lower_subroutine
+from repro.lang.vectorize import Slab
 from repro.mesh import build_partition, structured_tri_mesh
 from repro.placement import enumerate_placements
 from repro.runtime import (
@@ -23,11 +26,13 @@ from repro.runtime import (
     MessageLog,
     SimComm,
     SPMDExecutor,
-    copy_env,
+    build_flat_store,
     snapshot_digest,
 )
+from repro.runtime.checkpoint import _env_words
 from repro.runtime.faults import rebalance_policy
 from repro.spec import spec_for_testiv
+from tests.runtime.reference_checkpoint import copy_env
 
 SOURCE = """\
       subroutine s(n, a, total)
@@ -233,6 +238,144 @@ class TestCheckpointManager:
         cp = CheckpointManager().take(comm, envs, states, 7, 2)
         text = snapshot_digest(cp)
         assert "event 7" in text and "2 rank(s)" in text
+
+
+_SCALARS = st.one_of(
+    st.integers(-5, 5), st.floats(-1e3, 1e3), st.booleans(),
+    st.integers(-5, 5).map(np.int64), st.floats(-1e3, 1e3).map(np.float64),
+    st.just(None), st.text(max_size=3))
+
+
+@st.composite
+def slab_worlds(draw):
+    """Rank envs whose arrays are what the executor binds: flat-store
+    fields and an index map (views of one all-ranks buffer each), 2-D
+    real and integer entity arrays and replicated arrays (per-rank
+    objects), a 0-d array and scalars of every type — with the slabs that
+    name the buffers, one of whose views may have been rebound."""
+    nranks = draw(st.integers(1, 4))
+    rows = [draw(st.integers(1, 6)) for _ in range(nranks)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    envs = [{"v": rng.standard_normal(n), "w": rng.standard_normal(n),
+             "xy": rng.standard_normal((n, 2)),
+             "ids": rng.integers(-9, 9, n),
+             "rep": np.arange(3.0), "zero_d": np.array(rng.random()),
+             **{f"s{k}": draw(_SCALARS) for k in range(3)}}
+            for n in rows]
+    store = build_flat_store(envs, ["v", "w"])
+    slabs = {var: Slab(field.flat, tuple(rows), tuple(field.views))
+             for var, field in store.items()}
+    som = np.zeros((sum(rows), 3), np.int64)
+    start = 0
+    for env, n in zip(envs, rows):
+        env["som"] = som[start:start + n]
+        env["som"][...] = rng.integers(1, 9, (n, 3))
+        start += n
+    slabs["som"] = Slab(som, tuple(rows), tuple(env["som"] for env in envs))
+    if draw(st.booleans()):
+        r = draw(st.integers(0, nranks - 1))
+        var = draw(st.sampled_from(["v", "som"]))
+        envs[r][var] = envs[r][var].copy()   # rebound: no longer a view
+    return envs, slabs
+
+
+def _env_bytes(env):
+    return sum(v.nbytes for v in env.values() if isinstance(v, np.ndarray))
+
+
+def _clobber(envs):
+    for env in envs:
+        for key, val in list(env.items()):
+            if isinstance(val, np.ndarray):
+                val[...] = 7
+            else:
+                env[key] = "clobbered"
+        env["extra"] = np.ones(2)
+
+
+def _same_env(live, ref):
+    assert live.keys() == ref.keys()
+    for key, want in ref.items():
+        got = live[key]
+        assert type(got) is type(want), key
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), key
+            assert got.tobytes() == want.tobytes(), key
+        else:
+            assert got == want or (got != got and want != want), key
+
+
+class TestBufferLevelTake:
+    """A take copies each installed all-ranks buffer once and hands the
+    ranks views of it; that must be indistinguishable from copying every
+    rank's arrays one by one (``copy_env``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(slab_worlds())
+    def test_take_restores_what_per_rank_copies_would(self, world):
+        envs, slabs = world
+        states = [MachineState(pc=r) for r in range(len(envs))]
+        comm = SimComm(len(envs))
+        mgr = CheckpointManager()
+        ref = [copy_env(env) for env in envs]
+        cp = mgr.take(comm, envs, states, 0, 0, slabs=slabs)
+        assert cp.words == sum(_env_words(env) for env in ref)
+        assert cp.nbytes == sum(_env_bytes(env) for env in ref)
+        for name, slab in slabs.items():
+            # an installed buffer is copied once, the ranks view that copy
+            bases = {id(snap.env[name].base) for snap in cp.ranks}
+            if slab.installed_in(envs, name):
+                assert len(bases) == 1 and cp.ranks[0].env[name].base \
+                    is not None
+            else:
+                assert bases == {id(None)}
+        # a second take replaces the first
+        _clobber(envs)
+        ref = [copy_env(env) for env in envs]
+        cp = mgr.take(comm, envs, states, 1, 0, slabs=slabs)
+        assert cp.words == sum(_env_words(env) for env in ref)
+        ids = [{k: id(v) for k, v in env.items()
+                if isinstance(v, np.ndarray)} for env in envs]
+        installed = {name for name, slab in slabs.items()
+                     if slab.installed_in(envs, name)}
+
+        for _ in range(2):   # restores are repeatable
+            for env in envs:
+                for val in env.values():
+                    if isinstance(val, np.ndarray):
+                        val[...] = -3
+            mgr.restore(comm, envs, states)
+            for env, want, before in zip(envs, ref, ids):
+                _same_env(env, want)
+                # arrays restored in place: every view still aliases
+                assert {k: id(env[k]) for k in before} == before
+            assert {name for name, slab in slabs.items()
+                    if slab.installed_in(envs, name)} == installed
+        assert mgr.restored_words == 2 * cp.words
+
+        rank = len(envs) - 1
+        _clobber(envs)
+        clobbered = [copy_env(env) for env in envs]
+        mgr.restore_rank(rank, envs, states)
+        _same_env(envs[rank], ref[rank])
+        for env, want in zip(envs[:rank], clobbered):
+            _same_env(env, want)
+        assert mgr.restored_words == 2 * cp.words + _env_words(ref[rank])
+
+    def test_rebound_view_falls_back_to_a_per_rank_copy(self):
+        envs = [{"v": np.arange(3.0)}, {"v": np.arange(2.0)}]
+        store = build_flat_store(envs, ["v"])
+        slab = Slab(store["v"].flat, (3, 2), tuple(store["v"].views))
+        envs[1]["v"] = np.full(4, 5.0)       # rebound, and resized
+        mgr = CheckpointManager()
+        cp = mgr.take(SimComm(2), envs, [MachineState()] * 2, 0, 0,
+                      slabs={"v": slab})
+        assert cp.words == 7
+        assert [snap.env["v"].base for snap in cp.ranks] == [None] * 2
+        envs[1]["v"][...] = 0.0
+        mgr.restore(SimComm(2), envs, [MachineState(), MachineState()])
+        assert envs[1]["v"].tolist() == [5.0] * 4
+        assert envs[0]["v"] is store["v"].views[0]
 
 
 class TestLogFloor:

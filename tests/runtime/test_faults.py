@@ -115,6 +115,60 @@ class TestFaultPlan:
         assert code != 0
         assert "bad fault clause 'kill rank=1'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("clause, why", [
+        ("drop prob=1.5", "prob must lie in"),
+        ("drop prob=-0.1", "prob must lie in"),
+        ("corrupt prob=nan", "prob must lie in"),
+        ("drop prob=inf", "prob must lie in"),
+        ("delay steps=-3", "steps=-3 must be >= 1"),
+        ("delay steps=0", "steps=0 must be >= 1"),
+        ("reorder steps=0", "steps=0 must be >= 1"),
+        ("drop count=-7", "count must be >= 0, or -1"),
+        ("drop src=-2", "src/dst/tag must be >= 0"),
+        ("duplicate dst=-1", "src/dst/tag must be >= 0"),
+        ("drop tag=-5 count=1", "src/dst/tag must be >= 0"),
+    ])
+    def test_out_of_range_numbers_rejected(self, clause, why):
+        with pytest.raises(ReproError, match=why) as err:
+            FaultPlan.parse(f"seed=1; {clause}; reorder")
+        # the message names the clause, its bad value included
+        action, *pairs = clause.split()
+        named = str(err.value).split("'")[1]
+        assert named.split()[0] == action
+        for pair in pairs:
+            if not pair.startswith("steps="):
+                key, value = pair.split("=")
+                assert f"{key}={float(value) if key == 'prob' else value}" \
+                    in named
+
+    def test_the_silently_accepted_plan_is_refused(self):
+        with pytest.raises(ReproError, match="'drop prob=1.5'"):
+            FaultPlan.parse("drop prob=1.5; delay steps=-3 count=-7; "
+                            "drop src=-2; corrupt prob=nan")
+
+    def test_edge_values_accepted(self):
+        plan = FaultPlan.parse("drop count=-1 prob=0; delay steps=1 "
+                               "count=0 prob=1; reorder src=0 dst=0 tag=0")
+        assert plan.describe() == ("seed=0; drop prob=0.0; "
+                                   "delay steps=1 count=0; "
+                                   "reorder src=0 dst=0 tag=0")
+        assert FaultPlan.parse(plan.describe()) == plan
+
+    def test_cli_refuses_an_out_of_range_plan(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.mesh.io import write_mesh
+
+        (tmp_path / "p.f").write_text(TESTIV_SOURCE)
+        (tmp_path / "p.spec").write_text(spec_for_testiv().serialize())
+        write_mesh(structured_tri_mesh(4, 4), str(tmp_path / "g.mesh"))
+        code = main([str(tmp_path / "p.f"), str(tmp_path / "p.spec"),
+                     "--run", str(tmp_path / "g.mesh"),
+                     "--fault-plan", "drop prob=2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: bad fault clause 'drop prob=2.0'")
+        assert "Traceback" not in err
+
     def test_rule_matching_wildcards(self):
         rule = FaultRule("drop", src=0, tag=5)
         assert rule.matches(0, 3, 5) and not rule.matches(1, 3, 5)
@@ -311,6 +365,127 @@ class TestKillRecovery:
         res = executor(setup).run(inputs_for(mesh), faults=plan,
                                   comm_timeout=8)
         assert envs_bit_identical(baseline.envs, res.envs) is None
+
+
+class _Routing:
+    """Spies on a fault fabric: every wave entering the rule mask, and
+    every message routed through the per-message engine with its
+    position in that wave."""
+
+    def __init__(self, monkeypatch):
+        self.waves = []      # (srcs, dsts, tag, any rule live at entry)
+        self.routed = []     # (wave number, position, src, dst, tag, fired)
+        self.marks = []      # wave count at each checkpoint take / restore
+        self._depth = 0
+        self._cursor = 0
+        for hook in ("_deliver_batch", "_deliver_block"):
+            monkeypatch.setattr(FaultComm, hook,
+                                self._entry(getattr(FaultComm, hook)))
+        deliver = FaultComm._deliver
+
+        def spy(comm, src, dest, tag, payload):
+            before = comm._fired.copy()
+            deliver(comm, src, dest, tag, payload)
+            fired = np.flatnonzero(comm._fired != before).tolist()
+            srcs, dsts, _tag, _live = self.waves[-1]
+            while (srcs[self._cursor], dsts[self._cursor]) != (src, dest):
+                self._cursor += 1
+            self.routed.append((len(self.waves), self._cursor, src, dest,
+                                tag, fired))
+            self._cursor += 1
+
+        monkeypatch.setattr(FaultComm, "_deliver", spy)
+
+    def _entry(self, hook):
+        def wrapper(comm, srcs, dsts, tag, *rest):
+            if not self._depth:
+                live = any(r.count < 0 or f < r.count
+                           for r, f in zip(comm.plan.rules, comm._fired))
+                self.waves.append((srcs.tolist(), dsts.tolist(), tag, live))
+                self._cursor = 0
+            self._depth += 1
+            try:
+                return hook(comm, srcs, dsts, tag, *rest)
+            finally:
+                self._depth -= 1
+        return wrapper
+
+    def expected(self):
+        """Every message of every wave that began with a rule live."""
+        return [(w, i, s, d, t)
+                for w, (srcs, dsts, t, live) in enumerate(self.waves, 1)
+                if live for i, (s, d) in enumerate(zip(srcs, dsts))]
+
+
+class TestRuleRetirement:
+    """A rule whose ``count`` is spent leaves the wave mask: its
+    channels go back to the vectorized path, bit-identically."""
+
+    def test_spent_rules_stop_routing_per_message(self, setup, baseline,
+                                                  monkeypatch):
+        spy = _Routing(monkeypatch)
+        plan = FaultPlan.parse("drop count=4; delay count=4 steps=3; seed=1")
+        res = executor(setup).run(inputs_for(setup[0]), faults=plan,
+                                  comm_timeout=32)
+        assert envs_bit_identical(baseline.envs, res.envs) is None
+        assert [r[:5] for r in spy.routed] == spy.expected()
+        live_waves = sum(live for *_w, live in spy.waves)
+        assert 0 < live_waves < len(spy.waves)
+        # once both rules are spent, no wave is live again
+        assert [live for *_w, live in spy.waves] \
+            == [True] * live_waves + [False] * (len(spy.waves) - live_waves)
+        assert sum(len(f) for *_r, f in spy.routed) == 8
+        assert res.stats.total_messages() == baseline.stats.total_messages()
+
+    def test_global_rollback_rearms_a_spent_rule(self, setup, baseline,
+                                                 monkeypatch):
+        from repro.runtime.checkpoint import CheckpointManager
+
+        spy = _Routing(monkeypatch)
+        take, restore = CheckpointManager.take, CheckpointManager.restore
+        spent_at_kill = []
+
+        def take_spy(mgr, comm, *args, **kwargs):
+            spy.marks.append(("take", len(spy.waves)))
+            return take(mgr, comm, *args, **kwargs)
+
+        def restore_spy(mgr, comm, *args, **kwargs):
+            spent_at_kill.append(comm._fired.tolist())
+            spy.marks.append(("restore", len(spy.waves)))
+            return restore(mgr, comm, *args, **kwargs)
+
+        monkeypatch.setattr(CheckpointManager, "take", take_spy)
+        monkeypatch.setattr(CheckpointManager, "restore", restore_spy)
+        plan = FaultPlan.parse("drop src=0 tag=104 count=4; "
+                               "kill rank=2 event=5; seed=3")
+        res = executor(setup).run(inputs_for(setup[0]), faults=plan,
+                                  comm_timeout=8, checkpoint_every=3)
+        assert envs_bit_identical(baseline.envs, res.envs) is None
+        assert spent_at_kill == [[4]]          # retired before the kill
+        restored_at = [w for kind, w in spy.marks if kind == "restore"][0]
+        ckpt_at = [w for kind, w in spy.marks
+                   if kind == "take" and w <= restored_at][-1]
+        firings = [(w, i, s, d, t) for w, i, s, d, t, f in spy.routed if f]
+        first = [(w - ckpt_at, i, s, d, t) for w, i, s, d, t in firings
+                 if ckpt_at < w <= restored_at]
+        again = [(w - restored_at, i, s, d, t) for w, i, s, d, t in firings
+                 if w > restored_at]
+        # the checkpoint predates the rule's last firing, and the replay
+        # re-fires it on the same channel and wave position
+        assert first and again == first
+        assert len(firings) == 4 + len(first)
+
+    def test_probabilistic_unlimited_rule_never_retires(self, monkeypatch):
+        spy = _Routing(monkeypatch)
+        comm = FaultComm(3, FaultPlan.parse(
+            "reorder prob=0.5; drop count=1; seed=2"))
+        for _ in range(40):
+            comm.send_block([0, 1, 2], [1, 2, 0], np.arange(6.0),
+                            [2, 2, 2], tag=7)
+        assert len(spy.routed) == 3 * 40
+        assert comm._fired[1] == 1 and 0 < comm._fired[0] < 120
+        assert comm._match_any(np.array([0, 2]), np.array([1, 0]),
+                               7).all()
 
 
 class TestZeroOverheadDefault:

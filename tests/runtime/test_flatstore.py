@@ -6,7 +6,8 @@ import pytest
 from repro.mesh import build_overlap_schedule, build_partition, \
     structured_tri_mesh
 from repro.runtime import FlatField, build_flat_store
-from repro.runtime.checkpoint import CheckpointManager, copy_env
+from repro.runtime.checkpoint import CheckpointManager
+from tests.runtime.reference_checkpoint import copy_env
 
 
 def _envs():

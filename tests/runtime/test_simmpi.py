@@ -175,24 +175,42 @@ class TestStats:
         assert rec.words == [3, 4]
         assert label == "overlap:v"
 
-    def test_collective_record_clone_is_deep(self):
-        rec = CollectiveRecord(label="x", msgs=[1], words=[2],
-                               window="waited", overlap_steps=5)
-        cp = rec.clone()
-        cp.msgs[0] = -1
-        assert rec.msgs == [1]
-        assert cp.window == "waited" and cp.overlap_steps == 5
-
-    def test_stats_clone_is_deep(self):
-        comm = SimComm(2)
+    def test_stats_snapshot_survives_later_appends(self):
+        """The length-based snapshot restores exactly the ledger it saw:
+        whatever is appended afterwards, by any path, is gone again —
+        and a second restore to the same snapshot lands there too."""
+        comm = SimComm(3)
+        stats = comm.stats
         comm.view(0).send(np.zeros(3), dest=1)
-        comm.stats.collectives.append(
-            CollectiveRecord(label="r", msgs=[1, 0], words=[3, 0]))
-        cp = comm.stats.clone()
-        cp.messages[(0, 1)] = 99
-        cp.collectives[0].msgs[0] = 99
-        assert comm.stats.messages[(0, 1)] == 1
-        assert comm.stats.collectives[0].msgs == [1, 0]
+        comm.send_batch([1, 2], [0, 0], [np.zeros(2), np.zeros(5)])
+        stats.collectives.append(
+            CollectiveRecord(label="r", msgs=[1, 1, 0], words=[3, 3, 0]))
+        stats.retries = 2
+
+        def ledger():
+            return (dict(stats.messages), dict(stats.words),
+                    [tuple(rec) + (rec.window, rec.overlap_steps)
+                     for rec in stats.collectives],
+                    stats.rank_counters(3)[0].tolist(),
+                    stats.rank_counters(3)[1].tolist(),
+                    stats.total_messages(), stats.total_words(),
+                    stats.retries, stats.retransmits,
+                    stats.retransmit_words)
+
+        before = ledger()
+        snap = stats.snapshot()
+        for _ in range(2):
+            comm.view(2).send(np.zeros(7), dest=1)
+            comm.send_batch([0], [2], [np.zeros(4)])
+            stats.collectives.append(
+                CollectiveRecord(label="s", msgs=[9, 9, 9], words=[1, 1, 1],
+                                 window="waited", overlap_steps=4))
+            stats.retries += 5
+            stats.retransmits += 1
+            stats.retransmit_words += 4
+            assert ledger() != before
+            stats.restore(snap)
+            assert ledger() == before
 
 
 class TestRetryTimeout:
