@@ -49,8 +49,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from ..automata.automaton import G_BOUND, G_CONTROL, OverlapAutomaton
-from ..errors import CommCheckError, CommTimeout, LegalityError, ReproError
-from ..lang.ast import DoLoop, Subroutine
+from ..errors import LegalityError, ReproError
+from ..lang.ast import Subroutine
 from ..lang.cfg import CFG, ENTRY, EXIT
 from ..placement.comms import (
     CommOp,
@@ -71,8 +71,8 @@ from .diagnostics import (
     anchor_for,
     parse_suppressions,
 )
-from .modelcheck import DEFAULT_NET_BOUND, crosscheck, wait_for_analysis
-from .mpnet import MPNet, RECV, compile_orders, compile_placement, ident_str
+from .modelcheck import wait_for_analysis
+from .mpnet import MPNet, compile_orders, compile_placement
 
 
 def _witness(sub: Subroutine, sids: Iterable[int]) -> tuple[SourceAnchor, ...]:
@@ -222,7 +222,7 @@ def _facts_out(sid: int, reads: dict[str, frozenset],
 
 
 # ---------------------------------------------------------------------------
-# the channel wait-for analysis (CC005) and its runtime twin
+# the channel wait-for analysis (CC005)
 # ---------------------------------------------------------------------------
 
 def deadlock_cycle(orders: list[list]) -> Optional[list[tuple[int, object]]]:
@@ -256,8 +256,8 @@ def side_verdicts(orders: list[list]):
 
     Returns ``(aligned, skewed)``: the wait-for verdict of the orders
     compiled to an MP net under **static** (aligned) tag assignment —
-    the semantics :func:`replay_orders`' SimComm ground truth executes,
-    whose deadlock is the upgraded CC005 — and under **counter** tags,
+    the semantics a SimComm run of the orders executes, whose deadlock
+    is the upgraded CC005 — and under **counter** tags,
     the per-rank ``fresh_tag`` allocator of a real-MPI backend, whose
     skew under divergent orders puts messages of different collectives
     onto one (src, dst, tag) channel (the CC010 hazard).
@@ -265,126 +265,6 @@ def side_verdicts(orders: list[list]):
     aligned = wait_for_analysis(compile_orders(orders, tag_mode="static"))
     skewed = wait_for_analysis(compile_orders(orders, tag_mode="counter"))
     return aligned, skewed
-
-
-def _replay(comm, gens: list) -> Optional[CommTimeout]:
-    """Drive per-rank programs cooperatively over a real ``SimComm``.
-
-    Each generator yields the ``(src, dst, tag)`` channel it is about to
-    receive on; a rank advances only while its channel has a message
-    pending.  When no rank can progress the stalled receive is *actually
-    issued*, so the runtime deadlock watchdog produces its verdict: the
-    :class:`~repro.errors.CommTimeout` it raised, or None when every
-    program ran to its end.
-    """
-    waiting: dict[int, tuple[int, int, int]] = {}
-
-    def advance(rank: int) -> None:
-        try:
-            waiting[rank] = next(gens[rank])
-        except StopIteration:
-            waiting.pop(rank, None)
-
-    for r in range(len(gens)):
-        advance(r)
-    while waiting:
-        channels = {(s, d, t) for s, d, t, _n in comm.pending_channels()}
-        runnable = [r for r, ch in waiting.items() if ch in channels]
-        if not runnable:
-            # deadlock: let the watchdog of the first stalled rank speak
-            rank = min(waiting)
-            src, _dst, tag = waiting[rank]
-            try:
-                comm.view(rank).recv(source=src, tag=tag)
-            except CommTimeout as exc:
-                return exc
-            raise AssertionError("stalled rank received unexpectedly")
-        for r in sorted(runnable):
-            advance(r)
-    return None
-
-
-def replay_events(net: MPNet, comm_timeout: int = 2):
-    """Execute an MP net's micro-op programs over a real :class:`SimComm`.
-
-    The ground truth the model checker is validated against: one
-    simulated rank per class runs its compiled send/recv sequence with
-    the net's *actual* tags (see :func:`_replay`).  Returns the
-    :class:`CommTimeout` the watchdog raised, the
-    :class:`~repro.errors.ReproError` of an undrained wire (unmatched
-    send), or None when the run completed clean.
-    """
-    import numpy as np
-
-    from ..runtime.simmpi import SimComm
-
-    size = net.nclasses
-    if size < 2:
-        return None
-    comm = SimComm(size)
-    comm.comm_timeout = comm_timeout
-
-    def program(rank: int):
-        view = comm.view(rank)
-        for op in net.programs[rank]:
-            if op.kind == RECV:
-                yield (op.peer, rank, op.tag)
-                view.recv(source=op.peer, tag=op.tag)
-            else:
-                view.send(np.array([float(rank)]), dest=op.peer,
-                          tag=op.tag)
-
-    timeout = _replay(comm, [program(r) for r in range(size)])
-    if timeout is not None:
-        return timeout
-    try:
-        comm.assert_drained()
-    except ReproError as exc:
-        return exc
-    return None
-
-
-def replay_orders(orders: list[list], comm_timeout: int = 2
-                  ) -> Optional[CommTimeout]:
-    """Execute the per-rank collective orders over a real :class:`SimComm`.
-
-    One simulated rank per order; each collective identity is modelled as
-    its message pattern (send to every peer, then receive from every
-    peer, one tag per identity), driven by :func:`_replay`.  Returns the
-    :class:`~repro.errors.CommTimeout` the watchdog raised, or None when
-    every order completed and the wire drained — the ground truth CC005
-    is checked against.
-    """
-    import numpy as np
-
-    from ..runtime.simmpi import SimComm
-
-    size = len(orders)
-    if size < 2:
-        return None
-    tags = {}
-    for o in orders:
-        for ident in o:
-            tags.setdefault(ident, 100 + len(tags))
-    comm = SimComm(size)
-    comm.comm_timeout = comm_timeout
-
-    def program(rank: int):
-        view = comm.view(rank)
-        for ident in orders[rank]:
-            tag = tags[ident]
-            for peer in range(size):
-                if peer != rank:
-                    view.send(np.array([float(rank)]), dest=peer, tag=tag)
-            for peer in range(size):
-                if peer != rank:
-                    yield (peer, rank, tag)
-                    view.recv(source=peer, tag=tag)
-
-    timeout = _replay(comm, [program(r) for r in range(size)])
-    if timeout is None:
-        comm.assert_drained()
-    return timeout
 
 
 # ---------------------------------------------------------------------------
@@ -514,37 +394,22 @@ def _check_quiescence(sink: DiagnosticSink, sub: Subroutine, cfg: CFG,
 
 def check_net(net: MPNet, sink: Optional[DiagnosticSink] = None,
               sub: Optional[Subroutine] = None,
-              anchor: Optional[SourceAnchor] = None, *,
-              net_bound: int = DEFAULT_NET_BOUND) -> DiagnosticSink:
+              anchor: Optional[SourceAnchor] = None) -> DiagnosticSink:
     """Model-check one MP net and classify the verdicts as diagnostics.
 
-    Runs both engines (:func:`repro.analysis.modelcheck.crosscheck`) and
-    emits CC005 for a reachable deadlock marking (with the explorer's
-    fired-transition witness trace), CC004 for a terminal marking with
-    unmatched sends left in channel places, CC010 for a
-    nondeterministic receive match, CC011 — always an error — when
-    the two engines disagree on the deadlock verdict, and CC012 when the
-    exploration was truncated without finding a deadlock (no verdict).
+    One run of :func:`repro.analysis.modelcheck.wait_for_analysis`
+    decides every verdict: CC005 for a deadlock (with the run's
+    fired-transition witness trace), CC010 for a receive a token of
+    another color can reach in some schedule, and CC004 for unmatched
+    sends left in channel places when the run completes.
     """
     if sink is None:
         sink = DiagnosticSink()
     anchors = (anchor,) if anchor is not None else ()
-    cc = crosscheck(net, max_states=net_bound)
-    stats = {"states": cc.model.states, "truncated": cc.model.truncated,
-             "net_bound": net_bound, "meta": dict(net.meta)}
-    if cc.diverged:
-        sink.emit(Diagnostic(
-            code="CC011",
-            message="the MP-net explorer and the wait-for dataflow pass "
-                    "disagree on the deadlock verdict (explorer: "
-                    f"{cc.model.deadlocked}, wait-for: "
-                    f"{cc.wait_for.deadlock is not None}) — one of the "
-                    "checkers is wrong; trust neither until they agree",
-            anchors=anchors,
-            data=dict(stats, explorer=cc.model.to_json(),
-                      wait_for=cc.wait_for.to_json())))
-    if cc.model.deadlocks:
-        dl = cc.model.deadlocks[0]
+    verdict = wait_for_analysis(net)
+    meta = {"meta": dict(net.meta)}
+    if verdict.deadlock is not None:
+        dl = verdict.deadlock
         detail = "; ".join(
             f"class {b['class']} blocks receiving {b['waiting_for']} on "
             f"channel {b['channel'][0]}->{b['channel'][1]} "
@@ -552,26 +417,8 @@ def check_net(net: MPNet, sink: Optional[DiagnosticSink] = None,
         sink.emit(Diagnostic(
             code="CC005",
             message=f"the schedule reaches a deadlocked marking: {detail}",
-            anchors=anchors,
-            data=dict(stats, blocked=dl["blocked"], trace=dl["trace"])))
-    elif cc.wait_for.deadlock is not None:
-        # divergence already reported above; still surface the verdict
-        dl = cc.wait_for.deadlock
-        sink.emit(Diagnostic(
-            code="CC005",
-            message="the wait-for analysis sticks: "
-                    f"{dl['kind']} over {len(dl['blocked'])} blocked "
-                    "class(es)",
-            anchors=anchors,
-            data=dict(stats, blocked=dl["blocked"], cycle=dl["cycle"])))
-    elif cc.model.truncated:
-        sink.emit(Diagnostic(
-            code="CC012",
-            message=f"exploration stopped after {cc.model.states} states "
-                    f"(net_bound={net_bound}); no verdict",
-            anchors=anchors,
-            data=stats))
-    for race in cc.model.races:
+            anchors=anchors, data=dict(meta, **dl)))
+    for race in verdict.races:
         chan = race["channel"]
         sink.emit(Diagnostic(
             code="CC010",
@@ -581,17 +428,17 @@ def check_net(net: MPNet, sink: Optional[DiagnosticSink] = None,
                     f"match {race['got']} — the receive is "
                     f"schedule-dependent",
             anchors=anchors,
-            data=dict(stats, **race)))
-    if cc.model.unmatched:
+            data=dict(meta, **race)))
+    if verdict.unmatched:
         leftover = ", ".join(
             f"{u['channel'][0]}->{u['channel'][1]} tag {u['channel'][2]} "
-            f"({', '.join(u['colors'])})" for u in cc.model.unmatched)
+            f"({', '.join(u['colors'])})" for u in verdict.unmatched)
         sink.emit(Diagnostic(
             code="CC004",
             message=f"the schedule completes with unmatched send(s) left "
                     f"in flight: {leftover}",
             anchors=anchors,
-            data=dict(stats, unmatched=cc.model.unmatched)))
+            data=dict(meta, unmatched=verdict.unmatched)))
     return sink
 
 
@@ -601,8 +448,7 @@ def check_placement(vfg: ValueFlowGraph, placement: Placement,
                     source: Optional[str] = None,
                     suppress: Iterable[str] = (),
                     sink: Optional[DiagnosticSink] = None,
-                    model_check: bool = False,
-                    net_bound: int = DEFAULT_NET_BOUND) -> DiagnosticSink:
+                    model_check: bool = False) -> DiagnosticSink:
     """Run every static check over one placed program — generated, or
     read back from annotated text (CC014 ends the check: without states
     there are no update groups to judge).
@@ -611,8 +457,7 @@ def check_placement(vfg: ValueFlowGraph, placement: Placement,
     suppression comments; explicit ``suppress`` codes are added on top.
     Pass an existing ``sink`` to accumulate across placements.
     ``model_check=True`` additionally compiles the whole placed schedule
-    into an MP net and runs both model-checking engines over it
-    (:func:`check_net`), bounded by ``net_bound`` explored states.
+    into an MP net and model-checks it (:func:`check_net`).
     """
     cfg: CFG = vfg.graph.cfg
     sub: Subroutine = vfg.graph.sub
@@ -813,12 +658,11 @@ def check_placement(vfg: ValueFlowGraph, placement: Placement,
                 witness=_witness(sub, path),
                 data={"method": group.method, "anchor": a}))
 
-    # -- formal model: CC005 / CC004 / CC010–CC012 over the MP net --------
+    # -- formal model: CC005 / CC004 / CC010 over the MP net --------------
     if model_check and placement.comms:
         net = compile_placement(sub, placement)
         first = min(placement.comms, key=lambda op: op.wait_anchor)
-        check_net(net, sink, sub,
-                  anchor_for(sub, first.wait_anchor), net_bound=net_bound)
+        check_net(net, sink, sub, anchor_for(sub, first.wait_anchor))
     return sink
 
 
@@ -945,8 +789,7 @@ def _emit_coverage(sink: DiagnosticSink, sub: Subroutine, cfg: CFG,
                     if key in emitted:
                         return
                     emitted.add(key)
-                    hazards = (skewed.races + skewed.conflicts) or \
-                        skewed.deadlock["blocked"]
+                    hazards = skewed.races or skewed.deadlock["blocked"]
                     h = hazards[0]
                     chan = h["channel"]
                     sink.emit(Diagnostic(
@@ -965,7 +808,6 @@ def _emit_coverage(sink: DiagnosticSink, sub: Subroutine, cfg: CFG,
                               "orders": [["/".join(map(str, x))
                                           for x in o] for o in orders],
                               "races": skewed.races,
-                              "conflicts": skewed.conflicts,
                               "skew_deadlock": skewed.deadlock,
                               "facts": fact_names}))
                     return
@@ -1077,17 +919,17 @@ def lint_source(source: str, spec, *,
                 split_phase: bool = False,
                 indices: Optional[list[int]] = None,
                 suppress: Iterable[str] = (),
-                model_check: bool = False,
-                net_bound: int = DEFAULT_NET_BOUND):
+                model_check: bool = False):
     """Lint every (or selected) placement of one program.
 
     Returns ``(result, findings)`` where ``findings`` is a list of
-    ``(placement_index, DiagnosticSink)``.  An illegal partitioning
-    returns ``(None, [(None, sink)])`` with the figure-4 violations as
-    CC009 diagnostics.
+    ``(placement_index, DiagnosticSink)``; an index outside the ranked
+    placements raises :class:`~repro.errors.PlacementError`.  An illegal
+    partitioning returns ``(None, [(None, sink)])`` with the figure-4
+    violations as CC009 diagnostics.
     """
     from ..lang.parser import parse_subroutine
-    from ..placement.engine import enumerate_placements
+    from ..placement.engine import _ranked_at, enumerate_placements
     from .legality import check_legality
 
     codes = set(suppress) | parse_suppressions(source)
@@ -1103,10 +945,9 @@ def lint_source(source: str, spec, *,
     findings = []
     chosen = indices if indices is not None else range(len(result.ranked))
     for i in chosen:
-        placement = result.ranked[i].placement
+        placement = _ranked_at(result, i).placement
         sink = check_placement(result.vfg, placement, result.automaton,
-                               suppress=codes, model_check=model_check,
-                               net_bound=net_bound)
+                               suppress=codes, model_check=model_check)
         findings.append((i, sink))
     return result, findings
 
@@ -1125,8 +966,7 @@ def _corpus_programs():
 
 def lint_corpus(strict: bool = False, out=None,
                 suppress: Iterable[str] = (),
-                model_check: bool = False,
-                net_bound: int = DEFAULT_NET_BOUND) -> int:
+                model_check: bool = False) -> int:
     """Lint the fig-9/fig-10 corpus: every placement, blocking and widened."""
     out = out or sys.stdout
     failures = 0
@@ -1135,8 +975,7 @@ def lint_corpus(strict: bool = False, out=None,
             mode = "split-phase" if split else "blocking"
             _result, findings = lint_source(source, spec, split_phase=split,
                                             suppress=suppress,
-                                            model_check=model_check,
-                                            net_bound=net_bound)
+                                            model_check=model_check)
             n_placements = len(findings)
             n_diags = sum(len(s.diagnostics) for _, s in findings)
             out.write(f"{name} [{mode}]: {n_placements} placement(s), "
@@ -1187,18 +1026,14 @@ def lint_main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--model-check", action="store_true",
                         help="additionally compile each placed schedule "
                              "into an MP net and model-check it "
-                             "(CC005/CC004/CC010/CC011/CC012)")
-    parser.add_argument("--net-bound", type=int, default=DEFAULT_NET_BOUND,
-                        help="explored-state budget per net "
-                             f"(default {DEFAULT_NET_BOUND})")
+                             "(CC005/CC004/CC010)")
     args = parser.parse_args(argv)
     out = sys.stdout
     try:
         if args.corpus:
             return lint_corpus(strict=args.strict, out=out,
                                suppress=args.disable,
-                               model_check=args.model_check,
-                               net_bound=args.net_bound)
+                               model_check=args.model_check)
         if not args.program or not args.spec:
             parser.error("program and spec files are required "
                          "(or use --corpus)")
@@ -1211,8 +1046,7 @@ def lint_main(argv: Optional[list[str]] = None) -> int:
                                        split_phase=args.split_phase,
                                        indices=args.index,
                                        suppress=args.disable,
-                                       model_check=args.model_check,
-                                       net_bound=args.net_bound)
+                                       model_check=args.model_check)
         total = sum(len(s.diagnostics) for _, s in findings)
         if args.json:
             import json as _json

@@ -45,11 +45,6 @@ CC009  illegal-dependence        figure-4 legality violation (case letter
 CC010  tag-conflict              two in-flight messages share one
                                  (src, dst, tag) channel — the receive
                                  match is schedule-dependent
-CC011  model-divergence          the MP-net explorer and the wait-for
-                                 dataflow pass disagree on a deadlock
-                                 verdict (a checker bug, always an error)
-CC012  model-inconclusive        the MP-net exploration stopped at its
-                                 state bound before reaching a verdict
 CC013  superfluous-sync          a declared communication outside every
                                  update group: no dependence needs it
 CC014  domain-inconsistent       a partitioned loop without an iteration
@@ -60,6 +55,9 @@ CC103  leaked-window             runtime: communication window never waited
 CC104  nonquiescent-checkpoint   runtime: checkpoint requested with traffic
                                  or requests still in flight
 =====  ========================  =========================================
+
+Numbers 011 and 012 named the verdicts of a retired second model-checking
+engine (engine divergence, truncated exploration); they are not reused.
 """
 
 from __future__ import annotations
@@ -85,8 +83,6 @@ CODES: dict[str, tuple[str, str]] = {
     "CC008": ("halo-schedule-gap", SEV_ERROR),
     "CC009": ("illegal-dependence", SEV_ERROR),
     "CC010": ("tag-conflict", SEV_WARNING),
-    "CC011": ("model-divergence", SEV_ERROR),
-    "CC012": ("model-inconclusive", SEV_WARNING),
     "CC013": ("superfluous-sync", SEV_WARNING),
     "CC014": ("domain-inconsistent", SEV_ERROR),
     "CC101": ("undrained-channel", SEV_ERROR),

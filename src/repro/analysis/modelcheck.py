@@ -1,71 +1,48 @@
-"""Bounded explicit-state model checking over MP nets.
+"""Model checking of MP nets: one FIFO run, carrying vector clocks.
 
-Two engines, deliberately different algorithms over the same semantics,
-so one can audit the other (commcheck emits CC011 when they disagree):
+Under Šurkovský's MP-net semantics (arXiv 1903.08252; the nets are
+compiled by :mod:`repro.analysis.mpnet`) every ``(src, dst, tag)``
+channel has one sender class and one receiver class, so a net is a Kahn
+network: sends are buffered and never block, and a receive consumes
+only from its own channel.  The sequence of tokens sent on each channel,
+and so each channel's token count at every point of each class's
+program, is the same in every schedule.  One greedy run with FIFO
+channels (:func:`wait_for_analysis`, SimMPI's seq-ordered matching)
+therefore decides for every interleaving:
 
-* :func:`wait_for_analysis` — the **dataflow twin**: a deterministic
-  greedy completion of the net's micro-op programs with FIFO channels
-  (exactly SimMPI's seq-ordered matching).  Sends are buffered and
-  never block; a class blocks only at a receive whose ``(src, dst,
-  tag)`` channel is empty.  Because every channel has a single sender
-  class and a single receiver class, the system is a Kahn network:
-  completion is schedule-independent, so one greedy run decides
-  deadlock.  When it sticks, the blocked heads form the tag-level
-  wait-for graph and the cycle (or never-sent message) is the witness.
-
-* :func:`explore` — the **explicit-state explorer**: a bounded search
-  over the net's reachable markings.  States are canonicalized as
-  (per-class control position, sorted channel multisets) — token
-  *order* inside a channel place is abstracted away, which both shrinks
-  the state space and models the fault fabric's reorderings: a receive
-  may match **any** token in its channel place, so two in-flight
-  messages on one channel branch the search (the CC010
-  nondeterministic-receive-match verdict).  Partial-order reduction:
-  a buffered send commutes with every other enabled transition and can
-  never be disabled, so when any class's next transition is a send the
-  explorer fires exactly that one (a persistent set of size 1);
-  branching happens only at receive-match choices.  Channel-capacity
-  and state-count bounds keep the search finite; hitting either marks
-  the result ``truncated`` rather than inventing a verdict.
-
-Verdicts (:class:`ModelCheckResult`): **deadlock** (a reachable marking
-with unfinished classes and no enabled transition, with a fired-
-transition witness trace), **unmatched send** (a terminal marking with
-tokens left in channel places), and **nondeterministic receive-match**
-(a receive fired against a token whose color differs from the logical
-message it belongs to).
-
-Surfaces: ``python -m repro.analysis.modelcheck --corpus`` sweeps every
-corpus placement (blocking and split-phase), cross-checks the two
-engines, and exits non-zero on any finding or divergence; ``--dot``
-writes an exemplar net for the CI artifact.
+* **deadlock** — the run sticks with classes unfinished.  The blocked
+  heads form the tag-level wait-for graph, whose cycle (or never-sent
+  message) is the witness, beside the trace of fired transitions;
+* **unmatched send** — the run completes with tokens left in channels;
+* **nondeterministic receive-match** (CC010) — a channel place is a
+  multiset, so a receive may match any token in flight.  Token ``m`` can
+  be in flight at the ``k``-th receive on its channel when ``m ≥ k`` and
+  its send is not causally after that receive.  The run carries vector
+  clocks (a send stamps its sender's clock on the token; a receive
+  merges the stamp, then ticks), which makes that a comparison:
+  ``send_clock_m[dst] < recv_clock_k[dst]``.  A race is such a token
+  whose color differs from the one receive ``k`` expects.
 
 >>> from repro.analysis.mpnet import compile_orders
->>> net = compile_orders([[("a",), ("b",)], [("b",), ("a",)]])
->>> wait_for_analysis(net).deadlock is not None   # blocking, crossed order
+>>> a, b = ("a", "m"), ("b", "m")
+>>> wait_for_analysis(compile_orders([[a, b], [b, a]])).deadlock["kind"]
+'cycle'
+>>> windows = [[a + ("post",), b + ("post",), a, b]] * 2   # one shared tag
+>>> v = wait_for_analysis(compile_orders(windows, tags=[[100] * 4] * 2))
+>>> [(r["channel"], r["expected"], r["got"]) for r in v.races]
+[([0, 1, 100], 'a/m#0', 'b/m#0'), ([1, 0, 100], 'a/m#0', 'b/m#0')]
+>>> v.deadlock is None and not v.unmatched   # FIFO still completes
 True
->>> explore(net).deadlocked
-True
->>> ok = compile_orders([[("a",), ("b",)], [("a",), ("b",)]])
->>> wait_for_analysis(ok).deadlock is None and not explore(ok).deadlocked
+>>> wait_for_analysis(compile_orders(windows)).clean   # one tag per window
 True
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .mpnet import MPNet, RECV, SEND, compile_placement
-
-#: default exploration budget (states); part of the service cache key
-#: as the ``net_bound`` flag
-DEFAULT_NET_BOUND = 20000
-#: per-channel token capacity bound for the explorer
-DEFAULT_CHANNEL_BOUND = 32
+from .mpnet import MPNet, SEND
 
 
 def _op_label(r: int, i: int, op) -> str:
@@ -73,79 +50,82 @@ def _op_label(r: int, i: int, op) -> str:
     return f"c{r}[{i}] {op.kind} {op.color} ({arrow} tag {op.tag})"
 
 
-# ---------------------------------------------------------------------------
-# engine 1: the deterministic wait-for analysis (the dataflow twin)
-# ---------------------------------------------------------------------------
-
 @dataclass
 class WaitForVerdict:
-    """What the greedy completion concluded."""
+    """What the run concluded."""
 
-    #: None when every class completed; else {"blocked": […], "cycle": …}
+    #: None when every class completed; else {"kind", "cycle", "blocked",
+    #: "trace"} — the trace lists the transitions fired before sticking
     deadlock: Optional[dict] = None
-    #: receives that matched a token of the wrong color (FIFO order)
+    #: receives a token of another color can reach in some schedule
     races: list = field(default_factory=list)
-    #: receives fired while their channel held ≥2 distinct colors — the
-    #: match is schedule-dependent even though FIFO picked the right one
-    conflicts: list = field(default_factory=list)
     #: channels with tokens left after completion
     unmatched: list = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
         return self.deadlock is None and not self.races \
-            and not self.conflicts and not self.unmatched
-
-    def to_json(self) -> dict:
-        return {"deadlock": self.deadlock, "races": list(self.races),
-                "conflicts": list(self.conflicts),
-                "unmatched": list(self.unmatched)}
+            and not self.unmatched
 
 
 def wait_for_analysis(net: MPNet) -> WaitForVerdict:
-    """Greedy deterministic completion; stuck ⇒ tag-level wait-for cycle.
-
-    Channels are FIFO deques (SimMPI's seq order).  The run is
-    confluent — sends never block and only a channel's unique receiver
-    consumes from it — so a single pass decides deadlock for every
-    schedule interleaving.
-    """
+    """Greedy FIFO completion with vector clocks; see the module docstring."""
     progs = net.programs
     n = len(progs)
     pcs = [0] * n
-    chans: dict[tuple[int, int, int], deque] = {}
-    verdict = WaitForVerdict()
+    clocks = [[0] * n for _ in range(n)]
+    #: channel -> [(color, sender clock, send position)] in send order
+    sent: dict[tuple[int, int, int], list] = {}
+    #: channel -> [(expected color, receiver tick, position)] in FIFO order
+    recvd: dict[tuple[int, int, int], list] = {}
+    fired: list[tuple[int, int]] = []
     progress = True
     while progress:
         progress = False
         for r in range(n):
-            while pcs[r] < len(progs[r]):
-                op = progs[r][pcs[r]]
+            prog, clock = progs[r], clocks[r]
+            while pcs[r] < len(prog):
+                op = prog[pcs[r]]
                 if op.kind == SEND:
-                    chans.setdefault((r, op.peer, op.tag),
-                                     deque()).append(op.color)
+                    sent.setdefault((r, op.peer, op.tag), []).append(
+                        (op.color, tuple(clock), pcs[r]))
                 else:
-                    q = chans.get((op.peer, r, op.tag))
-                    if not q:
-                        break
-                    if len(set(q)) > 1:
-                        verdict.conflicts.append({
-                            "class": r,
-                            "channel": [op.peer, r, op.tag],
-                            "in_flight": sorted(set(q))})
-                    got = q.popleft()
-                    if got != op.color:
-                        verdict.races.append({
-                            "class": r,
-                            "channel": [op.peer, r, op.tag],
-                            "expected": op.color, "got": got})
+                    key = (op.peer, r, op.tag)
+                    got = recvd.setdefault(key, [])
+                    tokens = sent.get(key, ())
+                    if len(got) == len(tokens):
+                        break  # channel empty
+                    for c, t in enumerate(tokens[len(got)][1]):
+                        if t > clock[c]:
+                            clock[c] = t
+                    clock[r] += 1
+                    got.append((op.color, clock[r], pcs[r]))
+                fired.append((r, pcs[r]))
                 pcs[r] += 1
                 progress = True
+    verdict = WaitForVerdict()
+    reported: set = set()
+    for key in sorted(recvd):
+        src, dst, _tag = key
+        tokens = sent.get(key, ())
+        for k, (expected, tick, at) in enumerate(recvd[key]):
+            for color, stamp, sent_at in tokens[k:]:
+                race = (key, expected, color)
+                if color != expected and stamp[dst] < tick \
+                        and race not in reported:
+                    reported.add(race)
+                    verdict.races.append({
+                        "class": dst, "channel": list(key),
+                        "expected": expected, "got": color,
+                        "recv": _op_label(dst, at, progs[dst][at]),
+                        "send": _op_label(src, sent_at,
+                                          progs[src][sent_at])})
     if all(pcs[r] >= len(progs[r]) for r in range(n)):
-        for key in sorted(chans):
-            if chans[key]:
+        for key in sorted(sent):
+            left = sent[key][len(recvd.get(key, ())):]
+            if left:
                 verdict.unmatched.append({"channel": list(key),
-                                          "colors": list(chans[key])})
+                                          "colors": [t[0] for t in left]})
         return verdict
     # stuck: build the wait-for graph over the blocked heads
     blocked: dict[int, dict] = {}
@@ -176,312 +156,8 @@ def wait_for_analysis(net: MPNet) -> WaitForVerdict:
             cycle = [[blocked[k]["waiting_for"], k] for k in loop]
             break
     kind = "cycle" if cycle else "unmatched-recv"
-    verdict.deadlock = {"kind": kind, "cycle": cycle,
-                        "blocked": [blocked[r] for r in sorted(blocked)]}
+    verdict.deadlock = {
+        "kind": kind, "cycle": cycle,
+        "blocked": [blocked[r] for r in sorted(blocked)],
+        "trace": [_op_label(r, i, progs[r][i]) for r, i in fired]}
     return verdict
-
-
-# ---------------------------------------------------------------------------
-# engine 2: the bounded explicit-state explorer
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ModelCheckResult:
-    """Everything the bounded exploration established."""
-
-    deadlocks: list = field(default_factory=list)
-    unmatched: list = field(default_factory=list)
-    races: list = field(default_factory=list)
-    states: int = 0
-    truncated: bool = False
-    bound_hits: int = 0      # states where a capacity bound blocked a send
-
-    @property
-    def deadlocked(self) -> bool:
-        return bool(self.deadlocks)
-
-    @property
-    def clean(self) -> bool:
-        return not (self.deadlocks or self.unmatched or self.races)
-
-    def to_json(self) -> dict:
-        return {"deadlocked": self.deadlocked,
-                "deadlocks": list(self.deadlocks),
-                "unmatched": list(self.unmatched),
-                "races": list(self.races),
-                "states": self.states,
-                "truncated": self.truncated,
-                "bound_hits": self.bound_hits}
-
-
-def _chans_to_tuple(chan_map: dict) -> tuple:
-    """Canonical channel marking: sorted (channel, sorted color multiset)."""
-    return tuple(sorted((key, tuple(sorted(cols)))
-                        for key, cols in chan_map.items() if cols))
-
-
-def explore(net: MPNet, max_states: int = DEFAULT_NET_BOUND,
-            channel_bound: int = DEFAULT_CHANNEL_BOUND) -> ModelCheckResult:
-    """Bounded reachability over the net's canonicalized markings.
-
-    Fires a buffered send alone whenever one is enabled (partial-order
-    reduction: sends are persistent — always enabled until fired, and
-    they commute with every other transition); branches only over
-    receive-match color choices.  Records deadlock states with a
-    transition witness trace, terminal leftover tokens (unmatched
-    send), and wrong-color matches (nondeterministic receive-match).
-    """
-    progs = net.programs
-    n = len(progs)
-    init = (tuple([0] * n), ())
-    parent: dict = {init: None}
-    stack = [init]
-    result = ModelCheckResult()
-    seen_races: set = set()
-    seen_dead: set = set()
-    seen_unmatched: set = set()
-
-    def witness(state) -> list[str]:
-        trace: list[str] = []
-        cur = parent[state]
-        while cur is not None:
-            prev, label = cur
-            trace.append(label)
-            cur = parent[prev]
-        trace.reverse()
-        return trace
-
-    while stack:
-        if result.states >= max_states:
-            result.truncated = True
-            break
-        state = stack.pop()
-        result.states += 1
-        pcs, chans = state
-        chan_map = {key: list(cols) for key, cols in chans}
-
-        # POR: one enabled send is a singleton persistent set
-        fired = False
-        for r in range(n):
-            if pcs[r] >= len(progs[r]):
-                continue
-            op = progs[r][pcs[r]]
-            if op.kind != SEND:
-                continue
-            key = (r, op.peer, op.tag)
-            if len(chan_map.get(key, ())) >= channel_bound:
-                result.bound_hits += 1
-                result.truncated = True
-                continue
-            cols = chan_map.setdefault(key, [])
-            cols.append(op.color)
-            npcs = list(pcs)
-            npcs[r] += 1
-            ns = (tuple(npcs), _chans_to_tuple(chan_map))
-            if ns not in parent:
-                parent[ns] = (state, _op_label(r, pcs[r], op))
-                stack.append(ns)
-            fired = True
-            break
-        if fired:
-            continue
-
-        succs = []
-        for r in range(n):
-            if pcs[r] >= len(progs[r]):
-                continue
-            op = progs[r][pcs[r]]
-            if op.kind != RECV:
-                continue
-            key = (op.peer, r, op.tag)
-            cols = chan_map.get(key)
-            if not cols:
-                continue
-            for color in sorted(set(cols)):
-                if color != op.color:
-                    race_key = (key, op.color, color)
-                    if race_key not in seen_races:
-                        seen_races.add(race_key)
-                        result.races.append({
-                            "class": r, "channel": list(key),
-                            "expected": op.color, "got": color,
-                            "witness": witness(state)
-                            + [_op_label(r, pcs[r], op)]})
-                nmap = {k: list(v) for k, v in chan_map.items()}
-                nmap[key].remove(color)
-                npcs = list(pcs)
-                npcs[r] += 1
-                succs.append(((tuple(npcs), _chans_to_tuple(nmap)),
-                              _op_label(r, pcs[r], op) + f" <- {color}"))
-        if not succs:
-            done = all(pcs[r] >= len(progs[r]) for r in range(n))
-            if done:
-                leftover = [{"channel": list(key), "colors": sorted(cols)}
-                            for key, cols in sorted(chan_map.items())
-                            if cols]
-                if leftover:
-                    lkey = tuple(tuple(x["channel"]) for x in leftover)
-                    if lkey not in seen_unmatched:
-                        seen_unmatched.add(lkey)
-                        result.unmatched.extend(leftover)
-            elif not any(pcs[r] < len(progs[r])
-                         and progs[r][pcs[r]].kind == SEND
-                         for r in range(n)):
-                # genuinely stuck (a bound-blocked send is truncation,
-                # handled above, not a deadlock of the unbounded net)
-                blocked = []
-                for r in range(n):
-                    if pcs[r] >= len(progs[r]):
-                        continue
-                    op = progs[r][pcs[r]]
-                    blocked.append({"class": r,
-                                    "channel": [op.peer, r, op.tag],
-                                    "waiting_for": op.color})
-                dkey = tuple(pcs)
-                if dkey not in seen_dead:
-                    seen_dead.add(dkey)
-                    result.deadlocks.append({"blocked": blocked,
-                                             "trace": witness(state)})
-            continue
-        for ns, label in succs:
-            if ns not in parent:
-                parent[ns] = (state, label)
-                stack.append(ns)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# the cross-check: two engines, one verdict (or CC011)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CrossCheck:
-    """Both engines' verdicts over one net, plus the divergence bit."""
-
-    wait_for: WaitForVerdict
-    model: ModelCheckResult
-
-    @property
-    def diverged(self) -> bool:
-        """Deadlock verdicts disagree — someone has a bug (CC011).
-
-        A truncated exploration is inconclusive, never divergent.
-        """
-        if self.model.truncated:
-            return False
-        return (self.wait_for.deadlock is not None) != \
-            self.model.deadlocked
-
-
-def crosscheck(net: MPNet, max_states: int = DEFAULT_NET_BOUND,
-               channel_bound: int = DEFAULT_CHANNEL_BOUND) -> CrossCheck:
-    """Run both engines over one net."""
-    return CrossCheck(wait_for=wait_for_analysis(net),
-                      model=explore(net, max_states=max_states,
-                                    channel_bound=channel_bound))
-
-
-# ---------------------------------------------------------------------------
-# the corpus sweep (CI's `modelcheck` job)
-# ---------------------------------------------------------------------------
-
-def sweep_corpus(out=None, net_bound: int = DEFAULT_NET_BOUND,
-                 nclasses: int = 2, dot_path: Optional[str] = None,
-                 json_out: bool = False) -> int:
-    """Model-check every corpus placement, blocking and split-phase.
-
-    Returns the number of findings (deadlocks, races, unmatched sends)
-    plus engine divergences — zero on a healthy tree.  ``dot_path``
-    additionally writes one exemplar net (the first split-phase TESTIV
-    placement) as Graphviz DOT.
-    """
-    import json as _json
-
-    from ..placement.engine import enumerate_placements
-    from .commcheck import _corpus_programs
-
-    out = out or sys.stdout
-    failures = 0
-    rows = []
-    exemplar_written = False
-    for name, source, spec in _corpus_programs():
-        for split in (False, True):
-            mode = "split-phase" if split else "blocking"
-            result = enumerate_placements(source, spec, split_phase=split)
-            for i, rp in enumerate(result.ranked):
-                net = compile_placement(result.sub, rp.placement,
-                                        nclasses=nclasses)
-                cc = crosscheck(net, max_states=net_bound)
-                bad = (cc.model.deadlocked or cc.model.races
-                       or cc.model.unmatched
-                       or cc.wait_for.deadlock is not None
-                       or cc.diverged)
-                if bad:
-                    failures += 1
-                rows.append({
-                    "program": name, "mode": mode, "placement": i,
-                    "states": cc.model.states,
-                    "deadlock": cc.model.deadlocked,
-                    "races": len(cc.model.races),
-                    "unmatched": len(cc.model.unmatched),
-                    "diverged": cc.diverged,
-                    "truncated": cc.model.truncated,
-                })
-                if dot_path and split and not exemplar_written:
-                    with open(dot_path, "w") as fh:
-                        fh.write(net.to_dot(
-                            title=f"{name} placement #{i} ({mode})"))
-                    exemplar_written = True
-    if json_out:
-        out.write(_json.dumps(rows, indent=2) + "\n")
-    else:
-        for row in rows:
-            status = "DIVERGED" if row["diverged"] else (
-                "deadlock" if row["deadlock"] else "ok")
-            out.write(f"{row['program']} [{row['mode']}] "
-                      f"#{row['placement']}: {status} "
-                      f"({row['states']} states, {row['races']} race(s), "
-                      f"{row['unmatched']} unmatched)\n")
-        nets = len(rows)
-        out.write(f"modelcheck: {nets} net(s), {failures} finding(s)\n")
-    if dot_path and not exemplar_written:
-        # no split placements (unlikely) — fall back to any net
-        with open(dot_path, "w") as fh:
-            fh.write(MPNet(programs=[()]).to_dot())
-    return failures
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.modelcheck",
-        description="Explicit-state model checking of placed schedules "
-                    "compiled to MP nets (deadlock, unmatched send, "
-                    "nondeterministic receive-match), cross-checked "
-                    "against the tag-level wait-for analysis.")
-    parser.add_argument("--corpus", action="store_true",
-                        help="sweep every corpus placement, blocking and "
-                             "split-phase")
-    parser.add_argument("--strict", action="store_true",
-                        help="exit 2 when any finding or engine "
-                             "divergence is detected")
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable per-net verdicts")
-    parser.add_argument("--dot", metavar="FILE", default=None,
-                        help="write one exemplar net as Graphviz DOT")
-    parser.add_argument("--net-bound", type=int,
-                        default=DEFAULT_NET_BOUND,
-                        help="explored-state budget per net "
-                             f"(default {DEFAULT_NET_BOUND})")
-    parser.add_argument("--classes", type=int, default=2,
-                        help="symbolic rank classes per net (default 2)")
-    args = parser.parse_args(argv)
-    if not args.corpus and not args.dot:
-        parser.error("nothing to do: pass --corpus (and/or --dot FILE)")
-    failures = sweep_corpus(net_bound=args.net_bound,
-                            nclasses=args.classes,
-                            dot_path=args.dot, json_out=args.json)
-    return 2 if (args.strict and failures) else 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -46,7 +46,7 @@ schedule models):
 
 Serialization: :meth:`MPNet.to_json` (stable, sorted) and
 :meth:`MPNet.to_dot` (Graphviz, channel places as ellipses, transitions
-as boxes).  The explorer over this net lives in
+as boxes).  The model checker over this net lives in
 :mod:`repro.analysis.modelcheck`.
 
 >>> net = compile_orders([[("u", "overlap")], [("u", "overlap")]])

@@ -134,13 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "the 'repro lint' subcommand")
     run.add_argument("--model-check", action="store_true",
                      help="extend the pre-flight check with the MP-net "
-                          "model checker (bounded explicit-state "
-                          "exploration of the placed schedule; see "
+                          "model checker (deadlock, unmatched sends and "
+                          "receive-match races of the placed schedule; see "
                           "'repro lint --model-check')")
-    run.add_argument("--net-bound", type=int, default=20000,
-                     metavar="STATES",
-                     help="explored-state budget for --model-check "
-                          "(default 20000)")
     return p
 
 
@@ -327,8 +323,7 @@ def _run_pipeline_cli(args, spec, result, out) -> int:
                        rebalance=args.rebalance,
                        rebalance_at=args.rebalance_at,
                        check="strict" if args.strict else "warn",
-                       model_check=args.model_check,
-                       net_bound=args.net_bound)
+                       model_check=args.model_check)
     out.write(pipeline_report(run, timeline=args.timeline) + "\n")
     tol = 1e-8 if args.backend == "vector" else 1e-9
     run.verify(rtol=tol, atol=tol / 10)

@@ -177,7 +177,7 @@ class PipelineRun:
 
 def check(placements: PlacementResult, placement, partition=None,
           mode: str = "warn", stream=None, static_sink=None,
-          model_check: bool = False, net_bound: int = 20000):
+          model_check: bool = False):
     """Pre-flight commcheck of one placement (and its halo schedules).
 
     The pipeline calls this automatically after placement, before any
@@ -186,14 +186,13 @@ def check(placements: PlacementResult, placement, partition=None,
     :class:`~repro.errors.CommCheckError`, ``"off"`` skips the check.
     Returns the :class:`~repro.analysis.diagnostics.DiagnosticSink` (or
     None when off).  ``model_check`` additionally compiles the placed
-    schedule into an MP net and model-checks it before flight
-    (``net_bound`` states explored at most).
+    schedule into an MP net and model-checks it before flight.
 
     ``static_sink`` short-circuits the placement-level half with a
     cached verdict (the placement service stores one per ranked
-    placement — computed under the same ``model_check``/``net_bound``
-    flags, which are part of the cache key); the partition-dependent
-    schedule checks still run fresh — schedules depend on the mesh,
+    placement — computed under the same ``model_check`` flag, which is
+    part of the cache key); the partition-dependent schedule checks
+    still run fresh — schedules depend on the mesh,
     which is not part of the analysis cache key.  A cache-restored
     ``placements`` (``vfg=None``) *requires* a ``static_sink`` unless
     the check is off.
@@ -213,8 +212,7 @@ def check(placements: PlacementResult, placement, partition=None,
     else:
         sink = check_placement(placements.vfg, placement,
                                placements.automaton,
-                               model_check=model_check,
-                               net_bound=net_bound)
+                               model_check=model_check)
     if partition is not None:
         check_schedules(partition, placement, sub=placements.sub, sink=sink)
     if not sink.clean:
@@ -249,7 +247,6 @@ def run_pipeline(source_or_sub: Union[str, Subroutine],
                  rebalance_at: Optional[Sequence[int]] = None,
                  check: str = "warn",
                  model_check: bool = False,
-                 net_bound: int = 20000,
                  service: Optional[Any] = None,
                  seq_interpreter: Optional[Interpreter] = None) -> PipelineRun:
     """Run the full figure-3 process and collect both executions.
@@ -274,11 +271,11 @@ def run_pipeline(source_or_sub: Union[str, Subroutine],
     comparison proves the migrated run still computes the same answer.
     ``check`` controls the pre-flight
     commcheck hook (``"warn"`` default, ``"strict"`` to fail, ``"off"``);
-    ``model_check`` extends it with the MP-net model checker (bounded
-    by ``net_bound`` explored states; both flags participate in the
-    service cache key).  The placement enumeration this call does itself
-    uses the default :class:`~repro.placement.cost.CostModel`; pass
-    ``placements`` enumerated under another one.
+    ``model_check`` extends it with the MP-net model checker (the flag
+    participates in the service cache key).  The placement enumeration
+    this call does itself uses the default
+    :class:`~repro.placement.cost.CostModel`; pass ``placements``
+    enumerated under another one.
 
     Cache-aware boundaries: ``service`` (a
     :class:`~repro.service.core.PlacementService`) replaces the analysis
@@ -297,8 +294,7 @@ def run_pipeline(source_or_sub: Union[str, Subroutine],
                 raise ReproError(
                     "the placement service is content-addressed: pass "
                     "the program source text, not a parsed Subroutine")
-            flags = {"split_phase": split_phase, "model_check": model_check,
-                     "net_bound": net_bound}
+            flags = {"split_phase": split_phase, "model_check": model_check}
             placements, _metrics = service.placements(
                 source_or_sub, spec.serialize(), flags)
             service_key = _metrics.key
@@ -327,7 +323,7 @@ def run_pipeline(source_or_sub: Union[str, Subroutine],
             static_sink = service.static_sink(service_key, placement_index)
     diagnostics = _precheck(placements, placement, partition, mode=check,
                             static_sink=static_sink,
-                            model_check=model_check, net_bound=net_bound)
+                            model_check=model_check)
 
     seq_env = build_global_env(sub, spec, mesh, fields, scalars)
     seq = run_sequential(sub, seq_env, max_steps=max_steps, backend=backend,

@@ -277,9 +277,9 @@ class PlacementService:
                    flags: Optional[dict] = None) -> list:
         """Commcheck every ranked placement; one verdict JSON each.
 
-        ``model_check``/``net_bound`` in ``flags`` turn on the MP-net
-        model checker — the flags are part of the cache key, so cached
-        verdicts always correspond to their model-check configuration.
+        ``model_check`` in ``flags`` turns on the MP-net model checker —
+        the flag is part of the cache key, so cached verdicts always
+        correspond to their model-check configuration.
         """
         from ..analysis.commcheck import check_placement
 
@@ -288,8 +288,7 @@ class PlacementService:
         for rp in result.ranked:
             sink = check_placement(
                 result.vfg, rp.placement, result.automaton, source=program,
-                model_check=bool(flags.get("model_check", False)),
-                net_bound=int(flags.get("net_bound", 20000)))
+                model_check=bool(flags.get("model_check", False)))
             verdicts.append(sink.to_json())
         return verdicts
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from typing import Optional
 
@@ -45,38 +46,66 @@ from ..placement.cost import CostModel
 
 #: analysis flags that participate in the key, with their defaults: the
 #: enumerate_placements knobs, every CostModel field, and the pre-flight
-#: check's model-checker knobs (see docs/service.md)
+#: check's model-checker switch (see docs/service.md)
 FLAG_DEFAULTS: dict[str, object] = {
     "split_phase": False,
     "limit": None,
     **{f.name: f.default for f in dataclasses.fields(CostModel)},
     "model_check": False,
-    "net_bound": 20000,
 }
 
 _CODE_VERSION: Optional[str] = None
 
 
+def _finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _flag_value(name: str, value):
+    """One flag's canonical value; ``ReproError`` for a value of the
+    wrong type or range.  Values that mean the same thing share a key:
+    ``1`` and ``True``, ``100`` and ``100.0``, ``4`` and ``4.0``."""
+    default = FLAG_DEFAULTS[name]
+    if isinstance(default, bool):
+        if isinstance(value, bool) or (type(value) is int
+                                       and value in (0, 1)):
+            return bool(value)
+        expected = "a boolean (or 0/1)"
+    elif isinstance(default, float):
+        if _finite_number(value):
+            return float(value)
+        expected = "a finite number"
+    else:  # limit
+        if value is None:
+            return None
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if type(value) is int and value >= 1:
+            return value
+        expected = "null or an integer >= 1"
+    raise ReproError(f"bad analysis flag {name!r}: {value!r} "
+                     f"(expected {expected})")
+
+
 def canonical_flags(flags: Optional[dict]) -> dict:
     """Fill defaults and validate; returns a plain complete flag dict."""
-    flags = dict(flags or {})
+    if flags is None:
+        flags = {}
+    if not isinstance(flags, dict):
+        raise ReproError(f"bad analysis flags {flags!r}: expected an "
+                         f"object of flag names to values")
     unknown = sorted(set(flags) - set(FLAG_DEFAULTS))
     if unknown:
         raise ReproError(
             f"unknown analysis flag(s) {unknown} — known flags: "
             f"{sorted(FLAG_DEFAULTS)}")
-    out = dict(FLAG_DEFAULTS)
-    for name, value in flags.items():
-        default = FLAG_DEFAULTS[name]
-        # normalize numeric types so 100 and 100.0 share a key
-        if isinstance(default, float) and value is not None:
-            value = float(value)
-        elif isinstance(default, bool):
-            value = bool(value)
-        elif isinstance(default, int) and value is not None:
-            value = int(value)
-        out[name] = value
-    return out
+    return {name: _flag_value(name, flags[name]) if name in flags
+            else default for name, default in FLAG_DEFAULTS.items()}
 
 
 def flags_json(flags: Optional[dict]) -> str:

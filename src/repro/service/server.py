@@ -94,9 +94,14 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return
         try:
             if self.path == "/place":
+                index = body.get("index", 0)
+                if type(index) is not int:
+                    self._fail(f"bad request field 'index': {index!r} "
+                               f"(expected an integer)")
+                    return
                 response = self.service.place(
                     body["program"], body["spec"], body.get("flags"),
-                    index=int(body.get("index", 0)),
+                    index=index,
                     annotate=bool(body.get("annotate", True)))
                 self._log_metrics(response.get("metrics"))
                 self._reply(response)

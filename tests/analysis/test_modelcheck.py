@@ -1,35 +1,30 @@
-"""Explicit-state model checker — engines, agreement, and mutations.
+"""MP-net model checker — the one engine, its references, and mutations.
 
-The acceptance contract: the bounded explorer, the wait-for dataflow
-pass, and the runtime deadlock watchdog (a real SimComm replaying the
-net's micro-op programs) agree deadlock/no-deadlock on every TESTIV
-placement, blocking and split-phase, and on a table of seeded schedule
-mutations that each assert their exact CC code — including a tag-level
-deadlock the order-level CC005 cannot distinguish.
+The acceptance contract: the vector-clocked FIFO run, the brute-force
+explorer and the runtime deadlock watchdog (a real SimComm replaying the
+net's micro-op programs; both in ``reference_models``) agree on every
+TESTIV placement, blocking and split-phase, and on a table of seeded
+schedule mutations that each assert their exact CC code — including a
+tag-level deadlock the order-level CC005 cannot distinguish.  The
+property over random nets is ``test_one_engine.py``.
 """
 
 import pytest
 
-from repro.analysis.commcheck import (
-    check_net,
-    deadlock_cycle,
-    replay_events,
+from repro.analysis.commcheck import check_net, deadlock_cycle
+from repro.analysis.modelcheck import wait_for_analysis
+from repro.analysis.mpnet import (
+    CommEvent,
+    compile_events,
+    compile_orders,
+    compile_placement,
 )
-from repro.analysis.modelcheck import (
-    CrossCheck,
-    DEFAULT_NET_BOUND,
-    ModelCheckResult,
-    crosscheck,
-    explore,
-    main as modelcheck_main,
-    wait_for_analysis,
-)
-from repro.analysis.mpnet import compile_orders, compile_placement
 from repro.corpus import TESTIV_SOURCE
 from repro.errors import CommTimeout, ReproError
 from repro.placement.comms import widen_placement
 from repro.placement.engine import enumerate_placements
 from repro.spec import spec_for_testiv
+from tests.analysis.reference_models import explore, replay_events
 
 A, B, C = ("a", "m"), ("b", "m"), ("c", "m")
 A_POST, B_POST = A + ("post",), B + ("post",)
@@ -66,13 +61,35 @@ class TestWaitForAnalysis:
         assert v.unmatched[0]["colors"] == ["a/m#0"]
 
     def test_shared_tag_conflict_detected(self):
-        # two windows forced onto one tag: the receive pops from a
-        # channel holding two distinct colors
+        # two windows forced onto one tag: FIFO matches right, but the
+        # second post is not causally after the first wait, so the wait
+        # can match it in another schedule
         net = compile_orders([[A_POST, B_POST, A, B]] * 2,
                              tags=[[100, 100, 100, 100]] * 2)
         v = wait_for_analysis(net)
-        assert v.deadlock is None and v.conflicts
-        assert v.conflicts[0]["in_flight"] == ["a/m#0", "b/m#0"]
+        assert v.deadlock is None and v.races
+        race = v.races[0]
+        assert (race["expected"], race["got"]) == ("a/m#0", "b/m#0")
+        assert race["recv"].startswith("c1[2] recv a/m#0")
+        assert race["send"].startswith("c0[1] send b/m#0")
+
+    def test_tag_reuse_races_unless_causally_ordered(self):
+        # one tag reused by two blocking exchanges: class 0 can receive
+        # a, then send b, before class 1 receives a — a real race
+        net = compile_orders([[A, B]] * 2, tags=[[100, 100]] * 2)
+        assert wait_for_analysis(net).races and explore(net).races
+        # one-sided a, an acknowledgement, then b: b's send is causally
+        # after a's receive, so the reuse is safe on every schedule
+        ack = ("ack", "m")
+        sender = [CommEvent(A, sends=(1,), recvs=()),
+                  CommEvent(ack, sends=(), recvs=(1,)),
+                  CommEvent(B, sends=(1,), recvs=())]
+        receiver = [CommEvent(A, sends=(), recvs=(0,)),
+                    CommEvent(ack, sends=(0,), recvs=()),
+                    CommEvent(B, sends=(), recvs=(0,))]
+        net = compile_events([sender, receiver],
+                             tags=[[100, 101, 100]] * 2)
+        assert wait_for_analysis(net).clean and explore(net).clean
 
     def test_skewed_tag_tables_race(self):
         # counter allocator under divergent orders: the match crosses
@@ -124,28 +141,16 @@ class TestExplorer:
 
 class TestCrossCheck:
     def test_agreement_is_not_divergence(self):
-        cc = crosscheck(compile_orders([[A, B], [B, A]]))
-        assert not cc.diverged
-        cc = crosscheck(compile_orders([[A, B], [A, B]]))
-        assert not cc.diverged
-
-    def test_disagreement_flagged(self):
-        net = compile_orders([[A], [A]])
-        forged = CrossCheck(wait_for=wait_for_analysis(net),
-                            model=ModelCheckResult(
-                                deadlocks=[{"blocked": [], "trace": []}]))
-        assert forged.diverged
-
-    def test_truncation_is_inconclusive_not_divergent(self):
-        net = compile_orders([[A, B], [B, A]])
-        cc = CrossCheck(wait_for=wait_for_analysis(net),
-                        model=explore(net, max_states=1))
-        assert cc.wait_for.deadlock is not None
-        assert not cc.model.deadlocked and not cc.diverged
+        # the engine and the reference explorer on the two classic nets
+        for orders, dead in (([[A, B], [B, A]], True),
+                             ([[A, B], [A, B]], False)):
+            net = compile_orders(orders)
+            assert (wait_for_analysis(net).deadlock is not None) is dead
+            assert explore(net).deadlocked is dead
 
 
 class TestTestivAgreement:
-    """Model checker == runtime watchdog over all 16 placements × modes."""
+    """Engine == explorer == runtime watchdog, 16 placements × modes."""
 
     @pytest.mark.parametrize("split", [False, True],
                              ids=["blocking", "split-phase"])
@@ -155,10 +160,9 @@ class TestTestivAgreement:
         assert len(result.ranked) == 16
         for i, rp in enumerate(result.ranked):
             net = compile_placement(result.sub, rp.placement)
-            cc = crosscheck(net)
-            assert not cc.diverged, f"placement #{i} diverged"
-            assert cc.wait_for.clean, f"placement #{i}: wait-for verdict"
-            assert cc.model.clean, f"placement #{i}: explorer verdict"
+            assert wait_for_analysis(net).clean, f"placement #{i}: engine"
+            assert explore(net).clean, f"placement #{i}: explorer"
+            assert check_net(net).clean, f"placement #{i}: diagnostics"
             assert replay_events(net) is None, \
                 f"placement #{i}: watchdog disagrees"
 
@@ -166,8 +170,7 @@ class TestTestivAgreement:
         for rp in testiv.ranked[:4]:
             wide = widen_placement(testiv.vfg, rp.placement)
             net = compile_placement(testiv.sub, wide)
-            cc = crosscheck(net)
-            assert not cc.diverged and cc.model.clean
+            assert wait_for_analysis(net).clean and explore(net).clean
             assert replay_events(net) is None
 
 
@@ -209,7 +212,8 @@ MUTATIONS = [
 
 
 class TestSeededMutations:
-    """Each mutation asserts its exact code; engines and watchdog agree."""
+    """Each mutation asserts its exact code; engine, explorer and
+    watchdog agree."""
 
     @pytest.mark.parametrize(
         "name,orders,tags,mode,code,verdict",
@@ -221,14 +225,14 @@ class TestSeededMutations:
                              tag_mode=mode if tags is None else "static")
         sink = check_net(net)
         assert code in sink.codes(), f"{name}: {sink.render()}"
-        assert "CC011" not in sink.codes(), f"{name}: engines diverged"
         exc = replay_events(net)
         assert isinstance(exc, verdict) or (verdict is type(None)
                                             and exc is None), \
             f"{name}: watchdog said {type(exc).__name__}"
-        # deadlock/no-deadlock agreement with the watchdog
-        cc = crosscheck(net)
-        assert cc.model.deadlocked == isinstance(exc, CommTimeout)
+        # deadlock/no-deadlock agreement with the watchdog and explorer
+        dead = isinstance(exc, CommTimeout)
+        assert (wait_for_analysis(net).deadlock is not None) == dead
+        assert explore(net).deadlocked == dead
 
     def test_tag_level_deadlock_invisible_to_order_level(self):
         # the acceptance case: identical identity orders — the order-level
@@ -241,25 +245,6 @@ class TestSeededMutations:
         assert explore(net).deadlocked
         assert isinstance(replay_events(net), CommTimeout)
 
-    def test_cc011_fires_on_forged_engine_disagreement(self, monkeypatch):
-        # CC011 can only come from a checker bug, so seed one: make the
-        # dataflow engine lie about a deadlocking net
-        import repro.analysis.commcheck as commcheck
-        from repro.analysis.modelcheck import WaitForVerdict
-
-        def lying_crosscheck(net, max_states=DEFAULT_NET_BOUND,
-                             channel_bound=32):
-            return CrossCheck(wait_for=WaitForVerdict(),
-                              model=explore(net, max_states=max_states))
-
-        monkeypatch.setattr(commcheck, "crosscheck", lying_crosscheck)
-        sink = commcheck.check_net(compile_orders([[A, B], [B, A]]))
-        assert "CC011" in sink.codes()
-        diag = next(d for d in sink.diagnostics if d.code == "CC011")
-        assert diag.severity == "error"
-        assert diag.data["explorer"]["deadlocked"] is True
-        assert diag.data["wait_for"]["deadlock"] is None
-
 
 class TestCheckNetDiagnostics:
     def test_clean_net_emits_nothing(self):
@@ -270,8 +255,9 @@ class TestCheckNetDiagnostics:
         sink = check_net(compile_orders([[A, B], [B, A]]))
         diag = next(d for d in sink.diagnostics if d.code == "CC005")
         assert diag.data["trace"]
-        assert diag.data["states"] > 0
-        assert diag.data["net_bound"] == DEFAULT_NET_BOUND
+        assert all("send" in step or "recv" in step
+                   for step in diag.data["trace"])
+        assert diag.data["kind"] == "cycle" and diag.data["cycle"]
 
     def test_tag_conflict_is_a_warning(self):
         net = compile_orders([[A_POST, B_POST, A, B]] * 2,
@@ -279,46 +265,3 @@ class TestCheckNetDiagnostics:
         sink = check_net(net)
         assert {d.code for d in sink.diagnostics} == {"CC010"}
         assert sink.ok and not sink.clean
-
-    def test_truncated_exploration_is_inconclusive_not_clean(self, testiv):
-        # stopping at the state bound without a finding is no verdict:
-        # it must be visible (and fail --strict), never silence
-        net = compile_placement(testiv.sub, testiv.ranked[0].placement)
-        sink = check_net(net, net_bound=1)
-        assert [d.code for d in sink.diagnostics] == ["CC012"]
-        diag = sink.diagnostics[0]
-        assert diag.name == "model-inconclusive"
-        assert diag.severity == "warning" and not sink.clean
-        assert diag.message == ("exploration stopped after 1 states "
-                                "(net_bound=1); no verdict")
-        assert diag.data["truncated"] and diag.data["net_bound"] == 1
-
-    def test_finished_exploration_emits_no_cc012(self, testiv):
-        for rp in testiv.ranked:
-            net = compile_placement(testiv.sub, rp.placement)
-            assert check_net(net).clean
-
-
-class TestCorpusSweep:
-    def test_corpus_mode_clean_and_strict_exit_zero(self, capsys):
-        assert modelcheck_main(["--corpus", "--strict"]) == 0
-        out = capsys.readouterr().out
-        assert "0 finding(s)" in out and "DIVERGED" not in out
-
-    def test_dot_exemplar_written(self, tmp_path):
-        dot = tmp_path / "net.dot"
-        assert modelcheck_main(["--corpus", "--dot", str(dot)]) == 0
-        text = dot.read_text()
-        assert text.startswith("digraph") and "shape=ellipse" in text
-
-    def test_json_output(self, capsys):
-        import json
-
-        assert modelcheck_main(["--corpus", "--json"]) == 0
-        rows = json.loads(capsys.readouterr().out)
-        assert rows and all(not r["diverged"] for r in rows)
-        assert {"program", "mode", "placement", "states"} <= set(rows[0])
-
-    def test_nothing_to_do_errors(self):
-        with pytest.raises(SystemExit):
-            modelcheck_main([])

@@ -145,7 +145,7 @@ class TestCLI:
         prog, spec = files
         rc = main([prog, spec, "--run", str(tmp_path / "m.mesh"),
                    "--nparts", "2", "--strict",
-                   "--model-check", "--net-bound", "5000",
+                   "--model-check",
                    "--field", "init=random",
                    "--field", "airetri=triangle-areas",
                    "--field", "airesom=node-areas",

@@ -86,6 +86,12 @@ class TestCliReachesPipeline:
                                     pipeline.run_pipeline))
         assert set(_params(pipeline.run_pipeline)) - reached == {"max_steps"}
 
+    def test_option_census(self):
+        # a new option has to move these numbers, in the same change that
+        # names its caller
+        assert len(_params(pipeline.run_pipeline)) == 21
+        assert len(_execution_flags()) == 15
+
 
 class TestPipelineReachesExecutor:
     def test_every_keyword_is_a_run_parameter_with_equal_defaults(self):

@@ -101,7 +101,6 @@ class TestPipelineRun:
         # the clean corpus sails through in strict mode
         run = run_pipeline(TESTIV_SOURCE, spec_for_testiv(), mesh, 2,
                            fields=fields, scalars=SCALARS,
-                           check="strict", model_check=True,
-                           net_bound=5000)
+                           check="strict", model_check=True)
         run.verify()
         assert run.diagnostics is None or run.diagnostics.clean

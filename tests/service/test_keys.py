@@ -45,10 +45,35 @@ class TestCanonicalFlags:
         assert flags_json({"alpha": 100}) == flags_json({"alpha": 100.0})
         assert flags_json({"split_phase": 1}) == \
             flags_json({"split_phase": True})
-        assert flags_json({"net_bound": 4096.0}) == \
-            flags_json({"net_bound": 4096})
+        assert flags_json({"limit": 4.0}) == flags_json({"limit": 4})
         assert flags_json({"model_check": 1}) == \
             flags_json({"model_check": True})
+
+    @pytest.mark.parametrize("flag,value", [
+        ("split_phase", "false"),   # a non-empty string is truthy
+        ("split_phase", 2),
+        ("model_check", None),
+        ("limit", "abc"),
+        ("limit", -3),
+        ("limit", 0),
+        ("limit", 2.5),
+        ("limit", True),
+        ("kernel_size", "big"),
+        ("alpha", True),
+        ("beta", float("nan")),
+        ("gamma", float("inf")),
+        ("iterations", 10 ** 400),
+        ("loss_rate", [0.1]),
+    ])
+    def test_bad_value_rejected(self, flag, value):
+        with pytest.raises(ReproError,
+                           match=f"^bad analysis flag {flag!r}: "):
+            canonical_flags({flag: value})
+
+    @pytest.mark.parametrize("flags", [[["limit", 4]], "split_phase", 7])
+    def test_flags_must_be_an_object(self, flags):
+        with pytest.raises(ReproError, match="^bad analysis flags "):
+            canonical_flags(flags)
 
     def test_default_flags_json_is_pinned(self):
         # every cache key hashes this string: deriving the defaults from
@@ -56,8 +81,7 @@ class TestCanonicalFlags:
         assert flags_json({}) == (
             '{"alpha":100.0,"beta":0.05,"gamma":1.0,"iterations":50.0,'
             '"kernel_size":1000.0,"limit":null,"loss_rate":0.0,'
-            '"model_check":false,"net_bound":20000,"overlap_fraction":0.1,'
-            '"split_phase":false}')
+            '"model_check":false,"overlap_fraction":0.1,"split_phase":false}')
 
     def test_defaults_match_the_signatures_they_mirror(self):
         import dataclasses
@@ -75,12 +99,11 @@ class TestCanonicalFlags:
                 enumerate_placements).parameters.items()
             if p.default is not p.empty and name != "model"}
         params = inspect.signature(check).parameters
-        mirrored.update({name: params[name].default
-                         for name in ("model_check", "net_bound")})
+        mirrored["model_check"] = params["model_check"].default
         cost = {f.name: f.default for f in dataclasses.fields(CostModel)}
         assert not set(mirrored) & set(cost)
         assert {**mirrored, **cost} == FLAG_DEFAULTS
-        assert len(FLAG_DEFAULTS) == 11
+        assert len(FLAG_DEFAULTS) == 10
 
 
 class TestKeySensitivity:
@@ -108,7 +131,6 @@ class TestKeySensitivity:
         ("overlap_fraction", 0.2),
         ("loss_rate", 0.01),
         ("model_check", True),
-        ("net_bound", 4096),
     ])
     def test_every_flag_moves_key(self, flag, value):
         assert value != FLAG_DEFAULTS[flag]

@@ -275,6 +275,24 @@ class TestHTTPServer:
         else:  # pragma: no cover
             pytest.fail("missing field must 400")
 
+    def test_bad_request_values_are_json_errors(self, server):
+        # each answer is a JSON error with its status, never a dropped
+        # connection (one server for every case)
+        for extra, status, error in [
+                ({"index": "x"}, 400, "bad request field 'index'"),
+                ({"index": 1.5}, 400, "bad request field 'index'"),
+                ({"flags": ["split_phase"]}, 422, "bad analysis flags"),
+                ({"flags": {"split_phase": "false"}}, 422,
+                 "bad analysis flag 'split_phase'"),
+                ({"flags": {"limit": -3}}, 422, "bad analysis flag 'limit'"),
+                ({"flags": {"net_bound": 5000}}, 422,
+                 "unknown analysis flag(s)")]:
+            body = {"program": TESTIV_SOURCE, "spec": SPEC_TEXT, **extra}
+            with pytest.raises(urllib.error.HTTPError) as exc:
+                self._post(server, "/place", body)
+            assert exc.value.code == status, extra
+            assert json.loads(exc.value.read())["error"].startswith(error)
+
     def test_unknown_endpoint_404(self, server):
         try:
             urllib.request.urlopen(server + "/nope")
