@@ -131,11 +131,12 @@ def enumerate_placements(source_or_sub: Union[str, Subroutine],
     """Run the whole tool and return all placements, cheapest first.
 
     The search runs over the §5.2-reduced dfg with forced loop domains
-    pre-constrained; neither changes the solution set.  ``limit`` stops
-    the enumeration after that many solutions.  ``split_phase`` widens
-    every communication to its (post, wait) window so the annotated output
-    carries ``C$SYNCHRONIZE POST``/``WAIT`` pairs and the ranking counts
-    hidden latency; off by default, which preserves the paper's blocking
+    pre-constrained; neither changes the solution set.  ``limit`` (a
+    positive integer, or None for all) stops the enumeration after that
+    many solutions.  ``split_phase`` widens every communication to its
+    (post, wait) window so the annotated output carries
+    ``C$SYNCHRONIZE POST``/``WAIT`` pairs and the ranking counts hidden
+    latency; off by default, which preserves the paper's blocking
     single-directive output exactly.
     """
     sub, graph, idioms, legality, vfg = analyze(source_or_sub, spec)
