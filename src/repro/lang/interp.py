@@ -1,34 +1,21 @@
-"""Interpreter for the mini-FORTRAN subset: compile once, run closures.
+"""Interpreter for the mini-FORTRAN subset: compile once to Python functions.
 
 Runs the flat code of :mod:`repro.lang.lower` over an environment of
 Python scalars and 1-based-indexed numpy arrays.  It is the default backend
 *and* the oracle every SPMD execution is checked against (DESIGN.md
 section 5); :mod:`repro.lang.vectorize` must agree with it.
 
-*Compile once.*  The first :class:`Interpreter` over a ``FlatCode`` lowers
-it into what the program-counter machine executes — a closure per
-expression (:func:`compile_expr`), an ``(array, 0-based index)`` locator
-per array reference (:func:`compile_ref`), an opcode tuple per instruction
-— cached on the ``FlatCode``, so an executor's rank interpreters share it;
-:meth:`Interpreter.run_gen` dispatches on the opcode, no node type is
-rediscovered per visit.
-
-*Every check still runs on every evaluation*, inside the closures: unset
-variable / array, not an array, rank mismatch, non-integer or out-of-bounds
-subscript (compared on Python ints), integer division / modulo by zero;
-Python's own arithmetic faults (``1.0 / 0.0``, ``sqrt(-1.0)``) leave a
-statement's closure as :class:`InterpError` naming the source line.  Step
-budget, pre-actions and :class:`MachineState` sync stay in the dispatch
-loop.  *Bit-equal by construction*: the closures apply the same Python /
-numpy scalar operations in the same order as the tree walker they replaced
-(now the reference of a property test in ``tests/lang/test_interp.py``;
-``tests/lang/golden_interp.json`` pins steps, visits and output digests).
-
-*The loop path.*  A ``do`` loop whose body is assignments only, holds no
-pre-action pc and is no jump target runs its trips inside the ``ILoopInit``
-arm, charging ``trips * (len(body) + 2) + 1`` steps at once — or, when
-that would cross ``max_steps``, instruction by instruction, so the budget
-error fires at the same step.  Read off the code; not an option.
+*Compile once.*  The first :class:`Interpreter` over a ``FlatCode`` writes
+it as one Python module (a function per assignment, branch condition,
+loop-bounds triple, call-argument list and straight-line ``do`` loop; in
+:mod:`linecache` as ``<repro:SUBNAME>``), compiled by one ``compile()``,
+cached with an opcode tuple per instruction on the ``FlatCode`` for every
+rank interpreter.  Every check runs inline on every evaluation, in the
+tree walker's order; program text never becomes code (docs/architecture.md,
+"The interpreter").  A straight-line loop (assignments only, no pre-action
+pc, no jump target) runs all its trips in one call from the ``ILoopInit``
+arm, charging ``trips * (len(body) + 2) + 1`` steps at once — or, past
+``max_steps``, instruction by instruction: the budget fires at that step.
 
 Extension hooks used by the SPMD executor (:mod:`repro.runtime.executor`):
 
@@ -49,10 +36,11 @@ Extension hooks used by the SPMD executor (:mod:`repro.runtime.executor`):
 
 from __future__ import annotations
 
+import linecache
 import math
-import operator
 from dataclasses import dataclass, field
-from typing import Any, Callable, Collection, Optional
+from functools import partial
+from typing import Any, Callable, Collection, Optional, Sequence
 
 import numpy as np
 
@@ -85,7 +73,8 @@ def _is_integer(x: Any) -> bool:
 
 def _div(a: Any, b: Any) -> Any:
     """FORTRAN ``/``: integer operands truncate toward zero."""
-    if not (_is_integer(a) and _is_integer(b)):
+    if (not isinstance(a, _INTEGERS) or not isinstance(b, _INTEGERS)
+            or isinstance(a, bool) or isinstance(b, bool)):
         return a / b
     if b == 0:
         raise InterpError("integer division by zero")
@@ -123,135 +112,205 @@ _INTRINSIC_FUNCS: dict[str, Callable] = {
     "int": int, "nint": _nint,
 }
 
-_BINOPS: dict[str, Callable] = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div,
-    "**": operator.pow, "<": operator.lt, "<=": operator.le,
-    ">": operator.gt, ">=": operator.ge, "==": operator.eq,
-    "/=": operator.ne,
+#: FORTRAN operator -> the Python expression applying it to two operands
+_BINOPS: dict[str, str] = {
+    "+": "({} + {})", "-": "({} - {})", "*": "({} * {})",
+    "/": "div({}, {})", "**": "({} ** {})", "<": "({} < {})",
+    "<=": "({} <= {})", ">": "({} > {})", ">=": "({} >= {})",
+    "==": "({} == {})", "/=": "({} != {})",
 }
 
 
+def _fault(env: Env, name: str, rank: int, raw: Any = None,
+           axis: int = 0) -> InterpError:
+    """Which check of an array reference failed, in their order."""
+    arr = env.get(name)
+    if name not in env:
+        return InterpError(f"read of unset array {name!r}")
+    if not isinstance(arr, np.ndarray):
+        return InterpError(f"{name!r} is not an array")
+    if arr.ndim != rank:
+        return InterpError(
+            f"{name!r}: {rank} subscripts for rank-{arr.ndim} array")
+    if not isinstance(raw, _INTEGERS):
+        return InterpError(f"{name!r}: non-integer subscript {raw!r}")
+    return InterpError(f"{name!r}: subscript {raw} out of bounds "
+                       f"1..{arr.shape[axis]}")
+
+
+def _raised(exc: Exception, line: int) -> InterpError:
+    """What a statement's ``KeyError`` or arithmetic fault leaves it as."""
+    unset = isinstance(exc, KeyError)
+    err = InterpError(f"read of unset variable {exc.args[0]!r}" if unset
+                      else f"line {line}: {exc}")
+    err.__cause__ = None if unset else exc
+    return err
+
+
+def _unknown(kind: str, name: str, *operands: Any):
+    raise InterpError(f"unknown {kind} {name!r}")
+
+
+_INTRINSIC_NAMES = {name: f"i_{name}" for name in _INTRINSIC_FUNCS}
+
+#: the emitted module's namespace besides builtins, constants, functions
+_HELPERS: dict[str, Any] = {
+    "ndarray": np.ndarray, "integers": _INTEGERS, "div": _div,
+    "fault": _fault, "raised": _raised, "unknown": _unknown,
+    "CAUGHT": (*_FAULTS, KeyError),
+    **{_INTRINSIC_NAMES[name]: fn for name, fn in _INTRINSIC_FUNCS.items()},
+}
+
+
+def _indent(lines: list[str]) -> list[str]:
+    return ["    " + line for line in lines]
+
+
+class _Emitter:
+    """Writes code as the source of one Python module and loads it.
+    :meth:`expr` gives ``(lines, text, safe)``: after ``lines``, ``text`` is
+    the value; ``safe``: ``text`` can neither raise nor read ``env``."""
+
+    def __init__(self):
+        self.source: list[str] = []
+        self.namespace: dict[str, Any] = dict(_HELPERS)
+        self.count = 0
+
+    def new(self, prefix: str) -> str:
+        self.count += 1
+        return f"{prefix}{self.count}"
+
+    def const(self, value: Any) -> str:
+        self.namespace[name := self.new("k")] = value
+        return name
+
+    def key(self, name: Any) -> str:
+        return repr(name) if type(name) is str else self.const(name)
+
+    def expr(self, ex: Expr) -> tuple[list[str], str, bool]:
+        if isinstance(ex, Const):
+            return [], self.const(ex.value), True
+        if isinstance(ex, Var):
+            return [], f"env[{self.key(ex.name)}]", False
+        if isinstance(ex, ArrayRef):
+            return (*self.ref(ex), True)
+        if isinstance(ex, BinOp) and ex.op in (".and.", ".or."):
+            return self.logical(ex)
+        if isinstance(ex, BinOp):
+            lines, (a, b) = self.operands((ex.left, ex.right))
+            if ex.op not in _BINOPS:
+                op = self.const(ex.op)
+                return lines, f"unknown('operator', {op}, {a}, {b})", False
+            return lines, _BINOPS[ex.op].format(a, b), False
+        if isinstance(ex, UnOp):
+            lines, text, safe = self.expr(ex.operand)
+            form = {"+": "{}", "-": "(-{})"}.get(ex.op, "(not bool({}))")
+            return lines, form.format(text), safe and ex.op == "+"
+        if isinstance(ex, Intrinsic):
+            lines, args = self.operands(ex.args)
+            if ex.name not in _INTRINSIC_NAMES:     # raises before its args
+                return [], f"unknown('intrinsic', {self.const(ex.name)})", \
+                    False
+            fn = _INTRINSIC_NAMES[ex.name]
+            return lines, f"{fn}({', '.join(args)})", False
+        raise InterpError(f"cannot evaluate {type(ex).__name__}")
+
+    def operands(self, exprs: Sequence[Expr]) -> tuple[list[str], list[str]]:
+        """Texts of ``exprs`` evaluated left to right: an operand with lines
+        first moves the unsafe texts before it to temporaries."""
+        lines: list[str] = []
+        done: list[tuple[str, bool]] = []       # (text, safe) per operand
+        for ex in exprs:
+            sub, text, safe = self.expr(ex)
+            if sub:
+                for k, (before, ok) in enumerate(done):
+                    if not ok:
+                        done[k] = self.new("t"), True
+                        lines.append(f"{done[k][0]} = {before}")
+                lines += sub
+            done.append((text, safe))
+        return lines, [text for text, _ in done]
+
+    def logical(self, ex: BinOp) -> tuple[list[str], str, bool]:
+        lines, a, _ = self.expr(ex.left)
+        right, b, _ = self.expr(ex.right)
+        word = "and" if ex.op == ".and." else "or"
+        if not right:
+            return lines, f"(bool({a}) {word} bool({b}))", False
+        t = self.new("t")
+        return (lines + [f"{t} = bool({a})",
+                         f"if {t if word == 'and' else 'not ' + t}:"]
+                + _indent(right + [f"{t} = bool({b})"]), t, True)
+
+    def ref(self, ref: ArrayRef) -> tuple[list[str], str]:
+        """The lines that fetch and check, the element's text."""
+        arr, name, rank = self.new("t"), self.key(ref.name), len(ref.subs)
+        lines = [f"if not isinstance({arr} := env.get({name}), ndarray) or "
+                 f"{arr}.ndim != {rank:d}: raise fault(env, {name}, {rank:d})"]
+        index = []
+        for axis, sub in enumerate(ref.subs):
+            sub_lines, text, _ = self.expr(sub)
+            lines += sub_lines
+            if isinstance(sub, Const) and type(sub.value) is int:
+                i = raw = text
+            else:   # np.int64 (or bool) converted; not an integer: 0 fails
+                i, raw = self.new("t"), self.new("t")
+                lines.append(f"{i} = {raw} if type({raw} := {text}) is int "
+                             f"else int({raw}) if isinstance({raw}, integers) "
+                             f"else 0")
+            lines.append(f"if not 1 <= {i} <= {arr}.shape[{axis:d}]: "
+                         f"raise fault(env, {name}, {rank:d}, {raw}, {axis})")
+            index.append(f"{i} - 1")
+        return lines, f"{arr}[{', '.join(index)}]"
+
+    def assign(self, ins: IAssign, line: int) -> list[str]:
+        """The statement in its ``try``: the value, then the target's
+        checks (a target's text is a place to store to)."""
+        lines, (value, target) = self.operands((ins.value, ins.target))
+        return self.guard(lines + [f"{target} = {value}"], line)
+
+    @staticmethod
+    def guard(body: list[str], line: Optional[int]) -> list[str]:
+        # line None: an expression, whose arithmetic faults pass unchanged
+        caught = "KeyError" if line is None else "CAUGHT"
+        return (["try:"] + _indent(body) + [
+            f"except {caught} as exc: raise raised(exc, {line or 0:d})"])
+
+    def function(self, name: str, exprs: Sequence[Expr], form: str,
+                 line: Optional[int]) -> str:
+        """``def name(env)`` returning ``form`` of the values of ``exprs``."""
+        lines, texts = self.operands(exprs)
+        self.define(name, "env", self.guard(
+            lines + ["return " + form.format(", ".join(texts))], line))
+        return name
+
+    def define(self, name: str, params: str, body: list[str]) -> None:
+        self.source += [f"def {name}({params}):"] + _indent(body)
+
+    def load(self, filename: str) -> dict[str, Any]:
+        text = "\n".join(self.source) + "\n"
+        linecache.cache[filename] = (len(text), None, text.splitlines(True),
+                                     filename)
+        exec(compile(text, filename, "exec"), self.namespace)
+        return self.namespace
+
+
 def compile_expr(ex: Expr) -> Callable[[Env], Any]:
-    """Compile an expression to a closure ``f(env) -> value``.
+    """Compile an expression to a function ``f(env) -> value``.
 
     Arrays use FORTRAN 1-based indexing; out-of-bounds accesses raise
     :class:`InterpError` rather than wrap: silent wraparound is the class of
     bug the paper's tool exists to prevent.  An unknown operator or
     intrinsic raises when *evaluated*, not here.
     """
-    if isinstance(ex, Const):
-        value = ex.value
-        return lambda env: value
-    if isinstance(ex, Var):
-        name = ex.name
-
-        def var(env):
-            try:
-                return env[name]
-            except KeyError:
-                raise InterpError(f"read of unset variable {name!r}") from None
-        return var
-    if isinstance(ex, ArrayRef):
-        ref = compile_ref(ex)
-
-        def load(env):
-            arr, idx = ref(env)
-            return arr[idx]
-        return load
-    if isinstance(ex, BinOp):
-        left, right = compile_expr(ex.left), compile_expr(ex.right)
-        if ex.op == ".and.":
-            return lambda env: bool(left(env)) and bool(right(env))
-        if ex.op == ".or.":
-            return lambda env: bool(left(env)) or bool(right(env))
-        fn = _BINOPS.get(ex.op)
-        if fn is None:
-            def unknown(env):
-                left(env), right(env)
-                raise InterpError(f"unknown operator {ex.op!r}")
-            return unknown
-        return lambda env: fn(left(env), right(env))
-    if isinstance(ex, UnOp):
-        operand = compile_expr(ex.operand)
-        if ex.op == "-":
-            return lambda env: -operand(env)
-        if ex.op == "+":
-            return operand
-        return lambda env: not bool(operand(env))
-    if isinstance(ex, Intrinsic):
-        fn = _INTRINSIC_FUNCS.get(ex.name)
-        args = [compile_expr(a) for a in ex.args]
-        if fn is None:
-            def unknown(env):
-                raise InterpError(f"unknown intrinsic {ex.name!r}")
-            return unknown
-        if len(args) == 1:
-            arg, = args
-            return lambda env: fn(arg(env))
-        if len(args) == 2:
-            first, second = args
-            return lambda env: fn(first(env), second(env))
-        return lambda env: fn(*[a(env) for a in args])
-    raise InterpError(f"cannot evaluate {type(ex).__name__}")
+    em = _Emitter()
+    name = em.function("expression", (ex,), "{}", None)
+    return em.load("<repro:expression>")[name]
 
 
 def eval_expr(ex: Expr, env: Env) -> Any:
     """Evaluate an expression in ``env`` (see :func:`compile_expr`)."""
     return compile_expr(ex)(env)
-
-
-def compile_ref(ref: ArrayRef) -> Callable[[Env], tuple[np.ndarray, Any]]:
-    """Compile an array reference to ``f(env) -> (array, 0-based index)``.
-
-    Checks on every call, in order: unset array, not an array, rank mismatch,
-    per subscript non-integer, out of bounds.  1-D: a bare index, not a tuple.
-    """
-    name, rank = ref.name, len(ref.subs)
-    subs = [compile_expr(s) for s in ref.subs]
-
-    def fault(env, raw=None, axis=0):
-        # off the hot path: which of the checks failed, in their order
-        arr = env.get(name)
-        if name not in env:
-            return InterpError(f"read of unset array {name!r}")
-        if not isinstance(arr, np.ndarray):
-            return InterpError(f"{name!r} is not an array")
-        if arr.ndim != rank:
-            return InterpError(
-                f"{name!r}: {rank} subscripts for rank-{arr.ndim} array")
-        if not isinstance(raw, _INTEGERS):
-            return InterpError(f"{name!r}: non-integer subscript {raw!r}")
-        return InterpError(f"{name!r}: subscript {raw} out of bounds "
-                           f"1..{arr.shape[axis]}")
-
-    if rank == 1:
-        sub, = subs
-
-        def locate(env):
-            arr = env.get(name)
-            if not isinstance(arr, np.ndarray) or arr.ndim != 1:
-                raise fault(env)
-            i = raw = sub(env)
-            if type(i) is not int:      # np.int64 — or not an index: 0
-                i = int(i) if isinstance(i, _INTEGERS) else 0
-            if not 1 <= i <= arr.shape[0]:
-                raise fault(env, raw)
-            return arr, i - 1
-    else:
-        def locate(env):
-            arr = env.get(name)
-            if not isinstance(arr, np.ndarray) or arr.ndim != rank:
-                raise fault(env)
-            idx = []
-            for axis, sub in enumerate(subs):
-                i = raw = sub(env)
-                if type(i) is not int:
-                    i = int(i) if isinstance(i, _INTEGERS) else 0
-                if not 1 <= i <= arr.shape[axis]:
-                    raise fault(env, raw, axis)
-                idx.append(i - 1)
-            return arr, tuple(idx)
-    return locate
 
 
 @dataclass
@@ -342,88 +401,71 @@ class LoopRequest:
  _RETURN) = range(8)
 
 
-def _guarded(fn: Callable[[Env], Any], line: int) -> Callable[[Env], Any]:
-    # ``fn`` with arithmetic faults re-raised as InterpError at ``line``
-    def guarded(env):
-        try:
-            return fn(env)
-        except _FAULTS as exc:
-            raise InterpError(f"line {line}: {exc}") from exc
-    return guarded
-
-
-def _compile_assign(ins: IAssign, line: int) -> Callable[[Env], None]:
-    # value first, then the target's subscripts; own try = one call fewer
-    value = compile_expr(ins.value)
-    if isinstance(ins.target, Var):
-        name = ins.target.name
-
-        def store(env):
-            try:
-                env[name] = value(env)
-            except _FAULTS as exc:
-                raise InterpError(f"line {line}: {exc}") from exc
-    else:
-        ref = compile_ref(ins.target)
-
-        def store(env):
-            try:
-                v = value(env)
-                arr, idx = ref(env)
-                arr[idx] = v
-            except _FAULTS as exc:
-                raise InterpError(f"line {line}: {exc}") from exc
-    return store
-
-
 def _compile(code: FlatCode) -> tuple[tuple, dict[int, tuple]]:
-    """Lower ``code`` once (cached on it): an ``(opcode, sid, a, b, c)`` per
-    instruction, and ``ILoopInit`` pc -> statement closures of every loop
-    whose body is assignments only and no jump target."""
+    """Compile ``code`` once (cached on it): ``(opcode, sid, a, b, c)`` per
+    instruction, and ``ILoopInit`` pc -> ``(run all trips, body length)``
+    per straight-line loop, whose body is emitted once, in ``lPC(env,
+    trips, step, only=None)``: one statement alone is one trip ``only``."""
     if code.compiled is not None:
         return code.compiled
+    instrs, em = code.instrs, _Emitter()
+    lines = [code.sub.stmt(ins.sid).line if ins.sid else 0 for ins in instrs]
+    targets = ({ins.pc for ins in instrs if isinstance(ins, IJump)}
+               | {ins.pc_false for ins in instrs if isinstance(ins, IBranch)})
+    loops = {}
+    for pc, ins in enumerate(instrs):
+        if isinstance(ins, ILoopInit):
+            end = instrs[pc + 1].pc_exit
+            body = range(pc + 2, end - 1)   # between ILoopTest and ILoopIncr
+            if (all(isinstance(instrs[b], IAssign) for b in body)
+                    and targets.isdisjoint(range(pc + 1, end))):
+                loops[pc] = body
+    in_loop = {b: pc for pc, body in loops.items() for b in body}
     ops = []
-    for ins in code.instrs:
-        line = code.sub.stmt(ins.sid).line if ins.sid else 0
+    for pc, ins in enumerate(instrs):
+        sid, line = ins.sid, lines[pc]
         if isinstance(ins, IAssign):
-            op = (_ASSIGN, ins.sid, _compile_assign(ins, line), None, None)
+            if pc not in in_loop:
+                em.define(f"a{pc:d}", "env", em.assign(ins, line))
+            op = (_ASSIGN, sid, f"a{pc:d}", None, None)
         elif isinstance(ins, ILoopTest):
-            op = (_LOOP_TEST, ins.sid, ins.pc_exit, None, None)
+            op = (_LOOP_TEST, sid, ins.pc_exit, None, None)
         elif isinstance(ins, ILoopIncr):
-            op = (_LOOP_INCR, ins.sid, ins.var, ins.pc_test, None)
+            op = (_LOOP_INCR, sid, ins.var, ins.pc_test, None)
         elif isinstance(ins, IBranch):
-            op = (_BRANCH, ins.sid, _guarded(compile_expr(ins.cond), line),
-                  ins.pc_false, None)
+            op = (_BRANCH, sid, em.function(f"b{pc:d}", (ins.cond,), "{}",
+                                            line), ins.pc_false, None)
         elif isinstance(ins, ILoopInit):
-            lo, hi = compile_expr(ins.lo), compile_expr(ins.hi)
-            step = compile_expr(Const(1) if ins.step is None else ins.step)
-            bounds = _guarded(lambda env, lo=lo, hi=hi, step=step:
-                              (lo(env), hi(env), step(env)), line)
-            op = (_LOOP_INIT, ins.sid, bounds, ins.var,
-                  code.instrs[len(ops) + 1].pc_exit)    # the ILoopTest's
+            step = Const(1) if ins.step is None else ins.step
+            op = (_LOOP_INIT, sid, em.function(
+                f"r{pc:d}", (ins.lo, ins.hi, step), "({})", line),
+                ins.var, instrs[pc + 1].pc_exit)
         elif isinstance(ins, IJump):
-            op = (_JUMP, ins.sid, ins.pc, None, None)
+            op = (_JUMP, sid, ins.pc, None, None)
         elif isinstance(ins, ICall):
-            args = [compile_expr(a) for a in ins.args]
-            op = (_CALL, ins.sid, ins.name,
-                  _guarded(lambda env, args=args: [a(env) for a in args],
-                           line), None)
+            op = (_CALL, sid, ins.name,
+                  em.function(f"c{pc:d}", ins.args, "[{}]", line), None)
         elif isinstance(ins, IReturn):
-            op = (_RETURN, ins.sid, None, None, None)
+            op = (_RETURN, sid, None, None, None)
         else:  # pragma: no cover - exhaustiveness guard
             raise InterpError(f"unknown instruction {type(ins).__name__}")
         ops.append(op)
-    targets = ({op[2] for op in ops if op[0] == _JUMP}
-               | {op[3] for op in ops if op[0] == _BRANCH})
-    loops = {}
-    for pc, op in enumerate(ops):
-        if op[0] != _LOOP_INIT:
-            continue
-        body = ops[pc + 2:op[4] - 1]    # between ILoopTest and ILoopIncr
-        if (all(b[0] == _ASSIGN for b in body)
-                and targets.isdisjoint(range(pc + 1, op[4]))):
-            loops[pc] = tuple(b[2] for b in body)
-    code.compiled = tuple(ops), loops
+        if pc in loops:
+            trip = []
+            for b in loops[pc]:
+                trip += [f"if only is None or only == {b:d}:"] + _indent(
+                    em.assign(instrs[b], lines[b]))
+            var = em.key(ins.var)
+            trip += ["if only is None:", f"    env[{var}] = env[{var}] + step"]
+            em.define(f"l{pc:d}", "env, trips, step, only=None",
+                      ["for trip in range(trips):"] + _indent(trip))
+    fns = em.load(f"<repro:{code.sub.name}>")
+    for b, pc in in_loop.items():
+        fns[f"a{b:d}"] = partial(fns[f"l{pc:d}"], trips=1, step=None, only=b)
+    code.compiled = tuple(
+        (op, sid, fns[a] if op in (_ASSIGN, _BRANCH, _LOOP_INIT) else a,
+         fns[b] if op == _CALL else b, c) for op, sid, a, b, c in ops), {
+        pc: (fns[f"l{pc:d}"], len(body)) for pc, body in loops.items()}
     return code.compiled
 
 
@@ -573,15 +615,12 @@ class Interpreter:
                 env[b] = lo
                 stepval[sid] = step
                 trips = max(0, (hi - lo + step) // step)
-                stmts = inline_loops.get(pc) if type(trips) is int else None
+                loop = inline_loops.get(pc) if type(trips) is int else None
                 # per trip: test + body + incr; then the test that exits
-                if (stmts is not None
-                        and steps + trips * (len(stmts) + 2) + 1 <= max_steps):
-                    for _ in range(trips):
-                        for stmt in stmts:
-                            stmt(env)
-                        env[b] = env[b] + step
-                    steps += trips * (len(stmts) + 2) + 1
+                if (loop is not None
+                        and steps + trips * (loop[1] + 2) + 1 <= max_steps):
+                    loop[0](env, trips, step)
+                    steps += trips * (loop[1] + 2) + 1
                     remaining[sid] = 0
                     pc = c
                 else:
@@ -624,6 +663,7 @@ def make_env(sub: Subroutine, **values: Any) -> Env:
     are zero-initialized at their declared size (integer arrays as int64,
     real as float64, logical as bool).
     """
+    values = {name.lower(): v for name, v in values.items()}
     env: Env = {}
     for name, decl in sub.decls.items():
         if name in values:
@@ -635,6 +675,6 @@ def make_env(sub: Subroutine, **values: Any) -> Env:
                      "logical": np.bool_}[decl.base]
             env[name] = np.zeros(decl.dims, dtype=dtype)
     for name, v in values.items():
-        if name.lower() not in env:
-            env[name.lower()] = v
+        if name not in env:
+            env[name] = v
     return env

@@ -2,8 +2,9 @@
 
 A deleted name nothing imports needs no guard; a *shape* does: one halo
 schedule over two tables, a boundary loop without closures, one kernel
-compiler — and the rule the single placement judge rests on:
-``placement/comms.py``'s privates stay inside ``repro/placement/``.
+compiler, one interpreter compiler — and the rule the single placement
+judge rests on: ``placement/comms.py``'s privates stay inside
+``repro/placement/``.
 """
 
 import ast
@@ -64,3 +65,21 @@ def test_vectorize_keeps_one_kernel_class_and_one_compiler():
     assert sorted(n for n in _defs(tree, ast.FunctionDef)
                   if n.startswith("_compile")) \
         == ["_compile", "_compile_expr", "_compile_stmt"]
+
+
+def test_the_interpreter_has_one_compiler():
+    # the emitter writes Python source; no closure tree survives beside it
+    tree = _tree("lang/interp.py")
+    assert not [ast.unparse(n) for n in ast.walk(tree)
+                if isinstance(n, ast.Lambda) and n.args.args
+                and n.args.args[0].arg == "env"]
+    fns = _defs(tree, ast.FunctionDef)
+    path = [fns["_compile"], fns["compile_expr"], fns["eval_expr"],
+            *_defs(_defs(tree, ast.ClassDef)["_Emitter"],
+                   ast.FunctionDef).values()]
+    nested = [n.name for fn in path for n in ast.walk(fn)
+              if isinstance(n, ast.FunctionDef) and n is not fn]
+    assert not nested, f"nested def in the compile path: {nested}"
+    compiles = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name) and n.func.id == "compile"]
+    assert len(compiles) == 1

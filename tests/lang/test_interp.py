@@ -1,19 +1,28 @@
-"""Unit tests for the interpreter, and the tree walker its closures replaced
-(``_eval_reference``) as the reference of a property test."""
+"""Unit tests for the interpreter, and the tree walker its emitted code
+replaced (``_eval_reference``, with ``_exec_reference`` for statements) as
+the reference of property tests."""
 
+import ast
+import linecache
 import math
+import re
+import traceback
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.corpus import TESTIV_SOURCE, reference_testiv
+from repro import corpus
+from repro.corpus import TESTIV_SOURCE, reference_testiv, synthetic_source
 from repro.errors import InterpError
 from repro.lang import (
     ArrayRef,
+    Assign,
     BinOp,
     Const,
+    DoLoop,
+    IfBlock,
     Interpreter,
     Intrinsic,
     UnOp,
@@ -25,6 +34,7 @@ from repro.lang import (
     parse_subroutine,
     run_subroutine,
 )
+from repro.lang.ast import Subroutine
 from repro.lang.interp import _INTRINSIC_FUNCS, _is_integer, compile_expr
 
 
@@ -147,6 +157,14 @@ class TestBasics:
         Interpreter(code, externals={"note": lambda env, v: seen.append(v)}
                     ).run(make_env(sub, n=7))
         assert seen == [7]
+
+    def test_make_env_honours_upper_case_keywords(self):
+        # FORTRAN names are case-blind: an array passed as V= is v
+        sub = parse_subroutine("subroutine t(V, n)\n  real V(3)\n"
+                               "  integer n\n  n = 1\nend\n")
+        env = make_env(sub, V=np.array([1., 2., 3.]), N=5)
+        assert sorted(env) == ["n", "v"]
+        assert env["v"].tolist() == [1.0, 2.0, 3.0] and env["n"] == 5
 
 
 class TestHooks:
@@ -302,8 +320,15 @@ class TestArithmeticFaults:
         with pytest.raises(InterpError, match="^'v': subscript 4 out of"):
             run("subroutine t(n)\n  real v(3)\n  x = v(4)\nend\n", n=0)
 
+    def test_a_traceback_shows_the_generated_line(self):
+        with pytest.raises(InterpError) as info:
+            run("subroutine t(n)\n  real v(3)\n  x = v(4)\nend\n", n=0)
+        text = "".join(traceback.format_exception(info.value))
+        assert 'File "<repro:t>"' in text
+        assert "raise fault(env, 'v', 1, " in text
 
-# -- the tree walker the closures replaced, verbatim ------------------------
+
+# -- the tree walker the emitted code replaced, verbatim --------------------
 
 def _eval_reference(ex, env):
     if isinstance(ex, Const):
@@ -402,7 +427,7 @@ def _index(ref, arr, env):
     return tuple(out)
 
 
-# -- closures ≡ tree walker --------------------------------------------------
+# -- emitted code ≡ tree walker --------------------------------------------
 
 ENV = {
     "k": 3, "m": -7, "z": 0, "kk": np.int64(2), "mm": np.int64(-5),
@@ -557,3 +582,230 @@ class TestClosuresEqualTreeWalker:
             with pytest.raises(InterpError) as info:
                 eval_expr(ex, ENV)
             assert str(info.value) == message
+
+
+# -- statements: emitted code ≡ the tree walker's statement ----------------
+
+def _exec_reference(stmt, env):
+    """The tree walker's assignment: value, then target, then store."""
+    try:
+        value = _eval_reference(stmt.value, env)
+        if isinstance(stmt.target, Var):
+            env[stmt.target.name] = value
+        else:
+            arr = _array(stmt.target.name, env)
+            arr[_index(stmt.target, arr, env)] = value
+    except (ArithmeticError, ValueError) as exc:
+        raise InterpError(f"line {stmt.line}: {exc}") from exc
+
+
+def _run_reference(stmts, env):
+    """The tree walker over assignments, ``do`` loops and ``if`` blocks."""
+    for stmt in stmts:
+        if isinstance(stmt, Assign):
+            _exec_reference(stmt, env)
+        elif isinstance(stmt, DoLoop):
+            lo = _eval_reference(stmt.lo, env)
+            hi = _eval_reference(stmt.hi, env)
+            env[stmt.var] = lo
+            for _ in range(max(0, hi - lo + 1)):
+                _run_reference(stmt.body, env)
+                env[stmt.var] = env[stmt.var] + 1
+        else:
+            assert isinstance(stmt, IfBlock), stmt
+            branch = _eval_reference(stmt.cond, env)
+            _run_reference(stmt.then_body if branch else stmt.else_body, env)
+
+
+def _bits(value):
+    """Type- and bit-exact form of one environment entry."""
+    if isinstance(value, np.ndarray):
+        return "ndarray", value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (float, complex, np.generic)):
+        return type(value).__name__, np.asarray(value).tobytes()
+    return type(value).__name__, repr(value)
+
+
+def _run_outcome(run):
+    """Run on a fresh copy of ``ENV``: its final state, or the exception
+    (type, message, type of its cause) and the state it left."""
+    env = {k: v.copy() if isinstance(v, np.ndarray) else v
+           for k, v in ENV.items()}
+    try:
+        with np.errstate(all="ignore"):
+            steps = run(env)
+        raised = None
+    except Exception as exc:  # noqa: BLE001 - the exception *is* the outcome
+        steps, raised = None, (type(exc), str(exc), type(exc.__cause__))
+    return raised, steps, {k: _bits(v) for k, v in sorted(env.items())}
+
+
+def _subroutine(*stmts):
+    return Subroutine("t", [], {}, list(stmts))
+
+
+def _interpreted(code, per_instruction=False):
+    interp = Interpreter(code)
+    if per_instruction:
+        interp._inline_loops = {}
+    return lambda env: interp.run(env).steps
+
+
+#: a scalar, a 1-D indirect, a 2-D out-of-bounds and a 2-D np.int64 target
+TARGETS = (Var("x"), ArrayRef("v", (ArrayRef("p", (Var("k"),)),)),
+           ArrayRef("g", (Var("k"), Const(1))),
+           ArrayRef("g", (Var("kk"), Const(1))))
+
+
+def _assert_same_statements(values):
+    # the first value into each target: one program, each statement's
+    # function run on its own (opcode tuples hold them as run_gen calls them)
+    stmts = [Assign(target=t, value=values[0], line=7) for t in TARGETS]
+    ops = Interpreter(lower_subroutine(_subroutine(*stmts)))._ops
+    for pc, stmt in enumerate(stmts):
+        got = _run_outcome(ops[pc][2])
+        want = _run_outcome(lambda env: _exec_reference(stmt, env))
+        assert got[0] == want[0] and got[2] == want[2], (stmt, got, want)
+    # a 3-trip straight-line loop: the loop path ≡ per instruction ≡ walker
+    body = [Assign(target=t, value=v, line=6 + n) for n, (t, v) in
+            enumerate(zip(TARGETS[:2] + TARGETS[3:], values + values))]
+    sub = _subroutine(DoLoop(var="i", lo=Const(1), hi=Const(3), body=body,
+                             line=5))
+    code = lower_subroutine(sub)
+    loop = _run_outcome(_interpreted(code))
+    assert loop == _run_outcome(_interpreted(code, per_instruction=True))
+    want = _run_outcome(lambda env: _run_reference(sub.body, env))
+    assert loop[0] == want[0] and loop[2] == want[2], (body, loop, want)
+
+
+_STATEMENT_VALUES = st.lists(st.one_of(*_typed_exprs(3)), min_size=2,
+                             max_size=2)
+
+
+class TestStatementsEqualTreeWalker:
+    """Each outcome is an equal environment (type- and bit-exact) or the
+    same exception type, message and cause type, with the same state."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_STATEMENT_VALUES)
+    def test_assignments_and_loops(self, values):
+        _assert_same_statements(values)
+
+    @pytest.mark.soak
+    @settings(max_examples=10_000, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_STATEMENT_VALUES)
+    def test_assignments_and_loops_soak(self, values):
+        _assert_same_statements(values)
+
+    def test_value_faults_before_the_target_is_checked(self):
+        value = BinOp("/", Const(1.0), Var("w"))        # w == 0.0
+        for target in TARGETS[1:]:
+            stmt = Assign(target=target, value=value, line=7)
+            code = lower_subroutine(_subroutine(stmt))
+            raised, _, _ = _run_outcome(_interpreted(code))
+            assert raised == (InterpError, "line 7: float division by zero",
+                              ZeroDivisionError)
+
+    def test_fault_inside_a_loop_leaves_the_per_instruction_state(self):
+        body = [Assign(target=Var("x"), value=Var("i"), line=6),
+                Assign(target=ArrayRef("v", (Var("i"),)),
+                       value=BinOp("/", Const(1.0), BinOp("-", Var("i"),
+                                                          Const(2.0))),
+                       line=7)]
+        code = lower_subroutine(_subroutine(DoLoop(
+            var="i", lo=Const(1), hi=Const(3), body=body, line=5)))
+        loop = _run_outcome(_interpreted(code))
+        assert loop[0] == (InterpError, "line 7: float division by zero",
+                           ZeroDivisionError)
+        assert loop == _run_outcome(_interpreted(code, per_instruction=True))
+
+
+# -- hygiene: program text never becomes code -------------------------------
+
+HOSTILE = """\
+      subroutine t(n)
+      integer n, env, exc, trips, step, trip, only, t1, k1, a3, l2
+      real bool(4), isinstance, int, fault, div, ndarray, i_abs, type
+      real raised, integers, range, caught, expression
+      env = 2
+      exc = env + 1
+      do trips = 1, n
+         step = trips * exc
+         bool(trips) = step + env / 2.0
+         t1 = mod(step, 3)
+         k1 = t1 + trips
+      end do
+      isinstance = bool(2) * 2.0
+      int = abs(isinstance)
+      i_abs = int + 1.0
+      fault = sqrt(i_abs)
+      div = fault / 3.0
+      ndarray = div
+      type = ndarray
+      raised = type + exc
+      integers = raised
+      range = integers
+      caught = range
+      expression = caught
+      only = k1
+      a3 = only
+      l2 = a3
+      if (isinstance .gt. 0.0 .and. bool(1) .lt. 9.0) then
+         trip = 1
+      else
+         trip = 2
+      end if
+      end
+"""
+
+#: every name an emitted module may use
+_VOCABULARY = re.compile(
+    r"(env|exc|trip|trips|step|only|expression|[tk]\d+|[abcrl]\d+"
+    r"|ndarray|integers|div|fault|raised|unknown|CAUGHT"
+    r"|isinstance|type|int|bool|range"
+    + "".join(f"|i_{name}" for name in _INTRINSIC_FUNCS) + r")")
+
+
+def _emitted_names(sub):
+    Interpreter(lower_subroutine(sub))
+    source = "".join(linecache.getlines(f"<repro:{sub.name}>"))
+    assert source.startswith("def ")
+    return {node.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name)}
+
+
+class TestHygiene:
+    def test_hostile_names_run_as_the_tree_walker_runs_them(self):
+        sub = parse_subroutine(HOSTILE)
+        got = run_subroutine(sub, make_env(sub, n=4)).env
+        want = make_env(sub, n=4)
+        _run_reference(sub.body, want)
+        assert {k: _bits(v) for k, v in got.items()} \
+            == {k: _bits(v) for k, v in want.items()}
+        assert got["trip"] == 1 and got["bool"].tolist() == [4., 7., 10., 13.]
+
+    def test_emitted_names_come_from_the_vocabulary(self):
+        subs = [parse_subroutine(getattr(corpus, name)) for name in dir(corpus)
+                if name.endswith("_SOURCE")]
+        subs += [parse_subroutine(synthetic_source(n)) for n in (2, 4)]
+        subs.append(parse_subroutine(HOSTILE))
+        for sub in subs:
+            names = _emitted_names(sub)
+            assert {"env", "fault"} <= names, sub.name
+            stray = sorted(n for n in names if not _VOCABULARY.fullmatch(n))
+            assert not stray, (sub.name, stray)
+
+    def test_a_name_is_only_ever_a_string_key(self):
+        evil = "x'] = 0\nimport os  # "
+        sub = _subroutine(Assign(target=Var(evil), value=Const(1.5), line=3),
+                          Assign(target=Var("y"),
+                                 value=ArrayRef(evil + "(", (Const(1),)),
+                                 line=4))
+        env = {}
+        with pytest.raises(InterpError) as info:
+            Interpreter(lower_subroutine(sub)).run(env)
+        assert env == {evil: 1.5}
+        assert str(info.value) == f"read of unset array {evil + '('!r}"
+        assert all(_VOCABULARY.fullmatch(n) for n in _emitted_names(sub))

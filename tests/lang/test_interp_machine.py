@@ -11,6 +11,7 @@ bodies, resumption from a :class:`MachineState` copy, one compilation per
 ``FlatCode``.
 """
 
+import builtins
 import hashlib
 import json
 from pathlib import Path
@@ -30,6 +31,7 @@ from repro.lang import (
     parse_subroutine,
 )
 from repro.lang.ast import Assign
+from repro.lang import interp as interp_module
 from repro.lang.interp import MachineState
 from repro.runtime import FaultPlan, envs_bit_identical
 from tests.runtime.test_fused_compute import (
@@ -248,7 +250,11 @@ class TestLoopPath:
 
 
 class TestCompiledOnce:
-    def test_128_interpreters_share_one_compiled_program(self):
+    def test_128_interpreters_share_one_compiled_program(self, monkeypatch):
+        # the whole FlatCode is one module: one compile() for all 128
+        calls = []
+        monkeypatch.setattr(interp_module, "compile", lambda *args: (
+            calls.append(args[1]) or builtins.compile(*args)), raising=False)
         sub = parse_subroutine(LOOPS)
         code = lower_subroutine(sub)
         assert code.compiled is None
@@ -256,8 +262,12 @@ class TestCompiledOnce:
         compiled = code.compiled
         assert compiled is not None
         assert all(i._ops is compiled[0] for i in interps)
+        assert calls == ["<repro:s>"]
         # another lowering of the same program is another compilation
-        assert lower_subroutine(sub).compiled is None
+        other = lower_subroutine(sub)
+        assert other.compiled is None
+        Interpreter(other)
+        assert calls == ["<repro:s>"] * 2
 
 
 class TestResumeAtEveryCollective:
