@@ -3,7 +3,7 @@
 The paper's selling point for automatic checking — "this checking, when
 performed manually, is an important source of errors" (§3.2) — deserves
 compiler-grade reporting.  Every check in the system (figure-4 legality,
-the commcheck verifier, the executor's request-leak detector, the
+the commcheck verifier, the executor's window-leak detector, the
 transport drain assertions) speaks one vocabulary:
 
 * a :class:`Diagnostic` — a stable ``CCnnn`` code, a severity, a message,
@@ -50,14 +50,16 @@ CC013  superfluous-sync          a declared communication outside every
 CC014  domain-inconsistent       a partitioned loop without an iteration
                                  domain, or domains no overlap state fits
 CC101  undrained-channel         runtime: messages sent but never received
-CC102  leaked-request            runtime: requests posted but never waited
 CC103  leaked-window             runtime: communication window never waited
 CC104  nonquiescent-checkpoint   runtime: checkpoint requested with traffic
-                                 or requests still in flight
+                                 still in flight
 =====  ========================  =========================================
 
 Numbers 011 and 012 named the verdicts of a retired second model-checking
 engine (engine divergence, truncated exploration); they are not reused.
+Nor is 102, which named a nonblocking request posted but never waited:
+halo windows hold no request handles, and a POST without its WAIT is
+CC103 (window never waited) or CC101 (message never received).
 """
 
 from __future__ import annotations
@@ -86,7 +88,6 @@ CODES: dict[str, tuple[str, str]] = {
     "CC013": ("superfluous-sync", SEV_WARNING),
     "CC014": ("domain-inconsistent", SEV_ERROR),
     "CC101": ("undrained-channel", SEV_ERROR),
-    "CC102": ("leaked-request", SEV_ERROR),
     "CC103": ("leaked-window", SEV_ERROR),
     "CC104": ("nonquiescent-checkpoint", SEV_ERROR),
 }

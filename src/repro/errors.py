@@ -102,9 +102,9 @@ class CommTimeout(RuntimeFault):
         How many retry steps were spent before giving up (0 = fail-fast).
     ledger:
         Mapping with the fabric state at expiry: ``"messages"`` — leftover
-        ``(src, dst, tag, count)`` channels, ``"requests"`` — outstanding
-        nonblocking handles, plus fabric-specific keys (``"dropped"``,
-        ``"delayed"``) when a fault-injection fabric raised it.
+        ``(src, dst, tag, count)`` channels, plus fabric-specific keys
+        (``"dropped"``, ``"delayed"``) when a fault-injection fabric
+        raised it.
     op, anchor:
         Filled in by the executor's deadlock watchdog: the stalled
         :class:`~repro.placement.comms.CommOp` and its anchor sid.

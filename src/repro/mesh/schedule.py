@@ -24,10 +24,9 @@ deterministic and self-consistent.
 
 The tables are flat numpy channel columns plus per-rank concatenated
 gather/scatter index arrays, so the halo collectives move one
-concatenated float64 block per wave (``SimComm.send_block``/
-``recv_block``); :meth:`WaveSide.messages` walks the same rows one
-message at a time for payloads the block wire cannot carry.  What
-``check_schedules`` (CC008) verifies is these very tables.
+concatenated block per wave (``SimComm.send_block``/``recv_block``);
+:meth:`WaveSide.messages` walks the same rows one message at a time.
+What ``check_schedules`` (CC008) verifies is these very tables.
 
 Construction is dict-free: every overlap entity's owner rank and
 owner-local index come from its **packed id** (``rank << SHIFT | local``,

@@ -26,8 +26,7 @@ from .faults import (
 )
 from .halos import (
     REDUCE_OPS,
-    PendingCombine,
-    PendingOverlap,
+    PendingWave,
     allreduce_scalar,
     combine_complete,
     combine_post,
@@ -44,7 +43,7 @@ from .perfmodel import (
     sequential_time,
 )
 from .ringbuf import RingTransport
-from .simmpi import CollectiveRecord, CommStats, RankComm, Request, SimComm
+from .simmpi import CollectiveRecord, CommStats, RankComm, SimComm
 from .trace import (
     Timeline,
     render_fault_report,
@@ -56,9 +55,9 @@ __all__ = [
     "Checkpoint", "CheckpointManager", "CollectiveRecord", "CommStats",
     "FaultComm", "FaultPlan", "FaultRule", "FlatField", "KillRule",
     "MachineModel",
-    "MessageLog", "build_flat_store", "PendingCombine",
-    "PendingOverlap", "RECOVERY_GLOBAL", "RECOVERY_LOCAL", "RECOVERY_MODES",
-    "REDUCE_OPS", "RankComm", "RankSnapshot", "ReplayFilter", "Request",
+    "MessageLog", "build_flat_store", "PendingWave",
+    "RECOVERY_GLOBAL", "RECOVERY_LOCAL", "RECOVERY_MODES",
+    "REDUCE_OPS", "RankComm", "RankSnapshot", "ReplayFilter",
     "RingTransport", "SPMDExecutor", "SPMDResult", "SimComm",
     "TimeBreakdown", "adversarial_check", "allreduce_scalar",
     "Timeline", "combine_complete", "combine_post",

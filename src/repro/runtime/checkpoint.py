@@ -2,12 +2,12 @@
 
 The executor advances all ranks in lockstep between collectives, so a
 collective boundary with no open split-phase window is a *quiescent*
-point: every rank is suspended at the same program position, the wire is
-drained, and no nonblocking request is outstanding.  A checkpoint taken
-there is tiny — per rank, a copy of the environment (the only mutable
-data) plus the interpreter's explicit :class:`~repro.lang.interp.MachineState`
-(a handful of scalars and loop counters), and globally the transport
-accounting snapshot and the timeline lengths.
+point: every rank is suspended at the same program position and the wire
+is drained.  A checkpoint taken there is tiny — per rank, a copy of the
+environment (the only mutable data) plus the interpreter's explicit
+:class:`~repro.lang.interp.MachineState` (a handful of scalars and loop
+counters), and globally the transport accounting snapshot and the
+timeline lengths.
 
 Two recovery modes consume these snapshots:
 
@@ -186,21 +186,18 @@ class CheckpointManager:
         one still installed is copied once, and every rank snapshot views
         its rows of the copy.  Other arrays are copied rank by rank.
         Raises a structured CC104 diagnostic when the point is not
-        actually quiescent (messages or requests in flight).  The new
+        actually quiescent (messages in flight).  The new
         checkpoint replaces the held one.
         """
         n_msgs = comm.pending_messages()
-        reqs = comm.pending_requests()
-        n_reqs = reqs if isinstance(reqs, int) else len(reqs)
-        if n_msgs or n_reqs:
+        if n_msgs:
             from ..analysis.diagnostics import Diagnostic
             diag = Diagnostic(
                 code="CC104",
                 message=f"checkpoint requested at a non-quiescent point "
-                        f"({n_msgs} message(s), {n_reqs} request(s) in "
-                        f"flight at event {event_count})",
-                data={"messages": int(n_msgs), "requests": int(n_reqs),
-                      "event": int(event_count),
+                        f"({n_msgs} message(s) in flight at event "
+                        f"{event_count})",
+                data={"messages": int(n_msgs), "event": int(event_count),
                       "channels": [list(c)
                                    for c in comm.pending_channels()[:8]]})
             err = RuntimeFault(f"CC104: {diag.message}")

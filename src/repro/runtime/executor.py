@@ -436,7 +436,8 @@ class SPMDExecutor:
             the fault-injection fabric (drop/delay/reorder/duplicate/
             corrupt rules, kill rules).
         ``comm_timeout``
-            Receive retry budget in fabric steps.  A receive finding no
+            Receive retry budget in fabric steps, a non-negative ``int``
+            (anything else is a :class:`RuntimeFault`).  A receive finding no
             message polls the fabric that many times (releasing delayed
             messages, triggering retransmissions of dropped ones) before
             raising a :class:`~repro.errors.CommTimeout` that carries the
@@ -478,6 +479,9 @@ class SPMDExecutor:
         if recovery not in RECOVERY_MODES:
             raise RuntimeFault(f"unknown recovery mode {recovery!r} "
                                f"(expected one of {', '.join(RECOVERY_MODES)})")
+        if type(comm_timeout) is not int or comm_timeout < 0:
+            raise RuntimeFault(f"comm_timeout must be a non-negative integer "
+                               f"retry budget, got {comm_timeout!r}")
         started = perf_counter()
         nranks = self.partition.nparts
         kills = list(faults.kills) if faults is not None else []
@@ -621,13 +625,12 @@ class SPMDExecutor:
     # -- the boundary loop's steps ---------------------------------------------
 
     def _quiescent(self, run: _Run, between_loops: bool = False) -> bool:
-        """Nothing posted, nothing on the wire, no request outstanding —
-        the only boundaries that can be snapshotted.  Migration also needs
+        """Nothing posted and nothing on the wire — the only boundaries
+        that can be snapshotted.  Migration also needs
         ``between_loops``: no rank suspended inside an entity-bounded loop
         (its live bounds and index maps would change under it)."""
         return (not run.pending
                 and not run.comm.pending_messages()
-                and not run.comm.pending_requests()
                 and not (between_loops and any(
                     st.remaining.get(lsid, 0) > 0
                     for st in run.states for lsid in self.loop_entity)))
@@ -689,8 +692,8 @@ class SPMDExecutor:
         its re-emitted sends are suppressed by log seq (peers consumed
         the originals long ago) and the messages it needs are
         re-delivered from the log, except those still sitting on the
-        wire for an open split-phase window, whose original requests
-        remain valid.
+        wire for an open split-phase window, which the live WAIT
+        receives.
         """
         rank, comm, timeline = kill.rank, run.comm, run.timeline
         event_no = len(timeline.events)
@@ -854,7 +857,6 @@ class SPMDExecutor:
             err.diagnostic = diag
             raise err
         comm.assert_drained()
-        comm.assert_no_pending_requests()
         timeline.final_steps = [r.steps for r in run.results]
         for kill in run.kills:
             timeline.faults.append(

@@ -529,7 +529,16 @@ def make_comm(size: int, plan: Optional[FaultPlan]) -> SimComm:
 
 def envs_bit_identical(a: list[dict], b: list[dict]) -> Optional[str]:
     """None if two per-rank env lists match bit-for-bit, else a description
-    of the first divergence."""
+    of the first divergence.
+
+    Arrays match on shape, dtype and bytes; scalars on type and bytes —
+    so ``0.0`` and ``-0.0`` differ, and a NaN equals its own bits.
+
+    >>> envs_bit_identical([{"x": np.array([0.0])}], [{"x": np.array([-0.0])}])
+    "rank 0: array 'x' diverges"
+    >>> envs_bit_identical([{"x": np.nan}], [{"x": np.nan}]) is None
+    True
+    """
     if len(a) != len(b):
         return f"rank count differs: {len(a)} vs {len(b)}"
     for r, (ea, eb) in enumerate(zip(a, b)):
@@ -540,9 +549,10 @@ def envs_bit_identical(a: list[dict], b: list[dict]) -> Optional[str]:
             if isinstance(va, np.ndarray) or isinstance(vb, np.ndarray):
                 va, vb = np.asarray(va), np.asarray(vb)
                 if va.shape != vb.shape or va.dtype != vb.dtype \
-                        or not np.array_equal(va, vb):
+                        or va.tobytes() != vb.tobytes():
                     return f"rank {r}: array {var!r} diverges"
-            elif va != vb:
+            elif type(va) is not type(vb) \
+                    or np.asarray(va).tobytes() != np.asarray(vb).tobytes():
                 return f"rank {r}: scalar {var!r} {va!r} != {vb!r}"
     return None
 

@@ -75,9 +75,9 @@ def build_flat_store(envs: list[dict],
 
     ``variables`` names the candidates (the executor passes its
     entity-mapped real 1-D declarations); a variable qualifies only if
-    every rank holds a 1-D float64 ndarray for it — the same eligibility
-    rule as the block halo wire, so store-backed and plain runs take the
-    block path for exactly the same variables.
+    every rank holds a 1-D float64 ndarray for it — the payloads the
+    wire carries as one slab block, so store-backed and plain runs send
+    exactly the same waves.
     """
     store: dict[str, FlatField] = {}
     for var in variables:

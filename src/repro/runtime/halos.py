@@ -16,45 +16,34 @@ single procedure called in the source program"):
 
 The two array collectives additionally come as split-phase halves for the
 ``C$SYNCHRONIZE POST``/``WAIT`` windows: ``overlap_post``/``overlap_complete``
-and ``combine_post``/``combine_complete``.  The post half captures payloads
-by value at the post point (nonblocking isend/irecv on a fresh tag) and the
-complete half applies them in exactly the order the blocking collective
-would — since the placement guarantees no definition between post and wait,
-a split run is bit-identical to the blocking one.  The blocking entry
-points are now thin wrappers over post+complete, so both paths exercise the
-same transport code.  ``allreduce_scalar`` never splits: its binomial tree
-has sequential rounds with no separable one-ended post.
+and ``combine_post``/``combine_complete``.  Every half has one body, whatever
+the payload: the POST gathers the wave's block and sends it on a fresh tag
+(the wire captures it by value then), and the WAIT receives the block and
+scatters it — for a combine, ``op.at``-accumulates the gathered partials
+and runs the return round.  Since the placement guarantees no definition
+between post and wait, a split run is bit-identical to the blocking one;
+the blocking entry points are post + complete back to back.
+``allreduce_scalar`` never splits: its binomial tree has sequential rounds
+with no separable one-ended post.
 
 All of these run in the single-process lockstep world of the SPMD executor:
 every rank is suspended at the same program point, so a collective is a
 plain loop over ranks pushing and then draining SimMPI queues.
 
-Each array collective moves its payloads one of two ways, chosen per call
-from the payload itself:
-
-block
-    One concatenated float64 block per wave, built by fancy indexing from
-    the schedule's message tables
-    (:class:`~repro.mesh.schedule.HaloSchedule`) and moved through
-    ``send_block``/``recv_block`` — zero per-message Python.  Taken when
-    the variable has a flat-store field, or when every rank holds it as a
-    1-D float64 array (:func:`_block_eligible`).
-per-message
-    One Python payload per row of the same tables
-    (:meth:`~repro.mesh.schedule.WaveSide.messages`) through
-    ``isend_batch``/``waitall_recv`` — the only path for payloads the
-    block wire cannot carry bit-exactly (non-float64 or multi-dimensional
-    arrays).
-
-On payloads both can carry the two are bit-identical — same values, same
-``CommStats`` columns, same tag sequence, same fault/retry behaviour —
-which ``tests/runtime/test_halo_waves.py`` asserts differentially over the
-whole TESTIV corpus.
+A wave is one block built by fancy indexing from the schedule's message
+tables (:class:`~repro.mesh.schedule.HaloSchedule`) — one index over the
+executor's flat store when the variable has a field there — and moved by
+``send_block``/``recv_block``.  The wire decides how to carry it: a 1-D
+float64 block goes as one slab copy with no per-message Python, anything
+else (integer, logical or multi-dimensional arrays) message by message,
+with the same accounting, channel order and fault behaviour.
+``tests/runtime/test_halo_waves.py`` holds the whole TESTIV corpus to
+bit identity against a wire that carries every wave message by message.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,7 +51,7 @@ import numpy as np
 from ..errors import RuntimeFault
 from ..mesh.schedule import HaloSchedule, WaveSide
 from .flatstore import FlatField
-from .simmpi import CollectiveRecord, Request, SimComm
+from .simmpi import CollectiveRecord, SimComm
 
 #: reduction operators by canonical name
 REDUCE_OPS: dict[str, Callable] = {
@@ -72,163 +61,97 @@ REDUCE_OPS: dict[str, Callable] = {
     "min": min,
 }
 
-#: unbuffered scatter-accumulate ufuncs for the block combine path; the
+#: unbuffered scatter-accumulate ufuncs for the combine gather round; the
 #: ``.at`` form applies repeated indices in array order, which is exactly
-#: the (owner, source) order of the per-message accumulation loop
+#: the (owner, source) order of the messages
 _ACCUM_UFUNC = {"+": np.add, "*": np.multiply,
                 "max": np.maximum, "min": np.minimum}
 
-_TAG_OVERLAP = 101
-_TAG_GATHER = 102
 _TAG_RETURN = 103
 _TAG_REDUCE = 104
 
 
-def _block_eligible(envs: list[dict], var: str) -> bool:
-    """Whether the block wire can carry ``var`` bit-exactly.
+@dataclass
+class PendingWave:
+    """One in-flight halo wave, between its POST and its WAIT.
 
-    ``send_block``/``recv_block`` move one contiguous float64 block; any
-    rank holding a non-float64 or multi-dimensional value routes the
-    whole collective down the per-message path instead.
+    ``op`` is the combine operator, or None for an overlap update; the
+    wave went out on ``tag`` over ``schedule``'s sending side, and the
+    WAIT receives it over the matching receiving side.
     """
-    for env in envs:
-        arr = env[var]
-        if not (isinstance(arr, np.ndarray) and arr.ndim == 1
-                and arr.dtype == np.float64):
-            return False
-    return True
-
-
-@dataclass
-class PendingOverlap:
-    """In-flight split-phase overlap update, between its post and wait."""
 
     comm: SimComm
     envs: list[dict]
     var: str
-    label: str
-    #: (rank, src, index array, request) in blocking-recv order
-    recvs: list[tuple[int, int, np.ndarray, Request]] = field(
-        default_factory=list)
-    sends: list[Request] = field(default_factory=list)
-    #: whether the post half took the block wire (the complete half must
-    #: match)
-    block: bool = False
-    tag: int = 0
-    #: receive side of the block wave (block path only)
-    recv_side: Optional[WaveSide] = None
-    #: flat-store field backing ``var`` (store-backed block path only)
-    field: Optional[FlatField] = None
-
-
-@dataclass
-class PendingCombine:
-    """In-flight split-phase combine, between its post and wait."""
-
-    comm: SimComm
-    envs: list[dict]
-    var: str
-    op: str
     label: str
     schedule: HaloSchedule
-    #: (owner, src, index array, request) in blocking gather-recv order
-    recvs: list[tuple[int, int, np.ndarray, Request]] = field(
-        default_factory=list)
-    sends: list[Request] = field(default_factory=list)
-    #: whether the post half took the block wire (the complete half must
-    #: match)
-    block: bool = False
-    tag: int = 0
-    #: flat-store field backing ``var`` (store-backed block path only)
-    field: Optional[FlatField] = None
+    tag: int
+    #: flat-store field backing ``var``, or None to gather rank by rank
+    field: Optional[FlatField]
+    op: Optional[str] = None
 
 
-def _gather(side: WaveSide, envs: list[dict], var: str,
-            field: Optional[FlatField]) -> np.ndarray:
-    """One wave side's send block — one fancy index over the flat store
-    when ``var`` has a field there, else a per-rank gather."""
+def _send(pending: PendingWave, side: WaveSide, tag: int) -> None:
+    """One wave out: gather ``side``'s block and send it on ``tag`` —
+    one fancy index over the flat store when ``var`` has a field there,
+    else a per-rank gather."""
+    field = pending.field
     if field is not None:
-        return side.flat_gather(field.flat, field.offsets)
-    return side.gather([env[var] for env in envs])
+        block = side.flat_gather(field.flat, field.offsets)
+    else:
+        block = side.gather([env[pending.var] for env in pending.envs])
+    pending.comm.send_block(side.srcs, side.dsts, block, side.words, tag=tag)
 
 
-def _scatter(side: WaveSide, envs: list[dict], var: str,
-             field: Optional[FlatField], block: np.ndarray,
+def _receive(pending: PendingWave, side: WaveSide, tag: int,
              op=None) -> None:
-    """Write (or ``op.at``-accumulate) one received block in place."""
+    """One wave in: receive ``side``'s block on ``tag`` and write (or
+    ``op.at``-accumulate) it in place."""
+    block, _words = pending.comm.recv_block(side.srcs, side.dsts, tag=tag)
+    field = pending.field
     if field is not None:
         side.flat_scatter(field.flat, field.offsets, block, op=op)
     else:
-        side.scatter([env[var] for env in envs], block, op=op)
+        side.scatter([env[pending.var] for env in pending.envs], block,
+                     op=op)
 
 
-def _messages(side: WaveSide, envs: list[dict],
-              var: str) -> tuple[list[int], list[int], list[np.ndarray]]:
-    """A sending side as per-message (srcs, dsts, payloads), wave order."""
-    payloads = [envs[r][var][idx] for r, _dest, idx in side.messages()]
-    return side.srcs.tolist(), side.dsts.tolist(), payloads
-
-
-def _irecvs(comm: SimComm, side: WaveSide,
-            tag: int) -> list[tuple[int, int, np.ndarray, Request]]:
-    """One irecv per receiving-side row, in blocking-recv order."""
-    return [(r, src, idx, comm.view(r).irecv(src, tag=tag))
-            for r, src, idx in side.messages()]
+def _accumulator(op: str):
+    """The scatter-accumulate ufunc of a combine operator."""
+    accum = _ACCUM_UFUNC.get(op)
+    if accum is None:
+        raise RuntimeFault(f"unknown combine operator {op!r}")
+    return accum
 
 
 def overlap_post(comm: SimComm, envs: list[dict], var: str,
                  schedule: HaloSchedule, label: str = "",
                  _log: bool = True,
                  store: Optional[dict[str, FlatField]] = None
-                 ) -> PendingOverlap:
+                 ) -> PendingWave:
     """Start an overlap update: owners' values leave now, on a fresh tag.
 
     With a flat ``store`` entry for ``var`` (executor runs), the whole
     rank-batch of values gathers through one fancy index over the flat
-    buffer; eligibility is by construction (store fields are 1-D float64
-    on every rank), so no per-rank sweep runs at all.
+    buffer.
     """
     before = _rank_words(comm)
-    tag = comm.fresh_tag()
-    pending = PendingOverlap(comm=comm, envs=envs, var=var,
-                             label=label or var, tag=tag)
-    field = store.get(var) if store is not None else None
-    if field is not None or _block_eligible(envs, var):
-        side = schedule.send
-        comm.send_block(side.srcs, side.dsts,
-                        _gather(side, envs, var, field), side.words,
-                        tag=tag)
-        pending.block = True
-        pending.recv_side = schedule.recv
-        pending.field = field
-    else:
-        pending.sends = comm.isend_batch(
-            *_messages(schedule.send, envs, var), tag=tag)
-        pending.recvs = _irecvs(comm, schedule.recv, tag)
+    pending = PendingWave(comm, envs, var, label or var, schedule,
+                          comm.fresh_tag(), (store or {}).get(var))
+    _send(pending, schedule.send, pending.tag)
     if _log:
         _log_collective(comm, f"overlap:{pending.label}", before,
                         window="posted")
     return pending
 
 
-def overlap_complete(pending: PendingOverlap, overlap_steps: int = 0,
+def overlap_complete(pending: PendingWave, overlap_steps: int = 0,
                      _log: bool = True) -> None:
     """Finish a posted overlap update: write received values in place."""
-    comm = pending.comm
-    before = _rank_words(comm)
-    if pending.block:
-        side = pending.recv_side
-        block, _words = comm.recv_block(side.srcs, side.dsts,
-                                        tag=pending.tag)
-        _scatter(side, pending.envs, pending.var, pending.field, block)
-    else:
-        incoming = comm.waitall_recv([req for *_hdr, req in pending.recvs])
-        for (r, _src, idx, _req), payload in zip(pending.recvs, incoming):
-            pending.envs[r][pending.var][idx] = payload
-        for req in pending.sends:
-            req.wait()
+    before = _rank_words(pending.comm)
+    _receive(pending, pending.schedule.recv, pending.tag)
     if _log:
-        _log_collective(comm, f"overlap:{pending.label}", before,
+        _log_collective(pending.comm, f"overlap:{pending.label}", before,
                         window="waited", overlap_steps=overlap_steps)
 
 
@@ -247,82 +170,42 @@ def combine_post(comm: SimComm, envs: list[dict], var: str,
                  schedule: HaloSchedule, op: str = "+",
                  label: str = "", _log: bool = True,
                  store: Optional[dict[str, FlatField]] = None
-                 ) -> PendingCombine:
+                 ) -> PendingWave:
     """Start a combine: the gather round (holders → owners) leaves now.
 
     The return round (owners → holders) cannot be posted yet — its payloads
     are the assembled totals, which exist only after the gather completes —
     so it runs inside :func:`combine_complete`.
     """
-    if REDUCE_OPS.get(op) is None:
-        raise RuntimeFault(f"unknown combine operator {op!r}")
+    _accumulator(op)
     before = _rank_words(comm)
-    tag = comm.fresh_tag()
-    pending = PendingCombine(comm=comm, envs=envs, var=var, op=op,
-                             label=label or var, schedule=schedule, tag=tag)
-    field = store.get(var) if store is not None else None
-    if field is not None or _block_eligible(envs, var):
-        side = schedule.gather_send
-        comm.send_block(side.srcs, side.dsts,
-                        _gather(side, envs, var, field), side.words, tag=tag)
-        pending.block = True
-        pending.field = field
-    else:
-        pending.sends = comm.isend_batch(
-            *_messages(schedule.gather_send, envs, var), tag=tag)
-        pending.recvs = _irecvs(comm, schedule.gather_recv, tag)
+    pending = PendingWave(comm, envs, var, label or var, schedule,
+                          comm.fresh_tag(), (store or {}).get(var), op)
+    _send(pending, schedule.gather_send, pending.tag)
     if _log:
         _log_collective(comm, f"combine:{pending.label}", before,
                         window="posted")
     return pending
 
 
-def combine_complete(pending: PendingCombine, overlap_steps: int = 0,
+def combine_complete(pending: PendingWave, overlap_steps: int = 0,
                      _log: bool = True) -> None:
     """Finish a posted combine: assemble partials, run the return round.
 
-    Accumulation happens in exactly the (owner, source) order of the
-    blocking collective, so split and blocking runs round identically.
-    On the block path, ``ufunc.at`` over the concatenated gather indices
-    applies repeated entries sequentially in array order — the same
-    (owner, source) sequence — so the two waves round identically too.
-    The return round (owners → holders) is blocking: its totals exist
-    only once the gather round has been assembled.
+    ``ufunc.at`` over the concatenated gather indices applies repeated
+    entries sequentially in array order — the (owner, source) order of a
+    message-by-message accumulation — so split and blocking runs round
+    identically.  The return round (owners → holders) is blocking: its
+    totals exist only once the gather round has been assembled.
     """
-    comm = pending.comm
-    envs, var, field = pending.envs, pending.var, pending.field
     schedule = pending.schedule
-    accum = _ACCUM_UFUNC[pending.op]
-    before = _rank_words(comm)
-    if pending.block:
-        side = schedule.gather_recv
-        block, _words = comm.recv_block(side.srcs, side.dsts,
-                                        tag=pending.tag)
-        _scatter(side, envs, var, field, block, op=accum)
-        side = schedule.send
-        comm.send_block(side.srcs, side.dsts,
-                        _gather(side, envs, var, field), side.words,
-                        tag=_TAG_RETURN)
-        side = schedule.recv
-        block, _words = comm.recv_block(side.srcs, side.dsts,
-                                        tag=_TAG_RETURN)
-        _scatter(side, envs, var, field, block)
-    else:
-        gathered = comm.waitall_recv([req for *_hdr, req in pending.recvs])
-        for (o, _src, idx, _req), incoming in zip(pending.recvs, gathered):
-            arr = envs[o][var]
-            arr[idx] = accum(arr[idx], incoming)
-        for req in pending.sends:
-            req.wait()
-        comm.send_batch(*_messages(schedule.send, envs, var),
-                        tag=_TAG_RETURN)
-        side = schedule.recv
-        totals = comm.recv_batch(side.srcs.tolist(), side.dsts.tolist(),
-                                 tag=_TAG_RETURN)
-        for (r, _owner, idx), payload in zip(side.messages(), totals):
-            envs[r][var][idx] = payload
+    before = _rank_words(pending.comm)
+    _receive(pending, schedule.gather_recv, pending.tag,
+             op=_accumulator(pending.op))
+    _send(pending, schedule.send, _TAG_RETURN)
+    _receive(pending, schedule.recv, _TAG_RETURN)
     if _log:
-        _log_collective(comm, f"combine:{pending.label}", before,
+        _log_collective(pending.comm, f"combine:{pending.label}", before,
                         window="waited", overlap_steps=overlap_steps)
 
 

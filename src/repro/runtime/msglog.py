@@ -182,7 +182,7 @@ class MessageLog:
                              _payload_words(payload))
 
     def record_batch(self, srcs, dsts, tag: int, payloads: list) -> None:
-        """Log one wave of per-message payloads (reference wave path)."""
+        """Log one wave of per-message payloads (non-float64 waves)."""
         if self.paused:
             return
         for s, d, p in zip(np.asarray(srcs).tolist(),

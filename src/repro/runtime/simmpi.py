@@ -6,20 +6,18 @@ built on them (:mod:`repro.runtime.halos`).  Running everything in one
 process makes cross-rank executions bit-reproducible — which is what lets
 the test suite compare SPMD against sequential runs exactly.
 
-Besides blocking ``send``/``recv``, each rank has nonblocking
-``isend``/``irecv`` returning a :class:`Request` handle; payloads are
-captured by value at post time, so a split-phase exchange transfers
-exactly the bytes a blocking call at the post point would have.  The
-communicator tracks every outstanding request —
-:meth:`SimComm.assert_no_pending_requests` is the leak detector that
-catches a POST whose WAIT never ran.
+Every send captures its payload by value, so a split-phase window —
+a wave sent at the POST, received at the WAIT — transfers exactly the
+bytes a blocking exchange at the post point would have.  There are no
+request handles: a POST whose WAIT never ran leaves its wave on the wire,
+and :meth:`SimComm.assert_drained` (CC101) names it.
 
 The wire is a :class:`~repro.runtime.ringbuf.RingTransport`: message
 headers in a preallocated numpy structured array and payloads in a
 float64 slab, so whole-fabric scans are vectorized.  Collectives move
 whole waves at once through :meth:`SimComm.send_block` /
-:meth:`SimComm.recv_block`, which the ring serves without touching
-Python per message.
+:meth:`SimComm.recv_block`; the ring serves a 1-D float64 wave without
+touching Python per message, and any other payload message by message.
 
 Every send is accounted (message count, payload words) per (source,
 destination) pair; :mod:`repro.runtime.perfmodel` turns the ledger into
@@ -303,7 +301,7 @@ class SimComm:
     (:mod:`repro.runtime.ringbuf`) and the ledger.
 
     >>> comm = SimComm(3)
-    >>> reqs = comm.isend_batch([0, 0], [1, 2], [np.arange(2.0)] * 2, tag=5)
+    >>> comm.send_batch([0, 0], [1, 2], [np.arange(2.0)] * 2, tag=5)
     >>> comm.pending_channels()
     [(0, 1, 5, 1), (0, 2, 5, 1)]
     >>> comm.view(2).recv(source=0, tag=5)
@@ -320,7 +318,6 @@ class SimComm:
         self.size = size
         self._transport = RingTransport()
         self._next_tag = self.FRESH_TAG_BASE
-        self._pending_requests: set["Request"] = set()
         self.stats = CommStats()
         #: receive retry budget in fabric steps; 0 keeps the historical
         #: fail-fast behaviour (an empty queue is an immediate deadlock)
@@ -330,10 +327,10 @@ class SimComm:
         #: default fault-free path pays one ``is not None`` check per wave
         self.msglog = None
         #: duplicate-suppression filter, non-None only while a killed
-        #: rank is being re-driven against the log; ``_live`` holds the
-        #: live (tag counter, request serial) meanwhile
+        #: rank is being re-driven against the log; ``_live_tag`` holds
+        #: the live tag counter meanwhile
         self._replay = None
-        self._live = (self._next_tag, 0)
+        self._live_tag = self._next_tag
 
     def fresh_tag(self) -> int:
         """A tag no other exchange uses — isolates one split-phase window."""
@@ -345,9 +342,6 @@ class SimComm:
         if not 0 <= rank < self.size:
             raise RuntimeFault(f"rank {rank} out of range 0..{self.size - 1}")
         return RankComm(self, rank)
-
-    def views(self) -> list["RankComm"]:
-        return [self.view(r) for r in range(self.size)]
 
     # -- transport ----------------------------------------------------------
 
@@ -453,20 +447,21 @@ class SimComm:
                 for s, d in zip(srcs, dsts)]
 
     def recv_block(self, srcs, dsts, tag: int = 0):
-        """Receive one wave as a single float64 block.
+        """Receive one wave as a single concatenated block.
 
         Returns ``(block, words)`` where ``block`` is every payload
-        back-to-back in request order and ``words[i]`` is the i-th payload
-        length.  This is the fully vectorized receive path: on the ring
-        transport no per-message Python object is created.  Falls back to
-        per-message receives (same semantics) when the transport declines.
+        back-to-back in request order and ``words[i]`` is the i-th
+        payload's length (its row count).  This is the fully vectorized
+        receive path: on the ring transport no per-message Python object
+        is created.  When the transport declines — a message not yet
+        there, or one stored per message (int64, bool, multi-dimensional)
+        — it falls back to :meth:`recv_batch`, same semantics.
         """
         out = self._transport.pop_block(srcs, dsts, tag)
         if out is not MISSING:
             return out
-        payloads = [self._recv(int(s), int(d), tag)
-                    for s, d in zip(srcs, dsts)]
-        words = np.asarray([p.size for p in payloads], np.int64)
+        payloads = self.recv_batch(srcs, dsts, tag)
+        words = np.asarray([len(p) for p in payloads], np.int64)
         block = np.concatenate(payloads) if payloads else \
             np.zeros(0, np.float64)
         return block, words
@@ -489,10 +484,7 @@ class SimComm:
 
     def ledger(self) -> dict:
         """Outstanding fabric state, attached to every :class:`CommTimeout`."""
-        return {
-            "messages": self.pending_channels(),
-            "requests": [repr(r) for r in self.pending_requests()],
-        }
+        return {"messages": self.pending_channels()}
 
     def _ledger_text(self) -> str:
         parts = []
@@ -502,9 +494,6 @@ class SimComm:
                 f"{s}->{d} tag={t} x{n}" for s, d, t, n in channels[:8]))
             if len(channels) > 8:
                 parts.append(f"… ({len(channels)} channels)")
-        reqs = self.pending_requests()
-        if reqs:
-            parts.append(f"{len(reqs)} pending request(s)")
         return ("; " + "; ".join(parts)) if parts else ""
 
     def assert_drained(self) -> None:
@@ -542,15 +531,24 @@ class SimComm:
         self._send_batch(srcs, dsts, tag, payloads)
 
     def send_block(self, srcs, dsts, block, words, tag: int = 0) -> None:
-        """Blocking-send one wave as a single concatenated float64 block.
+        """Blocking-send one wave as a single concatenated block.
 
-        ``block`` holds every payload back-to-back; message i is the
-        ``words[i]``-word slice starting at ``words[:i].sum()``.  The
-        natural inverse of :meth:`recv_block` and the fastest send path:
-        the ring transport delivers the whole wave with one slab copy and
-        one vectorized header write, no per-message Python.  Semantics
-        (accounting, channel FIFO order, fault rules) are identical to
-        the equivalent :meth:`send_batch` of float64 slices.
+        ``block`` holds every payload back-to-back along its first axis;
+        message i is the ``words[i]``-row slice starting at
+        ``words[:i].sum()``.  The natural inverse of :meth:`recv_block`.
+        A 1-D float64 block takes the fastest send path: the ring
+        transport delivers the whole wave with one slab copy and one
+        vectorized header write, no per-message Python.  Any other block
+        (int64, bool, multi-dimensional), and every send under replay,
+        goes through :meth:`send_batch` of the slices — the ring then
+        stores int64 payloads as int64 slab words and the rest as
+        objects.  Semantics (accounting, channel FIFO order, fault rules)
+        are those of that :meth:`send_batch` either way.
+
+        >>> comm = SimComm(2)
+        >>> comm.send_block([0], [1], np.arange(3), [3], tag=4)
+        >>> comm.recv_block([0], [1], tag=4)
+        (array([0, 1, 2]), array([3]))
         """
         srcs = np.ascontiguousarray(srcs, np.int64)
         dsts = np.ascontiguousarray(dsts, np.int64)
@@ -560,14 +558,16 @@ class SimComm:
         if int(dsts.min()) < 0 or int(dsts.max()) >= self.size:
             bad = [d for d in dsts.tolist() if not 0 <= d < self.size]
             raise RuntimeFault(f"send to invalid rank {bad[0]}")
-        block = np.ascontiguousarray(block, np.float64)
-        if block.size != int(words.sum()):
+        block = np.asarray(block)
+        if len(block) != int(words.sum()):
             raise RuntimeFault(
-                f"send_block: block holds {block.size} word(s) but the "
+                f"send_block: block holds {len(block)} row(s) but the "
                 f"words column sums to {int(words.sum())}")
-        if self._replay is not None:
+        if (self._replay is not None or block.ndim != 1
+                or block.dtype != np.float64):
             return self._send_batch(srcs, dsts, tag,
                                     np.split(block, np.cumsum(words)[:-1]))
+        block = np.ascontiguousarray(block)
         self.stats.note_batch(srcs, dsts, words)
         self._deliver_block(srcs, dsts, tag, block, words)
 
@@ -582,72 +582,6 @@ class SimComm:
         self._transport.push_block(srcs, dsts, tag, block, words)
         if self.msglog is not None:
             self.msglog.record_block(srcs, dsts, tag, block, words)
-
-    # -- nonblocking requests ------------------------------------------------
-
-    def isend_batch(self, srcs, dsts, payloads: list,
-                    tag: int = 0) -> list["Request"]:
-        """Post one wave of nonblocking sends; payloads captured now.
-
-        Returns the :class:`Request` handles in wave order, with the same
-        serial numbering a loop of ``view(s).isend(…)`` calls would
-        produce.
-        """
-        self._send_batch(srcs, dsts, tag, payloads)
-        return [Request(self, "send", int(s), int(d), tag)
-                for s, d in zip(srcs, dsts)]
-
-    def waitall_recv(self, requests: list["Request"]) -> list:
-        """Complete a wave of irecv handles; payloads in request order.
-
-        Semantically ``[r.wait() for r in requests]``, but when every
-        message has already arrived the whole wave resolves with one
-        vectorized transport match.  Any miss (or mixed tags) falls back
-        to sequential waits, so retry/timeout behaviour under faults is
-        exactly the sequential one.
-        """
-        if not requests:
-            return []
-        tag = requests[0].tag
-        out = MISSING
-        if all(r.kind == "recv" and not r.done and r.tag == tag
-               for r in requests):
-            out = self._transport.pop_batch([r.src for r in requests],
-                                            [r.dest for r in requests], tag)
-        if out is MISSING:
-            return [r.wait() for r in requests]
-        for r in requests:
-            r.done = True
-            self._pending_requests.discard(r)
-        return out
-
-    def pending_requests(self) -> list["Request"]:
-        """Outstanding isend/irecv handles nobody has waited on yet,
-        sorted by (src, dst, tag, serial) for deterministic diagnostics."""
-        return sorted(self._pending_requests,
-                      key=lambda r: (r.src, r.dest, r.tag, r.serial))
-
-    def assert_no_pending_requests(self) -> None:
-        """Leak detector: fail if any request was posted but never waited.
-
-        Every leaked request is named with its kind and (src, dst, tag)
-        channel, in sorted channel order so the failure text is
-        deterministic across runs and diffable in CI logs.
-        """
-        left = self.pending_requests()
-        if left:
-            detail = ", ".join(str(r) for r in left[:8])
-            more = f", … ({len(left)} total)" if len(left) > 8 else ""
-            from ..analysis.diagnostics import Diagnostic
-            diag = Diagnostic(
-                code="CC102",
-                message=f"{len(left)} request(s) posted but never waited: "
-                        f"{detail}{more}",
-                data={"requests": [[r.kind, r.src, r.dest, r.tag]
-                                   for r in left]})
-            err = RuntimeFault(f"CC102: {diag.message}")
-            err.diagnostic = diag
-            raise err
 
     # -- localized restart ---------------------------------------------------
 
@@ -664,22 +598,18 @@ class SimComm:
         live counter back.
         """
         self._replay = filt
-        self._live = (self._next_tag, Request._serial)
+        self._live_tag = self._next_tag
         self._next_tag = next_tag
 
     def end_replay(self) -> None:
         """Remove the replay filter and put the live tag counter back.
 
         A window still open at the failure boundary was re-posted by the
-        replay, but the live wait completes it through the *original*
-        requests (still registered, matching the messages still on the
-        wire) — the replay's duplicates are dropped here, or the run
-        would end on a CC102 leak.
+        replay, its sends all suppressed; the live WAIT receives the
+        original wave, still on the wire.
         """
         self._replay = None
-        self._next_tag, serial = self._live
-        self._pending_requests = {r for r in self._pending_requests
-                                  if r.serial <= serial}
+        self._next_tag = self._live_tag
 
     # -- checkpoint support --------------------------------------------------
 
@@ -698,47 +628,8 @@ class SimComm:
     def transport_restore(self, snap: dict) -> None:
         """Rewind to a :meth:`transport_snapshot` (checkpoint recovery)."""
         self._transport.restore(snap["wire"])
-        self._pending_requests.clear()
         self._next_tag = snap["next_tag"]
         self.stats.restore(snap["stats"])
-
-
-class Request:
-    """Handle for one nonblocking operation; :meth:`wait` completes it.
-
-    An isend captures its payload by value immediately (so later writes to
-    the source array cannot alter the message) and its wait is pure
-    bookkeeping; an irecv's wait performs the matching dequeue and returns
-    the payload.  Waiting twice is an error — the executor's post/wait
-    pairing is meant to be exactly one-to-one.
-    """
-
-    _serial = 0
-
-    def __init__(self, comm: SimComm, kind: str, src: int, dest: int,
-                 tag: int):
-        self.comm = comm
-        self.kind = kind  # "send" | "recv"
-        self.src = src
-        self.dest = dest
-        self.tag = tag
-        self.done = False
-        Request._serial += 1
-        self.serial = Request._serial
-        comm._pending_requests.add(self)
-
-    def __repr__(self) -> str:
-        return (f"Request({self.kind} {self.src}->{self.dest} "
-                f"tag={self.tag})")
-
-    def wait(self) -> Any:
-        if self.done:
-            raise RuntimeFault(f"{self!r} waited twice")
-        self.done = True
-        self.comm._pending_requests.discard(self)
-        if self.kind == "recv":
-            return self.comm._recv(self.src, self.dest, self.tag)
-        return None
 
 
 @dataclass
@@ -746,8 +637,9 @@ class RankComm:
     """One rank's handle on the communicator (mpi4py-flavoured API).
 
     >>> comm = SimComm(2)
-    >>> comm.view(0).isend(np.arange(3), dest=1, tag=2)
-    Request(send 0->1 tag=2)
+    >>> comm.view(0).send(np.arange(3), dest=1, tag=2)
+    >>> comm.view(1).recv(source=0, tag=2)
+    array([0, 1, 2])
     """
 
     comm: SimComm
@@ -762,12 +654,3 @@ class RankComm:
 
     def recv(self, source: int, tag: int = 0) -> Any:
         return self.comm._recv(source, self.rank, tag)
-
-    def isend(self, payload: Any, dest: int, tag: int = 0) -> Request:
-        """Nonblocking send: the payload is captured by value now."""
-        self.comm._send(self.rank, dest, tag, payload)
-        return Request(self.comm, "send", self.rank, dest, tag)
-
-    def irecv(self, source: int, tag: int = 0) -> Request:
-        """Nonblocking receive: ``wait()`` dequeues and returns the payload."""
-        return Request(self.comm, "recv", source, self.rank, tag)

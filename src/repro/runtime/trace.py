@@ -182,7 +182,7 @@ def render_fault_report(kind: str, var: str, anchor: str,
     """Per-rank deadlock-watchdog diagnostic for a stalled communication.
 
     ``exc`` is the :class:`~repro.errors.CommTimeout` the fabric raised;
-    its ledger names every in-flight channel and leaked request.  The
+    its ledger names every in-flight, dropped and delayed channel.  The
     report says which CommOp stalled, at which anchor, which peer's
     message is missing, and what each rank had done by then — everything
     a failed fault-injection run needs to be debugged from the log alone.
@@ -202,7 +202,6 @@ def render_fault_report(kind: str, var: str, anchor: str,
                      f"{exc.waited} retry step(s)")
     ledger = getattr(exc, "ledger", {}) or {}
     messages = ledger.get("messages", [])
-    requests = ledger.get("requests", [])
     dropped = ledger.get("dropped", [])
     delayed = ledger.get("delayed", [])
     # One endpoint-column pass per ledger, then a masked scan per rank —
@@ -228,8 +227,6 @@ def render_fault_report(kind: str, var: str, anchor: str,
                 notes.append(notes_by_entry[i])
         detail = "; ".join(notes) if notes else "all exchanges matched"
         lines.append(f"  r{rank:<3} {steps:>8} steps  {detail}")
-    if requests:
-        lines.append(f"  outstanding requests: {', '.join(requests[:8])}")
     if timeline is not None and timeline.events:
         label, _snap = timeline.events[-1]
         lines.append(f"  last completed collective: {label} "

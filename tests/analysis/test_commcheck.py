@@ -586,15 +586,6 @@ class TestRuntimeDiagnostics:
         diag = exc.value.diagnostic
         assert diag.code == "CC101" and diag.data["channels"]
 
-    def test_cc102_leaked_request(self):
-        from repro.runtime.simmpi import SimComm
-
-        comm = SimComm(2)
-        comm.view(0).isend(np.zeros(2), dest=1, tag=3)
-        with pytest.raises(RuntimeFault, match="CC102") as exc:
-            comm.assert_no_pending_requests()
-        assert exc.value.diagnostic.code == "CC102"
-
     def test_pipeline_strict_mode_raises_on_findings(self, testiv):
         from repro.driver import check
 

@@ -1,16 +1,21 @@
 """Shared fixtures: the reference implementations differentials compare to.
 
 Production has one wire (:class:`~repro.runtime.ringbuf.RingTransport`),
-picks the halo path from the payload and, on the vector backend, runs
-each fusable loop once for all ranks.  The differential suites still
-compare against three references, reached only through these fixtures:
+one halo body whose waves the wire carries as one block when they are
+1-D float64 and message by message otherwise, and, on the vector
+backend, runs each fusable loop once for all ranks.  The differential
+suites still compare against three references, reached only through
+these fixtures:
 
 ``reference_wire``
     the deque-per-channel transport of ``tests/runtime/reference_wire.py``
     swapped in for the class ``SimComm`` constructs;
 ``reference_halos``
-    the per-message halo path forced for every payload, by declaring
-    nothing block-eligible and hiding the executor's flat store;
+    every halo wave routed over the wire one message at a time:
+    ``send_block`` becomes ``_send_batch`` of the split block and
+    ``recv_block`` becomes ``recv_batch`` plus a concatenate — the path
+    production keeps for non-float payloads, replay and rule-matched
+    faults;
 ``reference_compute``
     every fused loop served rank by rank instead of in one sweep, through
     the executor's own single-rank serving path (the one localized
@@ -29,9 +34,10 @@ can never silently compare production to production.
 
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
-from repro.runtime import executor, halos, simmpi
+from repro.runtime import executor, simmpi
 from tests.runtime.reference_wire import DequeTransport
 
 
@@ -62,31 +68,33 @@ def _reference_wire():
 
 @contextmanager
 def _reference_halos():
-    calls = {"send_block": 0, "isend_batch": 0}
+    routed = []   # waves sent message by message inside the block
+    blocks = []   # block waves that reached the wire anyway
+    deliver_block = simmpi.SimComm._deliver_block
 
-    def counting(name):
-        real = getattr(simmpi.SimComm, name)
+    def send_block(self, srcs, dsts, block, words, tag=0):
+        routed.append(tag)
+        self._send_batch(srcs, dsts, tag,
+                         np.split(np.asarray(block), np.cumsum(words)[:-1]))
 
-        def wrapper(self, *args, **kwargs):
-            calls[name] += 1
-            return real(self, *args, **kwargs)
-        return wrapper
+    def recv_block(self, srcs, dsts, tag=0):
+        payloads = self.recv_batch(srcs, dsts, tag)
+        words = np.asarray([len(p) for p in payloads], np.int64)
+        block = np.concatenate(payloads) if payloads else np.zeros(0)
+        return block, words
+
+    def counting_deliver_block(self, *args):
+        blocks.append(args)
+        deliver_block(self, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(halos, "_block_eligible", lambda envs, var: False)
-        # a store field short-circuits the eligibility predicate: make the
-        # executor's store read as absent (its flat buffers still back the
-        # rank envs, exactly as on the production path)
-        mp.setattr(executor.SPMDExecutor, "_store",
-                   property(lambda self: None, lambda self, value: None),
-                   raising=False)
-        for name in calls:
-            mp.setattr(simmpi.SimComm, name, counting(name))
+        mp.setattr(simmpi.SimComm, "send_block", send_block)
+        mp.setattr(simmpi.SimComm, "recv_block", recv_block)
+        mp.setattr(simmpi.SimComm, "_deliver_block", counting_deliver_block)
         yield
-    assert calls["send_block"] == 0, \
-        f"{calls['send_block']} block wave(s) sent under reference_halos"
-    assert calls["isend_batch"] > 0, \
-        "no per-message halo wave was posted under reference_halos"
+    assert not blocks, \
+        f"{len(blocks)} block wave(s) sent under reference_halos"
+    assert routed, "no per-message halo wave was routed under reference_halos"
 
 
 @contextmanager
@@ -112,7 +120,7 @@ def reference_wire():
 
 @pytest.fixture
 def reference_halos():
-    """``with reference_halos():`` — halos take the per-message path."""
+    """``with reference_halos():`` — halo waves go message by message."""
     return _reference_halos
 
 

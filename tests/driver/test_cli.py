@@ -201,6 +201,23 @@ class TestCLI:
         assert rc == 1
         assert "unknown fault clause" in capsys.readouterr().err
 
+    def test_run_mode_negative_comm_timeout_reports_error(self, files,
+                                                          tmp_path, capsys):
+        from repro.mesh import structured_tri_mesh, write_mesh
+
+        write_mesh(structured_tri_mesh(4, 4), tmp_path / "m.mesh")
+        prog, spec = files
+        err = self._bad([prog, spec, "--run", str(tmp_path / "m.mesh"),
+                         "--fault-plan", "drop count=1; seed=3",
+                         "--comm-timeout", "-4",
+                         "--field", "init=random",
+                         "--field", "airetri=triangle-areas",
+                         "--field", "airesom=node-areas",
+                         "--set", "epsilon=1e-9", "--set", "maxloop=3"],
+                        capsys)
+        assert "comm_timeout must be a non-negative integer" in err
+        assert "-4" in err
+
     def test_run_mode_triangle_files(self, files, tmp_path, capsys):
         from repro.mesh import random_delaunay_mesh, write_triangle
 

@@ -1,8 +1,9 @@
 """Structural rules of ``src/repro``, read off the syntax tree.
 
 A deleted name nothing imports needs no guard; a *shape* does: one halo
-schedule over two tables, a boundary loop without closures, one kernel
-compiler, one interpreter compiler — and the rule the single placement
+schedule over two tables, one body per halo collective half, a boundary
+loop without closures, one kernel compiler, one interpreter compiler —
+and the rule the single placement
 judge rests on: ``placement/comms.py``'s privates stay inside
 ``repro/placement/``.
 """
@@ -56,6 +57,20 @@ def test_the_boundary_loop_is_a_loop_not_a_nest_of_closures():
     init = fns["__init__"].args
     assert [a.arg for a in init.args + init.kwonlyargs] \
         == "self sub spec placement partition backend".split()
+
+
+def test_halo_collectives_have_one_body():
+    # every wave is a send at the POST and a receive at the WAIT; the wire,
+    # not the collective, decides how a payload travels
+    tree = _tree("runtime/halos.py")
+    assert [n for n in _defs(tree, ast.ClassDef) if n.startswith("Pending")] \
+        == ["PendingWave"]
+    fns = _defs(tree, ast.FunctionDef)
+    for name in ("overlap_post", "overlap_complete",
+                 "combine_post", "combine_complete"):
+        tests = [ast.unparse(n.test) for n in ast.walk(fns[name])
+                 if isinstance(n, (ast.If, ast.IfExp))]
+        assert tests == ["_log"], f"{name} branches on {tests}"
 
 
 def test_vectorize_keeps_one_kernel_class_and_one_compiler():

@@ -235,6 +235,21 @@ class TestDropFaults:
         assert "dropped" in ei.value.ledger
         assert ei.value.ledger["dropped"]
 
+    @pytest.mark.parametrize("budget", [-4, -1, 2.0, True, "8", None])
+    def test_bad_comm_timeout_rejected_before_any_rank_runs(
+            self, setup, budget, monkeypatch):
+        from repro.runtime import executor as executor_module
+
+        mesh = setup[0]
+        monkeypatch.setattr(
+            executor_module, "make_comm",
+            lambda *a, **k: pytest.fail("a communicator was built"))
+        with pytest.raises(RuntimeFault, match="comm_timeout must be a "
+                                               "non-negative integer"):
+            executor(setup).run(inputs_for(mesh),
+                                faults=FaultPlan.parse("drop count=1"),
+                                comm_timeout=budget)
+
 
 class TestDelayFaults:
     def test_delay_recovered_by_retries(self, setup, baseline):
@@ -518,3 +533,15 @@ class TestAdversarialChecker:
         b[0]["s"] = 2
         assert "scalar 's'" in envs_bit_identical(a, b)
         assert "rank count" in envs_bit_identical(a, a + b)
+
+    def test_envs_bit_identical_compares_bits(self):
+        # equal values with different bits diverge; a NaN matches itself
+        assert "array 'x'" in envs_bit_identical(
+            [{"x": np.array([0.0])}], [{"x": np.array([-0.0])}])
+        nan = np.array([1.0, np.nan])
+        assert envs_bit_identical([{"x": nan}], [{"x": nan.copy()}]) is None
+        assert "scalar 's'" in envs_bit_identical([{"s": 0.0}],
+                                                  [{"s": -0.0}])
+        assert envs_bit_identical([{"s": float("nan")}],
+                                  [{"s": float("nan")}]) is None
+        assert "scalar 's'" in envs_bit_identical([{"s": 1}], [{"s": 1.0}])

@@ -116,9 +116,6 @@ class _FakeComm:
     def pending_messages(self):
         return 0
 
-    def pending_requests(self):
-        return 0
-
     def transport_snapshot(self):
         return {}
 

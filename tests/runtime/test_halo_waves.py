@@ -1,16 +1,17 @@
-"""Differential oracle: block-wave halos must be indistinguishable.
+"""Differential oracle: block waves must be indistinguishable from messages.
 
-The per-message halo path is the reference (forced for every payload by
-the ``reference_halos`` fixture); the block-wave path (one concatenated
-float64 block per wave through ``send_block``/``recv_block``) is what
-production picks for float64 fields.  These tests replay the whole
-TESTIV placement corpus — all 16 ranked placements, blocking and
-split-phase — on the production path and against each reference (the
-per-message halos, and both halo paths over the deque wire) and require
+Every halo wave is one ``send_block`` at the POST and one ``recv_block``
+at the WAIT; the wire carries a 1-D float64 wave as one slab block and
+anything else message by message.  The ``reference_halos`` fixture
+routes *every* wave message by message — the path production keeps for
+non-float payloads, replay and rule-matched faults.  These tests replay
+the whole TESTIV placement corpus — all 16 ranked placements, blocking
+and split-phase — on the production path and against each reference
+(the per-message wire, and both over the deque transport) and require
 *bit identity*: final environments, the CollectiveRecord stream,
 traffic totals, and a clean drain.  A seeded fault sweep then checks the
-two paths present the same message sequence to a hostile fabric: same
-recovery, same failure diagnostics, same checkpoint replay.
+two carry the same message sequence to a hostile fabric: same recovery,
+same failure diagnostics, same checkpoint replay.
 """
 
 from contextlib import nullcontext
@@ -30,7 +31,7 @@ from repro.runtime import (
 )
 from repro.runtime.faults import FaultRule, soak_check
 from repro.runtime.halos import combine_complete, combine_post, \
-    combine_update, overlap_post, overlap_update
+    combine_update, overlap_complete, overlap_post, overlap_update
 from repro.spec import spec_for_testiv
 from tests.halo_views import halo_schedule
 
@@ -54,7 +55,8 @@ def setup():
 
 @pytest.fixture
 def waves(reference_halos):
-    """Both halo paths by name: production block, per-message reference."""
+    """Both wave carriers by name: production block, per-message
+    reference."""
     return {"block": nullcontext, "per-message": reference_halos}
 
 
@@ -66,6 +68,19 @@ def _run(setup, index, split=False, plan_text=None, timeout=0):
     plan = FaultPlan.parse(plan_text) if plan_text else None
     ex = SPMDExecutor(placements.sub, spec, placement, partition)
     return ex.run(dict(values), faults=plan, comm_timeout=timeout)
+
+
+def _batch_spy(monkeypatch):
+    """Record the payload dtypes of every wave ``_send_batch`` carries —
+    the waves the wire sends message by message."""
+    batches = []
+    real = SimComm._send_batch
+
+    def spy(self, srcs, dsts, tag, payloads):
+        batches.append([p.dtype for p in payloads])
+        return real(self, srcs, dsts, tag, payloads)
+    monkeypatch.setattr(SimComm, "_send_batch", spy)
+    return batches
 
 
 def _record_stream(stats):
@@ -87,12 +102,12 @@ def _assert_twin(block, msgs, where):
 class TestCorpusWaveDifferential:
     """All 16 placements × {blocking, split}: production vs each reference.
 
-    The production run (ring wire, block halos) is compared with the
-    per-message halos on the ring, the block halos on the deque wire,
-    and both references at once — so block ≡ per-message holds on either
+    The production run (ring wire, block waves) is compared with
+    per-message waves on the ring, block waves on the deque wire, and
+    both references at once — so block ≡ per-message holds on either
     wire.  The executor itself asserts a clean drain (``assert_drained``
-    and ``assert_no_pending_requests`` run on every successful
-    ``run()``), so a completed pair here *is* a drained pair.
+    runs on every successful ``run()``), so a completed pair here *is* a
+    drained pair.
     """
 
     def test_all_16_placements_both_phases_both_transports(
@@ -115,7 +130,7 @@ class TestCorpusWaveDifferential:
 
 
 class TestWaveFaultRegression:
-    """A hostile fabric must not tell the two wave paths apart."""
+    """A hostile fabric must not tell the two wave carriers apart."""
 
     #: the first fresh tag — the corpus' first overlap/gather window
     HALO_TAG = SimComm.FRESH_TAG_BASE
@@ -165,25 +180,32 @@ class TestWaveFaultRegression:
 
 
 class TestWaveEligibility:
-    """The payload alone picks the path: no argument, no store."""
+    """The payload alone picks how the wire carries a wave: no argument,
+    no store."""
 
     def _schedule(self):
         idx = np.array([0], dtype=np.int64)
         return halo_schedule(holder=[{}, {0: idx}], owner=[{1: idx}, {}])
 
-    def test_non_float64_falls_back_to_messages(self):
+    def test_non_float64_falls_back_to_messages(self, monkeypatch):
+        batches = _batch_spy(monkeypatch)
         comm = SimComm(2)
-        envs = [{"v": np.arange(4, dtype=np.int64)},
+        envs = [{"v": np.arange(4, dtype=np.int64) + 1},
                 {"v": np.zeros(4, dtype=np.int64)}]
-        pending = overlap_post(comm, envs, "v", self._schedule())
-        assert not pending.block
+        overlap_complete(overlap_post(comm, envs, "v", self._schedule()))
+        assert batches == [[np.dtype(np.int64)]]
+        assert envs[1]["v"].tolist() == [1, 0, 0, 0]
+        assert envs[1]["v"].dtype == np.int64
+        comm.assert_drained()
 
-    def test_float64_takes_the_block_path(self):
+    def test_float64_takes_the_block_path(self, monkeypatch):
+        batches = _batch_spy(monkeypatch)
         comm = SimComm(2)
-        envs = [{"v": np.arange(4.0)}, {"v": np.zeros(4)}]
-        pending = overlap_post(comm, envs, "v", self._schedule())
-        assert pending.block
-        assert pending.recv_side is not None
+        envs = [{"v": np.arange(4.0) + 1}, {"v": np.zeros(4)}]
+        overlap_complete(overlap_post(comm, envs, "v", self._schedule()))
+        assert batches == []
+        assert envs[1]["v"][0] == 1.0
+        comm.assert_drained()
 
     @pytest.mark.parametrize("make", [
         lambda n: np.arange(n, dtype=np.int64) + 1,
@@ -192,12 +214,9 @@ class TestWaveEligibility:
     def test_ineligible_payloads_complete_per_message(self, make,
                                                       monkeypatch):
         """int64 and 2-D fields go through ``overlap_update`` and
-        ``combine_update`` with no argument naming a path: zero block
-        waves, right values, dtype and shape preserved."""
-        blocks = []
-        monkeypatch.setattr(
-            SimComm, "send_block",
-            lambda self, *a, **k: blocks.append(a))
+        ``combine_update`` with no argument naming a path: every wave
+        message by message, right values, dtype and shape preserved."""
+        batches = _batch_spy(monkeypatch)
         src = make(4)
         idx = np.array([1, 2], dtype=np.int64)
         comm = SimComm(2)
@@ -210,10 +229,12 @@ class TestWaveEligibility:
         combine_update(comm, envs, "v", sched)
         for env in envs:
             assert np.array_equal(env["v"][idx], 2 * src[idx])
+            assert env["v"].dtype == src.dtype
             assert env["v"].shape == src.shape
         comm.assert_drained()
-        assert not blocks
+        assert batches == [[src.dtype]] * 3
         assert comm.stats.total_messages() == 3
+        assert comm.stats.total_words() == 3 * src[idx].size
 
     def test_empty_wave_completes(self):
         # ranks sharing nothing: the block path must move zero words and
@@ -248,21 +269,30 @@ class TestCombineWaveOps:
         diff = envs_bit_identical(outs["block"], outs["per-message"])
         assert diff is None, f"op {op}: {diff}"
 
-    def test_split_phase_combine_bit_identical(self, waves):
+    def test_split_phase_combine_bit_identical(self, waves, monkeypatch):
         rng = np.random.default_rng(9)
         base = [rng.standard_normal(4), rng.standard_normal(4)]
         outs = {}
+        batches = _batch_spy(monkeypatch)
         for wave, path in waves.items():
             envs = [{"v": base[0].copy()}, {"v": base[1].copy()}]
             comm = SimComm(2)
+            del batches[:]
             with path():
                 pending = combine_post(comm, envs, "v", self._schedule(),
                                        op="+")
-                assert pending.block == (wave == "block")
                 combine_complete(pending)
             comm.assert_drained()
-            comm.assert_no_pending_requests()
+            # gather round + return round, each one message
+            assert comm.stats.total_messages() == 2
+            assert len(batches) == (0 if wave == "block" else 2), wave
+            for env, b in zip(envs, base):
+                assert env["v"].dtype == b.dtype
+                assert env["v"].shape == b.shape
             outs[wave] = envs
+        total = base[0][1:3] + base[1][1:3]
+        for env in outs["block"]:
+            assert env["v"][1:3].tolist() == total.tolist()
         diff = envs_bit_identical(outs["block"], outs["per-message"])
         assert diff is None, diff
 
@@ -274,13 +304,13 @@ class TestReferenceHalosFixture:
     def test_production_run_sends_blocks_reference_run_none(
             self, setup, reference_halos, monkeypatch):
         sent = []
-        real = SimComm.send_block
+        real = SimComm._deliver_block
 
-        def counting_send_block(self, *args, **kwargs):
+        def counting_deliver_block(self, *args):
             sent.append(1)
-            return real(self, *args, **kwargs)
+            return real(self, *args)
 
-        monkeypatch.setattr(SimComm, "send_block", counting_send_block)
+        monkeypatch.setattr(SimComm, "_deliver_block", counting_deliver_block)
         _run(setup, 0)
         assert sent, "the production run never took the block path"
         del sent[:]
@@ -289,11 +319,14 @@ class TestReferenceHalosFixture:
         assert not sent
 
     def test_block_wave_under_the_fixture_is_rejected(self, reference_halos):
+        # a block that bypasses send_block still reaches the wire as one
+        # block: the fixture must refuse to call that run a reference
         comm = SimComm(2)
         with pytest.raises(AssertionError, match="block wave"):
             with reference_halos():
-                comm.isend_batch([0], [1], [np.zeros(1)], tag=3)
-                comm.send_block([0], [1], np.zeros(2), [2], tag=5)
+                comm.send_block([0], [1], np.zeros(1), [1], tag=3)
+                comm._deliver_block(np.array([0]), np.array([1]), 5,
+                                    np.zeros(2), np.array([2]))
 
     def test_empty_block_is_rejected(self, reference_halos):
         with pytest.raises(AssertionError, match="no per-message"):

@@ -207,7 +207,6 @@ class TestZeroOverlapRanks:
         envs = self._envs()
         overlap_update(comm, envs, "v", self._no_peer_overlap())
         comm.assert_drained()
-        comm.assert_no_pending_requests()
         assert comm.stats.total_messages() == 0
         _label, msgs, words = comm.stats.collectives[0]
         assert sum(msgs) == 0 and sum(words) == 0
@@ -218,7 +217,6 @@ class TestZeroOverlapRanks:
         envs = self._envs()
         overlap_update(comm, envs, "v", self._empty_payload_overlap())
         comm.assert_drained()
-        comm.assert_no_pending_requests()
         # the empty message is still a message (latency), but carries
         # nothing (volume)
         assert comm.stats.total_messages() == 1
@@ -232,7 +230,6 @@ class TestZeroOverlapRanks:
                                self._empty_payload_overlap())
         overlap_complete(pending, overlap_steps=3)
         comm.assert_drained()
-        comm.assert_no_pending_requests()
         posted, waited = comm.stats.collectives
         assert posted.window == "posted" and waited.window == "waited"
         assert sum(posted.words) == 0 and sum(waited.words) == 0
@@ -242,7 +239,6 @@ class TestZeroOverlapRanks:
         envs = self._envs()
         combine_update(comm, envs, "v", self._empty_payload_combine())
         comm.assert_drained()
-        comm.assert_no_pending_requests()
         # one empty gather message and one empty return message
         assert comm.stats.total_messages() == 2
         assert comm.stats.total_words() == 0
@@ -256,7 +252,6 @@ class TestZeroOverlapRanks:
                                self._empty_payload_combine())
         combine_complete(pending, overlap_steps=2)
         comm.assert_drained()
-        comm.assert_no_pending_requests()
         posted, waited = comm.stats.collectives
         assert posted.window == "posted" and waited.window == "waited"
         assert sum(posted.msgs) > 0  # the gather-round empty message

@@ -201,8 +201,8 @@ class TestLocalizedRestart:
     def test_per_message_split_windows_every_rank_every_event(
             self, setup, reference_halos):
         # a window still open at the kill boundary is re-posted by the
-        # replay; on the per-message wire that registers duplicate
-        # Requests, which must be dropped when replay ends (else CC102)
+        # replay, its sends suppressed message by message; the live WAIT
+        # must then receive the original wave still on the wire
         with reference_halos():
             base = _run(setup, split=True)
             nevents = len(base.timeline.events)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.errors import CommTimeout, RuntimeFault
-from repro.runtime import CollectiveRecord, SimComm
+from repro.runtime import (
+    CollectiveRecord,
+    SimComm,
+    overlap_complete,
+    overlap_post,
+)
+from tests.halo_views import halo_schedule
 
 
 class TestTransport:
@@ -78,36 +84,31 @@ class TestTransport:
 
 
 class TestNonblocking:
-    def test_isend_irecv_roundtrip(self):
-        comm = SimComm(2)
-        s = comm.view(0).isend(np.arange(3.0), dest=1, tag=7)
-        r = comm.view(1).irecv(source=0, tag=7)
-        np.testing.assert_array_equal(r.wait(), [0, 1, 2])
-        assert s.wait() is None
+    """Split-phase windows over the wire: a wave sent at the POST and
+    received at the WAIT, with no handle in between."""
+
+    def _schedule(self):
+        idx = np.array([0, 2], dtype=np.int64)
+        return halo_schedule(holder=[{}, {0: idx}], owner=[{1: idx}, {}])
 
     def test_payload_captured_at_post_time(self):
         """Bit-identity hinges on this: writes after the post must not
         alter what was sent."""
         comm = SimComm(2)
-        arr = np.arange(4.0)
-        comm.view(0).isend(arr, dest=1)
-        arr[:] = 99.0
-        r = comm.view(1).irecv(source=0)
-        np.testing.assert_array_equal(r.wait(), [0, 1, 2, 3])
+        envs = [{"v": np.arange(4.0)}, {"v": np.zeros(4)}]
+        pending = overlap_post(comm, envs, "v", self._schedule())
+        envs[0]["v"][:] = 99.0
+        overlap_complete(pending)
+        np.testing.assert_array_equal(envs[1]["v"], [0.0, 0.0, 2.0, 0.0])
+        comm.assert_drained()
 
     def test_double_wait_raises(self):
         comm = SimComm(2)
-        comm.view(0).isend(1, dest=1, tag=3)
-        r = comm.view(1).irecv(source=0, tag=3)
-        r.wait()
-        with pytest.raises(RuntimeFault, match="twice"):
-            r.wait()
-
-    def test_unmatched_irecv_wait_is_deadlock(self):
-        comm = SimComm(2)
-        r = comm.view(1).irecv(source=0, tag=9)
+        envs = [{"v": np.arange(4.0)}, {"v": np.zeros(4)}]
+        pending = overlap_post(comm, envs, "v", self._schedule())
+        overlap_complete(pending)
         with pytest.raises(RuntimeFault, match="deadlock"):
-            r.wait()
+            overlap_complete(pending)
 
     def test_fresh_tags_are_unique_and_above_static(self):
         comm = SimComm(2)
@@ -117,35 +118,42 @@ class TestNonblocking:
 
 
 class TestRequestLeakDetector:
+    """A POST whose WAIT never ran leaves its wave on the wire: the drain
+    check (CC101) is the leak detector, naming the channel."""
+
+    def _post(self, comm):
+        idx = np.array([1], dtype=np.int64)
+        sched = halo_schedule(holder=[{}, {0: idx}], owner=[{1: idx}, {}])
+        envs = [{"v": np.arange(3.0)}, {"v": np.zeros(3)}]
+        return overlap_post(comm, envs, "v", sched)
+
     def test_clean_exchange_leaves_nothing_pending(self):
         comm = SimComm(2)
-        s = comm.view(0).isend(1, dest=1)
-        r = comm.view(1).irecv(source=0)
-        assert len(comm.pending_requests()) == 2
-        r.wait()
-        s.wait()
-        comm.assert_no_pending_requests()
+        pending = self._post(comm)
+        assert comm.pending_messages() == 1
+        overlap_complete(pending)
+        assert comm.pending_messages() == 0
         comm.assert_drained()
 
     def test_leaked_request_detected(self):
         comm = SimComm(2)
-        comm.view(0).isend(1, dest=1, tag=4)
-        comm.view(1).irecv(source=0, tag=4)
-        with pytest.raises(RuntimeFault, match="never waited"):
-            comm.assert_no_pending_requests()
+        self._post(comm)
+        with pytest.raises(RuntimeFault, match="CC101.*never received"):
+            comm.assert_drained()
 
     def test_leaked_request_names_its_channel(self):
         comm = SimComm(2)
-        comm.view(1).irecv(source=0, tag=4)
+        pending = self._post(comm)
         with pytest.raises(RuntimeFault) as ei:
-            comm.assert_no_pending_requests()
-        assert "recv 0->1 tag=4" in str(ei.value)
+            comm.assert_drained()
+        assert f"0->1 tag={pending.tag} x1" in str(ei.value)
 
     def test_blocking_traffic_never_pends(self):
         comm = SimComm(2)
         comm.view(0).send(1, dest=1)
         comm.view(1).recv(0)
-        comm.assert_no_pending_requests()
+        assert comm.pending_messages() == 0
+        comm.assert_drained()
 
 
 class TestStats:
@@ -247,9 +255,10 @@ class TestTransportSnapshot:
         snap = comm.transport_snapshot()
         comm.fresh_tag()
         comm.view(0).send(np.zeros(8), dest=1)
-        comm.view(1).irecv(source=0, tag=3)
+        comm.send_batch([1, 0], [0, 1], [np.zeros(2), np.zeros(3)], tag=3)
         comm.transport_restore(snap)
         assert comm.fresh_tag() == tag + 1
         assert comm.stats.total_words() == 4
+        assert comm.stats.total_messages() == 1
         assert comm.pending_messages() == 0
-        assert not comm.pending_requests()
+        assert comm.pending_channels() == []

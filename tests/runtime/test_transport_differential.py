@@ -138,17 +138,6 @@ class TestDiagnosticsDifferential:
         assert texts["ring"] == texts["deque"]
         assert ledgers["ring"] == ledgers["deque"]
 
-    def test_pending_requests_sorted(self, wires):
-        for wire in wires.values():
-            with wire():
-                comm = SimComm(4)
-            comm.view(3).irecv(source=2, tag=5)
-            comm.view(1).irecv(source=0, tag=9)
-            comm.view(1).irecv(source=0, tag=3)
-            left = comm.pending_requests()
-            keys = [(r.src, r.dest, r.tag) for r in left]
-            assert keys == sorted(keys)
-
     def test_fault_ledger_text_identical(self, wires):
         plan = FaultPlan.parse("drop src=0 count=1; delay steps=9 count=1; "
                                "seed=2")
