@@ -873,7 +873,7 @@ class SPMDExecutor:
                 "restored_words": ckpt.restored_words,
                 "restore_seconds": ckpt.restore_seconds,
                 **run.replay_totals,
-                "log_entries": (len(comm.msglog)
+                "log_entries": (comm.msglog.mark()
                                 if comm.msglog is not None else 0),
             }
         return SPMDResult(

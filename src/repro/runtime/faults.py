@@ -14,12 +14,12 @@ makes the fabric hostile on demand:
     bug reports can pin a failure to one line.
 
 :class:`FaultComm`
-    A :class:`~repro.runtime.simmpi.SimComm` whose delivery hooks apply
-    the plan.  Rule targeting is by (src, dst, tag) only, so a batched
+    A :class:`~repro.runtime.simmpi.SimComm` whose one delivery hook
+    applies the plan.  Rule targeting is by (src, dst, tag) only, so a
     wave is split with one boolean-mask pass over the compiled rule
     arrays: messages no *live* rule (one whose ``count`` is not spent)
-    targets take the vectorized transport path and only the rest run
-    the per-message engine.  Everything is
+    targets go on as one wave and only the rest run the per-message
+    engine, which delivers waves of one.  Everything is
     deterministic: randomness comes from one seeded generator, delays
     are indexed in fabric steps (one step per receive retry poll), and
     the whole fabric state — clock, the column-array delayed and dropped
@@ -60,7 +60,8 @@ from typing import Any, Optional
 import numpy as np
 
 from ..errors import ReproError
-from .simmpi import SimComm, _payload_words
+from .ringbuf import _payload_words, _split, wave_of, wave_rows
+from .simmpi import SimComm
 
 #: actions a FaultRule may take on a matching message
 ACTIONS = ("drop", "delay", "duplicate", "corrupt", "reorder")
@@ -303,7 +304,39 @@ class FaultComm(SimComm):
         self._fired[index] += 1
         return True
 
-    def _deliver(self, src: int, dest: int, tag: int, payload: Any) -> None:
+    def _deliver(self, srcs: np.ndarray, dsts: np.ndarray, tag: int,
+                 block, words: np.ndarray) -> None:
+        """Split one wave with a boolean-mask pass over the rule arrays.
+
+        A message's fate depends only on its (src, dst, tag) channel, so
+        every message of a channel lands on the same side of the split —
+        per-channel FIFO order and the RNG draw sequence are exactly what
+        per-message delivery would produce.  Clean messages go on as one
+        wave; matched ones run the rule engine in wave order.
+        """
+        matched = self._match_any(srcs, dsts, tag)
+        if matched is None or not matched.any():
+            SimComm._deliver(self, srcs, dsts, tag, block, words)
+            return
+        clean = np.flatnonzero(~matched)
+        if clean.size:
+            SimComm._deliver(self, srcs[clean], dsts[clean], tag,
+                             *wave_rows(block, words, clean))
+        payloads = block if isinstance(block, list) else _split(block, words)
+        for i in np.flatnonzero(matched).tolist():
+            self._apply_rules(int(srcs[i]), int(dsts[i]), tag,
+                              _copy_payload(payloads[i]))
+
+    def _deliver_one(self, src: int, dest: int, tag: int,
+                     payload: Any) -> None:
+        """Put one message on the wire past the rules, as a wave of one."""
+        SimComm._deliver(self, np.array([src]), np.array([dest]), tag,
+                         *wave_of([payload]))
+
+    def _apply_rules(self, src: int, dest: int, tag: int,
+                     payload: Any) -> None:
+        """The per-message rule engine: the first firing placement rule
+        decides the message's fate; corruption composes with it."""
         for i, rule in enumerate(self.plan.rules):
             if not rule.matches(src, dest, tag):
                 continue
@@ -329,59 +362,22 @@ class FaultComm(SimComm):
                 self._d_payloads.append(payload)
                 return
             if rule.action == "duplicate":
-                super()._deliver(src, dest, tag, payload)
+                self._deliver_one(src, dest, tag, payload)
                 dup = _copy_payload(payload)
-                self.stats.note(src, dest, _payload_words(dup))
+                self.stats.note_batch(np.array([src]), np.array([dest]),
+                                      np.array([_payload_words(dup)]))
                 self.duplicates.append((src, dest, tag))
-                super()._deliver(src, dest, tag, dup)
+                self._deliver_one(src, dest, tag, dup)
                 return
             if rule.action == "reorder":
-                super()._deliver(src, dest, tag, payload)
+                self._deliver_one(src, dest, tag, payload)
                 n = self._transport.count(src, dest, tag)
                 if n > 1:
                     pos = int(self.rng.integers(0, n))
                     self._transport.move_last(src, dest, tag, pos)
                 return
         else:
-            super()._deliver(src, dest, tag, payload)
-
-    def _deliver_batch(self, srcs: np.ndarray, dsts: np.ndarray, tag: int,
-                       payloads: list) -> None:
-        """Split one wave with a boolean-mask pass over the rule arrays.
-
-        A message's fate depends only on its (src, dst, tag) channel, so
-        every message of a channel lands on the same side of the split —
-        per-channel FIFO order and the RNG draw sequence are exactly what
-        per-message delivery would produce.
-        """
-        matched = self._match_any(srcs, dsts, tag)
-        if matched is None or not matched.any():
-            SimComm._deliver_batch(self, srcs, dsts, tag, payloads)
-            return
-        clean = np.flatnonzero(~matched)
-        if clean.size:
-            SimComm._deliver_batch(
-                self, srcs[clean], dsts[clean], tag,
-                [payloads[i] for i in clean.tolist()])
-        for i in np.flatnonzero(matched).tolist():
-            self._deliver(int(srcs[i]), int(dsts[i]), tag,
-                          _copy_payload(payloads[i]))
-
-    def _deliver_block(self, srcs: np.ndarray, dsts: np.ndarray, tag: int,
-                       block: np.ndarray, words: np.ndarray) -> None:
-        """Rule-mask pass for the concatenated-block send path.
-
-        The clean-wave case (no live rule targets any message) stays fully
-        vectorized; otherwise the block is split back into per-message
-        payload views and routed through the batch rule engine, whose
-        channel-based split preserves FIFO order and RNG draw order.
-        """
-        matched = self._match_any(srcs, dsts, tag)
-        if matched is None or not matched.any():
-            SimComm._deliver_block(self, srcs, dsts, tag, block, words)
-            return
-        bounds = np.cumsum(words)[:-1]
-        self._deliver_batch(srcs, dsts, tag, np.split(block, bounds))
+            self._deliver_one(src, dest, tag, payload)
 
     def _match_any(self, srcs: np.ndarray,
                    dsts: np.ndarray, tag: int) -> Optional[np.ndarray]:
@@ -410,7 +406,7 @@ class FaultComm(SimComm):
                 order = np.lexsort((self._d_serial[idx], self._d_due[idx]))
                 for i in idx[order].tolist():
                     s, d, t = self._d_key[i].tolist()
-                    SimComm._deliver(self, s, d, t, self._d_payloads[i])
+                    self._deliver_one(s, d, t, self._d_payloads[i])
                 keep = np.flatnonzero(~due)
                 self._d_key = self._d_key[keep]
                 self._d_due = self._d_due[keep]
@@ -439,7 +435,7 @@ class FaultComm(SimComm):
         keep[i] = False
         self._x_key = k[keep]
         self._x_clock = self._x_clock[keep]
-        SimComm._deliver(self, src, dst, tag, payload)
+        self._deliver_one(src, dst, tag, payload)
         self.stats.retransmits += 1
         self.stats.retransmit_words += _payload_words(payload)
         return True

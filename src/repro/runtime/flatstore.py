@@ -58,16 +58,6 @@ class FlatField:
                  for r in range(len(arrays))]
         return cls(var=var, flat=flat, offsets=offsets, views=views)
 
-    def installed_in(self, envs: list[dict]) -> bool:
-        """Whether every rank env still binds this field's views.
-
-        Cheap guard for the halo fast path: the executor never rebinds
-        array variables, but a caller-mutated environment must fall back
-        to the generic per-rank path rather than read a stale buffer.
-        """
-        return all(env.get(self.var) is view
-                   for env, view in zip(envs, self.views))
-
 
 def build_flat_store(envs: list[dict],
                      variables: list[str]) -> dict[str, FlatField]:

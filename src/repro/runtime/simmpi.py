@@ -12,12 +12,15 @@ bytes a blocking exchange at the post point would have.  There are no
 request handles: a POST whose WAIT never ran leaves its wave on the wire,
 and :meth:`SimComm.assert_drained` (CC101) names it.
 
-The wire is a :class:`~repro.runtime.ringbuf.RingTransport`: message
-headers in a preallocated numpy structured array and payloads in a
-float64 slab, so whole-fabric scans are vectorized.  Collectives move
-whole waves at once through :meth:`SimComm.send_block` /
-:meth:`SimComm.recv_block`; the ring serves a 1-D float64 wave without
-touching Python per message, and any other payload message by message.
+The wire is a :class:`~repro.runtime.ringbuf.RingTransport`, and every
+layer of it handles a *wave* — m messages on one tag — in one call:
+:meth:`SimComm.send_batch` (a payload list) and :meth:`SimComm.send_block`
+(one concatenated block) both reduce to one ``_send_wave``, which
+validates the wave, masks out replay duplicates, accounts it and hands
+it to the one delivery hook ``_deliver`` (wire push + log record — the
+hook the fault fabric overrides); :meth:`SimComm.recv_batch` and
+:meth:`SimComm.recv_block` share one transport ``pop``.  A single
+message (:class:`RankComm`) is a wave of one.
 
 Every send is accounted (message count, payload words) per (source,
 destination) pair; :mod:`repro.runtime.perfmodel` turns the ledger into
@@ -39,7 +42,15 @@ from typing import Any, Optional
 import numpy as np
 
 from ..errors import CommTimeout, RuntimeFault
-from .ringbuf import MISSING, RingTransport
+from .ringbuf import (
+    MISSING,
+    RANK_LIMIT,
+    RingTransport,
+    _split,
+    on_slab,
+    wave_of,
+    wave_rows,
+)
 
 
 @dataclass
@@ -70,23 +81,18 @@ class CollectiveRecord:
         return iter((self.label, list(self.msgs), list(self.words)))
 
 
-#: singles are flushed into an immutable array chunk at this length
-_FLUSH_AT = 1 << 15
-
-
 class CommStats:
     """Ledger of all traffic through one communicator.
 
-    Sends are recorded as an append-only event log (numpy chunks for
-    batched waves, Python lists for stragglers) plus eagerly maintained
-    per-rank counters, so the executor's per-collective bookkeeping is
-    O(ranks) array arithmetic instead of a Python sweep over every
-    (src, dst) pair.  The classic per-pair dictionaries are still
-    available as :attr:`messages` / :attr:`words`, materialized lazily
-    from the log.
+    Sends are recorded as an append-only event log, one numpy chunk per
+    wave, plus per-rank counters folded from it on demand, so the
+    executor's per-collective bookkeeping is O(ranks) array arithmetic
+    instead of a Python sweep over every (src, dst) pair.  The classic
+    per-pair dictionaries are still available as :attr:`messages` /
+    :attr:`words`, materialized lazily from the log.
 
     >>> st = CommStats()
-    >>> st.note(0, 1, 10); st.note(1, 0, 4)
+    >>> st.note_batch(np.array([0, 1]), np.array([1, 0]), np.array([10, 4]))
     >>> st.messages[(0, 1)], st.words[(1, 0)]
     (1, 4)
     >>> st.rank_messages(1)
@@ -104,9 +110,6 @@ class CommStats:
         self.retransmits = 0
         self.retransmit_words = 0
         self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._s: list[int] = []
-        self._d: list[int] = []
-        self._w: list[int] = []
         self._rank_msgs = np.zeros(0, np.int64)
         self._rank_wrds = np.zeros(0, np.int64)
         #: batched chunks not yet folded into the per-rank counters
@@ -126,23 +129,6 @@ class CommStats:
             w[:len(self._rank_wrds)] = self._rank_wrds
             self._rank_msgs, self._rank_wrds = m, w
 
-    def note(self, src: int, dst: int, nwords: int) -> None:
-        """Record one message of ``nwords`` payload words."""
-        self._s.append(src)
-        self._d.append(dst)
-        self._w.append(nwords)
-        if len(self._s) >= _FLUSH_AT:
-            self._flush()
-        self._ensure_ranks(src if src > dst else dst)
-        self._rank_msgs[src] += 1
-        self._rank_wrds[src] += nwords
-        if dst != src:
-            self._rank_msgs[dst] += 1
-            self._rank_wrds[dst] += nwords
-        self._nmsgs += 1
-        self._nwords += nwords
-        self._pair_cache = None
-
     def note_batch(self, srcs: np.ndarray, dsts: np.ndarray,
                    words: np.ndarray) -> None:
         """Record one wave of messages with three array columns.
@@ -157,7 +143,6 @@ class CommStats:
         n = len(srcs)
         if n == 0:
             return
-        self._flush()
         chunk = (np.array(srcs, np.int64), np.array(dsts, np.int64),
                  np.array(words, np.int64))
         self._chunks.append(chunk)
@@ -183,13 +168,6 @@ class CommStats:
                     dsts[off], weights=words[off],
                     minlength=size).astype(np.int64)
         self._unfolded = []
-
-    def _flush(self) -> None:
-        if self._s:
-            self._chunks.append((np.asarray(self._s, np.int64),
-                                 np.asarray(self._d, np.int64),
-                                 np.asarray(self._w, np.int64)))
-            self._s, self._d, self._w = [], [], []
 
     # -- totals and per-rank counters ----------------------------------------
 
@@ -229,7 +207,6 @@ class CommStats:
 
     def _pairs(self) -> tuple[dict, dict]:
         if self._pair_cache is None:
-            self._flush()
             msgs: dict[tuple[int, int], int] = {}
             wrds: dict[tuple[int, int], int] = {}
             for s_arr, d_arr, w_arr in self._chunks:
@@ -258,7 +235,6 @@ class CommStats:
         logs are append-only (no record or flushed chunk ever changes), so
         two lengths plus the counters are the whole snapshot, O(ranks)
         whatever the history."""
-        self._flush()
         self._fold()
         return (len(self.collectives), len(self._chunks), self.retries,
                 self.retransmits, self.retransmit_words,
@@ -271,26 +247,9 @@ class CommStats:
          self.retransmit_words, msgs, wrds, self._nmsgs, self._nwords) = snap
         del self.collectives[ncoll:]
         del self._chunks[nchunks:]
-        self._s, self._d, self._w, self._unfolded = [], [], [], []
+        self._unfolded = []
         self._rank_msgs, self._rank_wrds = msgs.copy(), wrds.copy()
         self._pair_cache = None
-
-
-def _payload_words(obj: Any) -> int:
-    """Accounting size of a payload in fabric words.
-
-    >>> _payload_words(np.zeros(5))
-    5
-    >>> _payload_words([1, 2, (3, 4)])
-    4
-    """
-    if isinstance(obj, np.ndarray):
-        return int(obj.size)
-    if isinstance(obj, (int, float, bool, np.number)):
-        return 1
-    if isinstance(obj, (list, tuple)):
-        return sum(_payload_words(o) for o in obj)
-    return 1
 
 
 class SimComm:
@@ -315,6 +274,10 @@ class SimComm:
     def __init__(self, size: int):
         if size < 1:
             raise RuntimeFault("communicator needs at least one rank")
+        if size > RANK_LIMIT:
+            raise RuntimeFault(
+                f"communicator of {size} ranks exceeds the wire's "
+                f"{RANK_LIMIT}-rank address space")
         self.size = size
         self._transport = RingTransport()
         self._next_tag = self.FRESH_TAG_BASE
@@ -345,80 +308,103 @@ class SimComm:
 
     # -- transport ----------------------------------------------------------
 
-    def _send(self, src: int, dest: int, tag: int, payload: Any) -> None:
-        if not 0 <= dest < self.size:
-            raise RuntimeFault(f"send to invalid rank {dest}")
-        if isinstance(payload, np.ndarray):
-            payload = payload.copy()  # messages are by value
-        if self._replay is not None and self._replay.suppress(
-                src, dest, tag, _payload_words(payload)):
-            return  # replay duplicate: peers consumed the original long ago
-        self.stats.note(src, dest, _payload_words(payload))
-        self._deliver(src, dest, tag, payload)
+    def send_batch(self, srcs, dsts, payloads: list, tag: int = 0) -> None:
+        """Blocking-send one wave: ``payloads[i]`` from ``srcs[i]`` to
+        ``dsts[i]``, account + deliver, no handles.
 
-    def _deliver(self, src: int, dest: int, tag: int, payload: Any) -> None:
-        """Place an already-accounted, already-captured message on the wire.
+        The wire carries 1-D payloads of one slab dtype as one block and
+        anything else (scalars, bool, 2-D, mixed kinds) as one object wave
+        (:func:`~repro.runtime.ringbuf.wave_of`).
+        """
+        self._send_wave(srcs, dsts, tag, *wave_of(payloads))
+
+    def send_block(self, srcs, dsts, block, words, tag: int = 0) -> None:
+        """Blocking-send one wave as a single concatenated block.
+
+        ``block`` holds every payload back-to-back along its first axis;
+        message i is the ``words[i]``-row slice starting at
+        ``words[:i].sum()``.  The natural inverse of :meth:`recv_block`.
+        A 1-D float64 or int64 block goes to the slab as it is; any other
+        (bool, multi-dimensional) is split into an object wave.
+
+        >>> comm = SimComm(2)
+        >>> comm.send_block([0], [1], np.arange(3), [3], tag=4)
+        >>> comm.recv_block([0], [1], tag=4)
+        (array([0, 1, 2]), array([3]))
+        """
+        self._send_wave(srcs, dsts, tag, np.asarray(block), words)
+
+    def _send_wave(self, srcs, dsts, tag: int, block, words) -> None:
+        """Validate, suppress replay duplicates, account and deliver one
+        wave.
+
+        Raises :class:`RuntimeFault` for a malformed wave: columns of
+        unequal length, a rank outside ``0..size-1``, a negative word
+        count or a block whose rows the words column does not add up to.
+        """
+        srcs = np.ascontiguousarray(srcs, np.int64)
+        dsts = np.ascontiguousarray(dsts, np.int64)
+        words = np.ascontiguousarray(words, np.int64)
+        m = len(words)
+        if len(srcs) != m or len(dsts) != m:
+            raise RuntimeFault(
+                f"malformed wave on tag {tag}: {len(srcs)} source(s), "
+                f"{len(dsts)} destination(s), {m} message(s)")
+        if m == 0:
+            return
+        for end, ranks in (("from", srcs), ("to", dsts)):
+            if int(ranks.min()) < 0 or int(ranks.max()) >= self.size:
+                bad = next(r for r in ranks.tolist()
+                           if not 0 <= r < self.size)
+                raise RuntimeFault(f"send {end} invalid rank {bad}")
+        if int(words.min()) < 0:
+            raise RuntimeFault(
+                f"malformed wave on tag {tag}: negative word count "
+                f"{int(words.min())}")
+        if isinstance(block, np.ndarray):
+            if len(block) != int(words.sum()):
+                raise RuntimeFault(
+                    f"send_block: block holds {len(block)} row(s) but the "
+                    f"words column sums to {int(words.sum())}")
+            if not on_slab(block):
+                block, words = wave_of(_split(block, words))
+        if self._replay is not None:
+            # replay duplicates: peers consumed the originals long ago
+            keep = np.flatnonzero(
+                ~self._replay.suppress(srcs, dsts, tag, words))
+            if len(keep) < m:
+                if not len(keep):
+                    return
+                srcs, dsts = srcs[keep], dsts[keep]
+                block, words = wave_rows(block, words, keep)
+        self.stats.note_batch(srcs, dsts, words)
+        self._deliver(srcs, dsts, tag, block, words)
+
+    def _deliver(self, srcs: np.ndarray, dsts: np.ndarray, tag: int,
+                 block, words: np.ndarray) -> None:
+        """Place one accounted wave on the wire and in the message log.
 
         The fault-injection fabric (:mod:`repro.runtime.faults`) overrides
         exactly this hook to drop/delay/reorder/duplicate/corrupt.
         """
-        self._transport.push(src, dest, tag, payload)
+        self._transport.push(srcs, dsts, tag, block, words)
         if self.msglog is not None:
-            self.msglog.record(src, dest, tag, payload)
-
-    def _send_batch(self, srcs, dsts, tag: int, payloads: list) -> None:
-        """Account and deliver one wave of messages.
-
-        Equivalent to ``for …: _send(…)`` in delivery order per channel and
-        in accounting, but the stats update is one ``note_batch`` and the
-        clean-fabric delivery is one transport ``push_batch`` (for the ring
-        transport: one header write plus one slab copy).
-        """
-        srcs = np.ascontiguousarray(srcs, np.int64)
-        dsts = np.ascontiguousarray(dsts, np.int64)
-        if len(dsts) == 0:
-            return
-        if int(dsts.min()) < 0 or int(dsts.max()) >= self.size:
-            bad = [d for d in dsts.tolist() if not 0 <= d < self.size]
-            raise RuntimeFault(f"send to invalid rank {bad[0]}")
-        if self._replay is not None:
-            # replay is rare and single-rank: route per message so every
-            # re-emitted send meets the suppression filter individually
-            for s, d, p in zip(srcs.tolist(), dsts.tolist(), payloads):
-                self._send(int(s), int(d), tag, p)
-            return
-        if all(isinstance(p, np.ndarray) for p in payloads):
-            words = np.fromiter((p.size for p in payloads), np.int64,
-                                len(payloads))
-        else:
-            words = np.asarray([_payload_words(p) for p in payloads],
-                               np.int64)
-        self.stats.note_batch(srcs, dsts, words)
-        self._deliver_batch(srcs, dsts, tag, payloads)
-
-    def _deliver_batch(self, srcs: np.ndarray, dsts: np.ndarray, tag: int,
-                       payloads: list) -> None:
-        """Wave-delivery hook; payloads are captured by the transport.
-
-        The fault fabric overrides this to peel off the rule-matched
-        messages with one boolean mask and route only those through the
-        per-message rule engine.
-        """
-        self._transport.push_batch(srcs, dsts, tag, payloads)
-        if self.msglog is not None:
-            self.msglog.record_batch(srcs, dsts, tag, payloads)
+            self.msglog.record(srcs, dsts, tag, block, words)
 
     def _recv(self, src: int, dest: int, tag: int) -> Any:
-        key = (src, dest, tag)
-        payload = self._transport.pop(src, dest, tag)
-        if payload is not MISSING:
-            return payload
+        """Receive one message — a wave of one — retrying through the
+        fabric for up to ``comm_timeout`` steps."""
+        wave = self._transport.pop([src], [dest], tag)
         for _ in range(self.comm_timeout):
+            if wave is not MISSING:
+                break
             self.stats.retries += 1
-            self._progress(key)
-            payload = self._transport.pop(src, dest, tag)
-            if payload is not MISSING:
-                return payload
+            self._progress((src, dest, tag))
+            wave = self._transport.pop([src], [dest], tag)
+        if wave is not MISSING:
+            # a block wave of one is (payload, words); an object wave of
+            # one is [payload]
+            return wave[0]
         if self.comm_timeout:
             reason = (f"timed out after {self.comm_timeout} retry step(s) "
                       f"with no message")
@@ -431,39 +417,40 @@ class SimComm:
             src=src, dst=dest, tag=tag, waited=self.comm_timeout,
             ledger=self.ledger())
 
-    def recv_batch(self, srcs, dsts, tag: int = 0) -> list:
-        """Receive one wave of messages, one per (srcs[i], dsts[i]) channel.
+    def _recv_wave(self, srcs, dsts, tag: int) -> Any:
+        """One wave of receives, one per (srcs[i], dsts[i]) channel.
 
-        Matching order is exactly sequential ``recv`` order (the i-th
-        request on a channel takes its i-th oldest message); the ring
-        transport resolves the whole wave with one sorted scan when every
-        message has already arrived, and any miss falls back to the
-        retrying per-message path so timeout/fault semantics are identical.
+        Matching order is exactly sequential receive order (the i-th
+        request on a channel takes its i-th oldest message).  When every
+        message has arrived the transport resolves the wave with one
+        sorted scan; any miss falls back to the retrying per-message
+        path, so timeout and fault semantics are those of single receives.
         """
-        out = self._transport.pop_batch(srcs, dsts, tag)
-        if out is not MISSING:
-            return out
-        return [self._recv(int(s), int(d), tag)
-                for s, d in zip(srcs, dsts)]
+        wave = self._transport.pop(srcs, dsts, tag)
+        if wave is MISSING:
+            wave = [self._recv(int(s), int(d), tag)
+                    for s, d in zip(srcs, dsts)]
+        return wave
+
+    def recv_batch(self, srcs, dsts, tag: int = 0) -> list:
+        """Receive one wave as a list of payloads."""
+        wave = self._recv_wave(srcs, dsts, tag)
+        return _split(*wave) if isinstance(wave, tuple) else wave
 
     def recv_block(self, srcs, dsts, tag: int = 0):
         """Receive one wave as a single concatenated block.
 
         Returns ``(block, words)`` where ``block`` is every payload
         back-to-back in request order and ``words[i]`` is the i-th
-        payload's length (its row count).  This is the fully vectorized
-        receive path: on the ring transport no per-message Python object
-        is created.  When the transport declines — a message not yet
-        there, or one stored per message (int64, bool, multi-dimensional)
-        — it falls back to :meth:`recv_batch`, same semantics.
+        payload's length (its row count).  A block wave comes off the
+        slab with no per-message Python object; an object wave is
+        concatenated.
         """
-        out = self._transport.pop_block(srcs, dsts, tag)
-        if out is not MISSING:
-            return out
-        payloads = self.recv_batch(srcs, dsts, tag)
-        words = np.asarray([len(p) for p in payloads], np.int64)
-        block = np.concatenate(payloads) if payloads else \
-            np.zeros(0, np.float64)
+        wave = self._recv_wave(srcs, dsts, tag)
+        if isinstance(wave, tuple):
+            return wave
+        words = np.asarray([len(p) for p in wave], np.int64)
+        block = np.concatenate(wave) if wave else np.zeros(0, np.float64)
         return block, words
 
     def _progress(self, key: tuple[int, int, int]) -> bool:
@@ -520,68 +507,6 @@ class SimComm:
             err = RuntimeFault(f"CC101: {diag.message}")
             err.diagnostic = diag
             raise err
-
-    def send_batch(self, srcs, dsts, payloads: list, tag: int = 0) -> None:
-        """Blocking-send one wave: account + deliver, no handles.
-
-        Equivalent to ``view(srcs[i]).send(payloads[i], dsts[i], tag)``
-        for every i, with the accounting and clean-fabric delivery
-        vectorized.
-        """
-        self._send_batch(srcs, dsts, tag, payloads)
-
-    def send_block(self, srcs, dsts, block, words, tag: int = 0) -> None:
-        """Blocking-send one wave as a single concatenated block.
-
-        ``block`` holds every payload back-to-back along its first axis;
-        message i is the ``words[i]``-row slice starting at
-        ``words[:i].sum()``.  The natural inverse of :meth:`recv_block`.
-        A 1-D float64 block takes the fastest send path: the ring
-        transport delivers the whole wave with one slab copy and one
-        vectorized header write, no per-message Python.  Any other block
-        (int64, bool, multi-dimensional), and every send under replay,
-        goes through :meth:`send_batch` of the slices — the ring then
-        stores int64 payloads as int64 slab words and the rest as
-        objects.  Semantics (accounting, channel FIFO order, fault rules)
-        are those of that :meth:`send_batch` either way.
-
-        >>> comm = SimComm(2)
-        >>> comm.send_block([0], [1], np.arange(3), [3], tag=4)
-        >>> comm.recv_block([0], [1], tag=4)
-        (array([0, 1, 2]), array([3]))
-        """
-        srcs = np.ascontiguousarray(srcs, np.int64)
-        dsts = np.ascontiguousarray(dsts, np.int64)
-        words = np.ascontiguousarray(words, np.int64)
-        if len(words) == 0:
-            return
-        if int(dsts.min()) < 0 or int(dsts.max()) >= self.size:
-            bad = [d for d in dsts.tolist() if not 0 <= d < self.size]
-            raise RuntimeFault(f"send to invalid rank {bad[0]}")
-        block = np.asarray(block)
-        if len(block) != int(words.sum()):
-            raise RuntimeFault(
-                f"send_block: block holds {len(block)} row(s) but the "
-                f"words column sums to {int(words.sum())}")
-        if (self._replay is not None or block.ndim != 1
-                or block.dtype != np.float64):
-            return self._send_batch(srcs, dsts, tag,
-                                    np.split(block, np.cumsum(words)[:-1]))
-        block = np.ascontiguousarray(block)
-        self.stats.note_batch(srcs, dsts, words)
-        self._deliver_block(srcs, dsts, tag, block, words)
-
-    def _deliver_block(self, srcs: np.ndarray, dsts: np.ndarray, tag: int,
-                       block: np.ndarray, words: np.ndarray) -> None:
-        """Block-delivery hook, overridden by the fault fabric.
-
-        The clean fabric hands the wave straight to the transport; the
-        fault fabric first applies one boolean rule mask and only splits
-        the block if some message actually matched a rule.
-        """
-        self._transport.push_block(srcs, dsts, tag, block, words)
-        if self.msglog is not None:
-            self.msglog.record_block(srcs, dsts, tag, block, words)
 
     # -- localized restart ---------------------------------------------------
 
@@ -650,7 +575,7 @@ class RankComm:
         return self.comm.size
 
     def send(self, payload: Any, dest: int, tag: int = 0) -> None:
-        self.comm._send(self.rank, dest, tag, payload)
+        self.comm.send_batch([self.rank], [dest], [payload], tag)
 
     def recv(self, source: int, tag: int = 0) -> Any:
         return self.comm._recv(source, self.rank, tag)

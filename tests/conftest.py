@@ -1,21 +1,19 @@
 """Shared fixtures: the reference implementations differentials compare to.
 
 Production has one wire (:class:`~repro.runtime.ringbuf.RingTransport`),
-one halo body whose waves the wire carries as one block when they are
-1-D float64 and message by message otherwise, and, on the vector
-backend, runs each fusable loop once for all ranks.  The differential
-suites still compare against three references, reached only through
-these fixtures:
+one halo body whose every wave crosses that wire in one call, and, on
+the vector backend, runs each fusable loop once for all ranks.  The
+differential suites still compare against three references, reached
+only through these fixtures:
 
 ``reference_wire``
     the deque-per-channel transport of ``tests/runtime/reference_wire.py``
     swapped in for the class ``SimComm`` constructs;
 ``reference_halos``
-    every halo wave routed over the wire one message at a time:
-    ``send_block`` becomes ``_send_batch`` of the split block and
-    ``recv_block`` becomes ``recv_batch`` plus a concatenate — the path
-    production keeps for non-float payloads, replay and rule-matched
-    faults;
+    every halo message sent and received as its own wave of one:
+    ``send_block`` becomes one ``send_batch`` per message and
+    ``recv_block`` one single receive per message plus a concatenate —
+    so a wave ≡ its waves of one, message for message, under any fabric;
 ``reference_compute``
     every fused loop served rank by rank instead of in one sweep, through
     the executor's own single-rank serving path (the one localized
@@ -68,33 +66,37 @@ def _reference_wire():
 
 @contextmanager
 def _reference_halos():
-    routed = []   # waves sent message by message inside the block
-    blocks = []   # block waves that reached the wire anyway
-    deliver_block = simmpi.SimComm._deliver_block
+    halo_tags = set()   # tags of the halo waves sent inside the block
+    waves = []          # (tag, messages) of every wave sent inside the block
+    send_wave = simmpi.SimComm._send_wave
 
     def send_block(self, srcs, dsts, block, words, tag=0):
-        routed.append(tag)
-        self._send_batch(srcs, dsts, tag,
-                         np.split(np.asarray(block), np.cumsum(words)[:-1]))
+        halo_tags.add(tag)
+        pieces = np.split(np.asarray(block), np.cumsum(words)[:-1]) \
+            if len(words) else []
+        for s, d, piece in zip(srcs, dsts, pieces):
+            self.send_batch([s], [d], [piece], tag=tag)
 
     def recv_block(self, srcs, dsts, tag=0):
-        payloads = self.recv_batch(srcs, dsts, tag)
+        payloads = [self._recv(int(s), int(d), tag)
+                    for s, d in zip(srcs, dsts)]
         words = np.asarray([len(p) for p in payloads], np.int64)
         block = np.concatenate(payloads) if payloads else np.zeros(0)
         return block, words
 
-    def counting_deliver_block(self, *args):
-        blocks.append(args)
-        deliver_block(self, *args)
+    def counting_send_wave(self, srcs, dsts, tag, block, words):
+        waves.append((tag, len(words)))
+        send_wave(self, srcs, dsts, tag, block, words)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simmpi.SimComm, "send_block", send_block)
         mp.setattr(simmpi.SimComm, "recv_block", recv_block)
-        mp.setattr(simmpi.SimComm, "_deliver_block", counting_deliver_block)
+        mp.setattr(simmpi.SimComm, "_send_wave", counting_send_wave)
         yield
-    assert not blocks, \
-        f"{len(blocks)} block wave(s) sent under reference_halos"
-    assert routed, "no per-message halo wave was routed under reference_halos"
+    multi = [(tag, m) for tag, m in waves if tag in halo_tags and m > 1]
+    assert not multi, \
+        f"{len(multi)} multi-message halo wave(s) sent under reference_halos"
+    assert halo_tags, "no halo wave was sent under reference_halos"
 
 
 @contextmanager

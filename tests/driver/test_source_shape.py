@@ -2,13 +2,15 @@
 
 A deleted name nothing imports needs no guard; a *shape* does: one halo
 schedule over two tables, one body per halo collective half, a boundary
-loop without closures, one kernel compiler, one interpreter compiler —
+loop without closures, one kernel compiler, one interpreter compiler,
+one call per wire layer —
 and the rule the single placement
 judge rests on: ``placement/comms.py``'s privates stay inside
 ``repro/placement/``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -98,3 +100,39 @@ def test_the_interpreter_has_one_compiler():
     compiles = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
                 and isinstance(n.func, ast.Name) and n.func.id == "compile"]
     assert len(compiles) == 1
+
+
+def test_the_wire_moves_waves_through_one_call_per_layer():
+    # push/pop on the ring, one delivery hook on the communicator (the
+    # only delivery method the fault fabric overrides), a message log
+    # with no header dtype of its own, and no per-message twin anywhere
+    ring = _defs(_tree("runtime/ringbuf.py"), ast.ClassDef)["RingTransport"]
+    names = [n.name for n in ring.body if isinstance(n, ast.FunctionDef)]
+    assert names.count("push") == 1 and names.count("pop") == 1
+    assert not [n for n in names
+                if n != "push" and n.startswith(("push", "_push"))
+                or n != "pop" and n.startswith(("pop", "_pop"))]
+
+    def methods(tree, cls):
+        return {n.name for n in _defs(tree, ast.ClassDef)[cls].body
+                if isinstance(n, ast.FunctionDef)}
+
+    simcomm = methods(_tree("runtime/simmpi.py"), "SimComm")
+    assert [n for n in simcomm if "deliver" in n] == ["_deliver"]
+    wire = {n for n in simcomm if any(k in n for k in ("send", "recv",
+                                                       "deliver"))}
+    faultcomm = methods(_tree("runtime/faults.py"), "FaultComm")
+    assert faultcomm & wire == {"_deliver"}
+
+    msglog = (SRC / "runtime" / "msglog.py").read_text(encoding="utf-8")
+    assert "np.dtype(" not in msglog and "DTYPE" not in msglog
+
+    retired = re.compile(r"\b(push_batch|push_block|pop_batch|pop_block|"
+                         r"record_batch|record_block|_deliver_batch|"
+                         r"_deliver_block|_send_batch|LOG_DTYPE|_FLUSH_AT)\b")
+    hits = [f"{path.relative_to(SRC)}:{i}"
+            for path in sorted(SRC.rglob("*.py"))
+            for i, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), 1)
+            if retired.search(line)]
+    assert not hits, hits

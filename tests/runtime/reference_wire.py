@@ -9,12 +9,12 @@ reproduce bit-for-bit.  Tests reach it only through the
 for the class :class:`~repro.runtime.simmpi.SimComm` constructs.
 """
 
-from collections import deque
+from collections import Counter, deque
 from typing import Any
 
 import numpy as np
 
-from repro.runtime.ringbuf import MISSING, _F8, _capture
+from repro.runtime.ringbuf import MISSING, _capture
 
 
 class DequeTransport:
@@ -32,48 +32,35 @@ class DequeTransport:
 
     # -- delivery ------------------------------------------------------------
 
-    def push(self, src: int, dst: int, tag: int, payload: Any) -> None:
-        """Append one already-captured message to its channel FIFO."""
-        self._queues.setdefault((src, dst, tag), deque()).append(payload)
+    def push(self, srcs, dsts, tag, block, words) -> None:
+        """Deliver a wave: one per-channel append per message — the
+        deque's native (and only) granularity — each captured by value.
 
-    def push_batch(self, srcs, dsts, tag: int, payloads) -> None:
-        """Deliver a wave of messages, capturing each payload by value."""
-        q = self._queues
-        for s, d, p in zip(srcs, dsts, payloads):
-            q.setdefault((int(s), int(d), tag), deque()).append(_capture(p))
-
-    def push_block(self, srcs, dsts, tag: int, block, words) -> None:
-        """Deliver a concatenated float64 wave (see :class:`RingTransport`).
-
-        The deque has no block representation: the wave is captured once
-        and split back into one per-channel append per message — its
-        native (and only) delivery granularity.
+        ``tag`` is one tag or a column of them, as on the ring.
         """
-        blk = np.ascontiguousarray(block, _F8).copy()
+        if isinstance(block, np.ndarray):
+            offsets = np.cumsum(words).tolist()
+            block = np.array(block)  # one capture of the whole wave
+            payloads = [block[a - w:a]
+                        for a, w in zip(offsets, np.asarray(words).tolist())]
+        else:
+            payloads = [_capture(p) for p in block]
+        tags = np.broadcast_to(np.asarray(tag), (len(payloads),)).tolist()
         q = self._queues
-        offset = 0
-        for s, d, w in zip(np.asarray(srcs).tolist(),
-                           np.asarray(dsts).tolist(),
-                           np.asarray(words).tolist()):
-            q.setdefault((s, d, tag), deque()).append(blk[offset:offset + w])
-            offset += w
+        for s, d, t, p in zip(np.asarray(srcs).tolist(),
+                              np.asarray(dsts).tolist(), tags, payloads):
+            q.setdefault((s, d, t), deque()).append(p)
 
     # -- receive matching ----------------------------------------------------
 
-    def pop(self, src: int, dst: int, tag: int) -> Any:
-        """Oldest message of one channel, or :data:`MISSING`."""
-        q = self._queues.get((src, dst, tag))
-        if q:
-            return q.popleft()
-        return MISSING
-
-    def pop_batch(self, srcs, dsts, tag: int) -> Any:
-        """Batched matching is a ring-transport specialization."""
-        return MISSING
-
-    def pop_block(self, srcs, dsts, tag: int) -> Any:
-        """Block delivery is a ring-transport specialization."""
-        return MISSING
+    def pop(self, srcs, dsts, tag: int) -> Any:
+        """Pop one wave as a payload list, or :data:`MISSING` — consuming
+        nothing — when some request's message has not arrived.  The i-th
+        request on a channel takes the channel's i-th oldest message."""
+        keys = [(int(s), int(d), int(tag)) for s, d in zip(srcs, dsts)]
+        if any(self.count(*k) < n for k, n in Counter(keys).items()):
+            return MISSING
+        return [self._queues[k].popleft() for k in keys]
 
     # -- scans ---------------------------------------------------------------
 

@@ -391,16 +391,19 @@ class _Routing:
         self.waves = []      # (srcs, dsts, tag, any rule live at entry)
         self.routed = []     # (wave number, position, src, dst, tag, fired)
         self.marks = []      # wave count at each checkpoint take / restore
-        self._depth = 0
         self._cursor = 0
-        for hook in ("_deliver_batch", "_deliver_block"):
-            monkeypatch.setattr(FaultComm, hook,
-                                self._entry(getattr(FaultComm, hook)))
-        deliver = FaultComm._deliver
+        deliver, apply_rules = FaultComm._deliver, FaultComm._apply_rules
+
+        def wave_spy(comm, srcs, dsts, tag, *rest):
+            live = any(r.count < 0 or f < r.count
+                       for r, f in zip(comm.plan.rules, comm._fired))
+            self.waves.append((srcs.tolist(), dsts.tolist(), tag, live))
+            self._cursor = 0
+            return deliver(comm, srcs, dsts, tag, *rest)
 
         def spy(comm, src, dest, tag, payload):
             before = comm._fired.copy()
-            deliver(comm, src, dest, tag, payload)
+            apply_rules(comm, src, dest, tag, payload)
             fired = np.flatnonzero(comm._fired != before).tolist()
             srcs, dsts, _tag, _live = self.waves[-1]
             while (srcs[self._cursor], dsts[self._cursor]) != (src, dest):
@@ -409,21 +412,8 @@ class _Routing:
                                 tag, fired))
             self._cursor += 1
 
-        monkeypatch.setattr(FaultComm, "_deliver", spy)
-
-    def _entry(self, hook):
-        def wrapper(comm, srcs, dsts, tag, *rest):
-            if not self._depth:
-                live = any(r.count < 0 or f < r.count
-                           for r, f in zip(comm.plan.rules, comm._fired))
-                self.waves.append((srcs.tolist(), dsts.tolist(), tag, live))
-                self._cursor = 0
-            self._depth += 1
-            try:
-                return hook(comm, srcs, dsts, tag, *rest)
-            finally:
-                self._depth -= 1
-        return wrapper
+        monkeypatch.setattr(FaultComm, "_deliver", wave_spy)
+        monkeypatch.setattr(FaultComm, "_apply_rules", spy)
 
     def expected(self):
         """Every message of every wave that began with a rule live."""

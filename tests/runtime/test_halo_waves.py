@@ -1,10 +1,10 @@
 """Differential oracle: block waves must be indistinguishable from messages.
 
 Every halo wave is one ``send_block`` at the POST and one ``recv_block``
-at the WAIT; the wire carries a 1-D float64 wave as one slab block and
-anything else message by message.  The ``reference_halos`` fixture
-routes *every* wave message by message — the path production keeps for
-non-float payloads, replay and rule-matched faults.  These tests replay
+at the WAIT, and the wire takes it in one call: a 1-D float64 or int64
+wave as one slab block, anything else as one object wave.  The
+``reference_halos`` fixture sends and receives *every* halo message as
+its own wave of one.  These tests replay
 the whole TESTIV placement corpus — all 16 ranked placements, blocking
 and split-phase — on the production path and against each reference
 (the per-message wire, and both over the deque transport) and require
@@ -32,6 +32,7 @@ from repro.runtime import (
 from repro.runtime.faults import FaultRule, soak_check
 from repro.runtime.halos import combine_complete, combine_post, \
     combine_update, overlap_complete, overlap_post, overlap_update
+from repro.runtime.ringbuf import on_slab
 from repro.spec import spec_for_testiv
 from tests.halo_views import halo_schedule
 
@@ -70,17 +71,18 @@ def _run(setup, index, split=False, plan_text=None, timeout=0):
     return ex.run(dict(values), faults=plan, comm_timeout=timeout)
 
 
-def _batch_spy(monkeypatch):
-    """Record the payload dtypes of every wave ``_send_batch`` carries —
-    the waves the wire sends message by message."""
-    batches = []
-    real = SimComm._send_batch
+def _wave_spy(monkeypatch):
+    """Record every wave sent as ``(tag, messages, kind)``: the block's
+    dtype name for a slab wave, ``"objects"`` otherwise."""
+    waves = []
+    real = SimComm._send_wave
 
-    def spy(self, srcs, dsts, tag, payloads):
-        batches.append([p.dtype for p in payloads])
-        return real(self, srcs, dsts, tag, payloads)
-    monkeypatch.setattr(SimComm, "_send_batch", spy)
-    return batches
+    def spy(self, srcs, dsts, tag, block, words):
+        kind = block.dtype.name if on_slab(block) else "objects"
+        waves.append((tag, len(words), kind))
+        return real(self, srcs, dsts, tag, block, words)
+    monkeypatch.setattr(SimComm, "_send_wave", spy)
+    return waves
 
 
 def _record_stream(stats):
@@ -180,30 +182,30 @@ class TestWaveFaultRegression:
 
 
 class TestWaveEligibility:
-    """The payload alone picks how the wire carries a wave: no argument,
-    no store."""
+    """The payload alone picks how the wire carries a wave — slab block
+    or object wave, always one wave: no argument, no store."""
 
     def _schedule(self):
         idx = np.array([0], dtype=np.int64)
         return halo_schedule(holder=[{}, {0: idx}], owner=[{1: idx}, {}])
 
-    def test_non_float64_falls_back_to_messages(self, monkeypatch):
-        batches = _batch_spy(monkeypatch)
+    def test_int64_rides_the_slab_as_one_wave(self, monkeypatch):
+        waves = _wave_spy(monkeypatch)
         comm = SimComm(2)
         envs = [{"v": np.arange(4, dtype=np.int64) + 1},
                 {"v": np.zeros(4, dtype=np.int64)}]
         overlap_complete(overlap_post(comm, envs, "v", self._schedule()))
-        assert batches == [[np.dtype(np.int64)]]
+        assert [kind for *_w, kind in waves] == ["int64"]
         assert envs[1]["v"].tolist() == [1, 0, 0, 0]
         assert envs[1]["v"].dtype == np.int64
         comm.assert_drained()
 
     def test_float64_takes_the_block_path(self, monkeypatch):
-        batches = _batch_spy(monkeypatch)
+        waves = _wave_spy(monkeypatch)
         comm = SimComm(2)
         envs = [{"v": np.arange(4.0) + 1}, {"v": np.zeros(4)}]
         overlap_complete(overlap_post(comm, envs, "v", self._schedule()))
-        assert batches == []
+        assert [kind for *_w, kind in waves] == ["float64"]
         assert envs[1]["v"][0] == 1.0
         comm.assert_drained()
 
@@ -213,10 +215,11 @@ class TestWaveEligibility:
     ], ids=["int64", "2-D"])
     def test_ineligible_payloads_complete_per_message(self, make,
                                                       monkeypatch):
-        """int64 and 2-D fields go through ``overlap_update`` and
-        ``combine_update`` with no argument naming a path: every wave
-        message by message, right values, dtype and shape preserved."""
-        batches = _batch_spy(monkeypatch)
+        """int64 and 2-D fields — payloads a float64 slab cannot hold —
+        go through ``overlap_update`` and ``combine_update`` with no
+        argument naming a path: int64 waves on the slab, 2-D ones as
+        object waves, right values, dtype and shape preserved."""
+        waves = _wave_spy(monkeypatch)
         src = make(4)
         idx = np.array([1, 2], dtype=np.int64)
         comm = SimComm(2)
@@ -232,7 +235,8 @@ class TestWaveEligibility:
             assert env["v"].dtype == src.dtype
             assert env["v"].shape == src.shape
         comm.assert_drained()
-        assert batches == [[src.dtype]] * 3
+        kind = "int64" if src.ndim == 1 else "objects"
+        assert [(m, k) for _t, m, k in waves] == [(1, kind)] * 3
         assert comm.stats.total_messages() == 3
         assert comm.stats.total_words() == 3 * src[idx].size
 
@@ -273,11 +277,11 @@ class TestCombineWaveOps:
         rng = np.random.default_rng(9)
         base = [rng.standard_normal(4), rng.standard_normal(4)]
         outs = {}
-        batches = _batch_spy(monkeypatch)
+        sent = _wave_spy(monkeypatch)
         for wave, path in waves.items():
             envs = [{"v": base[0].copy()}, {"v": base[1].copy()}]
             comm = SimComm(2)
-            del batches[:]
+            del sent[:]
             with path():
                 pending = combine_post(comm, envs, "v", self._schedule(),
                                        op="+")
@@ -285,7 +289,7 @@ class TestCombineWaveOps:
             comm.assert_drained()
             # gather round + return round, each one message
             assert comm.stats.total_messages() == 2
-            assert len(batches) == (0 if wave == "block" else 2), wave
+            assert [m for _t, m, _k in sent] == [1, 1], wave
             for env, b in zip(envs, base):
                 assert env["v"].dtype == b.dtype
                 assert env["v"].shape == b.shape
@@ -303,33 +307,32 @@ class TestReferenceHalosFixture:
 
     def test_production_run_sends_blocks_reference_run_none(
             self, setup, reference_halos, monkeypatch):
-        sent = []
-        real = SimComm._deliver_block
+        waves = _wave_spy(monkeypatch)
 
-        def counting_deliver_block(self, *args):
-            sent.append(1)
-            return real(self, *args)
+        def multi_message_halo_waves():
+            return [w for w in waves
+                    if w[0] >= SimComm.FRESH_TAG_BASE and w[1] > 1]
 
-        monkeypatch.setattr(SimComm, "_deliver_block", counting_deliver_block)
         _run(setup, 0)
-        assert sent, "the production run never took the block path"
-        del sent[:]
+        assert multi_message_halo_waves(), \
+            "the production run never sent a halo wave in one call"
+        del waves[:]
         with reference_halos():
             _run(setup, 0)
-        assert not sent
+        assert waves and not multi_message_halo_waves()
 
     def test_block_wave_under_the_fixture_is_rejected(self, reference_halos):
-        # a block that bypasses send_block still reaches the wire as one
-        # block: the fixture must refuse to call that run a reference
+        # a halo wave that bypasses send_block still reaches the wire in
+        # one call: the fixture must refuse to call that run a reference
         comm = SimComm(2)
-        with pytest.raises(AssertionError, match="block wave"):
+        with pytest.raises(AssertionError, match="multi-message halo wave"):
             with reference_halos():
                 comm.send_block([0], [1], np.zeros(1), [1], tag=3)
-                comm._deliver_block(np.array([0]), np.array([1]), 5,
-                                    np.zeros(2), np.array([2]))
+                comm.send_batch([0, 0], [1, 1], [np.zeros(1), np.zeros(2)],
+                                tag=3)
 
     def test_empty_block_is_rejected(self, reference_halos):
-        with pytest.raises(AssertionError, match="no per-message"):
+        with pytest.raises(AssertionError, match="no halo wave"):
             with reference_halos():
                 pass
 

@@ -4,10 +4,10 @@ Every corpus program communicates 1-D real arrays, which the wire carries
 as one float64 block per wave.  The node-degree program below counts, in
 an ``integer`` array, the triangles around each node: on the shared-node
 pattern ``CNT`` is assembled by a combine, on the overlapping-element
-pattern it is overlap-updated.  Its waves are int64, so the wire carries
-them message by message — and the counts must still arrive exactly, as
-int64, on both backends, blocking and split-phase, and through a
-localized restart.
+pattern it is overlap-updated.  Its waves are int64, which the wire
+carries as one slab block of int64 bits — and the counts must arrive
+exactly, as int64, on both backends, blocking and split-phase, and
+through a localized restart.
 """
 
 import numpy as np
@@ -64,15 +64,15 @@ array out node
 
 @pytest.fixture
 def int64_waves(monkeypatch):
-    """Tags of the int64 waves ``_send_batch`` carried, message by message."""
+    """Tags of the int64 block waves ``_send_wave`` carried."""
     tags = []
-    real = SimComm._send_batch
+    real = SimComm._send_wave
 
-    def spy(self, srcs, dsts, tag, payloads):
-        if payloads and all(p.dtype == np.int64 for p in payloads):
+    def spy(self, srcs, dsts, tag, block, words):
+        if isinstance(block, np.ndarray) and block.dtype == np.int64:
             tags.append(tag)
-        return real(self, srcs, dsts, tag, payloads)
-    monkeypatch.setattr(SimComm, "_send_batch", spy)
+        return real(self, srcs, dsts, tag, block, words)
+    monkeypatch.setattr(SimComm, "_send_wave", spy)
     return tags
 
 
@@ -111,8 +111,8 @@ def test_integer_waves_survive_a_localized_restart(pattern, int64_waves):
 
 def test_replayed_integer_wave_is_bit_identical(int64_waves):
     # checkpoints every second event: the restarted rank re-drives the
-    # int64 overlap of CNT against the message log, its re-sends
-    # suppressed one message at a time
+    # int64 overlap of CNT against the message log, its re-sends masked
+    # out of their waves by log seq
     spec = _spec("overlap-elements-2d")
     run = run_pipeline(DEGREE_SOURCE, spec, structured_tri_mesh(8, 8), 3)
     ex = SPMDExecutor(run.placements.sub, spec, run.chosen.placement,

@@ -116,6 +116,61 @@ class TestNonblocking:
         assert len(tags) == 10
         assert min(tags) >= SimComm.FRESH_TAG_BASE
 
+    def test_split_windows_past_two_million_fresh_tags(self):
+        """Every halo collective draws a fresh tag and none is reused: a
+        long run's windows must keep working past tag 2**21."""
+        comm = SimComm(2)
+        comm._next_tag = (1 << 21) - 1  # as after ~2.1 million collectives
+        envs = [{"v": np.arange(4.0), "w": np.arange(4.0) + 10},
+                {"v": np.zeros(4), "w": np.zeros(4)}]
+        first = overlap_post(comm, envs, "v", self._schedule())
+        second = overlap_post(comm, envs, "w", self._schedule())
+        assert (first.tag, second.tag) == ((1 << 21) - 1, 1 << 21)
+        overlap_complete(first)
+        overlap_complete(second)
+        np.testing.assert_array_equal(envs[1]["v"], [0.0, 0.0, 2.0, 0.0])
+        np.testing.assert_array_equal(envs[1]["w"], [10.0, 0.0, 12.0, 0.0])
+        comm.assert_drained()
+
+    def test_tag_and_rank_limits_of_the_wire(self):
+        comm = SimComm(2)
+        top = (1 << 31) - 1
+        comm.view(0).send(np.arange(2.0), dest=1, tag=top)
+        assert comm.pending_channels() == [(0, 1, top, 1)]
+        np.testing.assert_array_equal(comm.view(1).recv(0, tag=top),
+                                      [0.0, 1.0])
+        with pytest.raises(RuntimeFault, match="packing limit"):
+            comm.view(0).send(1.0, dest=1, tag=1 << 31)
+        assert SimComm(1 << 16).size == 1 << 16
+        with pytest.raises(RuntimeFault, match="address space"):
+            SimComm((1 << 16) + 1)
+
+
+class TestMalformedWaves:
+    """A wave whose columns disagree, or that names a rank the
+    communicator does not have, is refused before any accounting."""
+
+    @pytest.mark.parametrize("send", [
+        lambda c: c.send_batch([0, 0], [1], [np.zeros(1), np.zeros(2)],
+                               tag=5),
+        lambda c: c.send_batch([0], [1, 2], [np.zeros(1)], tag=5),
+        lambda c: c.send_block([0, 7], [1, 2], np.arange(5.0), [2, 3],
+                               tag=5),
+        lambda c: c.send_batch([5], [1], [np.zeros(1)], tag=5),
+        lambda c: c.send_batch([-1], [1], [1.0], tag=5),
+        lambda c: c.send_block([0, 0], [1, 2], np.arange(1.0), [-1, 2],
+                               tag=5),
+        lambda c: c.send_block([0], [1], np.arange(3.0), [2], tag=5),
+    ], ids=["short-dsts", "short-payloads", "src-out-of-range",
+            "batch-src-out-of-range", "negative-src", "negative-words",
+            "words-short-of-block"])
+    def test_refused_and_unaccounted(self, send):
+        comm = SimComm(3)
+        with pytest.raises(RuntimeFault):
+            send(comm)
+        assert comm.pending_messages() == 0
+        assert comm.stats.total_messages() == 0
+
 
 class TestRequestLeakDetector:
     """A POST whose WAIT never ran leaves its wave on the wire: the drain

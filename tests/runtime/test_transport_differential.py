@@ -27,7 +27,7 @@ from repro.runtime import (
     envs_bit_identical,
     make_comm,
 )
-from repro.runtime.ringbuf import MISSING, RingTransport
+from repro.runtime.ringbuf import MISSING, RingTransport, wave_of
 from repro.spec import spec_for_testiv
 from tests.runtime.reference_wire import DequeTransport
 
@@ -156,12 +156,12 @@ class TestDiagnosticsDifferential:
 class TestReorderSingleSourceOfTruth:
     """Regression: a ``move_last`` reorder must survive every consumer.
 
-    The ring transport once applied reorders only to its lazy ``_chan``
-    FIFO index; batched matching (``pop_batch``/``pop_block``), bulk
-    delivery (which invalidates the index) and ``snapshot`` all read
-    ``seq`` order and silently reverted the fault.  The fix permutes the
-    channel's seq stamps, so every path below must now agree with the
-    deque oracle payload-for-payload.
+    The ring transport once applied reorders only to a lazy per-channel
+    FIFO index; wave matching, bulk delivery (which rebuilt the index)
+    and ``snapshot`` all read ``seq`` order and silently reverted the
+    fault.  The fix permutes the channel's seq stamps — now the ring's
+    only order — so every path below must agree with the deque oracle
+    payload-for-payload.
     """
 
     def _pair(self):
@@ -169,26 +169,35 @@ class TestReorderSingleSourceOfTruth:
         for name, t in (("ring", RingTransport()),
                         ("deque", DequeTransport())):
             for k in range(3):
-                t.push(0, 1, 7, np.arange(2.0) + k)
-            t.push(0, 2, 7, np.full(2, 9.0))  # bystander channel, depth 1
+                t.push([0], [1], 7, *wave_of([np.arange(2.0) + k]))
+            t.push([0], [2], 7, *wave_of([np.full(2, 9.0)]))  # bystander
             t.move_last(0, 1, 7, 0)  # newest message jumps to the front
             pair[name] = t
         return pair["ring"], pair["deque"]
 
     @staticmethod
     def _drain(t, n=3):
-        return [t.pop(0, 1, 7) for _ in range(n)]
+        # a wave of one is (payload, words) on the ring, [payload] on the
+        # deque: either way its payload comes first
+        return [t.pop([0], [1], 7)[0] for _ in range(n)]
+
+    @staticmethod
+    def _wave(t):
+        """The three-message wave of channel (0, 1, 7), as payloads."""
+        got = t.pop([0, 0, 0], [1, 1, 1], 7)
+        assert got is not MISSING
+        if isinstance(got, tuple):
+            return np.split(got[0], np.cumsum(got[1])[:-1])
+        return got
 
     def test_pop_batch_honours_reorder(self):
         ring, oracle = self._pair()
-        got = ring.pop_batch([0, 0, 0], [1, 1, 1], 7)
-        assert got is not MISSING
-        for a, b in zip(got, self._drain(oracle)):
+        for a, b in zip(self._wave(ring), self._drain(oracle)):
             assert np.array_equal(a, b)
 
     def test_pop_block_honours_reorder(self):
         ring, oracle = self._pair()
-        block, words = ring.pop_block([0, 0, 0], [1, 1, 1], 7)
+        block, words = ring.pop([0, 0, 0], [1, 1, 1], 7)
         assert words.tolist() == [2, 2, 2]
         assert np.array_equal(block, np.concatenate(self._drain(oracle)))
 
@@ -196,8 +205,8 @@ class TestReorderSingleSourceOfTruth:
         ring, oracle = self._pair()
         # bulk delivery rebuilds the FIFO index from scratch; the reorder
         # must survive the rebuild
-        ring.push_batch([1], [2], 3, [np.arange(4.0)])
-        oracle.push_batch([1], [2], 3, [np.arange(4.0)])
+        ring.push([1], [2], 3, *wave_of([np.arange(4.0)]))
+        oracle.push([1], [2], 3, *wave_of([np.arange(4.0)]))
         for a, b in zip(self._drain(ring), self._drain(oracle)):
             assert np.array_equal(a, b)
 
@@ -212,13 +221,12 @@ class TestReorderSingleSourceOfTruth:
     def test_middle_insert_after_index_built(self):
         for pos in (0, 1, 2):
             ring, oracle = self._pair()
-            # build the per-message index first, then reorder again
-            assert np.array_equal(ring.pop(0, 2, 7), oracle.pop(0, 2, 7))
+            # a single receive first, then reorder again
+            assert np.array_equal(ring.pop([0], [2], 7)[0],
+                                  oracle.pop([0], [2], 7)[0])
             ring.move_last(0, 1, 7, pos)
             oracle.move_last(0, 1, 7, pos)
-            got = ring.pop_batch([0, 0, 0], [1, 1, 1], 7)
-            assert got is not MISSING
-            for a, b in zip(got, self._drain(oracle)):
+            for a, b in zip(self._wave(ring), self._drain(oracle)):
                 assert np.array_equal(a, b)
 
     def test_recv_batch_under_reorder_plan_identical(self, wires):
