@@ -9,13 +9,22 @@ section 5); :mod:`repro.lang.vectorize` must agree with it.
 it as one Python module (a function per assignment, branch condition,
 loop-bounds triple, call-argument list and straight-line ``do`` loop; in
 :mod:`linecache` as ``<repro:SUBNAME>``), compiled by one ``compile()``,
-cached with an opcode tuple per instruction on the ``FlatCode`` for every
-rank interpreter.  Every check runs inline on every evaluation, in the
-tree walker's order; program text never becomes code (docs/architecture.md,
-"The interpreter").  A straight-line loop (assignments only, no pre-action
-pc, no jump target) runs all its trips in one call from the ``ILoopInit``
-arm, charging ``trips * (len(body) + 2) + 1`` steps at once — or, past
-``max_steps``, instruction by instruction: the budget fires at that step.
+cached with an opcode list on the ``FlatCode`` for every rank interpreter.
+Outside loops every check runs inline on every evaluation, in the tree
+walker's order; program text never becomes code (docs/architecture.md,
+"The interpreter").
+
+*Checks once per loop entry.*  A straight-line loop (assignments only, no
+jump target) is one function ``lPC(env, trips, step)`` that first checks,
+in a few numpy calls, every fact its per-trip checks would establish —
+loop variable and step are ``int``, each array the body names is an
+``ndarray`` of the referenced rank (fetched once), each subscript with a
+range fact lies in its axis — then runs all trips without them.  If a fact
+fails it returns ``False`` with ``env`` untouched, and the ``ILoopInit``
+arm takes the per-instruction path, as it does past ``max_steps`` (the
+budget then fires at its step).  The checked functions of the loop bodies'
+statements, which that path runs, are a second module
+(``<repro:SUBNAME:checked>``), loaded the first time one is called.
 
 Extension hooks used by the SPMD executor (:mod:`repro.runtime.executor`):
 
@@ -39,7 +48,6 @@ from __future__ import annotations
 import linecache
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Collection, Optional, Sequence
 
 import numpy as np
@@ -82,6 +90,17 @@ def _div(a: Any, b: Any) -> Any:
     if q < 0 and q * b != a:
         q += 1
     return q
+
+
+def _power(a: Any, b: Any) -> Any:
+    """FORTRAN ``**``: an integer to a negative integer power is
+    ``1/(a**|b|)`` truncated toward zero — 1, ±1 or 0, or a division by
+    zero for ``a = 0``."""
+    if _is_integer(a) and _is_integer(b) and b < 0:
+        # 1/a truncated is 0 or ±1, so its |b|-th power is that quotient,
+        # and no power of a large a (which np.int64 would wrap) is taken
+        return _div(1, a) ** -b
+    return a ** b
 
 
 def _mod(a: Any, b: Any) -> Any:
@@ -156,6 +175,7 @@ _INTRINSIC_NAMES = {name: f"i_{name}" for name in _INTRINSIC_FUNCS}
 #: the emitted module's namespace besides builtins, constants, functions
 _HELPERS: dict[str, Any] = {
     "ndarray": np.ndarray, "integers": _INTEGERS, "div": _div,
+    "power": _power, "may_share": np.may_share_memory,
     "fault": _fault, "raised": _raised, "unknown": _unknown,
     "CAUGHT": (*_FAULTS, KeyError),
     **{_INTRINSIC_NAMES[name]: fn for name, fn in _INTRINSIC_FUNCS.items()},
@@ -166,15 +186,136 @@ def _indent(lines: list[str]) -> list[str]:
     return ["    " + line for line in lines]
 
 
+def _fast(var: Any, body: Sequence[IAssign]) -> bool:
+    """Whether a straight-line body keeps what its loop function hoists:
+    no statement rebinds the loop variable or a name the body indexes."""
+    scalars = {ins.target.name for ins in body if isinstance(ins.target, Var)}
+    arrays = {ex.name for ins in body for side in (ins.value, ins.target)
+              for ex in side.walk() if isinstance(ex, ArrayRef)}
+    return var not in scalars and scalars.isdisjoint(arrays)
+
+
+class _Loop:
+    """A fast loop's entry facts, gathered while its body is emitted: the
+    arrays fetched once, and the check each subscript's range fact needs.
+
+    A range fact is the least and greatest value a subscript takes over
+    the trips: a constant's own, the loop variable's, and for ``m(i, c)``
+    the min/max of index array ``m``'s trip rows in column ``c`` — which a
+    scalar assigned ``s = m(i, c)`` carries to its uses up to its next
+    assignment.  ``m`` qualifies while the body stores nothing into it and
+    the entry finds it an integer array sharing no memory with an array
+    the body stores into."""
+
+    def __init__(self, em: "_Emitter", var: Any, body: Sequence[IAssign],
+                 real: Collection):
+        self.em, self.var, self.real = em, var, real
+        #: the loop variable's local, its least and its greatest value
+        self.local, self.low, self.high = em.new("t"), em.new("t"), em.new("t")
+        self.stored = {ins.target.name: None for ins in body
+                       if isinstance(ins.target, ArrayRef)}
+        self.temps: dict[Any, str] = {}
+        #: scalar -> the index column its latest assignment read, if any
+        self.carried: dict[Any, Optional[tuple]] = {}
+        self.columns: dict[tuple, tuple[str, str]] = {}
+        # the entry's lines in the order they run (dicts as ordered sets):
+        # fetches, direct facts, dtype kinds, then the index columns' facts
+        self.fetches: dict[str, None] = {}
+        self.facts: dict[str, None] = {}
+        self.kinds: dict[str, None] = {}
+        self.bounds: dict[str, None] = {}
+
+    def temp(self, name: Any) -> str:
+        if name not in self.temps:
+            self.temps[name] = self.em.new("t")
+        return self.temps[name]
+
+    def array(self, name: Any, rank: int) -> str:
+        """The temporary holding array ``name``, checked at entry."""
+        arr = self.temp(name)
+        self.fetches[f"if not isinstance({arr} := env.get("
+                     f"{self.em.key(name)}), ndarray) or {arr}.ndim != "
+                     f"{rank:d}: return False"] = None
+        return arr
+
+    def fact(self, sub: Expr) -> Optional[tuple[str, str, dict]]:
+        """``sub``'s least and greatest value over the trips and the entry
+        lines its checks join, or None: ``sub`` is checked every trip."""
+        if isinstance(sub, Const):
+            value = sub.value
+            return ((f"{value:d}", f"{value:d}", self.facts)
+                    if type(value) is int else None)
+        if isinstance(sub, Var):
+            if sub.name == self.var:
+                return self.low, self.high, self.facts
+            key = self.carried.get(sub.name)
+        else:
+            key = self.index(sub)
+        return None if key is None else (*self.column(key), self.bounds)
+
+    def index(self, ex: Expr) -> Optional[tuple]:
+        """``(m, (c, ...))`` when ``ex`` is ``m(i, c, ...)``: the loop
+        variable, then integer constants, into an array the body never
+        stores into."""
+        if (isinstance(ex, ArrayRef) and ex.name not in self.stored
+                and ex.subs and isinstance(ex.subs[0], Var)
+                and ex.subs[0].name == self.var
+                and all(isinstance(c, Const) and type(c.value) is int
+                        for c in ex.subs[1:])):
+            return ex.name, tuple(c.value for c in ex.subs[1:])
+        return None
+
+    def column(self, key: tuple) -> tuple[str, str]:
+        """The least and greatest element of ``m``'s trip rows in column
+        ``c`` (all rows between the loop variable's extremes), once ``m``
+        qualifies."""
+        if key not in self.columns:
+            name, cols = key
+            m, rows = self.temp(name), self.em.new("t")
+            low, high = self.em.new("t"), self.em.new("t")
+            self.kinds[f"if {m}.dtype.kind != 'i'" + "".join(
+                f" or may_share({m}, {self.temp(x)})" for x in self.stored)
+                + ": return False"] = None
+            cols = "".join(f", {c - 1:d}" for c in cols)
+            self.bounds[f"{rows} = {m}[{self.low} - 1:{self.high}{cols}]"] \
+                = None
+            self.bounds[f"{low}, {high} = {rows}.min(), {rows}.max()"] = None
+            self.columns[key] = low, high
+        return self.columns[key]
+
+    def within(self, fact: tuple[str, str, dict], arr: str, axis: int):
+        low, high, lines = fact
+        lines[f"if {low} < 1 or {high} > {arr}.shape[{axis:d}]: "
+              f"return False"] = None
+
+    def real_array(self, name: Any) -> bool:
+        """Whether ``name``'s elements are floats: it is declared real and
+        the entry checks its dtype kind."""
+        if name not in self.real:
+            return False
+        self.kinds[f"if {self.temp(name)}.dtype.kind != 'f': return False"] \
+            = None
+        return True
+
+    def assigned(self, ins: IAssign) -> None:
+        if isinstance(ins.target, Var):
+            self.carried[ins.target.name] = self.index(ins.value)
+
+    def entry(self) -> list[str]:
+        return [*self.fetches, *self.facts, *self.kinds, *self.bounds]
+
+
 class _Emitter:
     """Writes code as the source of one Python module and loads it.
     :meth:`expr` gives ``(lines, text, safe)``: after ``lines``, ``text`` is
-    the value; ``safe``: ``text`` can neither raise nor read ``env``."""
+    the value; ``safe``: ``text`` can neither raise nor read ``env``.
+    While :attr:`loop` is set, expressions are emitted for its fast body."""
 
     def __init__(self):
         self.source: list[str] = []
         self.namespace: dict[str, Any] = dict(_HELPERS)
         self.count = 0
+        self.loop: Optional[_Loop] = None
 
     def new(self, prefix: str) -> str:
         self.count += 1
@@ -191,9 +332,11 @@ class _Emitter:
         if isinstance(ex, Const):
             return [], self.const(ex.value), True
         if isinstance(ex, Var):
+            if self.loop is not None and ex.name == self.loop.var:
+                return [], self.loop.local, True
             return [], f"env[{self.key(ex.name)}]", False
         if isinstance(ex, ArrayRef):
-            return (*self.ref(ex), True)
+            return self.ref(ex)
         if isinstance(ex, BinOp) and ex.op in (".and.", ".or."):
             return self.logical(ex)
         if isinstance(ex, BinOp):
@@ -201,7 +344,7 @@ class _Emitter:
             if ex.op not in _BINOPS:
                 op = self.const(ex.op)
                 return lines, f"unknown('operator', {op}, {a}, {b})", False
-            return lines, _BINOPS[ex.op].format(a, b), False
+            return lines, self.binop(ex).format(a, b), False
         if isinstance(ex, UnOp):
             lines, text, safe = self.expr(ex.operand)
             form = {"+": "{}", "-": "(-{})"}.get(ex.op, "(not bool({}))")
@@ -242,15 +385,57 @@ class _Emitter:
                          f"if {t if word == 'and' else 'not ' + t}:"]
                 + _indent(right + [f"{t} = bool({b})"]), t, True)
 
-    def ref(self, ref: ArrayRef) -> tuple[list[str], str]:
-        """The lines that fetch and check, the element's text."""
-        arr, name, rank = self.new("t"), self.key(ref.name), len(ref.subs)
-        lines = [f"if not isinstance({arr} := env.get({name}), ndarray) or "
-                 f"{arr}.ndim != {rank:d}: raise fault(env, {name}, {rank:d})"]
-        index = []
+    def binop(self, ex: BinOp) -> str:
+        """``/`` with a statically real operand is Python's, which is what
+        ``div`` returns for it; ``**`` is ``power``'s unless its exponent
+        is a non-negative integer constant."""
+        if ex.op == "/" and (self.real(ex.left) or self.real(ex.right)):
+            return "({} / {})"
+        right = ex.right
+        if ex.op == "**" and not (isinstance(right, Const)
+                                  and type(right.value) is int
+                                  and right.value >= 0):
+            return "power({}, {})"
+        return _BINOPS[ex.op]
+
+    def real(self, ex: Expr) -> bool:
+        """Whether ``ex`` is statically no integer: a real constant, an
+        element of a real array in a fast loop, or arithmetic over one."""
+        if isinstance(ex, Const):
+            return type(ex.value) is float
+        if isinstance(ex, BinOp) and ex.op in ("+", "-", "*", "/", "**"):
+            return self.real(ex.left) or self.real(ex.right)
+        if isinstance(ex, UnOp) and ex.op in ("+", "-"):
+            return self.real(ex.operand)
+        return (isinstance(ex, ArrayRef) and self.loop is not None
+                and self.loop.real_array(ex.name))
+
+    def ref(self, ref: ArrayRef) -> tuple[list[str], str, bool]:
+        """The lines that fetch and check, the element's text, whether it
+        is safe.  In a fast loop the array is a temporary fetched at entry,
+        and a subscript with a range fact is checked there, not here."""
+        name, rank, loop = self.key(ref.name), len(ref.subs), self.loop
+        if loop is None:
+            arr = self.new("t")
+            lines = [f"if not isinstance({arr} := env.get({name}), ndarray) "
+                     f"or {arr}.ndim != {rank:d}: "
+                     f"raise fault(env, {name}, {rank:d})"]
+        else:
+            arr, lines = loop.array(ref.name, rank), []
+        index, safe = [], True
         for axis, sub in enumerate(ref.subs):
-            sub_lines, text, _ = self.expr(sub)
+            fact = loop and loop.fact(sub)
+            if fact:
+                loop.within(fact, arr, axis)
+            if fact and isinstance(sub, Const):
+                index.append(f"{sub.value - 1:d}")
+                continue
+            sub_lines, text, ok = self.expr(sub)
             lines += sub_lines
+            if fact:    # a carried scalar's read from env cannot raise
+                index.append(f"{text} - 1")
+                safe = safe and ok
+                continue
             if isinstance(sub, Const) and type(sub.value) is int:
                 i = raw = text
             else:   # np.int64 (or bool) converted; not an integer: 0 fails
@@ -261,7 +446,7 @@ class _Emitter:
             lines.append(f"if not 1 <= {i} <= {arr}.shape[{axis:d}]: "
                          f"raise fault(env, {name}, {rank:d}, {raw}, {axis})")
             index.append(f"{i} - 1")
-        return lines, f"{arr}[{', '.join(index)}]"
+        return lines, f"{arr}[{', '.join(index)}]", safe
 
     def assign(self, ins: IAssign, line: int) -> list[str]:
         """The statement in its ``try``: the value, then the target's
@@ -283,6 +468,34 @@ class _Emitter:
         self.define(name, "env", self.guard(
             lines + ["return " + form.format(", ".join(texts))], line))
         return name
+
+    def fast_loop(self, name: str, var: Any,
+                  body: Sequence[tuple[IAssign, int]], real: Collection):
+        """``def name(env, trips, step)``: every trip without the checks
+        whose facts the entry establishes, or ``False`` before touching
+        ``env`` when one fails.  The loop variable is a local, stored back
+        in a ``finally``: at a fault in trip k it holds ``lo + k·step``."""
+        self.loop = loop = _Loop(self, var, [ins for ins, _ in body], real)
+        trip = []
+        for ins, line in body:
+            trip += self.assign(ins, line)
+            loop.assigned(ins)
+        self.loop = None
+        i, low, high, key = loop.local, loop.low, loop.high, self.key(var)
+        self.define(name, "env, trips, step", [
+            "if not trips: return True",
+            f"if type({i} := env[{key}]) is not int or type(step) is not int: "
+            f"return False",
+            f"{high} = {i} + (trips - 1) * step",
+            f"{low}, {high} = ({i}, {high}) if step > 0 else ({high}, {i})",
+            *loop.entry(),
+            "try:",
+            f"    for {i} in range({i}, {i} + trips * step, step):",
+            *_indent(_indent(trip)),
+            f"    {i} += step",
+            "finally:",
+            f"    env[{key}] = {i}",
+            "return True"])
 
     def define(self, name: str, params: str, body: list[str]) -> None:
         self.source += [f"def {name}({params}):"] + _indent(body)
@@ -401,24 +614,60 @@ class LoopRequest:
  _RETURN) = range(8)
 
 
-def _compile(code: FlatCode) -> tuple[tuple, dict[int, tuple]]:
+class _Checked:
+    """Stands in the opcode list for a fast loop body's statement, run
+    instruction by instruction.  The first call emits the checked ``aPC``
+    of every such statement as a second module and puts them in place."""
+
+    __slots__ = ("code", "pc")
+
+    def __init__(self, code: FlatCode, pc: int):
+        self.code, self.pc = code, pc
+
+    def __call__(self, env: Env) -> None:
+        ops = self.code.compiled[0]
+        if ops[self.pc][2] is self:
+            _load_checked(self.code)
+        ops[self.pc][2](env)
+
+
+def _load_checked(code: FlatCode) -> None:
+    """Emit and load the checked functions the stand-ins of ``code`` wait
+    for, through the same emitter as the first module."""
+    ops, em = code.compiled[0], _Emitter()
+    pcs = [pc for pc, op in enumerate(ops) if isinstance(op[2], _Checked)]
+    if not pcs:
+        return
+    for pc in pcs:
+        ins = code.instrs[pc]
+        em.define(f"a{pc:d}", "env", em.assign(ins, code.sub.stmt(ins.sid).line))
+    fns = em.load(f"<repro:{code.sub.name}:checked>")
+    for pc in pcs:
+        op, sid, _, b, c = ops[pc]
+        ops[pc] = op, sid, fns[f"a{pc:d}"], b, c
+
+
+def _compile(code: FlatCode) -> tuple[list, dict[int, tuple]]:
     """Compile ``code`` once (cached on it): ``(opcode, sid, a, b, c)`` per
-    instruction, and ``ILoopInit`` pc -> ``(run all trips, body length)``
-    per straight-line loop, whose body is emitted once, in ``lPC(env,
-    trips, step, only=None)``: one statement alone is one trip ``only``."""
+    instruction, and ``ILoopInit`` pc -> ``(lPC, body length)`` per fast
+    loop: straight-line, and no statement rebinds what it hoists.  Its body
+    statements' checked functions wait in a :class:`_Checked` each."""
     if code.compiled is not None:
         return code.compiled
     instrs, em = code.instrs, _Emitter()
     lines = [code.sub.stmt(ins.sid).line if ins.sid else 0 for ins in instrs]
     targets = ({ins.pc for ins in instrs if isinstance(ins, IJump)}
                | {ins.pc_false for ins in instrs if isinstance(ins, IBranch)})
+    real = {name for name, decl in code.sub.decls.items()
+            if decl.is_array and decl.base == "real"}
     loops = {}
     for pc, ins in enumerate(instrs):
         if isinstance(ins, ILoopInit):
             end = instrs[pc + 1].pc_exit
             body = range(pc + 2, end - 1)   # between ILoopTest and ILoopIncr
             if (all(isinstance(instrs[b], IAssign) for b in body)
-                    and targets.isdisjoint(range(pc + 1, end))):
+                    and targets.isdisjoint(range(pc + 1, end))
+                    and _fast(ins.var, [instrs[b] for b in body])):
                 loops[pc] = body
     in_loop = {b: pc for pc, body in loops.items() for b in body}
     ops = []
@@ -451,20 +700,14 @@ def _compile(code: FlatCode) -> tuple[tuple, dict[int, tuple]]:
             raise InterpError(f"unknown instruction {type(ins).__name__}")
         ops.append(op)
         if pc in loops:
-            trip = []
-            for b in loops[pc]:
-                trip += [f"if only is None or only == {b:d}:"] + _indent(
-                    em.assign(instrs[b], lines[b]))
-            var = em.key(ins.var)
-            trip += ["if only is None:", f"    env[{var}] = env[{var}] + step"]
-            em.define(f"l{pc:d}", "env, trips, step, only=None",
-                      ["for trip in range(trips):"] + _indent(trip))
+            em.fast_loop(f"l{pc:d}", ins.var,
+                         [(instrs[b], lines[b]) for b in loops[pc]], real)
     fns = em.load(f"<repro:{code.sub.name}>")
-    for b, pc in in_loop.items():
-        fns[f"a{b:d}"] = partial(fns[f"l{pc:d}"], trips=1, step=None, only=b)
-    code.compiled = tuple(
+    for b in in_loop:
+        fns[f"a{b:d}"] = _Checked(code, b)
+    code.compiled = [
         (op, sid, fns[a] if op in (_ASSIGN, _BRANCH, _LOOP_INIT) else a,
-         fns[b] if op == _CALL else b, c) for op, sid, a, b, c in ops), {
+         fns[b] if op == _CALL else b, c) for op, sid, a, b, c in ops], {
         pc: (fns[f"l{pc:d}"], len(body)) for pc, body in loops.items()}
     return code.compiled
 
@@ -618,8 +861,8 @@ class Interpreter:
                 loop = inline_loops.get(pc) if type(trips) is int else None
                 # per trip: test + body + incr; then the test that exits
                 if (loop is not None
-                        and steps + trips * (loop[1] + 2) + 1 <= max_steps):
-                    loop[0](env, trips, step)
+                        and steps + trips * (loop[1] + 2) + 1 <= max_steps
+                        and loop[0](env, trips, step)):
                     steps += trips * (loop[1] + 2) + 1
                     remaining[sid] = 0
                     pc = c

@@ -54,7 +54,7 @@ from .ast import (
     UnOp,
     Var,
 )
-from .interp import _is_integer
+from .interp import _FAULTS, _is_integer, _raised
 
 Env = dict
 
@@ -66,8 +66,24 @@ def _np_mod(a, b):
     return np.fmod(a, b)
 
 
+def _int64_domain(x):
+    """Refuse what ``INT``/``NINT`` cannot make an int64: the first NaN,
+    ±inf or out-of-range element raises as the interpreter's ``int`` and
+    store of it would (``ValueError`` / ``OverflowError``)."""
+    ok = (x >= -2.0 ** 63) & (x < 2.0 ** 63)      # False for NaN
+    if not np.all(ok):
+        np.int64(int(np.asarray(x)[~np.asarray(ok)][0]))
+
+
+def _np_int(x):
+    """FORTRAN-77 ``INT``: truncation toward zero."""
+    _int64_domain(x)
+    return np.trunc(x).astype(np.int64)
+
+
 def _np_nint(x):
     """FORTRAN-77 ``NINT``: halves round away from zero."""
+    _int64_domain(x)
     r = np.floor(np.abs(x))
     return (np.sign(x) * (r + (np.abs(x) - r >= 0.5))).astype(np.int64)
 
@@ -82,7 +98,7 @@ _NP_INTRINSICS: dict[str, Callable] = {
     "float": lambda x: np.asarray(x, dtype=np.float64),
     "real": lambda x: np.asarray(x, dtype=np.float64),
     "dble": lambda x: np.asarray(x, dtype=np.float64),
-    "int": lambda x: np.trunc(x).astype(np.int64),
+    "int": _np_int,
     "nint": _np_nint,
 }
 
@@ -220,8 +236,11 @@ class LoopKernel:
         if not len(space.idx):
             return
         locals_: dict[str, np.ndarray] = {}
-        for step in self.steps:
-            step(space, locals_)
+        for step, st in zip(self.steps, self.loop.body):
+            try:
+                step(space, locals_)
+            except _FAULTS as exc:     # as the interpreter's statement
+                raise _raised(exc, st.line)
 
 
 class _Bail(Exception):
@@ -474,7 +493,13 @@ def _apply_binop(op: str, a, b):
             return q * np.sign(a) * np.sign(b)
         return a / b
     if op == "**":
-        return a ** b
+        neg = np.less(b, 0) if _is_integral(a) and _is_integral(b) else False
+        if not np.any(neg):
+            return a ** b
+        # FORTRAN-77 I**J, J < 0: (1/I)**|J|, 1/I truncated (the
+        # interpreter's ``_power``); I = 0 raises
+        inverse = _apply_binop("/", 1, np.where(neg, a, 1))
+        return np.where(neg, inverse ** np.abs(b), a ** np.where(neg, 0, b))
     if op == "<":
         return a < b
     if op == "<=":

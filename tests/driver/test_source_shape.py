@@ -2,14 +2,15 @@
 
 A deleted name nothing imports needs no guard; a *shape* does: one halo
 schedule over two tables, one body per halo collective half, a boundary
-loop without closures, one kernel compiler, one interpreter compiler,
-one call per wire layer —
+loop without closures, one kernel compiler, one interpreter compiler
+whose loops check at entry, one call per wire layer —
 and the rule the single placement
 judge rests on: ``placement/comms.py``'s privates stay inside
 ``repro/placement/``.
 """
 
 import ast
+import linecache
 import re
 from pathlib import Path
 
@@ -100,6 +101,27 @@ def test_the_interpreter_has_one_compiler():
     compiles = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
                 and isinstance(n.func, ast.Name) and n.func.id == "compile"]
     assert len(compiles) == 1
+    # one fallback, not a second entry into the loop bodies
+    assert "partial" not in {a.name for n in ast.walk(tree)
+                             if isinstance(n, ast.ImportFrom) for a in n.names}
+
+
+def test_a_fast_loop_checks_at_entry_not_per_trip():
+    # TESTIV's six straight-line loops: the trips fetch no array and test
+    # no kind, type or statement; the entry before them did all of it
+    from repro.corpus import TESTIV_SOURCE
+    from repro.lang import Interpreter, lower_subroutine, parse_subroutine
+
+    sub = parse_subroutine(TESTIV_SOURCE)
+    Interpreter(lower_subroutine(sub))
+    module = ast.parse("".join(linecache.getlines(f"<repro:{sub.name}>")))
+    loops = [n for n in ast.walk(module) if isinstance(n, ast.For)]
+    assert len(loops) == 6
+    for loop in loops:
+        body = "\n".join(ast.unparse(n) for n in loop.body)
+        hits = [w for w in ("isinstance(", "env.get(", "type(", "only")
+                if w in body]
+        assert not hits, (hits, body)
 
 
 def test_the_wire_moves_waves_through_one_call_per_layer():

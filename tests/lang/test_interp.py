@@ -34,8 +34,9 @@ from repro.lang import (
     parse_subroutine,
     run_subroutine,
 )
-from repro.lang.ast import Subroutine
-from repro.lang.interp import _INTRINSIC_FUNCS, _is_integer, compile_expr
+from repro.lang.ast import Decl, Subroutine
+from repro.lang.interp import (_INTRINSIC_FUNCS, _Checked, _is_integer,
+                               _load_checked, compile_expr)
 
 
 def run(src: str, **values):
@@ -281,6 +282,110 @@ class TestFortranIntrinsics:
                 Interpreter(code, vector_loops=loops).run(env)
 
 
+def _fortran_power(a, b):
+    """FORTRAN-77 ``I**J``; None where ``J < 0`` divides by ``I = 0``."""
+    if b >= 0:
+        return a ** b
+    if a == 0:
+        return None
+    return a ** -b if abs(a) == 1 else 0
+
+
+class TestNegativeIntegerPowers:
+    """``I**J`` with ``J < 0`` is ``1/(I**|J|)`` truncated toward zero for
+    Python ints and ``np.int64`` alike, in both backends and the walker."""
+
+    SRC = ("subroutine t(a, b, k, e, m, r, n)\n  integer a, b, n, i\n"
+           "  integer k(4), e(4), m(4), r(4)\n  do i = 1,n\n"
+           "    m(i) = a ** b\n    r(i) = k(i) ** e(i)\n  end do\nend\n")
+
+    @pytest.mark.parametrize("wrap", [int, np.int64])
+    @pytest.mark.parametrize("b", [-3, -1, 0, 2])
+    @pytest.mark.parametrize("a", [-2, -1, 0, 1, 2, 3])
+    def test_bases_and_exponents(self, a, b, wrap):
+        want = _fortran_power(a, b)
+        ex, env = BinOp("**", Var("a"), Var("b")), {"a": wrap(a), "b": wrap(b)}
+        got = _outcome(lambda: eval_expr(ex, env))
+        assert got == _outcome(lambda: _eval_reference(ex, env))
+        assert got[2] == (want if want is not None
+                          else "integer division by zero")
+        sub = parse_subroutine(self.SRC)
+        code, kernels = lower_subroutine(sub), build_vector_kernels(sub)
+        assert len(kernels) == 1
+        for loops in ({}, kernels):
+            env = make_env(sub, a=wrap(a), b=wrap(b), k=np.full(4, a),
+                           e=np.full(4, b), n=4)
+            run = Interpreter(code, vector_loops=loops).run
+            if want is None:
+                with pytest.raises(InterpError,
+                                   match="^integer division by zero$"):
+                    run(env)
+            else:
+                out = run(env).env
+                assert out["m"].tolist() == out["r"].tolist() == [want] * 4
+
+    @pytest.mark.parametrize("a", [2 ** 40, -(2 ** 49), 3 ** 39])
+    def test_a_large_base_takes_no_power_that_wraps(self, a):
+        # (2**40)**2 wraps to 0 in int64: the quotient must still be 0
+        for wrap in (int, np.int64):
+            for b in (wrap(-2), wrap(-7)):
+                ex, env = BinOp("**", Var("a"), Var("b")), {"a": wrap(a),
+                                                            "b": b}
+                got = _outcome(lambda: eval_expr(ex, env))
+                assert got == _outcome(lambda: _eval_reference(ex, env))
+                assert got[2] == 0
+        sub = parse_subroutine(self.SRC)
+        env = make_env(sub, a=0, b=0, k=np.full(4, a), e=np.full(4, -2), n=4)
+        kernel, = build_vector_kernels(sub).values()
+        kernel(env, 1, 4)
+        assert env["r"].tolist() == [0] * 4
+
+    def test_a_non_negative_constant_exponent_stays_python_power(self):
+        sub = parse_subroutine("subroutine t(y, n)\n  x = y ** 2\n"
+                               "  z = y ** n\nend\n")
+        Interpreter(lower_subroutine(sub))
+        source = "".join(linecache.getlines("<repro:t>"))
+        assert "(env['y'] ** k" in source and "power(env['y'], env['n'])" \
+            in source
+
+
+class TestVectorFaultsKeepTheContract:
+    """A fault inside a kernel statement leaves it as the interpreter's
+    statement does: ``InterpError("line N: …")`` caused by the fault."""
+
+    SRC = ("subroutine t(x, k, n)\n  real x(4)\n  integer k(4)\n"
+           "  integer i\n  do i = 1,n\n    k(i) = {}(x(i))\n  end do\nend\n")
+
+    @pytest.mark.parametrize("fn", ["int", "nint"])
+    @pytest.mark.parametrize("x, cause, text", [
+        ([1.5, np.nan, 1e300, -2.5], ValueError,
+         "cannot convert float NaN to integer"),
+        ([1.5, -np.inf, np.nan, -2.5], OverflowError,
+         "cannot convert float infinity to integer"),
+        ([1.5, 1e300, np.nan, -2.5], OverflowError,
+         "Python int too large to convert to C long"),
+    ])
+    def test_int_and_nint_refuse_what_int64_cannot_hold(self, fn, x, cause,
+                                                        text):
+        sub = parse_subroutine(self.SRC.format(fn))
+        code, kernels = lower_subroutine(sub), build_vector_kernels(sub)
+        assert len(kernels) == 1
+        for loops in ({}, kernels):
+            env = make_env(sub, x=np.array(x), n=4)
+            with pytest.raises(InterpError) as info:
+                Interpreter(code, vector_loops=loops).run(env)
+            assert str(info.value) == f"line 6: {text}"
+            assert type(info.value.__cause__) is cause
+
+    def test_in_range_values_convert_in_both_backends(self):
+        sub = parse_subroutine(self.SRC.format("nint"))
+        code = lower_subroutine(sub)
+        for loops in ({}, build_vector_kernels(sub)):
+            env = make_env(sub, x=np.array([1.5, -2.5, 0.4, -2.0 ** 63]), n=4)
+            out = Interpreter(code, vector_loops=loops).run(env).env
+            assert out["k"].tolist() == [2, -3, 0, -2 ** 63]
+
+
 class TestArithmeticFaults:
     """Python's own arithmetic exceptions leave the interpreter as
     ``InterpError`` naming the line of the faulting statement."""
@@ -385,6 +490,10 @@ def _binop(op, a, b):
             return q
         return a / b
     if op == "**":
+        if _is_integer(a) and _is_integer(b) and b < 0:
+            # FORTRAN-77: I**J for J < 0 is 1/(I**|J|) truncated, which is
+            # (1/I truncated)**|J|: 1/I is 0 or ±1 (I = 0 divides by zero)
+            return _binop("/", 1, a) ** -b
         return a ** b
     if op == "<":
         return a < b
@@ -626,11 +735,12 @@ def _bits(value):
     return type(value).__name__, repr(value)
 
 
-def _run_outcome(run):
-    """Run on a fresh copy of ``ENV``: its final state, or the exception
-    (type, message, type of its cause) and the state it left."""
-    env = {k: v.copy() if isinstance(v, np.ndarray) else v
-           for k, v in ENV.items()}
+def _run_outcome(run, fresh=None):
+    """Run on ``fresh()`` (default: a copy of ``ENV``): its final state, or
+    the exception (type, message, type of its cause) and the state it
+    left."""
+    env = fresh() if fresh else {k: v.copy() if isinstance(v, np.ndarray)
+                                 else v for k, v in ENV.items()}
     try:
         with np.errstate(all="ignore"):
             steps = run(env)
@@ -722,6 +832,132 @@ class TestStatementsEqualTreeWalker:
         assert loop == _run_outcome(_interpreted(code, per_instruction=True))
 
 
+# -- a loop's fast path ≡ its per-instruction path ≡ the walker -------------
+
+#: the loops' index array ``m``: 5 trip rows of 2 node columns into ``x``
+#: (and ``w``, which holds them too and is longer)
+_ROWS = np.array([[1, 2], [3, 4], [5, 6], [2, 1], [6, 3]])
+
+_I, _S = Var("i"), Var("s")
+
+
+def _m(col):
+    return ArrayRef("m", (_I, Const(col)))
+
+
+#: (target, value) menu: direct, ``m(i, c)`` and carried ``s = m(i, c)``
+#: subscripts, stores into ``x`` and ``w``, a real ``/`` and a ``/`` by
+#: ``i - k``, zero at the trip where ``i == k``
+_LOOP_STATEMENTS = st.one_of(
+    st.builds(lambda c: (_S, _m(c)), st.sampled_from([1, 2])),
+    st.just((ArrayRef("x", (_S,)), BinOp("+", ArrayRef("x", (_S,)),
+                                         Var("v")))),
+    st.builds(lambda c: (ArrayRef("x", (_I,)),
+                         BinOp("*", ArrayRef("x", (_m(c),)), Const(2.0))),
+              st.sampled_from([1, 2])),
+    st.just((ArrayRef("w", (_I,)), _S)),
+    st.just((ArrayRef("w", (_S,)), BinOp("-", _I, Const(3)))),
+    st.just((Var("v"), BinOp("/", ArrayRef("x", (_S,)), Var("y")))),
+    st.builds(lambda k: (Var("v"), BinOp("/", Const(1.0),
+                                         BinOp("-", _I, Const(k)))),
+              st.integers(0, 6)))
+
+#: what ``m`` is: good, bad in one column at the first / a middle / the
+#: last trip, bool, float, missing, rank 1, or a view of ``w``, which the
+#: body stores into
+_INDEX_KINDS = ("good", "first", "middle", "last", "bool", "float",
+                "missing", "rank", "view")
+
+
+def _loop_env(kind, rows, s0, x_int):
+    """A fresh environment for one loop run (a view stays a view)."""
+    w = np.arange(10) % 6 + 1
+    m = {"bool": _ROWS.astype(bool), "float": _ROWS.astype(float),
+         "rank": _ROWS.ravel().copy(), "view": w.reshape(5, 2)}.get(
+        kind, _ROWS.copy())
+    at = {"first": (0, 0, 0), "middle": (len(rows) // 2, 1, 7),
+          "last": (-1, 1, 7)}.get(kind)
+    if at is not None and rows and 1 <= rows[at[0]] <= 5:
+        m[rows[at[0]] - 1, at[1]] = at[2]
+    x = np.linspace(0.5, 3.0, 6)
+    env = {"x": np.arange(1, 7) if x_int else x, "w": w, "v": 1.25,
+           "y": 0.5, "s": s0}
+    if kind != "missing":
+        env["m"] = m
+    return env
+
+
+def _assert_same_loops(pairs, lo, trips, step, kind, s0, x_int):
+    body = [Assign(target=t, value=v, line=6 + n)
+            for n, (t, v) in enumerate(pairs)]
+    loop = DoLoop(var="i", lo=Const(lo), hi=Const(lo + (trips - 1) * step),
+                  step=None if step == 1 else Const(step), body=body, line=5)
+    sub = Subroutine("t", [], {"x": Decl("x", "real", (6,))}, [loop])
+    code = lower_subroutine(sub)
+    rows = [lo + k * step for k in range(trips)]
+
+    def fresh():
+        return _loop_env(kind, rows, s0, x_int)
+
+    fast = _run_outcome(_interpreted(code), fresh)
+    assert fast == _run_outcome(_interpreted(code, per_instruction=True),
+                                fresh), (body, lo, trips, step, kind)
+    if step == 1:      # the walker's loops step by one
+        want = _run_outcome(lambda env: _run_reference(sub.body, env), fresh)
+        assert (fast[0], fast[2]) == (want[0], want[2]), (body, fast, want)
+
+
+_LOOPS = dict(pairs=st.lists(_LOOP_STATEMENTS, min_size=1, max_size=5),
+              lo=st.integers(0, 6), trips=st.integers(0, 5),
+              step=st.sampled_from([1, 2, -1, -3]),
+              kind=st.sampled_from(_INDEX_KINDS),
+              s0=st.sampled_from([2, 7, np.int64(3)]), x_int=st.booleans())
+
+
+class TestLoopPathEqualsPerInstruction:
+    """A straight-line loop's function, its per-instruction path and the
+    walker: the same exception (type, message, cause type) or none, the
+    same steps, type- and bit-exact environments — ``env['i']`` too."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(**_LOOPS)
+    def test_generated_loops(self, **case):
+        _assert_same_loops(**case)
+
+    @pytest.mark.soak
+    @settings(max_examples=10_000, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(**_LOOPS)
+    def test_generated_loops_soak(self, **case):
+        _assert_same_loops(**case)
+
+    _ACCUMULATE = (ArrayRef("x", (_S,)),
+                   BinOp("+", ArrayRef("x", (_S,)), Var("v")))
+
+    @pytest.mark.parametrize("pairs, fast", [
+        # m is a view of w, which the body stores into
+        ([(_S, _m(1)), _ACCUMULATE, (ArrayRef("w", (_I,)), _S)],
+         {"good": True, "view": False, "bool": False, "float": False,
+          "first": False, "rank": False, "missing": False}),
+        # s's fact is its latest assignment's column, not its first's
+        ([(_S, _m(1)), (_S, _m(2)), _ACCUMULATE],
+         {"good": True, "view": True, "first": True, "last": False}),
+    ])
+    def test_which_index_arrays_take_the_fast_path(self, pairs, fast):
+        body = [Assign(target=t, value=v, line=6 + n)
+                for n, (t, v) in enumerate(pairs)]
+        code = lower_subroutine(_subroutine(DoLoop(
+            var="i", lo=Const(1), hi=Const(5), body=body, line=5)))
+        (fn, _), = Interpreter(code)._inline_loops.values()
+        for kind, taken in fast.items():
+            env = _loop_env(kind, [1, 2, 3, 4, 5], 2, False)
+            env["i"] = 1
+            assert fn(env, 5, 1) is taken, kind
+            assert env["i"] == (6 if taken else 1)
+            _assert_same_loops(pairs, 1, 5, 1, kind, 2, False)
+
+
 # -- hygiene: program text never becomes code -------------------------------
 
 HOSTILE = """\
@@ -762,18 +998,28 @@ HOSTILE = """\
 
 #: every name an emitted module may use
 _VOCABULARY = re.compile(
-    r"(env|exc|trip|trips|step|only|expression|[tk]\d+|[abcrl]\d+"
-    r"|ndarray|integers|div|fault|raised|unknown|CAUGHT"
+    r"(env|exc|trips|step|expression|[tk]\d+|[abcrl]\d+"
+    r"|ndarray|integers|div|power|may_share|fault|raised|unknown|CAUGHT"
     r"|isinstance|type|int|bool|range"
     + "".join(f"|i_{name}" for name in _INTRINSIC_FUNCS) + r")")
 
 
 def _emitted_names(sub):
-    Interpreter(lower_subroutine(sub))
-    source = "".join(linecache.getlines(f"<repro:{sub.name}>"))
-    assert source.startswith("def ")
-    return {node.id for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Name)}
+    """The names of both emitted modules: the first, and the checked
+    functions of the fast loops' bodies, loaded here on purpose."""
+    code = lower_subroutine(sub)
+    Interpreter(code)
+    modules = [f"<repro:{sub.name}>"]
+    if any(isinstance(op[2], _Checked) for op in code.compiled[0]):
+        _load_checked(code)
+        modules.append(f"<repro:{sub.name}:checked>")
+    names = set()
+    for module in modules:
+        source = "".join(linecache.getlines(module))
+        assert source.startswith("def "), module
+        names |= {node.id for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Name)}
+    return names
 
 
 class TestHygiene:

@@ -249,6 +249,25 @@ class TestLoopPath:
         assert env["k"] == 6
 
 
+class TestWorkloadsStayOnTheFastPath:
+    @pytest.mark.parametrize("program", ["testiv", "advect"])
+    def test_sequential_and_4_ranks_never_load_the_checked_module(
+            self, program, monkeypatch):
+        # every straight-line loop of the run passes its entry facts, so
+        # no body statement is ever run instruction by instruction
+        calls = []
+        monkeypatch.setattr(interp_module, "compile", lambda *args: (
+            calls.append(args[1]) or builtins.compile(*args)), raising=False)
+        source, placements, spec, mesh, fields, scalars = _problem(program)
+        run = run_pipeline(source, spec, mesh, 4, fields=fields,
+                           scalars=scalars, placements=placements,
+                           backend="interp")
+        run.verify()
+        name = run.placements.sub.name
+        assert f"<repro:{name}>" in calls
+        assert not [c for c in calls if c.endswith(":checked>")], calls
+
+
 class TestCompiledOnce:
     def test_128_interpreters_share_one_compiled_program(self, monkeypatch):
         # the whole FlatCode is one module: one compile() for all 128
