@@ -64,8 +64,10 @@ Env = dict[str, Any]
 #: executor, pipeline, service worker): a program passes all doors or none
 DEFAULT_MAX_STEPS = 200_000_000
 
-#: anything callable as ``kernel(env, lo, hi)`` with a ``body_weight``
-#: attribute — in practice :class:`repro.lang.vectorize.LoopKernel`
+#: anything callable as ``kernel(env, lo, hi, spaces)`` with a
+#: ``body_weight`` attribute — in practice
+#: :class:`repro.lang.vectorize.LoopKernel`, keeping each loop's address
+#: space in ``spaces`` for the rest of the run
 LoopKernelLike = Any
 
 # an integer loaded from an array is np.int64, not int
@@ -804,6 +806,7 @@ class Interpreter:
         count_visits, max_steps = self.count_visits, self.max_steps
         remaining, stepval, visits = st.remaining, st.stepval, st.visits
         steps, pc = st.steps, st.pc
+        spaces: dict = {}   # each vector loop's address space, for this run
         n = 0 if st.returned else len(ops)
         # resuming mid-statement: the step was already counted and the
         # first st.action_index pre-actions already ran before the snapshot
@@ -849,7 +852,7 @@ class Interpreter:
                     if sid in self.loop_requests:
                         yield LoopRequest(sid, lo, hi)
                     else:
-                        kernel(env, lo, hi)
+                        kernel(env, lo, hi, spaces)
                     trips = max(0, hi - lo + 1)
                     env[b] = lo + trips
                     steps += trips * kernel.body_weight

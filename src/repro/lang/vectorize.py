@@ -32,6 +32,25 @@ ranks addressing each array through one all-ranks buffer
 by rank: elementwise steps and ``np.add.at`` see every rank's elements
 in the per-rank order, and each rank's reduction partial is the same
 reducer over that rank's contiguous slice of the operand vector.
+
+An address space lives as long as the addresses it would compute stay
+the same, and computes each of them once.  A :class:`RankBatch` lives
+in the executor until the ranks' bounds change or a migration epoch
+rebuilds the slabs; a single environment's space lives for the rest of
+the run (the sequential run's interpreter, a rank re-driven alone)
+while its loop's ``(lo, hi)`` is unchanged and every array the loop
+addresses is still the same object.  A subscript is *address-invariant*
+when it is built only from constants, the loop variable, localized
+scalars defined by invariant expressions and reads of *index arrays* —
+integer arrays no statement of the subroutine assigns (with a ``call``
+in the subroutine, none) — and the space's first sweep finds every
+index array the loop reads an integer array sharing no memory with an
+array the subroutine writes.  Then each invariant subscript is
+addressed and bounds-checked on the first sweep and read back after,
+shared by every array of the same geometry (``OLD(s1)``, ``NEW(s1)``
+and ``AIRESOM(s1)`` are one address), and a localized scalar such as
+``s1 = SOM(i,1)`` that only feeds such addresses is not computed again.
+Any other subscript is addressed and checked on every sweep.
 """
 
 from __future__ import annotations
@@ -46,6 +65,7 @@ from .ast import (
     ArrayRef,
     Assign,
     BinOp,
+    CallStmt,
     Const,
     DoLoop,
     Expr,
@@ -102,34 +122,102 @@ _NP_INTRINSICS: dict[str, Callable] = {
     "nint": _np_nint,
 }
 
-_REDUCERS = {"+": np.sum, "*": np.prod, "max": np.max, "min": np.min}
+#: a max/min partial skips NaN operands as the interpreter's ``max(s, x)``
+#: does (``x > s`` is false); an all-NaN slice gives NaN, which the fold
+#: skips in turn
+_REDUCERS = {"+": np.sum, "*": np.prod, "max": np.fmax.reduce,
+             "min": np.fmin.reduce}
 
 
 def _fold(op: str, base, partial):
-    """Fold one sweep's reduction partial into the accumulator."""
+    """Fold one sweep's reduction partial into the accumulator.
+
+    ``max``/``min`` fold with Python's builtins, the interpreter's
+    reducers: the result is whichever operand wins, in its own type (an
+    integer accumulator stays an integer), and a NaN seed stays NaN.
+    """
     if op == "+":
         return base + partial
     if op == "*":
         return base * partial
     if op == "max":
-        return max(base, float(partial))
-    return min(base, float(partial))
+        return max(base, partial)
+    return min(base, partial)
 
 
-class _OneEnv:
-    """The address space of one environment: a whole-range call."""
+def _stable(arr, written: list) -> bool:
+    """Whether ``arr`` is an integer array sharing no memory with any
+    array in ``written`` — an index array whose addresses may be reused."""
+    return (isinstance(arr, np.ndarray) and arr.dtype.kind == "i"
+            and not any(np.may_share_memory(arr, w) for w in written
+                        if isinstance(w, np.ndarray)))
 
-    def __init__(self, env: Env, lo: int, hi: int):
+
+class _Space:
+    """What an address space keeps between the sweeps over it.
+
+    The first sweep (:meth:`adopt`) decides whether the kernel's invariant
+    addresses may be reused here: every index array it reads must pass
+    :func:`_stable` against every array the subroutine writes.  Then each
+    invariant subscript is addressed — and bounds-checked — once per
+    geometry, and a warm sweep (one that follows a complete sweep) also
+    skips the localized scalars that only fed those addresses.
+    """
+
+    kernel = None
+
+    def adopt(self, kernel: "LoopKernel") -> None:
+        self.kernel, self.warm = kernel, False
+        #: (subscript key, geometry) -> the checked 0-based address
+        self.addresses: dict[tuple, object] = {}
+        written = [a for name in kernel.written for a in self._views(name)]
+        self.reuse = all(_stable(self._buffer(name)[0], written)
+                         for name in kernel.index_arrays)
+
+    def locate(self, name: str, fns: list, locals_: dict,
+               key: Optional[tuple]):
+        """(buffer, 0-based key) addressing ``name`` at the subscripts
+        ``fns`` compute; under an invariant ``key`` the address computed
+        the first time."""
+        buf, geometry = self._buffer(name)
+        if key is None or not self.reuse:
+            return buf, self._address(buf, geometry,
+                                      [f(self, locals_) for f in fns])
+        addr = self.addresses.get((key, geometry))
+        if addr is None:
+            addr = self.addresses[key, geometry] = self._address(
+                buf, geometry, [f(self, locals_) for f in fns])
+        return buf, addr
+
+
+class _OneEnv(_Space):
+    """The address space of one environment: a whole-range call.  It
+    serves the next call of its loop while the bounds are the same and
+    every array the loop addresses is still the same object."""
+
+    def __init__(self, env: Env, lo: int, hi: int, arrays: frozenset):
         self.env = env
+        self.bounds = (lo, hi)
+        self.bound = {name: env.get(name) for name in arrays}
         self.idx = np.arange(lo - 1, hi)  # 0-based iteration indices
+
+    def serves(self, env: Env, lo: int, hi: int) -> bool:
+        return (env is self.env and (lo, hi) == self.bounds
+                and all(env.get(name) is arr
+                        for name, arr in self.bound.items()))
 
     def scalar(self, name: str):
         return self.env[name]
 
-    def locate(self, name: str, subs: list):
-        """(buffer, 0-based key) addressing ``name(subs)``."""
+    def _views(self, name: str) -> list:
+        return [self.env.get(name)]
+
+    def _buffer(self, name: str):
         arr = self.env[name]
-        return arr, _index_key(subs, arr.shape)
+        return arr, arr.shape
+
+    def _address(self, arr, _shape, subs: list):
+        return _index_key(subs, arr.shape)
 
     def reduce(self, name: str, op: str, vec: np.ndarray) -> None:
         self.env[name] = _fold(op, self.env[name], _REDUCERS[op](vec))
@@ -152,7 +240,7 @@ class Slab(NamedTuple):
             env.get(name) is view for env, view in zip(envs, self.views))
 
 
-class RankBatch:
+class RankBatch(_Space):
     """Many ranks' iterations of one loop as one address space.
 
     ``idx`` concatenates ``arange(lo_r - 1, hi_r)`` over the ranks with at
@@ -162,7 +250,9 @@ class RankBatch:
     ``local + offset[rank of the iteration]`` in its :class:`Slab`, after
     the same bounds check as the per-rank call — against the rows of the
     iteration's *own* rank, so an index that would spill into the next
-    rank's segment still raises.
+    rank's segment still raises.  A slab's geometry is its rows per rank
+    and its trailing shape; arrays of one geometry share every reused
+    address.
     """
 
     def __init__(self, envs: Sequence[Env], bounds: Sequence[tuple],
@@ -179,9 +269,9 @@ class RankBatch:
         self.starts = np.concatenate(([0], np.cumsum(self.trips)))
         self.idx = np.concatenate([np.arange(0)] + [
             np.arange(lo - 1, hi) for _r, lo, hi in live])
-        #: per distinct slab geometry: (rows per batch rank, row offset
+        #: per distinct slab row counts: (rows per batch rank, row offset
         #: of every iteration's rank)
-        self._geometry: dict[tuple, tuple] = {}
+        self._offsets: dict[tuple, tuple] = {}
 
     def scalar(self, name: str):
         """The ranks' common value, or one value per iteration."""
@@ -191,19 +281,28 @@ class RankBatch:
             return vals[0]
         return np.repeat(np.array(vals), self.trips)
 
-    def locate(self, name: str, subs: list):
+    def _views(self, name: str) -> list:
+        slab = self.slabs.get(name)
+        return ([] if slab is None else [slab.flat]) \
+            + [env.get(name) for env in self.envs]
+
+    def _buffer(self, name: str):
         slab = self.slabs[name]
-        geometry = self._geometry.get(slab.rows)
-        if geometry is None:
-            rows = np.array(slab.rows, dtype=np.int64)
-            offsets = np.cumsum(rows) - rows
-            geometry = self._geometry[slab.rows] = (
-                rows[self.ranks], np.repeat(offsets[self.ranks], self.trips))
-        rows, base = geometry
-        key = _index_key(subs, slab.flat.shape, (self.starts[:-1], rows))
+        return slab.flat, (slab.rows, slab.flat.shape[1:])
+
+    def _address(self, flat, geometry, subs: list):
+        counts = geometry[0]
+        offsets = self._offsets.get(counts)
+        if offsets is None:
+            rows = np.array(counts, dtype=np.int64)
+            starts = np.cumsum(rows) - rows
+            offsets = self._offsets[counts] = (
+                rows[self.ranks], np.repeat(starts[self.ranks], self.trips))
+        rows, base = offsets
+        key = _index_key(subs, flat.shape, (self.starts[:-1], rows))
         if isinstance(key, tuple):
-            return slab.flat, (key[0] + base,) + key[1:]
-        return slab.flat, key + base
+            return (key[0] + base,) + key[1:]
+        return key + base
 
     def reduce(self, name: str, op: str, vec: np.ndarray) -> None:
         reducer = _REDUCERS[op]
@@ -228,19 +327,43 @@ class LoopKernel:
     body_weight: int
     #: every array the body reads or writes
     arrays: frozenset
+    #: every array a statement of the subroutine may assign (all of them
+    #: when it calls an external)
+    written: frozenset = frozenset()
+    #: the integer arrays the body reads that no statement assigns: the
+    #: index arrays reused addresses rest on
+    index_arrays: frozenset = frozenset()
+    #: body positions of the localized scalars whose value only feeds
+    #: invariant addresses: a warm sweep that reuses them skips these
+    address_only: frozenset = frozenset()
 
-    def __call__(self, env: Env, lo: int, hi: int) -> None:
-        self.sweep(_OneEnv(env, lo, hi))
+    def __call__(self, env: Env, lo: int, hi: int,
+                 spaces: Optional[dict] = None) -> None:
+        """Run iterations ``lo..hi`` over ``env``; ``spaces`` (loop sid ->
+        space), when given, keeps the address space for the next call."""
+        sid = self.loop.sid
+        space = spaces.get(sid) if spaces is not None else None
+        if space is None or not space.serves(env, lo, hi):
+            space = _OneEnv(env, lo, hi, self.arrays)
+            if spaces is not None:
+                spaces[sid] = space
+        self.sweep(space)
 
     def sweep(self, space) -> None:
         if not len(space.idx):
             return
+        if space.kernel is not self:
+            space.adopt(self)
+        skip = self.address_only if space.warm and space.reuse else ()
         locals_: dict[str, np.ndarray] = {}
-        for step, st in zip(self.steps, self.loop.body):
+        for k, (step, st) in enumerate(zip(self.steps, self.loop.body)):
+            if k in skip:
+                continue
             try:
                 step(space, locals_)
             except _FAULTS as exc:     # as the interpreter's statement
                 raise _raised(exc, st.line)
+        space.warm = True
 
 
 class _Bail(Exception):
@@ -251,13 +374,23 @@ class _Bail(Exception):
 class _Ctx:
     loop: DoLoop
     arrays: set[str]
-    localized: set[str] = field(default_factory=set)
+    #: integer arrays no statement of the subroutine assigns
+    index_arrays: set[str]
+    #: localized scalar -> (body position of its current definition,
+    #: that definition's address key or None)
+    localized: dict[str, tuple] = field(default_factory=dict)
     reduced: set[str] = field(default_factory=set)
     env_scalar_reads: set[str] = field(default_factory=set)
     #: (array, first-subscript-is-the-loop-var) for every expression read
     array_reads: list[tuple[str, bool]] = field(default_factory=list)
     #: array -> {"direct", "indirect"} write modes seen in the body
     array_writes: dict[str, set[str]] = field(default_factory=dict)
+    #: body position of the statement being compiled
+    position: int = 0
+    #: invariant localized definitions no value read has needed so far
+    address_only: set[int] = field(default_factory=set)
+    #: compiling the subscripts of a reused address
+    addressing: bool = False
 
 
 def try_vectorize_loop(loop: DoLoop, sub: Subroutine) -> Optional[LoopKernel]:
@@ -272,11 +405,16 @@ def _compile(loop: DoLoop, sub: Subroutine) -> LoopKernel:
     if loop.step is not None and not (
             isinstance(loop.step, Const) and loop.step.value == 1):
         raise _Bail
-    ctx = _Ctx(loop=loop,
-               arrays={n for n, d in sub.decls.items() if d.is_array})
+    arrays = {n for n, d in sub.decls.items() if d.is_array}
+    written = {st.target.name for st in sub.walk() if isinstance(st, Assign)}
+    if any(isinstance(st, CallStmt) for st in sub.walk()):
+        written |= arrays   # an external is handed the whole environment
+    ctx = _Ctx(loop=loop, arrays=arrays,
+               index_arrays={n for n in arrays - written
+                             if sub.decls[n].base == "integer"})
     steps: list[Callable] = []
     weight = 0
-    for st in loop.body:
+    for ctx.position, st in enumerate(loop.body):
         if not isinstance(st, Assign):
             raise _Bail
         weight += 1
@@ -289,7 +427,7 @@ def _compile(loop: DoLoop, sub: Subroutine) -> LoopKernel:
     # a scalar read before its in-body definition is a recurrence
     # (s = s + c·a(i) − d and friends): iterations see the evolving value,
     # the broadcast sweep would not
-    if ctx.localized & ctx.env_scalar_reads:
+    if ctx.localized.keys() & ctx.env_scalar_reads:
         raise _Bail
     # loop-carried flow through a written array: an iteration may read an
     # element another iteration wrote.  Safe only when every write to the
@@ -305,9 +443,12 @@ def _compile(loop: DoLoop, sub: Subroutine) -> LoopKernel:
                 raise _Bail
         elif not all(reads):
             raise _Bail
+    reads = {name for name, _lv in ctx.array_reads}
     return LoopKernel(loop=loop, steps=steps, body_weight=weight + 2,
-                      arrays=frozenset(ctx.array_writes)
-                      | {name for name, _lv in ctx.array_reads})
+                      arrays=frozenset(ctx.array_writes) | reads,
+                      written=frozenset(written & arrays),
+                      index_arrays=frozenset(reads & ctx.index_arrays),
+                      address_only=frozenset(ctx.address_only))
 
 
 def _compile_stmt(st: Assign, ctx: _Ctx) -> Callable:
@@ -334,8 +475,11 @@ def _compile_stmt(st: Assign, ctx: _Ctx) -> Callable:
                     _fn(space, locals_), space.idx.shape))
 
             return reduce_step
+        key = _address_key(st.value, ctx)
         value_fn = _compile_expr(st.value, ctx)
-        ctx.localized.add(tgt.name)
+        ctx.localized[tgt.name] = ctx.position, key
+        if key is not None:
+            ctx.address_only.add(ctx.position)
         name = tgt.name
 
         def local_step(space, locals_, _fn=value_fn, _name=name):
@@ -355,13 +499,12 @@ def _compile_stmt(st: Assign, ctx: _Ctx) -> Callable:
         op, operand = accum
         if op != "+":
             raise _Bail  # only additive scatters occur in the class
-        index_fns = [_compile_expr(s, ctx) for s in tgt.subs]
+        at, index_fns = _subscripts(tgt.subs, ctx)
         operand_fn = _compile_expr(operand, ctx)
 
         def accum_step(space, locals_, _fns=index_fns, _fn=operand_fn,
-                       _name=name):
-            arr, key = space.locate(_name,
-                                    [f(space, locals_) for f in _fns])
+                       _name=name, _at=at):
+            arr, key = space.locate(_name, _fns, locals_, _at)
             vec = np.broadcast_to(_fn(space, locals_), space.idx.shape)
             np.add.at(arr, key, vec)
 
@@ -372,12 +515,12 @@ def _compile_stmt(st: Assign, ctx: _Ctx) -> Callable:
     if not (tgt.subs and isinstance(tgt.subs[0], Var)
             and tgt.subs[0].name == ctx.loop.var):
         raise _Bail
-    index_fns = [_compile_expr(s, ctx) for s in tgt.subs]
+    at, index_fns = _subscripts(tgt.subs, ctx)
     value_fn = _compile_expr(st.value, ctx)
 
     def store_step(space, locals_, _fns=index_fns, _fn=value_fn,
-                   _name=name):
-        arr, key = space.locate(_name, [f(space, locals_) for f in _fns])
+                   _name=name, _at=at):
+        arr, key = space.locate(_name, _fns, locals_, _at)
         arr[key] = _fn(space, locals_)
 
     return store_step
@@ -417,6 +560,52 @@ def _index_key(subs, shape, segments=None):
     return tuple(parts) if len(parts) > 1 else parts[0]
 
 
+def _subscripts(subs, ctx: _Ctx) -> tuple[Optional[tuple], list]:
+    """An array reference's subscript functions, and the key its address
+    is reused under — None unless every subscript is address-invariant
+    and the reference is not itself inside a reused address (whose
+    intermediate addresses are not kept)."""
+    key = None
+    if not ctx.addressing:
+        key = tuple(_address_key(sub, ctx) for sub in subs)
+        if None in key:
+            key = None
+    outer = ctx.addressing
+    ctx.addressing = outer or key is not None
+    fns = [_compile_expr(sub, ctx) for sub in subs]
+    ctx.addressing = outer
+    return key, fns
+
+
+def _address_key(ex: Expr, ctx: _Ctx) -> Optional[tuple]:
+    """``ex`` as a hashable key when its value is address-invariant — the
+    same on every sweep of a space — else None.  Invariant are constants,
+    the loop variable, localized scalars defined by invariant expressions,
+    reads of the index arrays (integer arrays no statement of the
+    subroutine assigns) and arithmetic and intrinsics over them; never an
+    environment scalar."""
+    if isinstance(ex, Const):
+        return "c", type(ex.value).__name__, ex.value
+    if isinstance(ex, Var):
+        if ex.name == ctx.loop.var:
+            return ("i",)
+        _position, key = ctx.localized.get(ex.name, (None, None))
+        return None if key is None else ("v", key)  # broadcast to a vector
+    parts = None
+    if isinstance(ex, ArrayRef) and ex.name in ctx.index_arrays:
+        parts = "a", ex.name, ex.subs
+    elif isinstance(ex, BinOp):
+        parts = "b", ex.op, (ex.left, ex.right)
+    elif isinstance(ex, UnOp):
+        parts = "u", ex.op, (ex.operand,)
+    elif isinstance(ex, Intrinsic):
+        parts = "f", ex.name, ex.args
+    if parts is None:
+        return None
+    keys = tuple(_address_key(arg, ctx) for arg in parts[2])
+    return None if None in keys else (parts[0], parts[1], keys)
+
+
 def _compile_expr(ex: Expr, ctx: _Ctx) -> Callable:
     if isinstance(ex, Const):
         v = ex.value
@@ -426,6 +615,8 @@ def _compile_expr(ex: Expr, ctx: _Ctx) -> Callable:
         if name == ctx.loop.var:
             return lambda space, locals_: space.idx + 1  # FORTRAN index
         if name in ctx.localized:
+            if not ctx.addressing:
+                ctx.address_only.discard(ctx.localized[name][0])
             return lambda space, locals_: locals_[name]
         if name in ctx.arrays:
             raise _Bail  # whole-array reference in expression
@@ -438,11 +629,10 @@ def _compile_expr(ex: Expr, ctx: _Ctx) -> Callable:
         first_is_loopvar = bool(ex.subs and isinstance(ex.subs[0], Var)
                                 and ex.subs[0].name == ctx.loop.var)
         ctx.array_reads.append((name, first_is_loopvar))
-        index_fns = [_compile_expr(s, ctx) for s in ex.subs]
+        at, index_fns = _subscripts(ex.subs, ctx)
 
-        def read(space, locals_, _name=name, _fns=index_fns):
-            arr, key = space.locate(_name,
-                                    [f(space, locals_) for f in _fns])
+        def read(space, locals_, _name=name, _fns=index_fns, _at=at):
+            arr, key = space.locate(_name, _fns, locals_, _at)
             return arr[key]
 
         return read

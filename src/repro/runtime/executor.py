@@ -164,9 +164,11 @@ class _Run:
     #: open windows: id(op) -> (op, handle, post event index, post steps)
     pending: dict[int, tuple] = field(default_factory=dict)
     #: rank-fused compute tables of the current epoch (a take copies slabs):
-    #: array name -> :class:`Slab`, loop sid -> :class:`RankBatch` (lazy)
+    #: array name -> :class:`Slab`, loop sid -> :class:`RankBatch` (lazy),
+    #: rank -> the address spaces of its loops served singly
     slabs: dict[str, Slab] = field(default_factory=dict)
     batches: dict[int, RankBatch] = field(default_factory=dict)
+    spaces: dict[int, dict] = field(default_factory=dict)
     #: ``perf_counter`` reading at the last ``_lap``
     clock: float = 0.0
     #: localized-restart totals, under their ``SPMDResult.recovery`` keys
@@ -597,8 +599,8 @@ class SPMDExecutor:
 
     def _serve(self, run: _Run, requests: list[LoopRequest]) -> None:
         """Run the loop every rank asked for in one kernel sweep over the
-        rank batch, whose tables are cached per loop until the ranks'
-        bounds change or a migration epoch drops them."""
+        rank batch, whose tables and reused addresses are cached per loop
+        until the ranks' bounds change or a migration epoch drops them."""
         sid = requests[0].sid
         kernel = self.kernels[sid]
         bounds = [(req.lo, req.hi) for req in requests]
@@ -609,8 +611,10 @@ class SPMDExecutor:
 
     def _serve_one(self, run: _Run, rank: int, request: LoopRequest) -> None:
         """Run one rank's requested loop alone: a batch of one rank over
-        its env is the plain kernel call."""
-        self.kernels[request.sid](run.envs[rank], request.lo, request.hi)
+        its env is the plain kernel call, over the rank's address space
+        of that loop for the rest of the epoch."""
+        self.kernels[request.sid](run.envs[rank], request.lo, request.hi,
+                                  run.spaces.setdefault(rank, {}))
 
     def _advance_rank(self, run: _Run,
                       rank: int) -> Optional[CollectiveAction]:
@@ -969,6 +973,7 @@ class SPMDExecutor:
             interp.loop_bounds = self._loop_bounds(sub_mesh)
         run.slabs = self._slabs(index_maps)
         run.batches.clear()
+        run.spaces.clear()
         self.partition = new_part
         if run.ckpt is not None:
             run.ckpt.reset_epoch()

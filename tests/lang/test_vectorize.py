@@ -1,5 +1,7 @@
 """Unit tests for the vectorized loop backend."""
 
+import builtins
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from repro.lang import (
     parse_subroutine,
     try_vectorize_loop,
 )
+from repro.lang.vectorize import RankBatch, Slab
 
 
 def run_both(src, tol=1e-12, **values):
@@ -225,6 +228,76 @@ class TestEquivalence:
                        p=np.array([1, 99, 2] + [0] * 7), a=np.ones(10))
         with pytest.raises(InterpError, match="out of bounds"):
             Interpreter(code, vector_loops=kernels).run(env)
+
+
+class TestReductionFolds:
+    """``max``/``min`` reductions fold as the interpreter's ``max(s, x)``:
+    the winner keeps its type, and a NaN operand never wins."""
+
+    _INT_MAX = ("subroutine t(a, m, n, k, r)\nreal a(10)\ninteger m(10)\n"
+                "integer i, k\nreal r\n"
+                "  do i = 1,n\n    k = {op}(k, m(i))\n  end do\n"
+                "  r = a(k)\nend\n")
+
+    @staticmethod
+    def _batch(src, ranks):
+        """Every rank's env after one fused sweep over all of them, and
+        after calling the kernel rank by rank."""
+        (kernel,) = build_vector_kernels(parse_subroutine(src)).values()
+        fused = [dict(env) for env in ranks]
+        singly = [dict(env) for env in ranks]
+        bounds = [(1, env["n"]) for env in ranks]
+        for env, (lo, hi) in zip(singly, bounds):
+            kernel(env, lo, hi)
+        slabs = {name: Slab(np.concatenate([env[name] for env in ranks]),
+                            tuple(len(env[name]) for env in ranks))
+                 for name in kernel.arrays}
+        kernel.sweep(RankBatch(fused, bounds, slabs))
+        return fused, singly
+
+    @pytest.mark.parametrize("op,want", [("max", 7), ("min", 2)])
+    def test_integer_accumulator_stays_integer(self, op, want):
+        m = np.array([3, 7, 2, 5, 4, 1, 1, 1, 1, 1])
+        _, e1, e2, kernels = run_both(self._INT_MAX.format(op=op), m=m, n=4,
+                                      k=m[0], a=np.arange(1.0, 11.0))
+        assert len(kernels) == 1
+        assert e1["k"] == e2["k"] == want
+        assert isinstance(e2["k"], (int, np.integer))
+        assert e1["r"] == e2["r"] == float(want)
+        ranks = [{"m": np.array(ms), "n": len(ms), "k": k}
+                 for ms, k in (([3, 9], 4), ([6], 8), ([1, 2, 5], 0))]
+        fused, singly = self._batch(self._INT_MAX.format(op=op), ranks)
+        for got, alone, env in zip(fused, singly, ranks):
+            assert got["k"] == alone["k"] == getattr(builtins, op)(
+                env["k"], *env["m"].tolist())
+            assert type(got["k"]) is type(alone["k"])
+            assert isinstance(got["k"], (int, np.integer))
+
+    _NAN = ("subroutine t(a, n, s)\nreal a(6)\nreal s\ninteger i\n"
+            "  do i = 1,n\n    s = {op}(s, a(i))\n  end do\nend\n")
+
+    @pytest.mark.parametrize("op,a,seed,want", [
+        ("max", [1.0, np.nan, 3.0, 2.0, 0.0, 0.0], 0.0, 3.0),
+        ("min", [1.0, np.nan, -3.0, 2.0, 0.0, 0.0], 0.0, -3.0),
+        ("max", [np.nan] * 6, 0.5, 0.5),            # all-NaN operand
+        ("min", [np.nan] * 6, 0.5, 0.5),
+        ("max", [1.0, np.nan, 3.0, 2.0, 0.0, 0.0], np.nan, np.nan),  # seed
+    ])
+    def test_a_nan_operand_never_wins(self, op, a, seed, want):
+        _, e1, e2, kernels = run_both(self._NAN.format(op=op),
+                                      a=np.array(a), n=6, s=seed)
+        assert len(kernels) == 1
+        for got in (e1["s"], e2["s"]):
+            assert np.array_equal(got, want, equal_nan=True)
+        ranks = [{"a": np.array(a), "n": 6, "s": seed},
+                 {"a": np.array([np.nan, 9.0]), "n": 2, "s": 1.0},
+                 {"a": np.array([np.nan]), "n": 1, "s": -1.0}]
+        fused, singly = self._batch(self._NAN.format(op=op), ranks)
+        for got, alone in zip(fused, singly):
+            assert np.array_equal(got["s"], alone["s"], equal_nan=True)
+        assert np.array_equal(fused[0]["s"], want, equal_nan=True)
+        assert fused[1]["s"] == (9.0 if op == "max" else 1.0)
+        assert fused[2]["s"] == -1.0
 
 
 class TestLoopRequests:

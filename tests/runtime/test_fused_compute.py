@@ -27,6 +27,7 @@ from repro.corpus import (
 )
 from repro.errors import InterpError, RuntimeFault
 from repro.lang import DoLoop, parse_subroutine
+from repro.lang.vectorize import RankBatch
 from repro.mesh import (
     build_partition,
     structured_tet_mesh,
@@ -334,6 +335,46 @@ class TestWhichLoopsFuse:
             np.add.at(want, conn[:, 1] - 1, env["a0"][conn[:, 2] - 1])
             assert np.array_equal(env["som"][:len(conn), 0], conn[:, 1])
             assert np.array_equal(env["a1"], want)
+
+
+    def test_a_second_sweep_reuses_every_triangle_loop_address(
+            self, monkeypatch):
+        # SOM is never assigned, so every subscript of TESTIV's triangle
+        # loop is invariant: a second sweep over the same space — the rank
+        # batch, or one rank's sequential space — addresses nothing anew
+        from repro.lang import vectorize
+
+        ex, values = _executor("testiv", P1, 3)
+        (sid,) = [lsid for lsid, ent in ex.loop_entity.items()
+                  if ent == "triangle"]
+        served = {}
+        serve = SPMDExecutor._serve
+
+        def spy(self, run, requests):
+            served[requests[0].sid] = run, [(r.lo, r.hi) for r in requests]
+            serve(self, run, requests)
+
+        monkeypatch.setattr(SPMDExecutor, "_serve", spy)
+        ex.run(dict(values))
+        run, bounds = served[sid]
+        kernel, calls = ex.kernels[sid], []
+        index_key = vectorize._index_key
+        monkeypatch.setattr(vectorize, "_index_key",
+                            lambda *args: calls.append(args) or index_key(
+                                *args))
+
+        def addressed(sweeps, sweep):
+            calls.clear()
+            for _ in range(sweeps):
+                sweep()
+            return len(calls)
+
+        batches = [RankBatch(run.envs, bounds, run.slabs) for _ in range(2)]
+        assert 0 < addressed(1, lambda: kernel.sweep(batches[0])) \
+            == addressed(2, lambda: kernel.sweep(batches[1]))
+        spaces, env, (lo, hi) = [{}, {}], run.envs[0], bounds[0]
+        assert 0 < addressed(1, lambda: kernel(env, lo, hi, spaces[0])) \
+            == addressed(2, lambda: kernel(env, lo, hi, spaces[1]))
 
 
 class TestChecksStay:
