@@ -6,16 +6,21 @@ become expensive on large programs" and proposes reducing the dfg by
 merging state-preserving dependences.  This benchmark measures:
 
 * placement wall time vs program size (synthetic gather–scatter families);
+* dependence-graph construction vs program size (the edge count grows
+  with the square of the phases; the wall-clock gate is opt-in,
+  ``REPRO_PERF_ASSERT=1``);
 * the §5.2 dfg reduction's edge-count and search-time effect;
 * how far ``loop_choices``' forced-domain filter narrows the domain
   product the search walks (against ``domains_for`` alone).
 """
 
+import os
 import time
 
 import pytest
 
 from conftest import emit_report
+from repro.analysis import AccessMap, build_depgraph
 from repro.automata import automaton_for
 from repro.corpus import synthetic_source, synthetic_spec
 from repro.placement import (
@@ -23,6 +28,7 @@ from repro.placement import (
     enumerate_placements,
     reduce_vfg,
 )
+from repro.lang import CFG, parse_subroutine
 from repro.placement.engine import analyze
 
 PHASES = (1, 2, 4, 8, 16)
@@ -50,6 +56,29 @@ def test_scaling_with_program_size(benchmark):
     emit_report("S2 tool runtime vs program size", "\n".join(lines))
     # sanity: sub-second even for the largest family member
     assert rows[-1][1] < 2.0
+
+
+def test_depgraph_scaling(benchmark):
+    rows = []
+    for n in (8, 16, 32):
+        spec = synthetic_spec()
+        sub = parse_subroutine(synthetic_source(n))
+        cfg, amap = CFG.build(sub), AccessMap(sub, spec)
+        best = float("inf")
+        for _ in range(5):
+            t0 = time.perf_counter()
+            graph = build_depgraph(sub, spec, cfg, amap)
+            best = min(best, time.perf_counter() - t0)
+        rows.append((n, len(list(sub.walk())), len(graph.edges), best))
+    benchmark.pedantic(lambda: build_depgraph(sub, spec, cfg, amap),
+                       rounds=1, iterations=1)
+    lines = [f"{'phases':>7}{'statements':>12}{'edges':>8}{'time (ms)':>11}"]
+    for n, stmts, edges, secs in rows:
+        lines.append(f"{n:>7}{stmts:>12}{edges:>8}{secs * 1e3:>11.1f}")
+    lines.append("(build_depgraph given the CFG and access map, best of 5)")
+    emit_report("S2 dependence graph vs program size", "\n".join(lines))
+    if os.environ.get("REPRO_PERF_ASSERT"):
+        assert rows[-1][3] < 0.05, rows[-1]
 
 
 def test_dfg_reduction_ablation(benchmark):

@@ -22,24 +22,30 @@ Carried-dependence classification (conservative):
   carried (every iteration shares the cell) — it is exactly the job of
   localization/reduction/induction detection (:mod:`repro.analysis.idioms`)
   to discharge the benign ones.
+
+Storage.  The edge set is a :class:`EdgeTable`: seven parallel columns
+(``kind``, ``src``, ``dst``, ``var``, ``src_access``, ``dst_access``,
+``carried_by``), row ``i`` being one dependence.  Rows are emitted from
+the reaching bitsets of :mod:`repro.analysis.reaching`: the true and
+output edges statement by statement in sid order, then the anti edges
+the same way, then the control edges.  The sources of one access come in
+ascending sid order, so the table is the same in every process.  A
+:class:`DepEdge` is built only when a row is asked for (indexing,
+iteration, the selection methods); the legality check and the value-flow
+graph read the columns.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
-from ..lang.ast import DoLoop, IfBlock, IfGoto, Subroutine
+from ..lang.ast import IfBlock, IfGoto, Subroutine
 from ..lang.cfg import CFG, ENTRY, EXIT
 from ..spec import PartitionSpec
-from .accesses import (
-    CTX_CONTROL,
-    DIRECT,
-    SCALAR,
-    Access,
-    AccessMap,
-)
-from .reaching import ReachingDefs, reaching_definitions, reaching_uses
+from .accesses import CTX_CONTROL, DIRECT, Access, AccessMap
+from .reaching import ReachingDefs, reaching_definitions, reaching_uses, set_bits
 
 TRUE = "true"
 ANTI = "anti"
@@ -47,9 +53,11 @@ OUTPUT = "output"
 CONTROL = "control"
 
 
-@dataclass(frozen=True)
-class DepEdge:
-    """One dependence between two statements (or from the input node)."""
+class DepEdge(NamedTuple):
+    """One dependence between two statements (or from the input node).
+
+    A named tuple: one is built per row asked for, so it must be cheap.
+    """
 
     kind: str
     src: int
@@ -74,6 +82,57 @@ class DepEdge:
         return f"{self.kind}{tail}: {at(self.src)} -> {at(self.dst)}{carried}"
 
 
+class EdgeTable(Sequence):
+    """The edge set as columns; row ``i`` of every column is one edge.
+
+    A sized sequence of :class:`DepEdge`: indexing and iteration build
+    the edge objects on demand.
+    """
+
+    __slots__ = ("kind", "src", "dst", "var", "src_access", "dst_access",
+                 "carried_by")
+
+    def __init__(self) -> None:
+        self.kind: list[str] = []
+        self.src: list[int] = []
+        self.dst: list[int] = []
+        self.var: list[Optional[str]] = []
+        self.src_access: list[Optional[Access]] = []
+        self.dst_access: list[Optional[Access]] = []
+        self.carried_by: list[Optional[int]] = []
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return DepEdge(self.kind[i], self.src[i], self.dst[i], self.var[i],
+                       self.src_access[i], self.dst_access[i],
+                       self.carried_by[i])
+
+    def __iter__(self) -> Iterator[DepEdge]:
+        return map(DepEdge, self.kind, self.src, self.dst, self.var,
+                   self.src_access, self.dst_access, self.carried_by)
+
+    def select(self, rows) -> list[DepEdge]:
+        return [self[i] for i in rows]
+
+    def _append(self, kind: str, dst: int, var: Optional[str],
+             dst_access: Optional[Access], srcs: list[int],
+             src_accesses: list[Optional[Access]],
+             carried: list[Optional[int]]) -> None:
+        """Append one row per source, all into ``dst``."""
+        n = len(srcs)
+        self.kind += [kind] * n
+        self.src += srcs
+        self.dst += [dst] * n
+        self.var += [var] * n
+        self.src_access += src_accesses
+        self.dst_access += [dst_access] * n
+        self.carried_by += carried
+
+
 @dataclass
 class DepGraph:
     """Dependence graph of one subroutine under one partitioning spec."""
@@ -83,50 +142,72 @@ class DepGraph:
     cfg: CFG
     amap: AccessMap
     rdefs: ReachingDefs
-    edges: list[DepEdge] = field(default_factory=list)
+    edges: EdgeTable = field(default_factory=EdgeTable)
     #: (sid, var) pairs where a local's input value *may* reach a read, but
     #: only along a zero-trip-loop path shadowing a real definition; these
     #: are dropped from the graph under the positive-extent assumption
     zero_trip_shadows: list[tuple[int, str]] = field(default_factory=list)
 
     def out_edges(self, sid: int, kind: Optional[str] = None) -> list[DepEdge]:
-        return [e for e in self.edges
-                if e.src == sid and (kind is None or e.kind == kind)]
+        e = self.edges
+        return e.select(i for i, s in enumerate(e.src)
+                        if s == sid and (kind is None or e.kind[i] == kind))
 
     def in_edges(self, sid: int, kind: Optional[str] = None) -> list[DepEdge]:
-        return [e for e in self.edges
-                if e.dst == sid and (kind is None or e.kind == kind)]
+        e = self.edges
+        return e.select(i for i, d in enumerate(e.dst)
+                        if d == sid and (kind is None or e.kind[i] == kind))
 
     def by_kind(self, kind: str) -> list[DepEdge]:
-        return [e for e in self.edges if e.kind == kind]
-
-    def carried(self) -> list[DepEdge]:
-        """All potentially loop-carried dependences (fig. 4 candidates)."""
-        return [e for e in self.edges if e.carried_by is not None]
+        e = self.edges
+        return e.select(i for i, k in enumerate(e.kind) if k == kind)
 
     def input_reads(self) -> list[DepEdge]:
         """True edges out of the virtual input node."""
-        return [e for e in self.edges if e.kind == TRUE and e.src == ENTRY]
+        e = self.edges
+        return e.select(i for i, s in enumerate(e.src)
+                        if s == ENTRY and e.kind[i] == TRUE)
 
     def __iter__(self) -> Iterator[DepEdge]:
         return iter(self.edges)
 
 
-def _same_partitioned_loop(a: Optional[Access], b: Optional[Access]) -> Optional[int]:
-    if a is None or b is None:
-        return None
-    if a.loop_sid is not None and a.loop_sid == b.loop_sid:
-        return a.loop_sid
-    return None
+class _Sources:
+    """The rows into one access from the sites of one reaching bitset.
 
+    ``rows(bits, acc)`` is the sids and accesses of ``bits``' sites and,
+    per site, the partitioned loop the dependence between its access and
+    ``acc`` may be carried by: two accesses in one partitioned loop
+    conflict across its iterations unless both are ``direct`` (same
+    element, same iteration).  Each bitset is decoded once.
+    """
 
-def _carried_by(defa: Access, useb: Access) -> Optional[int]:
-    loop = _same_partitioned_loop(defa, useb)
-    if loop is None:
-        return None
-    if defa.mode == DIRECT and useb.mode == DIRECT:
-        return None  # same element, same iteration
-    return loop
+    def __init__(self, sids: list[int], accesses: list[Optional[Access]]):
+        self._sids = sids
+        self._accesses = accesses
+        self._decoded: dict[int, tuple[list[int], list]] = {}
+        self._carried: dict[tuple[int, int, bool], list[Optional[int]]] = {}
+
+    def rows(self, bits: int, acc: Access
+             ) -> tuple[list[int], list, list[Optional[int]]]:
+        decoded = self._decoded.get(bits)
+        if decoded is None:
+            idx = set_bits(bits)
+            decoded = self._decoded[bits] = ([self._sids[i] for i in idx],
+                                             [self._accesses[i] for i in idx])
+        sids, accesses = decoded
+        loop = acc.loop_sid
+        if loop is None:
+            return sids, accesses, [None] * len(sids)
+        direct = acc.mode == DIRECT
+        key = (bits, loop, direct)
+        carried = self._carried.get(key)
+        if carried is None:
+            carried = self._carried[key] = [
+                loop if a is not None and a.loop_sid == loop
+                and not (direct and a.mode == DIRECT) else None
+                for a in accesses]
+        return sids, accesses, carried
 
 
 def build_depgraph(sub: Subroutine, spec: PartitionSpec,
@@ -140,15 +221,26 @@ def build_depgraph(sub: Subroutine, spec: PartitionSpec,
     rdefs = reaching_definitions(cfg, amap)
     ruses = reaching_uses(cfg, amap, rdefs)
     g = DepGraph(sub=sub, spec=spec, cfg=cfg, amap=amap, rdefs=rdefs)
+    edges = g.edges
 
-    def_access: dict[tuple[int, str], Access] = {}
+    # each site's access: the last def of its variable at a definition
+    # site, the first use at a use site (none at the input sites)
+    def_access: list[Optional[Access]] = [None] * len(rdefs.sites)
+    use_access: list[Optional[Access]] = [None] * len(ruses.sites)
     for sa in amap:
         for d in sa.defs:
-            def_access[(sa.sid, d.name)] = d
-    use_access: dict[tuple[int, str], list[Access]] = {}
-    for sa in amap:
-        for u in sa.uses:
-            use_access.setdefault((sa.sid, u.name), []).append(u)
+            i = rdefs.index.get((sa.sid, d.name))
+            if i is not None:
+                def_access[i] = d
+        for u in reversed(sa.uses):
+            i = ruses.index.get((sa.sid, u.name))
+            if i is not None:
+                use_access[i] = u
+    defs = _Sources([s for s, _ in rdefs.sites], def_access)
+    uses = _Sources([s for s, _ in ruses.sites], use_access)
+    inputs = rdefs.inputs
+    dmasks = rdefs.masks
+    umasks = ruses.masks
 
     # --- true and output dependences from reaching definitions -------------
     params = {p.lower() for p in sub.params}
@@ -156,65 +248,43 @@ def build_depgraph(sub: Subroutine, spec: PartitionSpec,
         sa = amap.by_sid.get(sid)
         if sa is None:
             continue
-        reach = rdefs.rd_in[sid]
-        reaching_by_var: dict[str, list[int]] = {}
-        for dsid, var in reach:
-            reaching_by_var.setdefault(var, []).append(dsid)
+        reach = rdefs.ins[sid]
         for u in sa.uses:
-            srcs = reaching_by_var.get(u.name, ())
-            for dsid in srcs:
-                if dsid == ENTRY and u.name not in params and len(srcs) > 1:
-                    # a local's input "value" reaching only through the
-                    # zero-trip path of a loop that otherwise (re)defines
-                    # it; mesh extents are positive, so drop the edge
-                    g.zero_trip_shadows.append((sid, u.name))
-                    continue
-                da = def_access.get((dsid, u.name))
-                carried = _carried_by(da, u) if da is not None else None
-                g.edges.append(DepEdge(
-                    kind=TRUE, src=dsid, dst=sid, var=u.name,
-                    src_access=da, dst_access=u, carried_by=carried))
+            bits = reach & dmasks[u.name]
+            if bits & inputs and bits & ~inputs and u.name not in params:
+                # a local's input "value" reaching only through the
+                # zero-trip path of a loop that otherwise (re)defines
+                # it; mesh extents are positive, so drop the edge
+                g.zero_trip_shadows.append((sid, u.name))
+                bits &= ~inputs
+            if bits:
+                edges._append(TRUE, sid, u.name, u, *defs.rows(bits, u))
         for d in sa.defs:
-            for dsid in reaching_by_var.get(d.name, ()):
-                if dsid == ENTRY:
-                    continue  # overwriting the input is not a constraint
-                da = def_access.get((dsid, d.name))
-                carried = _carried_by(da, d) if da is not None else None
-                g.edges.append(DepEdge(
-                    kind=OUTPUT, src=dsid, dst=sid, var=d.name,
-                    src_access=da, dst_access=d, carried_by=carried))
+            # overwriting the input is not a constraint
+            bits = reach & dmasks[d.name] & ~inputs
+            if bits:
+                edges._append(OUTPUT, sid, d.name, d, *defs.rows(bits, d))
 
     # --- anti dependences from reaching uses --------------------------------
     for sid in cfg.nodes:
         sa = amap.by_sid.get(sid)
         if sa is None:
             continue
-        ru = ruses.get(sid, frozenset())
-        uses_by_var: dict[str, list[int]] = {}
-        for usid, var in ru:
-            uses_by_var.setdefault(var, []).append(usid)
+        reach = ruses.ins[sid]
         for d in sa.defs:
-            for usid in uses_by_var.get(d.name, ()):
-                ua_list = use_access.get((usid, d.name), [])
-                ua = ua_list[0] if ua_list else None
-                carried = _carried_by(d, ua) if ua is not None else None
-                g.edges.append(DepEdge(
-                    kind=ANTI, src=usid, dst=sid, var=d.name,
-                    src_access=ua, dst_access=d, carried_by=carried))
+            bits = reach & umasks.get(d.name, 0)
+            if bits:
+                edges._append(ANTI, sid, d.name, d, *uses.rows(bits, d))
 
     # --- control dependences (Ferrante-style via postdominators) -----------
-    branches = [sid for sid, st in cfg.nodes.items()
-                if isinstance(st, (IfGoto, IfBlock))]
-    for b in branches:
-        controlled = _controlled_statements(cfg, b)
-        for s in controlled:
-            ca = None
-            sa = amap.by_sid.get(b)
-            if sa is not None:
-                ctrl_uses = [u for u in sa.uses if u.context == CTX_CONTROL]
-                ca = ctrl_uses[0] if ctrl_uses else None
-            g.edges.append(DepEdge(kind=CONTROL, src=b, dst=s,
-                                   src_access=ca, dst_access=None))
+    for b, st in cfg.nodes.items():
+        if not isinstance(st, (IfGoto, IfBlock)):
+            continue
+        sa = amap.by_sid.get(b)
+        ctrl = [u for u in sa.uses if u.context == CTX_CONTROL] if sa else []
+        ca = ctrl[0] if ctrl else None
+        for dst in _controlled_statements(cfg, b):
+            edges._append(CONTROL, dst, None, None, [b], [ca], [None])
     return g
 
 

@@ -46,7 +46,6 @@ from ..lang.ast import (
 )
 from ..spec import PartitionSpec
 from .accesses import AccessMap
-from .depgraph import ANTI, OUTPUT, TRUE, DepEdge, DepGraph
 
 #: reduction operators we recognize, mapped to a canonical name
 REDUCTION_OPS = {"+": "+", "*": "*", "max": "max", "min": "min"}
@@ -105,31 +104,6 @@ class Idioms:
     def is_localized(self, var: str, loop_sid: int) -> bool:
         return any(l.var == var and l.loop_sid == loop_sid
                    for l in self.localized)
-
-    def discharges(self, edge: DepEdge) -> bool:
-        """True when this edge's carried dependence is removed by an idiom."""
-        if edge.carried_by is None:
-            return False
-        loop = edge.carried_by
-        var = edge.var
-        if var is None:
-            return False
-        # reductions: all carried self-deps among the accumulation statements
-        for r in self.scalar_reductions:
-            if r.loop_sid == loop and r.var == var \
-                    and edge.src in r.sids and edge.dst in r.sids:
-                return True
-        for a in self.array_accumulations:
-            if a.loop_sid == loop and a.array == var \
-                    and edge.src in a.sids and edge.dst in a.sids:
-                return True
-        for iv in self.inductions:
-            if iv.loop_sid == loop and iv.var == var \
-                    and edge.src == iv.sid and edge.dst == iv.sid:
-                return True
-        if self.is_localized(var, loop) and edge.kind in (TRUE, ANTI, OUTPUT):
-            return True
-        return False
 
 
 def _reduction_shape(st: Assign) -> Optional[tuple[str, "object"]]:

@@ -28,15 +28,18 @@ case   situation
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
+from operator import is_not
 from typing import Optional
 
 from ..errors import LegalityError
-from ..lang.ast import CallStmt, Subroutine
+from ..lang.ast import DoLoop, Subroutine
 from ..lang.cfg import ENTRY
 from ..spec import PartitionSpec
-from .accesses import INVARIANT, WHOLE, AccessMap
-from .depgraph import ANTI, CONTROL, OUTPUT, TRUE, DepEdge, DepGraph, build_depgraph
+from .accesses import INVARIANT, WHOLE, Access
+from .depgraph import ANTI, OUTPUT, TRUE, DepEdge, DepGraph, build_depgraph
 from .idioms import Idioms, detect_idioms
 
 
@@ -104,41 +107,80 @@ class LegalityReport:
         return out
 
 
-def _discharge_name(idioms: Idioms, edge: DepEdge) -> Optional[str]:
-    if edge.carried_by is None or edge.var is None:
-        return None
+def _discharge_table(idioms: Idioms
+                     ) -> dict[tuple[int, str], list[tuple[str, Optional[frozenset]]]]:
+    """(loop, var) -> the idioms that may discharge a carried edge there.
+
+    Each entry is ``(family, sids)``: the edge is discharged when both of
+    its endpoints lie in ``sids`` (``None``: any endpoints).  Entries are
+    in the order the families are tried — reduction, accumulation,
+    induction, localization — so the first match names the edge.
+    """
+    table: dict[tuple[int, str], list] = {}
     for r in idioms.scalar_reductions:
-        if r.loop_sid == edge.carried_by and r.var == edge.var \
-                and edge.src in r.sids and edge.dst in r.sids:
-            return "reduction"
+        table.setdefault((r.loop_sid, r.var), []).append(
+            ("reduction", frozenset(r.sids)))
     for a in idioms.array_accumulations:
-        if a.loop_sid == edge.carried_by and a.array == edge.var \
-                and edge.src in a.sids and edge.dst in a.sids:
-            return "accumulation"
+        table.setdefault((a.loop_sid, a.array), []).append(
+            ("accumulation", frozenset(a.sids)))
     for iv in idioms.inductions:
-        if iv.loop_sid == edge.carried_by and iv.var == edge.var \
-                and edge.src == iv.sid and edge.dst == iv.sid:
-            return "induction"
-    if idioms.is_localized(edge.var, edge.carried_by):
-        return "localization"
-    return None
+        table.setdefault((iv.loop_sid, iv.var), []).append(
+            ("induction", frozenset((iv.sid,))))
+    for loc in idioms.localized:
+        table.setdefault((loc.loop_sid, loc.var), []).append(
+            ("localization", None))
+    return table
 
 
-def _classify(edge: DepEdge, report: LegalityReport) -> str:
-    """Figure-4 case letter for one (undischarged) edge."""
-    src_in = edge.src_access.loop_sid if edge.src_access else None
-    dst_in = edge.dst_access.loop_sid if edge.dst_access else None
-    if edge.carried_by is not None:
-        return {TRUE: "a", ANTI: "c"}.get(edge.kind, "d")
-    for acc in (edge.src_access, edge.dst_access):
-        if acc is not None and acc.entity is not None \
-                and acc.mode in (INVARIANT, WHOLE):
-            return "g"
+def _where(acc: Optional[Access]):
+    """Where an access sits, as far as an uncarried edge's case goes: "g"
+    for an explicit element of a partitioned array, else its partitioned
+    loop (None outside one)."""
+    if acc is None:
+        return None
+    if acc.entity is not None and acc.mode in (INVARIANT, WHOLE):
+        return "g"
+    return acc.loop_sid
+
+
+def _case(src_in, dst_in) -> str:
+    """Figure-4 case letter of an edge carried by no loop, from the
+    :func:`_where` of its two ends."""
+    if src_in == "g" or dst_in == "g":
+        return "g"
     if src_in is not None and dst_in is not None:
         return "b" if src_in == dst_in else "f"
     if src_in is None and dst_in is None:
         return "e"
     return "h" if src_in is None else "i"
+
+
+def _uncarried_cases(graph: DepGraph) -> Counter:
+    """Case counts of the edges no loop carries, input reads excluded
+    (program inputs are given, so reading them is always fine).
+
+    Their case depends only on the :func:`_where` pair of their ends, so
+    the rows are counted by that pair — nothing is built per row — and
+    each distinct pair is classified once.
+    """
+    where = {id(None): None}
+    for sa in graph.amap:
+        for acc in chain(sa.defs, sa.uses):
+            where[id(acc)] = _where(acc)
+    e = graph.edges
+    pairs: dict[tuple, int] = {}
+    for src, src_acc, dst_acc, loop in zip(e.src, e.src_access, e.dst_access,
+                                           e.carried_by):
+        if src != ENTRY and loop is None:
+            key = (where[id(src_acc)], where[id(dst_acc)])
+            pairs[key] = pairs.get(key, 0) + 1
+    cases: Counter = Counter()
+    for (src_in, dst_in), n in pairs.items():
+        cases[_case(src_in, dst_in)] += n
+    return cases
+
+
+_CARRIED_CASE = {TRUE: "a", ANTI: "c"}  # output and control: "d"
 
 
 def check_legality(sub: Subroutine, spec: PartitionSpec,
@@ -151,23 +193,34 @@ def check_legality(sub: Subroutine, spec: PartitionSpec,
     if idioms is None:
         idioms = detect_idioms(sub, spec, graph.amap)
     report = LegalityReport(sub=sub, spec=spec, graph=graph, idioms=idioms)
+    cases = _uncarried_cases(graph)
 
-    for edge in graph.edges:
-        if edge.src == ENTRY:
-            # program-input reads: always fine (initial states are given)
-            continue
-        name = _discharge_name(idioms, edge)
-        if name is not None:
-            report.discharged.append((edge, name))
-            continue
-        case = _classify(edge, report)
-        report.cases[case] = report.cases.get(case, 0) + 1
-        if case in ("a", "c", "d"):
+    # the carried rows, each discharged by an idiom or a violation; none
+    # is an input read (the input site has no access to carry it)
+    discharge = _discharge_table(idioms)
+    e = graph.edges
+    for i in compress(range(len(e)), map(is_not, e.carried_by, repeat(None))):
+        src, dst, var = e.src[i], e.dst[i], e.var[i]
+        for family, sids in discharge.get((e.carried_by[i], var), ()):
+            if sids is None or (src in sids and dst in sids):
+                report.discharged.append((e[i], family))
+                break
+        else:
+            kind = e.kind[i]
+            case = _CARRIED_CASE.get(kind, "d")
+            cases[case] += 1
             report.violations.append(Violation(
-                case=case, edge=edge,
-                reason=f"{edge.kind} dependence on {edge.var!r} carried "
+                case=case, edge=e[i],
+                reason=f"{kind} dependence on {var!r} carried "
                        f"across iterations of a partitioned loop"))
+    report.cases = dict(cases)
+    _access_violations(report)
+    return report
 
+
+def _access_violations(report: LegalityReport) -> None:
+    """The violations that are properties of an access, not of an edge."""
+    sub, spec, graph = report.sub, report.spec, report.graph
     # case g is a property of the *access*, not of a dependence edge: an
     # explicit/invariant element index into a partitioned array names a
     # particular partitioned iteration, which SPMD ranks cannot relate to
@@ -202,8 +255,6 @@ def check_legality(sub: Subroutine, spec: PartitionSpec,
     # iteration numbers to original ones — impossible in SPMD (case g:
     # "we have no way to relate parallel iteration numbers to original
     # ones"); subscript uses are fine (local numbering is consistent)
-    from ..lang.ast import DoLoop
-
     for st in sub.walk():
         if not isinstance(st, DoLoop) or spec.entity_of_loop(st) is None:
             continue
@@ -221,4 +272,3 @@ def check_legality(sub: Subroutine, spec: PartitionSpec,
                         reason=f"partitioned loop index {st.var!r} used as a "
                                f"value (parallel iteration numbers cannot be "
                                f"related to original ones)"))
-    return report

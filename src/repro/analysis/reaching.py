@@ -15,9 +15,14 @@ Kill precision follows the target class:
   ``NEW(i) = 0.0`` idiom).  All other array stores (scatter accumulations
   in particular) are weak updates.
 
-Both analyses are classic worklist iterations; program sizes in this
-domain are hundreds of statements, so sets of tuples are fast enough (the
-scaling benchmark ``bench_tool_runtime`` measures this directly).
+Layout.  Each analysis numbers its sites once: the sites of one variable
+take consecutive bits, in sid order, so ``(ENTRY, v)`` (sid 0) is the
+lowest bit of ``v``'s range.  A set of sites is a Python ``int``;
+``masks[v]`` holds the bits of ``v``'s sites, a statement's kill set is
+the OR of the masks of the variables it strongly updates, and one
+worklist step is ``in = OR(out[p])``, ``out = (in & ~kill) | gen``.  The
+sites of ``v`` reaching node ``n`` are the set bits of
+``ins[n] & masks[v]``, already in sid order.
 """
 
 from __future__ import annotations
@@ -29,21 +34,92 @@ from ..lang.ast import Assign, Const, DoLoop, Var
 from ..lang.cfg import CFG, ENTRY, EXIT
 from .accesses import DIRECT, AccessMap
 
-DefSite = tuple[int, str]  # (sid, variable); sid == ENTRY for program inputs
+Site = tuple[int, str]  # (sid, variable); sid == ENTRY for program inputs
+DefSite = Site
 
 
 @dataclass
-class ReachingDefs:
-    """Result of the forward reaching-definitions analysis."""
+class SiteSets:
+    """One forward may-analysis over ``(sid, var)`` sites, as bitsets."""
 
-    #: def sites reaching the *entry* of each statement
-    rd_in: dict[int, frozenset[DefSite]]
-    #: def sites generated by each statement
-    gen: dict[int, frozenset[DefSite]]
+    #: bit ``i`` of every set stands for ``sites[i]``
+    sites: list[Site]
+    #: site -> its bit
+    index: dict[Site, int]
+    #: variable -> the bits of its sites (one consecutive range)
+    masks: dict[str, int]
+    #: node -> the sites reaching its entry
+    ins: dict[int, int]
+
+    def sids(self, node: int, var: str) -> list[int]:
+        """Sids of ``var``'s sites reaching ``node``, in ascending order."""
+        bits = self.ins.get(node, 0) & self.masks.get(var, 0)
+        return [self.sites[i][0] for i in set_bits(bits)]
+
+
+@dataclass
+class ReachingDefs(SiteSets):
+    """Result of the forward reaching-definitions analysis.
+
+    ``ins`` covers every statement, ``ENTRY`` and ``EXIT`` (the
+    definitions reaching the subroutine exit: the program outputs).
+    """
+
+    #: the bits of the input sites ``(ENTRY, v)``
+    inputs: int
     #: variables killed (strongly updated) by each statement
     kills_var: dict[int, frozenset[str]]
     #: sids of covering array writes
     covering: frozenset[int]
+
+
+def set_bits(bits: int) -> list[int]:
+    """Indices of the set bits of ``bits``, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+def _number(sids_by_var: dict[str, set[int]]
+            ) -> tuple[list[Site], dict[Site, int], dict[str, int]]:
+    """Sites, site -> bit and per-variable masks, one range per variable."""
+    sites: list[Site] = []
+    masks: dict[str, int] = {}
+    for var in sorted(sids_by_var):
+        sids = sorted(sids_by_var[var])
+        masks[var] = ((1 << len(sids)) - 1) << len(sites)
+        sites.extend((sid, var) for sid in sids)
+    return sites, {site: i for i, site in enumerate(sites)}, masks
+
+
+def _solve(cfg: CFG, gen: dict[int, int], kill: dict[int, int],
+           entry: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Round-robin ``out = (OR(out[p]) & ~kill) | gen`` to the fixpoint.
+
+    ``entry`` is the out-set of ``ENTRY``.  Returns the in- and out-sets
+    of every statement and ``ENTRY`` (0 for nodes not reachable).
+    """
+    out = dict.fromkeys(cfg.nodes, 0)
+    out[ENTRY] = entry
+    order = [n for n in cfg.rpo() if n in cfg.nodes]
+    preds = {n: [p for p in cfg.pred.get(n, ()) if p in out] for n in order}
+    ins = dict.fromkeys(out, 0)
+    changed = True
+    while changed:
+        changed = False
+        for n in order:
+            new_in = 0
+            for p in preds[n]:
+                new_in |= out[p]
+            ins[n] = new_in
+            new_out = (new_in & ~kill[n]) | gen[n]
+            if new_out != out[n]:
+                out[n] = new_out
+                changed = True
+    return ins, out
 
 
 def covering_writes(cfg: CFG, amap: AccessMap) -> set[int]:
@@ -83,59 +159,45 @@ def covering_writes(cfg: CFG, amap: AccessMap) -> set[int]:
 def reaching_definitions(cfg: CFG, amap: AccessMap) -> ReachingDefs:
     """Forward may-analysis of definition sites."""
     covering = covering_writes(cfg, amap)
-    gen: dict[int, set[DefSite]] = {}
-    kills_var: dict[int, set[str]] = {}
-    all_vars = amap.all_names() | {d for d in cfg.sub.decls}
+    all_vars = amap.all_names() | set(cfg.sub.decls)
+    sids_by_var: dict[str, set[int]] = {v: {ENTRY} for v in all_vars}
     for sid in cfg.nodes:
         sa = amap.by_sid.get(sid)
-        g, k = set(), set()
         if sa is not None:
             for d in sa.defs:
-                g.add((sid, d.name))
+                sids_by_var[d.name].add(sid)
+    sites, bit, masks = _number(sids_by_var)
+
+    gen: dict[int, int] = {}
+    kill: dict[int, int] = {}
+    kills_var: dict[int, frozenset[str]] = {ENTRY: frozenset()}
+    for sid in cfg.nodes:
+        sa = amap.by_sid.get(sid)
+        g = k = 0
+        killed = set()
+        if sa is not None:
+            for d in sa.defs:
+                g |= 1 << bit[(sid, d.name)]
                 if d.mode == "scalar" or sid in covering:
-                    k.add(d.name)
-        gen[sid] = g
-        kills_var[sid] = k
-    gen[ENTRY] = {(ENTRY, v) for v in all_vars}
-    kills_var[ENTRY] = set()
+                    killed.add(d.name)
+                    k |= masks[d.name]
+        gen[sid], kill[sid] = g, k
+        kills_var[sid] = frozenset(killed)
 
-    rd_out: dict[int, frozenset[DefSite]] = {
-        n: frozenset() for n in list(cfg.nodes) + [ENTRY]}
-    rd_in: dict[int, frozenset[DefSite]] = dict(rd_out)
-    rd_out[ENTRY] = frozenset(gen[ENTRY])
-
-    order = [n for n in cfg.rpo() if n in cfg.nodes or n == ENTRY]
-    changed = True
-    while changed:
-        changed = False
-        for n in order:
-            if n == ENTRY:
-                continue
-            new_in = frozenset().union(
-                *(rd_out[p] for p in cfg.pred.get(n, ()) if p in rd_out))
-            killed = kills_var[n]
-            new_out = frozenset(
-                d for d in new_in if d[1] not in killed) | frozenset(gen[n])
-            if new_in != rd_in[n] or new_out != rd_out[n]:
-                rd_in[n] = new_in
-                rd_out[n] = new_out
-                changed = True
+    inputs = sum(1 << bit[(ENTRY, v)] for v in all_vars)
+    ins, out = _solve(cfg, gen, kill, inputs)
     # definitions reaching the subroutine exit (program outputs)
-    rd_in[EXIT] = frozenset().union(
-        *(rd_out[p] for p in cfg.pred.get(EXIT, ()) if p in rd_out))
-    return ReachingDefs(
-        rd_in=rd_in,
-        gen={n: frozenset(g) for n, g in gen.items()},
-        kills_var={n: frozenset(k) for n, k in kills_var.items()},
-        covering=frozenset(covering),
-    )
-
-
-UseSite = tuple[int, str]  # (sid, variable)
+    exit_in = 0
+    for p in cfg.pred.get(EXIT, ()):
+        exit_in |= out.get(p, 0)
+    ins[EXIT] = exit_in
+    return ReachingDefs(sites=sites, index=bit, masks=masks, ins=ins,
+                        inputs=inputs, kills_var=kills_var,
+                        covering=frozenset(covering))
 
 
 def reaching_uses(cfg: CFG, amap: AccessMap,
-                  rdefs: Optional[ReachingDefs] = None) -> dict[int, frozenset[UseSite]]:
+                  rdefs: Optional[ReachingDefs] = None) -> SiteSets:
     """Forward may-analysis: uses reaching the *entry* of each statement.
 
     A use ``(u, v)`` reaches ``s`` when some path from ``u``'s read of
@@ -145,27 +207,25 @@ def reaching_uses(cfg: CFG, amap: AccessMap,
     """
     if rdefs is None:
         rdefs = reaching_definitions(cfg, amap)
-    kills = rdefs.kills_var
-    use_gen: dict[int, set[UseSite]] = {}
+    sids_by_var: dict[str, set[int]] = {}
     for sid in cfg.nodes:
         sa = amap.by_sid.get(sid)
-        use_gen[sid] = {(sid, u.name) for u in sa.uses} if sa else set()
+        if sa is not None:
+            for u in sa.uses:
+                sids_by_var.setdefault(u.name, set()).add(sid)
+    sites, bit, masks = _number(sids_by_var)
 
-    ru_out: dict[int, frozenset[UseSite]] = {
-        n: frozenset() for n in list(cfg.nodes) + [ENTRY]}
-    ru_in: dict[int, frozenset[UseSite]] = dict(ru_out)
-    order = [n for n in cfg.rpo() if n in cfg.nodes]
-    changed = True
-    while changed:
-        changed = False
-        for n in order:
-            new_in = frozenset().union(
-                *(ru_out[p] for p in cfg.pred.get(n, ()) if p in ru_out))
-            killed = kills.get(n, frozenset())
-            new_out = frozenset(
-                u for u in new_in if u[1] not in killed) | frozenset(use_gen[n])
-            if new_in != ru_in[n] or new_out != ru_out[n]:
-                ru_in[n] = new_in
-                ru_out[n] = new_out
-                changed = True
-    return ru_in
+    gen: dict[int, int] = {}
+    kill: dict[int, int] = {}
+    for sid in cfg.nodes:
+        sa = amap.by_sid.get(sid)
+        g = k = 0
+        if sa is not None:
+            for u in sa.uses:
+                g |= 1 << bit[(sid, u.name)]
+        for var in rdefs.kills_var.get(sid, ()):
+            k |= masks.get(var, 0)
+        gen[sid], kill[sid] = g, k
+
+    ins, _ = _solve(cfg, gen, kill, 0)
+    return SiteSets(sites=sites, index=bit, masks=masks, ins=ins)

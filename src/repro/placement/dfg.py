@@ -16,6 +16,8 @@ descriptors of :mod:`repro.analysis.accesses` plus the idioms of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import eq
 from typing import Iterator, Optional
 
 from ..analysis.accesses import (
@@ -132,9 +134,13 @@ def _def_node_of_stmt(graph: DepGraph, sid: int) -> Optional[VNode]:
     return VNode(N_DEF, sid, sa.defs[0].name)
 
 
-def _guard_for(use: Access, src_sid: int, graph: DepGraph,
-               idioms: Idioms) -> str:
-    """Crossing guard of one (definition → use) arrow."""
+def _use_guard(use: Access, graph: DepGraph, idioms: Idioms) -> str:
+    """Crossing guard of the arrows into one use.
+
+    ``G_LOCAL`` holds only for an arrow whose source defines inside the
+    use's loop; from any other source the arrow is ``G_SCALAR`` (see
+    :func:`_defines_in`).
+    """
     dst_sid = use.sid
     if use.context == CTX_CONTROL:
         return G_CONTROL
@@ -146,13 +152,7 @@ def _guard_for(use: Access, src_sid: int, graph: DepGraph,
         if in_loop:
             if red is not None and red.var == use.name:
                 return G_ACCUM_SELF  # the running partial of the reduction
-            src_access = graph.amap.by_sid.get(src_sid)
-            src_in_same_loop = False
-            if src_access is not None and src_access.defs:
-                src_in_same_loop = any(d.loop_sid == use.loop_sid
-                                       for d in src_access.defs)
-            if src_in_same_loop and (
-                    idioms.is_localized(use.name, use.loop_sid)
+            if (idioms.is_localized(use.name, use.loop_sid)
                     or _is_loop_var(graph, use.loop_sid, use.name)
                     or _is_induction(idioms, use.name, use.loop_sid)):
                 return G_LOCAL
@@ -170,6 +170,12 @@ def _guard_for(use: Access, src_sid: int, graph: DepGraph,
     raise PlacementError(
         f"access mode {use.mode!r} of {use.name!r} cannot carry flowing data "
         f"(run the legality check first)")
+
+
+def _defines_in(graph: DepGraph, sid: int, loop_sid: int) -> bool:
+    """Whether statement ``sid`` defines a value inside loop ``loop_sid``."""
+    sa = graph.amap.by_sid.get(sid)
+    return sa is not None and any(d.loop_sid == loop_sid for d in sa.defs)
 
 
 def _is_loop_var(graph: DepGraph, loop_sid: Optional[int], var: str) -> bool:
@@ -204,28 +210,47 @@ def build_value_flow_graph(graph: DepGraph, idioms: Idioms) -> ValueFlowGraph:
             vfg.nodes.add(node)
         return node
 
-    # -- true-dependence arrows -------------------------------------------
-    seen: set[VEdge] = set()
-    for edge in graph.by_kind(TRUE):
-        use = edge.dst_access
-        if use is None:
+    # -- true-dependence arrows: one per distinct (src, dst, var, use) row.
+    # Rows of one use are distinct by source, so only a use equal to an
+    # earlier one of its statement (``x = a(i) + a(i)``) repeats arrows.
+    repeated: set[int] = set()
+    for sa in graph.amap:
+        seen: set[Access] = set()
+        for u in sa.uses:
+            if u in seen:
+                repeated.add(id(u))
+            seen.add(u)
+    dst_nodes: dict[int, Optional[VNode]] = {}
+    src_nodes: dict[tuple[int, str], VNode] = {}
+    guards: dict[int, str] = {}
+    e = graph.edges
+    true_rows = compress(zip(e.src, e.dst, e.var, e.dst_access),
+                         map(eq, e.kind, repeat(TRUE)))
+    for src_sid, dst_sid, var, use in true_rows:
+        if use is None or id(use) in repeated:
             continue
-        dst = _def_node_of_stmt(graph, edge.dst)
+        if dst_sid in dst_nodes:
+            dst = dst_nodes[dst_sid]
+        else:
+            dst = dst_nodes[dst_sid] = _def_node_of_stmt(graph, dst_sid)
+            if dst is not None:
+                vfg.nodes.add(dst)
         if dst is None:
             continue
-        src: Optional[VNode]
-        if edge.src == ENTRY:
-            src = input_node(edge.var)
-        else:
-            src = VNode(N_DEF, edge.src, edge.var)
-        guard = _guard_for(use, edge.src, graph, idioms)
-        vfg.nodes.add(src)
-        vfg.nodes.add(dst)
-        ve = VEdge(src=src, dst=dst, guard=guard, var=edge.var,
-                   dst_loop=use.loop_sid, use=use)
-        if ve not in seen:
-            seen.add(ve)
-            vfg.edges.append(ve)
+        src = src_nodes.get((src_sid, var))
+        if src is None:
+            src = (input_node(var) if src_sid == ENTRY
+                   else VNode(N_DEF, src_sid, var))
+            src_nodes[(src_sid, var)] = src
+            vfg.nodes.add(src)
+        guard = guards.get(id(use))
+        if guard is None:
+            guard = guards[id(use)] = _use_guard(use, graph, idioms)
+        if guard == G_LOCAL and not _defines_in(graph, src_sid,
+                                                use.loop_sid):
+            guard = G_SCALAR
+        vfg.edges.append(VEdge(src=src, dst=dst, guard=guard, var=var,
+                               dst_loop=use.loop_sid, use=use))
 
     # -- every definition is a node even without consumers ------------------
     for sa in graph.amap:
@@ -237,9 +262,8 @@ def build_value_flow_graph(graph: DepGraph, idioms: Idioms) -> ValueFlowGraph:
 
     # -- program outputs -----------------------------------------------------
     params = [p.lower() for p in sub.params]
-    reach_exit = graph.rdefs.rd_in.get(EXIT, frozenset())
     for var in params:
-        def_sids = sorted(s for s, v in reach_exit if v == var and s != ENTRY)
+        def_sids = [s for s in graph.rdefs.sids(EXIT, var) if s != ENTRY]
         if not def_sids:
             continue
         out = VNode(N_OUT, EXIT, var)

@@ -363,9 +363,10 @@ class PlacementService:
 
             folded = place_batch(self.store.root, self.salt,
                                  list(cold.values()), workers)
+            # the workers wrote both artifacts to the shared disk tier
             for k, (placements, commcheck) in folded.items():
-                self.store.put(k, STAGE_PLACEMENTS, placements)
-                self.store.put(k, STAGE_COMMCHECK, commcheck)
+                self.store.fold(k, STAGE_PLACEMENTS, placements)
+                self.store.fold(k, STAGE_COMMCHECK, commcheck)
         return [self.place(req["program"], req["spec"], req.get("flags"),
                            index=req.get("index", 0),
                            annotate=req.get("annotate", True))

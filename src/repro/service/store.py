@@ -167,6 +167,12 @@ class ArtifactStore:
             self.stats.stores += 1
         self._disk_write(key, stage, payload)
 
+    def fold(self, key: str, stage: str, payload: bytes) -> None:
+        """Memory tier only: for bytes another process already wrote to
+        this store's disk tier (a batch worker)."""
+        with self._lock:
+            self._mem_put((key, stage), payload)
+
     # -- the object tier (decoded artifacts) -------------------------------
 
     def get_object(self, key: str, stage: str,

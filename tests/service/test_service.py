@@ -222,6 +222,24 @@ class TestBatching:
             assert a["annotated"] == b["annotated"]
             assert a["fingerprint"] == b["fingerprint"]
 
+    def test_batch_fold_writes_nothing_twice(self, tmp_path):
+        # the workers already wrote each cold key's two artifacts to the
+        # shared disk store; the parent folds them into tier 1 only
+        spec_text = synthetic_spec().serialize()
+        reqs = [{"program": synthetic_source(i + 1), "spec": spec_text,
+                 "index": i} for i in range(3)]
+        svc = PlacementService(str(tmp_path / "pool"), workers=2)
+        pooled = svc.place_many(reqs, workers=2)
+        assert svc.store.stats.bytes_written == 0
+        assert svc.store.stats.stores == 0
+        assert svc.store.disk_usage()[0] == 2 * len(reqs)
+        serial = PlacementService(str(tmp_path / "serial")).place_many(
+            reqs, workers=0)
+        for a, b in zip(pooled, serial):
+            assert a.pop("metrics")["key"] == b.pop("metrics")["key"]
+            assert (a.pop("tier"), b.pop("tier")) == ("mem", "miss")
+            assert a == b
+
 
 class TestHTTPServer:
     @pytest.fixture()
