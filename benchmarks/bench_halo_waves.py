@@ -2,17 +2,12 @@
 
 The halo collectives move float64 fields as one concatenated block per
 wave (``send_block``/``recv_block``), gathered by fancy indexing from the
-schedule's index arrays.  Two probes drive a synthetic 6-neighbour
-overlap schedule and the packed-id tables:
-
-* ``test_block_wave_scaling_to_4096`` pushes the block path (with and
-  without the flat store of :mod:`repro.runtime.flatstore`) to 1024 and
-  4096 ranks and reports per-message wave cost — the flat-store gate is
-  per-message cost at 4096 ranks within 2× of 256 ranks, i.e. the wave
-  cost grows with traffic, not with rank count.
-* ``test_packed_vs_dict_lookup`` times owner/local resolution through
-  packed int64 ids (:mod:`repro.mesh.packedid`) against per-entity dict
-  probes.
+schedule's index arrays.  ``test_block_wave_scaling_to_4096`` drives a
+synthetic 6-neighbour overlap schedule through the block path (with and
+without the flat store of :mod:`repro.runtime.flatstore`) at 1024 and
+4096 ranks and reports per-message wave cost — the flat-store gate is
+per-message cost at 4096 ranks within 2× of 256 ranks, i.e. the wave
+cost grows with traffic, not with rank count.
 
 Wall-clock ratios are only meaningful on quiet hardware, so all hard
 asserts are opt-in (``REPRO_PERF_ASSERT=1``, set by the dedicated perf
@@ -26,7 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import emit_report
-from repro.mesh import HaloSchedule, WaveSide, build_entity_packing
+from repro.mesh import HaloSchedule, WaveSide
 from repro.runtime import SimComm, build_flat_store, overlap_update
 
 N_KERNEL = 64     # owned words per rank
@@ -115,42 +110,3 @@ def test_block_wave_scaling_to_4096():
     # per-message cost at 4096 ranks stays within 2x of 256 ranks
     if os.environ.get("REPRO_PERF_ASSERT"):
         assert flatness <= 2.0, cost
-
-
-@pytest.mark.perf
-def test_packed_vs_dict_lookup():
-    """Owner/local resolution: packed int64 arithmetic vs dict probes."""
-    nranks, per_rank = 256, 512
-    n = nranks * per_rank
-    rng = np.random.default_rng(7)
-    gids = rng.permutation(n).astype(np.int64)
-    kernels = [np.sort(gids[r * per_rank:(r + 1) * per_rank])
-               for r in range(nranks)]
-    packing = build_entity_packing("node", nranks, kernels, n)
-    oracle = {int(g): (r, l) for r, kern in enumerate(kernels)
-              for l, g in enumerate(kern)}
-    queries = rng.integers(0, n, size=200_000).astype(np.int64)
-
-    t0 = time.perf_counter()
-    owners = packing.owner_of(queries)
-    locals_ = packing.owner_local_of(queries)
-    packed_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    resolved = [oracle[int(g)] for g in queries]
-    dict_s = time.perf_counter() - t0
-
-    # identical answers, or the comparison is meaningless
-    assert [(int(o), int(l))
-            for o, l in zip(owners[:5000], locals_[:5000])] \
-        == resolved[:5000]
-
-    ratio = dict_s / packed_s
-    emit_report(
-        "S5c packed-id vs dict owner lookup",
-        f"{len(queries)} lookups over {n} entities on {nranks} ranks:\n"
-        f"packed shift/mask {packed_s * 1e3:7.2f} ms   "
-        f"dict probes {dict_s * 1e3:7.2f} ms   "
-        f"packed speedup {ratio:5.1f}x")
-    if os.environ.get("REPRO_PERF_ASSERT"):
-        assert ratio >= 5.0, ratio

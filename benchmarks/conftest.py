@@ -1,21 +1,13 @@
 """Shared fixtures/helpers for the paper-reproduction benchmarks.
 
 Each ``bench_*.py`` regenerates one of the paper's figures or quantitative
-claims (see DESIGN.md's experiment index).  Reports print to stdout (run
-``pytest benchmarks/ --benchmark-only -s`` to see them) and append to
-``benchmarks/reports.txt`` so EXPERIMENTS.md can quote measured values.
+claims (see DESIGN.md's experiment index).  Reports print to stdout: run
+``pytest benchmarks/ -s`` to see them.
 """
 
 from __future__ import annotations
 
-import pathlib
-
-_REPORT_PATH = pathlib.Path(__file__).parent / "reports.txt"
-
 
 def emit_report(title: str, text: str) -> None:
-    """Print a benchmark report and append it to benchmarks/reports.txt."""
-    block = f"\n===== {title} =====\n{text.rstrip()}\n"
-    print(block)
-    with _REPORT_PATH.open("a") as fh:
-        fh.write(block)
+    """Print a benchmark report under a titled rule."""
+    print(f"\n===== {title} =====\n{text.rstrip()}\n")

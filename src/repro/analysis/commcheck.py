@@ -35,9 +35,9 @@ states (``Nod₀/Nod₁/Sca₁``…) and the open-window set over the CFG.  Fact
 enrich diagnostics, computed when one is emitted: no verdict reads them,
 so a clean placement never runs the dataflow (``--facts`` dumps them).
 
-Surfaces: ``python -m repro.analysis.commcheck``, the ``repro lint`` CLI
-subcommand (:func:`lint_main`), and the ``check(...)`` hook
-:mod:`repro.driver.pipeline` runs after every placement.
+Surfaces: the ``repro-place lint`` CLI subcommand (:func:`lint_main`) and
+the ``check(...)`` hook :mod:`repro.driver.pipeline` runs after every
+placement.
 """
 
 from __future__ import annotations
@@ -994,7 +994,7 @@ def lint_corpus(strict: bool = False, out=None,
 
 
 def lint_main(argv: Optional[list[str]] = None) -> int:
-    """`repro lint` / `python -m repro.analysis.commcheck` entry point."""
+    """`repro-place lint` entry point."""
     parser = argparse.ArgumentParser(
         prog="repro-place lint",
         description="Static communication verifier: prove halo coherence, "
@@ -1088,11 +1088,3 @@ def _dump_facts(result, out) -> None:
         if row:
             out.write(f"  {anchor_for(sub, sid).label():>6}  "
                       + "  ".join(row) + "\n")
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    return lint_main(argv)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -6,7 +6,7 @@ gather–scatter solvers in the same target class, used by examples,
 integration tests and benchmarks.
 """
 
-from .testiv import TESTIV_SOURCE, FIG5_SKETCH_SOURCE, reference_testiv
+from .testiv import TESTIV_SOURCE, FIG5_SKETCH_SOURCE
 from .shallow import SHALLOW_SOURCE, SHALLOW_SPEC_TEXT
 from .synth import synthetic_source, synthetic_spec
 from .solvers import (
@@ -25,7 +25,6 @@ __all__ = [
     "SHALLOW_SOURCE",
     "SHALLOW_SPEC_TEXT",
     "TESTIV_SOURCE",
-    "reference_testiv",
     "synthetic_source",
     "synthetic_spec",
 ]

@@ -12,8 +12,6 @@ a goto-driven time-step loop.
 
 from __future__ import annotations
 
-import numpy as np
-
 TESTIV_SOURCE = """\
       subroutine TESTIV(INIT, RESULT, nsom, ntri, SOM, AIRETRI, AIRESOM,
      &                  epsilon, maxloop)
@@ -87,35 +85,3 @@ FIG5_SKETCH_SOURCE = """\
       end do
       end
 """
-
-
-def reference_testiv(
-    init: np.ndarray,
-    som: np.ndarray,
-    airetri: np.ndarray,
-    airesom: np.ndarray,
-    epsilon: float,
-    maxloop: int,
-) -> tuple[np.ndarray, int]:
-    """Vectorized numpy reference of TESTIV's mathematics.
-
-    Independent of the interpreter — used to cross-check that the parsed
-    program and the interpreter agree with the intended semantics.
-
-    Parameters use 1-based ``som`` connectivity, like the FORTRAN code.
-    Returns the result field and the number of sweeps executed.
-    """
-    old = init.astype(np.float64).copy()
-    ntri = som.shape[0]
-    s = som[:ntri].astype(np.int64) - 1
-    loop = 0
-    while True:
-        loop += 1
-        vm = (old[s[:, 0]] + old[s[:, 1]] + old[s[:, 2]]) * airetri / 18.0
-        new = np.zeros_like(old)
-        for k in range(3):
-            np.add.at(new, s[:, k], vm / airesom[s[:, k]])
-        sqrdiff = float(np.sum((new - old) ** 2))
-        if sqrdiff < epsilon or loop == maxloop:
-            return new, loop
-        old = new

@@ -1,12 +1,5 @@
 """Driver — partitioning specs, inference, and the figure-3 pipeline."""
 
-from .experiment import (
-    PatternComparison,
-    SweepPoint,
-    SweepResult,
-    compare_patterns,
-    sweep_nparts,
-)
 from .infer import infer_array_entities
 from .pipeline import (
     PipelineRun,
@@ -18,8 +11,6 @@ from .pipeline import (
 from .report import pipeline_report
 
 __all__ = [
-    "PatternComparison", "PipelineRun", "SweepPoint", "SweepResult",
-    "build_global_env", "check", "compare_patterns",
-    "infer_array_entities", "sweep_nparts",
+    "PipelineRun", "build_global_env", "check", "infer_array_entities",
     "pipeline_report", "run_pipeline", "run_sequential",
 ]

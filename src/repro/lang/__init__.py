@@ -27,32 +27,24 @@ from .ast import (
     Subroutine,
     UnOp,
     Var,
-    reset_sids,
 )
 from .cfg import CFG, ENTRY, EXIT
-from .interp import (
-    CollectiveAction,
-    Interpreter,
-    RunResult,
-    eval_expr,
-    make_env,
-    run_subroutine,
-)
+from .interp import CollectiveAction, Interpreter, RunResult, make_env
 from .lexer import scan_directives, tokenize
 from .lower import FlatCode, lower_subroutine
 from .parser import parse_program, parse_subroutine
 from .typecheck import Diagnostic, TypeCheckError, TypeReport, check_types
 from .vectorize import LoopKernel, build_vector_kernels, try_vectorize_loop
-from .printer import format_expr, format_program, format_subroutine
+from .printer import format_expr, format_subroutine
 
 __all__ = [
     "ArrayRef", "Assign", "BinOp", "CFG", "CallStmt", "CollectiveAction",
     "Const", "Continue",
     "Decl", "DoLoop", "ENTRY", "EXIT", "Expr", "FlatCode", "Goto", "IfBlock",
     "IfGoto", "Interpreter", "Intrinsic", "LoopKernel", "Program", "Return", "RunResult",
-    "Stmt", "Stop", "Subroutine", "UnOp", "Var", "eval_expr", "format_expr",
-    "format_program", "format_subroutine", "lower_subroutine", "make_env",
-    "parse_program", "parse_subroutine", "reset_sids", "run_subroutine",
+    "Stmt", "Stop", "Subroutine", "UnOp", "Var", "format_expr",
+    "format_subroutine", "lower_subroutine", "make_env",
+    "parse_program", "parse_subroutine",
     "scan_directives", "tokenize", "build_vector_kernels", "try_vectorize_loop",
     "Diagnostic", "TypeCheckError", "TypeReport", "check_types",
 ]

@@ -124,12 +124,6 @@ def _next_sid() -> int:
     return next(_sid_counter)
 
 
-def reset_sids() -> None:
-    """Restart statement-id numbering (used by tests for stable ids)."""
-    global _sid_counter
-    _sid_counter = itertools.count(1)
-
-
 @dataclass
 class Stmt:
     """Base class for statements."""

@@ -55,7 +55,7 @@ import numpy as np
 from .ast import (ArrayRef, BinOp, Const, Expr, Intrinsic, Subroutine, UnOp,
                   Var)
 from .lower import (FlatCode, IAssign, IBranch, ICall, IJump, ILoopIncr,
-                    ILoopInit, ILoopTest, IReturn, lower_subroutine)
+                    ILoopInit, ILoopTest, IReturn)
 from ..errors import InterpError
 
 Env = dict[str, Any]
@@ -510,24 +510,6 @@ class _Emitter:
         return self.namespace
 
 
-def compile_expr(ex: Expr) -> Callable[[Env], Any]:
-    """Compile an expression to a function ``f(env) -> value``.
-
-    Arrays use FORTRAN 1-based indexing; out-of-bounds accesses raise
-    :class:`InterpError` rather than wrap: silent wraparound is the class of
-    bug the paper's tool exists to prevent.  An unknown operator or
-    intrinsic raises when *evaluated*, not here.
-    """
-    em = _Emitter()
-    name = em.function("expression", (ex,), "{}", None)
-    return em.load("<repro:expression>")[name]
-
-
-def eval_expr(ex: Expr, env: Env) -> Any:
-    """Evaluate an expression in ``env`` (see :func:`compile_expr`)."""
-    return compile_expr(ex)(env)
-
-
 @dataclass
 class RunResult:
     """Outcome of one interpreted execution."""
@@ -889,17 +871,6 @@ class Interpreter:
                                      steps)
         self.last_steps = st.steps = steps
         return RunResult(env=env, steps=steps, visits=visits)
-
-
-def run_subroutine(
-    sub: Subroutine,
-    env: Env,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    externals: Optional[dict[str, Callable]] = None,
-) -> RunResult:
-    """Convenience wrapper: lower and execute ``sub`` over ``env``."""
-    code = lower_subroutine(sub)
-    return Interpreter(code, max_steps=max_steps, externals=externals).run(env)
 
 
 def make_env(sub: Subroutine, **values: Any) -> Env:

@@ -197,34 +197,3 @@ def lower_subroutine(sub: Subroutine) -> FlatCode:
     low = _Lowerer(sub)
     low.lower_block(sub.body)
     return low.finish()
-
-
-def format_flat(code: FlatCode) -> str:
-    """Disassemble flat code (debugging aid; round-trips nothing)."""
-    from .printer import format_expr
-
-    lines = []
-    for pc, ins in enumerate(code.instrs):
-        if isinstance(ins, IAssign):
-            text = f"assign  {format_expr(ins.target)} = {format_expr(ins.value)}"
-        elif isinstance(ins, IJump):
-            text = f"jump    -> {ins.pc}"
-        elif isinstance(ins, IBranch):
-            text = f"branch  {format_expr(ins.cond)} else -> {ins.pc_false}"
-        elif isinstance(ins, ILoopInit):
-            step = f",{format_expr(ins.step)}" if ins.step else ""
-            text = (f"loop    {ins.var} = {format_expr(ins.lo)},"
-                    f"{format_expr(ins.hi)}{step}")
-        elif isinstance(ins, ILoopTest):
-            text = f"test    {ins.var} exhausted -> {ins.pc_exit}"
-        elif isinstance(ins, ILoopIncr):
-            text = f"incr    {ins.var} -> {ins.pc_test}"
-        elif isinstance(ins, ICall):
-            args = ",".join(format_expr(a) for a in ins.args)
-            text = f"call    {ins.name}({args})"
-        elif isinstance(ins, IReturn):
-            text = "return"
-        else:  # pragma: no cover
-            text = repr(ins)
-        lines.append(f"{pc:>4}  [s{ins.sid:<3}] {text}")
-    return "\n".join(lines)

@@ -31,7 +31,6 @@ from .ast import (
     IfBlock,
     IfGoto,
     Intrinsic,
-    Program,
     Return,
     Stmt,
     Stop,
@@ -237,8 +236,3 @@ def format_subroutine(
     if trailer:
         inserts.setdefault(len(layout.lines) - 1, []).extend(trailer)
     return layout.splice(inserts)
-
-
-def format_program(prog: Program) -> str:
-    """Render a whole program (units separated by a blank line)."""
-    return "\n".join(format_subroutine(u) for u in prog.units)

@@ -12,11 +12,8 @@ from .generate import (
 )
 from .io import (
     read_mesh,
-    read_partition,
     read_triangle,
     write_mesh,
-    write_partition,
-    write_triangle,
 )
 from .mesh2d import TriMesh
 from .mesh3d import TetMesh
@@ -67,10 +64,9 @@ __all__ = [
     "migrate", "moved_entity_gids", "partition_elements",
     "partition_greedy", "partition_rcb", "partition_spectral",
     "permute_partition", "random_delaunay_mesh", "read_mesh",
-    "read_partition", "read_triangle", "rebalance_elem_ranks",
+    "read_triangle", "rebalance_elem_ranks",
     "refine_partition", "repair_halo_schedule",
     "repartition", "rewrite_packing",
     "schedule_dirty_ranks", "structured_tet_mesh",
     "structured_tri_mesh", "two_triangle_mesh", "write_mesh",
-    "write_partition", "write_triangle",
 ]

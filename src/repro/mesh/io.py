@@ -1,4 +1,4 @@
-"""Mesh and partition file I/O.
+"""Mesh file I/O.
 
 Two formats:
 
@@ -12,9 +12,6 @@ Two formats:
       x y [z]          (n lines)
       elements <m> <k>
       v1 … vk          (m lines, 1-based)
-
-Partitions (element→rank) round-trip through a trivial one-int-per-line
-``.part`` file, like the splitters of the period produced.
 """
 
 from __future__ import annotations
@@ -35,19 +32,6 @@ PathLike = Union[str, pathlib.Path]
 # --------------------------------------------------------------------------
 # Triangle (.node / .ele)
 # --------------------------------------------------------------------------
-
-
-def write_triangle(mesh: TriMesh, basepath: PathLike) -> None:
-    """Write ``<base>.node`` and ``<base>.ele`` (1-based, no attributes)."""
-    base = pathlib.Path(basepath)
-    with open(f"{base}.node", "w") as fh:
-        fh.write(f"{mesh.n_nodes} 2 0 0\n")
-        for i, (x, y) in enumerate(mesh.points, start=1):
-            fh.write(f"{i} {float(x)!r} {float(y)!r}\n")
-    with open(f"{base}.ele", "w") as fh:
-        fh.write(f"{mesh.n_triangles} 3 0\n")
-        for i, (a, b, c) in enumerate(mesh.triangles + 1, start=1):
-            fh.write(f"{i} {a} {b} {c}\n")
 
 
 def read_triangle(basepath: PathLike) -> TriMesh:
@@ -144,26 +128,3 @@ def read_mesh(path: PathLike) -> Mesh:
     if per != 4:
         raise MeshError(f"{path}: 3-D meshes need 4 nodes per element")
     return TetMesh(points=points, tets=conn)
-
-
-# --------------------------------------------------------------------------
-# partitions
-# --------------------------------------------------------------------------
-
-
-def write_partition(elem_ranks: np.ndarray, path: PathLike) -> None:
-    """One rank per line, element order — the splitter-output convention."""
-    with open(path, "w") as fh:
-        for r in elem_ranks:
-            fh.write(f"{int(r)}\n")
-
-
-def read_partition(path: PathLike, n_elements: int) -> np.ndarray:
-    """Read a ``.part`` file and validate it against the element count."""
-    ranks = np.array([int(ln) for ln in _data_lines(path)], dtype=np.int64)
-    if len(ranks) != n_elements:
-        raise MeshError(f"{path}: {len(ranks)} ranks for "
-                        f"{n_elements} elements")
-    if len(ranks) and ranks.min() < 0:
-        raise MeshError(f"{path}: negative rank")
-    return ranks

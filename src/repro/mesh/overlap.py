@@ -74,9 +74,6 @@ class SubMesh:
         """Restrict a global per-entity array to this sub-mesh's numbering."""
         return np.asarray(global_values)[self.l2g[entity]]
 
-    def is_kernel(self, entity: str, local_id: int) -> bool:
-        return local_id < self.kernel_count[entity]
-
 
 @dataclass
 class MeshPartition:
@@ -168,19 +165,6 @@ class MeshPartition:
             entity = self.element_name
         return np.array([s.kernel_count[entity] for s in self.subs],
                         dtype=np.int64)
-
-    def load_imbalance(self, loads=None) -> float:
-        """``max/mean - 1`` of per-rank loads (0.0 means perfect balance).
-
-        Defaults to element kernel sizes; pass explicit per-rank loads
-        (e.g. the executor's step counters) to measure observed work.
-        """
-        loads = np.asarray(self.kernel_sizes() if loads is None else loads,
-                           dtype=np.float64)
-        mean = loads.mean() if len(loads) else 0.0
-        if mean <= 0.0:
-            return 0.0
-        return float(loads.max() / mean - 1.0)
 
     def check_invariants(self) -> None:
         """Structural invariants every partition must satisfy.

@@ -3,7 +3,7 @@
 Pipeline: value-flow graph (:mod:`.dfg`) → backtracking state propagation
 (:mod:`.propagate`) → communication extraction (:mod:`.comms`) → cost
 ranking (:mod:`.cost`) → annotated SPMD source (:mod:`.annotate`), fronted
-by :func:`place_communications` / :func:`enumerate_placements`.
+by :func:`enumerate_placements`.
 """
 
 from .annotate import annotate_source, domain_directive, placement_summary
@@ -34,7 +34,6 @@ from .engine import (
     RankedPlacement,
     analyze,
     enumerate_placements,
-    place_communications,
 )
 from .propagate import Propagator, Solution
 from .reduce import ReductionStats, reduce_vfg
@@ -47,6 +46,6 @@ __all__ = [
     "Solution", "VEdge", "VNode", "ValueFlowGraph", "analyze",
     "annotate_source", "build_value_flow_graph", "domain_directive",
     "enumerate_placements", "estimate_cost", "extract_comms",
-    "place_communications", "placement_summary", "rank_placements",
+    "placement_summary", "rank_placements",
     "reduce_vfg", "vfg_to_dot", "widen_placement",
 ]

@@ -28,8 +28,11 @@ same traffic, wider windows — come out strictly cheaper and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
 
+from ..errors import ReproError
 from ..lang.ast import DoLoop
 from ..lang.cfg import CFG, EXIT
 from ..automata.automaton import OVERLAP
@@ -48,6 +51,20 @@ class CostModel:
     kernel_size: float = 1000.0   # kernel entities per processor
     overlap_fraction: float = 0.10  # overlap size relative to kernel
     loss_rate: float = 0.0        # P(message lost) on the reliable fabric
+
+    def __post_init__(self):
+        # a NaN or negative price would rank placements by noise
+        for f in fields(self):
+            value = getattr(self, f.name)
+            try:
+                ok = isinstance(value, numbers.Real) \
+                    and not isinstance(value, bool) \
+                    and math.isfinite(value) and value >= 0
+            except OverflowError:  # an int too large for a float
+                ok = False
+            if not ok:
+                raise ReproError(f"bad cost model {f.name}: {value!r} "
+                                 f"(expected a finite number >= 0)")
 
     def overlap_size(self) -> float:
         return self.kernel_size * self.overlap_fraction

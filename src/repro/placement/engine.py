@@ -4,8 +4,8 @@ This is the library's front door for the paper's whole section 4:
 
 >>> from repro.corpus import TESTIV_SOURCE
 >>> from repro.spec import spec_for_testiv
->>> from repro.placement import place_communications
->>> result = place_communications(TESTIV_SOURCE, spec_for_testiv())
+>>> from repro.placement import enumerate_placements
+>>> result = enumerate_placements(TESTIV_SOURCE, spec_for_testiv())
 >>> print(result.best().annotated)          # doctest: +SKIP
 """
 
@@ -149,12 +149,3 @@ def enumerate_placements(source_or_sub: Union[str, Subroutine],
         placements.append(Placement(solution=sol, comms=comms))
     return ranked_result(sub, spec, automaton, legality, vfg, placements,
                          split_phase, model)
-
-
-def place_communications(source_or_sub: Union[str, Subroutine],
-                         spec: PartitionSpec,
-                         model: CostModel = CostModel(),
-                         split_phase: bool = False) -> PlacementResult:
-    """Convenience wrapper returning all ranked placements (see best())."""
-    return enumerate_placements(source_or_sub, spec, model=model,
-                                split_phase=split_phase)

@@ -82,8 +82,8 @@ def _canonical(obj) -> bytes:
 def _sid_to_pos(sub: Subroutine) -> dict[int, int]:
     """Statement id → 1-based walk position.
 
-    Statement ids come from a process-global counter
-    (:func:`repro.lang.ast.reset_sids`), so the *same* program parsed
+    Statement ids come from a process-global counter in
+    :mod:`repro.lang.ast`, so the *same* program parsed
     twice gets *different* sids — raw sids can never cross a process (or
     even a re-parse) boundary.  Walk order is a pure function of the
     program text, which the cache key pins, so positions are the stable
@@ -236,11 +236,6 @@ def outputs_fingerprint(outputs: dict) -> str:
             h.update(str(arr.shape).encode())
             h.update(arr.tobytes())
     return h.hexdigest()
-
-
-def sink_to_payload(sink: Optional[object]) -> Optional[list]:
-    """JSON form of a commcheck sink (None stays None)."""
-    return None if sink is None else sink.to_json()
 
 
 def sink_from_payload(payload: Optional[list]):

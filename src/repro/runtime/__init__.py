@@ -20,8 +20,6 @@ from .faults import (
     FaultPlan,
     FaultRule,
     KillRule,
-    adversarial_check,
-    envs_bit_identical,
     make_comm,
 )
 from .halos import (
@@ -59,9 +57,9 @@ __all__ = [
     "RECOVERY_GLOBAL", "RECOVERY_LOCAL", "RECOVERY_MODES",
     "REDUCE_OPS", "RankComm", "RankSnapshot", "ReplayFilter",
     "RingTransport", "SPMDExecutor", "SPMDResult", "SimComm",
-    "TimeBreakdown", "adversarial_check", "allreduce_scalar",
+    "TimeBreakdown", "allreduce_scalar",
     "Timeline", "combine_complete", "combine_post",
-    "combine_update", "envs_bit_identical", "make_comm",
+    "combine_update", "make_comm",
     "overlap_complete", "overlap_post", "overlap_update",
     "parallel_time", "render_fault_report", "render_timeline",
     "restore_rank_snapshot", "sequential_time", "snapshot_digest",

@@ -1,4 +1,4 @@
-"""Fault-injection fabric and adversarial-schedule checker for SimMPI.
+"""Fault-injection fabric for SimMPI.
 
 The paper's correctness claim is that the generated placements keep every
 rank's communications matched and the overlapped data coherent; a
@@ -27,15 +27,6 @@ makes the fabric hostile on demand:
     transport snapshots, so a checkpoint replay re-injects exactly the
     same faults.
 
-:func:`adversarial_check`
-    Replays every enumerated placement under randomized message orderings
-    and asserts the results are bit-identical to the in-order run —
-    tag-based matching must make the exchanges order-independent (the
-    matched-communication property that MP-net-style formal models check,
-    here established by brute execution).  ``python -m
-    repro.runtime.faults`` runs it over the fig-9/10 corpus (TESTIV); the
-    CI ``fault-matrix`` job does so at 4 and 32 ranks.
-
 Recovery (retry/retransmit at the receive, checkpoint replay after a
 kill) lives in :mod:`repro.runtime.simmpi`, :mod:`repro.runtime.checkpoint`
 and the executor; this module only manufactures the hostility.
@@ -53,7 +44,6 @@ and the executor; this module only manufactures the hostility.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -520,86 +510,15 @@ def make_comm(size: int, plan: Optional[FaultPlan]) -> SimComm:
     return FaultComm(size, plan)
 
 
-# -- adversarial-schedule checker -------------------------------------------
-
-
-def envs_bit_identical(a: list[dict], b: list[dict]) -> Optional[str]:
-    """None if two per-rank env lists match bit-for-bit, else a description
-    of the first divergence.
-
-    Arrays match on shape, dtype and bytes; scalars on type and bytes —
-    so ``0.0`` and ``-0.0`` differ, and a NaN equals its own bits.
-
-    >>> envs_bit_identical([{"x": np.array([0.0])}], [{"x": np.array([-0.0])}])
-    "rank 0: array 'x' diverges"
-    >>> envs_bit_identical([{"x": np.nan}], [{"x": np.nan}]) is None
-    True
-    """
-    if len(a) != len(b):
-        return f"rank count differs: {len(a)} vs {len(b)}"
-    for r, (ea, eb) in enumerate(zip(a, b)):
-        if set(ea) != set(eb):
-            return f"rank {r}: variable sets differ"
-        for var in sorted(ea):
-            va, vb = ea[var], eb[var]
-            if isinstance(va, np.ndarray) or isinstance(vb, np.ndarray):
-                va, vb = np.asarray(va), np.asarray(vb)
-                if va.shape != vb.shape or va.dtype != vb.dtype \
-                        or va.tobytes() != vb.tobytes():
-                    return f"rank {r}: array {var!r} diverges"
-            elif type(va) is not type(vb) \
-                    or np.asarray(va).tobytes() != np.asarray(vb).tobytes():
-                return f"rank {r}: scalar {var!r} {va!r} != {vb!r}"
-    return None
-
-
-def adversarial_check(placements, spec, partition, global_values,
-                      seeds: tuple[int, ...] = (11, 23, 47),
-                      indices: Optional[list[int]] = None) -> list[str]:
-    """Replay placements under randomized message orderings.
-
-    For every ranked placement (or the chosen ``indices``), runs the SPMD
-    executor once on the perfect fabric and once per seed with a
-    reorder-everything :class:`FaultPlan`, and checks the final per-rank
-    environments are bit-identical — the tag-matched exchanges must not
-    depend on wire arrival order.  Returns a list of failure descriptions
-    (empty = all placements order-independent).
-    """
-    from .executor import SPMDExecutor
-
-    failures: list[str] = []
-    chosen = indices if indices is not None \
-        else range(len(placements.ranked))
-    for idx in chosen:
-        rp = placements.ranked[idx]
-        base = SPMDExecutor(placements.sub, spec, rp.placement,
-                            partition).run(dict(global_values))
-        for seed in seeds:
-            plan = FaultPlan(rules=[FaultRule(action="reorder")], seed=seed)
-            res = SPMDExecutor(placements.sub, spec, rp.placement,
-                               partition).run(dict(global_values),
-                                              faults=plan)
-            diff = envs_bit_identical(base.envs, res.envs)
-            if diff is not None:
-                failures.append(
-                    f"placement #{idx} seed {seed}: {diff}")
-            if base.stats.total_words() != res.stats.total_words():
-                failures.append(
-                    f"placement #{idx} seed {seed}: traffic differs "
-                    f"({base.stats.total_words()} vs "
-                    f"{res.stats.total_words()} words)")
-    return failures
-
-
 def rebalance_policy(partition, events: tuple[int, ...]):
-    """Fixed-plan rebalance for fault harnesses: swap ranks 0<->1.
+    """Fixed-plan rebalance that swaps ranks 0<->1 at the listed events.
 
     Returns a :class:`repro.mesh.migrate.RebalancePolicy` that migrates
     to a rank-0/1 permutation of ``partition`` at each listed collective
     event (consecutive events swap back and forth).  The plan is pinned
     up front — it does not depend on runtime loads — so a fault-free
     baseline and every fault-injected variant migrate **identically**,
-    and the harnesses' bit-identity comparisons stay valid under live
+    and bit-identity with the baseline stays a valid check under live
     migration.  ``None`` when the partition has fewer than two ranks.
     """
     from ..mesh.migrate import RebalancePolicy
@@ -616,293 +535,3 @@ def rebalance_policy(partition, events: tuple[int, ...]):
         plans[e] = cur
     return RebalancePolicy(rebalance_at=tuple(sorted(events)),
                            plans=plans)
-
-
-def soak_check(placements, spec, partition, global_values,
-               seeds: tuple[int, ...] = (11, 23, 47),
-               prob: float = 0.05,
-               indices: Optional[list[int]] = None,
-               rebalance: Optional[tuple[int, ...]] = None) -> list[str]:
-    """Probabilistic soak: low-rate faults, every seed.
-
-    For each placement and seed, runs the executor under four low-rate
-    ``prob=``-thinned fault plans — drop, delay, reorder, corrupt.
-    Checks:
-
-    * drop/delay/reorder runs finish **bit-identical** to the fault-free
-      baseline (recovery must be invisible);
-    * corrupt runs finish and drain (a flipped payload legitimately
-      changes values, so only liveness is asserted);
-    * one seed-derived kill per placement×seed (alone, and composed with
-      low-rate reorder), recovered under **both** recovery modes with a
-      sparse checkpoint cadence: global rollback and localized restart
-      must both land bit-identical to the fault-free baseline (and hence
-      to each other).
-
-    ``rebalance=`` lists collective events at which **every** run —
-    the fault-free baseline and each fault-injected variant — performs
-    the same fixed-plan migration (:func:`rebalance_policy`), so the
-    drop/delay/reorder/kill matrix is exercised while entities are
-    moving between ranks; one extra check compares the migrated
-    baseline's gathered outputs against a never-migrated run.
-
-    Returns failure descriptions (empty = clean soak).  Unlike
-    :func:`adversarial_check` this is sized for a scheduled CI job, not
-    a per-PR gate.
-    """
-    from .executor import SPMDExecutor
-
-    policy = rebalance_policy(partition, tuple(rebalance)) \
-        if rebalance else None
-
-    soak_plans = [
-        ("drop", [FaultRule(action="drop", prob=prob)], 64),
-        ("delay", [FaultRule(action="delay", steps=2, prob=prob)], 64),
-        ("reorder", [FaultRule(action="reorder", prob=prob)], 0),
-        ("corrupt", [FaultRule(action="corrupt", prob=prob)], 0),
-    ]
-    failures: list[str] = []
-    chosen = indices if indices is not None \
-        else range(len(placements.ranked))
-    for idx in chosen:
-        rp = placements.ranked[idx]
-
-        def execute(plan=None, timeout=0, recovery="global",
-                    checkpoint_every=1, policy=policy):
-            return SPMDExecutor(placements.sub, spec, rp.placement,
-                                partition).run(dict(global_values),
-                                               faults=plan,
-                                               comm_timeout=timeout,
-                                               recovery=recovery,
-                                               rebalance=policy,
-                                               checkpoint_every=
-                                               checkpoint_every)
-
-        base = execute()
-        if policy is not None:
-            # migration differential: the rank-permutation plan must be
-            # invisible in the assembled outputs — compare the migrated
-            # baseline's gathers against a never-migrated run
-            where = f"placement #{idx} rebalance at {policy.rebalance_at}"
-            plain = execute(policy=None)
-            if not base.migration or base.migration["epochs"] == 0:
-                failures.append(f"{where}: no migration epoch ran")
-            for var in sorted(base.envs[0]):
-                # scratch scalars (loop counters, local extents) end at
-                # rank-local values; only distributed fields must match
-                if spec.entity_of_array(var) is None:
-                    continue
-                if not np.array_equal(base.gather(var), plain.gather(var)):
-                    failures.append(f"{where}: gathered {var!r} differs "
-                                    f"from the never-migrated run")
-        for seed in seeds:
-            for kind, rules, timeout in soak_plans:
-                where = f"placement #{idx} seed {seed} {kind} prob={prob}"
-                plan = FaultPlan(rules=list(rules), seed=seed)
-                try:
-                    run = execute(plan, timeout)
-                except ReproError as exc:
-                    failures.append(f"{where}: {exc}")
-                    continue
-                if kind != "corrupt":
-                    diff = envs_bit_identical(base.envs, run.envs)
-                    if diff is not None:
-                        failures.append(f"{where}: recovery not "
-                                        f"bit-identical — {diff}")
-            # kill soak: one seed-derived kill, recovered under both
-            # modes with a sparse cadence (so localized restart actually
-            # replays a multi-event log window), alone and composed with
-            # low-rate reorder
-            nevents = len(base.timeline.events)
-            kill = KillRule(rank=seed % partition.nparts,
-                            event=1 + seed % max(1, nevents - 1))
-            for kind, rules in (
-                    ("kill", []),
-                    ("kill+reorder",
-                     [FaultRule(action="reorder", prob=prob)])):
-                where = (f"placement #{idx} seed {seed} {kind} "
-                         f"rank={kill.rank} event={kill.event}")
-                recovered = {}
-                for mode in ("global", "local"):
-                    plan = FaultPlan(rules=list(rules), kills=[kill],
-                                     seed=seed)
-                    try:
-                        recovered[mode] = execute(plan, recovery=mode,
-                                                  checkpoint_every=3)
-                    except ReproError as exc:
-                        failures.append(f"{where} [{mode}]: {exc}")
-                if len(recovered) == 2:
-                    diff = envs_bit_identical(recovered["global"].envs,
-                                              recovered["local"].envs)
-                    if diff is not None:
-                        failures.append(f"{where}: global vs local "
-                                        f"recovery diverge — {diff}")
-                for mode, res in recovered.items():
-                    diff = envs_bit_identical(base.envs, res.envs)
-                    if diff is not None:
-                        failures.append(f"{where} [{mode}]: recovery "
-                                        f"not bit-identical — {diff}")
-    return failures
-
-
-def kill_check(placements, spec, partition, global_values,
-               events: tuple[int, ...] = (1, 3),
-               indices: Optional[list[int]] = None,
-               rebalance: Optional[tuple[int, ...]] = None) -> list[str]:
-    """Deterministic kill sweep recovered under both recovery modes.
-
-    For each chosen placement, kills a spread of ranks (first, middle,
-    last) at each requested collective event (clamped to the run's event
-    count) and recovers once with ``recovery="global"`` and once with
-    ``"local"``, under a sparse checkpoint cadence so localized restart
-    actually replays a multi-event message-log window.  Every recovered
-    run must be bit-identical to the fault-free baseline.  Sized as a
-    per-PR CI gate (the fault-matrix job); :func:`soak_check` carries
-    the probabilistic composition with other fault kinds.
-
-    ``rebalance=`` arms the same fixed-plan migration
-    (:func:`rebalance_policy`) on the baseline and on every killed run,
-    so kills land both before and after a live migration epoch and
-    recovery must replay across the epoch boundary.
-    """
-    from .executor import SPMDExecutor
-
-    policy = rebalance_policy(partition, tuple(rebalance)) \
-        if rebalance else None
-    failures: list[str] = []
-    chosen = indices if indices is not None \
-        else range(len(placements.ranked))
-    for idx in chosen:
-        rp = placements.ranked[idx]
-
-        def execute(plan=None, recovery="global"):
-            return SPMDExecutor(placements.sub, spec, rp.placement,
-                                partition).run(dict(global_values),
-                                               faults=plan,
-                                               recovery=recovery,
-                                               rebalance=policy,
-                                               checkpoint_every=3)
-
-        base = execute()
-        nevents = len(base.timeline.events)
-        ranks = sorted({0, partition.nparts // 2, partition.nparts - 1})
-        for event in sorted({min(e, max(1, nevents - 1)) for e in events}):
-            for rank in ranks:
-                plan = FaultPlan(kills=[KillRule(rank=rank, event=event)])
-                for mode in ("global", "local"):
-                    where = (f"placement #{idx} kill rank={rank} "
-                             f"event={event} [{mode}]")
-                    try:
-                        res = execute(plan, recovery=mode)
-                    except ReproError as exc:
-                        failures.append(f"{where}: {exc}")
-                        continue
-                    diff = envs_bit_identical(base.envs, res.envs)
-                    if diff is not None:
-                        failures.append(f"{where}: recovery not "
-                                        f"bit-identical — {diff}")
-    return failures
-
-
-def _testiv_problem(mesh_n: int, maxloop: int, seed: int = 0):
-    from ..corpus import TESTIV_SOURCE
-    from ..mesh import structured_tri_mesh
-    from ..placement import enumerate_placements
-    from ..spec import spec_for_testiv
-
-    mesh = structured_tri_mesh(mesh_n, mesh_n)
-    spec = spec_for_testiv()
-    placements = enumerate_placements(TESTIV_SOURCE, spec)
-    rng = np.random.default_rng(seed)
-    values = {
-        "init": rng.standard_normal(mesh.n_nodes),
-        "airetri": mesh.triangle_areas,
-        "airesom": mesh.node_areas,
-        "epsilon": 1e-8,
-        "maxloop": maxloop,
-    }
-    return mesh, spec, placements, values
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """CI entry point: adversarial checker over the fig-9/10 corpus."""
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.runtime.faults",
-        description="Replay every enumerated TESTIV placement under "
-                    "randomized message orderings and assert the results "
-                    "are order-independent.")
-    ap.add_argument("--nparts", type=int, nargs="+", default=[4],
-                    help="rank counts to check (default: 4)")
-    ap.add_argument("--mesh", type=int, default=12,
-                    help="structured mesh size N (N×N squares, default 12)")
-    ap.add_argument("--maxloop", type=int, default=3,
-                    help="TESTIV sweep count (default 3)")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[11, 23, 47],
-                    help="reorder seeds per placement")
-    ap.add_argument("--soak", action="store_true",
-                    help="probabilistic soak instead of the adversarial "
-                         "reorder sweep: low-rate prob= drop/delay/"
-                         "reorder/corrupt plans per seed, checked "
-                         "bit-identical to the fault-free run (sized "
-                         "for a scheduled CI job)")
-    ap.add_argument("--prob", type=float, default=0.05,
-                    help="per-message fault probability in --soak mode "
-                         "(default 0.05)")
-    ap.add_argument("--rebalance", type=int, nargs="*", default=None,
-                    metavar="EVENT",
-                    help="arm a fixed-plan online rebalance (rank 0<->1 "
-                         "swap) at the listed collective events (default: "
-                         "event 2) in --soak and --kills modes, so the "
-                         "fault matrix is exercised under live entity "
-                         "migration")
-    ap.add_argument("--kills", action="store_true",
-                    help="deterministic kill sweep instead of the "
-                         "adversarial reorder sweep: kill first/middle/"
-                         "last rank at a spread of events and recover "
-                         "under both --recovery modes (global rollback "
-                         "and localized restart), checked bit-identical "
-                         "to the fault-free baseline")
-    args = ap.parse_args(argv)
-
-    from ..mesh import build_partition
-
-    _mesh, spec, placements, values = _testiv_problem(args.mesh,
-                                                      args.maxloop)
-    rebalance = None
-    if args.rebalance is not None:
-        rebalance = tuple(args.rebalance) or (2,)
-    reb_note = f" under rebalance at {rebalance}" if rebalance else ""
-    failures: list[str] = []
-    for nparts in args.nparts:
-        partition = build_partition(_mesh, nparts, spec.pattern)
-        if args.soak:
-            found = soak_check(placements, spec, partition, values,
-                               seeds=tuple(args.seeds), prob=args.prob,
-                               rebalance=rebalance)
-            print(f"nparts={nparts}: {len(placements.ranked)} placements x "
-                  f"{len(args.seeds)} soak seeds x (4 fault kinds + "
-                  f"2 kill plans x 2 recovery modes) "
-                  f"(prob={args.prob}){reb_note} — "
-                  f"{'OK' if not found else f'{len(found)} FAILURES'}")
-        elif args.kills:
-            found = kill_check(placements, spec, partition, values,
-                               rebalance=rebalance)
-            print(f"nparts={nparts}: {len(placements.ranked)} placements, "
-                  f"kill sweep x 2 recovery modes{reb_note} — "
-                  f"{'OK' if not found else f'{len(found)} FAILURES'}")
-        else:
-            found = adversarial_check(placements, spec, partition, values,
-                                      seeds=tuple(args.seeds))
-            print(f"nparts={nparts}: {len(placements.ranked)} placements x "
-                  f"{len(args.seeds)} adversarial seeds — "
-                  f"{'OK' if not found else f'{len(found)} FAILURES'}")
-        failures += [f"nparts={nparts}: {f}" for f in found]
-    for f in failures:
-        print(f"  FAIL {f}")
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(main())

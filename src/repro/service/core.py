@@ -94,13 +94,6 @@ class RequestMetrics:
             "nsolutions": self.nsolutions,
         }
 
-    def log_line(self) -> str:
-        stages = " ".join(f"{k}={v * 1e3:.2f}ms"
-                          for k, v in sorted(self.timings.items()))
-        return (f"service: key={self.key[:16]} tier={self.tier} "
-                f"solutions={self.nsolutions} total={self.total * 1e3:.2f}ms"
-                + (f" {stages}" if stages else ""))
-
 
 class _Admitted(NamedTuple):
     """A placements artifact as tier 1 holds it: the result, and the

@@ -37,7 +37,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import os
 from typing import Optional
 
@@ -57,15 +56,6 @@ FLAG_DEFAULTS: dict[str, object] = {
 _CODE_VERSION: Optional[str] = None
 
 
-def _finite_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
 def _flag_value(name: str, value):
     """One flag's canonical value; ``ReproError`` for a value of the
     wrong type or range.  Values that mean the same thing share a key:
@@ -77,9 +67,11 @@ def _flag_value(name: str, value):
             return bool(value)
         expected = "a boolean (or 0/1)"
     elif isinstance(default, float):
-        if _finite_number(value):
+        try:  # CostModel judges its own fields
+            CostModel(**{name: value})
             return float(value)
-        expected = "a finite number"
+        except ReproError:
+            expected = "a finite number >= 0"
     else:  # limit
         if value is None:
             return None

@@ -36,7 +36,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
@@ -44,6 +43,43 @@ from ..errors import ReproError
 from .core import PlacementService
 
 DEFAULT_PORT = 8750
+
+
+#: JSON types of the values a field may take
+_JSON_TYPES = {"a string": (str,), "an integer": (int,),
+               "a number": (int, float), "a boolean": (bool,),
+               "a list": (list,)}
+_PROGRAM_FIELDS = {"program": "a string", "spec": "a string",
+                   "index": "an integer"}
+_PLACE_FIELDS = {**_PROGRAM_FIELDS, "annotate": "a boolean"}
+#: the type every request field an endpoint reads must have (``flags``
+#: is judged by the service, which knows the flag names)
+_FIELDS = {
+    "/place": _PLACE_FIELDS,
+    "/batch": {"requests": "a list", "workers": "an integer"},
+    "/run": {**_PROGRAM_FIELDS, "mesh": "an integer", "nparts": "an integer",
+             "maxloop": "an integer", "seed": "an integer",
+             "epsilon": "a number", "backend": "a string",
+             "max_steps": "an integer"},
+}
+
+
+def _bad_field(body, fields: dict, where: str = "") -> Optional[str]:
+    """Why ``body`` is not a request with ``fields``; None if it is."""
+    if type(body) is not dict:
+        return (f"bad request field {where or 'body'}: "
+                f"{type(body).__name__} (expected an object)")
+    for name, kind in fields.items():
+        # type(), not isinstance(): a JSON true is no integer here
+        if name in body and type(body[name]) not in _JSON_TYPES[kind]:
+            return (f"bad request field '{where}{name}': {body[name]!r} "
+                    f"(expected {kind})")
+    if "requests" in fields:
+        for i, req in enumerate(body.get("requests", ())):
+            bad = _bad_field(req, _PLACE_FIELDS, f"requests[{i}].")
+            if bad:
+                return bad
+    return None
 
 
 class ServiceHandler(BaseHTTPRequestHandler):
@@ -92,17 +128,16 @@ class ServiceHandler(BaseHTTPRequestHandler):
         except (ValueError, UnicodeDecodeError) as exc:
             self._fail(f"bad JSON body: {exc}")
             return
+        bad = _bad_field(body, _FIELDS.get(self.path, {}))
+        if bad:
+            self._fail(bad)
+            return
         try:
             if self.path == "/place":
-                index = body.get("index", 0)
-                if type(index) is not int:
-                    self._fail(f"bad request field 'index': {index!r} "
-                               f"(expected an integer)")
-                    return
                 response = self.service.place(
                     body["program"], body["spec"], body.get("flags"),
-                    index=index,
-                    annotate=bool(body.get("annotate", True)))
+                    index=body.get("index", 0),
+                    annotate=body.get("annotate", True))
                 self._log_metrics(response.get("metrics"))
                 self._reply(response)
             elif self.path == "/batch":
@@ -140,15 +175,6 @@ def make_server(service: PlacementService, host: str = "127.0.0.1",
     handler = type("BoundHandler", (ServiceHandler,),
                    {"service": service, "quiet": quiet})
     return ThreadingHTTPServer((host, port), handler)
-
-
-def serve_in_thread(service: PlacementService, host: str = "127.0.0.1"
-                    ) -> tuple[ThreadingHTTPServer, threading.Thread]:
-    """Start a server on an ephemeral port in a daemon thread (tests)."""
-    httpd = make_server(service, host=host, port=0, quiet=True)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    return httpd, thread
 
 
 def serve_main(argv: Optional[list[str]] = None) -> int:

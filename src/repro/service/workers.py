@@ -8,8 +8,8 @@ producers safe (identical key ⇒ identical bytes; last rename wins) —
 and additionally ships the encoded payloads back so the parent can fold
 them into its memory tier without re-reading the disk.
 
-:func:`run_batch` does the same for *execution* requests (the figure-3
-differential run on a generated mesh).  Workers keep a warm per-key
+:func:`run_request` serves one *execution* request (the figure-3
+differential run on a generated mesh).  A process keeps a warm per-key
 execution context: the parsed subroutine, the cache-restored
 placements, and the **lowered sequential interpreter** — each request
 then starts the reference execution on it instead of re-lowering the
@@ -167,20 +167,3 @@ def run_request(cache_dir: Optional[str], salt: str, request: dict) -> dict:
         "spmd_steps": max(run.spmd.rank_steps),
         "fingerprints": run.fingerprints,
     }
-
-
-def run_batch(cache_dir: Optional[str], salt: str, requests: list[dict],
-              workers: int = 0) -> list[dict]:
-    """Execution requests, optionally across worker processes."""
-    if workers > 0 and cache_dir:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=min(workers,
-                                                     len(requests))) as pool:
-                futures = [pool.submit(run_request, cache_dir, salt, req)
-                           for req in requests]
-                return [fut.result() for fut in futures]
-        except (ImportError, OSError, PermissionError):
-            pass
-    return [run_request(cache_dir, salt, req) for req in requests]

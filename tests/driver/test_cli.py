@@ -69,6 +69,18 @@ class TestCLI:
         first = capsys.readouterr().out.splitlines()[1]
         assert "cost=" in first
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--alpha", "nan"), ("--beta", "inf"), ("--gamma", "-5"),
+        ("--loss-rate", "-0.1")])
+    def test_bad_cost_model_flag_reports_error(self, files, capsys, flag,
+                                               value):
+        # refused before anything is ranked, so no cost is printed
+        assert main([*files, "--summary", flag, value]) == 1
+        out, err = capsys.readouterr()
+        field = flag[2:].replace("-", "_")
+        assert err.startswith(f"error: bad cost model {field}: ")
+        assert "cost=" not in out
+
     def test_bad_spec_reports_error(self, tmp_path, files, capsys):
         prog, _ = files
         bad = tmp_path / "nopattern.spec"
@@ -219,7 +231,8 @@ class TestCLI:
         assert "-4" in err
 
     def test_run_mode_triangle_files(self, files, tmp_path, capsys):
-        from repro.mesh import random_delaunay_mesh, write_triangle
+        from repro.mesh import random_delaunay_mesh
+        from tests.mesh.triangle_files import write_triangle
 
         write_triangle(random_delaunay_mesh(60, seed=1), tmp_path / "t")
         prog, spec = files

@@ -22,6 +22,7 @@ from repro.driver import pipeline
 from repro.lang import interp
 from repro.runtime import SPMDExecutor
 from repro.service import workers
+from tests.lang import interp_tools
 
 
 def _params(fn):
@@ -105,8 +106,9 @@ class TestPipelineReachesExecutor:
 
     def test_run_keeps_the_six_options_callers_set(self):
         # faults/comm_timeout/recovery/rebalance: benchmarks/e2e/entry.py
-        # and the CLI; checkpoint_every: the fault sweeps; checkpoint:
-        # forces snapshots without a kill.  A seventh needs a caller.
+        # and the CLI; checkpoint_every and checkpoint: only tests (the
+        # kill sweeps' cadence 3, snapshots without a kill), kept until
+        # removing them is decided on its own.  A seventh needs a caller.
         kwonly = [n for n, p in _params(SPMDExecutor.run).items()
                   if p.kind is p.KEYWORD_ONLY]
         assert kwonly == ["faults", "comm_timeout", "checkpoint",
@@ -117,7 +119,7 @@ class TestOneStepBudget:
     @pytest.mark.parametrize("fn", [
         SPMDExecutor.run, pipeline.run_pipeline, pipeline.build_interpreter,
         pipeline.run_sequential, interp.Interpreter.__init__,
-        interp.run_subroutine], ids=lambda fn: fn.__qualname__)
+        interp_tools.run_subroutine], ids=lambda fn: fn.__qualname__)
     def test_signature_default_is_the_constant(self, fn):
         assert _params(fn)["max_steps"].default is interp.DEFAULT_MAX_STEPS
 

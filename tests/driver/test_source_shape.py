@@ -3,7 +3,7 @@
 A deleted name nothing imports needs no guard; a *shape* does: one halo
 schedule over two tables, one body per halo collective half, a boundary
 loop without closures, one kernel compiler, one interpreter compiler
-whose loops check at entry, one call per wire layer —
+whose loops check at entry, one call per wire layer, one command line —
 and the rule the single placement
 judge rests on: ``placement/comms.py``'s privates stay inside
 ``repro/placement/``.
@@ -41,6 +41,16 @@ def test_comms_privates_stay_inside_placement():
             offenders += [f"{path.relative_to(SRC)}: {n}" for n in names
                           if n.startswith("_")]
     assert not offenders, offenders
+
+
+def test_the_only_module_entry_point_is_the_cli():
+    # the fault sweeps and the corpus lint run as pytest and
+    # `repro-place lint`; src/ ships one command line
+    mains = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+             for node in ast.parse(path.read_text(encoding="utf-8")).body
+             if isinstance(node, ast.If)
+             and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert mains == ["cli.py"]
 
 
 def test_a_halo_schedule_is_one_schedule_over_two_tables():
@@ -92,7 +102,7 @@ def test_the_interpreter_has_one_compiler():
                 if isinstance(n, ast.Lambda) and n.args.args
                 and n.args.args[0].arg == "env"]
     fns = _defs(tree, ast.FunctionDef)
-    path = [fns["_compile"], fns["compile_expr"], fns["eval_expr"],
+    path = [fns["_compile"],
             *_defs(_defs(tree, ast.ClassDef)["_Emitter"],
                    ast.FunctionDef).values()]
     nested = [n.name for fn in path for n in ast.walk(fn)

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import corpus
-from repro.corpus import TESTIV_SOURCE, reference_testiv, synthetic_source
+from repro.corpus import TESTIV_SOURCE, synthetic_source
 from repro.errors import InterpError
 from repro.lang import (
     ArrayRef,
@@ -28,15 +28,15 @@ from repro.lang import (
     UnOp,
     Var,
     build_vector_kernels,
-    eval_expr,
     lower_subroutine,
     make_env,
     parse_subroutine,
-    run_subroutine,
 )
 from repro.lang.ast import Decl, Subroutine
 from repro.lang.interp import (_INTRINSIC_FUNCS, _Checked, _is_integer,
-                               _load_checked, compile_expr)
+                               _load_checked)
+from tests.lang.interp_tools import compile_expr, eval_expr, run_subroutine
+from tests.oracles import reference_testiv
 
 
 def run(src: str, **values):

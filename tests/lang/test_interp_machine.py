@@ -33,7 +33,8 @@ from repro.lang import (
 from repro.lang.ast import Assign
 from repro.lang import interp as interp_module
 from repro.lang.interp import MachineState
-from repro.runtime import FaultPlan, envs_bit_identical
+from repro.runtime import FaultPlan
+from tests.oracles import envs_bit_identical
 from tests.runtime.test_fused_compute import (
     P1,
     PROGRAMS,

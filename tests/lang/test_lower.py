@@ -14,6 +14,7 @@ from repro.lang.lower import (
     ILoopTest,
     IReturn,
 )
+from tests.lang.interp_tools import format_flat
 
 
 def lower(src):
@@ -92,8 +93,6 @@ class TestLowering:
         assert len(code) == 2
 
     def test_disassembler(self):
-        from repro.lang.lower import format_flat
-
         code = lower("subroutine t(n)\n  do i = 1,n\n    x = i*2.0\n"
                      "  end do\n  if (x .gt. 0.0) goto 10\n"
                      " 10   continue\nend\n")

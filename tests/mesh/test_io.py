@@ -1,4 +1,4 @@
-"""Unit tests for mesh and partition file I/O."""
+"""Unit tests for mesh file I/O."""
 
 import numpy as np
 import pytest
@@ -8,14 +8,12 @@ from repro.mesh import (
     partition_elements,
     random_delaunay_mesh,
     read_mesh,
-    read_partition,
     read_triangle,
     structured_tet_mesh,
     structured_tri_mesh,
     write_mesh,
-    write_partition,
-    write_triangle,
 )
+from tests.mesh.triangle_files import write_triangle
 
 
 class TestTriangleFormat:
@@ -86,31 +84,13 @@ class TestGenericFormat:
 
 
 class TestPartitionFiles:
-    def test_roundtrip(self, tmp_path):
-        mesh = structured_tri_mesh(4, 4)
-        ranks = partition_elements(mesh, 3)
-        write_partition(ranks, tmp_path / "m.part")
-        again = read_partition(tmp_path / "m.part", mesh.n_triangles)
-        np.testing.assert_array_equal(again, ranks)
-
-    def test_count_mismatch_rejected(self, tmp_path):
-        (tmp_path / "m.part").write_text("0\n1\n")
-        with pytest.raises(MeshError, match="ranks for"):
-            read_partition(tmp_path / "m.part", 5)
-
-    def test_negative_rank_rejected(self, tmp_path):
-        (tmp_path / "m.part").write_text("0\n-1\n")
-        with pytest.raises(MeshError, match="negative"):
-            read_partition(tmp_path / "m.part", 2)
-
-    def test_external_partition_drives_pipeline(self, tmp_path):
-        """A splitter-provided .part file plugs straight into the overlap."""
+    def test_external_partition_drives_pipeline(self):
+        """An element→rank array from elsewhere plugs straight into the
+        overlap."""
         from repro.mesh import build_partition
 
         mesh = structured_tri_mesh(6, 6)
         ranks = partition_elements(mesh, 3, method="greedy")
-        write_partition(ranks, tmp_path / "ext.part")
-        loaded = read_partition(tmp_path / "ext.part", mesh.n_triangles)
         part = build_partition(mesh, 3, "overlap-elements-2d",
-                               elem_ranks=loaded)
+                               elem_ranks=ranks)
         part.check_invariants()

@@ -38,10 +38,10 @@ from repro.placement import enumerate_placements, widen_placement
 from repro.runtime import (
     FaultPlan,
     SPMDExecutor,
-    envs_bit_identical,
 )
 from repro.runtime.faults import KillRule, rebalance_policy
 from repro.spec import spec_for_testiv
+from tests.oracles import envs_bit_identical
 
 
 @pytest.fixture(scope="module")

@@ -19,7 +19,7 @@ from repro.corpus import (
 from repro.errors import LegalityError, PlacementError
 from repro.lang import DoLoop, parse_subroutine, scan_directives
 from repro.lang.cfg import EXIT
-from repro.placement import enumerate_placements, place_communications
+from repro.placement import enumerate_placements
 from repro.spec import PartitionSpec, spec_for_testiv
 
 
@@ -208,7 +208,7 @@ class TestOtherPrograms:
         spec = PartitionSpec.parse(
             "pattern overlap-elements-2d\nextent node nsom\narray a node\n")
         with pytest.raises(LegalityError):
-            place_communications(
+            enumerate_placements(
                 "      subroutine t(a, nsom)\n"
                 "      real a(100)\n      integer i\n"
                 "      do i = 1,nsom\n"

@@ -14,12 +14,11 @@ from repro.runtime import (
     KillRule,
     SPMDExecutor,
     SimComm,
-    adversarial_check,
-    envs_bit_identical,
     make_comm,
     parallel_time,
 )
 from repro.spec import spec_for_testiv
+from tests.oracles import envs_bit_identical
 
 
 @pytest.fixture(scope="module")
@@ -507,11 +506,16 @@ class TestZeroOverheadDefault:
 
 class TestAdversarialChecker:
     def test_corpus_placements_order_independent(self, setup):
+        # a slice of tests/runtime/test_fault_sweeps.py::test_reorder
         mesh, spec, placements, partition = setup
-        failures = adversarial_check(placements, spec, partition,
-                                     inputs_for(mesh), seeds=(5,),
-                                     indices=[0, 1])
-        assert failures == []
+        plan = FaultPlan(rules=[FaultRule(action="reorder")], seed=5)
+        for index in (0, 1):
+            ex = SPMDExecutor(placements.sub, spec,
+                              placements.ranked[index].placement, partition)
+            base = ex.run(inputs_for(mesh))
+            res = ex.run(inputs_for(mesh), faults=plan)
+            assert envs_bit_identical(base.envs, res.envs) is None
+            assert res.stats.total_words() == base.stats.total_words()
 
     def test_envs_bit_identical_reports_divergence(self):
         a = [{"x": np.arange(3.0), "s": 1}]

@@ -36,8 +36,9 @@ from repro.mesh import (
 from repro.placement import enumerate_placements
 from repro.placement.comms import Placement
 from repro.placement.propagate import Solution
-from repro.runtime import SPMDExecutor, envs_bit_identical
+from repro.runtime import SPMDExecutor
 from repro.spec import PartitionSpec, spec_for_testiv
+from tests.oracles import envs_bit_identical
 
 P1, P2 = "overlap-elements-2d", "shared-nodes-2d"
 _TRI = ("pattern {pattern}\nextent node nsom\nextent triangle ntri\n"

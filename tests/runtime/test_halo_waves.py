@@ -27,14 +27,14 @@ from repro.runtime import (
     FaultPlan,
     SPMDExecutor,
     SimComm,
-    envs_bit_identical,
 )
-from repro.runtime.faults import FaultRule, soak_check
+from repro.runtime.faults import FaultRule
 from repro.runtime.halos import combine_complete, combine_post, \
     combine_update, overlap_complete, overlap_post, overlap_update
 from repro.runtime.ringbuf import on_slab
 from repro.spec import spec_for_testiv
 from tests.halo_views import halo_schedule
+from tests.oracles import envs_bit_identical
 
 
 @pytest.fixture(scope="module")
@@ -344,13 +344,6 @@ class TestProbabilisticSoak:
     Deselected from the tier-1 run by the ``-m 'not soak'`` addopts;
     the scheduled workflow runs ``pytest -m soak``.
     """
-
-    def test_soak_slice_clean(self, setup):
-        placements, spec, partition, values = setup
-        failures = soak_check(placements, spec, partition, values,
-                              seeds=(11, 23), prob=0.05,
-                              indices=[0, 7, 15])
-        assert not failures, "\n".join(failures)
 
     def test_soak_block_vs_per_message(self, setup, waves):
         """Under every low-rate plan the block run equals the

@@ -19,9 +19,9 @@ from repro.runtime import (
     FaultPlan,
     SimComm,
     SPMDExecutor,
-    envs_bit_identical,
 )
 from repro.spec import PartitionSpec
+from tests.oracles import envs_bit_identical
 
 DEGREE_SOURCE = """\
       subroutine DEG(CNT, OUT, nsom, ntri, SOM)

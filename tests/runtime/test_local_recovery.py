@@ -6,8 +6,9 @@ sender-side message log while the survivors wait — is the scale
 implementation.  These tests require *bit identity* between the two
 modes and the fault-free run: final environments, step counts, the event
 log, and (for local mode) the untouched traffic ledger.  A corpus slice
-runs in tier 1; the full 16-placement kill sweep, on the production wire
-and on the reference wire, rides the scheduled soak job.
+runs in tier 1.  The full 16-placement kill sweep on the production wire
+is ``tests/runtime/test_fault_sweeps.py``; on the reference wire it
+rides the scheduled soak job.
 """
 
 import numpy as np
@@ -15,7 +16,8 @@ import pytest
 
 from repro.corpus import TESTIV_SOURCE
 from repro.errors import RuntimeFault
-from repro.mesh import build_partition, structured_tri_mesh
+from repro.mesh import build_partition, random_delaunay_mesh, \
+    structured_tri_mesh
 from repro.placement import enumerate_placements, widen_placement
 from repro.runtime import (
     RECOVERY_LOCAL,
@@ -24,11 +26,10 @@ from repro.runtime import (
     FaultPlan,
     SPMDExecutor,
     SimComm,
-    envs_bit_identical,
 )
 from repro.lang.interp import MachineState
-from repro.runtime.faults import kill_check
 from repro.spec import spec_for_testiv
+from tests.oracles import envs_bit_identical
 
 
 @pytest.fixture(scope="module")
@@ -111,13 +112,22 @@ class TestCorpusLocalDifferential:
                 assert diff is None, f"rank {rank} event {event}: {diff}"
 
     @pytest.mark.soak
-    def test_full_corpus_cross(self, setup, reference_wire):
-        placements, spec, partition, values = setup
-        failures = kill_check(placements, spec, partition, values)
-        assert not failures, "\n".join(failures)
-        with reference_wire():
-            failures = kill_check(placements, spec, partition, values)
-        assert not failures, "\n".join(failures)
+    @pytest.mark.parametrize("index", range(16))
+    def test_full_corpus_cross(self, setup, reference_wire, index):
+        # the production wire's sweep is test_fault_sweeps.py::test_kill;
+        # this is the same kill grid on the reference wire
+        base = _run(setup, index, checkpoint_every=3)
+        nevents = len(base.timeline.events)
+        for event in sorted({min(e, max(1, nevents - 1)) for e in (1, 3)}):
+            for rank in (0, 1, 2):
+                for mode in RECOVERY_MODES:
+                    with reference_wire():
+                        res = _run(setup, index,
+                                   plan_text=f"kill rank={rank} event={event}",
+                                   recovery=mode, checkpoint_every=3)
+                    diff = envs_bit_identical(base.envs, res.envs)
+                    assert diff is None, f"rank {rank} event {event} " \
+                        f"{mode}: {diff}"
 
 
 class TestLocalizedRestart:
@@ -246,6 +256,36 @@ class TestLocalizedRestart:
             < glob.recovery["restored_words"]
         assert glob.recovery["restored_words"] \
             >= 2 * local.recovery["restored_words"]
+        # weak scaling (mesh grown with P, vector backend): the global
+        # bill grows with P, the local one tracks one rank's footprint
+        placements, spec = setup[0], setup[1]
+        ratio = {}
+        for nparts in (4, 16):
+            mesh = random_delaunay_mesh(60 * nparts, seed=nparts)
+            values = {"init": np.random.default_rng(nparts).standard_normal(
+                          mesh.n_nodes),
+                      "airetri": mesh.triangle_areas,
+                      "airesom": mesh.node_areas,
+                      "epsilon": 1e-30, "maxloop": 2}
+            ex = SPMDExecutor(placements.sub, spec,
+                              placements.best().placement,
+                              build_partition(mesh, nparts, spec.pattern,
+                                              method="greedy"),
+                              backend="vector")
+            base = ex.run(values)
+            # event 3 sits between two cadence-2 checkpoints, so local
+            # restart replays a logged segment, not an empty window
+            kill = FaultPlan.parse(f"kill rank={nparts // 2} event=3")
+            words = {}
+            for mode in RECOVERY_MODES:
+                res = ex.run(values, faults=kill, recovery=mode,
+                             checkpoint_every=2)
+                assert envs_bit_identical(base.envs, res.envs) is None
+                words[mode] = res.recovery["restored_words"]
+            assert 0 < words["local"] < words["global"]
+            ratio[nparts] = words["global"] / words["local"]
+        assert ratio[4] >= 2 and ratio[16] >= 8, ratio    # ≈ P×
+        assert ratio[16] > ratio[4], ratio
 
     def test_unknown_recovery_mode_rejected(self, setup):
         with pytest.raises(RuntimeFault, match="unknown recovery mode"):

@@ -24,11 +24,11 @@ from repro.runtime import (
     FaultPlan,
     SPMDExecutor,
     SimComm,
-    envs_bit_identical,
     make_comm,
 )
 from repro.runtime.ringbuf import MISSING, RingTransport, wave_of
 from repro.spec import spec_for_testiv
+from tests.oracles import envs_bit_identical
 from tests.runtime.reference_wire import DequeTransport
 
 #: adversarial schedules from the fault-injection PR: randomized

@@ -64,6 +64,7 @@ class TestCanonicalFlags:
         ("gamma", float("inf")),
         ("iterations", 10 ** 400),
         ("loss_rate", [0.1]),
+        ("alpha", -5),
     ])
     def test_bad_value_rejected(self, flag, value):
         with pytest.raises(ReproError,

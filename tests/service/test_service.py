@@ -22,12 +22,20 @@ from repro.mesh import structured_tri_mesh
 from repro.placement import enumerate_placements
 from repro.placement.serialize import result_fingerprint
 from repro.service import PlacementService
-from repro.service.server import serve_in_thread
+from repro.service.server import make_server
 from repro.service.workers import run_request
 from repro.spec import spec_for_testiv
 
 SPEC = spec_for_testiv()
 SPEC_TEXT = SPEC.serialize()
+
+
+def serve_in_thread(service: PlacementService):
+    """Serve on an ephemeral local port from a daemon thread."""
+    httpd = make_server(service, port=0, quiet=True)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    return httpd, thread
 
 
 @pytest.fixture()
@@ -310,6 +318,32 @@ class TestHTTPServer:
                 self._post(server, "/place", body)
             assert exc.value.code == status, extra
             assert json.loads(exc.value.read())["error"].startswith(error)
+
+    @pytest.mark.parametrize("path, body, error", [
+        ("/batch", {"requests": "abc"}, "bad request field 'requests'"),
+        ("/batch", {"requests": [{"program": TESTIV_SOURCE,
+                                  "spec": SPEC_TEXT}], "workers": "2"},
+         "bad request field 'workers'"),
+        ("/batch", {"requests": [5]}, "bad request field requests[0]"),
+        ("/batch", {"requests": [{"program": TESTIV_SOURCE,
+                                  "spec": SPEC_TEXT, "index": "1"}]},
+         "bad request field 'requests[0].index'"),
+        ("/place", {"program": 5, "spec": SPEC_TEXT},
+         "bad request field 'program'"),
+        ("/place", [TESTIV_SOURCE, SPEC_TEXT], "bad request field body"),
+        ("/run", {"program": TESTIV_SOURCE, "spec": SPEC_TEXT,
+                  "nparts": "four"}, "bad request field 'nparts'"),
+        ("/run", {"program": TESTIV_SOURCE, "spec": SPEC_TEXT,
+                  "index": "1"}, "bad request field 'index'"),
+    ], ids=["batch-requests-str", "batch-workers-str", "batch-item-int",
+            "batch-item-index-str", "place-program-int", "place-array-body",
+            "run-nparts-str", "run-index-str"])
+    def test_hostile_field_types_get_a_json_400(self, server, path, body,
+                                                error):
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            self._post(server, path, body)
+        assert exc.value.code == 400
+        assert json.loads(exc.value.read())["error"].startswith(error)
 
     def test_unknown_endpoint_404(self, server):
         try:
