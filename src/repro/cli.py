@@ -148,16 +148,17 @@ def main(argv: list[str] | None = None) -> int:
         from .analysis.commcheck import lint_main
 
         return lint_main(argv[1:])
-    if argv and argv[0] == "serve":
-        # `repro serve ...` — the long-lived placement service (HTTP)
-        from .service.server import serve_main
-
-        return serve_main(argv[1:])
-    if argv and argv[0] == "cache":
+    if argv and argv[0] in ("serve", "cache"):
+        # `repro serve ...` — the long-lived placement service (HTTP);
         # `repro cache stats|clear` — inspect the artifact store
-        from .service.server import cache_main
+        from .service.server import cache_main, serve_main
 
-        return cache_main(argv[1:])
+        try:
+            return (serve_main if argv[0] == "serve"
+                    else cache_main)(argv[1:])
+        except (ReproError, OSError) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 1
     args = build_parser().parse_args(argv)
     out = sys.stdout
     try:

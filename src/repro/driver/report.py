@@ -35,8 +35,7 @@ def pipeline_report(run: PipelineRun, timeline: bool = False) -> str:
                      f"({mig['deferred']} deferred), "
                      f"{mig['moved_entities']} entity slot(s) moved in "
                      f"{mig['messages']} message(s)/{mig['words']} word(s), "
-                     f"{mig['schedules_repaired']} schedule(s) repaired "
-                     f"incrementally")
+                     f"{mig['schedules_repaired']} schedule(s) rebuilt")
     if timeline and run.spmd.timeline is not None:
         lines.append("")
         lines.append(render_timeline(run.spmd.timeline))

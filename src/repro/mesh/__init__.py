@@ -18,7 +18,6 @@ from .io import (
 from .mesh2d import TriMesh
 from .mesh3d import TetMesh
 from .migrate import (
-    MigrationSchedule,
     RebalancePolicy,
     build_migration_schedule,
     migrate,
@@ -31,7 +30,6 @@ from .packedid import (
     EntityPacking,
     PackedIDSpace,
     build_entity_packing,
-    rewrite_packing,
 )
 from .partition import (
     element_dual_edges,
@@ -49,13 +47,11 @@ from .schedule import (
     build_halo_schedule,
     build_overlap_schedule,
     moved_entity_gids,
-    repair_halo_schedule,
     schedule_dirty_ranks,
 )
 
 __all__ = [
-    "EntityPacking", "HaloSchedule", "MeshPartition",
-    "MigrationSchedule", "RebalancePolicy",
+    "EntityPacking", "HaloSchedule", "MeshPartition", "RebalancePolicy",
     "PackedIDSpace", "WaveSide",
     "PartitionQuality", "SubMesh", "TetMesh", "TriMesh",
     "build_combine_schedule", "build_entity_packing",
@@ -64,9 +60,7 @@ __all__ = [
     "migrate", "moved_entity_gids", "partition_elements",
     "partition_greedy", "partition_rcb", "partition_spectral",
     "permute_partition", "random_delaunay_mesh", "read_mesh",
-    "read_triangle", "rebalance_elem_ranks",
-    "refine_partition", "repair_halo_schedule",
-    "repartition", "rewrite_packing",
-    "schedule_dirty_ranks", "structured_tet_mesh",
+    "read_triangle", "rebalance_elem_ranks", "refine_partition",
+    "repartition", "schedule_dirty_ranks", "structured_tet_mesh",
     "structured_tri_mesh", "two_triangle_mesh", "write_mesh",
 ]

@@ -8,51 +8,38 @@ data."
 
 This module implements that extra step for *repartitioning* (the
 load-balance half; mesh refinement itself changes entity sets and is out
-of scope):  given two partitions of the same mesh, a
-:class:`MigrationSchedule` says which entities every rank must ship where,
-and :func:`migrate` applies it to per-rank value arrays, producing arrays
-laid out for the new sub-meshes.  The paper's observation that "the
-placement of synchronizations needs not change, since this placement did
-not depend on the geometry of the sub-meshes" is honored by construction:
-after migration the same placed program simply resumes on the new
-partition (see ``tests/mesh/test_migrate.py::TestResume``).
+of scope):  given two partitions of the same mesh,
+:func:`build_migration_schedule` states which entities every rank must
+ship where as a :class:`~repro.mesh.schedule.HaloSchedule` — the same
+two message tables an overlap update moves values over — and
+:func:`migrate` sends one wave over it, producing arrays laid out for the
+new sub-meshes.  The paper's observation that "the placement of
+synchronizations needs not change, since this placement did not depend
+on the geometry of the sub-meshes" is honored by construction: after
+migration the same placed program simply resumes on the new partition
+(see ``tests/mesh/test_migrate.py::TestResume``).
 
 Construction is packed-id arithmetic end to end: the *old* partition's
 packed table answers "which rank held entity ``g``, at which local slot"
 for every entity of every *new* sub-mesh with one fancy index plus shift
-and mask (:mod:`repro.mesh.packedid`) — no global→local dicts.
+and mask (:mod:`repro.mesh.packedid`) — no global→local dicts.  The rows
+are grouped per old owner by the very code that groups a halo
+schedule's overlap rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import MeshError
 from .overlap import MeshPartition, build_partition
+from .schedule import HaloSchedule, _assemble_tables, _group_by_owner
 
-PeerPlan = dict[int, np.ndarray]  # peer rank -> local indices (ordered)
-
-
-@dataclass
-class MigrationSchedule:
-    """Who ships which entity values where, for one entity kind.
-
-    Values always travel kernel-owner → new holder (owners are
-    authoritative), so migration also refreshes the new overlap copies —
-    no separate halo update is needed right after it.
-    """
-
-    entity: str
-    sends: list[PeerPlan]   # sends[r][dest] = old-partition local indices
-    recvs: list[PeerPlan]   # recvs[r][src]  = new-partition local indices
-
-    def message_count(self) -> int:
-        return sum(len(p) for p in self.sends)
-
-    def volume(self) -> int:
-        return sum(len(i) for p in self.sends for i in p.values())
+#: the tag a migration wave travels on
+_TAG = 120
 
 
 def _check_same_mesh(old: MeshPartition, new: MeshPartition,
@@ -87,95 +74,63 @@ def _check_same_mesh(old: MeshPartition, new: MeshPartition,
 
 
 def build_migration_schedule(old: MeshPartition, new: MeshPartition,
-                             entity: str) -> MigrationSchedule:
-    """Plan the move of one entity's values from ``old`` to ``new`` layout."""
+                             entity: str) -> HaloSchedule:
+    """Plan the move of one entity's values from ``old`` to ``new`` layout.
+
+    The owner table's plan ranks are the old kernel owners, who send
+    (indices: their old owner-local slots); the holder table's are the
+    new sub-meshes, which receive (indices: new local slots).  Values
+    always travel kernel-owner → new holder (owners are authoritative),
+    so migration also refreshes the new overlap copies — no separate
+    halo update is needed right after it.  Entities that stay on their
+    rank are not in the schedule: :func:`migrate` relabels them locally.
+    """
     _check_same_mesh(old, new, entity)
     packing = old.packing(entity)
-    shift = np.int64(packing.space.shift)
-    mask = np.int64(packing.space.mask)
-    sends: list[PeerPlan] = [dict() for _ in range(old.nparts)]
-    recvs: list[PeerPlan] = [dict() for _ in range(new.nparts)]
+    profiles = []
     for sub in new.subs:
         pids = packing.pack(sub.l2g[entity])
-        src_ranks = pids >> shift
-        moved = np.flatnonzero(src_ranks != sub.rank)
-        order = moved[np.argsort(src_ranks[moved], kind="stable")]
-        srcs_sorted = src_ranks[order]
-        if not len(order):
-            continue
-        cut = np.flatnonzero(srcs_sorted[1:] != srcs_sorted[:-1]) + 1
-        bounds = np.concatenate([np.zeros(1, np.int64), cut,
-                                 np.array([len(order)], np.int64)])
-        src_locals = (pids & mask)[order]
-        for k in range(len(bounds) - 1):
-            lo, hi = int(bounds[k]), int(bounds[k + 1])
-            src = int(srcs_sorted[lo])
-            sends[src][sub.rank] = src_locals[lo:hi]
-            recvs[sub.rank][src] = order[lo:hi]
-    # sends[src] keys were inserted in ascending new-holder order already
-    # (the outer loop runs new ranks ascending), matching the frozen-dict
-    # ordering convention of the halo schedules
-    return MigrationSchedule(entity=entity, sends=sends, recvs=recvs)
+        rows = np.flatnonzero(packing.space.owner_of(pids) != sub.rank)
+        profiles.append(_group_by_owner(rows, pids[rows], packing.space))
+    return HaloSchedule(entity, *_assemble_tables(profiles, new.nparts))
 
 
 def migrate(values: list[np.ndarray], old: MeshPartition,
-            new: MeshPartition, entity: str,
-            schedule: MigrationSchedule | None = None,
-            comm=None) -> list[np.ndarray]:
+            new: MeshPartition, entity: str, comm,
+            schedule: HaloSchedule | None = None) -> list[np.ndarray]:
     """Move per-rank entity values from the old layout to the new one.
 
     ``values[r]`` holds rank r's local array under ``old`` (kernel-first);
     the result holds the same field under ``new``, with every local copy
-    (kernel *and* overlap) carrying the authoritative value.  When a
-    SimMPI communicator is passed, the traffic goes through it (and is
-    accounted); otherwise arrays are exchanged directly.
+    (kernel *and* overlap) carrying the authoritative value.  Entities
+    that stay on their rank are relabelled in place; the rest travel as
+    one wave over ``comm`` (a :class:`~repro.runtime.simmpi.SimComm`),
+    gathered through the schedule's owner table and scattered through its
+    holder table.
     """
     if schedule is None:
         schedule = build_migration_schedule(old, new, entity)
-    packing = old.packing(entity)
-    shift = np.int64(packing.space.shift)
-    mask = np.int64(packing.space.mask)
+    space = old.packing(entity).space
+    values = [np.asarray(v) for v in values]
     out: list[np.ndarray] = []
     for sub in new.subs:
-        tail_shape = np.asarray(values[sub.rank]).shape[1:]
-        arr = np.zeros((len(sub.l2g[entity]),) + tail_shape,
-                       dtype=np.asarray(values[sub.rank]).dtype)
+        vals = values[sub.rank]
+        arr = np.zeros((len(sub.l2g[entity]),) + vals.shape[1:],
+                       dtype=vals.dtype)
         # same-rank entities relabel locally: the packed id's low field is
         # the old owner-local slot, valid here because the old owner *is*
         # this rank
-        pids = packing.pack(sub.l2g[entity])
-        stay = np.flatnonzero((pids >> shift) == sub.rank)
-        arr[stay] = np.asarray(values[sub.rank])[(pids & mask)[stay]]
+        pids = old.pack(entity, sub.l2g[entity])
+        stay = np.flatnonzero(space.owner_of(pids) == sub.rank)
+        arr[stay] = vals[space.local_of(pids[stay])]
         out.append(arr)
-    _TAG = 120
-    if comm is not None:
-        srcs: list[int] = []
-        dsts: list[int] = []
-        payloads: list[np.ndarray] = []
-        for r, plan in enumerate(schedule.sends):
-            arr = np.asarray(values[r])
-            for dest, idx in plan.items():
-                srcs.append(r)
-                dsts.append(dest)
-                payloads.append(arr[idx])
-        comm.send_batch(srcs, dsts, payloads, tag=_TAG)
-        rsrcs: list[int] = []
-        rdsts: list[int] = []
-        targets: list[np.ndarray] = []
-        for r, plan in enumerate(schedule.recvs):
-            for src, idx in plan.items():
-                rsrcs.append(src)
-                rdsts.append(r)
-                targets.append(idx)
-        for (r, idx), payload in zip(
-                zip(rdsts, targets),
-                comm.recv_batch(rsrcs, rdsts, tag=_TAG)):
-            out[r][idx] = payload
-    else:
-        for r, plan in enumerate(schedule.sends):
-            for dest, idx in plan.items():
-                out[dest][schedule.recvs[dest][r]] = np.asarray(values[r])[idx]
+    send, recv = schedule.send, schedule.recv
+    comm.send_block(send.srcs, send.dsts, send.gather(values), send.words,
+                    tag=_TAG)
+    block, _words = comm.recv_block(recv.srcs, recv.dsts, tag=_TAG)
+    recv.scatter(out, block)
     return out
+
 
 # -- online rebalancing ------------------------------------------------------
 
@@ -253,6 +208,15 @@ class RebalancePolicy:
     threshold: float | None = None
     rebalance_at: tuple = ()
     plans: dict | None = None
+
+    def __post_init__(self) -> None:
+        if self.threshold is not None and not math.isfinite(self.threshold):
+            raise MeshError(
+                f"rebalance threshold must be finite, got {self.threshold}")
+        negative = [e for e in self.rebalance_at if e < 0]
+        if negative:
+            raise MeshError(
+                f"rebalance events must be non-negative, got {negative[0]}")
 
     def triggered(self, loads) -> bool:
         """Does observed work imbalance warrant a migration epoch?"""

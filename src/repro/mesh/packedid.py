@@ -50,8 +50,7 @@ import numpy as np
 
 from ..errors import MeshError
 
-__all__ = ["PackedIDSpace", "EntityPacking", "build_entity_packing",
-           "rewrite_packing"]
+__all__ = ["PackedIDSpace", "EntityPacking", "build_entity_packing"]
 
 
 @dataclass(frozen=True)
@@ -177,60 +176,3 @@ def build_entity_packing(entity: str, nranks: int,
     if total != n_global or (g2p < 0).any():
         raise MeshError(f"kernels do not partition {entity!r}s")
     return EntityPacking(entity=entity, space=space, g2p=g2p)
-
-
-def rewrite_packing(old: EntityPacking,
-                    old_kernel_gids: list[np.ndarray],
-                    new_kernel_gids: list[np.ndarray]) -> EntityPacking:
-    """Incrementally rewrite a packing after entities change owners.
-
-    Online repartitioning moves a (usually small) set of entities between
-    kernels; every other entity keeps its ``rank << SHIFT | local`` word
-    bit-for-bit.  So instead of re-deriving the whole ``g2p`` table, copy
-    it once and fancy-store fresh packed ids only over the kernels that
-    actually changed — cost proportional to the moved kernels, not the
-    mesh.
-
-    Falls back to a full :func:`build_entity_packing` when a kernel
-    outgrows the low field (``2**SHIFT`` must stay strictly greater than
-    the largest kernel — the widened SHIFT invalidates every packed id).
-
-    The rewrite is a bijection on packed ids restricted to the entity
-    set: each entity is written exactly once by its (unique) new owner,
-    and owner/local decode through the unchanged
-    :class:`PackedIDSpace` — the property suite pins both claims.
-    """
-    nranks = old.space.nranks
-    if len(new_kernel_gids) != nranks or len(old_kernel_gids) != nranks:
-        raise MeshError(
-            f"rank count changed ({len(old_kernel_gids)} -> "
-            f"{len(new_kernel_gids)}); packed ids require a fixed "
-            f"communicator")
-    top = max((len(k) for k in new_kernel_gids), default=0)
-    if (1 << old.space.shift) <= top:
-        return build_entity_packing(old.entity, nranks, new_kernel_gids,
-                                    len(old.g2p))
-    if sum(len(k) for k in new_kernel_gids) != len(old.g2p):
-        raise MeshError(f"kernels do not partition {old.entity!r}s")
-    g2p = old.g2p.copy()
-    len_old = np.fromiter((len(k) for k in old_kernel_gids),
-                          np.int64, nranks)
-    len_new = np.fromiter((len(k) for k in new_kernel_gids),
-                          np.int64, nranks)
-    changed = len_old != len_new
-    # one concatenated comparison over the equal-length kernels replaces
-    # a per-rank array_equal loop
-    same = np.flatnonzero(~changed)
-    if len(same):
-        cat_old = np.concatenate([old_kernel_gids[r] for r in same])
-        cat_new = np.concatenate([new_kernel_gids[r] for r in same])
-        bad = np.flatnonzero(cat_old != cat_new)
-        if len(bad):
-            ends = np.cumsum(len_new[same])
-            hits = np.unique(np.searchsorted(ends, bad, side="right"))
-            changed[same[hits]] = True
-    for rank in np.flatnonzero(changed):
-        gids = np.asarray(new_kernel_gids[rank], dtype=np.int64)
-        g2p[gids] = old.space.pack(np.int64(rank),
-                                   np.arange(len(gids), dtype=np.int64))
-    return EntityPacking(entity=old.entity, space=old.space, g2p=g2p)

@@ -24,8 +24,7 @@ deterministic and self-consistent.
 
 The tables are flat numpy channel columns plus per-rank concatenated
 gather/scatter index arrays, so the halo collectives move one
-concatenated block per wave (``SimComm.send_block``/``recv_block``);
-:meth:`WaveSide.messages` walks the same rows one message at a time.
+concatenated block per wave (``SimComm.send_block``/``recv_block``).
 What ``check_schedules`` (CC008) verifies is these very tables.
 
 Construction is dict-free: every overlap entity's owner rank and
@@ -38,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -97,20 +95,6 @@ class WaveSide:
         """Row range of one plan rank (the rank column is ascending)."""
         return slice(np.searchsorted(self.rank, rank, side="left"),
                      np.searchsorted(self.rank, rank, side="right"))
-
-    def messages(self, rank: int | None = None
-                 ) -> Iterator[tuple[int, int, np.ndarray]]:
-        """Walk the rows as ``(rank, peer, index segment)``, wave order —
-        all of them, or one plan ``rank``'s."""
-        rows = slice(None) if rank is None else self._rows(rank)
-        prev, cursor = -1, 0
-        for r, peer, w in zip(self.rank[rows].tolist(),
-                              self.peer[rows].tolist(),
-                              self.words[rows].tolist()):
-            if r != prev:
-                prev, cursor = r, 0
-            yield r, peer, self.idx[r][cursor:cursor + w]
-            cursor += w
 
     def for_rank(self, rank: int) -> "WaveSide":
         """The rows whose plan rank is ``rank``; its index array shared."""
@@ -250,34 +234,29 @@ class HaloSchedule:
                             self.owner.for_rank(rank))
 
 
-#: one rank's holder-side slice of an entity's halo traffic: peer owner
-#: ranks (ascending), per-peer message words, the rank's concatenated
+#: one rank's holder-side slice of an entity's traffic: peer owner ranks
+#: (ascending), per-peer message words, the rank's concatenated
 #: holder-local indices, and the owner-local index segment it contributes
 #: to each peer — everything :func:`_assemble_tables` needs
 _HolderProfile = tuple[np.ndarray, np.ndarray, np.ndarray,
                        dict[int, np.ndarray]]
 
 
-def _holder_profile(sub, entity: str, packing) -> _HolderProfile:
-    """One rank's overlap grouped per owner (the per-rank argsort).
+def _group_by_owner(rows: np.ndarray, pids: np.ndarray,
+                    space) -> _HolderProfile:
+    """One rank's local ``rows`` grouped per owner (the per-rank argsort).
 
-    The packed ids of the rank's overlap entities give owner rank
-    (``>> SHIFT``) and owner-local index (``& MASK``) directly; one
-    stable argsort by owner yields the per-peer message grouping with
-    indices ascending inside each message (matching the historical
-    global-id iteration order).
+    ``pids[i]`` is the packed id naming the owner of ``rows[i]``: it
+    gives owner rank (``>> SHIFT``) and owner-local index (``& MASK``)
+    directly, and one stable argsort by owner yields the per-peer message
+    grouping with rows ascending inside each message (matching the
+    historical global-id iteration order).
     """
-    shift = np.int64(packing.space.shift)
-    mask = np.int64(packing.space.mask)
-    kern, total = sub.counts(entity)
-    pids = sub.packed_ids(entity, packing)[kern:]
-    owner_ranks = pids >> shift
-    if (owner_ranks == sub.rank).any():
-        raise MeshError("overlap entity owned by its own rank")
+    owner_ranks = space.owner_of(pids)
     order = np.argsort(owner_ranks, kind="stable")
     owners_sorted = owner_ranks[order]
-    local_sorted = np.arange(kern, total, dtype=np.int64)[order]
-    owner_local_sorted = (pids & mask)[order]
+    local_sorted = rows[order]
+    owner_local_sorted = space.local_of(pids)[order]
     if len(owners_sorted):
         cut = np.flatnonzero(owners_sorted[1:] != owners_sorted[:-1]) + 1
         bounds = np.concatenate(
@@ -295,14 +274,23 @@ def _holder_profile(sub, entity: str, packing) -> _HolderProfile:
     return peers, words, local_sorted, pieces
 
 
+def _overlap_profile(sub, entity: str, packing) -> _HolderProfile:
+    """One rank's overlap rows grouped per kernel owner."""
+    kern, total = sub.counts(entity)
+    pids = sub.packed_ids(entity, packing)[kern:]
+    if (packing.space.owner_of(pids) == sub.rank).any():
+        raise MeshError("overlap entity owned by its own rank")
+    return _group_by_owner(np.arange(kern, total, dtype=np.int64), pids,
+                           packing.space)
+
+
 def _assemble_tables(profiles: list[_HolderProfile],
                      nranks: int) -> tuple[WaveSide, WaveSide]:
     """Assemble the holder and the owner table from per-rank profiles.
 
     Holder rows concatenate rank-ascending (profiles are indexed by
     rank); owner rows group each owner's pieces with holders ascending —
-    exactly the historical plan order, whichever way the profiles were
-    obtained (full rebuild or incremental repair).
+    exactly the historical plan order.
     """
     h_idx: list[np.ndarray] = []
     h_rank: list[int] = []
@@ -344,7 +332,7 @@ def build_halo_schedule(partition: MeshPartition,
                         entity: str) -> HaloSchedule:
     """Plan one entity's halo traffic, both directions, dict-free."""
     packing = partition.packing(entity)
-    profiles = [_holder_profile(sub, entity, packing)
+    profiles = [_overlap_profile(sub, entity, packing)
                 for sub in partition.subs]
     return HaloSchedule(entity,
                         *_assemble_tables(profiles, partition.nparts))
@@ -355,16 +343,10 @@ def build_halo_schedule(partition: MeshPartition,
 build_overlap_schedule = build_combine_schedule = build_halo_schedule
 
 
-# -- incremental repair (online repartitioning) ------------------------------
+# -- migration-epoch accounting ----------------------------------------------
 #
-# A migration epoch moves a (usually small) set of entities between
-# kernels.  Every rank whose local entity view is untouched keeps its
-# holder profile — peers, message words, gather/scatter index arrays —
-# bit-for-bit, so instead of re-deriving all waves the repair path
-# recomputes the per-rank argsort only over the *dirty* ranks and splices
-# the surviving index blocks (by reference) into fresh tables.  The
-# property suite asserts repair ≡ build on random partitions and random
-# moved sets.
+# A migration epoch rebuilds every cached schedule on the new partition;
+# these two measure how much of the old layout the move disturbed.
 
 
 def moved_entity_gids(old: MeshPartition, new: MeshPartition,
@@ -390,8 +372,8 @@ def schedule_dirty_ranks(old: MeshPartition, new: MeshPartition,
     A rank is *clean* when its local entity view is untouched: same
     ``l2g`` array, same kernel count, and none of its local entities is
     in the moved set (so every packed id it reads decodes unchanged).
-    Clean ranks' wave rows and index arrays are provably identical and
-    the repair path reuses them by reference.
+    Clean ranks' holder rows and index arrays are provably identical in
+    the old and the new partition's schedules.
     """
     if moved is None:
         moved = moved_entity_gids(old, new, entity)
@@ -420,120 +402,3 @@ def schedule_dirty_ranks(old: MeshPartition, new: MeshPartition,
             hits = np.unique(np.searchsorted(ends, bad, side="right"))
             dirty_mask[same[hits]] = True
     return np.flatnonzero(dirty_mask).astype(np.int64)
-
-
-def _repair_tables(old_holder: WaveSide, old_owner: WaveSide,
-                   new: MeshPartition, entity: str,
-                   dirty: np.ndarray) -> tuple[WaveSide, WaveSide]:
-    """Delta argsort: fresh profiles for dirty ranks, reuse for the rest.
-
-    An owner's block must be reassembled iff a dirty holder contributed
-    to it before or contributes now — a clean holder's contribution
-    cannot have changed (any entity of its whose ownership or slot moved
-    would have dirtied it).  Everything else is spliced from the old
-    tables by reference.
-    """
-    nranks = new.nparts
-    packing = new.packing(entity)
-    dirty_set = set(dirty.tolist())
-    fresh = {rank: _holder_profile(new.subs[rank], entity, packing)
-             for rank in sorted(dirty_set)}
-    h_bounds = np.searchsorted(old_holder.rank, np.arange(nranks + 1))
-    touched: set[int] = set()
-    for rank in dirty_set:
-        lo, hi = int(h_bounds[rank]), int(h_bounds[rank + 1])
-        touched.update(old_holder.peer[lo:hi].tolist())
-        touched.update(fresh[rank][0].tolist())
-
-    # holder table: drop the dirty ranks' old rows, append their fresh
-    # rows, and stable-sort the rank column back into place — a dirty
-    # rank has no surviving old rows, so within-rank row order (peer
-    # insertion order) is preserved on both sides of the merge
-    dirty_sorted = sorted(dirty_set)
-    keep_h = ~np.isin(old_holder.rank, dirty)
-    fr_rank = [np.full(len(fresh[r][0]), r, np.int64)
-               for r in dirty_sorted]
-    cat_rank = np.concatenate([old_holder.rank[keep_h]] + fr_rank)
-    order = np.argsort(cat_rank, kind="stable")
-    h_rank = cat_rank[order]
-    h_peer = np.concatenate(
-        [old_holder.peer[keep_h]] + [fresh[r][0] for r in dirty_sorted]
-    )[order]
-    h_words = np.concatenate(
-        [old_holder.words[keep_h]] + [fresh[r][1] for r in dirty_sorted]
-    )[order]
-    h_idx = [fresh[r][2] if r in dirty_set else old_holder.idx[r]
-             for r in range(nranks)]
-    h_counts = old_holder.counts.copy()
-    for r in dirty_sorted:
-        h_counts[r] = len(fresh[r][2])
-
-    # owner blocks: a touched owner's pieces are the holder-ascending
-    # merge of its surviving clean-holder segments (in the old block)
-    # with the dirty holders' fresh contributions — cost proportional to
-    # the touched traffic, not the mesh
-    own_pieces: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for owner in touched:
-        clean_it = [(h, seg) for _o, h, seg in old_owner.messages(owner)
-                    if h not in dirty_set]
-        fresh_it = [(h, fresh[h][3][owner]) for h in dirty_sorted
-                    if owner in fresh[h][3]]
-        merged: list[tuple[int, np.ndarray]] = []
-        i = j = 0
-        while i < len(clean_it) and j < len(fresh_it):
-            if clean_it[i][0] < fresh_it[j][0]:
-                merged.append(clean_it[i])
-                i += 1
-            else:
-                merged.append(fresh_it[j])
-                j += 1
-        merged.extend(clean_it[i:])
-        merged.extend(fresh_it[j:])
-        own_pieces[owner] = merged
-
-    # owner table: same drop-and-merge splice as the holder table
-    touched_sorted = sorted(touched)
-    touched_arr = np.asarray(touched_sorted, np.int64)
-    keep_o = ~np.isin(old_owner.rank, touched_arr)
-    to_rank = [np.full(len(own_pieces[o]), o, np.int64)
-               for o in touched_sorted]
-    cat_rank = np.concatenate([old_owner.rank[keep_o]] + to_rank)
-    order = np.argsort(cat_rank, kind="stable")
-    o_rank = cat_rank[order]
-    o_peer = np.concatenate(
-        [old_owner.peer[keep_o]]
-        + [np.asarray([h for h, _s in own_pieces[o]], np.int64)
-           for o in touched_sorted])[order]
-    o_words = np.concatenate(
-        [old_owner.words[keep_o]]
-        + [np.asarray([len(s) for _h, s in own_pieces[o]], np.int64)
-           for o in touched_sorted])[order]
-    fresh_idx = {o: (np.concatenate([seg for _h, seg in own_pieces[o]])
-                     if own_pieces[o] else np.zeros(0, np.int64))
-                 for o in touched_sorted}
-    o_idx = [fresh_idx[o] if o in touched else old_owner.idx[o]
-             for o in range(nranks)]
-    o_counts = old_owner.counts.copy()
-    for o in touched_sorted:
-        o_counts[o] = len(fresh_idx[o])
-
-    return (_table(h_rank, h_peer, h_words, h_idx, h_counts, sends=False),
-            _table(o_rank, o_peer, o_words, o_idx, o_counts, sends=True))
-
-
-def repair_halo_schedule(old_sched: HaloSchedule,
-                         old: MeshPartition, new: MeshPartition,
-                         entity: str,
-                         moved: np.ndarray | None = None,
-                         dirty: np.ndarray | None = None) -> HaloSchedule:
-    """Incrementally repair a halo schedule after a migration.
-
-    Equivalent to ``build_halo_schedule(new, entity)`` — both tables
-    column for column — at a cost proportional to the dirty ranks, not
-    the mesh; clean ranks' index arrays are the old ones by reference.
-    ``dirty`` takes a precomputed :func:`schedule_dirty_ranks` result.
-    """
-    if dirty is None:
-        dirty = schedule_dirty_ranks(old, new, entity, moved)
-    return HaloSchedule(entity, *_repair_tables(
-        old_sched.holder, old_sched.owner, new, entity, dirty))

@@ -66,12 +66,10 @@ from ..mesh.migrate import (
     migrate,
 )
 from ..mesh.overlap import MeshPartition, SubMesh
-from ..mesh.packedid import rewrite_packing
 from ..mesh.schedule import (
     HaloSchedule,
     build_halo_schedule,
     moved_entity_gids,
-    repair_halo_schedule,
     schedule_dirty_ranks,
 )
 from ..placement.comms import CommOp, K_COMBINE, K_OVERLAP, K_REDUCE, Placement
@@ -120,8 +118,10 @@ class SPMDResult:
     #: recovery accounting (mode, restores, restored/replayed words …)
     #: when checkpointing was armed, else None
     recovery: Optional[dict] = None
-    #: migration accounting (epochs, moved entities, repaired schedules,
-    #: repacked words …) when a rebalance policy was armed, else None
+    #: migration accounting (epochs, moved entities, rebuilt schedules —
+    #: counted under ``schedules_repaired``, the key benchmark records
+    #: read — repacked words …) when a rebalance policy was armed, else
+    #: None
     migration: Optional[dict] = None
 
     def gather(self, var: str) -> Any:
@@ -472,11 +472,11 @@ class SPMDExecutor:
             split-phase window, nothing on the wire, no entity-bounded
             loop mid-iteration) the policy's scheduled events and
             imbalance trigger are consulted, and a migration epoch moves
-            owned entities and their values to the new layout, rewrites
-            packed ids, incrementally repairs the cached halo schedules,
-            and (when checkpointing is armed) starts a fresh recovery
-            epoch.  A scheduled event that lands inside a non-quiescent
-            stretch fires at the next quiescent boundary.
+            owned entities and their values to the new layout, builds
+            the cached halo schedules afresh on it, and (when
+            checkpointing is armed) starts a fresh recovery epoch.  A
+            scheduled event that lands inside a non-quiescent stretch
+            fires at the next quiescent boundary.
         """
         if recovery not in RECOVERY_MODES:
             raise RuntimeFault(f"unknown recovery mode {recovery!r} "
@@ -895,14 +895,13 @@ class SPMDExecutor:
                        event_count: int) -> None:
         """Move the running solve onto ``new_part`` at a quiescent boundary.
 
-        In order: rewrite packed ids incrementally (the new partition's
-        packings are installed before any schedule touches them), ship
-        entity values owner→new-holder over the wire (message logging
-        paused — epoch traffic is never replayed), rebuild index-map
-        arrays and extent vars from the new sub-meshes, repack the flat
-        store, incrementally repair each cached entity's halo schedule
-        (≡ a fresh build on the new partition), rebind loop bounds, and —
-        when checkpointing is armed — start a fresh recovery epoch
+        In order: count the entities whose owner or owner slot moved, ship
+        entity values owner→new-holder as one wave per array (message
+        logging paused — epoch traffic is never replayed), rebuild
+        index-map arrays and extent vars from the new sub-meshes, repack
+        the flat store, build each cached entity's halo schedule afresh
+        on the new partition, rebind loop bounds, and — when
+        checkpointing is armed — start a fresh recovery epoch
         (:meth:`~repro.runtime.checkpoint.CheckpointManager.reset_epoch`
         plus an immediate post-migration checkpoint, so a later kill
         restores a layout that matches the live schedules).  Nothing is
@@ -914,18 +913,12 @@ class SPMDExecutor:
         entities = list(old_part.subs[0].l2g)
         moved: dict[str, np.ndarray] = {}
         for ent in entities:
-            old_kern = [s.l2g[ent][:s.kernel_count[ent]]
-                        for s in old_part.subs]
-            new_kern = [s.l2g[ent][:s.kernel_count[ent]]
-                        for s in new_part.subs]
-            new_part._packings[ent] = rewrite_packing(
-                old_part.packing(ent), old_kern, new_kern)
             moved[ent] = moved_entity_gids(old_part, new_part, ent)
             totals["moved_entities"] += len(moved[ent])
         if comm.msglog is not None:
             comm.msglog.pause()
         try:
-            mig_scheds: dict[str, Any] = {}
+            mig_scheds: dict[str, HaloSchedule] = {}
             for name, decl in self.sub.decls.items():
                 if not decl.is_array:
                     continue
@@ -943,8 +936,8 @@ class SPMDExecutor:
                     totals["words"] += sched.volume()
                 vals = [np.asarray(env[name])[:len(sub_mesh.l2g[ent])]
                         for env, sub_mesh in zip(envs, old_part.subs)]
-                out = migrate(vals, old_part, new_part, ent,
-                              schedule=sched, comm=comm)
+                out = migrate(vals, old_part, new_part, ent, comm,
+                              schedule=sched)
                 for env, values in zip(envs, out):
                     rows = max(decl.dims[0], len(values))
                     arr = np.zeros((rows,) + values.shape[1:],
@@ -965,8 +958,7 @@ class SPMDExecutor:
             dirty = schedule_dirty_ranks(old_part, new_part, ent, moved[ent])
             dirty_seen = max(dirty_seen, len(dirty))
             if ent in self._scheds:
-                self._scheds[ent] = repair_halo_schedule(
-                    self._scheds[ent], old_part, new_part, ent, dirty=dirty)
+                self._scheds[ent] = build_halo_schedule(new_part, ent)
                 totals["schedules_repaired"] += 1
         totals["dirty_ranks"] = max(totals["dirty_ranks"], dirty_seen)
         for interp, sub_mesh in zip(run.interps, new_part.subs):

@@ -203,6 +203,8 @@ def serve_main(argv: Optional[list[str]] = None) -> int:
     ap.add_argument("--quiet", action="store_true",
                     help="suppress per-request log lines")
     args = ap.parse_args(argv)
+    if not 0 <= args.port <= 65535:
+        raise ReproError(f"--port {args.port}: not a TCP port (0-65535)")
 
     cache_dir = None if args.cache_dir == "none" else args.cache_dir
     service = PlacementService(cache_dir, mem_items=args.mem_items,

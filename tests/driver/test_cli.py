@@ -262,6 +262,43 @@ class TestCLI:
         assert err.startswith("error: ") and "Traceback" not in err
         return err
 
+    @pytest.mark.parametrize("action", ["stats", "clear"])
+    def test_cache_unusable_dir_reports_error(self, tmp_path, capsys,
+                                              action):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        err = self._bad(["cache", action, "--cache-dir",
+                         str(blocker / "cache")], capsys)
+        assert "blocker" in err
+
+    def test_serve_unusable_cache_dir_reports_error(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        err = self._bad(["serve", "--cache-dir", str(blocker / "cache")],
+                        capsys)
+        assert "blocker" in err
+
+    def test_serve_out_of_range_port_reports_error(self, capsys):
+        err = self._bad(["serve", "--port", "99999"], capsys)
+        assert "--port 99999" in err
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--rebalance", "nan", "rebalance threshold must be finite"),
+        ("--rebalance-at", "-3", "rebalance events must be non-negative"),
+    ])
+    def test_bad_rebalance_reports_error(self, files, tmp_path, capsys,
+                                         flag, value, message):
+        from repro.mesh import structured_tri_mesh, write_mesh
+
+        write_mesh(structured_tri_mesh(4, 4), tmp_path / "m.mesh")
+        err = self._bad([*files, "--run", str(tmp_path / "m.mesh"),
+                         "--field", "init=random",
+                         "--field", "airetri=triangle-areas",
+                         "--field", "airesom=node-areas",
+                         "--set", "epsilon=1e-9", "--set", "maxloop=3",
+                         flag, value], capsys)
+        assert message in err
+
     @pytest.mark.parametrize("missing", ["program", "spec"])
     def test_missing_input_file_reports_error(self, files, tmp_path, capsys,
                                               missing):

@@ -1,22 +1,37 @@
-"""Dict views of halo message tables — for tests only.
+"""Message and dict views of halo message tables — for tests only.
 
 Production states a :class:`~repro.mesh.schedule.HaloSchedule` as two
-numpy message tables and never as dictionaries.  The tests that compare
-against the historical per-entity dict oracle, or that want a hand-made
-two-rank schedule, convert here: :func:`plans` reads a table through
-:meth:`~repro.mesh.schedule.WaveSide.messages`, :func:`halo_schedule`
+numpy message tables, moved a whole wave at a time, and never as
+dictionaries.  The tests that walk a table one message at a time,
+compare against the historical per-entity dict oracle, or want a
+hand-made two-rank schedule, convert here: :func:`messages` walks a
+table's rows, :func:`plans` reads them into dicts, :func:`halo_schedule`
 goes the other way.
 """
+
+from typing import Iterator
 
 import numpy as np
 
 from repro.mesh.schedule import HaloSchedule, WaveSide
 
 
+def messages(side: WaveSide) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Walk ``side``'s rows as ``(rank, peer, index segment)``, wave
+    order."""
+    prev, cursor = -1, 0
+    for r, peer, w in zip(side.rank.tolist(), side.peer.tolist(),
+                          side.words.tolist()):
+        if r != prev:
+            prev, cursor = r, 0
+        yield r, peer, side.idx[r][cursor:cursor + w]
+        cursor += w
+
+
 def plans(side: WaveSide) -> list[dict[int, np.ndarray]]:
     """``side`` as one ``{peer: local indices}`` dict per plan rank."""
     out: list[dict[int, np.ndarray]] = [{} for _ in side.idx]
-    for rank, peer, idx in side.messages():
+    for rank, peer, idx in messages(side):
         out[rank][peer] = idx
     return out
 

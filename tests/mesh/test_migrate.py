@@ -2,18 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MeshError
 from repro.mesh import (
-    MigrationSchedule,
+    HaloSchedule,
+    build_halo_schedule,
     build_migration_schedule,
     build_partition,
     migrate,
-    partition_elements,
+    moved_entity_gids,
     random_delaunay_mesh,
+    repartition,
+    schedule_dirty_ranks,
     structured_tri_mesh,
 )
 from repro.runtime import SimComm
+from repro.spec import spec_for_testiv
+from tests.halo_views import plans
 
 
 @pytest.fixture(scope="module")
@@ -28,13 +35,22 @@ def partitions(mesh):
     return old, new
 
 
+def _migrate(values, old, new, entity):
+    """``migrate`` over a fresh communicator, checked drained."""
+    comm = SimComm(old.nparts)
+    out = migrate(values, old, new, entity, comm)
+    comm.assert_drained()
+    return out
+
+
 class TestSchedule:
     def test_send_recv_symmetric(self, partitions):
         old, new = partitions
         sched = build_migration_schedule(old, new, "node")
-        for r, plan in enumerate(sched.sends):
+        sends, recvs = plans(sched.send), plans(sched.recv)
+        for r, plan in enumerate(sends):
             for dest, idx in plan.items():
-                assert len(idx) == len(sched.recvs[dest][r])
+                assert len(idx) == len(recvs[dest][r])
 
     def test_moves_exist_between_different_partitions(self, partitions):
         old, new = partitions
@@ -46,9 +62,16 @@ class TestSchedule:
         part = build_partition(mesh, 3, "overlap-elements-2d")
         sched = build_migration_schedule(part, part, "node")
         # owners never ship to themselves; only overlap copies move
-        for r, plan in enumerate(sched.sends):
-            for dest in plan:
-                assert dest != r
+        assert (sched.send.srcs != sched.send.dsts).all()
+        # ... which makes it the overlap update's schedule, table for table
+        halo = build_halo_schedule(part, "node")
+        for mig_side, halo_side in ((sched.owner, halo.owner),
+                                    (sched.holder, halo.holder)):
+            for col in ("rank", "peer", "words", "starts", "counts"):
+                np.testing.assert_array_equal(getattr(mig_side, col),
+                                              getattr(halo_side, col))
+            for a, b in zip(mig_side.idx, halo_side.idx):
+                np.testing.assert_array_equal(a, b)
 
     def test_rank_count_change_rejected(self, mesh):
         a = build_partition(mesh, 3, "overlap-elements-2d")
@@ -76,7 +99,7 @@ class TestSameMeshCheck:
                             3, "overlap-elements-2d", method="greedy")
         assert a.mesh is not b.mesh
         sched = build_migration_schedule(a, b, "node")
-        assert isinstance(sched, MigrationSchedule)
+        assert isinstance(sched, HaloSchedule)
 
     def test_rank_count_change_message_is_exact(self):
         mesh = structured_tri_mesh(4, 4)
@@ -118,7 +141,7 @@ class TestMigrate:
         glob = rng.standard_normal(mesh.n_nodes)
         values = [sub.localize("node", glob).astype(float)
                   for sub in old.subs]
-        moved = migrate(values, old, new, "node")
+        moved = _migrate(values, old, new, "node")
         for sub, arr in zip(new.subs, moved):
             np.testing.assert_array_equal(arr, glob[sub.l2g["node"]])
 
@@ -131,7 +154,7 @@ class TestMigrate:
         # corrupt the OLD overlap copies: they must not leak through
         for sub, arr in zip(old.subs, values):
             arr[sub.kernel_count["node"]:] = -1e9
-        moved = migrate(values, old, new, "node")
+        moved = _migrate(values, old, new, "node")
         for sub, arr in zip(new.subs, moved):
             np.testing.assert_array_equal(arr, glob[sub.l2g["node"]])
 
@@ -152,7 +175,7 @@ class TestMigrate:
         glob = np.arange(mesh.n_triangles, dtype=float) * 0.5
         values = [sub.localize("triangle", glob).astype(float)
                   for sub in old.subs]
-        moved = migrate(values, old, new, "triangle")
+        moved = _migrate(values, old, new, "triangle")
         for sub, arr in zip(new.subs, moved):
             np.testing.assert_array_equal(arr, glob[sub.l2g["triangle"]])
 
@@ -161,9 +184,41 @@ class TestMigrate:
         glob = np.stack([np.arange(mesh.n_nodes, dtype=float),
                          np.arange(mesh.n_nodes, dtype=float) ** 2], axis=1)
         values = [glob[sub.l2g["node"]].copy() for sub in old.subs]
-        moved = migrate(values, old, new, "node")
+        moved = _migrate(values, old, new, "node")
         for sub, arr in zip(new.subs, moved):
             np.testing.assert_array_equal(arr, glob[sub.l2g["node"]])
+
+    @pytest.mark.parametrize("kind", ["float", "int", "2d"])
+    def test_one_wave_carries_the_schedule(self, partitions, kind):
+        """The wire sees exactly the schedule's messages, and the values
+        land where a direct owner-slot copy puts them."""
+        old, new = partitions
+        rng = np.random.default_rng(3)
+        n = old.mesh.n_nodes
+        glob = {"float": rng.standard_normal(n),
+                "int": rng.integers(-50, 50, n),
+                "2d": rng.standard_normal((n, 3))}[kind]
+        # old overlap copies hold junk: only kernel slots are read
+        values = []
+        for sub in old.subs:
+            arr = glob[sub.l2g["node"]].copy()
+            arr[sub.kernel_count["node"]:] = -7
+            values.append(arr)
+        sched = build_migration_schedule(old, new, "node")
+        comm = SimComm(old.nparts)
+        moved = migrate(values, old, new, "node", comm, schedule=sched)
+        comm.assert_drained()
+        # a fabric word is one array element: a 2-D row is ``width`` words
+        width = glob[0].size
+        assert comm.stats.total_messages() == sched.message_count()
+        assert comm.stats.total_words() == sched.volume() * width
+        for sub, arr in zip(new.subs, moved):
+            owner, slot = old.unpack("node", old.pack("node",
+                                                      sub.l2g["node"]))
+            direct = np.array([values[o][s] for o, s in
+                               zip(owner.tolist(), slot.tolist())])
+            assert arr.dtype == values[sub.rank].dtype
+            np.testing.assert_array_equal(arr, direct.reshape(arr.shape))
 
 
 class TestResume:
@@ -200,7 +255,7 @@ class TestResume:
         # migrate the state (gathered kernel values live in u1)
         u_mid = [env["u1"][:len(sub.l2g["node"])]
                  for env, sub in zip(res_a.envs, part_a.subs)]
-        moved = migrate(u_mid, part_a, part_b, "node")
+        moved = _migrate(u_mid, part_a, part_b, "node")
         # phase 2: 3 more steps on partition B, same placement object
         u_mid_global = np.zeros(mesh.n_nodes)
         for sub, arr in zip(part_b.subs, moved):
@@ -217,3 +272,54 @@ class TestResume:
         np.testing.assert_allclose(res_b.gather("u1"),
                                    env["u1"][:mesh.n_nodes],
                                    rtol=1e-9, atol=1e-11)
+
+
+# -- which ranks a migration disturbs ---------------------------------------
+
+_pattern = spec_for_testiv().pattern
+
+
+def _perturbed_ranks(partition, seed, frac):
+    """Reassign a random ``frac`` of elements to random ranks.
+
+    Keeps every rank non-empty (migration requires a fixed
+    communicator), so the result is always a legal repartition target.
+    """
+    rng = np.random.default_rng(seed)
+    er = partition.elem_ranks.copy()
+    k = max(1, int(len(er) * frac))
+    picks = rng.choice(len(er), size=min(k, len(er)), replace=False)
+    er[picks] = rng.integers(0, partition.nparts, size=len(picks))
+    counts = np.bincount(er, minlength=partition.nparts)
+    for r in np.flatnonzero(counts == 0):
+        donor = int(np.argmax(np.bincount(er,
+                                          minlength=partition.nparts)))
+        er[np.flatnonzero(er == donor)[0]] = r
+    return er
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.tuples(st.integers(3, 7), st.integers(3, 7)), st.integers(2, 6),
+       st.sampled_from(["node", "triangle"]),
+       st.integers(0, 2 ** 31 - 1),
+       st.sampled_from([0.05, 0.2, 0.6]))
+def test_clean_ranks_have_identical_profiles(dims, nparts, entity, seed,
+                                             frac):
+    """Ranks outside the dirty set really are untouched: their holder
+    rows and index block are bit-equal in fresh builds of the old and
+    the new partition's schedules."""
+    mesh = structured_tri_mesh(*dims)
+    old = build_partition(mesh, min(nparts, mesh.n_triangles), _pattern,
+                          method="rcb")
+    new = repartition(old, _perturbed_ranks(old, seed, frac))
+    moved = moved_entity_gids(old, new, entity)
+    dirty = set(schedule_dirty_ranks(old, new, entity, moved).tolist())
+    before = build_halo_schedule(old, entity).holder
+    after = build_halo_schedule(new, entity).holder
+    for rank in set(range(old.nparts)) - dirty:
+        rows_b, rows_a = before.for_rank(rank), after.for_rank(rank)
+        for col in ("rank", "peer", "words", "counts"):
+            np.testing.assert_array_equal(getattr(rows_b, col),
+                                          getattr(rows_a, col))
+        np.testing.assert_array_equal(before.idx[rank], after.idx[rank])

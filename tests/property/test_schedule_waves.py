@@ -4,7 +4,7 @@ A :class:`~repro.mesh.schedule.HaloSchedule` is two
 :class:`~repro.mesh.schedule.WaveSide` tables read four ways; these
 properties pin the readings on random meshes and partitions:
 
-* ``messages()`` walks a table back out row by row: the segments tile
+* :func:`~tests.halo_views.messages` walks a table back out row by row: the segments tile
   each rank's index block and carry the table's word counts;
 * the message columns reproduce ``message_count()``/``volume()`` (one
   wave — a combine moves two);
@@ -22,7 +22,7 @@ from repro.mesh import (
     structured_tri_mesh,
 )
 from repro.spec import spec_for_testiv
-from tests.halo_views import plans
+from tests.halo_views import messages, plans
 
 _mesh_params = st.tuples(st.integers(3, 7), st.integers(3, 7))
 _pattern = spec_for_testiv().pattern
@@ -39,7 +39,7 @@ def _columns(side):
 
 
 def _messages_tile_the_table(side):
-    rows = list(side.messages())
+    rows = list(messages(side))
     np.testing.assert_array_equal([r for r, _p, _i in rows], side.rank)
     np.testing.assert_array_equal([p for _r, p, _i in rows], side.peer)
     np.testing.assert_array_equal([len(i) for _r, _p, i in rows],
