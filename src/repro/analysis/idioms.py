@@ -33,22 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..lang.ast import (
-    Assign,
-    BinOp,
-    Const,
-    DoLoop,
-    IfBlock,
-    Intrinsic,
-    Stmt,
-    Subroutine,
-    Var,
-)
+from ..lang.ast import Assign, Const, DoLoop, IfBlock, Stmt, Subroutine, Var
+from ..lang.semantics import accumulation_shape, reduction_shape
 from ..spec import PartitionSpec
 from .accesses import AccessMap
-
-#: reduction operators we recognize, mapped to a canonical name
-REDUCTION_OPS = {"+": "+", "*": "*", "max": "max", "min": "min"}
 
 
 @dataclass(frozen=True)
@@ -106,49 +94,6 @@ class Idioms:
                    for l in self.localized)
 
 
-def _reduction_shape(st: Assign) -> Optional[tuple[str, "object"]]:
-    """If ``st`` is ``s = s op e`` / ``s = op(s, e)``, return (op, e)."""
-    tgt = st.target
-    if not isinstance(tgt, Var):
-        return None
-    v = st.value
-    if isinstance(v, BinOp) and v.op in ("+", "*"):
-        if isinstance(v.left, Var) and v.left.name == tgt.name:
-            return v.op, v.right
-        if isinstance(v.right, Var) and v.right.name == tgt.name:
-            return v.op, v.left
-    if isinstance(v, BinOp) and v.op == "-":
-        # s = s - e is a "+" reduction of -e (left side only: - is not
-        # commutative, s = e - s is no reduction)
-        if isinstance(v.left, Var) and v.left.name == tgt.name:
-            return "+", v.right
-    if isinstance(v, Intrinsic) and v.name in ("max", "min") \
-            and len(v.args) == 2:
-        for k in (0, 1):
-            if isinstance(v.args[k], Var) and v.args[k].name == tgt.name:
-                return v.name, v.args[1 - k]
-    return None
-
-
-def _accumulation_shape(st: Assign) -> Optional[str]:
-    """If ``st`` is ``A(x) = A(x) + e`` (or ``*``), return the op."""
-    tgt = st.target
-    if isinstance(tgt, Var):
-        return None
-    v = st.value
-    if isinstance(v, BinOp) and v.op in ("+", "*"):
-        for side in (v.left, v.right):
-            if side.__class__.__name__ == "ArrayRef" \
-                    and side.name == tgt.name and side.subs == tgt.subs:
-                return v.op
-    if isinstance(v, BinOp) and v.op == "-":
-        side = v.left
-        if side.__class__.__name__ == "ArrayRef" \
-                and side.name == tgt.name and side.subs == tgt.subs:
-            return "+"  # A(x) = A(x) - e accumulates -e
-    return None
-
-
 def _mentions(ex, name: str) -> bool:
     return any(getattr(n, "name", None) == name for n in ex.walk())
 
@@ -197,29 +142,20 @@ def _scan_loop(loop: DoLoop, spec: PartitionSpec, idioms: Idioms) -> None:
         if isinstance(st.target, Var):
             by_scalar.setdefault(st.target.name, []).append(st)
     for var, sts in by_scalar.items():
-        shapes = [_reduction_shape(st) for st in sts]
+        shapes = [reduction_shape(st) for st in sts]
         if not all(shapes):
             continue
-        ops = {op for op, _ in shapes}
+        ops = {op for op, _e, _sign in shapes}
         if len(ops) != 1:
             continue
         op = ops.pop()
-        if op not in REDUCTION_OPS:
-            continue
-        # the operand must not read the accumulator, and no other statement
-        # in the loop may read it (a read would see a partial value)
-        if any(_mentions(e, var) for _, e in shapes):
-            continue
+        # no other statement in the loop may read the accumulator (a read
+        # would see a partial value)
         others = [s for s in body if s not in sts and _scalar_refs_in(s, var)]
         if others:
             continue
-        operands_invariant = all(
-            isinstance(e, Const)
-            or (isinstance(e, (Var,)) and e.name != loop.var
-                and not _depends_on_iteration(e, loop))
-            for _, e in shapes)
-        if op == "+" and operands_invariant and len(sts) == 1 \
-                and isinstance(shapes[0][1], Const):
+        # k = k ± c, one step with a constant operand
+        if op == "+" and len(sts) == 1 and isinstance(shapes[0][1], Const):
             idioms.inductions.append(InductionVariable(
                 var=var, sid=sts[0].sid, loop_sid=loop.sid))
         else:
@@ -233,47 +169,21 @@ def _scan_loop(loop: DoLoop, spec: PartitionSpec, idioms: Idioms) -> None:
         if not isinstance(st.target, Var):
             by_array.setdefault(st.target.name, []).append(st)
     for arr, sts in by_array.items():
-        ops = [_accumulation_shape(st) for st in sts]
-        if not all(ops) or len(set(ops)) != 1:
+        shapes = [accumulation_shape(st) for st in sts]
+        if not all(shapes) or len({op for op, _e, _sign in shapes}) != 1:
             continue
-        # reads of the array outside the accumulation positions would see
-        # partial values; forbid them (self-reads inside the accumulation
-        # statements are part of the idiom)
-        clean = True
-        for st in body:
-            if st in sts:
-                _, e = _split_accum(st)
-                if e is not None and _mentions(e, arr):
-                    clean = False
-                continue
-            if isinstance(st, Assign) and _scalar_refs_in(st, arr):
-                clean = False
-        if clean:
-            idioms.array_accumulations.append(ArrayAccumulation(
-                array=arr, op=ops[0], sids=tuple(s.sid for s in sts),
-                loop_sid=loop.sid))
+        # reads of the array outside the accumulation statements would see
+        # partial values; forbid them
+        if any(isinstance(st, Assign) and _scalar_refs_in(st, arr)
+               for st in body if st not in sts):
+            continue
+        idioms.array_accumulations.append(ArrayAccumulation(
+            array=arr, op=shapes[0][0], sids=tuple(s.sid for s in sts),
+            loop_sid=loop.sid))
 
     # --- localized scalars ----------------------------------------------------
     for var in _localizable_scalars(loop, spec):
         idioms.localized.append(LocalizedScalar(var=var, loop_sid=loop.sid))
-
-
-def _split_accum(st: Assign):
-    """For ``A(x) = A(x) + e`` return (op, e); else (None, None)."""
-    v = st.value
-    tgt = st.target
-    if isinstance(v, BinOp) and v.op in ("+", "*", "-"):
-        for side, other in ((v.left, v.right), (v.right, v.left)):
-            if side.__class__.__name__ == "ArrayRef" \
-                    and side.name == tgt.name and side.subs == tgt.subs:
-                if v.op == "-" and side is not v.left:
-                    continue
-                return ("+" if v.op == "-" else v.op), other
-    return None, None
-
-
-def _depends_on_iteration(ex, loop: DoLoop) -> bool:
-    return _mentions(ex, loop.var)
 
 
 def _localizable_scalars(loop: DoLoop, spec: PartitionSpec) -> list[str]:

@@ -34,7 +34,7 @@ from .lexer import scan_directives, tokenize
 from .lower import FlatCode, lower_subroutine
 from .parser import parse_program, parse_subroutine
 from .typecheck import Diagnostic, TypeCheckError, TypeReport, check_types
-from .vectorize import LoopKernel, build_vector_kernels, try_vectorize_loop
+from .vectorize import LoopKernel, build_vector_kernels
 from .printer import format_expr, format_subroutine
 
 __all__ = [
@@ -45,6 +45,6 @@ __all__ = [
     "Stmt", "Stop", "Subroutine", "UnOp", "Var", "format_expr",
     "format_subroutine", "lower_subroutine", "make_env",
     "parse_program", "parse_subroutine",
-    "scan_directives", "tokenize", "build_vector_kernels", "try_vectorize_loop",
+    "scan_directives", "tokenize", "build_vector_kernels",
     "Diagnostic", "TypeCheckError", "TypeReport", "check_types",
 ]

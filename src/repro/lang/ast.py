@@ -103,16 +103,6 @@ class Intrinsic(Expr):
             yield from a.walk()
 
 
-#: Names accepted as intrinsic functions by the parser and interpreter.
-INTRINSICS = frozenset(
-    {
-        "abs", "sqrt", "exp", "log", "sin", "cos", "tan", "atan",
-        "max", "min", "mod", "sign", "float", "real", "int", "nint",
-        "amax1", "amin1", "max0", "min0", "dble",
-    }
-)
-
-
 # --------------------------------------------------------------------------
 # Statements
 # --------------------------------------------------------------------------

@@ -10,9 +10,11 @@ it as one Python module (a function per assignment, branch condition,
 loop-bounds triple, call-argument list and straight-line ``do`` loop; in
 :mod:`linecache` as ``<repro:SUBNAME>``), compiled by one ``compile()``,
 cached with an opcode list on the ``FlatCode`` for every rank interpreter.
-Outside loops every check runs inline on every evaluation, in the tree
-walker's order; program text never becomes code (docs/architecture.md,
-"The interpreter").
+The module calls the scalar forms of :mod:`repro.lang.semantics`; the
+vector kernels are written by the same :class:`_Emitter` over the array
+forms.  Outside loops every check runs inline on every evaluation, in the
+tree walker's order; program text never becomes code
+(docs/architecture.md, "The interpreter").
 
 *Checks once per loop entry.*  A straight-line loop (assignments only, no
 jump target) is one function ``lPC(env, trips, step)`` that first checks,
@@ -46,7 +48,6 @@ Extension hooks used by the SPMD executor (:mod:`repro.runtime.executor`):
 from __future__ import annotations
 
 import linecache
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Collection, Optional, Sequence
 
@@ -57,6 +58,7 @@ from .ast import (ArrayRef, BinOp, Const, Expr, Intrinsic, Subroutine, UnOp,
 from .lower import (FlatCode, IAssign, IBranch, ICall, IJump, ILoopIncr,
                     ILoopInit, ILoopTest, IReturn)
 from ..errors import InterpError
+from .semantics import INTEGERS, INTRINSICS, OPERATORS, bindings
 
 Env = dict[str, Any]
 
@@ -70,78 +72,6 @@ DEFAULT_MAX_STEPS = 200_000_000
 #: space in ``spaces`` for the rest of the run
 LoopKernelLike = Any
 
-# an integer loaded from an array is np.int64, not int
-_INTEGERS = (int, np.integer)
-
-#: what a statement's arithmetic can raise besides :class:`InterpError`
-_FAULTS = (ArithmeticError, ValueError)
-
-
-def _is_integer(x: Any) -> bool:
-    return isinstance(x, _INTEGERS) and not isinstance(x, bool)
-
-
-def _div(a: Any, b: Any) -> Any:
-    """FORTRAN ``/``: integer operands truncate toward zero."""
-    if (not isinstance(a, _INTEGERS) or not isinstance(b, _INTEGERS)
-            or isinstance(a, bool) or isinstance(b, bool)):
-        return a / b
-    if b == 0:
-        raise InterpError("integer division by zero")
-    q = a // b
-    if q < 0 and q * b != a:
-        q += 1
-    return q
-
-
-def _power(a: Any, b: Any) -> Any:
-    """FORTRAN ``**``: an integer to a negative integer power is
-    ``1/(a**|b|)`` truncated toward zero — 1, ±1 or 0, or a division by
-    zero for ``a = 0``."""
-    if _is_integer(a) and _is_integer(b) and b < 0:
-        # 1/a truncated is 0 or ±1, so its |b|-th power is that quotient,
-        # and no power of a large a (which np.int64 would wrap) is taken
-        return _div(1, a) ** -b
-    return a ** b
-
-
-def _mod(a: Any, b: Any) -> Any:
-    """FORTRAN-77 ``MOD(a, p) = a - INT(a/p)*p``: sign of the dividend."""
-    if _is_integer(a) and _is_integer(b):
-        if b == 0:
-            raise InterpError("integer modulo by zero")
-        return a - _div(a, b) * b
-    return math.fmod(a, b)
-
-
-def _nint(x: Any) -> int:
-    """FORTRAN-77 ``NINT``: halves round away from zero."""
-    r = math.floor(abs(x))
-    if abs(x) - r >= 0.5:       # exact, where floor(|x| + 0.5) rounds
-        r += 1
-    return r if x >= 0 else -r
-
-
-_INTRINSIC_FUNCS: dict[str, Callable] = {
-    "abs": abs, "sqrt": math.sqrt, "exp": math.exp, "log": math.log,
-    "sin": math.sin, "cos": math.cos, "tan": math.tan, "atan": math.atan,
-    "max": max, "min": min, "amax1": max, "amin1": min,
-    "max0": max, "min0": min,
-    "mod": _mod,
-    "sign": lambda a, b: abs(a) if b >= 0 else -abs(a),
-    "float": float, "real": float, "dble": float,
-    "int": int, "nint": _nint,
-}
-
-#: FORTRAN operator -> the Python expression applying it to two operands
-_BINOPS: dict[str, str] = {
-    "+": "({} + {})", "-": "({} - {})", "*": "({} * {})",
-    "/": "div({}, {})", "**": "({} ** {})", "<": "({} < {})",
-    "<=": "({} <= {})", ">": "({} > {})", ">=": "({} >= {})",
-    "==": "({} == {})", "/=": "({} != {})",
-}
-
-
 def _fault(env: Env, name: str, rank: int, raw: Any = None,
            axis: int = 0) -> InterpError:
     """Which check of an array reference failed, in their order."""
@@ -153,7 +83,7 @@ def _fault(env: Env, name: str, rank: int, raw: Any = None,
     if arr.ndim != rank:
         return InterpError(
             f"{name!r}: {rank} subscripts for rank-{arr.ndim} array")
-    if not isinstance(raw, _INTEGERS):
+    if not isinstance(raw, INTEGERS):
         return InterpError(f"{name!r}: non-integer subscript {raw!r}")
     return InterpError(f"{name!r}: subscript {raw} out of bounds "
                        f"1..{arr.shape[axis]}")
@@ -172,15 +102,15 @@ def _unknown(kind: str, name: str, *operands: Any):
     raise InterpError(f"unknown {kind} {name!r}")
 
 
-_INTRINSIC_NAMES = {name: f"i_{name}" for name in _INTRINSIC_FUNCS}
-
 #: the emitted module's namespace besides builtins, constants, functions
+#: and the operations of :mod:`repro.lang.semantics` it calls
 _HELPERS: dict[str, Any] = {
-    "ndarray": np.ndarray, "integers": _INTEGERS, "div": _div,
-    "power": _power, "may_share": np.may_share_memory,
+    "ndarray": np.ndarray, "integers": INTEGERS,
+    "may_share": np.may_share_memory,
     "fault": _fault, "raised": _raised, "unknown": _unknown,
-    "CAUGHT": (*_FAULTS, KeyError),
-    **{_INTRINSIC_NAMES[name]: fn for name, fn in _INTRINSIC_FUNCS.items()},
+    # what a statement's arithmetic raises besides InterpError, and the
+    # KeyError of an unset variable
+    "CAUGHT": (ArithmeticError, ValueError, KeyError),
 }
 
 
@@ -311,11 +241,16 @@ class _Emitter:
     """Writes code as the source of one Python module and loads it.
     :meth:`expr` gives ``(lines, text, safe)``: after ``lines``, ``text`` is
     the value; ``safe``: ``text`` can neither raise nor read ``env``.
-    While :attr:`loop` is set, expressions are emitted for its fast body."""
+    While :attr:`loop` is set, expressions are emitted for its fast body.
+    The module calls the :attr:`FORM` of each operation it applies."""
+
+    FORM = "scalar"
+    HELPERS = _HELPERS
 
     def __init__(self):
         self.source: list[str] = []
-        self.namespace: dict[str, Any] = dict(_HELPERS)
+        self.namespace: dict[str, Any] = {**self.HELPERS,
+                                          **bindings(self.FORM)}
         self.count = 0
         self.loop: Optional[_Loop] = None
 
@@ -334,31 +269,39 @@ class _Emitter:
         if isinstance(ex, Const):
             return [], self.const(ex.value), True
         if isinstance(ex, Var):
-            if self.loop is not None and ex.name == self.loop.var:
-                return [], self.loop.local, True
-            return [], f"env[{self.key(ex.name)}]", False
+            return self.var(ex.name)
         if isinstance(ex, ArrayRef):
             return self.ref(ex)
-        if isinstance(ex, BinOp) and ex.op in (".and.", ".or."):
+        if (isinstance(ex, BinOp) and ex.op in (".and.", ".or.")
+                or isinstance(ex, UnOp) and ex.op not in ("+", "-")):
             return self.logical(ex)
         if isinstance(ex, BinOp):
             lines, (a, b) = self.operands((ex.left, ex.right))
-            if ex.op not in _BINOPS:
-                op = self.const(ex.op)
-                return lines, f"unknown('operator', {op}, {a}, {b})", False
-            return lines, self.binop(ex).format(a, b), False
+            if ex.op not in OPERATORS:
+                return lines, self.unknown("operator", ex.op, a, b), False
+            return lines, self.binop(ex, a, b), False
         if isinstance(ex, UnOp):
             lines, text, safe = self.expr(ex.operand)
-            form = {"+": "{}", "-": "(-{})"}.get(ex.op, "(not bool({}))")
-            return lines, form.format(text), safe and ex.op == "+"
+            return lines, f"(-{text})" if ex.op == "-" else text, \
+                safe and ex.op == "+"
         if isinstance(ex, Intrinsic):
             lines, args = self.operands(ex.args)
-            if ex.name not in _INTRINSIC_NAMES:     # raises before its args
-                return [], f"unknown('intrinsic', {self.const(ex.name)})", \
-                    False
-            fn = _INTRINSIC_NAMES[ex.name]
-            return lines, f"{fn}({', '.join(args)})", False
+            op = INTRINSICS.get(ex.name)
+            if op is None or op.call not in self.namespace:
+                # raises before its args
+                return [], self.unknown("intrinsic", ex.name), False
+            return lines, op.text(args), False
         raise InterpError(f"cannot evaluate {type(ex).__name__}")
+
+    def var(self, name: Any) -> tuple[list[str], str, bool]:
+        if self.loop is not None and name == self.loop.var:
+            return [], self.loop.local, True
+        return [], f"env[{self.key(name)}]", False
+
+    def unknown(self, kind: str, name: str, *operands: str) -> str:
+        """A call that raises ``unknown {kind} {name!r}`` when evaluated,
+        after ``operands``."""
+        return f"unknown({kind!r}, {', '.join((self.const(name), *operands))})"
 
     def operands(self, exprs: Sequence[Expr]) -> tuple[list[str], list[str]]:
         """Texts of ``exprs`` evaluated left to right: an operand with lines
@@ -376,7 +319,11 @@ class _Emitter:
             done.append((text, safe))
         return lines, [text for text, _ in done]
 
-    def logical(self, ex: BinOp) -> tuple[list[str], str, bool]:
+    def logical(self, ex: Expr) -> tuple[list[str], str, bool]:
+        """``.not.``, and ``.and.``/``.or.`` short-circuiting."""
+        if isinstance(ex, UnOp):
+            lines, a, _ = self.expr(ex.operand)
+            return lines, f"(not bool({a}))", False
         lines, a, _ = self.expr(ex.left)
         right, b, _ = self.expr(ex.right)
         word = "and" if ex.op == ".and." else "or"
@@ -387,18 +334,17 @@ class _Emitter:
                          f"if {t if word == 'and' else 'not ' + t}:"]
                 + _indent(right + [f"{t} = bool({b})"]), t, True)
 
-    def binop(self, ex: BinOp) -> str:
+    def binop(self, ex: BinOp, a: str, b: str) -> str:
         """``/`` with a statically real operand is Python's, which is what
         ``div`` returns for it; ``**`` is ``power``'s unless its exponent
         is a non-negative integer constant."""
         if ex.op == "/" and (self.real(ex.left) or self.real(ex.right)):
-            return "({} / {})"
+            return f"({a} / {b})"
         right = ex.right
-        if ex.op == "**" and not (isinstance(right, Const)
-                                  and type(right.value) is int
-                                  and right.value >= 0):
-            return "power({}, {})"
-        return _BINOPS[ex.op]
+        if ex.op == "**" and isinstance(right, Const) \
+                and type(right.value) is int and right.value >= 0:
+            return f"({a} ** {b})"
+        return OPERATORS[ex.op].text((a, b))
 
     def real(self, ex: Expr) -> bool:
         """Whether ``ex`` is statically no integer: a real constant, an

@@ -23,7 +23,6 @@ relationals, additive, multiplicative, unary sign, ``**`` (right-assoc).
 from __future__ import annotations
 
 from .ast import (
-    INTRINSICS,
     ArrayRef,
     Assign,
     BinOp,
@@ -46,6 +45,7 @@ from .ast import (
     Var,
 )
 from .lexer import tokenize
+from .semantics import INTRINSICS
 from .tokens import TokKind, Token
 from ..errors import ParseError
 

@@ -42,23 +42,11 @@ from .ast import (
     UnOp,
     Var,
 )
+from .semantics import INTRINSICS
 
 T_INT = "integer"
 T_REAL = "real"
 T_LOGICAL = "logical"
-
-#: intrinsic name -> (min arity, max arity, result kind or None=follow args)
-_INTRINSIC_SIGS: dict[str, tuple[int, int, Optional[str]]] = {
-    "abs": (1, 1, None), "sqrt": (1, 1, T_REAL), "exp": (1, 1, T_REAL),
-    "log": (1, 1, T_REAL), "sin": (1, 1, T_REAL), "cos": (1, 1, T_REAL),
-    "tan": (1, 1, T_REAL), "atan": (1, 1, T_REAL),
-    "max": (2, 8, None), "min": (2, 8, None),
-    "amax1": (2, 8, T_REAL), "amin1": (2, 8, T_REAL),
-    "max0": (2, 8, T_INT), "min0": (2, 8, T_INT),
-    "mod": (2, 2, None), "sign": (2, 2, None),
-    "float": (1, 1, T_REAL), "real": (1, 1, T_REAL),
-    "dble": (1, 1, T_REAL), "int": (1, 1, T_INT), "nint": (1, 1, T_INT),
-}
 
 _REL_OPS = ("<", "<=", ">", ">=", "==", "/=")
 _LOGIC_OPS = (".and.", ".or.")
@@ -181,11 +169,11 @@ class _Checker:
         return T_REAL if T_REAL in (left, right) else T_INT
 
     def type_of_intrinsic(self, ex: Intrinsic, line: int) -> Optional[str]:
-        sig = _INTRINSIC_SIGS.get(ex.name)
+        sig = INTRINSICS.get(ex.name)
         if sig is None:
             self.error(line, f"unknown intrinsic {ex.name!r}")
             return None
-        lo, hi, result = sig
+        (lo, hi), result = sig.arity, sig.result
         if not lo <= len(ex.args) <= hi:
             want = str(lo) if lo == hi else f"{lo}..{hi}"
             self.error(line, f"{ex.name} takes {want} argument(s), "

@@ -13,9 +13,14 @@ at once:
 * localized scalars                  → per-iteration vectors
 
 Anything else (branches in the body, non-accumulating indirect stores,
-reduction accumulators read mid-loop, unknown intrinsics) makes
-:func:`try_vectorize_loop` return None and the caller falls back to the
-interpreter — correctness never depends on the fast path.
+reduction accumulators read mid-loop, operations with no array form)
+leaves the loop out of :func:`build_vector_kernels`, and the caller falls
+back to the interpreter — correctness never depends on the fast path.
+
+The kernels of a subroutine are one module of Python source, written by
+the interpreter's emitter (:class:`_KernelEmitter`): the same
+expressions, calling the array forms of :mod:`repro.lang.semantics`, and
+the same ``try`` around each statement.
 
 Floating-point caveat: vector execution reorders additions (per-statement
 sweeps, pairwise sums), so results match the scalar order to rounding
@@ -24,33 +29,15 @@ oracle-grade sequential run is the scalar interpreter's — though
 ``run_sequential(backend="vector")`` runs these kernels too, which is
 what the vector pipeline verifies against.
 
-A kernel is compiled once and executed over an *address space*: one
-environment (:meth:`LoopKernel.__call__` — the sequential run, a single
-rank) or a :class:`RankBatch`, the concatenated iterations of many SPMD
-ranks addressing each array through one all-ranks buffer
-(:class:`Slab`).  The batch is bitwise equal to calling the kernel rank
-by rank: elementwise steps and ``np.add.at`` see every rank's elements
-in the per-rank order, and each rank's reduction partial is the same
-reducer over that rank's contiguous slice of the operand vector.
-
-An address space lives as long as the addresses it would compute stay
-the same, and computes each of them once.  A :class:`RankBatch` lives
-in the executor until the ranks' bounds change or a migration epoch
-rebuilds the slabs; a single environment's space lives for the rest of
-the run (the sequential run's interpreter, a rank re-driven alone)
-while its loop's ``(lo, hi)`` is unchanged and every array the loop
-addresses is still the same object.  A subscript is *address-invariant*
-when it is built only from constants, the loop variable, localized
-scalars defined by invariant expressions and reads of *index arrays* —
-integer arrays no statement of the subroutine assigns (with a ``call``
-in the subroutine, none) — and the space's first sweep finds every
-index array the loop reads an integer array sharing no memory with an
-array the subroutine writes.  Then each invariant subscript is
-addressed and bounds-checked on the first sweep and read back after,
-shared by every array of the same geometry (``OLD(s1)``, ``NEW(s1)``
-and ``AIRESOM(s1)`` are one address), and a localized scalar such as
-``s1 = SOM(i,1)`` that only feeds such addresses is not computed again.
-Any other subscript is addressed and checked on every sweep.
+A kernel is executed over an *address space*: one environment
+(:meth:`LoopKernel.__call__` — the sequential run, a single rank) or a
+:class:`RankBatch`, the concatenated iterations of many SPMD ranks
+addressing each array through one all-ranks buffer (:class:`Slab`),
+bitwise equal to calling the kernel rank by rank.  A space computes and
+checks each *address-invariant* subscript — built from constants, the
+loop variable, localized scalars and reads of index arrays no statement
+assigns — once, on its first sweep (docs/architecture.md, "Rank-fused
+compute").
 """
 
 from __future__ import annotations
@@ -61,88 +48,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from ..errors import InterpError
-from .ast import (
-    ArrayRef,
-    Assign,
-    BinOp,
-    CallStmt,
-    Const,
-    DoLoop,
-    Expr,
-    Intrinsic,
-    Subroutine,
-    UnOp,
-    Var,
-)
-from .interp import _FAULTS, _is_integer, _raised
-
-Env = dict
-
-
-def _np_mod(a, b):
-    """FORTRAN-77 ``MOD``: the remainder takes the sign of the dividend."""
-    if _is_integral(a) and _is_integral(b) and np.any(b == 0):
-        raise InterpError("integer modulo by zero")
-    return np.fmod(a, b)
-
-
-def _int64_domain(x):
-    """Refuse what ``INT``/``NINT`` cannot make an int64: the first NaN,
-    ±inf or out-of-range element raises as the interpreter's ``int`` and
-    store of it would (``ValueError`` / ``OverflowError``)."""
-    ok = (x >= -2.0 ** 63) & (x < 2.0 ** 63)      # False for NaN
-    if not np.all(ok):
-        np.int64(int(np.asarray(x)[~np.asarray(ok)][0]))
-
-
-def _np_int(x):
-    """FORTRAN-77 ``INT``: truncation toward zero."""
-    _int64_domain(x)
-    return np.trunc(x).astype(np.int64)
-
-
-def _np_nint(x):
-    """FORTRAN-77 ``NINT``: halves round away from zero."""
-    _int64_domain(x)
-    r = np.floor(np.abs(x))
-    return (np.sign(x) * (r + (np.abs(x) - r >= 0.5))).astype(np.int64)
-
-
-_NP_INTRINSICS: dict[str, Callable] = {
-    "abs": np.abs, "sqrt": np.sqrt, "exp": np.exp, "log": np.log,
-    "sin": np.sin, "cos": np.cos, "tan": np.tan, "atan": np.arctan,
-    "max": np.maximum, "min": np.minimum,
-    "amax1": np.maximum, "amin1": np.minimum,
-    "max0": np.maximum, "min0": np.minimum,
-    "mod": _np_mod,
-    "float": lambda x: np.asarray(x, dtype=np.float64),
-    "real": lambda x: np.asarray(x, dtype=np.float64),
-    "dble": lambda x: np.asarray(x, dtype=np.float64),
-    "int": _np_int,
-    "nint": _np_nint,
-}
-
-#: a max/min partial skips NaN operands as the interpreter's ``max(s, x)``
-#: does (``x > s`` is false); an all-NaN slice gives NaN, which the fold
-#: skips in turn
-_REDUCERS = {"+": np.sum, "*": np.prod, "max": np.fmax.reduce,
-             "min": np.fmin.reduce}
-
-
-def _fold(op: str, base, partial):
-    """Fold one sweep's reduction partial into the accumulator.
-
-    ``max``/``min`` fold with Python's builtins, the interpreter's
-    reducers: the result is whichever operand wins, in its own type (an
-    integer accumulator stays an integer), and a NaN seed stays NaN.
-    """
-    if op == "+":
-        return base + partial
-    if op == "*":
-        return base * partial
-    if op == "max":
-        return max(base, partial)
-    return min(base, partial)
+from .ast import (ArrayRef, Assign, BinOp, CallStmt, Const, DoLoop, Expr,
+                  Intrinsic, Subroutine, UnOp, Var)
+from .interp import _HELPERS, Env, _Emitter
+from .semantics import REDUCTIONS, accumulation_shape, reduction_shape
 
 
 def _stable(arr, written: list) -> bool:
@@ -220,7 +129,8 @@ class _OneEnv(_Space):
         return _index_key(subs, arr.shape)
 
     def reduce(self, name: str, op: str, vec: np.ndarray) -> None:
-        self.env[name] = _fold(op, self.env[name], _REDUCERS[op](vec))
+        red = REDUCTIONS[op]
+        self.env[name] = red.fold(self.env[name], red.partial(vec))
 
 
 class Slab(NamedTuple):
@@ -305,10 +215,10 @@ class RankBatch(_Space):
         return key + base
 
     def reduce(self, name: str, op: str, vec: np.ndarray) -> None:
-        reducer = _REDUCERS[op]
+        red = REDUCTIONS[op]
         starts = self.starts.tolist()
         for env, a, b in zip(self.envs, starts, starts[1:]):
-            env[name] = _fold(op, env[name], reducer(vec[a:b]))
+            env[name] = red.fold(env[name], red.partial(vec[a:b]))
 
 
 @dataclass
@@ -356,13 +266,9 @@ class LoopKernel:
             space.adopt(self)
         skip = self.address_only if space.warm and space.reuse else ()
         locals_: dict[str, np.ndarray] = {}
-        for k, (step, st) in enumerate(zip(self.steps, self.loop.body)):
-            if k in skip:
-                continue
-            try:
+        for k, step in enumerate(self.steps):
+            if k not in skip:
                 step(space, locals_)
-            except _FAULTS as exc:     # as the interpreter's statement
-                raise _raised(exc, st.line)
         space.warm = True
 
 
@@ -373,7 +279,6 @@ class _Bail(Exception):
 @dataclass
 class _Ctx:
     loop: DoLoop
-    arrays: set[str]
     #: integer arrays no statement of the subroutine assigns
     index_arrays: set[str]
     #: localized scalar -> (body position of its current definition,
@@ -385,145 +290,181 @@ class _Ctx:
     array_reads: list[tuple[str, bool]] = field(default_factory=list)
     #: array -> {"direct", "indirect"} write modes seen in the body
     array_writes: dict[str, set[str]] = field(default_factory=dict)
-    #: body position of the statement being compiled
-    position: int = 0
     #: invariant localized definitions no value read has needed so far
     address_only: set[int] = field(default_factory=set)
     #: compiling the subscripts of a reused address
     addressing: bool = False
 
 
-def try_vectorize_loop(loop: DoLoop, sub: Subroutine) -> Optional[LoopKernel]:
-    """Compile ``loop`` to a :class:`LoopKernel`, or None if unsupported."""
-    try:
-        return _compile(loop, sub)
-    except _Bail:
-        return None
+class _KernelEmitter(_Emitter):
+    """Writes every kernel of one subroutine as the source of one module:
+    a function ``vN(space, locals_)`` per body statement, in the
+    interpreter's ``try``, and one ``xN(space, locals_)`` per subscript of
+    an array reference, which :meth:`_Space.locate` calls unless it
+    reuses the address.  Expressions are the interpreter's, over vectors:
+    the same operands and calls, bound to the array forms; the loop
+    variable is ``space.idx + 1``, a localized scalar is read from
+    ``locals_`` and any other scalar from the space.  What has no vector
+    form raises :class:`_Bail`; :attr:`ctx` is the loop being written."""
 
+    FORM = "array"
+    HELPERS = {"raised": _HELPERS["raised"], "CAUGHT": _HELPERS["CAUGHT"],
+               "broadcast_to": np.broadcast_to, "add_at": np.add.at}
 
-def _compile(loop: DoLoop, sub: Subroutine) -> LoopKernel:
-    if loop.step is not None and not (
-            isinstance(loop.step, Const) and loop.step.value == 1):
-        raise _Bail
-    arrays = {n for n, d in sub.decls.items() if d.is_array}
-    written = {st.target.name for st in sub.walk() if isinstance(st, Assign)}
-    if any(isinstance(st, CallStmt) for st in sub.walk()):
-        written |= arrays   # an external is handed the whole environment
-    ctx = _Ctx(loop=loop, arrays=arrays,
-               index_arrays={n for n in arrays - written
-                             if sub.decls[n].base == "integer"})
-    steps: list[Callable] = []
-    weight = 0
-    for ctx.position, st in enumerate(loop.body):
-        if not isinstance(st, Assign):
+    def __init__(self, sub: Subroutine):
+        super().__init__()
+        self.arrays = {n for n, d in sub.decls.items() if d.is_array}
+        written = {st.target.name for st in sub.walk()
+                   if isinstance(st, Assign)}
+        if any(isinstance(st, CallStmt) for st in sub.walk()):
+            written |= self.arrays  # an external is handed the whole env
+        self.written = frozenset(written & self.arrays)
+        self.index_arrays = {n for n in self.arrays - written
+                             if sub.decls[n].base == "integer"}
+        self.ctx: Optional[_Ctx] = None
+
+    def kernel(self, loop: DoLoop) -> LoopKernel:
+        """``loop``'s kernel; its steps are the names of the functions
+        written for them until the module is loaded."""
+        if loop.step is not None and not (
+                isinstance(loop.step, Const) and loop.step.value == 1):
             raise _Bail
-        weight += 1
-        steps.append(_compile_stmt(st, ctx))
-    # a reduction accumulator read as an ordinary scalar in the same body
-    # would see the evolving per-iteration value; the whole-range sweep
-    # cannot reproduce that, so refuse
-    if ctx.reduced & ctx.env_scalar_reads:
-        raise _Bail
-    # a scalar read before its in-body definition is a recurrence
-    # (s = s + c·a(i) − d and friends): iterations see the evolving value,
-    # the broadcast sweep would not
-    if ctx.localized.keys() & ctx.env_scalar_reads:
-        raise _Bail
-    # loop-carried flow through a written array: an iteration may read an
-    # element another iteration wrote.  Safe only when every write to the
-    # array is element-local (direct a(i)) and every read of it addresses
-    # the same iteration's element (first subscript is the loop variable).
-    for name, modes in ctx.array_writes.items():
-        reads = [lv for n, lv in ctx.array_reads if n == name]
-        if "indirect" in modes:
-            if reads or "direct" in modes:
-                # scatter target also read (beyond its self-reads), or
-                # interleaved with element-local overwrites: the scalar
-                # iteration order is observable
+        ctx = self.ctx = _Ctx(loop=loop, index_arrays=self.index_arrays)
+        steps: list = []
+        for position, st in enumerate(loop.body):
+            if not isinstance(st, Assign):
                 raise _Bail
-        elif not all(reads):
+            steps.append(self.new("v"))
+            self.define(steps[-1], "space, locals_",
+                        self.guard(self.statement(st, position), st.line))
+        # a reduction accumulator read as an ordinary scalar in the same body
+        # would see the evolving per-iteration value; the whole-range sweep
+        # cannot reproduce that, so refuse
+        if ctx.reduced & ctx.env_scalar_reads:
             raise _Bail
-    reads = {name for name, _lv in ctx.array_reads}
-    return LoopKernel(loop=loop, steps=steps, body_weight=weight + 2,
-                      arrays=frozenset(ctx.array_writes) | reads,
-                      written=frozenset(written & arrays),
-                      index_arrays=frozenset(reads & ctx.index_arrays),
-                      address_only=frozenset(ctx.address_only))
-
-
-def _compile_stmt(st: Assign, ctx: _Ctx) -> Callable:
-    tgt = st.target
-    if isinstance(tgt, Var):
-        if tgt.name in ctx.reduced:
-            # a second reduction step on the same scalar interleaves with
-            # the first in iteration order; fall back to the interpreter
+        # a scalar read before its in-body definition is a recurrence
+        # (s = s + c·a(i) − d and friends): iterations see the evolving
+        # value, the broadcast sweep would not
+        if ctx.localized.keys() & ctx.env_scalar_reads:
             raise _Bail
-        shape = _reduction_shape(st) if tgt.name not in ctx.localized else None
-        if shape is not None:
-            op, operand = shape
-            if _mentions(operand, tgt.name):
+        # loop-carried flow through a written array: an iteration may read an
+        # element another iteration wrote.  Safe only when every write to the
+        # array is element-local (direct a(i)) and every read of it addresses
+        # the same iteration's element (first subscript is the loop variable).
+        for name, modes in ctx.array_writes.items():
+            reads = [lv for n, lv in ctx.array_reads if n == name]
+            if "indirect" in modes:
+                if reads or "direct" in modes:
+                    # scatter target also read (beyond its self-reads), or
+                    # interleaved with element-local overwrites: the scalar
+                    # iteration order is observable
+                    raise _Bail
+            elif not all(reads):
                 raise _Bail
-            if isinstance(st.value, BinOp) and st.value.op == "-":
-                operand = UnOp("-", operand)  # s = s - e sums -e
-            operand_fn = _compile_expr(operand, ctx)
-            ctx.reduced.add(tgt.name)
-            name = tgt.name
+        reads = {name for name, _lv in ctx.array_reads}
+        return LoopKernel(loop=loop, steps=steps, body_weight=len(steps) + 2,
+                          arrays=frozenset(ctx.array_writes) | reads,
+                          written=self.written,
+                          index_arrays=frozenset(reads & ctx.index_arrays),
+                          address_only=frozenset(ctx.address_only))
 
-            def reduce_step(space, locals_, _fn=operand_fn, _name=name,
-                            _op=op):
-                space.reduce(_name, _op, np.broadcast_to(
-                    _fn(space, locals_), space.idx.shape))
-
-            return reduce_step
-        key = _address_key(st.value, ctx)
-        value_fn = _compile_expr(st.value, ctx)
-        ctx.localized[tgt.name] = ctx.position, key
-        if key is not None:
-            ctx.address_only.add(ctx.position)
-        name = tgt.name
-
-        def local_step(space, locals_, _fn=value_fn, _name=name):
-            locals_[_name] = np.broadcast_to(_fn(space, locals_),
-                                             space.idx.shape)
-
-        return local_step
-
-    # array target
-    accum = _accum_operand(st)
-    name = tgt.name
-    is_direct = (tgt.subs and isinstance(tgt.subs[0], Var)
-                 and tgt.subs[0].name == ctx.loop.var)
-    ctx.array_writes.setdefault(name, set()).add(
-        "direct" if is_direct else "indirect")
-    if accum is not None:
-        op, operand = accum
-        if op != "+":
+    def statement(self, st: Assign, position: int) -> list[str]:
+        """The lines of body statement ``position``."""
+        ctx, tgt = self.ctx, st.target
+        if isinstance(tgt, Var):
+            name = self.key(tgt.name)
+            if tgt.name in ctx.reduced:
+                # a second reduction step on the same scalar interleaves with
+                # the first in iteration order; fall back to the interpreter
+                raise _Bail
+            shape = (reduction_shape(st) if tgt.name not in ctx.localized
+                     else None)
+            if shape is not None:
+                op, operand, sign = shape
+                lines, vec = self.vector(operand, sign)
+                ctx.reduced.add(tgt.name)
+                return lines + [
+                    f"space.reduce({name}, {self.const(op)}, {vec})"]
+            key = _address_key(st.value, ctx)
+            lines, vec = self.vector(st.value)
+            ctx.localized[tgt.name] = position, key
+            if key is not None:
+                ctx.address_only.add(position)
+            return lines + [f"locals_[{name}] = {vec}"]
+        # array target
+        accum = accumulation_shape(st)
+        direct = bool(tgt.subs) and tgt.subs[0] == Var(ctx.loop.var)
+        ctx.array_writes.setdefault(tgt.name, set()).add(
+            "direct" if direct else "indirect")
+        if accum is not None and accum[0] != "+":
             raise _Bail  # only additive scatters occur in the class
-        at, index_fns = _subscripts(tgt.subs, ctx)
-        operand_fn = _compile_expr(operand, ctx)
+        if accum is None and not direct:
+            # plain store: only safe when the first subscript is the loop
+            # variable (distinct element per iteration — no write order)
+            raise _Bail
+        locate, buf, key = self.locate(tgt)
+        if accum is None:
+            lines, value, _ = self.expr(st.value)
+            return [locate, *lines, f"{buf}[{key}] = {value}"]
+        lines, vec = self.vector(accum[1], accum[2])
+        return [locate, *lines, f"add_at({buf}, {key}, {vec})"]
 
-        def accum_step(space, locals_, _fns=index_fns, _fn=operand_fn,
-                       _name=name, _at=at):
-            arr, key = space.locate(_name, _fns, locals_, _at)
-            vec = np.broadcast_to(_fn(space, locals_), space.idx.shape)
-            np.add.at(arr, key, vec)
+    def vector(self, ex: Expr, sign: int = 1) -> tuple[list[str], str]:
+        """``ex``, negated for ``sign`` −1, as one value per iteration."""
+        lines, text, _ = self.expr(ex)
+        if sign < 0:
+            text = f"(-{text})"
+        return lines, f"broadcast_to({text}, space.idx.shape)"
 
-        return accum_step
+    def var(self, name):
+        ctx = self.ctx
+        if name == ctx.loop.var:
+            return [], "(space.idx + 1)", True      # FORTRAN index
+        if name in ctx.localized:
+            if not ctx.addressing:
+                ctx.address_only.discard(ctx.localized[name][0])
+            return [], f"locals_[{self.key(name)}]", True
+        if name in self.arrays:
+            raise _Bail  # whole-array reference in expression
+        ctx.env_scalar_reads.add(name)
+        return [], f"space.scalar({self.key(name)})", False
 
-    # plain store: only safe when the first subscript is the loop variable
-    # (distinct element per iteration — no write order to preserve)
-    if not (tgt.subs and isinstance(tgt.subs[0], Var)
-            and tgt.subs[0].name == ctx.loop.var):
-        raise _Bail
-    at, index_fns = _subscripts(tgt.subs, ctx)
-    value_fn = _compile_expr(st.value, ctx)
+    def ref(self, ref: ArrayRef):
+        ctx = self.ctx
+        if ref.name not in self.arrays:
+            raise _Bail
+        ctx.array_reads.append(
+            (ref.name, bool(ref.subs) and ref.subs[0] == Var(ctx.loop.var)))
+        locate, buf, key = self.locate(ref)
+        return [locate], f"{buf}[{key}]", True
 
-    def store_step(space, locals_, _fns=index_fns, _fn=value_fn,
-                   _name=name, _at=at):
-        arr, key = space.locate(_name, _fns, locals_, _at)
-        arr[key] = _fn(space, locals_)
+    def locate(self, ref: ArrayRef) -> tuple[str, str, str]:
+        """The line addressing ``ref`` in the space, and the names of the
+        buffer and the 0-based key it binds.  Its address is reused under
+        a key unless a subscript is not address-invariant or ``ref`` is
+        itself inside a reused address (whose intermediate addresses are
+        not kept)."""
+        ctx, at = self.ctx, None
+        if not ctx.addressing:
+            at = tuple(_address_key(sub, ctx) for sub in ref.subs)
+            if None in at:
+                at = None
+        outer = ctx.addressing
+        ctx.addressing = outer or at is not None
+        fns = []
+        for sub in ref.subs:
+            lines, text, _ = self.expr(sub)
+            fns.append(self.new("x"))
+            self.define(fns[-1], "space, locals_", lines + [f"return {text}"])
+        ctx.addressing = outer
+        buf, key = self.new("t"), self.new("t")
+        return (f"{buf}, {key} = space.locate({self.key(ref.name)}, "
+                f"({', '.join(fns)},), locals_, {self.const(at)})"), buf, key
 
-    return store_step
+    def unknown(self, *_):
+        raise _Bail     # no array form; no logical operator has one either
+
+    logical = unknown
 
 
 def _index_key(subs, shape, segments=None):
@@ -560,23 +501,6 @@ def _index_key(subs, shape, segments=None):
     return tuple(parts) if len(parts) > 1 else parts[0]
 
 
-def _subscripts(subs, ctx: _Ctx) -> tuple[Optional[tuple], list]:
-    """An array reference's subscript functions, and the key its address
-    is reused under — None unless every subscript is address-invariant
-    and the reference is not itself inside a reused address (whose
-    intermediate addresses are not kept)."""
-    key = None
-    if not ctx.addressing:
-        key = tuple(_address_key(sub, ctx) for sub in subs)
-        if None in key:
-            key = None
-    outer = ctx.addressing
-    ctx.addressing = outer or key is not None
-    fns = [_compile_expr(sub, ctx) for sub in subs]
-    ctx.addressing = outer
-    return key, fns
-
-
 def _address_key(ex: Expr, ctx: _Ctx) -> Optional[tuple]:
     """``ex`` as a hashable key when its value is address-invariant — the
     same on every sweep of a space — else None.  Invariant are constants,
@@ -606,142 +530,19 @@ def _address_key(ex: Expr, ctx: _Ctx) -> Optional[tuple]:
     return None if None in keys else (parts[0], parts[1], keys)
 
 
-def _compile_expr(ex: Expr, ctx: _Ctx) -> Callable:
-    if isinstance(ex, Const):
-        v = ex.value
-        return lambda space, locals_: v
-    if isinstance(ex, Var):
-        name = ex.name
-        if name == ctx.loop.var:
-            return lambda space, locals_: space.idx + 1  # FORTRAN index
-        if name in ctx.localized:
-            if not ctx.addressing:
-                ctx.address_only.discard(ctx.localized[name][0])
-            return lambda space, locals_: locals_[name]
-        if name in ctx.arrays:
-            raise _Bail  # whole-array reference in expression
-        ctx.env_scalar_reads.add(name)
-        return lambda space, locals_: space.scalar(name)
-    if isinstance(ex, ArrayRef):
-        name = ex.name
-        if name not in ctx.arrays:
-            raise _Bail
-        first_is_loopvar = bool(ex.subs and isinstance(ex.subs[0], Var)
-                                and ex.subs[0].name == ctx.loop.var)
-        ctx.array_reads.append((name, first_is_loopvar))
-        at, index_fns = _subscripts(ex.subs, ctx)
-
-        def read(space, locals_, _name=name, _fns=index_fns, _at=at):
-            arr, key = space.locate(_name, _fns, locals_, _at)
-            return arr[key]
-
-        return read
-    if isinstance(ex, BinOp):
-        if ex.op in (".and.", ".or."):
-            raise _Bail
-        left = _compile_expr(ex.left, ctx)
-        right = _compile_expr(ex.right, ctx)
-        op = ex.op
-
-        def binop(space, locals_, _l=left, _r=right, _op=op):
-            return _apply_binop(_op, _l(space, locals_), _r(space, locals_))
-
-        return binop
-    if isinstance(ex, UnOp):
-        if ex.op == ".not.":
-            raise _Bail
-        inner = _compile_expr(ex.operand, ctx)
-        if ex.op == "+":
-            return inner
-        return lambda space, locals_, _f=inner: -_f(space, locals_)
-    if isinstance(ex, Intrinsic):
-        fn = _NP_INTRINSICS.get(ex.name)
-        if fn is None:
-            raise _Bail
-        arg_fns = [_compile_expr(a, ctx) for a in ex.args]
-
-        def call(space, locals_, _fn=fn, _args=arg_fns):
-            return _fn(*(a(space, locals_) for a in _args))
-
-        return call
-    raise _Bail
-
-
-def _apply_binop(op: str, a, b):
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if _is_integral(a) and _is_integral(b):
-            # FORTRAN integer division truncates toward zero
-            if np.any(b == 0):
-                raise InterpError("integer division by zero")
-            q = np.floor_divide(np.abs(a), np.abs(b))
-            return q * np.sign(a) * np.sign(b)
-        return a / b
-    if op == "**":
-        neg = np.less(b, 0) if _is_integral(a) and _is_integral(b) else False
-        if not np.any(neg):
-            return a ** b
-        # FORTRAN-77 I**J, J < 0: (1/I)**|J|, 1/I truncated (the
-        # interpreter's ``_power``); I = 0 raises
-        inverse = _apply_binop("/", 1, np.where(neg, a, 1))
-        return np.where(neg, inverse ** np.abs(b), a ** np.where(neg, 0, b))
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    if op == "==":
-        return a == b
-    if op == "/=":
-        return a != b
-    raise _Bail
-
-
-def _is_integral(x) -> bool:
-    return _is_integer(x) or (isinstance(x, np.ndarray)
-                              and np.issubdtype(x.dtype, np.integer))
-
-
-def _reduction_shape(st: Assign):
-    from ..analysis.idioms import _reduction_shape as shape
-
-    return shape(st)
-
-
-def _accum_operand(st: Assign):
-    from ..analysis.idioms import _split_accum
-
-    op, other = _split_accum(st)
-    if op is None:
-        return None
-    # subtraction was canonicalized to "+" of -e by the idiom splitter;
-    # reconstruct the sign from the source expression
-    v = st.value
-    if isinstance(v, BinOp) and v.op == "-" and other is v.right:
-        return "+", UnOp("-", other)
-    return op, other
-
-
-def _mentions(ex: Expr, name: str) -> bool:
-    return any(getattr(n, "name", None) == name for n in ex.walk())
-
-
-def build_vector_kernels(sub: Subroutine,
-                         loops: Optional[list[DoLoop]] = None) -> dict[int, LoopKernel]:
-    """Compile every vectorizable loop of ``sub`` (or just ``loops``)."""
-    if loops is None:
-        loops = [s for s in sub.walk() if isinstance(s, DoLoop)]
+def build_vector_kernels(sub: Subroutine) -> dict[int, LoopKernel]:
+    """Compile every vectorizable loop of ``sub`` as one module,
+    ``<repro:SUBNAME:vector>`` in :mod:`linecache`."""
+    em = _KernelEmitter(sub)
     kernels: dict[int, LoopKernel] = {}
-    for loop in loops:
-        kernel = try_vectorize_loop(loop, sub)
-        if kernel is not None:
-            kernels[loop.sid] = kernel
+    for loop in [st for st in sub.walk() if isinstance(st, DoLoop)]:
+        mark = len(em.source)
+        try:
+            kernels[loop.sid] = em.kernel(loop)
+        except _Bail:
+            del em.source[mark:]
+    fns = em.load(f"<repro:{sub.name}:vector>")
+    for kernel in kernels.values():
+        kernel.steps = [fns[name] for name in kernel.steps]
     return kernels
+

@@ -23,7 +23,6 @@ from .faults import (
     make_comm,
 )
 from .halos import (
-    REDUCE_OPS,
     PendingWave,
     allreduce_scalar,
     combine_complete,
@@ -55,7 +54,7 @@ __all__ = [
     "MachineModel",
     "MessageLog", "build_flat_store", "PendingWave",
     "RECOVERY_GLOBAL", "RECOVERY_LOCAL", "RECOVERY_MODES",
-    "REDUCE_OPS", "RankComm", "RankSnapshot", "ReplayFilter",
+    "RankComm", "RankSnapshot", "ReplayFilter",
     "RingTransport", "SPMDExecutor", "SPMDResult", "SimComm",
     "TimeBreakdown", "allreduce_scalar",
     "Timeline", "combine_complete", "combine_post",

@@ -44,28 +44,15 @@ bit identity against a wire that carries every wave message by message.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..errors import RuntimeFault
+from ..lang.semantics import REDUCTIONS, Reduction
 from ..mesh.schedule import HaloSchedule, WaveSide
 from .flatstore import FlatField
 from .simmpi import CollectiveRecord, SimComm
-
-#: reduction operators by canonical name
-REDUCE_OPS: dict[str, Callable] = {
-    "+": lambda a, b: a + b,
-    "*": lambda a, b: a * b,
-    "max": max,
-    "min": min,
-}
-
-#: unbuffered scatter-accumulate ufuncs for the combine gather round; the
-#: ``.at`` form applies repeated indices in array order, which is exactly
-#: the (owner, source) order of the messages
-_ACCUM_UFUNC = {"+": np.add, "*": np.multiply,
-                "max": np.maximum, "min": np.minimum}
 
 _TAG_RETURN = 103
 _TAG_REDUCE = 104
@@ -116,12 +103,10 @@ def _receive(pending: PendingWave, side: WaveSide, tag: int,
                      op=op)
 
 
-def _accumulator(op: str):
-    """The scatter-accumulate ufunc of a combine operator."""
-    accum = _ACCUM_UFUNC.get(op)
-    if accum is None:
-        raise RuntimeFault(f"unknown combine operator {op!r}")
-    return accum
+def _reduction(op: str, what: str) -> Reduction:
+    if op not in REDUCTIONS:
+        raise RuntimeFault(f"unknown {what} operator {op!r}")
+    return REDUCTIONS[op]
 
 
 def overlap_post(comm: SimComm, envs: list[dict], var: str,
@@ -177,7 +162,7 @@ def combine_post(comm: SimComm, envs: list[dict], var: str,
     are the assembled totals, which exist only after the gather completes —
     so it runs inside :func:`combine_complete`.
     """
-    _accumulator(op)
+    _reduction(op, "combine")
     before = _rank_words(comm)
     pending = PendingWave(comm, envs, var, label or var, schedule,
                           comm.fresh_tag(), (store or {}).get(var), op)
@@ -201,7 +186,7 @@ def combine_complete(pending: PendingWave, overlap_steps: int = 0,
     schedule = pending.schedule
     before = _rank_words(pending.comm)
     _receive(pending, schedule.gather_recv, pending.tag,
-             op=_accumulator(pending.op))
+             op=REDUCTIONS[pending.op].at)
     _send(pending, schedule.send, _TAG_RETURN)
     _receive(pending, schedule.recv, _TAG_RETURN)
     if _log:
@@ -239,9 +224,7 @@ def allreduce_scalar(comm: SimComm, envs: list[dict], var: str,
     level's pair lists are filtered to the sends it originates and the
     receives it terminates, and only its value is written back.
     """
-    reducer = REDUCE_OPS.get(op)
-    if reducer is None:
-        raise RuntimeFault(f"unknown reduction operator {op!r}")
+    reducer = _reduction(op, "reduction").fold
     before = _rank_words(comm)
     size = comm.size
     values = [envs[r][var] for r in range(size)]

@@ -151,7 +151,7 @@ class CommStats:
         self._nwords += int(words.sum())
         self._pair_cache = None
 
-    def _fold(self) -> None:
+    def _tally(self) -> None:
         """Apply deferred batch chunks to the per-rank counters."""
         for srcs, dsts, words in self._unfolded:
             hi = max(int(srcs.max()), int(dsts.max()))
@@ -179,12 +179,12 @@ class CommStats:
 
     def rank_messages(self, rank: int) -> int:
         """Messages rank sent or received (self-sends counted once)."""
-        self._fold()
+        self._tally()
         return int(self._rank_msgs[rank]) if rank < len(self._rank_msgs) \
             else 0
 
     def rank_words(self, rank: int) -> int:
-        self._fold()
+        self._tally()
         return int(self._rank_wrds[rank]) if rank < len(self._rank_wrds) \
             else 0
 
@@ -195,7 +195,7 @@ class CommStats:
         :meth:`rank_words`; the halo collectives diff two of these to log a
         :class:`CollectiveRecord` in O(ranks).
         """
-        self._fold()
+        self._tally()
         msgs = np.zeros(size, np.int64)
         wrds = np.zeros(size, np.int64)
         n = min(size, len(self._rank_msgs))
@@ -235,7 +235,7 @@ class CommStats:
         logs are append-only (no record or flushed chunk ever changes), so
         two lengths plus the counters are the whole snapshot, O(ranks)
         whatever the history."""
-        self._fold()
+        self._tally()
         return (len(self.collectives), len(self._chunks), self.retries,
                 self.retransmits, self.retransmit_words,
                 self._rank_msgs.copy(), self._rank_wrds.copy(),

@@ -87,12 +87,25 @@ def test_halo_collectives_have_one_body():
 
 
 def test_vectorize_keeps_one_kernel_class_and_one_compiler():
+    # kernels are source written through the interpreter's emitter: no
+    # compile() and no closure tree in vectorize.py, one compile() in lang/
     tree = _tree("lang/vectorize.py")
-    assert [n for n in _defs(tree, ast.ClassDef) if "Kernel" in n] \
-        == ["LoopKernel"]
-    assert sorted(n for n in _defs(tree, ast.FunctionDef)
-                  if n.startswith("_compile")) \
-        == ["_compile", "_compile_expr", "_compile_stmt"]
+    classes = _defs(tree, ast.ClassDef)
+    assert [n for n in classes if n.endswith("Kernel")] == ["LoopKernel"]
+    assert [ast.unparse(b) for b in classes["_KernelEmitter"].bases] \
+        == ["_Emitter"]
+    assert not [ast.unparse(n) for n in ast.walk(tree)
+                if isinstance(n, ast.Lambda)]
+    nested = [n.name for fn in _defs(tree, ast.FunctionDef).values()
+              for n in ast.walk(fn)
+              if isinstance(n, ast.FunctionDef) and n is not fn]
+    assert not nested, f"nested def in vectorize.py: {nested}"
+    compiles = [str(path.relative_to(SRC))
+                for path in sorted((SRC / "lang").glob("*.py"))
+                for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                and n.func.id == "compile"]
+    assert compiles == ["lang/interp.py"]
 
 
 def test_the_interpreter_has_one_compiler():

@@ -33,8 +33,8 @@ from repro.lang import (
     parse_subroutine,
 )
 from repro.lang.ast import Decl, Subroutine
-from repro.lang.interp import (_INTRINSIC_FUNCS, _Checked, _is_integer,
-                               _load_checked)
+from repro.lang.interp import _Checked, _load_checked
+from repro.lang.semantics import INTRINSICS, is_integer
 from tests.lang.interp_tools import compile_expr, eval_expr, run_subroutine
 from tests.oracles import reference_testiv
 
@@ -465,10 +465,10 @@ def _eval_reference(ex, env):
             return v
         return not bool(v)
     if isinstance(ex, Intrinsic):
-        func = _INTRINSIC_FUNCS.get(ex.name)
-        if func is None:
+        if ex.name not in INTRINSICS:
             raise InterpError(f"unknown intrinsic {ex.name!r}")
-        return func(*(_eval_reference(a, env) for a in ex.args))
+        return INTRINSICS[ex.name].scalar(
+            *(_eval_reference(a, env) for a in ex.args))
     raise InterpError(f"cannot evaluate {type(ex).__name__}")
 
 
@@ -480,7 +480,7 @@ def _binop(op, a, b):
     if op == "*":
         return a * b
     if op == "/":
-        if _is_integer(a) and _is_integer(b):
+        if is_integer(a) and is_integer(b):
             if b == 0:
                 raise InterpError("integer division by zero")
             q = a // b
@@ -490,7 +490,7 @@ def _binop(op, a, b):
             return q
         return a / b
     if op == "**":
-        if _is_integer(a) and _is_integer(b) and b < 0:
+        if is_integer(a) and is_integer(b) and b < 0:
             # FORTRAN-77: I**J for J < 0 is 1/(I**|J|) truncated, which is
             # (1/I truncated)**|J|: 1/I is 0 or ±1 (I = 0 divides by zero)
             return _binop("/", 1, a) ** -b
@@ -638,7 +638,7 @@ class TestClosuresEqualTreeWalker:
     def test_same_value_and_type_or_same_exception(self, ex):
         _assert_same_outcome(ex)
 
-    @pytest.mark.parametrize("name", sorted(_INTRINSIC_FUNCS))
+    @pytest.mark.parametrize("name", sorted(INTRINSICS))
     def test_every_intrinsic(self, name):
         for args in ((Const(2.5),), (Var("y"),), (Var("mm"),),
                      (Var("m"), Const(3)), (Var("y"), Var("kk")),
@@ -1001,7 +1001,7 @@ _VOCABULARY = re.compile(
     r"(env|exc|trips|step|expression|[tk]\d+|[abcrl]\d+"
     r"|ndarray|integers|div|power|may_share|fault|raised|unknown|CAUGHT"
     r"|isinstance|type|int|bool|range"
-    + "".join(f"|i_{name}" for name in _INTRINSIC_FUNCS) + r")")
+    + "".join(f"|i_{name}" for name in INTRINSICS) + r")")
 
 
 def _emitted_names(sub):

@@ -1,6 +1,9 @@
 """Unit tests for the vectorized loop backend."""
 
+import ast
 import builtins
+import linecache
+import re
 
 import numpy as np
 import pytest
@@ -20,8 +23,8 @@ from repro.lang import (
     lower_subroutine,
     make_env,
     parse_subroutine,
-    try_vectorize_loop,
 )
+from repro.lang.semantics import INTRINSICS
 from repro.lang.vectorize import RankBatch, Slab
 
 
@@ -39,6 +42,10 @@ def run_both(src, tol=1e-12, **values):
     kernels = build_vector_kernels(sub)
     Interpreter(code, vector_loops=kernels).run(e2)
     return sub, e1, e2, kernels
+
+
+def try_vectorize_loop(loop, sub):
+    return build_vector_kernels(sub).get(loop.sid)
 
 
 def loops_of(sub):
@@ -59,8 +66,9 @@ class TestKernelCompilation:
         sub = parse_subroutine(src)
         inner = [l for l in loops_of(sub)
                  if all(not isinstance(s, DoLoop) for s in l.body)]
-        kernels = build_vector_kernels(sub, inner)
+        kernels = build_vector_kernels(sub)
         assert len(kernels) >= expected_min
+        assert kernels.keys() <= {l.sid for l in inner}
 
     def test_time_loop_not_vectorized(self):
         # a loop containing another loop falls back
@@ -298,6 +306,107 @@ class TestReductionFolds:
         assert np.array_equal(fused[0]["s"], want, equal_nan=True)
         assert fused[1]["s"] == (9.0 if op == "max" else 1.0)
         assert fused[2]["s"] == -1.0
+
+
+class TestSameSemantics:
+    """The kernels apply the interpreter's operations, and fail as its
+    statements do."""
+
+    @pytest.mark.parametrize("op", ["max", "min"])
+    def test_max_and_min_keep_the_first_operand_on_a_tie_or_a_nan(self, op):
+        # Python's max(b, a): a replaces b only if it compares greater
+        src = ("subroutine t(a, b, n)\nreal a(4), b(4)\ninteger i\n"
+               f"  do i = 1,n\n    a(i) = {op}(b(i), a(i))\n  end do\nend\n")
+        a = np.array([np.nan, 2.0, -0.0, 0.0])
+        b = np.array([1.0, np.nan, 0.0, -0.0])
+        _, e1, e2, kernels = run_both(src, a=a, b=b, n=4)
+        assert len(kernels) == 1
+        assert np.array_equal(e1["a"], e2["a"], equal_nan=True)
+        assert np.signbit(e1["a"]).tolist() == np.signbit(e2["a"]).tolist()
+        assert e2["a"][0] == 1.0 and np.isnan(e2["a"][1])
+
+    _UNSET = ("subroutine t(a, n)\nreal a(5)\nreal q\ninteger i\n"
+              "  do i = 1,n\n    a(i) = q + 1.0\n  end do\nend\n")
+
+    @staticmethod
+    def _unset(run):
+        with pytest.raises(InterpError) as info:
+            run()
+        assert str(info.value) == "read of unset variable 'q'"
+        assert info.value.__cause__ is None
+        assert info.value.__suppress_context__
+
+    def test_an_unset_scalar_fails_as_in_the_interpreter(self):
+        sub = parse_subroutine(self._UNSET)
+        code = lower_subroutine(sub)
+        (kernel,) = build_vector_kernels(sub).values()
+        for loops in ({}, {kernel.loop.sid: kernel}):
+            self._unset(lambda: Interpreter(code, vector_loops=loops).run(
+                make_env(sub, n=5)))
+        self._unset(lambda: kernel({"a": np.zeros(5), "n": 5}, 1, 5))
+
+    def test_an_unset_scalar_fails_in_a_rank_batch(self):
+        (kernel,) = build_vector_kernels(
+            parse_subroutine(self._UNSET)).values()
+        flat = np.zeros(5)
+        envs = [{"a": flat[:3], "q": 1.0}, {"a": flat[3:]}]
+        batch = RankBatch(envs, [(1, 3), (1, 2)], {"a": Slab(flat, (3, 2))})
+        self._unset(lambda: kernel.sweep(batch))
+
+
+#: every name a kernel module may use
+_VOCABULARY = re.compile(
+    r"(space|locals_|exc|[tkvx]\d+|broadcast_to|add_at|raised|CAUGHT"
+    r"|div|power" + "".join(f"|{op.call}" for op in INTRINSICS.values()
+                            if op.array is not None) + r")")
+
+HOSTILE = """
+      subroutine space(locals, t1, n, raised, k1)
+      integer n, i
+      real locals(4), t1(4), raised, k1
+      do i = 1,n
+         raised = t1(i) * k1
+         locals(i) = raised + t1(i)
+      end do
+      end
+"""
+
+
+class TestKernelModule:
+    def test_kernels_are_one_module_of_source(self):
+        sub = parse_subroutine(TESTIV_SOURCE)
+        kernels = build_vector_kernels(sub)
+        module = ast.parse("".join(
+            linecache.getlines(f"<repro:{sub.name}:vector>")))
+        steps = {fn.__name__ for kernel in kernels.values()
+                 for fn in kernel.steps}
+        defs = {n.name for n in module.body if isinstance(n, ast.FunctionDef)}
+        assert steps <= defs
+        assert len(steps) == sum(len(k.loop.body) for k in kernels.values())
+
+    def test_emitted_names_come_from_the_vocabulary(self):
+        from repro import corpus
+        from repro.corpus.synth import synthetic_source
+
+        sources = [getattr(corpus, name) for name in dir(corpus)
+                   if name.endswith("_SOURCE")]
+        sources += [synthetic_source(n) for n in (2, 4)] + [HOSTILE]
+        for src in sources:
+            sub = parse_subroutine(src)
+            assert build_vector_kernels(sub), sub.name
+            source = "".join(linecache.getlines(f"<repro:{sub.name}:vector>"))
+            names = {node.id for node in ast.walk(ast.parse(source))
+                     if isinstance(node, ast.Name)}
+            assert {"space", "locals_", "raised"} <= names, sub.name
+            stray = sorted(n for n in names if not _VOCABULARY.fullmatch(n))
+            assert not stray, (sub.name, stray)
+
+    def test_hostile_names_run_as_in_the_interpreter(self):
+        _, e1, e2, kernels = run_both(HOSTILE, n=4, k1=3.0,
+                                      t1=np.arange(1.0, 5.0))
+        assert len(kernels) == 1
+        assert e1["locals"].tolist() == e2["locals"].tolist() \
+            == [4.0, 8.0, 12.0, 16.0]
 
 
 class TestLoopRequests:
