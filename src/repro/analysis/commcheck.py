@@ -25,10 +25,11 @@ before a single message is sent — that
   declared communication belongs to an update some dependence needs
   (CC013).
 
-Two engines cooperate.  The **path predicates** reuse the extraction
-machinery's loop-aware search (:func:`repro.placement.comms.find_path_avoiding`
-— partitioned loops execute at least once, arriving at a communication
-anchor counts as crossing it), so a violation always comes with a concrete
+Two engines cooperate.  The **path predicates** run a loop-aware path
+search of their own (:func:`repro.analysis.paths.find_path_avoiding` —
+partitioned loops execute at least once, arriving at a communication
+anchor counts as crossing it), independent of the labellings extraction
+reads its anchors off, so a violation always comes with a concrete
 statement path witness.  On top, a classical **forward dataflow** pass
 (:func:`compute_facts`) abstractly interprets the automaton's coherence
 states (``Nod₀/Nod₁/Sca₁``…) and the open-window set over the CFG.  Facts
@@ -58,8 +59,6 @@ from ..placement.comms import (
     K_OVERLAP,
     K_REDUCE,
     Placement,
-    find_path_avoiding,
-    find_reexecution,
     kind_and_op,
 )
 from ..placement.dfg import N_DEF, N_OUT, ValueFlowGraph
@@ -73,6 +72,7 @@ from .diagnostics import (
 )
 from .modelcheck import wait_for_analysis
 from .mpnet import MPNet, compile_orders, compile_placement
+from .paths import find_path_avoiding, find_reexecution
 
 
 def _witness(sub: Subroutine, sids: Iterable[int]) -> tuple[SourceAnchor, ...]:

@@ -40,6 +40,18 @@ from .comms import Placement
 from .dfg import ValueFlowGraph
 
 
+def is_price(value) -> bool:
+    """Whether ``value`` may be a :class:`CostModel` field: a finite real
+    number >= 0, not a bool (a NaN or negative price would rank
+    placements by noise)."""
+    try:
+        return isinstance(value, numbers.Real) \
+            and not isinstance(value, bool) \
+            and math.isfinite(value) and value >= 0
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Machine/mesh parameters of the estimate."""
@@ -53,16 +65,9 @@ class CostModel:
     loss_rate: float = 0.0        # P(message lost) on the reliable fabric
 
     def __post_init__(self):
-        # a NaN or negative price would rank placements by noise
         for f in fields(self):
             value = getattr(self, f.name)
-            try:
-                ok = isinstance(value, numbers.Real) \
-                    and not isinstance(value, bool) \
-                    and math.isfinite(value) and value >= 0
-            except OverflowError:  # an int too large for a float
-                ok = False
-            if not ok:
+            if not is_price(value):
                 raise ReproError(f"bad cost model {f.name}: {value!r} "
                                  f"(expected a finite number >= 0)")
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import eq
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from ..analysis.accesses import (
     CTX_BOUND,
@@ -47,6 +47,10 @@ from ..automata.automaton import (
 from ..errors import PlacementError
 from ..lang.ast import Assign, DoLoop, Var
 from ..lang.cfg import ENTRY, EXIT
+
+if TYPE_CHECKING:
+    from ..analysis.paths import PathSearch
+    from .anchors import ExtractionCache
 
 # node kinds
 N_DEF = "def"
@@ -102,15 +106,14 @@ class ValueFlowGraph:
     outputs: dict[str, VNode] = field(default_factory=dict)
     #: input variable -> its VNode
     inputs: dict[str, VNode] = field(default_factory=dict)
-    #: path-search and update-group answers shared by everything downstream
-    #: of the search; built on first use by :mod:`repro.placement.comms`
-    _paths: Optional[object] = field(default=None, repr=False, compare=False)
-
-    def out_edges(self, node: VNode) -> list[VEdge]:
-        return [e for e in self.edges if e.src == node]
-
-    def in_edges(self, node: VNode) -> list[VEdge]:
-        return [e for e in self.edges if e.dst == node]
+    #: communication extraction's per-program answers; built on first use
+    #: by :mod:`repro.placement.comms`
+    _extraction: Optional[ExtractionCache] = field(
+        default=None, repr=False, compare=False)
+    #: the judge's path answers; built on first use by
+    #: :mod:`repro.analysis.paths`
+    _witnesses: Optional[PathSearch] = field(
+        default=None, repr=False, compare=False)
 
     def def_nodes(self) -> list[VNode]:
         return sorted(n for n in self.nodes if n.kind == N_DEF)

@@ -41,7 +41,7 @@ import os
 from typing import Optional
 
 from ..errors import ReproError
-from ..placement.cost import CostModel
+from ..placement.cost import CostModel, is_price
 
 #: analysis flags that participate in the key, with their defaults: the
 #: enumerate_placements knobs, every CostModel field, and the pre-flight
@@ -67,11 +67,9 @@ def _flag_value(name: str, value):
             return bool(value)
         expected = "a boolean (or 0/1)"
     elif isinstance(default, float):
-        try:  # CostModel judges its own fields
-            CostModel(**{name: value})
+        if is_price(value):
             return float(value)
-        except ReproError:
-            expected = "a finite number >= 0"
+        expected = "a finite number >= 0"
     else:  # limit
         if value is None:
             return None

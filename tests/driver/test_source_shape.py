@@ -4,9 +4,9 @@ A deleted name nothing imports needs no guard; a *shape* does: one halo
 schedule over two tables, one body per halo collective half, a boundary
 loop without closures, one kernel compiler, one interpreter compiler
 whose loops check at entry, one call per wire layer, one command line —
-and the rule the single placement
+and the rules the single placement
 judge rests on: ``placement/comms.py``'s privates stay inside
-``repro/placement/``.
+``repro/placement/``, and extraction never calls the judge's path search.
 """
 
 import ast
@@ -40,6 +40,18 @@ def test_comms_privates_stay_inside_placement():
                 names = [node.attr]
             offenders += [f"{path.relative_to(SRC)}: {n}" for n in names
                           if n.startswith("_")]
+    assert not offenders, offenders
+
+
+def test_extraction_reads_anchors_off_labels_not_path_searches():
+    # the loop-aware path search is the judge's alone, so commcheck stays
+    # an independent check of the generator
+    searches = {"find_path_avoiding", "find_reexecution", "PathSearch"}
+    offenders = [f"{path.name}:{node.lineno}"
+                 for path in sorted((SRC / "placement").glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text("utf-8")))
+                 if isinstance(node, ast.Call)
+                 and ast.unparse(node.func).split(".")[-1] in searches]
     assert not offenders, offenders
 
 

@@ -9,9 +9,9 @@ from repro.lang.cfg import ENTRY, EXIT
 from repro.lang.printer import format_expr
 from repro.placement import Propagator, extract_comms
 from repro.placement.comms import (
-    _candidate_valid,
+    _anchor_valid,
+    _cache,
     _hoist_anchor,
-    _reachable_avoiding,
     _single_anchor,
 )
 from repro.placement.engine import analyze
@@ -46,19 +46,25 @@ class TestHoisting:
         assert _hoist_anchor(cfg, vfg, seq) == seq
 
 
+def labels(vfg, defs):
+    """The per-definition-set facts extraction reads its anchors off."""
+    return _cache(vfg).labels_of(frozenset(defs))
+
+
 class TestLoopAwareReachability:
     def test_zero_trip_paths_suppressed(self, testiv):
         """With positive extents, entry cannot skip the sqrdiff accumulate."""
         sub, cfg, vfg = testiv
         acc = sid_by_text(sub, "sqrdiff = sqrdiff + diff*diff")
         first_if = next(s.sid for s in sub.walk() if isinstance(s, IfGoto))
-        assert not _reachable_avoiding(cfg, vfg, ENTRY, {acc}, {first_if})
+        assert not labels(vfg, {acc}).entry_reaches(first_if)
 
     def test_plain_reachability_still_works(self, testiv):
         sub, cfg, vfg = testiv
         init = sid_by_text(sub, "old(i) = init(i)")
         copy = sid_by_text(sub, "old(i) = new(i)")
-        assert _reachable_avoiding(cfg, vfg, init, set(), {copy})
+        # a use no definition reaches is crossed by every statement (None)
+        assert labels(vfg, {init}).crossing({copy}) is not None
 
     def test_avoid_node_blocks(self, testiv):
         sub, cfg, vfg = testiv
@@ -66,7 +72,7 @@ class TestLoopAwareReachability:
         head = sub.labels()[100].sid
         result = sid_by_text(sub, "result(i) = new(i)")
         # everything downstream funnels through label 100
-        assert not _reachable_avoiding(cfg, vfg, init, {head}, {result})
+        assert head in labels(vfg, {init}).crossing({result})
 
 
 class TestCandidateValidity:
@@ -77,7 +83,7 @@ class TestCandidateValidity:
         result = sid_by_text(sub, "result(i) = new(i)")
         uses = {copy, result}
         hoisted = {_hoist_anchor(cfg, vfg, u) for u in uses}
-        anchor = _single_anchor(cfg, vfg, defs, uses, hoisted,
+        anchor = _single_anchor(cfg, vfg, labels(vfg, defs), uses, hoisted,
                                 idempotent=True)
         first_if = next(s.sid for s in sub.walk() if isinstance(s, IfGoto))
         assert anchor == first_if
@@ -87,19 +93,20 @@ class TestCandidateValidity:
         tri_loop = next(l.sid for l, e in
                         ((sub.stmt(s), e) for s, e in vfg.loops.items())
                         if e == "triangle")
-        defs = {sid_by_text(sub, "new(s1) = new(s1)")}
+        facts = labels(vfg, {sid_by_text(sub, "new(s1) = new(s1)")})
         copy = sid_by_text(sub, "old(i) = new(i)")
-        assert not _candidate_valid(cfg, vfg, tri_loop, defs, {copy},
-                                    idempotent=True)
+        assert not _anchor_valid(cfg, facts, tri_loop,
+                                 facts.crossing({copy}), idempotent=True)
 
     def test_exit_anchor_only_for_exit_uses(self, testiv):
         sub, cfg, vfg = testiv
-        defs = {sid_by_text(sub, "new(s1) = new(s1)")}
+        facts = labels(vfg, {sid_by_text(sub, "new(s1) = new(s1)")})
         copy = sid_by_text(sub, "old(i) = new(i)")
-        assert not _candidate_valid(cfg, vfg, EXIT, defs, {copy},
-                                    idempotent=True)
-        assert _candidate_valid(cfg, vfg, EXIT, defs, {EXIT},
-                                idempotent=True)
+        hoisted = {_hoist_anchor(cfg, vfg, copy)}
+        assert _single_anchor(cfg, vfg, facts, {copy}, hoisted,
+                              idempotent=True) not in (None, EXIT)
+        assert _single_anchor(cfg, vfg, facts, {EXIT}, {EXIT},
+                              idempotent=True) == EXIT
 
     def test_nonidempotent_rejects_pre_def_anchor(self, testiv):
         """A reduction comm cannot sit where the partials may be absent."""
@@ -107,12 +114,15 @@ class TestCandidateValidity:
         acc = sid_by_text(sub, "sqrdiff = sqrdiff + diff*diff")
         zero = sid_by_text(sub, "sqrdiff = 0.0")
         first_if = next(s.sid for s in sub.walk() if isinstance(s, IfGoto))
+        facts = labels(vfg, {acc})
+        crossing = facts.crossing({first_if})
         # before the accumulation: invalid (entry reaches it without defs)
-        assert not _candidate_valid(cfg, vfg, zero, {acc}, {first_if},
-                                    idempotent=False)
+        assert facts.entry_reaches(zero)
+        assert not _anchor_valid(cfg, facts, zero, crossing,
+                                 idempotent=False)
         # after it: valid
-        assert _candidate_valid(cfg, vfg, first_if, {acc}, {first_if},
-                                idempotent=False)
+        assert _anchor_valid(cfg, facts, first_if, crossing,
+                             idempotent=False)
 
 
 class TestExtractOnHeat:

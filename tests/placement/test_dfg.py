@@ -58,7 +58,7 @@ class TestStructure:
 
     def test_output_edge_guard(self, testiv):
         out = testiv.outputs["result"]
-        edges = testiv.in_edges(out)
+        edges = [e for e in testiv.edges if e.dst == out]
         assert edges and all(e.guard == G_OUTPUT for e in edges)
 
     def test_def_nodes_unique(self, testiv):

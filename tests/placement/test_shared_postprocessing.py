@@ -5,8 +5,9 @@ about a program on the CFG / value-flow graph / subroutine and reuses it
 for every solution.  These tests pin that sharing to the unshared
 behaviour three ways: against a reference that hands every solution a
 program nothing has been derived for yet, against the fingerprints the
-last commit without sharing produced, and against the per-query path
-search that commit ran.
+last commit without sharing produced, and — for the path answers
+commcheck keeps across the placements it judges — against the per-query
+path search that commit ran.
 """
 
 import json
@@ -16,6 +17,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.analysis.commcheck import check_placement
 from repro.automata.library import automaton_for
 from repro.corpus import (
     ADVECTION_SOURCE,
@@ -83,7 +85,7 @@ def _underived(vfg):
     """The same program (same sids) with nothing derived for it yet."""
     sub = replace(vfg.graph.sub, _index=None, _layout=None)
     graph = replace(vfg.graph, sub=sub, cfg=CFG.build(sub))
-    return replace(vfg, graph=graph, _paths=None)
+    return replace(vfg, graph=graph, _extraction=None, _witnesses=None)
 
 
 def _post_process(search_vfg, vfg, sol, split_phase):
@@ -173,11 +175,12 @@ class TestDifferential:
 
     def test_every_shared_path_answer_is_the_unshared_one(self, program,
                                                           mode):
-        search_vfg, _vfg, solutions = program
-        shared = _underived(search_vfg)
+        search_vfg, vfg, solutions = program
+        shared = _underived(vfg)
         for sol in solutions:
-            extract_comms(shared, sol, split_phase=MODES[mode])
-        paths = shared._paths
+            comms = extract_comms(search_vfg, sol, split_phase=MODES[mode])
+            check_placement(shared, Placement(solution=sol, comms=comms))
+        paths = shared._witnesses
         assert paths.found
         for (start, avoid, targets), path in paths.found.items():
             assert path == _unshared_find_path(

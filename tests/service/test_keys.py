@@ -49,6 +49,18 @@ class TestCanonicalFlags:
         assert flags_json({"model_check": 1}) == \
             flags_json({"model_check": True})
 
+    @pytest.mark.parametrize("flags", [
+        None, {}, {"alpha": 100}, {"split_phase": 1, "limit": 4.0},
+        {"model_check": 1, "beta": 0, "loss_rate": 0.25},
+        {"iterations": 10 ** 6, "kernel_size": 2.5, "limit": None},
+    ])
+    def test_canonical_flags_are_a_fixed_point(self, flags):
+        # a request's flags are canonicalised once by place() and once
+        # more by cache_key: the second pass must change nothing
+        once = canonical_flags(flags)
+        assert canonical_flags(once) == once
+        assert flags_json(once) == flags_json(flags)
+
     @pytest.mark.parametrize("flag,value", [
         ("split_phase", "false"),   # a non-empty string is truthy
         ("split_phase", 2),
