@@ -116,14 +116,6 @@ class AccessMap:
     def __iter__(self) -> Iterator[StmtAccesses]:
         return iter(self.by_sid.values())
 
-    def defs_of(self, name: str) -> list[Access]:
-        low = name.lower()
-        return [a for sa in self.by_sid.values() for a in sa.defs if a.name == low]
-
-    def uses_of(self, name: str) -> list[Access]:
-        low = name.lower()
-        return [a for sa in self.by_sid.values() for a in sa.uses if a.name == low]
-
     def all_names(self) -> set[str]:
         out: set[str] = set()
         for sa in self.by_sid.values():

@@ -13,8 +13,10 @@ before a single message is sent — that
   post→wait window, CC002) and pair one-to-one (no double post, no wait
   without a post, no leaked window, CC003);
 * collectives never sit under rank-divergent control flow with unmatched
-  participants (CC004) and per-path collective orders admit no wait-for
-  cycle (CC005 — the static twin of the runtime deadlock watchdog);
+  participants (CC004), and the two sides of such a branch, compiled to
+  an MP net, reach no deadlocked marking (CC005 — the static twin of the
+  runtime deadlock watchdog) and, under per-rank tags, no
+  schedule-dependent receive (CC010);
 * checkpoint boundaries cannot fall inside an open window, which would
   make the PR-2 quiescence condition unreachable (CC006);
 * the halo schedules actually cover the overlap the placement relies on
@@ -35,6 +37,12 @@ statement path witness.  On top, a classical **forward dataflow** pass
 states (``Nod₀/Nod₁/Sca₁``…) and the open-window set over the CFG.  Facts
 enrich diagnostics, computed when one is emitted: no verdict reads them,
 so a clean placement never runs the dataflow (``--facts`` dumps them).
+
+Every order of collective events the checks read — a branch side's
+events, the facts' pre-action transfer, the whole-program MP net — is
+the placed schedule (:func:`repro.placement.comms.placed_schedule`),
+with anchors in source order: the order the executor runs and the
+annotated text prints.
 
 Surfaces: the ``repro-place lint`` CLI subcommand (:func:`lint_main`) and
 the ``check(...)`` hook :mod:`repro.driver.pipeline` runs after every
@@ -58,8 +66,11 @@ from ..placement.comms import (
     K_COMBINE,
     K_OVERLAP,
     K_REDUCE,
+    POST,
+    WAIT,
     Placement,
     kind_and_op,
+    placed_schedule,
 )
 from ..placement.dfg import N_DEF, N_OUT, ValueFlowGraph
 from ..placement.propagate import Propagator
@@ -118,10 +129,11 @@ def compute_facts(vfg: ValueFlowGraph, placement: Placement,
                   automaton: OverlapAutomaton) -> ProgramFacts:
     """Forward dataflow over the CFG with the CommOps overlaid.
 
-    Transfer order at each statement follows the executor: pre-action
-    waits (and blocking collectives) restore coherence and close windows,
-    then pre-action posts open windows, then the statement's own
-    definition applies its locally-determined
+    Transfer order at each statement is the placed schedule's
+    (:func:`~repro.placement.comms.placed_schedule`): pre-action waits
+    (and blocking collectives) restore coherence and close windows, then
+    pre-action posts open windows, then the statement's own definition
+    applies its locally-determined
     :meth:`~repro.placement.propagate.Propagator.def_state`.  Joins are
     may-unions on coherence origins and (may ∪, must ∩) on windows.  The
     pass is a sound over-approximation — unlike the path predicates it
@@ -132,7 +144,8 @@ def compute_facts(vfg: ValueFlowGraph, placement: Placement,
     prop = Propagator(vfg, automaton)
     domains = placement.solution.domains
 
-    def_origin: dict[int, dict[str, tuple]] = {}
+    #: sid -> the origins its definitions give their variables
+    def_origin: dict[int, dict[str, frozenset]] = {}
     variables: set[str] = set(vfg.inputs)
     for node in vfg.def_nodes():
         if node.sid == ENTRY or node.var is None:
@@ -144,18 +157,13 @@ def compute_facts(vfg: ValueFlowGraph, placement: Placement,
             st = None  # a loop outside this solution's choice points
         origin = COHERENT if st is None or st.coherent \
             else (st.name, node.sid)
-        def_origin.setdefault(node.sid, {})[node.var] = origin
+        def_origin.setdefault(node.sid, {})[node.var] = frozenset([origin])
 
-    waits_at: dict[int, list[int]] = {}
-    posts_at: dict[int, list[int]] = {}
-    for i, op in enumerate(placement.comms):
-        variables.add(op.var)
-        waits_at.setdefault(op.wait_anchor, []).append(i)
-        if op.is_split:
-            posts_at.setdefault(op.post_anchor, []).append(i)
+    variables |= {op.var for op in placement.comms}
+    schedule = placed_schedule(placement.comms)
+    index = {op: i for i, op in enumerate(placement.comms)}
 
     base = {v: frozenset([COHERENT]) for v in sorted(variables)}
-    all_ops = frozenset(range(len(placement.comms)))
 
     in_facts: dict[int, dict[str, frozenset]] = {ENTRY: dict(base)}
     in_win: dict[int, tuple[frozenset, frozenset]] = {
@@ -178,27 +186,26 @@ def compute_facts(vfg: ValueFlowGraph, placement: Placement,
             may: frozenset = frozenset()
             must: Optional[frozenset] = None
             for p in preds:
-                pf = facts.reads.get(p, in_facts[p])
-                out_f, out_w = _facts_out(p, pf, facts.windows.get(
-                    p, in_win[p]), def_origin)
-                for v, orig in out_f.items():
+                # OUT of p: its definitions override the read view
+                out = {**facts.reads.get(p, in_facts[p]),
+                       **def_origin.get(p, {})}
+                for v, orig in out.items():
                     joined[v] = joined.get(v, frozenset()) | orig
-                may |= out_w[0]
-                must = out_w[1] if must is None else (must & out_w[1])
+                p_may, p_must = facts.windows.get(p, in_win[p])
+                may |= p_may
+                must = p_must if must is None else (must & p_must)
             in_facts[n] = joined
             in_win[n] = (may, must if must is not None else frozenset())
         # pre-actions at n: waits close and restore coherence, posts open
         cur = dict(in_facts[n])
         may, must = in_win[n]
-        for i in waits_at.get(n, ()):
-            op = placement.comms[i]
-            cur[op.var] = frozenset([COHERENT])
-            may = may - {i}
-            must = must - {i}
-        for i in posts_at.get(n, ()):
-            may = may | {i}
-            must = must | {i}
-        may &= all_ops
+        for phase, op in schedule.get(n, ()):
+            i = index[op]
+            if phase == POST:
+                may, must = may | {i}, must | {i}
+            else:
+                cur[op.var] = frozenset([COHERENT])
+                may, must = may - {i}, must - {i}
         changed = facts.reads.get(n) != cur or facts.windows.get(n) != (may,
                                                                         must)
         facts.reads[n] = cur
@@ -211,45 +218,9 @@ def compute_facts(vfg: ValueFlowGraph, placement: Placement,
     return facts
 
 
-def _facts_out(sid: int, reads: dict[str, frozenset],
-               windows: tuple[frozenset, frozenset],
-               def_origin: dict[int, dict[str, tuple]]):
-    """OUT facts of one statement: its definitions override the read view."""
-    out = dict(reads)
-    for var, origin in def_origin.get(sid, {}).items():
-        out[var] = frozenset([origin])
-    return out, windows
-
-
 # ---------------------------------------------------------------------------
 # the channel wait-for analysis (CC005)
 # ---------------------------------------------------------------------------
-
-def deadlock_cycle(orders: list[list]) -> Optional[list[tuple[int, object]]]:
-    """Cycle in the wait-for graph of per-rank collective orders, or None.
-
-    ``orders[k]`` is the sequence of collective identities rank-class ``k``
-    executes.  A collective completes only when every class that contains
-    it has it at the head of its remaining sequence (collectives are
-    fabric-wide).  When no head can complete and work remains, the heads
-    form a wait-for cycle: each class blocks at its head, waiting for a
-    class whose head differs — exactly what the runtime watchdog reports
-    as ``CommTimeout``.
-    """
-    seqs = [list(o) for o in orders]
-    while any(seqs):
-        progressed = False
-        for head in {s[0] for s in seqs if s}:
-            if all(not s or s[0] == head or head not in s for s in seqs):
-                for s in seqs:
-                    if s and s[0] == head:
-                        s.pop(0)
-                progressed = True
-                break
-        if not progressed:
-            return [(k, s[0]) for k, s in enumerate(seqs) if s]
-    return None
-
 
 def side_verdicts(orders: list[list]):
     """Tag-aware CC005/CC010 verdicts for per-class collective orders.
@@ -338,17 +309,15 @@ def _side_region(cfg: CFG, start: int, branch: int, join: int) -> set[int]:
     return region
 
 
-def _side_events(placement: Placement, region: set[int]) -> list[tuple]:
-    """Collective events anchored in one branch region, in source order."""
-    events = []
-    for op in placement.comms:
-        ident = (op.var, op.method)
-        if op.wait_anchor in region:
-            events.append((op.wait_anchor, 0, ident))
-        if op.is_split and op.post_anchor in region:
-            events.append((op.post_anchor, 1, ident + ("post",)))
-    events.sort()
-    return events
+def _side_events(sub: Subroutine, schedule: dict,
+                 region: set[int]) -> list[tuple]:
+    """The placed schedule's events in one branch region, anchors in
+    source order: ``(var, method)``, and ``(var, method, "post")`` for a
+    split window's post."""
+    return [(op.var, op.method) + ((POST,) if phase == POST else ())
+            for a in sorted(region & schedule.keys(),
+                            key=sub.positions.__getitem__)
+            for phase, op in schedule[a]]
 
 
 def _check_quiescence(sink: DiagnosticSink, sub: Subroutine, cfg: CFG,
@@ -442,6 +411,32 @@ def check_net(net: MPNet, sink: Optional[DiagnosticSink] = None,
     return sink
 
 
+#: CC003's pairing searches over a window's (post, wait), tried in order —
+#: the first that finds a path is the window's fault: (fault, the end it
+#: is at, search, message)
+_PAIRING = (
+    ("wait-before-post", WAIT,
+     lambda cfg, vfg, post, wait: find_path_avoiding(cfg, vfg, ENTRY, {post},
+                                                     {wait}),
+     "wait of {label} at {wait} is reachable without its post at {post} "
+     "(wait before post)"),
+    ("double-post", POST,
+     lambda cfg, vfg, post, wait: find_reexecution(cfg, vfg, post, {wait}),
+     "double post of {label}: control re-reaches the post at {post} "
+     "without passing its wait"),
+    ("unmatched-wait", WAIT,
+     lambda cfg, vfg, post, wait: None if wait == EXIT
+     else find_reexecution(cfg, vfg, wait, {post}),
+     "unmatched wait of {label}: control re-reaches the wait at {wait} "
+     "without re-posting"),
+    ("leaked-window", POST,
+     lambda cfg, vfg, post, wait: None if wait == EXIT
+     else find_path_avoiding(cfg, vfg, post, {wait}, {EXIT}),
+     "window of {label} posted at {post} can leak: the program exits "
+     "without reaching the wait"),
+)
+
+
 def check_placement(vfg: ValueFlowGraph, placement: Placement,
                     automaton: Optional[OverlapAutomaton] = None,
                     *,
@@ -503,58 +498,21 @@ def check_placement(vfg: ValueFlowGraph, placement: Placement,
         if not op.is_split:
             continue
         post, wait = op.post_anchor, op.wait_anchor
-        label = f"{op.kind}:{op.var}"
-        path = find_path_avoiding(cfg, vfg, ENTRY, {post}, {wait})
-        if path is not None:
+        for fault, at, search, message in _PAIRING:
+            path = search(cfg, vfg, post, wait)
+            if path is None:
+                continue
             broken_ops.add(idx)
+            where = {POST: anchor_for(sub, post), WAIT: anchor_for(sub, wait)}
             sink.emit(Diagnostic(
                 code="CC003", var=op.var,
-                message=f"wait of {label} at {anchor_for(sub, wait).label()} "
-                        f"is reachable without its post at "
-                        f"{anchor_for(sub, post).label()} (wait before post)",
-                anchors=(anchor_for(sub, wait), anchor_for(sub, post)),
+                message=message.format(label=f"{op.kind}:{op.var}",
+                                       post=where[POST].label(),
+                                       wait=where[WAIT].label()),
+                anchors=(where[at], where[POST if at == WAIT else WAIT]),
                 witness=_witness(sub, path),
-                data={"post": post, "wait": wait, "fault": "wait-before-post"}))
-            continue
-        path = find_reexecution(cfg, vfg, post, {wait})
-        if path is not None:
-            broken_ops.add(idx)
-            sink.emit(Diagnostic(
-                code="CC003", var=op.var,
-                message=f"double post of {label}: control re-reaches the "
-                        f"post at {anchor_for(sub, post).label()} without "
-                        f"passing its wait",
-                anchors=(anchor_for(sub, post), anchor_for(sub, wait)),
-                witness=_witness(sub, path),
-                data={"post": post, "wait": wait, "fault": "double-post"}))
-            continue
-        if wait != EXIT:
-            path = find_reexecution(cfg, vfg, wait, {post})
-            if path is not None:
-                broken_ops.add(idx)
-                sink.emit(Diagnostic(
-                    code="CC003", var=op.var,
-                    message=f"unmatched wait of {label}: control re-reaches "
-                            f"the wait at {anchor_for(sub, wait).label()} "
-                            f"without re-posting",
-                    anchors=(anchor_for(sub, wait), anchor_for(sub, post)),
-                    witness=_witness(sub, path),
-                    data={"post": post, "wait": wait,
-                          "fault": "unmatched-wait"}))
-                continue
-            path = find_path_avoiding(cfg, vfg, post, {wait}, {EXIT})
-            if path is not None:
-                broken_ops.add(idx)
-                sink.emit(Diagnostic(
-                    code="CC003", var=op.var,
-                    message=f"window of {label} posted at "
-                            f"{anchor_for(sub, post).label()} can leak: the "
-                            f"program exits without reaching the wait",
-                    anchors=(anchor_for(sub, post), anchor_for(sub, wait)),
-                    witness=_witness(sub, path),
-                    data={"post": post, "wait": wait,
-                          "fault": "leaked-window"}))
-                continue
+                data={"post": post, "wait": wait, "fault": fault}))
+            break
 
     for idx, op in enumerate(placement.comms):
         if not op.is_split or idx in broken_ops:
@@ -565,32 +523,27 @@ def check_placement(vfg: ValueFlowGraph, placement: Placement,
         # makes the posted (by-value) payload stale relative to the blocking
         # semantics the placement promises
         for d in sorted(_all_defs_of(vfg, op.var)):
-            if d == post:
-                sink.emit(Diagnostic(
-                    code="CC002", var=op.var,
-                    message=f"{op.var!r} is written at "
-                            f"{anchor_for(sub, d).label()} inside the open "
-                            f"{label} window posted there (posted values go "
-                            f"stale)",
-                    anchors=(anchor_for(sub, d), anchor_for(sub, wait)),
-                    witness=_witness(sub, [d]),
-                    data={"post": post, "wait": wait, "def": d}))
+            at_post = d == post
+            path = [d] if at_post \
+                else find_path_avoiding(cfg, vfg, post, {wait}, {d})
+            if path is None:
                 continue
-            path = find_path_avoiding(cfg, vfg, post, {wait}, {d})
-            if path is not None:
-                diag = Diagnostic(
-                    code="CC002", var=op.var,
-                    message=f"{op.var!r} is written at "
-                            f"{anchor_for(sub, d).label()} while the {label} "
-                            f"window posted at "
-                            f"{anchor_for(sub, post).label()} is still open",
-                    anchors=(anchor_for(sub, d), anchor_for(sub, post)),
-                    witness=_witness(sub, path),
-                    data={"post": post, "wait": wait, "def": d})
-                if facts() is not None:
-                    may = facts().windows.get(d, (frozenset(), frozenset()))[0]
-                    diag.data["window_may_be_open"] = idx in may
-                sink.emit(diag)
+            diag = Diagnostic(
+                code="CC002", var=op.var,
+                message=f"{op.var!r} is written at "
+                        f"{anchor_for(sub, d).label()} " + (
+                            f"inside the open {label} window posted there "
+                            f"(posted values go stale)" if at_post else
+                            f"while the {label} window posted at "
+                            f"{anchor_for(sub, post).label()} is still open"),
+                anchors=(anchor_for(sub, d),
+                         anchor_for(sub, wait if at_post else post)),
+                witness=_witness(sub, path),
+                data={"post": post, "wait": wait, "def": d})
+            if not at_post and facts() is not None:
+                may = facts().windows.get(d, (frozenset(), frozenset()))[0]
+                diag.data["window_may_be_open"] = idx in may
+            sink.emit(diag)
     # CC006 — every checkpoint boundary crossed by an open window.  The
     # executor snapshots only quiescent collective boundaries (and skips
     # the rest), so a window spanning *some* boundaries is the normal
@@ -634,7 +587,6 @@ def check_placement(vfg: ValueFlowGraph, placement: Placement,
         # non-idempotent communications must always assemble fresh partials
         for op in group.ops:
             a = op.wait_anchor
-            key = ("CC007-fresh", group.var, a)
             path = find_path_avoiding(cfg, vfg, ENTRY, group.defs, {a})
             if path is None:
                 path_w = find_reexecution(cfg, vfg, a, group.defs)
@@ -649,9 +601,8 @@ def check_placement(vfg: ValueFlowGraph, placement: Placement,
                        f"{anchor_for(sub, a).label()} is reachable without "
                        f"any contributing definition (combining an "
                        f"already-final value doubles it)")
-            if key in emitted:
+            if not _once(emitted, ("CC007-fresh", group.var, a)):
                 continue
-            emitted.add(key)
             sink.emit(Diagnostic(
                 code="CC007", var=group.var, message=msg,
                 anchors=(anchor_for(sub, a),),
@@ -699,12 +650,29 @@ def _check_domains(sink: DiagnosticSink, sub: Subroutine,
     return None
 
 
+def _once(emitted: set[tuple], key: tuple) -> bool:
+    """Whether ``key``'s finding is not yet emitted (and now is)."""
+    if key in emitted:
+        return False
+    emitted.add(key)
+    return True
+
+
 def _emit_coverage(sink: DiagnosticSink, sub: Subroutine, cfg: CFG,
                    vfg: ValueFlowGraph, placement: Placement, group: _Group,
                    edge, d: int, use: int, path: list[int],
                    anchors: set[int], ipdom: dict[int, int],
                    facts, emitted: set[tuple]) -> None:
-    """Classify one uncovered def→use path into CC001/CC004/CC005/CC007."""
+    """Classify one uncovered def→use path into CC001/CC004/CC005/CC007
+    (CC010 when only a per-rank tag allocator would go wrong)."""
+
+    def emit(code: str, message: str, data: dict) -> None:
+        if _once(emitted, (code, group.var, use)):
+            sink.emit(Diagnostic(
+                code=code, var=group.var, message=message,
+                anchors=(anchor_for(sub, use), anchor_for(sub, d)),
+                witness=_witness(sub, path), data=data))
+
     fact_names = facts().describe(use, group.var, sub) if use != EXIT \
         and facts() is not None else []
     # an assembling communication of another kind or operator declared on
@@ -718,46 +686,33 @@ def _emit_coverage(sink: DiagnosticSink, sub: Subroutine, cfg: CFG,
             and not uniform:
         # an incoherent branch condition: ranks may diverge — compare the
         # collective events each side of the branch executes
+        branch = f"branch at {anchor_for(sub, use).label()}"
         join = ipdom.get(use, EXIT)
         succs = list(dict.fromkeys(cfg.succ.get(use, ())))
-        sides = [_side_events(placement,
-                              _side_region(cfg, s, use, join))
+        schedule = placed_schedule(placement.comms)
+        sides = [_side_events(sub, schedule, _side_region(cfg, s, use, join))
                  for s in succs]
         for i in range(len(sides)):
             for j in range(i + 1, len(sides)):
-                idents_i = sorted(ev[2] for ev in sides[i])
-                idents_j = sorted(ev[2] for ev in sides[j])
+                idents_i = sorted(sides[i])
+                idents_j = sorted(sides[j])
                 if idents_i != idents_j:
-                    key = ("CC004", group.var, use)
-                    if key in emitted:
-                        return
-                    emitted.add(key)
-                    only_i = [x for x in idents_i if x not in idents_j]
-                    only_j = [x for x in idents_j if x not in idents_i]
+                    only = [x for x in idents_i if x not in idents_j] \
+                        + [x for x in idents_j if x not in idents_i]
                     unmatched = ", ".join(
-                        "/".join(map(str, x)) for x in (only_i + only_j)) \
-                        or "(none)"
-                    sink.emit(Diagnostic(
-                        code="CC004", var=group.var,
-                        message=f"branch at {anchor_for(sub, use).label()} "
-                                f"reads {group.var!r} whose value may differ "
-                                f"across ranks ({group.method} missing on "
-                                f"some path); the branch sides execute "
-                                f"unmatched collectives: {unmatched}",
-                        anchors=(anchor_for(sub, use), anchor_for(sub, d)),
-                        witness=_witness(sub, path),
-                        data={"branch": use, "facts": fact_names,
-                              "unmatched": [list(map(str, x))
-                                            for x in only_i + only_j]}))
+                        "/".join(map(str, x)) for x in only) or "(none)"
+                    emit("CC004",
+                         f"{branch} reads {group.var!r} whose value may "
+                         f"differ across ranks ({group.method} missing on "
+                         f"some path); the branch sides execute unmatched "
+                         f"collectives: {unmatched}",
+                         {"branch": use, "facts": fact_names,
+                          "unmatched": [list(map(str, x)) for x in only]})
                     return
-                orders = [[ev[2] for ev in side] for side in (sides[i],
-                                                              sides[j])]
+                orders = [sides[i], sides[j]]
+                named = [["/".join(map(str, x)) for x in o] for o in orders]
                 aligned, skewed = side_verdicts(orders)
                 if aligned.deadlock is not None:
-                    key = ("CC005", group.var, use)
-                    if key in emitted:
-                        return
-                    emitted.add(key)
                     blocked = aligned.deadlock["blocked"]
                     cycle = aligned.deadlock["cycle"] or \
                         [[b["waiting_for"], b["class"]] for b in blocked]
@@ -766,75 +721,46 @@ def _emit_coverage(sink: DiagnosticSink, sub: Subroutine, cfg: CFG,
                         f"{b['waiting_for']} on channel "
                         f"{b['channel'][0]}->{b['channel'][1]} "
                         f"tag {b['channel'][2]}" for b in blocked)
-                    sink.emit(Diagnostic(
-                        code="CC005", var=group.var,
-                        message=f"branch at {anchor_for(sub, use).label()} "
-                                f"may diverge across ranks and its sides "
-                                f"execute conflicting communication "
-                                f"schedules — tag-level wait-for "
-                                f"{aligned.deadlock['kind']}: {detail}",
-                        anchors=(anchor_for(sub, use), anchor_for(sub, d)),
-                        witness=_witness(sub, path),
-                        data={"branch": use,
-                              "orders": [["/".join(map(str, x))
-                                          for x in o] for o in orders],
-                              "cycle": [[str(c), k] for c, k in cycle],
-                              "blocked": blocked,
-                              "order_level_cycle":
-                                  deadlock_cycle(orders) is not None,
-                              "facts": fact_names}))
+                    emit("CC005",
+                         f"{branch} may diverge across ranks and its sides "
+                         f"execute conflicting communication schedules — "
+                         f"tag-level wait-for "
+                         f"{aligned.deadlock['kind']}: {detail}",
+                         {"branch": use, "orders": named,
+                          "cycle": [[str(c), k] for c, k in cycle],
+                          "blocked": blocked, "facts": fact_names})
                     return
                 if not skewed.clean:
-                    key = ("CC010", group.var, use)
-                    if key in emitted:
-                        return
-                    emitted.add(key)
                     hazards = skewed.races or skewed.deadlock["blocked"]
-                    h = hazards[0]
-                    chan = h["channel"]
-                    sink.emit(Diagnostic(
-                        code="CC010", var=group.var,
-                        message=f"branch at {anchor_for(sub, use).label()} "
-                                f"may diverge across ranks; under a "
-                                f"per-rank tag allocator the sides' "
-                                f"schedules put messages of different "
-                                f"collectives onto channel "
-                                f"{chan[0]}->{chan[1]} tag {chan[2]} — "
-                                f"the receive match is "
-                                f"schedule-dependent",
-                        anchors=(anchor_for(sub, use), anchor_for(sub, d)),
-                        witness=_witness(sub, path),
-                        data={"branch": use,
-                              "orders": [["/".join(map(str, x))
-                                          for x in o] for o in orders],
-                              "races": skewed.races,
-                              "skew_deadlock": skewed.deadlock,
-                              "facts": fact_names}))
+                    chan = hazards[0]["channel"]
+                    emit("CC010",
+                         f"{branch} may diverge across ranks; under a "
+                         f"per-rank tag allocator the sides' schedules put "
+                         f"messages of different collectives onto channel "
+                         f"{chan[0]}->{chan[1]} tag {chan[2]} — the receive "
+                         f"match is schedule-dependent",
+                         {"branch": use, "orders": named,
+                          "races": skewed.races,
+                          "skew_deadlock": skewed.deadlock,
+                          "facts": fact_names})
                     return
         # sides agree: fall through to the plain coverage code
     if group.kind == K_OVERLAP:
         code, what = "CC001", "stale OVERLAP read"
     else:
         code, what = "CC007", "partial (uncombined) read"
-    key = (code, group.var, use)
-    if key in emitted:
-        return
-    emitted.add(key)
     where = "the program output" if use == EXIT \
         else anchor_for(sub, use).label()
     covered = ", ".join(anchor_for(sub, a).label()
                         for a in sorted(anchors)) or "none placed"
-    sink.emit(Diagnostic(
-        code=code, var=group.var,
-        message=f"{what} of {group.var!r} at {where}: the path from its "
-                f"definition at {anchor_for(sub, d).label()} crosses no "
-                f"{group.method} communication (anchors: {covered})"
-                + (f"; {rivals[0].method} assembles another value"
-                   if uniform else ""),
-        anchors=(anchor_for(sub, use), anchor_for(sub, d)),
-        witness=_witness(sub, path),
-        data={"method": group.method, "def": d, "use": use,
-              "facts": fact_names}))
+    emit(code,
+         f"{what} of {group.var!r} at {where}: the path from its definition "
+         f"at {anchor_for(sub, d).label()} crosses no {group.method} "
+         f"communication (anchors: {covered})"
+         + (f"; {rivals[0].method} assembles another value"
+            if uniform else ""),
+         {"method": group.method, "def": d, "use": use,
+          "facts": fact_names})
 
 
 # ---------------------------------------------------------------------------

@@ -148,25 +148,9 @@ class DepGraph:
     #: are dropped from the graph under the positive-extent assumption
     zero_trip_shadows: list[tuple[int, str]] = field(default_factory=list)
 
-    def out_edges(self, sid: int, kind: Optional[str] = None) -> list[DepEdge]:
-        e = self.edges
-        return e.select(i for i, s in enumerate(e.src)
-                        if s == sid and (kind is None or e.kind[i] == kind))
-
-    def in_edges(self, sid: int, kind: Optional[str] = None) -> list[DepEdge]:
-        e = self.edges
-        return e.select(i for i, d in enumerate(e.dst)
-                        if d == sid and (kind is None or e.kind[i] == kind))
-
     def by_kind(self, kind: str) -> list[DepEdge]:
         e = self.edges
         return e.select(i for i, k in enumerate(e.kind) if k == kind)
-
-    def input_reads(self) -> list[DepEdge]:
-        """True edges out of the virtual input node."""
-        e = self.edges
-        return e.select(i for i, s in enumerate(e.src)
-                        if s == ENTRY and e.kind[i] == TRUE)
 
     def __iter__(self) -> Iterator[DepEdge]:
         return iter(self.edges)

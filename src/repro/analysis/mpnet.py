@@ -64,6 +64,8 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+from ..placement.comms import BLOCK, POST, WAIT, placed_schedule
+
 #: one micro-operation = one net transition.  ``peer`` is the dst class
 #: for a send, the src class for a recv; ``color`` the logical message.
 MicroOp = namedtuple("MicroOp", "kind peer tag color")
@@ -75,9 +77,8 @@ RECV = "recv"
 #: SimComm's fresh_tag starts above every static tag)
 TAG_BASE = 100
 
-A_BLOCK = "block"
-A_POST = "post"
-A_WAIT = "wait"
+#: event actions: a placed schedule's phases
+A_BLOCK, A_POST, A_WAIT = BLOCK, POST, WAIT
 
 
 def ident_str(ident) -> str:
@@ -363,32 +364,16 @@ def compile_placement(sub, placement, nclasses: int = 2,
 
     Every rank class executes the same event sequence (rank-divergent
     control flow is the *side* analysis's business — see
-    :func:`repro.analysis.commcheck.check_placement`): the placement's
-    communications linearized in source order of their anchors, waits
-    before posts at co-anchored statements (the executor's convention),
-    split windows contributing post and wait events, one round per
-    window (loop-carried repetition is schedule-equivalent by the CC003
-    pairing checks).
+    :func:`repro.analysis.commcheck.check_placement`): the placed schedule
+    (:func:`~repro.placement.comms.placed_schedule`) with its anchors in
+    source order, split windows contributing post and wait events, one
+    round per window (loop-carried repetition is schedule-equivalent by
+    the CC003 pairing checks).
     """
-    from ..lang.cfg import ENTRY, EXIT
-
-    pos = {st.sid: k for k, st in enumerate(sub.walk())}
-    pos[ENTRY] = -1
-    pos[EXIT] = 1 << 30
-
-    scheduled: list[tuple] = []
-    for op in placement.comms:
-        ident = (op.var, op.method)
-        if op.is_split:
-            scheduled.append((pos.get(op.post_anchor, 0), 1,
-                              ident_str(ident), CommEvent(ident, A_POST)))
-            scheduled.append((pos.get(op.wait_anchor, 0), 0,
-                              ident_str(ident), CommEvent(ident, A_WAIT)))
-        else:
-            scheduled.append((pos.get(op.wait_anchor, 0), 0,
-                              ident_str(ident), CommEvent(ident, A_BLOCK)))
-    scheduled.sort(key=lambda item: item[:3])
-    events = [ev for _p, _phase, _n, ev in scheduled]
+    schedule = placed_schedule(placement.comms)
+    events = [CommEvent((op.var, op.method), phase)
+              for anchor in sorted(schedule, key=sub.positions.__getitem__)
+              for phase, op in schedule[anchor]]
     event_lists = [list(events) for _ in range(nclasses)]
     return compile_events(event_lists, tag_mode=tag_mode,
                           meta={"source": "placement",

@@ -251,11 +251,24 @@ class Subroutine:
     _index: Optional[dict[int, Stmt]] = field(default=None, repr=False,
                                               compare=False)
     _layout: Optional[object] = field(default=None, repr=False, compare=False)
+    _positions: Optional[dict[int, int]] = field(default=None, repr=False,
+                                                 compare=False)
 
     def walk(self) -> Iterator[Stmt]:
         """All statements in the body, pre-order."""
         for s in self.body:
             yield from s.walk()
+
+    @property
+    def positions(self) -> dict[int, int]:
+        """Source position of each statement (its :meth:`walk` index), and
+        of the closing ``end`` — the CFG's EXIT, sid -1 — after them all.
+        Statement ids are not source order: a ``do`` or ``if`` takes its
+        sid after its body's."""
+        if self._positions is None:
+            order = [s.sid for s in self.walk()] + [-1]
+            self._positions = {sid: k for k, sid in enumerate(order)}
+        return self._positions
 
     def stmt(self, sid: int) -> Stmt:
         """Look up a statement by its ``sid``."""

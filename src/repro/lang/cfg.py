@@ -18,6 +18,7 @@ of the data-dependence").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 from .ast import (
     Assign,
@@ -36,6 +37,64 @@ from ..errors import AnalysisError
 
 ENTRY = 0
 EXIT = -1
+
+
+def reverse_postorder(root: int, succ: Mapping[int, Sequence[int]]
+                      ) -> list[int]:
+    """The nodes reachable from ``root`` in reverse post-order of one
+    depth-first walk taking each node's successors in ``succ`` order."""
+    seen = {root}
+    order: list[int] = []
+    stack = [(root, iter(succ[root]))]
+    while stack:
+        n, it = stack[-1]
+        for s in it:
+            if s not in seen:
+                seen.add(s)
+                stack.append((s, iter(succ[s])))
+                break
+        else:
+            order.append(n)
+            stack.pop()
+    order.reverse()
+    return order
+
+
+def nearest_common_dominator(idom: dict[int, int], index: dict[int, int],
+                             a: int, b: int) -> int:
+    """The deepest node of the tree ``idom`` above both ``a`` and ``b``
+    (``index``: the reverse post-order :func:`dominator_tree` returns)."""
+    while a != b:
+        while index[a] > index[b]:
+            a = idom[a]
+        while index[b] > index[a]:
+            b = idom[b]
+    return a
+
+
+def dominator_tree(root: int, succ: Mapping[int, Sequence[int]],
+                   pred: Mapping[int, Sequence[int]]
+                   ) -> tuple[dict[int, int], dict[int, int]]:
+    """Immediate dominators of the graph reachable from ``root`` (which is
+    its own) and the reverse post-order index of each of its nodes, by
+    Cooper–Harvey–Kennedy's iterative algorithm.  Pass the graph reversed
+    (``pred`` as ``succ``) for postdominators."""
+    order = reverse_postorder(root, succ)
+    index = {n: i for i, n in enumerate(order)}
+    idom = {root: root}
+    changed = True
+    while changed:
+        changed = False
+        for n in order[1:]:
+            new = None
+            for p in pred[n]:
+                if p in idom:
+                    new = p if new is None else nearest_common_dominator(
+                        idom, index, new, p)
+            if idom.get(n) != new:
+                idom[n] = new
+                changed = True
+    return idom, index
 
 
 @dataclass
@@ -163,62 +222,13 @@ class CFG:
 
     def rpo(self) -> list[int]:
         """Reverse post-order from ENTRY (stable across calls)."""
-        seen: set[int] = set()
-        order: list[int] = []
-
-        def visit(n: int) -> None:
-            stack = [(n, iter(self.succ.get(n, ())))]
-            seen.add(n)
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for s in it:
-                    if s not in seen:
-                        seen.add(s)
-                        stack.append((s, iter(self.succ.get(s, ()))))
-                        advanced = True
-                        break
-                if not advanced:
-                    order.append(node)
-                    stack.pop()
-
-        visit(ENTRY)
-        order.reverse()
-        return order
+        return reverse_postorder(ENTRY, self.succ)
 
     def idom(self) -> dict[int, int]:
-        """Immediate dominators (Cooper–Harvey–Kennedy iterative algorithm)."""
-        if self._idom is not None:
-            return self._idom
-        order = self.rpo()
-        index = {n: i for i, n in enumerate(order)}
-        idom: dict[int, int] = {ENTRY: ENTRY}
-
-        def intersect(a: int, b: int) -> int:
-            while a != b:
-                while index[a] > index[b]:
-                    a = idom[a]
-                while index[b] > index[a]:
-                    b = idom[b]
-            return a
-
-        changed = True
-        while changed:
-            changed = False
-            for n in order:
-                if n == ENTRY:
-                    continue
-                preds = [p for p in self.pred.get(n, ()) if p in idom]
-                if not preds:
-                    continue
-                new = preds[0]
-                for p in preds[1:]:
-                    new = intersect(new, p)
-                if idom.get(n) != new:
-                    idom[n] = new
-                    changed = True
-        self._idom = idom
-        return idom
+        """Immediate dominators."""
+        if self._idom is None:
+            self._idom = dominator_tree(ENTRY, self.succ, self.pred)[0]
+        return self._idom
 
     def dominates(self, a: int, b: int) -> bool:
         """True when every path ENTRY→``b`` passes through ``a``."""
@@ -264,54 +274,9 @@ class CFG:
 
         Nodes on infinite paths that cannot reach EXIT are absent.
         """
-        if getattr(self, "_ipdom", None) is not None:
-            return self._ipdom
-        # reverse post-order on the reversed graph from EXIT
-        seen: set[int] = set()
-        order: list[int] = []
-        stack = [(EXIT, iter(self.pred.get(EXIT, ())))]
-        seen.add(EXIT)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for s in it:
-                if s not in seen:
-                    seen.add(s)
-                    stack.append((s, iter(self.pred.get(s, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
-        order.reverse()
-        index = {n: i for i, n in enumerate(order)}
-        ipdom: dict[int, int] = {EXIT: EXIT}
-
-        def intersect(a: int, b: int) -> int:
-            while a != b:
-                while index[a] > index[b]:
-                    a = ipdom[a]
-                while index[b] > index[a]:
-                    b = ipdom[b]
-            return a
-
-        changed = True
-        while changed:
-            changed = False
-            for n in order:
-                if n == EXIT:
-                    continue
-                succs = [s for s in self.succ.get(n, ()) if s in ipdom]
-                if not succs:
-                    continue
-                new = succs[0]
-                for s in succs[1:]:
-                    new = intersect(new, s)
-                if ipdom.get(n) != new:
-                    ipdom[n] = new
-                    changed = True
-        self._ipdom = ipdom
-        return ipdom
+        if self._ipdom is None:
+            self._ipdom = dominator_tree(EXIT, self.pred, self.succ)[0]
+        return self._ipdom
 
     def postdominates(self, a: int, b: int) -> bool:
         """True when every path ``b``→EXIT passes through ``a``."""
@@ -336,10 +301,6 @@ class CFG:
                                 if a != ENTRY
                                 for b in succs if self.dominates(b, a)]
         return self._back_edges
-
-    def loop_depth(self, sid: int) -> int:
-        """Number of enclosing ``do`` loops of a statement."""
-        return len(self.loops_of.get(sid, ()))
 
     def loop_interior(self, header: int) -> frozenset[int]:
         """Sids of a ``do`` loop's statements, the header included."""

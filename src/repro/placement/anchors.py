@@ -37,7 +37,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from ..lang.ast import DoLoop
-from ..lang.cfg import CFG, ENTRY
+from ..lang.cfg import CFG, ENTRY, dominator_tree, nearest_common_dominator
 
 #: the super-source of a definition set's dominator tree (EXIT is -1, back
 #: copies are -2 - header)
@@ -111,17 +111,6 @@ class SplitGraph:
         return frozenset({header.get(n, n) for n in seen}), again
 
 
-def _intersect(idom: dict[int, int], index: dict[int, int], a: int,
-               b: int) -> int:
-    """Nearest common dominator of ``a`` and ``b``."""
-    while a != b:
-        while index[a] > index[b]:
-            a = idom[a]
-        while index[b] > index[a]:
-            b = idom[b]
-    return a
-
-
 class DefinitionLabels:
     """Every candidate's answers to (i)–(iii) for one definition set."""
 
@@ -134,40 +123,13 @@ class DefinitionLabels:
     @cached_property
     def _tree(self) -> tuple[dict[int, int], dict[int, int]]:
         """Immediate dominators and reverse post-order index of the graph
-        rooted at :data:`SOURCE` (Cooper–Harvey–Kennedy)."""
+        rooted at :data:`SOURCE`."""
         succ, pred = self.graph.succ, self.graph.pred
-        roots = list(dict.fromkeys(s for d in sorted(self.defs)
-                                   for s in succ[d]))
-        order: list[int] = []
-        seen = {SOURCE}
-        stack = [(SOURCE, iter(roots))]
-        while stack:
-            n, it = stack[-1]
-            for s in it:
-                if s not in seen:
-                    seen.add(s)
-                    stack.append((s, iter(succ[s])))
-                    break
-            else:
-                order.append(n)
-                stack.pop()
-        order.reverse()
-        index = {n: i for i, n in enumerate(order)}
-        idom = {SOURCE: SOURCE}
-        rooted = set(roots)
-        changed = True
-        while changed:
-            changed = False
-            for n in order[1:]:
-                new = SOURCE if n in rooted else None
-                for p in pred[n]:
-                    if p in idom:
-                        new = p if new is None else _intersect(idom, index,
-                                                             new, p)
-                if idom.get(n) != new:
-                    idom[n] = new
-                    changed = True
-        return idom, index
+        roots = tuple(dict.fromkeys(s for d in sorted(self.defs)
+                                    for s in succ[d]))
+        return dominator_tree(SOURCE, {**succ, SOURCE: roots},
+                              {**pred, **{r: [*pred[r], SOURCE]
+                                          for r in roots}})
 
     def crossing(self, uses: Iterable[int]) -> Optional[frozenset[int]]:
         """The statements that cross every path from a definition to one of
@@ -181,8 +143,8 @@ class DefinitionLabels:
         for u in uses:
             for n in self.graph.copies(u):
                 if n in idom:
-                    ncd = n if ncd is None else _intersect(idom, index,
-                                                           ncd, n)
+                    ncd = n if ncd is None else nearest_common_dominator(
+                        idom, index, ncd, n)
         if ncd is None:
             return None
         chain = set()

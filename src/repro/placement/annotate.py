@@ -21,7 +21,7 @@ from __future__ import annotations
 from ..lang.ast import Subroutine
 from ..lang.cfg import EXIT
 from ..lang.printer import source_layout
-from .comms import Placement
+from .comms import Placement, placed_schedule
 from .dfg import ValueFlowGraph
 
 
@@ -45,13 +45,8 @@ def annotate_source(sub: Subroutine, vfg: ValueFlowGraph,
         return inserts.setdefault(
             last if sid == EXIT else layout.starts[sid], [])
 
-    # waits (and blocking collectives) render before posts at a shared
-    # anchor, matching the runtime's pre-action ordering
-    for c in placement.comms:
-        at(c.wait_anchor).append(c.directive("WAIT" if c.is_split else None))
-    for c in placement.comms:
-        if c.is_split:
-            at(c.post_anchor).append(c.directive("POST"))
+    for anchor, events in placed_schedule(placement.comms).items():
+        at(anchor).extend(op.directive(phase) for phase, op in events)
     for lsid, domain in placement.domains.items():
         at(lsid).append(domain_directive(domain))
     return layout.splice(inserts)

@@ -115,14 +115,19 @@ def _window_steps(cfg: CFG, vfg: ValueFlowGraph, placement: Placement,
                   model: CostModel, post: int, wait: int) -> float:
     """γ-weighted statement executions inside one post→wait window.
 
-    Counts one execution of the window interior (statement ids between the
-    post and the wait, which follow source order): loops whose *header*
-    lies inside the window multiply their bodies by the expected trip
-    count — ``kernel_size`` (× ``1+overlap_fraction`` for OVERLAP domains)
-    for partitioned loops, ``iterations`` for sequential ones.  Loops
-    enclosing the whole window do not multiply: they re-execute the window
-    and its communication together, which the per-site weight already
-    covers.
+    Counts one execution of the statements whose *ids* lie in
+    ``[post, wait)`` (every id from ``post`` up when the wait is EXIT):
+    loops whose header id lies in that range multiply their bodies by the
+    expected trip count — ``kernel_size`` (× ``1+overlap_fraction`` for
+    OVERLAP domains) for partitioned loops, ``iterations`` for sequential
+    ones.  Loops outside the range do not multiply: one enclosing the
+    whole window re-executes the window and its communication together,
+    which the per-site weight already covers.
+
+    Statement ids are not source order — a ``do`` or ``if`` takes its id
+    after its body's — so the id range only approximates the window
+    interior.  Counting source positions instead changes the ranking;
+    ROADMAP item 2's predictor replaces this count.
     """
 
     def in_window(sid: int) -> bool:

@@ -72,7 +72,8 @@ from ..mesh.schedule import (
     moved_entity_gids,
     schedule_dirty_ranks,
 )
-from ..placement.comms import CommOp, K_COMBINE, K_OVERLAP, K_REDUCE, Placement
+from ..placement.comms import (CommOp, K_COMBINE, K_OVERLAP, K_REDUCE, POST,
+                               WAIT, Placement, placed_schedule)
 from ..spec import PartitionSpec
 from .checkpoint import CheckpointManager, snapshot_digest
 from .faults import FaultPlan, make_comm
@@ -211,7 +212,9 @@ class SPMDExecutor:
         self._scheds: dict[str, HaloSchedule] = {}
         #: flat rank-batched store of the current run (None before one)
         self._store: Optional[dict[str, FlatField]] = None
-        self._actions = self._phase_actions()
+        #: each anchor's (phase, op) events: one payload object per event,
+        #: shared by every rank — the lockstep check compares identities
+        self._events = placed_schedule(placement.comms)
 
     # -- schedules ----------------------------------------------------------
 
@@ -338,36 +341,11 @@ class SPMDExecutor:
 
     # -- execution -------------------------------------------------------------
 
-    def _phase_actions(self) -> list[tuple[int, Any]]:
-        """(anchor, payload) pairs, one payload object shared by all ranks.
-
-        The lockstep check compares payloads by identity, so split phases
-        are ``("post", op)`` / ``("wait", op)`` tuples built exactly once;
-        blocking collectives keep the bare :class:`CommOp`.  At a shared
-        anchor every wait fires before any post — a window opening where
-        another closes must not reorder past it.
-        """
-        acts: list[tuple[int, Any]] = []
-        for op in self.placement.comms:
-            if op.is_split:
-                acts.append((op.wait_anchor, ("wait", op)))
-            else:
-                acts.append((op.wait_anchor, op))
-        for op in self.placement.comms:
-            if op.is_split:
-                acts.append((op.post_anchor, ("post", op)))
-        return acts
-
     def _interpreter(self, max_steps: int, sub_mesh: SubMesh,
                      fused: frozenset) -> Interpreter:
-        pre_actions: dict[int, list] = {}
-        on_return: list = []
-        for anchor, payload in self._actions:
-            action = CollectiveAction(payload)
-            if anchor == EXIT:
-                on_return.append(action)
-            else:
-                pre_actions.setdefault(anchor, []).append(action)
+        pre_actions = {anchor: [CollectiveAction(ev) for ev in events]
+                       for anchor, events in self._events.items()}
+        on_return = pre_actions.pop(EXIT, [])
         return Interpreter(self.code, max_steps=max_steps,
                            pre_actions=pre_actions, on_return=on_return,
                            loop_bounds=self._loop_bounds(sub_mesh),
@@ -757,12 +735,11 @@ class SPMDExecutor:
         live = rank is None
         if live:
             windows = run.pending
-        phase, op = payload if isinstance(payload, tuple) else (None,
-                                                                payload)
+        phase, op = payload
         name = f"{op.kind}:{op.var}"
         where = f"{recovery} diverged: " if recovery else ""
         snapshot = [i.last_steps for i in run.interps] if live else None
-        if phase == "post":
+        if phase == POST:
             if id(op) in windows:
                 raise RuntimeFault(
                     f"{where}double post of {name} (window re-entered "
@@ -774,7 +751,7 @@ class SPMDExecutor:
                 op, "post", recovery)
             windows[id(op)] = (op, handle, len(timeline.events) - 1,
                                snapshot)
-        elif phase == "wait":
+        elif phase == WAIT:
             entry = windows.pop(id(op), None)
             if entry is None:
                 raise RuntimeFault(

@@ -9,7 +9,9 @@ from one FIFO run; these are what it is tested against:
   argues away;
 * :func:`replay_events` / :func:`replay_orders` — the net's micro-op
   programs (or per-rank collective orders) executed over a real
-  ``SimComm``, whose deadlock watchdog gives the runtime's verdict.
+  ``SimComm``, whose deadlock watchdog gives the runtime's verdict;
+* :func:`deadlock_cycle` — the order-level wait-for graph the tag-level
+  analysis replaced, kept to show where the two granularities differ.
 """
 
 from dataclasses import dataclass, field
@@ -290,3 +292,29 @@ def replay_orders(orders: list[list], comm_timeout: int = 2
     if timeout is None:
         comm.assert_drained()
     return timeout
+
+
+def deadlock_cycle(orders: list[list]) -> Optional[list[tuple[int, object]]]:
+    """Cycle in the wait-for graph of per-rank collective orders, or None.
+
+    ``orders[k]`` is the sequence of collective identities rank-class ``k``
+    executes.  A collective completes only when every class that contains
+    it has it at the head of its remaining sequence (collectives are
+    fabric-wide).  When no head can complete and work remains, the heads
+    form a wait-for cycle: each class blocks at its head, waiting for a
+    class whose head differs.  Blind to tags: a split window's early post
+    never blocks, which this order-level view cannot tell.
+    """
+    seqs = [list(o) for o in orders]
+    while any(seqs):
+        progressed = False
+        for head in {s[0] for s in seqs if s}:
+            if all(not s or s[0] == head or head not in s for s in seqs):
+                for s in seqs:
+                    if s and s[0] == head:
+                        s.pop(0)
+                progressed = True
+                break
+        if not progressed:
+            return [(k, s[0]) for k, s in enumerate(seqs) if s]
+    return None

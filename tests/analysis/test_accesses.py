@@ -183,6 +183,6 @@ class TestOtherShapes:
         sub, amap = self.make("      do i = 1,nsom\n"
                               "         a(i) = b(i)\n"
                               "      end do\n")
-        assert len(amap.defs_of("a")) == 1
-        assert len(amap.uses_of("b")) == 1
+        assert len([x for sa in amap for x in sa.defs if x.name == "a"]) == 1
+        assert len([x for sa in amap for x in sa.uses if x.name == "b"]) == 1
         assert "a" in amap.all_names()

@@ -23,7 +23,6 @@ from repro.analysis.commcheck import (
     check_placement,
     check_schedules,
     compute_facts,
-    deadlock_cycle,
     lint_source,
     lint_main,
     side_verdicts,
@@ -53,7 +52,11 @@ from repro.placement.checkmode import check_annotated_program
 from repro.placement.engine import enumerate_placements
 from repro.placement.propagate import Solution
 from repro.spec import PartitionSpec, spec_for_testiv
-from tests.analysis.reference_models import replay_events, replay_orders
+from tests.analysis.reference_models import (
+    deadlock_cycle,
+    replay_events,
+    replay_orders,
+)
 
 FIG5_SPEC = PartitionSpec.parse(
     "pattern overlap-elements-2d\nextent node nsom\n"
@@ -150,6 +153,48 @@ REORDER_SOURCE = """
 @pytest.fixture(scope="module")
 def reorder():
     return enumerate_placements(REORDER_SOURCE, DIVRG_SPEC)
+
+
+# DIVRG with the then side's loops inside a sequential ``do k`` loop: a
+# ``do`` statement takes its sid after its body's, so an anchor at the
+# ``do k`` header has a larger sid than one at a loop inside it
+NESTED_SOURCE = """
+      subroutine nestd(x, y, ta, tb, som, eps, nit, nsom, ntri)
+      integer nsom, ntri, nit
+      real x(1000), y(1000), ta(2000), tb(2000), eps
+      integer som(2000,3)
+      real u(1000), v(1000), s
+      integer i, k
+      s = 0.0
+      do i = 1, nsom
+         u(i) = x(i) * 2.0
+         v(i) = y(i) * 3.0
+         s = s + x(i)
+      end do
+      if (s .lt. eps) then
+         do k = 1, nit
+            do i = 1, ntri
+               ta(i) = u(som(i,1)) + u(som(i,2)) + u(som(i,3))
+            end do
+            do i = 1, ntri
+               tb(i) = v(som(i,1)) + v(som(i,2)) + v(som(i,3))
+            end do
+         end do
+      else
+         do i = 1, ntri
+            tb(i) = v(som(i,1)) - v(som(i,2))
+         end do
+         do i = 1, ntri
+            ta(i) = u(som(i,1)) - u(som(i,2))
+         end do
+      end if
+      end
+"""
+
+
+@pytest.fixture(scope="module")
+def nested():
+    return enumerate_placements(NESTED_SOURCE, DIVRG_SPEC)
 
 
 def mutate(base: Placement, comms) -> Placement:
@@ -829,10 +874,39 @@ class TestTagAwareOrders:
                                divrg.automaton)
         (diag,) = sink.diagnostics
         assert diag.code == "CC005"
-        assert diag.data["order_level_cycle"] is True
+        assert deadlock_cycle([list(o) for o in diag.data["orders"]]) \
+            is not None
         assert diag.data["blocked"]
         # every cycle entry names the message color and the side index
         assert all(len(entry) == 2 for entry in diag.data["cycle"])
+
+    def test_cc005_sides_read_in_source_order(self, nested):
+        # then side: u before the sequential ``do k``, v before the
+        # v-reading loop inside it; else side: v, then u; the s reduction
+        # dropped, so the branch may diverge.  In source order the sides
+        # cross (ordered by sid, both would read [v, u] and look agreed)
+        base = nested.ranked[0].placement
+        uop = next(c for c in base.comms if c.var == "u")
+        vop = next(c for c in base.comms if c.var == "v")
+        dok, vloop, else_v, else_u = (sid_at(nested.sub, ln)
+                                      for ln in (15, 19, 24, 27))
+        assert dok > vloop   # sids are not source order
+        placement = mutate(base, [
+            dataclasses.replace(op, post_anchor=at, wait_anchor=at)
+            for op, at in ((uop, dok), (vop, vloop), (vop, else_v),
+                           (uop, else_u))])
+        sink = check_placement(nested.vfg, placement, nested.automaton)
+        (diag,) = sink.diagnostics
+        assert diag.code == "CC005", sink.render()
+        assert diag.witness
+        orders = diag.data["orders"]
+        assert orders == [["u/overlap-som", "v/overlap-som"],
+                          ["v/overlap-som", "u/overlap-som"]]
+        assert isinstance(replay_orders(orders), CommTimeout)
+        # the text the placement prints earns the same verdict
+        text = annotate_source(nested.sub, nested.vfg, placement)
+        assert check_annotated_program(text, nested.spec).codes() \
+            == {"CC005"}
 
 
 class TestModelCheckFlag:

@@ -11,7 +11,7 @@ property over random nets is ``test_one_engine.py``.
 
 import pytest
 
-from repro.analysis.commcheck import check_net, deadlock_cycle
+from repro.analysis.commcheck import check_net
 from repro.analysis.modelcheck import wait_for_analysis
 from repro.analysis.mpnet import (
     CommEvent,
@@ -24,7 +24,11 @@ from repro.errors import CommTimeout, ReproError
 from repro.placement.comms import widen_placement
 from repro.placement.engine import enumerate_placements
 from repro.spec import spec_for_testiv
-from tests.analysis.reference_models import explore, replay_events
+from tests.analysis.reference_models import (
+    deadlock_cycle,
+    explore,
+    replay_events,
+)
 
 A, B, C = ("a", "m"), ("b", "m"), ("c", "m")
 A_POST, B_POST = A + ("post",), B + ("post",)

@@ -227,12 +227,6 @@ def test_selection_methods_read_the_columns():
     assert graph.edges[2:5] == edges[2:5]
     for kind in ("true", "anti", "output", "control"):
         assert graph.by_kind(kind) == [x for x in edges if x.kind == kind]
-    assert graph.input_reads() == [x for x in edges
-                                   if x.kind == "true" and x.src == 0]
-    sid = edges[len(edges) // 2].dst
-    assert graph.in_edges(sid) == [x for x in edges if x.dst == sid]
-    assert graph.out_edges(sid, "true") == [
-        x for x in edges if x.src == sid and x.kind == "true"]
 
 
 _ORDER_SCRIPT = """

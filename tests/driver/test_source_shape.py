@@ -6,7 +6,9 @@ loop without closures, one kernel compiler, one interpreter compiler
 whose loops check at entry, one call per wire layer, one command line —
 and the rules the single placement
 judge rests on: ``placement/comms.py``'s privates stay inside
-``repro/placement/``, and extraction never calls the judge's path search.
+``repro/placement/``, extraction never calls the judge's path search, and
+each anchor's collective events are ordered in one place that the
+executor, the annotator, the MP net and commcheck all read.
 """
 
 import ast
@@ -53,6 +55,33 @@ def test_extraction_reads_anchors_off_labels_not_path_searches():
                  if isinstance(node, ast.Call)
                  and ast.unparse(node.func).split(".")[-1] in searches]
     assert not offenders, offenders
+
+
+def test_the_placed_schedule_is_ordered_once():
+    # each anchor's collective events are ordered by placement/comms.py's
+    # placed_schedule alone: the executor runs it, the annotated text
+    # prints it, the MP net and commcheck judge it, and none of the
+    # functions reading that order looks at an op's anchors or phase
+    readers = {"runtime/executor.py": ("_interpreter",),
+               "placement/annotate.py": ("annotate_source",),
+               "analysis/mpnet.py": ("compile_placement",),
+               "analysis/commcheck.py": ("_side_events", "compute_facts")}
+    own = {"post_anchor", "wait_anchor", "is_split"}
+    for rel, names in readers.items():
+        tree = _tree(rel)
+        calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+                 and ast.unparse(n.func).split(".")[-1] == "placed_schedule"]
+        assert calls, f"{rel} does not call placed_schedule"
+        fns = _defs(tree, ast.FunctionDef)
+        for name in names:
+            touched = {n.attr for n in ast.walk(fns[name])
+                       if isinstance(n, ast.Attribute)} & own
+            assert not touched, f"{rel}:{name} reads {sorted(touched)}"
+    defined = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+               if "placed_schedule" in _defs(
+                   ast.parse(path.read_text(encoding="utf-8")),
+                   ast.FunctionDef)]
+    assert defined == ["placement/comms.py"]
 
 
 def test_the_only_module_entry_point_is_the_cli():

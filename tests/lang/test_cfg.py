@@ -71,7 +71,6 @@ class TestConstruction:
                      "      x = i\n    end do\n  end do\nend\n")
         body = stmt_like(cfg, lambda s: isinstance(s, Assign))[0]
         assert len(cfg.loops_of[body]) == 2
-        assert cfg.loop_depth(body) == 2
 
 
 class TestDominators:

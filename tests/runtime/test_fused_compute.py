@@ -253,8 +253,8 @@ class TestWhichLoopsFuse:
         loop = next(st for st in ex.sub.walk() if isinstance(st, DoLoop))
         _res, served = _run_fused(ex, values)
         assert loop.sid in served
-        _anchor, payload = ex._actions[0]
-        ex._actions[0] = (loop.body[0].sid, payload)
+        event = next(iter(ex._events.values())).pop(0)
+        ex._events.setdefault(loop.body[0].sid, []).insert(0, event)
         res, served = _run_fused(ex, values)
         assert served == set(ex.kernels) - {loop.sid}
         assert len(res.timeline.events) >= res.envs[0]["nsom"]
