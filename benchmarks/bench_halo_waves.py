@@ -3,11 +3,12 @@
 The halo collectives move float64 fields as one concatenated block per
 wave (``send_block``/``recv_block``), gathered by fancy indexing from the
 schedule's index arrays.  ``test_block_wave_scaling_to_4096`` drives a
-synthetic 6-neighbour overlap schedule through the block path (with and
-without the flat store of :mod:`repro.runtime.flatstore`) at 1024 and
-4096 ranks and reports per-message wave cost — the flat-store gate is
-per-message cost at 4096 ranks within 2× of 256 ranks, i.e. the wave
-cost grows with traffic, not with rank count.
+synthetic 6-neighbour overlap schedule through the block path (over
+per-rank envs, and over the all-ranks :class:`~repro.lang.vectorize.Slab`
+the executor binds every declared array to) at 1024 and 4096 ranks and
+reports per-message wave cost — the slab gate is per-message cost at
+4096 ranks within 2× of 256 ranks, i.e. the wave cost grows with
+traffic, not with rank count.
 
 Wall-clock ratios are only meaningful on quiet hardware, so all hard
 asserts are opt-in (``REPRO_PERF_ASSERT=1``, set by the dedicated perf
@@ -21,8 +22,9 @@ import numpy as np
 import pytest
 
 from conftest import emit_report
+from repro.lang.vectorize import Slab
 from repro.mesh import HaloSchedule, WaveSide
-from repro.runtime import SimComm, build_flat_store, overlap_update
+from repro.runtime import SimComm, overlap_update
 
 N_KERNEL = 64     # owned words per rank
 DEGREE = 6        # neighbours per rank
@@ -64,6 +66,15 @@ def _make_envs(nranks: int) -> list[dict]:
     return [{"v": rng.standard_normal(size)} for _ in range(nranks)]
 
 
+def _slabs(envs: list[dict]) -> dict[str, Slab]:
+    """Bind every env's ``v`` to a view of one all-ranks slab."""
+    slab = Slab.zeros([len(env["v"]) for env in envs], (), np.float64)
+    for env, view in zip(envs, slab.views):
+        view[...] = env["v"]
+        env["v"] = view
+    return {"v": slab}
+
+
 def _block_wave_cost(nranks: int, sched: HaloSchedule, nwaves: int,
                      flat: bool, rounds: int = 3) -> float:
     """Best-of-``rounds`` seconds per halo message on the block path."""
@@ -72,10 +83,10 @@ def _block_wave_cost(nranks: int, sched: HaloSchedule, nwaves: int,
     for _ in range(rounds):
         comm = SimComm(nranks)
         envs = _make_envs(nranks)
-        store = build_flat_store(envs, ["v"]) if flat else None
+        slabs = _slabs(envs) if flat else None
         t0 = time.perf_counter()
         for _ in range(nwaves):
-            overlap_update(comm, envs, "v", sched, store=store)
+            overlap_update(comm, envs, "v", sched, slabs=slabs)
         best = min(best, (time.perf_counter() - t0) / (nwaves * nmsg))
         comm.assert_drained()
     return best
@@ -91,16 +102,16 @@ def test_block_wave_scaling_to_4096():
         sched = _overlap_schedule(nranks)
         nwaves = max(3, 40_000 // sched.message_count())
         plain = _block_wave_cost(nranks, sched, nwaves, flat=False)
-        store = _block_wave_cost(nranks, sched, nwaves, flat=True)
-        cost[nranks] = store
+        slab = _block_wave_cost(nranks, sched, nwaves, flat=True)
+        cost[nranks] = slab
         lines.append(
             f"{nranks:4d} ranks ({sched.message_count():5d} msg/wave): "
             f"per-rank envs {plain * 1e6:6.2f} us/msg   "
-            f"flat store {store * 1e6:6.2f} us/msg   "
-            f"store speedup {plain / store:5.2f}x")
+            f"slab {slab * 1e6:6.2f} us/msg   "
+            f"slab speedup {plain / slab:5.2f}x")
     flatness = cost[4096] / cost[256]
     lines.append("")
-    lines.append(f"flat-store per-message cost 4096 vs 256 ranks: "
+    lines.append(f"slab per-message cost 4096 vs 256 ranks: "
                  f"{flatness:.2f}x (gate: <= 2.0x)")
     lines.append(f"block waves, {NWORDS}-word "
                  f"float64 payloads, {DEGREE} neighbours/rank, best of 3")

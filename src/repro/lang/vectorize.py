@@ -42,6 +42,7 @@ compute").
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -135,14 +136,40 @@ class _OneEnv(_Space):
 
 class Slab(NamedTuple):
     """One array's rows for every rank, rank segments concatenated along
-    axis 0 in rank order; each rank's own array is a view of its segment
-    (a flat-store field, an index map)."""
+    axis 0 in rank order; each rank's own array is a view of its segment.
+
+    The SPMD executor keeps every declared array of its rank envs in one
+    slab, so a write through a rank's view lands in the all-ranks buffer
+    that a rank-fused loop or a halo wave reads:
+
+    >>> slab = Slab.zeros((3, 2), (), np.float64)
+    >>> slab.views[1][0] = 7.0          # write through a rank view…
+    >>> slab.flat.tolist()              # …lands in the one buffer
+    [0.0, 0.0, 0.0, 7.0, 0.0]
+    >>> [view.shape for view in Slab.zeros((1, 2), (3,), np.int64).views]
+    [(1, 3), (2, 3)]
+    """
 
     flat: np.ndarray
     #: per-rank row count; rank r's rows start at ``sum(rows[:r])``
     rows: tuple
     #: the per-rank views the envs were bound to (empty when unknown)
     views: tuple = ()
+
+    @classmethod
+    def zeros(cls, rows: Sequence[int], shape: tuple, dtype) -> "Slab":
+        """A zero slab of ``rows[r]`` rows per rank, each row of trailing
+        ``shape``, with its views.  The buffer is an anonymous mapping:
+        its pages take physical memory only once written (``np.zeros``
+        promises that only for what malloc happens to serve by mmap)."""
+        dtype = np.dtype(dtype)
+        full = (sum(rows),) + tuple(shape)
+        count = int(np.prod(full))
+        flat = np.frombuffer(mmap.mmap(-1, max(1, dtype.itemsize * count)),
+                             dtype, count).reshape(full)
+        starts = np.cumsum((0,) + tuple(rows)).tolist()
+        return cls(flat, tuple(rows),
+                   tuple(flat[a:b] for a, b in zip(starts, starts[1:])))
 
     def installed_in(self, envs: Sequence[Env], name: str) -> bool:
         """Whether every rank env still binds ``name`` to its view here."""

@@ -89,9 +89,6 @@ class MeshPartition:
     #: entity -> packed-id tables (lazy; see :mod:`repro.mesh.packedid`)
     _packings: dict[str, EntityPacking] = field(default_factory=dict,
                                                 repr=False)
-    #: entity -> (holder ranks concatenated, CSR offsets) — lazy
-    _holder_csr: dict[str, tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, repr=False)
 
     @property
     def element_name(self) -> str:
@@ -127,29 +124,7 @@ class MeshPartition:
         """The owner's local index of each global id (vectorized)."""
         return self.packing(entity).owner_local_of(gids)
 
-    # -- holders -------------------------------------------------------------
-
-    def holder_csr(self, entity: str) -> tuple[np.ndarray, np.ndarray]:
-        """Holder ranks per global id, CSR-shaped: ``(ranks, offsets)``.
-
-        ``ranks[offsets[g]:offsets[g+1]]`` are the ranks holding a local
-        copy of global entity ``g``, ascending.  Built with one argsort
-        over the concatenated ``l2g`` arrays — no per-entity Python.
-        """
-        cached = self._holder_csr.get(entity)
-        if cached is not None:
-            return cached
-        gids = np.concatenate([s.l2g[entity] for s in self.subs]) \
-            if self.subs else np.zeros(0, np.int64)
-        ranks = np.repeat(
-            np.arange(self.nparts, dtype=np.int64),
-            [len(s.l2g[entity]) for s in self.subs])
-        # concatenation order is rank-ascending, so the stable grouping by
-        # gid leaves each gid's holder list sorted by rank
-        order, offsets = group_by_key(gids, self.mesh.entity_count(entity))
-        ranks = ranks[order]
-        self._holder_csr[entity] = (ranks, offsets)
-        return ranks, offsets
+    # -- overlap --------------------------------------------------------------
 
     def overlap_sizes(self, entity: str) -> list[int]:
         """Per-rank number of overlap (non-kernel) entities."""

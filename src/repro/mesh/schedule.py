@@ -73,8 +73,8 @@ class WaveSide:
     counts: np.ndarray
     #: whether the plan rank is the sending end of every message
     sends: bool
-    #: offsets-table bytes -> rebased flat wave index (lazy; shared by
-    #: both readings of one table, which index the same words)
+    #: per-rank row counts -> rebased flat wave index (lazy; shared by
+    #: both readings of one table, which index the same rows)
     _flat_cache: dict = field(default_factory=dict, repr=False,
                               compare=False)
 
@@ -127,45 +127,44 @@ class WaveSide:
             else:
                 op.at(arrays[r], self.idx[r], seg)
 
-    # -- flat-store fast path ----------------------------------------------
+    # -- the all-ranks slab path --------------------------------------------
 
-    def flat_index(self, offsets: np.ndarray) -> np.ndarray:
-        """Wave indices rebased into one flat all-ranks buffer.
+    def flat_index(self, rows: tuple) -> np.ndarray:
+        """Wave indices rebased into one all-ranks buffer.
 
-        ``offsets[r]`` is rank r's row offset inside the flat buffer (see
-        :mod:`repro.runtime.flatstore`); the result indexes the whole
-        wave's words in block order, so a gather is ``flat[fidx]`` and a
-        scatter ``flat[fidx] = block`` — one fancy index for every rank
-        at once.  Cached per offsets table.
+        ``rows[r]`` is rank r's row count in the buffer, whose rank
+        segments are concatenated in rank order (a
+        :class:`~repro.lang.vectorize.Slab`); the result indexes the
+        whole wave's rows in block order, so a gather is ``flat[fidx]``
+        and a scatter ``flat[fidx] = block`` — one fancy index for every
+        rank at once.  Cached per row-count table.
         """
-        key = offsets.tobytes()
-        cached = self._flat_cache.get(key)
+        cached = self._flat_cache.get(rows)
         if cached is None:
-            parts = [self.idx[r] + offsets[r] for r in self.active.tolist()]
+            starts = np.cumsum((0,) + tuple(rows[:-1]))
+            parts = [self.idx[r] + starts[r] for r in self.active.tolist()]
             cached = np.concatenate(parts) if parts \
                 else np.zeros(0, np.int64)
-            self._flat_cache[key] = cached
+            self._flat_cache[rows] = cached
         return cached
 
-    def flat_gather(self, flat: np.ndarray,
-                    offsets: np.ndarray) -> np.ndarray:
-        """Assemble the send block from a flat all-ranks buffer."""
-        return flat[self.flat_index(offsets)]
+    def flat_gather(self, slab) -> np.ndarray:
+        """Assemble the send block from a slab's all-ranks buffer."""
+        return slab.flat[self.flat_index(slab.rows)]
 
-    def flat_scatter(self, flat: np.ndarray, offsets: np.ndarray,
-                     block: np.ndarray, op=None) -> None:
-        """Scatter a received block into a flat all-ranks buffer.
+    def flat_scatter(self, slab, block: np.ndarray, op=None) -> None:
+        """Scatter a received block into a slab's all-ranks buffer.
 
-        Per-rank segments of the flat buffer are disjoint and the flat
-        index concatenates ranks in ascending order, so ``op.at`` over it
+        Per-rank segments of the buffer are disjoint and the flat index
+        concatenates ranks in ascending order, so ``op.at`` over it
         applies exactly the per-rank, per-message accumulation sequence
         of :meth:`scatter`.
         """
-        fidx = self.flat_index(offsets)
+        fidx = self.flat_index(slab.rows)
         if op is None:
-            flat[fidx] = block
+            slab.flat[fidx] = block
         else:
-            op.at(flat, fidx, block)
+            op.at(slab.flat, fidx, block)
 
 
 def _table(rank, peer, words, idx: list[np.ndarray], counts: np.ndarray,

@@ -86,15 +86,16 @@ def _sid_to_pos(sub: Subroutine) -> dict[int, int]:
     :mod:`repro.lang.ast`, so the *same* program parsed
     twice gets *different* sids — raw sids can never cross a process (or
     even a re-parse) boundary.  Walk order is a pure function of the
-    program text, which the cache key pins, so positions are the stable
-    coordinate system of the artifact.  Positions start at 1: the cfg
-    sentinels ``ENTRY`` (0) and ``EXIT`` (-1) pass through untranslated.
+    program text, which the cache key pins, so positions
+    (:attr:`Subroutine.positions`) are the stable coordinate system of the
+    artifact.  Positions start at 1: the cfg sentinels ``ENTRY`` (0) and
+    ``EXIT`` (-1) pass through untranslated.
     """
-    return {st.sid: i + 1 for i, st in enumerate(sub.walk())}
+    return {sid: k + 1 for sid, k in sub.positions.items() if sid > 0}
 
 
 def _pos_to_sid(sub: Subroutine) -> dict[int, int]:
-    return {i + 1: st.sid for i, st in enumerate(sub.walk())}
+    return {pos: sid for sid, pos in _sid_to_pos(sub).items()}
 
 
 def _map_anchor(anchor: int, mapping: dict[int, int]) -> int:

@@ -14,7 +14,6 @@ from .executor import (
     SPMDExecutor,
     SPMDResult,
 )
-from .flatstore import FlatField, build_flat_store
 from .faults import (
     FaultComm,
     FaultPlan,
@@ -50,9 +49,8 @@ from .trace import (
 
 __all__ = [
     "Checkpoint", "CheckpointManager", "CollectiveRecord", "CommStats",
-    "FaultComm", "FaultPlan", "FaultRule", "FlatField", "KillRule",
-    "MachineModel",
-    "MessageLog", "build_flat_store", "PendingWave",
+    "FaultComm", "FaultPlan", "FaultRule", "KillRule",
+    "MachineModel", "MessageLog", "PendingWave",
     "RECOVERY_GLOBAL", "RECOVERY_LOCAL", "RECOVERY_MODES",
     "RankComm", "RankSnapshot", "ReplayFilter",
     "RingTransport", "SPMDExecutor", "SPMDResult", "SimComm",

@@ -31,7 +31,7 @@ rewind to it and nothing ever reads an older one, so each take replaces
 its predecessor.
 
 In-place restore is deliberate: environment arrays are written *into*
-(``cur[...] = val``) whenever shape and dtype match, so flat-store views
+(``cur[...] = val``) whenever shape and dtype match, so slab views
 and any other aliases survive every rollback.
 
 The transport portion of a checkpoint comes from
@@ -92,7 +92,7 @@ def restore_rank_snapshot(snap: RankSnapshot, env: Env,
     """Rewind one rank's ``env``/``state`` in place from ``snap``.
 
     Arrays are copied *into* the existing objects whenever shape and
-    dtype match, so flat-store views (and any other aliases) survive the
+    dtype match, so slab views (and any other aliases) survive the
     rollback.  Returns the number of array words restored.
     """
     for key in [k for k in env if k not in snap.env]:

@@ -32,11 +32,12 @@ plain loop over ranks pushing and then draining SimMPI queues.
 
 A wave is one block built by fancy indexing from the schedule's message
 tables (:class:`~repro.mesh.schedule.HaloSchedule`) — one index over the
-executor's flat store when the variable has a field there — and moved by
-``send_block``/``recv_block``.  The wire decides how to carry it: a 1-D
-float64 block goes as one slab copy with no per-message Python, anything
-else (integer, logical or multi-dimensional arrays) message by message,
-with the same accounting, channel order and fault behaviour.
+variable's all-ranks :class:`~repro.lang.vectorize.Slab` in executor
+runs — and moved by ``send_block``/``recv_block``.  The wire decides how
+to carry it: a 1-D float64 or int64 block goes as one copy into the
+ring's slab with no per-message Python, anything else (logical or
+multi-dimensional arrays) message by message, with the same accounting,
+channel order and fault behaviour.
 ``tests/runtime/test_halo_waves.py`` holds the whole TESTIV corpus to
 bit identity against a wire that carries every wave message by message.
 """
@@ -50,8 +51,8 @@ import numpy as np
 
 from ..errors import RuntimeFault
 from ..lang.semantics import REDUCTIONS, Reduction
+from ..lang.vectorize import Slab
 from ..mesh.schedule import HaloSchedule, WaveSide
-from .flatstore import FlatField
 from .simmpi import CollectiveRecord, SimComm
 
 _TAG_RETURN = 103
@@ -73,18 +74,17 @@ class PendingWave:
     label: str
     schedule: HaloSchedule
     tag: int
-    #: flat-store field backing ``var``, or None to gather rank by rank
-    field: Optional[FlatField]
+    #: the all-ranks slab of ``var``, or None to gather rank by rank
+    slab: Optional[Slab]
     op: Optional[str] = None
 
 
 def _send(pending: PendingWave, side: WaveSide, tag: int) -> None:
     """One wave out: gather ``side``'s block and send it on ``tag`` —
-    one fancy index over the flat store when ``var`` has a field there,
-    else a per-rank gather."""
-    field = pending.field
-    if field is not None:
-        block = side.flat_gather(field.flat, field.offsets)
+    one fancy index over ``var``'s slab when it has one, else a per-rank
+    gather."""
+    if pending.slab is not None:
+        block = side.flat_gather(pending.slab)
     else:
         block = side.gather([env[pending.var] for env in pending.envs])
     pending.comm.send_block(side.srcs, side.dsts, block, side.words, tag=tag)
@@ -95,9 +95,8 @@ def _receive(pending: PendingWave, side: WaveSide, tag: int,
     """One wave in: receive ``side``'s block on ``tag`` and write (or
     ``op.at``-accumulate) it in place."""
     block, _words = pending.comm.recv_block(side.srcs, side.dsts, tag=tag)
-    field = pending.field
-    if field is not None:
-        side.flat_scatter(field.flat, field.offsets, block, op=op)
+    if pending.slab is not None:
+        side.flat_scatter(pending.slab, block, op=op)
     else:
         side.scatter([env[pending.var] for env in pending.envs], block,
                      op=op)
@@ -112,17 +111,16 @@ def _reduction(op: str, what: str) -> Reduction:
 def overlap_post(comm: SimComm, envs: list[dict], var: str,
                  schedule: HaloSchedule, label: str = "",
                  _log: bool = True,
-                 store: Optional[dict[str, FlatField]] = None
+                 slabs: Optional[dict[str, Slab]] = None
                  ) -> PendingWave:
     """Start an overlap update: owners' values leave now, on a fresh tag.
 
-    With a flat ``store`` entry for ``var`` (executor runs), the whole
-    rank-batch of values gathers through one fancy index over the flat
-    buffer.
+    With a slab for ``var`` in ``slabs`` (executor runs), every rank's
+    values gather through one fancy index over the slab's buffer.
     """
     before = _rank_words(comm)
     pending = PendingWave(comm, envs, var, label or var, schedule,
-                          comm.fresh_tag(), (store or {}).get(var))
+                          comm.fresh_tag(), (slabs or {}).get(var))
     _send(pending, schedule.send, pending.tag)
     if _log:
         _log_collective(comm, f"overlap:{pending.label}", before,
@@ -142,11 +140,11 @@ def overlap_complete(pending: PendingWave, overlap_steps: int = 0,
 
 def overlap_update(comm: SimComm, envs: list[dict], var: str,
                    schedule: HaloSchedule, label: str = "",
-                   store: Optional[dict[str, FlatField]] = None) -> None:
+                   slabs: Optional[dict[str, Slab]] = None) -> None:
     """Refresh overlap copies of ``var`` from their kernel owners."""
     before = _rank_words(comm)
     pending = overlap_post(comm, envs, var, schedule, label, _log=False,
-                           store=store)
+                           slabs=slabs)
     overlap_complete(pending, _log=False)
     _log_collective(comm, f"overlap:{label or var}", before)
 
@@ -154,7 +152,7 @@ def overlap_update(comm: SimComm, envs: list[dict], var: str,
 def combine_post(comm: SimComm, envs: list[dict], var: str,
                  schedule: HaloSchedule, op: str = "+",
                  label: str = "", _log: bool = True,
-                 store: Optional[dict[str, FlatField]] = None
+                 slabs: Optional[dict[str, Slab]] = None
                  ) -> PendingWave:
     """Start a combine: the gather round (holders → owners) leaves now.
 
@@ -165,7 +163,7 @@ def combine_post(comm: SimComm, envs: list[dict], var: str,
     _reduction(op, "combine")
     before = _rank_words(comm)
     pending = PendingWave(comm, envs, var, label or var, schedule,
-                          comm.fresh_tag(), (store or {}).get(var), op)
+                          comm.fresh_tag(), (slabs or {}).get(var), op)
     _send(pending, schedule.gather_send, pending.tag)
     if _log:
         _log_collective(comm, f"combine:{pending.label}", before,
@@ -197,11 +195,11 @@ def combine_complete(pending: PendingWave, overlap_steps: int = 0,
 def combine_update(comm: SimComm, envs: list[dict], var: str,
                    schedule: HaloSchedule, op: str = "+",
                    label: str = "",
-                   store: Optional[dict[str, FlatField]] = None) -> None:
+                   slabs: Optional[dict[str, Slab]] = None) -> None:
     """Assemble partial contributions of ``var`` and redistribute totals."""
     before = _rank_words(comm)
     pending = combine_post(comm, envs, var, schedule, op, label, _log=False,
-                           store=store)
+                           slabs=slabs)
     combine_complete(pending, _log=False)
     _log_collective(comm, f"combine:{label or var}", before)
 

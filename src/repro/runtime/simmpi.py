@@ -95,8 +95,6 @@ class CommStats:
     >>> st.note_batch(np.array([0, 1]), np.array([1, 0]), np.array([10, 4]))
     >>> st.messages[(0, 1)], st.words[(1, 0)]
     (1, 4)
-    >>> st.rank_messages(1)
-    2
     """
 
     def __init__(self):
@@ -177,12 +175,6 @@ class CommStats:
     def total_words(self) -> int:
         return self._nwords
 
-    def rank_messages(self, rank: int) -> int:
-        """Messages rank sent or received (self-sends counted once)."""
-        self._tally()
-        return int(self._rank_msgs[rank]) if rank < len(self._rank_msgs) \
-            else 0
-
     def rank_words(self, rank: int) -> int:
         self._tally()
         return int(self._rank_wrds[rank]) if rank < len(self._rank_wrds) \
@@ -191,9 +183,9 @@ class CommStats:
     def rank_counters(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         """(messages, words) per rank as two length-``size`` arrays.
 
-        The vectorized bulk form of :meth:`rank_messages` /
-        :meth:`rank_words`; the halo collectives diff two of these to log a
-        :class:`CollectiveRecord` in O(ranks).
+        Messages count each one a rank sent or received (self-sends
+        once); the bulk form of :meth:`rank_words`.  The halo collectives
+        diff two of these to log a :class:`CollectiveRecord` in O(ranks).
         """
         self._tally()
         msgs = np.zeros(size, np.int64)

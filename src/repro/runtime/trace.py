@@ -46,7 +46,7 @@ class Timeline:
     #: same boundaries as the never-migrated run (kill events, spans)
     migrations: list[str] = field(default_factory=list)
     #: run-total wall seconds per phase, summing to the time inside
-    #: ``SPMDExecutor.run``: ``setup`` (envs, flat store, interpreters, the
+    #: ``SPMDExecutor.run``: ``setup`` (envs and their slabs, interpreters, the
     #: closing leak checks), ``compute`` (ranks advancing between
     #: boundaries), ``collective``, ``checkpoint`` (snapshots, rollbacks,
     #: localized restarts) and ``migrate`` (the rebalance consult and its

@@ -1,7 +1,8 @@
 """Structural rules of ``src/repro``, read off the syntax tree.
 
 A deleted name nothing imports needs no guard; a *shape* does: one halo
-schedule over two tables, one body per halo collective half, a boundary
+schedule over two tables, one all-ranks layout (the slab), one body per
+halo collective half, a boundary
 loop without closures, one kernel compiler, one interpreter compiler
 whose loops check at entry, one call per wire layer, one command line —
 and the rules the single placement
@@ -111,6 +112,12 @@ def test_the_boundary_loop_is_a_loop_not_a_nest_of_closures():
     init = fns["__init__"].args
     assert [a.arg for a in init.args + init.kwonlyargs] \
         == "self sub spec placement partition backend".split()
+
+
+def test_all_ranks_rows_have_one_layout():
+    # every declared array of the rank envs is a view of its rows of one
+    # lang.vectorize.Slab; no second all-ranks store sits beside it
+    assert not (SRC / "runtime" / "flatstore.py").exists()
 
 
 def test_halo_collectives_have_one_body():

@@ -143,8 +143,7 @@ class TestOverlapFig1:
         two.check_invariants()
 
     def test_holders(self, part):
-        _ranks, offsets = part.holder_csr("node")
-        n_holders = np.diff(offsets)
+        n_holders = np.array([len(h) for h in _holders(part, "node")])
         assert (n_holders >= 1).all() and (n_holders > 1).any()
 
 
@@ -226,10 +225,11 @@ def _holders_reference(part, entity):
 
 
 def _holders(part, entity):
-    """``holder_csr`` unrolled to the reference's list-of-lists shape."""
-    ranks, offsets = part.holder_csr(entity)
-    return [ranks[offsets[g]:offsets[g + 1]].tolist()
-            for g in range(len(offsets) - 1)]
+    """Holder ranks per global id, ascending: every rank whose ``l2g``
+    lists the id."""
+    held = [set(sub.l2g[entity].tolist()) for sub in part.subs]
+    return [[sub.rank for sub, ids in zip(part.subs, held) if g in ids]
+            for g in range(part.mesh.entity_count(entity))]
 
 
 def _overlap_sizes_reference(part, entity):
@@ -237,7 +237,8 @@ def _overlap_sizes_reference(part, entity):
 
 
 class TestVectorizedHolderQueries:
-    """The argsort/CSR holder tables must pin the old per-entity loop."""
+    """Holders read off ``l2g`` and the overlap sizes pin the per-entity
+    reference loops."""
 
     @pytest.fixture(scope="class", params=[
         ("overlap-elements-2d", "rcb"),
@@ -259,10 +260,7 @@ class TestVectorizedHolderQueries:
                 == _overlap_sizes_reference(part, entity)
 
     def test_holder_csr_segments_sorted_by_rank(self, part):
-        ranks, offsets = part.holder_csr("node")
-        assert offsets[0] == 0 and offsets[-1] == len(ranks)
-        for g in range(len(offsets) - 1):
-            seg = ranks[offsets[g]:offsets[g + 1]].tolist()
+        for seg in _holders(part, "node"):
             assert seg == sorted(seg) and len(seg) >= 1
 
     def test_holders_3d_with_edges(self):

@@ -18,7 +18,6 @@ from repro.lang import (
     parse_subroutine,
 )
 from repro.lang.vectorize import RankBatch, Slab
-from repro.runtime.flatstore import build_flat_store
 
 N = 24  # extent of every array
 
@@ -131,11 +130,7 @@ def test_rank_batch_equals_per_rank_calls(body, seed, nranks, vary_scalar):
                for k, v in env.items()} for env in envs]
     for env, (lo, hi) in zip(singly, bounds):
         kernel(env, lo, hi)
-    slabs = {name: Slab(field.flat, tuple(len(v) for v in field.views))
-             for name, field in build_flat_store(envs, ["a", "b"]).items()}
-    slabs["p"] = Slab(np.concatenate([env["p"] for env in envs]),
-                      tuple(len(env["p"]) for env in envs))
-    kernel.sweep(RankBatch(envs, bounds, slabs))
+    kernel.sweep(RankBatch(envs, bounds, _slabs(envs, "abp")))
     for fused, alone in zip(envs, singly):
         for var in ("a", "b"):
             assert np.array_equal(fused[var], alone[var], equal_nan=True)
@@ -168,12 +163,17 @@ def _rank_envs(rng, nranks, vary_scalar=False):
     return envs, bounds
 
 
-def _slabs(envs):
-    slabs = {name: Slab(field.flat, tuple(len(v) for v in field.views))
-             for name, field in build_flat_store(envs, ["a", "b", "x"])
-             .items()}
-    slabs["p"] = Slab(np.concatenate([env["p"] for env in envs]),
-                      tuple(len(env["p"]) for env in envs))
+def _slabs(envs, names="abxp"):
+    """One slab per array of ``names``, each env bound to its view, as
+    the executor binds every declared array."""
+    slabs = {}
+    for name in names:
+        arrays = [env[name] for env in envs]
+        slab = slabs[name] = Slab.zeros([len(a) for a in arrays], (),
+                                        arrays[0].dtype)
+        for env, view, a in zip(envs, slab.views, arrays):
+            view[...] = a
+            env[name] = view
     return slabs
 
 

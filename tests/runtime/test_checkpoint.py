@@ -26,7 +26,6 @@ from repro.runtime import (
     MessageLog,
     SimComm,
     SPMDExecutor,
-    build_flat_store,
     snapshot_digest,
 )
 from repro.runtime.checkpoint import _env_words
@@ -248,33 +247,30 @@ _SCALARS = st.one_of(
 
 @st.composite
 def slab_worlds(draw):
-    """Rank envs whose arrays are what the executor binds: flat-store
-    fields and an index map (views of one all-ranks buffer each), 2-D
-    real and integer entity arrays and replicated arrays (per-rank
-    objects), a 0-d array and scalars of every type — with the slabs that
-    name the buffers, one of whose views may have been rebound."""
+    """Rank envs whose arrays are what the executor binds — every array a
+    view of its rows of one all-ranks slab: 1-D real, 2-D real and integer
+    entity arrays, an index map and a replicated array (one full copy per
+    rank) — plus a per-rank 0-d array and scalars of every type, with the
+    slabs, one of whose views may have been rebound."""
     nranks = draw(st.integers(1, 4))
     rows = [draw(st.integers(1, 6)) for _ in range(nranks)]
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    envs = [{"v": rng.standard_normal(n), "w": rng.standard_normal(n),
-             "xy": rng.standard_normal((n, 2)),
-             "ids": rng.integers(-9, 9, n),
-             "rep": np.arange(3.0), "zero_d": np.array(rng.random()),
+    envs = [{"zero_d": np.array(rng.random()),
              **{f"s{k}": draw(_SCALARS) for k in range(3)}}
-            for n in rows]
-    store = build_flat_store(envs, ["v", "w"])
-    slabs = {var: Slab(field.flat, tuple(rows), tuple(field.views))
-             for var, field in store.items()}
-    som = np.zeros((sum(rows), 3), np.int64)
-    start = 0
-    for env, n in zip(envs, rows):
-        env["som"] = som[start:start + n]
-        env["som"][...] = rng.integers(1, 9, (n, 3))
-        start += n
-    slabs["som"] = Slab(som, tuple(rows), tuple(env["som"] for env in envs))
+            for _ in rows]
+    arrays = {"v": (rows, (), np.float64), "w": (rows, (), np.float64),
+              "xy": (rows, (2,), np.float64), "ids": (rows, (), np.int64),
+              "som": (rows, (3,), np.int64),
+              "rep": ([3] * nranks, (), np.float64)}
+    slabs = {}
+    for name, (counts, shape, dtype) in arrays.items():
+        slab = slabs[name] = Slab.zeros(counts, shape, dtype)
+        slab.flat[...] = rng.integers(-9, 9, slab.flat.shape)
+        for env, view in zip(envs, slab.views):
+            env[name] = view
     if draw(st.booleans()):
         r = draw(st.integers(0, nranks - 1))
-        var = draw(st.sampled_from(["v", "som"]))
+        var = draw(st.sampled_from(["v", "xy", "som"]))
         envs[r][var] = envs[r][var].copy()   # rebound: no longer a view
     return envs, slabs
 
@@ -363,9 +359,10 @@ class TestBufferLevelTake:
         assert mgr.restored_words == 2 * cp.words + _env_words(ref[rank])
 
     def test_rebound_view_falls_back_to_a_per_rank_copy(self):
-        envs = [{"v": np.arange(3.0)}, {"v": np.arange(2.0)}]
-        store = build_flat_store(envs, ["v"])
-        slab = Slab(store["v"].flat, (3, 2), tuple(store["v"].views))
+        slab = Slab.zeros((3, 2), (), np.float64)
+        envs = [{"v": view} for view in slab.views]
+        envs[0]["v"][...] = np.arange(3.0)
+        envs[1]["v"][...] = np.arange(2.0)
         envs[1]["v"] = np.full(4, 5.0)       # rebound, and resized
         mgr = CheckpointManager()
         cp = mgr.take(SimComm(2), envs, [MachineState()] * 2, 0, 0,
@@ -375,7 +372,7 @@ class TestBufferLevelTake:
         envs[1]["v"][...] = 0.0
         mgr.restore(SimComm(2), envs, [MachineState(), MachineState()])
         assert envs[1]["v"].tolist() == [5.0] * 4
-        assert envs[0]["v"] is store["v"].views[0]
+        assert envs[0]["v"] is slab.views[0]
 
 
 class TestLogFloor:

@@ -38,7 +38,7 @@ class TestEnvConstruction:
         mesh, spec, placements, partition = setup
         ex = SPMDExecutor(placements.sub, spec,
                           placements.best().placement, partition)
-        env = ex.make_rank_env(partition.subs[0], inputs_for(mesh))
+        env = ex._rank_envs(inputs_for(mesh))[0][0]
         kern, total = partition.subs[0].counts("node")
         assert env["nsom"] == total
         assert env["ntri"] == len(partition.subs[0].l2g["triangle"])
@@ -48,7 +48,7 @@ class TestEnvConstruction:
         ex = SPMDExecutor(placements.sub, spec,
                           placements.best().placement, partition)
         sub0 = partition.subs[0]
-        env = ex.make_rank_env(sub0, inputs_for(mesh))
+        env = ex._rank_envs(inputs_for(mesh))[0][0]
         som = env["som"]
         n_loc = len(sub0.l2g["triangle"])
         assert som[:n_loc].min() >= 1
@@ -72,7 +72,7 @@ class TestEnvConstruction:
             assert som.dtype == np.int64 and som.flags.writeable
             assert not som[n_loc:].any()          # padding reads as zeros
             np.testing.assert_array_equal(som[:n_loc], sub.elements + 1)
-        # consecutive rank segments of one buffer, as in the flat store
+        # consecutive rank segments of one buffer, as every array's
         for a, b in zip(soms, soms[1:]):
             assert a.base is b.base
             assert (b.__array_interface__["data"][0]
@@ -85,7 +85,7 @@ class TestEnvConstruction:
         ex = SPMDExecutor(placements.sub, spec,
                           placements.best().placement, partition)
         vals = inputs_for(mesh)
-        env = ex.make_rank_env(partition.subs[1], vals)
+        env = ex._rank_envs(vals)[0][1]
         sub1 = partition.subs[1]
         n_loc = len(sub1.l2g["node"])
         np.testing.assert_array_equal(env["init"][:n_loc],
@@ -95,7 +95,7 @@ class TestEnvConstruction:
         mesh, spec, placements, partition = setup
         ex = SPMDExecutor(placements.sub, spec,
                           placements.best().placement, partition)
-        env = ex.make_rank_env(partition.subs[0], inputs_for(mesh))
+        env = ex._rank_envs(inputs_for(mesh))[0][0]
         assert env["epsilon"] == 1e-8 and env["maxloop"] == 5
 
     def test_pattern_mismatch_rejected(self, setup):

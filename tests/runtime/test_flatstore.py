@@ -1,13 +1,28 @@
-"""Unit tests for the flat per-variable store behind the batched hot loop."""
+"""The all-ranks slab behind the batched hot loop and the halo waves.
+
+Every declared array of the executor's rank envs is a view of its rows of
+one :class:`~repro.lang.vectorize.Slab`; a halo wave over a slab is one
+fancy index (``WaveSide.flat_gather``/``flat_scatter``), pinned here
+against the per-rank path that plain envs take.
+"""
 
 import numpy as np
 import pytest
 
+from repro.lang.vectorize import Slab
 from repro.mesh import build_overlap_schedule, build_partition, \
     structured_tri_mesh
-from repro.runtime import FlatField, build_flat_store
 from repro.runtime.checkpoint import CheckpointManager
 from tests.runtime.reference_checkpoint import copy_env
+
+
+def _slab(arrays) -> Slab:
+    """A slab holding a copy of each rank's array."""
+    slab = Slab.zeros([len(a) for a in arrays], arrays[0].shape[1:],
+                      arrays[0].dtype)
+    for view, a in zip(slab.views, arrays):
+        view[...] = a
+    return slab
 
 
 def _envs():
@@ -21,34 +36,25 @@ def _envs():
     ]
 
 
-class TestFlatField:
+class TestSlab:
     def test_layout_and_views(self):
-        field = FlatField.from_arrays("v", [np.zeros(3), np.ones(2),
-                                            np.zeros(0)])
-        assert field.offsets.tolist() == [0, 3, 5]
-        assert field.flat.tolist() == [0, 0, 0, 1, 1]
-        for view in field.views:
-            assert view.base is field.flat or view.size == 0
-        field.views[0][1] = 5.0
-        field.flat[3] = 9.0
-        assert field.flat[1] == 5.0
-        assert field.views[1][0] == 9.0
-
-    def test_store_eligibility(self):
-        envs = _envs()
-        store = build_flat_store(envs, ["v", "w", "ints", "mat", "n",
-                                        "missing"])
-        # only 1-D float64 arrays present on every rank qualify
-        assert sorted(store) == ["v", "w"]
-        for var in ("v", "w"):
-            for env, view in zip(envs, store[var].views):
-                assert env[var] is view
-        assert isinstance(envs[0]["ints"], np.ndarray)
-        assert envs[0]["n"] == 1
+        slab = Slab.zeros([3, 2, 0], (), np.float64)
+        assert slab.rows == (3, 2, 0)
+        assert slab.flat.tolist() == [0, 0, 0, 0, 0]
+        for view in slab.views:
+            assert np.shares_memory(view, slab.flat) or view.size == 0
+        slab.views[0][1] = 5.0
+        slab.flat[3] = 9.0
+        assert slab.flat[1] == 5.0
+        assert slab.views[1][0] == 9.0
+        matrix = Slab.zeros([1, 2], (3,), np.int64)
+        assert matrix.flat.shape == (3, 3)
+        assert [v.shape for v in matrix.views] == [(1, 3), (2, 3)]
 
 
 class TestFlatWaveEquivalence:
-    """flat_gather/flat_scatter equal the per-rank wave path exactly."""
+    """flat_gather/flat_scatter over a slab equal the per-rank wave path
+    exactly."""
 
     @pytest.fixture(scope="class")
     def wave_and_arrays(self):
@@ -62,19 +68,17 @@ class TestFlatWaveEquivalence:
 
     def test_flat_gather_matches_gather(self, wave_and_arrays):
         wave, arrays = wave_and_arrays
-        field = FlatField.from_arrays("v", [a.copy() for a in arrays])
         np.testing.assert_array_equal(
-            wave.send.flat_gather(field.flat, field.offsets),
-            wave.send.gather(arrays))
+            wave.send.flat_gather(_slab(arrays)), wave.send.gather(arrays))
 
     def test_flat_scatter_matches_scatter(self, wave_and_arrays):
         wave, arrays = wave_and_arrays
         block = wave.send.gather(arrays)
         expect = [a.copy() for a in arrays]
         wave.recv.scatter(expect, block)
-        field = FlatField.from_arrays("v", [a.copy() for a in arrays])
-        wave.recv.flat_scatter(field.flat, field.offsets, block)
-        for view, want in zip(field.views, expect):
+        slab = _slab(arrays)
+        wave.recv.flat_scatter(slab, block)
+        for view, want in zip(slab.views, expect):
             np.testing.assert_array_equal(view, want)
 
     def test_flat_scatter_accumulates_like_scatter(self, wave_and_arrays):
@@ -82,10 +86,24 @@ class TestFlatWaveEquivalence:
         block = wave.send.gather(arrays)
         expect = [a.copy() for a in arrays]
         wave.recv.scatter(expect, block, op=np.add)
-        field = FlatField.from_arrays("v", [a.copy() for a in arrays])
-        wave.recv.flat_scatter(field.flat, field.offsets, block, op=np.add)
-        for view, want in zip(field.views, expect):
+        slab = _slab(arrays)
+        wave.recv.flat_scatter(slab, block, op=np.add)
+        for view, want in zip(slab.views, expect):
             np.testing.assert_array_equal(view, want)
+
+    def test_integer_and_2d_slabs_match_per_rank(self, wave_and_arrays):
+        wave, arrays = wave_and_arrays
+        for rows in ([(a * 10).astype(np.int64) for a in arrays],
+                     [np.stack([a, -a], axis=1) for a in arrays]):
+            slab = _slab(rows)
+            block = wave.send.flat_gather(slab)
+            np.testing.assert_array_equal(block, wave.send.gather(rows))
+            expect = [a.copy() for a in rows]
+            wave.recv.scatter(expect, block, op=np.add)
+            wave.recv.flat_scatter(slab, block, op=np.add)
+            for view, want in zip(slab.views, expect):
+                assert view.dtype == want.dtype
+                np.testing.assert_array_equal(view, want)
 
 
 class _FakeState:
@@ -119,7 +137,10 @@ class _FakeComm:
 class TestCheckpointKeepsViews:
     def test_restore_copies_into_flat_views(self):
         envs = _envs()
-        store = build_flat_store(envs, ["v", "w"])
+        slabs = {var: _slab([env[var] for env in envs]) for var in "vw"}
+        for var, slab in slabs.items():
+            for env, view in zip(envs, slab.views):
+                env[var] = view
         comm = _FakeComm()
         states = [_FakeState() for _ in envs]
         mgr = CheckpointManager()
@@ -132,7 +153,7 @@ class TestCheckpointKeepsViews:
         for env, snap in zip(envs, saved):
             assert "extra" not in env
             np.testing.assert_array_equal(env["v"], snap["v"])
-        # the flat store views survived: envs still alias the flat buffer
-        for view, env in zip(store["v"].views, envs):
+        # the slab views survived: envs still alias the slab's buffer
+        for view, env in zip(slabs["v"].views, envs):
             assert env["v"] is view
             np.testing.assert_array_equal(view, env["v"])

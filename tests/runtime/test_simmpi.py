@@ -224,8 +224,9 @@ class TestStats:
     def test_rank_accounting_counts_both_ends(self):
         comm = SimComm(2)
         comm.view(0).send(np.zeros(4), dest=1)
-        assert comm.stats.rank_messages(0) == 1
-        assert comm.stats.rank_messages(1) == 1
+        msgs, words = comm.stats.rank_counters(2)
+        assert msgs.tolist() == [1, 1]
+        assert words.tolist() == [4, 4]
         assert comm.stats.rank_words(1) == 4
 
     def test_collective_record_iteration_yields_copies(self):
