@@ -11,6 +11,7 @@ This is the library's front door for the paper's whole section 4:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -52,6 +53,8 @@ class PlacementResult:
     not the analysis graphs: ``automaton``, ``legality`` and ``vfg`` are
     then ``None`` and ``outputs``/``flags`` are filled from the cached
     payload instead.  :meth:`output_vars` abstracts over the two shapes.
+    A restored ``ranked`` is a read-only sequence that decodes each
+    placement the first time it is read.
     """
 
     sub: Subroutine
@@ -59,7 +62,7 @@ class PlacementResult:
     automaton: Optional[OverlapAutomaton]
     legality: Optional[LegalityReport]
     vfg: Optional[ValueFlowGraph]
-    ranked: list[RankedPlacement] = field(default_factory=list)
+    ranked: Sequence[RankedPlacement] = field(default_factory=list)
     #: program outputs (vfg.outputs keys); set on cache restore where the
     #: vfg itself is not rebuilt
     outputs: Optional[frozenset[str]] = None

@@ -20,6 +20,12 @@ What round-trips:
 * the program's output-variable set (what the pipeline verifies);
 * the analysis flags the artifact was produced under.
 
+The payload is a head line and the canonical body.  The head carries
+the layout version, the flags, each solution record's byte span in the
+body and the solutions table (cost, summary, communication count per
+solution), so a reader parses the head and decodes a ranked placement
+from its own record the first time it is read (:class:`ResultPayload`).
+
 What deliberately does **not** round-trip: the dependence graph, the
 value-flow graph, the automaton and the legality report.  Those are
 search-time structures; a restored :class:`PlacementResult` carries
@@ -52,7 +58,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Optional
+from collections.abc import Sequence
+from typing import NamedTuple, Optional
 
 from ..errors import ReproError
 from ..lang.ast import Subroutine
@@ -63,7 +70,7 @@ from .engine import PlacementResult, RankedPlacement
 from .propagate import Solution
 
 #: bump when the payload layout changes — decoders refuse other versions
-PAYLOAD_VERSION = 2
+PAYLOAD_VERSION = 3
 
 #: CommOp fields in encoding order (one row per communication)
 _COMM_FIELDS = ("post_anchor", "wait_anchor", "kind", "var", "method",
@@ -148,53 +155,175 @@ def ranked_from_payload(payload: dict,
                            cost=cost, summary=payload["summary"])
 
 
-def _result_body(result: PlacementResult) -> bytes:
-    """What the analysis produced, canonically: everything but ``flags``.
-    ``"version"`` stays 1 — every recorded fingerprint hashes it; the
-    layout's own version rides on the payload's head line."""
+#: the body's solutions list opens after ``outputs`` and ``pattern`` and
+#: closes before ``version`` — sorted-key order, fixed by the layout
+_OPEN = b',"solutions":['
+_CLOSE = b'],"version":1}'
+
+
+def _corrupt(what: str) -> ReproError:
+    return ReproError(f"placement artifact {what} (corrupt or mismatched "
+                      f"cache entry)")
+
+
+def _result_body(result: PlacementResult) -> tuple[bytes, list[list[int]]]:
+    """What the analysis produced, canonically: everything but ``flags``,
+    and each solution record's ``[start, end)`` in it.
+
+    The body is ``_canonical`` of ``{"outputs", "pattern", "solutions",
+    "version"}``, assembled from one canonical record per solution
+    (canonical JSON of a container is its members' canonical JSON,
+    joined).  ``"version"`` stays 1 — every recorded fingerprint hashes
+    it; the layout's own version rides on the payload's head line."""
     to_pos = _sid_to_pos(result.sub)
-    return _canonical({
-        "version": 1,
-        "pattern": result.spec.pattern,
-        "outputs": sorted(result.output_vars()),
-        "solutions": [ranked_to_payload(rp, to_pos) for rp in result.ranked],
-    })
+    records = [_canonical(ranked_to_payload(rp, to_pos))
+               for rp in result.ranked]
+    prefix = _canonical({"outputs": sorted(result.output_vars()),
+                         "pattern": result.spec.pattern})[:-1] + _OPEN
+    spans, at = [], len(prefix)
+    for record in records:
+        spans.append([at, at + len(record)])
+        at += len(record) + 1                   # and the comma
+    return prefix + b",".join(records) + _CLOSE, spans
 
 
 def encode_result(result: PlacementResult) -> bytes:
     """Canonical bytes for a :class:`PlacementResult`'s rankable half:
-    a head line (layout version, request flags), a newline — canonical
-    JSON never holds a raw one — and the body the fingerprint digests."""
-    head = _canonical({"version": PAYLOAD_VERSION,
-                       "flags": result.flags or {}})
-    return head + b"\n" + _result_body(result)
+    a head line, a newline — canonical JSON never holds a raw one — and
+    the body the fingerprint digests.  The head holds the layout
+    version, the request flags, each solution record's byte span in the
+    body and the solutions table (``[cost_total, summary, comm_count]``
+    per solution), so a reader parses the head and then only the
+    records it asks for."""
+    body, spans = _result_body(result)
+    head = _canonical({
+        "version": PAYLOAD_VERSION,
+        "flags": result.flags or {},
+        "spans": spans,
+        "table": [[rp.cost.total, rp.summary, rp.placement.comm_count()]
+                  for rp in result.ranked]})
+    return head + b"\n" + body
+
+
+class _Records(Sequence):
+    """A restored result's ranked placements: record ``i`` of the body
+    is decoded the first time it is read, then kept."""
+
+    def __init__(self, body: bytes, spans: list, sub: Subroutine):
+        self._body, self._spans, self._sub = body, spans, sub
+        self._decoded: list[Optional[RankedPlacement]] = [None] * len(spans)
+        self._to_sid: Optional[dict[int, int]] = None
+
+    def __len__(self) -> int:
+        return len(self._spans)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        rp = self._decoded[index]
+        if rp is None:
+            if self._to_sid is None:
+                self._to_sid = _pos_to_sid(self._sub)
+            start, end = self._spans[index]
+            try:
+                rp = ranked_from_payload(json.loads(self._body[start:end]),
+                                         self._to_sid)
+            except (AttributeError, KeyError, TypeError, ValueError):
+                raise _corrupt(f"solution {index % len(self)} does not "
+                               f"decode") from None
+            self._decoded[index] = rp
+        return rp
+
+
+class ResultPayload(NamedTuple):
+    """A placements payload with its head parsed and checked against its
+    body — what a reader needs before it decodes any placement."""
+
+    head: dict
+    body: bytes
+    #: where the body's solutions list opens
+    opened: int
+
+    @classmethod
+    def read(cls, payload: bytes) -> "ResultPayload":
+        """Split and check ``payload``.
+
+        The spans must tile the body's solutions list exactly — records
+        in order, one comma apart, from the list's opening to its close
+        — and the table must have one ``[cost_total, summary,
+        comm_count]`` row per span; anything else is a corrupt entry,
+        never a traceback later."""
+        head, _, body = payload.partition(b"\n")
+        try:
+            head = json.loads(head)
+        except ValueError:
+            raise _corrupt("head does not parse") from None
+        version = head.get("version") if isinstance(head, dict) else None
+        if version != PAYLOAD_VERSION:
+            raise ReproError(
+                f"placement artifact version {version!r} "
+                f"!= supported {PAYLOAD_VERSION} (stale cache entry?)")
+        spans, table = head.get("spans"), head.get("table")
+        try:
+            if not isinstance(head.get("flags"), dict) \
+                    or len(spans) != len(table) \
+                    or not body.endswith(_CLOSE) \
+                    or any(len(row) != 3 for row in table):
+                raise ValueError
+            at = opened = body.find(_OPEN) + len(_OPEN)
+            sep = b""
+            for start, end in spans:
+                if not (type(start) is type(end) is int
+                        and start == at + len(sep) < end
+                        and body[at:start] == sep):
+                    raise ValueError
+                at, sep = end, b","
+            if len(_OPEN) > opened or at != len(body) - len(_CLOSE):
+                raise ValueError
+        except (TypeError, ValueError):
+            raise _corrupt("head's spans or table do not fit its body") \
+                from None
+        return cls(head, body, opened)
+
+    @property
+    def table(self) -> list[list]:
+        """``[cost_total, summary, comm_count]`` per ranked placement."""
+        return self.head["table"]
+
+    def fingerprint(self) -> str:
+        """:func:`payload_fingerprint` of the payload read."""
+        return hashlib.sha256(self.body).hexdigest()
+
+    def restore(self, sub: Subroutine,
+                spec: PartitionSpec) -> PlacementResult:
+        """The (graph-less) result the payload stores; its placements
+        are decoded on first use (:func:`decode_result`)."""
+        try:
+            data = json.loads(self.body[:self.opened - len(_OPEN)] + b"}")
+            pattern, outputs = data["pattern"], frozenset(data["outputs"])
+        except (KeyError, TypeError, ValueError):
+            raise _corrupt("outputs and pattern do not parse") from None
+        if pattern != spec.pattern:
+            raise ReproError(
+                f"placement artifact pattern {pattern!r} does not "
+                f"match the request spec pattern {spec.pattern!r}")
+        return PlacementResult(
+            sub=sub, spec=spec, automaton=None, legality=None, vfg=None,
+            ranked=_Records(self.body, self.head["spans"], sub),
+            outputs=outputs, flags=dict(self.head["flags"]))
 
 
 def decode_result(payload: bytes, sub: Subroutine,
                   spec: PartitionSpec) -> PlacementResult:
     """Rebuild a (graph-less) :class:`PlacementResult` from cached bytes.
 
-    ``sub``/``spec`` come from the (cheap, memoized) parse stage — the
-    artifact stores neither, because both are already pinned by the cache
-    key that addressed the payload.
+    Only the head and the body's ``outputs``/``pattern`` are parsed
+    here; each ranked placement is decoded from its own record when it
+    is first read.  ``sub``/``spec`` come from the (cheap, memoized)
+    parse stage — the artifact stores neither, because both are already
+    pinned by the cache key that addressed the payload.
     """
-    head, _, body = payload.partition(b"\n")
-    head = json.loads(head.decode("utf-8"))
-    if head.get("version") != PAYLOAD_VERSION:
-        raise ReproError(
-            f"placement artifact version {head.get('version')!r} "
-            f"!= supported {PAYLOAD_VERSION} (stale cache entry?)")
-    data = json.loads(body.decode("utf-8"))
-    if data["pattern"] != spec.pattern:
-        raise ReproError(
-            f"placement artifact pattern {data['pattern']!r} does not "
-            f"match the request spec pattern {spec.pattern!r}")
-    to_sid = _pos_to_sid(sub)
-    return PlacementResult(
-        sub=sub, spec=spec, automaton=None, legality=None, vfg=None,
-        ranked=[ranked_from_payload(p, to_sid) for p in data["solutions"]],
-        outputs=frozenset(data["outputs"]),
-        flags=dict(head["flags"]))
+    return ResultPayload.read(payload).restore(sub, spec)
 
 
 def payload_fingerprint(payload: bytes) -> str:
@@ -214,7 +343,7 @@ def result_fingerprint(result: PlacementResult) -> str:
     was given), while the fingerprint identifies what the analysis
     *produced*.
     """
-    return hashlib.sha256(_result_body(result)).hexdigest()
+    return hashlib.sha256(_result_body(result)[0]).hexdigest()
 
 
 def outputs_fingerprint(outputs: dict) -> str:

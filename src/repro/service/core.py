@@ -47,13 +47,12 @@ from ..placement.engine import (
     enumerate_placements,
 )
 from ..placement.serialize import (
-    decode_result,
+    ResultPayload,
     encode_result,
-    payload_fingerprint,
     sink_from_payload,
 )
 from ..spec import PartitionSpec
-from .keys import cache_key, canonical_flags, code_version
+from .keys import cache_key, canonical_flags, canonical_key, code_version
 from .store import STAGE_COMMCHECK, STAGE_PLACEMENTS, ArtifactStore
 
 
@@ -105,13 +104,17 @@ class _Admitted(NamedTuple):
     solutions: list
 
     @classmethod
-    def of(cls, result: PlacementResult, payload: bytes) -> "_Admitted":
-        return cls(result, payload_fingerprint(payload),
+    def of(cls, result: PlacementResult,
+           payload: ResultPayload) -> "_Admitted":
+        """The entry for ``result`` and the payload that stores it: the
+        solutions table is the payload head's, on a miss as on a disk
+        hit, so admitting a restored result decodes no placement."""
+        return cls(result, payload.fingerprint(),
                    sorted(result.output_vars()),
-                   [{"index": i, "cost_total": rp.cost.total,
-                     "summary": rp.summary,
-                     "comm_count": rp.placement.comm_count()}
-                    for i, rp in enumerate(result.ranked)])
+                   [{"index": i, "cost_total": cost, "summary": summary,
+                     "comm_count": count}
+                    for i, (cost, summary, count)
+                    in enumerate(payload.table)])
 
 
 class PlacementService:
@@ -188,7 +191,9 @@ class PlacementService:
 
     def _admitted(self, program: str, spec_text: str,
                   flags: dict) -> tuple[_Admitted, RequestMetrics]:
-        key = self.key(program, spec_text, flags)
+        """``flags`` is :func:`canonical_flags`'s output: the key hashes
+        it as it is."""
+        key = canonical_key(program, spec_text, flags, salt=self.salt)
         metrics = RequestMetrics(key=key)
         self.requests += 1
 
@@ -231,8 +236,8 @@ class PlacementService:
             sub = self._parse(program, metrics)
             spec = self._spec(spec_text, metrics)
             with metrics.time("decode"):
-                return _Admitted.of(decode_result(payload, sub, spec),
-                                    payload)
+                read = ResultPayload.read(payload)
+                return _Admitted.of(read.restore(sub, spec), read)
 
         entry, tier = self.store.get_object(key, STAGE_PLACEMENTS, _decode)
         if entry is not None:
@@ -256,7 +261,7 @@ class PlacementService:
             verdicts = self._check_all(program, result, flags)
         with metrics.time("encode"):
             payload = encode_result(result)
-            entry = _Admitted.of(result, payload)
+            entry = _Admitted.of(result, ResultPayload.read(payload))
             checks = json.dumps(verdicts, sort_keys=True,
                                 separators=(",", ":")).encode("utf-8")
         with metrics.time("persist"):

@@ -98,10 +98,13 @@ def canonical_flags(flags: Optional[dict]) -> dict:
             else default for name, default in FLAG_DEFAULTS.items()}
 
 
+def _dumps(flags: dict) -> str:
+    return json.dumps(flags, sort_keys=True, separators=(",", ":"))
+
+
 def flags_json(flags: Optional[dict]) -> str:
     """The canonical JSON the key hashes (sorted keys, no whitespace)."""
-    return json.dumps(canonical_flags(flags), sort_keys=True,
-                      separators=(",", ":"))
+    return _dumps(canonical_flags(flags))
 
 
 def code_version() -> str:
@@ -145,11 +148,18 @@ def _frame(data: bytes) -> bytes:
 def cache_key(program: str, spec_text: str, flags: Optional[dict] = None,
               salt: Optional[str] = None) -> str:
     """The content-addressed key of one analysis request (64 hex chars)."""
+    return canonical_key(program, spec_text, canonical_flags(flags), salt)
+
+
+def canonical_key(program: str, spec_text: str, flags: dict,
+                  salt: Optional[str] = None) -> str:
+    """:func:`cache_key` of flags :func:`canonical_flags` already
+    returned: they are hashed as they are, not validated again."""
     h = hashlib.sha256()
     h.update(b"repro-placement-v1\x00")
     h.update(_frame(program.encode("utf-8")))
     h.update(_frame(spec_text.encode("utf-8")))
-    h.update(_frame(flags_json(flags).encode("utf-8")))
+    h.update(_frame(_dumps(flags).encode("utf-8")))
     h.update(_frame((salt if salt is not None else code_version())
                     .encode("utf-8")))
     return h.hexdigest()

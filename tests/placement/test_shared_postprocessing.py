@@ -210,18 +210,44 @@ class TestGoldenFingerprints:
         assert result_fingerprint(restored) == golden
         assert encode_result(restored) == payload
 
-    def test_version_1_payload_is_refused_as_stale(self):
+    @staticmethod
+    def _payload():
         source, spec, limit = PROGRAMS[sorted(PROGRAMS)[0]]
         result = enumerate_placements(source, spec, limit=limit)
-        head, _, body = encode_result(result).partition(b"\n")
+        return result, encode_result(result)
+
+    def test_version_3_head_locates_every_record(self):
+        result, payload = self._payload()
+        head, _, body = payload.partition(b"\n")
         head = json.loads(head)
-        assert head == {"flags": result.flags, "version": 2}
-        # the layout before PR 24: one object, flags beside the rest
-        v1 = json.dumps({**json.loads(body), "flags": head["flags"]},
+        assert sorted(head) == ["flags", "spans", "table", "version"]
+        assert head["flags"] == result.flags and head["version"] == 3
+        records = [json.loads(body[start:end])
+                   for start, end in head["spans"]]
+        assert records == json.loads(body)["solutions"]
+        assert head["table"] == [[rp.cost.total, rp.summary,
+                                  rp.placement.comm_count()]
+                                 for rp in result.ranked]
+
+    def test_version_1_payload_is_refused_as_stale(self):
+        result, payload = self._payload()
+        head, _, body = payload.partition(b"\n")
+        # layout 1: one object, flags beside the rest
+        v1 = json.dumps({**json.loads(body), "flags": result.flags},
                         sort_keys=True, separators=(",", ":")).encode()
-        with pytest.raises(ReproError, match=r"version 1 != supported 2 "
+        with pytest.raises(ReproError, match=r"version 1 != supported 3 "
                                              r"\(stale cache entry\?\)"):
             decode_result(v1, result.sub, result.spec)
+
+    def test_version_2_payload_is_refused_as_stale(self):
+        result, payload = self._payload()
+        body = payload.partition(b"\n")[2]
+        # layout 2: a head of flags and version, no spans or table
+        v2 = json.dumps({"flags": result.flags, "version": 2},
+                        sort_keys=True, separators=(",", ":")).encode()
+        with pytest.raises(ReproError, match=r"version 2 != supported 3 "
+                                             r"\(stale cache entry\?\)"):
+            decode_result(v2 + b"\n" + body, result.sub, result.spec)
 
     def test_golden_covers_exactly_the_programs(self):
         assert sorted(self.GOLDEN["fingerprints"]) == sorted(

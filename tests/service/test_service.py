@@ -171,14 +171,14 @@ class TestTierAttribution:
         cold.placements(*other)
         svc = PlacementService(str(tmp_path / "cache"))
         assert svc.placements(*other)[1].tier == "disk"
-        real = core.decode_result
+        real = core.ResultPayload.restore
 
-        def busy(payload, sub, spec):
+        def busy(read, sub, spec):
             for _ in range(3):
                 assert svc.placements(*other)[1].tier == "mem"
-            return real(payload, sub, spec)
+            return real(read, sub, spec)
 
-        monkeypatch.setattr(core, "decode_result", busy)
+        monkeypatch.setattr(core.ResultPayload, "restore", busy)
         response = svc.place(TESTIV_SOURCE, SPEC_TEXT)
         assert response["tier"] == response["metrics"]["tier"] == "disk"
         assert svc.status()["tiers"]["disk"]["requests"] == 2

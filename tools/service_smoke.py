@@ -8,8 +8,11 @@ promises:
 1. a cold request misses and computes (``tier == "miss"``);
 2. the identical request hits the in-process tier (``tier == "mem"``)
    with a byte-identical response;
-3. a *restarted* server over the same cache root serves the request
-   from disk (``tier == "disk"``), still byte-identical;
+3. a *restarted* server over the same cache root serves a request for
+   placement 3 from disk (``tier == "disk"``: the restored artifact
+   decodes that one placement) and then placement 0 from memory (decoded
+   on first use from the same restored artifact), each byte-identical to
+   the cold server's answer;
 4. ``/status`` reports the artifacts and the hit counters.
 
 Exit status 0 on success; any failure prints the offending check and
@@ -65,6 +68,15 @@ def expect(cond: bool, message: str) -> None:
         raise SystemExit(1)
 
 
+#: what a placement answer holds, compared as the JSON the server sent
+ANSWER = ("fingerprint", "annotated", "summary", "cost_total", "diagnostics")
+
+
+def same_answer(a: dict, b: dict) -> bool:
+    return all(json.dumps(a[k], sort_keys=True)
+               == json.dumps(b[k], sort_keys=True) for k in ANSWER)
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO / "src"))
     from repro.corpus import TESTIV_SOURCE
@@ -81,9 +93,12 @@ def main() -> int:
             warm = post(base, "/place", request)
             expect(warm["tier"] == "mem",
                    f"second request should hit memory, got {warm['tier']!r}")
-            expect(warm["annotated"] == cold["annotated"]
-                   and warm["fingerprint"] == cold["fingerprint"],
+            expect(same_answer(warm, cold),
                    "warm response differs from cold response")
+            cold3 = post(base, "/place", {**request, "index": 3})
+            expect(cold3["tier"] == "mem" and cold3["index"] == 3
+                   and cold3["summary"] != cold["summary"],
+                   "placement 3 was not answered from the cached analysis")
             status = json.loads(urllib.request.urlopen(
                 base + "/status", timeout=30).read())
             expect(status["disk_artifacts"] == 2,
@@ -97,18 +112,23 @@ def main() -> int:
         # a fresh server over the same cache root starts disk-warm
         proc, base = start_server(cache_dir)
         try:
-            restarted = post(base, "/place", request)
-            expect(restarted["tier"] == "disk",
+            restarted3 = post(base, "/place", {**request, "index": 3})
+            expect(restarted3["tier"] == "disk",
                    f"restarted server should hit disk, got "
-                   f"{restarted['tier']!r}")
-            expect(restarted["annotated"] == cold["annotated"]
-                   and restarted["fingerprint"] == cold["fingerprint"],
-                   "disk-restored response differs from cold response")
+                   f"{restarted3['tier']!r}")
+            expect(same_answer(restarted3, cold3),
+                   "disk-restored placement 3 differs from cold response")
+            restarted = post(base, "/place", request)
+            expect(restarted["tier"] == "mem",
+                   f"placement 0 of the restored artifact should hit "
+                   f"memory, got {restarted['tier']!r}")
+            expect(same_answer(restarted, cold),
+                   "disk-restored placement 0 differs from cold response")
         finally:
             proc.terminate()
             proc.wait(timeout=30)
-    print("service smoke OK: miss -> mem -> (restart) -> disk, "
-          "responses bit-identical")
+    print("service smoke OK: miss -> mem -> (restart) -> disk at index 3 "
+          "-> mem at index 0, responses bit-identical")
     return 0
 
 
