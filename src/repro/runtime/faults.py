@@ -384,6 +384,15 @@ class FaultComm(SimComm):
             & tag_ok
         return m.any(axis=1)
 
+    def quiet(self, srcs, dsts, tag: int) -> bool:
+        """:meth:`SimComm.quiet`, and no live rule targets any of the
+        channels: every message then goes straight to the wire."""
+        if not super().quiet(srcs, dsts, tag):
+            return False
+        matched = self._match_any(np.asarray(srcs, np.int64),
+                                  np.asarray(dsts, np.int64), tag)
+        return matched is None or not matched.any()
+
     # -- progress: the fabric moves while a receive retries ------------------
 
     def _progress(self, key: tuple[int, int, int]) -> bool:

@@ -12,7 +12,8 @@ single procedure called in the source program"):
     with an associative/commutative operator and send totals back;
 ``allreduce_scalar``
     scalar reduction — every rank ends up with op-combine of all local
-    partials, evaluated in rank order so results are deterministic.
+    partials, folded over a fixed binomial tree so results are
+    deterministic.
 
 The two array collectives additionally come as split-phase halves for the
 ``C$SYNCHRONIZE POST``/``WAIT`` windows: ``overlap_post``/``overlap_complete``
@@ -24,7 +25,12 @@ and runs the return round.  Since the placement guarantees no definition
 between post and wait, a split run is bit-identical to the blocking one;
 the blocking entry points are post + complete back to back.
 ``allreduce_scalar`` never splits: its binomial tree has sequential rounds
-with no separable one-ended post.
+with no separable one-ended post.  The tree is a table of ``(src, dst,
+up)`` rows, built once per communicator size and sent in flushes of one
+batched send and one batched receive: the whole table is one flush on a
+quiet wire (:meth:`~repro.runtime.simmpi.SimComm.quiet`), and each level
+is its own flush otherwise, so the fault fabric sees every level as the
+wave it always was.
 
 All of these run in the single-process lockstep world of the SPMD executor:
 every rank is suspended at the same program point, so a collective is a
@@ -45,6 +51,7 @@ bit identity against a wire that carries every wave message by message.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -209,63 +216,94 @@ def allreduce_scalar(comm: SimComm, envs: list[dict], var: str,
                      rank: Optional[int] = None) -> None:
     """Combine per-rank scalar partials; every rank gets the total.
 
-    Binomial-tree reduce followed by a binomial broadcast: every rank
-    sends/receives O(log₂ P) messages, which is what makes the reduction's
-    latency term scale in the speedup experiment.  The combine order is a
-    fixed tree, so results are deterministic run-to-run (though, like any
-    parallel sum, rounded differently from the sequential left-to-right
-    order).  Each tree level goes to the fabric as one batched send and
-    one batched receive over all its rank pairs.
+    Binomial-tree reduce followed by a binomial broadcast down the same
+    tree: every rank sends/receives O(log₂ P) messages, which is what
+    makes the reduction's latency term scale in the speedup experiment.
+    The combine order is a fixed tree, so results are deterministic
+    run-to-run (though, like any parallel sum, rounded differently from
+    the sequential left-to-right order).
+
+    The tree is a table of ``(src, dst, up)`` rows (:func:`_tree`), sent
+    in *flushes* — one ``send_batch`` and one ``recv_batch`` each.  Each
+    flush's payloads are its rows' sources' values with the fold run
+    ahead over the flush's earlier rows, and each received payload is
+    folded into (up) or assigned to (broadcast) its destination in row
+    order.  On a quiet wire (:meth:`SimComm.quiet`) the whole table is
+    one flush: no channel appears twice in the tree, so every receive
+    takes the very message its row sent.  Otherwise each level is its
+    own flush and the values it receives feed the next level's sends, so
+    every fault rule sees each level as a wave of its own, in level
+    order, with the fabric clock and RNG draws that order implies.
 
     ``rank`` names the one participating rank of a localized restart:
-    the pairing is a pure function of (rank, size, level), so each
-    level's pair lists are filtered to the sends it originates and the
+    each level's rows are filtered to the sends it originates and the
     receives it terminates, and only its value is written back.
+
+    >>> comm = SimComm(4)
+    >>> envs = [{"s": float(r + 1)} for r in range(4)]
+    >>> allreduce_scalar(comm, envs, "s")
+    >>> [env["s"] for env in envs]
+    [10.0, 10.0, 10.0, 10.0]
+    >>> comm.stats.total_messages()  # 3 up the tree, 3 back down
+    6
     """
-    reducer = _reduction(op, "reduction").fold
+    fold = _reduction(op, "reduction").fold
     before = _rank_words(comm)
-    size = comm.size
-    values = [envs[r][var] for r in range(size)]
-    # reduce up the tree: at step 2^k, rank r (multiple of 2^(k+1)) absorbs
-    # its partner r + 2^k
-    step = 1
-    while step < size:
-        roots = list(range(0, size - step, 2 * step))
-        partners = [r + step for r in roots]
-        for r, got in _tree_level(comm, values, partners, roots, rank):
-            values[r] = reducer(values[r], got)
-        step *= 2
-    # broadcast down the same tree
-    step //= 2
-    while step >= 1:
-        roots = list(range(0, size - step, 2 * step))
-        partners = [r + step for r in roots]
-        for p, got in _tree_level(comm, values, roots, partners, rank):
-            values[p] = got
-        step //= 2
-    for r in range(size) if rank is None else (rank,):
+    rows, levels = _tree(comm.size)
+    values = [envs[r][var] for r in range(comm.size)]
+    whole = rank is None and comm.quiet(*_ends(rows), _TAG_REDUCE)
+    for flush in (rows,) if whole else levels:
+        if rank is None:
+            sends = recvs = flush
+            payloads = _ahead(flush, values, fold)
+        else:
+            sends = [row for row in flush if row[0] == rank]
+            recvs = [row for row in flush if row[1] == rank]
+            payloads = [values[rank]] * len(sends)
+        if sends:
+            comm.send_batch(*_ends(sends), payloads, tag=_TAG_REDUCE)
+        if recvs:
+            got = comm.recv_batch(*_ends(recvs), tag=_TAG_REDUCE)
+            for (_s, d, up), x in zip(recvs, got):
+                values[d] = fold(values[d], x) if up else x
+    for r in range(comm.size) if rank is None else (rank,):
         envs[r][var] = values[r]
     _log_collective(comm, f"reduce[{op}]:{label or var}", before)
 
 
-def _tree_level(comm: SimComm, values: list, srcs: list[int],
-                dsts: list[int], rank: Optional[int]) -> list[tuple]:
-    """One tree level: ``srcs[i]`` sends its value to ``dsts[i]``.
+@lru_cache(maxsize=None)
+def _tree(size: int) -> tuple[tuple, tuple]:
+    """The binomial tree over ``size`` ranks as ``(src, dst, up)`` rows in
+    level order, up-sweep then broadcast: ``(rows, levels)``, the table
+    whole and cut at its levels.
 
-    Returns the ``(dst, received value)`` pairs; with a participating
-    ``rank`` only the pairs it is the sending or receiving end of touch
-    the fabric.
+    >>> _tree(3)[1]
+    (((1, 0, True),), ((2, 0, True),), ((0, 2, False),), ((0, 1, False),))
     """
-    sends = recvs = list(zip(srcs, dsts))
-    if rank is not None:
-        sends = [(s, d) for s, d in sends if s == rank]
-        recvs = [(s, d) for s, d in recvs if d == rank]
-    if sends:
-        comm.send_batch([s for s, _d in sends], [d for _s, d in sends],
-                        [values[s] for s, _d in sends], tag=_TAG_REDUCE)
-    got = comm.recv_batch([s for s, _d in recvs], [d for _s, d in recvs],
-                          tag=_TAG_REDUCE) if recvs else []
-    return [(d, value) for (_s, d), value in zip(recvs, got)]
+    up, step = [], 1
+    while step < size:
+        # at step 2^k, rank r (a multiple of 2^(k+1)) absorbs r + 2^k
+        up.append(tuple((r + step, r, True)
+                        for r in range(0, size - step, 2 * step)))
+        step *= 2
+    levels = (*up, *(tuple((d, s, False) for s, d, _up in level)
+                     for level in reversed(up)))
+    return sum(levels, ()), levels
+
+
+def _ends(rows) -> tuple[list[int], list[int]]:
+    """The source and destination columns of tree rows."""
+    return [s for s, _d, _up in rows], [d for _s, d, _up in rows]
+
+
+def _ahead(rows, values: list, fold) -> list:
+    """A flush's payloads: each row sends its source's value as the rows
+    before it in the flush leave it — the fold run ahead of the wire."""
+    ahead, out = values.copy(), []
+    for s, d, up in rows:
+        out.append(ahead[s])
+        ahead[d] = fold(ahead[d], ahead[s]) if up else ahead[s]
+    return out
 
 
 def _rank_words(comm: SimComm) -> tuple[np.ndarray, np.ndarray]:

@@ -454,6 +454,31 @@ class SimComm:
         """
         return False
 
+    def quiet(self, srcs, dsts, tag: int) -> bool:
+        """Whether messages ``srcs[i]`` → ``dsts[i]`` on ``tag`` reach their
+        receivers unchanged and in sending order, however they are split
+        into waves.
+
+        True while no replay filter is installed (it masks sends one by
+        one against the message log) and no message is pending on
+        ``tag`` (a receive would match it first).  The fault fabric also
+        asks that no live rule target one of the channels.  The wire is
+        read through ``pending_total`` and ``channels`` only, so any
+        transport serves.
+
+        >>> comm = SimComm(2)
+        >>> comm.quiet([0], [1], 5)
+        True
+        >>> comm.send_batch([1], [0], [7], tag=5)
+        >>> comm.quiet([0], [1], 5), comm.quiet([0], [1], 6)
+        (False, True)
+        """
+        if self._replay is not None:
+            return False
+        wire = self._transport
+        return not wire.pending_total() or all(
+            t != tag for _s, _d, t, _n in wire.channels())
+
     def pending_messages(self) -> int:
         return self._transport.pending_total()
 
