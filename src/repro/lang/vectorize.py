@@ -167,6 +167,11 @@ class Slab(NamedTuple):
         count = int(np.prod(full))
         flat = np.frombuffer(mmap.mmap(-1, max(1, dtype.itemsize * count)),
                              dtype, count).reshape(full)
+        return cls.over(flat, rows)
+
+    @classmethod
+    def over(cls, flat: np.ndarray, rows: Sequence[int]) -> "Slab":
+        """``flat`` as a slab of ``rows[r]`` rows per rank, with its views."""
         starts = np.cumsum((0,) + tuple(rows)).tolist()
         return cls(flat, tuple(rows),
                    tuple(flat[a:b] for a, b in zip(starts, starts[1:])))

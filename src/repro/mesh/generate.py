@@ -9,7 +9,6 @@ substitution table.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 from ..errors import MeshError
 from .mesh2d import TriMesh
@@ -55,8 +54,11 @@ def random_delaunay_mesh(n_nodes: int, seed: int = 0,
     """Delaunay triangulation of jittered grid points (irregular degrees).
 
     Points sit on a perturbed lattice so the triangulation has no slivers
-    yet node degrees vary like a real unstructured CFD mesh.
+    yet node degrees vary like a real unstructured CFD mesh.  scipy is
+    imported on call, so importing the package needs numpy alone.
     """
+    from scipy.spatial import Delaunay
+
     if n_nodes < 4:
         raise MeshError("need at least 4 nodes")
     rng = np.random.default_rng(seed)

@@ -21,15 +21,16 @@ algorithms are provided, plus a Kernighan–Lin-style boundary refinement:
 
 from __future__ import annotations
 
-from typing import Callable, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ..errors import MeshError
 from .mesh2d import TriMesh
 from .mesh3d import TetMesh
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 Mesh = Union[TriMesh, TetMesh]
 
@@ -88,6 +89,10 @@ def node_rank_runs(mesh: Mesh, elem_ranks: np.ndarray
 
 
 def _dual_adjacency(mesh: Mesh) -> sp.csr_matrix:
+    # scipy loads here, on the greedy and spectral paths only: RCB and
+    # every import of the package need numpy alone
+    import scipy.sparse as sp
+
     n = len(mesh.elements)
     pairs = element_dual_edges(mesh)
     if not len(pairs):
@@ -197,6 +202,9 @@ def partition_greedy(mesh: Mesh, nparts: int) -> np.ndarray:
 
 def partition_spectral(mesh: Mesh, nparts: int, seed: int = 0) -> np.ndarray:
     """Recursive spectral bisection with the dual-graph Fiedler vector."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     n = len(mesh.elements)
     adj = _dual_adjacency(mesh)
     ranks = np.zeros(n, dtype=np.int64)

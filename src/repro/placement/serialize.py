@@ -22,9 +22,11 @@ What round-trips:
 
 The payload is a head line and the canonical body.  The head carries
 the layout version, the flags, each solution record's byte span in the
-body and the solutions table (cost, summary, communication count per
-solution), so a reader parses the head and decodes a ranked placement
-from its own record the first time it is read (:class:`ResultPayload`).
+body, the solutions table (cost, summary, communication count per
+solution) and the body's sha256, so a reader parses the head, names the
+artifact without digesting the body again, and decodes a ranked
+placement from its own record the first time it is read
+(:class:`ResultPayload`).
 
 What deliberately does **not** round-trip: the dependence graph, the
 value-flow graph, the automaton and the legality report.  Those are
@@ -70,7 +72,7 @@ from .engine import PlacementResult, RankedPlacement
 from .propagate import Solution
 
 #: bump when the payload layout changes — decoders refuse other versions
-PAYLOAD_VERSION = 3
+PAYLOAD_VERSION = 4
 
 #: CommOp fields in encoding order (one row per communication)
 _COMM_FIELDS = ("post_anchor", "wait_anchor", "kind", "var", "method",
@@ -192,13 +194,14 @@ def encode_result(result: PlacementResult) -> bytes:
     a head line, a newline — canonical JSON never holds a raw one — and
     the body the fingerprint digests.  The head holds the layout
     version, the request flags, each solution record's byte span in the
-    body and the solutions table (``[cost_total, summary, comm_count]``
-    per solution), so a reader parses the head and then only the
-    records it asks for."""
+    body, the solutions table (``[cost_total, summary, comm_count]``
+    per solution) and the fingerprint itself (``sha256``), so a reader
+    parses the head and then only the records it asks for."""
     body, spans = _result_body(result)
     head = _canonical({
         "version": PAYLOAD_VERSION,
         "flags": result.flags or {},
+        "sha256": hashlib.sha256(body).hexdigest(),
         "spans": spans,
         "table": [[rp.cost.total, rp.summary, rp.placement.comm_count()]
                   for rp in result.ranked]})
@@ -251,8 +254,9 @@ class ResultPayload(NamedTuple):
         The spans must tile the body's solutions list exactly — records
         in order, one comma apart, from the list's opening to its close
         — and the table must have one ``[cost_total, summary,
-        comm_count]`` row per span; anything else is a corrupt entry,
-        never a traceback later."""
+        comm_count]`` row per span and a ``sha256`` string; anything
+        else is a corrupt entry, never a traceback later.  The digest is
+        taken at its word: the store's frame digest covers the head."""
         head, _, body = payload.partition(b"\n")
         try:
             head = json.loads(head)
@@ -266,6 +270,7 @@ class ResultPayload(NamedTuple):
         spans, table = head.get("spans"), head.get("table")
         try:
             if not isinstance(head.get("flags"), dict) \
+                    or not isinstance(head.get("sha256"), str) \
                     or len(spans) != len(table) \
                     or not body.endswith(_CLOSE) \
                     or any(len(row) != 3 for row in table):
@@ -291,8 +296,9 @@ class ResultPayload(NamedTuple):
         return self.head["table"]
 
     def fingerprint(self) -> str:
-        """:func:`payload_fingerprint` of the payload read."""
-        return hashlib.sha256(self.body).hexdigest()
+        """:func:`payload_fingerprint` of the payload read, as its head
+        recorded it at encode time."""
+        return self.head["sha256"]
 
     def restore(self, sub: Subroutine,
                 spec: PartitionSpec) -> PlacementResult:

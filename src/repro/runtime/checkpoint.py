@@ -28,7 +28,9 @@ Two recovery modes consume these snapshots:
 
 The manager holds *one* checkpoint, the newest: both recovery modes
 rewind to it and nothing ever reads an older one, so each take replaces
-its predecessor.
+its predecessor — and copies each all-ranks slab into the buffer the
+held checkpoint already has for it, allocating only on the first take
+of an epoch or when the slab's geometry changed.
 
 In-place restore is deliberate: environment arrays are written *into*
 (``cur[...] = val``) whenever shape and dtype match, so slab views
@@ -160,6 +162,9 @@ class CheckpointManager:
         self.restored_words = 0
         #: seconds spent inside restore calls
         self.restore_seconds = 0.0
+        #: the held checkpoint's copy of each slab, by array name: the
+        #: next take copies into it when the geometry is unchanged
+        self._slab_copies: dict[str, Slab] = {}
 
     def reset_epoch(self) -> None:
         """Drop the held checkpoint at a migration-epoch boundary.
@@ -171,6 +176,7 @@ class CheckpointManager:
         taking the fresh post-migration checkpoint.
         """
         self.last = None
+        self._slab_copies = {}
 
     def due(self, event_count: int) -> bool:
         """Is a checkpoint due at this event count?"""
@@ -183,8 +189,10 @@ class CheckpointManager:
         """Snapshot a quiescent point (caller guarantees quiescence).
 
         ``slabs`` names the all-ranks buffers the envs bind views of; each
-        one still installed is copied once, and every rank snapshot views
-        its rows of the copy.  Other arrays are copied rank by rank.
+        one still installed is copied once — into the held checkpoint's
+        copy when its rows, trailing shape and dtype are unchanged — and
+        every rank snapshot views its rows of the copy.  Other arrays are
+        copied rank by rank.
         Raises a structured CC104 diagnostic when the point is not
         actually quiescent (messages in flight).  The new
         checkpoint replaces the held one.
@@ -205,15 +213,23 @@ class CheckpointManager:
             raise err
         saved = [dict(env) for env in envs]
         copies = []
+        held = {}
         for name, slab in (slabs or {}).items():
             if not slab.installed_in(envs, name):
                 continue
-            buf = slab.flat[:sum(slab.rows)].copy()
-            copies.append(buf)
-            start = 0
-            for env, n in zip(saved, slab.rows):
-                env[name] = buf[start:start + n]
-                start += n
+            live = slab.flat[:sum(slab.rows)]
+            copy = self._slab_copies.get(name)
+            if (copy is not None and copy.rows == slab.rows
+                    and copy.flat.shape == live.shape
+                    and copy.flat.dtype == live.dtype):
+                np.copyto(copy.flat, live)
+            else:
+                copy = Slab.over(live.copy(), slab.rows)
+            held[name] = copy
+            copies.append(copy.flat)
+            for env, view in zip(saved, copy.views):
+                env[name] = view
+        self._slab_copies = held
         for env, own in zip(saved, envs):
             for key, val in own.items():
                 if isinstance(val, np.ndarray) and env[key] is val:

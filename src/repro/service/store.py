@@ -264,10 +264,11 @@ class ArtifactStore:
         tmp = os.path.join(
             self.root, "tmp",
             f"{os.getpid()}-{threading.get_ident()}-{key[:16]}.{stage}")
+        # no fsync: the store is a cache, and a file a crash tears or
+        # truncates fails the framed digest on read — quarantined and
+        # recomputed, never served
         with open(tmp, "wb") as fh:
             fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
         os.replace(tmp, path)
         with self._lock:
             self.stats.bytes_written += len(payload)

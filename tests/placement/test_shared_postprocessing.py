@@ -216,12 +216,14 @@ class TestGoldenFingerprints:
         result = enumerate_placements(source, spec, limit=limit)
         return result, encode_result(result)
 
-    def test_version_3_head_locates_every_record(self):
+    def test_head_locates_every_record(self):
         result, payload = self._payload()
         head, _, body = payload.partition(b"\n")
         head = json.loads(head)
-        assert sorted(head) == ["flags", "spans", "table", "version"]
-        assert head["flags"] == result.flags and head["version"] == 3
+        assert sorted(head) == ["flags", "sha256", "spans", "table",
+                                "version"]
+        assert head["flags"] == result.flags and head["version"] == 4
+        assert head["sha256"] == payload_fingerprint(payload)
         records = [json.loads(body[start:end])
                    for start, end in head["spans"]]
         assert records == json.loads(body)["solutions"]
@@ -235,7 +237,7 @@ class TestGoldenFingerprints:
         # layout 1: one object, flags beside the rest
         v1 = json.dumps({**json.loads(body), "flags": result.flags},
                         sort_keys=True, separators=(",", ":")).encode()
-        with pytest.raises(ReproError, match=r"version 1 != supported 3 "
+        with pytest.raises(ReproError, match=r"version 1 != supported 4 "
                                              r"\(stale cache entry\?\)"):
             decode_result(v1, result.sub, result.spec)
 
@@ -245,9 +247,20 @@ class TestGoldenFingerprints:
         # layout 2: a head of flags and version, no spans or table
         v2 = json.dumps({"flags": result.flags, "version": 2},
                         sort_keys=True, separators=(",", ":")).encode()
-        with pytest.raises(ReproError, match=r"version 2 != supported 3 "
+        with pytest.raises(ReproError, match=r"version 2 != supported 4 "
                                              r"\(stale cache entry\?\)"):
             decode_result(v2 + b"\n" + body, result.sub, result.spec)
+
+    def test_version_3_payload_is_refused_as_stale(self):
+        result, payload = self._payload()
+        head, _, body = payload.partition(b"\n")
+        # layout 3: the head without the body's digest
+        v3 = {k: v for k, v in json.loads(head).items() if k != "sha256"}
+        v3 = json.dumps({**v3, "version": 3}, sort_keys=True,
+                        separators=(",", ":")).encode()
+        with pytest.raises(ReproError, match=r"version 3 != supported 4 "
+                                             r"\(stale cache entry\?\)"):
+            decode_result(v3 + b"\n" + body, result.sub, result.spec)
 
     def test_golden_covers_exactly_the_programs(self):
         assert sorted(self.GOLDEN["fingerprints"]) == sorted(

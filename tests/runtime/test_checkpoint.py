@@ -21,6 +21,7 @@ from repro.mesh import build_partition, structured_tri_mesh
 from repro.placement import enumerate_placements
 from repro.runtime import (
     RECOVERY_LOCAL,
+    RECOVERY_MODES,
     CheckpointManager,
     FaultPlan,
     MessageLog,
@@ -31,6 +32,7 @@ from repro.runtime import (
 from repro.runtime.checkpoint import _env_words
 from repro.runtime.faults import rebalance_policy
 from repro.spec import spec_for_testiv
+from tests.oracles import envs_bit_identical
 from tests.runtime.reference_checkpoint import copy_env
 
 SOURCE = """\
@@ -373,6 +375,89 @@ class TestBufferLevelTake:
         mgr.restore(SimComm(2), envs, [MachineState(), MachineState()])
         assert envs[1]["v"].tolist() == [5.0] * 4
         assert envs[0]["v"] is slab.views[0]
+
+
+class TestHeldBuffers:
+    """A take copies each slab into the buffer the held checkpoint
+    already has for it; only a new epoch or a new geometry allocates."""
+
+    @staticmethod
+    def _take(mgr, slab, event):
+        envs = [{"v": view} for view in slab.views]
+        states = [MachineState() for _ in envs]
+        return mgr.take(SimComm(len(envs)), envs, states, event, 0,
+                        slabs={"v": slab}), envs, states
+
+    def test_consecutive_takes_share_one_buffer(self):
+        slab = Slab.zeros((3, 2), (2,), np.float64)
+        slab.flat[...] = np.arange(10.0).reshape(5, 2)
+        mgr = CheckpointManager()
+        first, envs, states = self._take(mgr, slab, 0)
+        slab.flat[...] += 100.0
+        second, _envs, _states = self._take(mgr, slab, 1)
+        for old, new in zip(first.ranks, second.ranks):
+            assert np.shares_memory(old.env["v"], new.env["v"])
+        assert second.words == first.words == 10
+        want = slab.flat.copy()
+        slab.flat[...] = 0.0
+        mgr.restore(SimComm(2), envs, states)
+        assert slab.flat.tobytes() == want.tobytes()
+        assert envs[0]["v"] is slab.views[0]
+
+    @pytest.mark.parametrize("changed", [
+        Slab.zeros((2, 3), (2,), np.float64),        # rows per rank
+        Slab.zeros((3, 2), (1,), np.float64),        # trailing shape
+        Slab.zeros((3, 2), (2,), np.int64)],         # dtype
+        ids=["rows", "trailing", "dtype"])
+    def test_new_geometry_or_epoch_allocates(self, changed):
+        slab = Slab.zeros((3, 2), (2,), np.float64)
+        mgr = CheckpointManager()
+        held, _envs, _states = self._take(mgr, slab, 0)
+        changed.flat[...] = 4
+        cp, _envs, _states = self._take(mgr, changed, 1)
+        assert not np.shares_memory(cp.ranks[0].env["v"],
+                                    held.ranks[0].env["v"])
+        assert cp.ranks[0].env["v"].tobytes() == changed.views[0].tobytes()
+        mgr.reset_epoch()
+        fresh, _envs, _states = self._take(mgr, changed, 2)
+        assert not np.shares_memory(fresh.ranks[0].env["v"],
+                                    cp.ranks[0].env["v"])
+
+    @pytest.mark.parametrize("mode", RECOVERY_MODES)
+    def test_kill_restored_from_a_reused_buffer(self, monkeypatch, mode):
+        """A take at every event, a kill late in the run: the restore
+        reads a buffer earlier takes wrote, and the run stays bit-equal
+        to the undisturbed one."""
+        mesh = structured_tri_mesh(6, 6)
+        spec = spec_for_testiv()
+        placements = enumerate_placements(TESTIV_SOURCE, spec)
+        partition = build_partition(mesh, 3, spec.pattern)
+        values = {"init": np.random.default_rng(0)
+                  .standard_normal(mesh.n_nodes),
+                  "airetri": mesh.triangle_areas,
+                  "airesom": mesh.node_areas,
+                  "epsilon": 1e-8, "maxloop": 3}
+        ex = SPMDExecutor(placements.sub, spec,
+                          placements.ranked[0].placement, partition)
+        base = ex.run(dict(values))
+        taken = []
+        take = CheckpointManager.take
+
+        def spy(mgr, *args, **kw):
+            taken.append(take(mgr, *args, **kw))
+            return taken[-1]
+
+        monkeypatch.setattr(CheckpointManager, "take", spy)
+        event = len(base.timeline.events) - 2
+        res = ex.run(dict(values), recovery=mode, checkpoint_every=1,
+                     faults=FaultPlan.parse(f"kill rank=1 event={event}"))
+        assert len(taken) > 3
+        assert res.recovery["restores"] + res.recovery["rank_restores"] == 1
+        for old, new in zip(taken, taken[1:]):
+            assert np.shares_memory(old.ranks[0].env["result"],
+                                    new.ranks[0].env["result"])
+        assert envs_bit_identical(base.envs, res.envs) is None
+        assert res.rank_steps == base.rank_steps
 
 
 class TestLogFloor:

@@ -170,6 +170,11 @@ def _no_spans(head, body):
     return head, body
 
 
+def _digest_not_a_string(head, body):
+    head["sha256"] = None
+    return head, body
+
+
 def _record_3_unparseable(head, body):
     start = head["spans"][3][0]
     return head, body[:start + 1] + b"#" + body[start + 2:]
@@ -191,6 +196,7 @@ MALFORMED = {
     _table_shorter_than_spans: None,
     _table_row_too_short: None,
     _no_spans: None,
+    _digest_not_a_string: None,
     _record_3_unparseable: 3,
     _record_3_wrong_shape: 3,
 }

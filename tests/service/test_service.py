@@ -10,6 +10,7 @@ import json
 import threading
 import urllib.request
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,10 +20,11 @@ from repro.corpus.synth import synthetic_source, synthetic_spec
 from repro.driver.pipeline import run_pipeline
 from repro.errors import ReproError
 from repro.mesh import structured_tri_mesh
-from repro.placement import enumerate_placements
+from repro.placement import enumerate_placements, serialize
 from repro.placement.serialize import result_fingerprint
 from repro.service import PlacementService
 from repro.service.server import make_server
+from repro.service.store import STAGE_PLACEMENTS
 from repro.service.workers import run_request
 from repro.spec import spec_for_testiv
 
@@ -155,6 +157,48 @@ class TestPipelineDifferential:
         run = run_pipeline(TESTIV_SOURCE, SPEC, mesh, 2, fields=fields,
                            scalars=scalars, placements=restored, check="off")
         run.verify()
+
+
+class TestFingerprintOnDisk:
+    def test_miss_and_disk_hit_report_the_cold_fingerprint(
+            self, tmp_path, monkeypatch):
+        """A disk hit names the artifact from the payload head: the
+        placements layer digests nothing, and the name is the cold
+        analysis's ``result_fingerprint``."""
+        cold_fp = result_fingerprint(enumerate_placements(TESTIV_SOURCE,
+                                                          SPEC))
+        cold = PlacementService(str(tmp_path)).place(TESTIV_SOURCE,
+                                                     SPEC_TEXT)
+        digests = []
+        monkeypatch.setattr(serialize, "hashlib", SimpleNamespace(
+            sha256=lambda *a: digests.append(a)))
+        disk = PlacementService(str(tmp_path)).place(TESTIV_SOURCE,
+                                                     SPEC_TEXT)
+        assert (cold["tier"], disk["tier"]) == ("miss", "disk")
+        assert cold["fingerprint"] == disk["fingerprint"] == cold_fp
+        assert digests == []
+
+    def test_truncated_artifact_is_a_miss_that_recomputes(self, tmp_path):
+        """The store writes without ``fsync``; a file a crash cut short
+        fails the frame digest, and the next request recomputes the
+        same artifact."""
+        svc = PlacementService(str(tmp_path))
+        cold = svc.place(TESTIV_SOURCE, SPEC_TEXT)
+        path = svc.store._path(svc.key(TESTIV_SOURCE, SPEC_TEXT),
+                               STAGE_PLACEMENTS)
+        blob = open(path, "rb").read()
+        with open(path, "wb") as fh:
+            fh.write(blob[:len(blob) // 2])
+        again = PlacementService(str(tmp_path))
+        recomputed = again.place(TESTIV_SOURCE, SPEC_TEXT)
+        assert recomputed["tier"] == "miss"
+        assert again.store.stats.corrupt == 1
+        assert recomputed["fingerprint"] == cold["fingerprint"]
+        assert open(path, "rb").read() == blob
+        restored = PlacementService(str(tmp_path)).place(TESTIV_SOURCE,
+                                                         SPEC_TEXT)
+        assert restored["tier"] == "disk"
+        assert restored["fingerprint"] == cold["fingerprint"]
 
 
 class TestTierAttribution:
