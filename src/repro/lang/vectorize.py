@@ -176,11 +176,6 @@ class Slab(NamedTuple):
         return cls(flat, tuple(rows),
                    tuple(flat[a:b] for a, b in zip(starts, starts[1:])))
 
-    def installed_in(self, envs: Sequence[Env], name: str) -> bool:
-        """Whether every rank env still binds ``name`` to its view here."""
-        return len(self.views) == len(envs) and all(
-            env.get(name) is view for env, view in zip(envs, self.views))
-
 
 class RankBatch(_Space):
     """Many ranks' iterations of one loop as one address space.

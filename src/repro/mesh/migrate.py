@@ -12,12 +12,12 @@ of scope):  given two partitions of the same mesh,
 :func:`build_migration_schedule` states which entities every rank must
 ship where as a :class:`~repro.mesh.schedule.HaloSchedule` — the same
 two message tables an overlap update moves values over — and
-:func:`migrate` sends one wave over it, producing arrays laid out for the
-new sub-meshes.  The paper's observation that "the placement of
-synchronizations needs not change, since this placement did not depend
-on the geometry of the sub-meshes" is honored by construction: after
-migration the same placed program simply resumes on the new partition
-(see ``tests/mesh/test_migrate.py::TestResume``).
+:class:`Migration` moves each all-ranks slab over it as one wave into a
+slab laid out for the new sub-meshes.  The paper's observation that "the
+placement of synchronizations needs not change, since this placement did
+not depend on the geometry of the sub-meshes" is honored by construction:
+after migration the same placed program simply resumes on the new
+partition (see ``tests/mesh/test_migrate.py::TestResume``).
 
 Construction is packed-id arithmetic end to end: the *old* partition's
 packed table answers "which rank held entity ``g``, at which local slot"
@@ -31,12 +31,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import MeshError
 from .overlap import MeshPartition, build_partition
 from .schedule import HaloSchedule, _assemble_tables, _group_by_owner
+
+if TYPE_CHECKING:
+    from ..lang.vectorize import Slab
 
 #: the tag a migration wave travels on
 _TAG = 120
@@ -83,53 +87,67 @@ def build_migration_schedule(old: MeshPartition, new: MeshPartition,
     always travel kernel-owner → new holder (owners are authoritative),
     so migration also refreshes the new overlap copies — no separate
     halo update is needed right after it.  Entities that stay on their
-    rank are not in the schedule: :func:`migrate` relabels them locally.
+    rank are not in the schedule: :class:`Migration` relabels them
+    locally.
     """
-    _check_same_mesh(old, new, entity)
-    packing = old.packing(entity)
-    profiles = []
-    for sub in new.subs:
-        pids = packing.pack(sub.l2g[entity])
-        rows = np.flatnonzero(packing.space.owner_of(pids) != sub.rank)
-        profiles.append(_group_by_owner(rows, pids[rows], packing.space))
-    return HaloSchedule(entity, *_assemble_tables(profiles, new.nparts))
+    return Migration(old, new, entity).schedule
 
 
-def migrate(values: list[np.ndarray], old: MeshPartition,
-            new: MeshPartition, entity: str, comm,
-            schedule: HaloSchedule | None = None) -> list[np.ndarray]:
-    """Move per-rank entity values from the old layout to the new one.
+class Migration:
+    """One entity's move from the ``old`` layout to the ``new`` one, built
+    once and applied to each array of the entity, slab to slab.
 
-    ``values[r]`` holds rank r's local array under ``old`` (kernel-first);
-    the result holds the same field under ``new``, with every local copy
-    (kernel *and* overlap) carrying the authoritative value.  Entities
-    that stay on their rank are relabelled in place; the rest travel as
-    one wave over ``comm`` (a :class:`~repro.runtime.simmpi.SimComm`),
-    gathered through the schedule's owner table and scattered through its
-    holder table.
+    Entities that stay on their rank are relabelled by one flat gather
+    (the packed id's low field is the old owner-local slot, valid because
+    the old owner *is* the rank); the rest travel as one wave over the
+    migration :attr:`schedule`, owner table to holder table, so every
+    local copy — kernel *and* overlap — carries the authoritative value.
     """
-    if schedule is None:
-        schedule = build_migration_schedule(old, new, entity)
-    space = old.packing(entity).space
-    values = [np.asarray(v) for v in values]
-    out: list[np.ndarray] = []
-    for sub in new.subs:
-        vals = values[sub.rank]
-        arr = np.zeros((len(sub.l2g[entity]),) + vals.shape[1:],
-                       dtype=vals.dtype)
-        # same-rank entities relabel locally: the packed id's low field is
-        # the old owner-local slot, valid here because the old owner *is*
-        # this rank
-        pids = old.pack(entity, sub.l2g[entity])
-        stay = np.flatnonzero(space.owner_of(pids) == sub.rank)
-        arr[stay] = vals[space.local_of(pids[stay])]
-        out.append(arr)
-    send, recv = schedule.send, schedule.recv
-    comm.send_block(send.srcs, send.dsts, send.gather(values), send.words,
-                    tag=_TAG)
-    block, _words = comm.recv_block(recv.srcs, recv.dsts, tag=_TAG)
-    recv.scatter(out, block)
-    return out
+
+    def __init__(self, old: MeshPartition, new: MeshPartition, entity: str):
+        _check_same_mesh(old, new, entity)
+        packing = old.packing(entity)
+        space = packing.space
+        self._counts = [len(sub.l2g[entity]) for sub in new.subs]
+        profiles, stays = [], []
+        for sub in new.subs:
+            pids = packing.pack(sub.l2g[entity])
+            owner = space.owner_of(pids)
+            rows = np.flatnonzero(owner != sub.rank)
+            profiles.append(_group_by_owner(rows, pids[rows], space))
+            stay = np.flatnonzero(owner == sub.rank)
+            stays.append((np.full(len(stay), sub.rank), stay,
+                          space.local_of(pids[stay])))
+        self.schedule = HaloSchedule(
+            entity, *_assemble_tables(profiles, new.nparts))
+        #: the staying entities: rank, new local slot, old local slot
+        self._stay = tuple(np.concatenate(col) for col in zip(*stays))
+
+    def move(self, slab: Slab, comm, extent: int = 0) -> Slab:
+        """``slab``'s values, each rank's segment kernel-first, as a new
+        slab laid out for the new partition, each rank's entity rows
+        zero-padded to ``extent``, moved over ``comm`` (a
+        :class:`~repro.runtime.simmpi.SimComm`)."""
+        from ..lang.vectorize import Slab
+        out = Slab.zeros([max(extent, count) for count in self._counts],
+                         slab.flat.shape[1:], slab.flat.dtype)
+        rank, new_slot, old_slot = self._stay
+        old_at = np.cumsum((0,) + slab.rows[:-1])
+        new_at = np.cumsum((0,) + out.rows[:-1])
+        out.flat[new_slot + new_at[rank]] = slab.flat[old_slot + old_at[rank]]
+        send, recv = self.schedule.send, self.schedule.recv
+        comm.send_block(send.srcs, send.dsts, send.flat_gather(slab),
+                        send.words, tag=_TAG)
+        block, _words = comm.recv_block(recv.srcs, recv.dsts, tag=_TAG)
+        recv.flat_scatter(out, block)
+        return out
+
+
+def migrate(slab: Slab, old: MeshPartition, new: MeshPartition,
+            entity: str, comm, extent: int = 0) -> Slab:
+    """Move one entity array from the old layout to the new one: a
+    :class:`Migration` of one array."""
+    return Migration(old, new, entity).move(slab, comm, extent)
 
 
 # -- online rebalancing ------------------------------------------------------

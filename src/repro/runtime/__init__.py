@@ -4,7 +4,6 @@ from .checkpoint import (
     Checkpoint,
     CheckpointManager,
     RankSnapshot,
-    restore_rank_snapshot,
     snapshot_digest,
 )
 from .executor import (
@@ -59,6 +58,6 @@ __all__ = [
     "combine_update", "make_comm",
     "overlap_complete", "overlap_post", "overlap_update",
     "parallel_time", "render_fault_report", "render_timeline",
-    "restore_rank_snapshot", "sequential_time", "snapshot_digest",
+    "sequential_time", "snapshot_digest",
     "timeline_report",
 ]

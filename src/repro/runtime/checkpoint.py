@@ -3,11 +3,11 @@
 The executor advances all ranks in lockstep between collectives, so a
 collective boundary with no open split-phase window is a *quiescent*
 point: every rank is suspended at the same program position and the wire
-is drained.  A checkpoint taken there is tiny — per rank, a copy of the
-environment (the only mutable data) plus the interpreter's explicit
+is drained.  A checkpoint taken there is small — per rank, the
+environment's scalars plus the interpreter's explicit
 :class:`~repro.lang.interp.MachineState` (a handful of scalars and loop
-counters), and globally the transport accounting snapshot and the
-timeline lengths.
+counters), and globally a copy of every all-ranks slab, the transport
+accounting snapshot and the timeline lengths.
 
 Two recovery modes consume these snapshots:
 
@@ -20,21 +20,24 @@ Two recovery modes consume these snapshots:
     fires once), and the recovered run is bit-identical to a fault-free
     one.
 *localized restart* (:meth:`CheckpointManager.restore_rank`)
-    restores only the killed rank's :class:`RankSnapshot` in place and
-    leaves the transport, the surviving ranks and the timeline alone; the
-    executor then re-drives that one rank against the sender-side message
-    log (:mod:`repro.runtime.msglog`).  Restored words are O(one rank)
-    instead of O(P).
+    restores only the killed rank's rows and :class:`RankSnapshot` in
+    place and leaves the transport, the surviving ranks and the timeline
+    alone; the executor then re-drives that one rank against the
+    sender-side message log (:mod:`repro.runtime.msglog`).  Restored
+    words are O(one rank) instead of O(P).
 
 The manager holds *one* checkpoint, the newest: both recovery modes
 rewind to it and nothing ever reads an older one, so each take replaces
-its predecessor — and copies each all-ranks slab into the buffer the
-held checkpoint already has for it, allocating only on the first take
-of an epoch or when the slab's geometry changed.
-
-In-place restore is deliberate: environment arrays are written *into*
-(``cur[...] = val``) whenever shape and dtype match, so slab views
-and any other aliases survive every rollback.
+its predecessor.  Every array of a rank env is a view of its rows of one
+all-ranks slab.  The first take of an *epoch* (the run's start, or the
+first take over new slabs, as after a migration epoch) checks that —
+an array that is not its slab's view is a :class:`RuntimeFault` naming
+it — and copies every slab once.  The arrays the program never writes
+(``unwritten``) are a read-only *base image* the epoch's later takes
+hold by reference; those takes copy only the written slabs, into the
+buffers the first take made.  The held image is still full, because a
+killed rank loses every array, and restore copies its rows *into* the
+live slabs, so every view the envs hold survives every rollback.
 
 The transport portion of a checkpoint comes from
 ``SimComm.transport_snapshot``: the ring transport serializes its live
@@ -56,7 +59,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -73,12 +76,9 @@ def _env_words(env: Env) -> int:
 
 @dataclass
 class RankSnapshot:
-    """One rank's frozen execution state at a quiescent point.
-
-    Individually restorable: :func:`restore_rank_snapshot` rewinds a
-    single rank's live env/state in place from this snapshot, which is
-    what localized restart builds on.
-    """
+    """One rank's frozen execution state at a quiescent point: its env's
+    scalars as they were and, under each array's name, the rank's rows of
+    the held copy of that array's slab."""
 
     env: Env
     state: MachineState
@@ -87,37 +87,6 @@ class RankSnapshot:
     def words(self) -> int:
         """Array words captured by this rank's snapshot."""
         return _env_words(self.env)
-
-
-def restore_rank_snapshot(snap: RankSnapshot, env: Env,
-                          state: MachineState) -> int:
-    """Rewind one rank's ``env``/``state`` in place from ``snap``.
-
-    Arrays are copied *into* the existing objects whenever shape and
-    dtype match, so slab views (and any other aliases) survive the
-    rollback.  Returns the number of array words restored.
-    """
-    for key in [k for k in env if k not in snap.env]:
-        del env[key]
-    for key, val in snap.env.items():
-        cur = env.get(key)
-        if (isinstance(cur, np.ndarray)
-                and isinstance(val, np.ndarray)
-                and cur.shape == val.shape
-                and cur.dtype == val.dtype):
-            cur[...] = val
-        else:
-            env[key] = val.copy() if isinstance(val, np.ndarray) else val
-    restored = snap.state.copy()
-    state.pc = restored.pc
-    state.steps = restored.steps
-    state.action_index = restored.action_index
-    state.mid_statement = restored.mid_statement
-    state.returned = restored.returned
-    state.remaining = restored.remaining
-    state.stepval = restored.stepval
-    state.visits = restored.visits
-    return snap.words
 
 
 @dataclass
@@ -144,14 +113,17 @@ class CheckpointManager:
 
     ``every`` is the checkpoint cadence in collective events.  Only the
     newest checkpoint is held (:attr:`last`): it is the one restore
-    target of both recovery modes.
+    target of both recovery modes.  ``unwritten`` names the arrays
+    nothing in the program writes: their copies are the epoch's base
+    image, taken once per epoch.
     """
 
-    def __init__(self, every: int = 1):
+    def __init__(self, every: int = 1, unwritten: Iterable[str] = ()):
         if not isinstance(every, int) or every < 1:
             raise RuntimeFault(f"checkpoint cadence must be >= 1, "
                                f"got {every}")
         self.every = every
+        self.unwritten = frozenset(unwritten)
         #: the newest checkpoint (the restore target), or None
         self.last: Optional[Checkpoint] = None
         self.taken = 0
@@ -162,9 +134,12 @@ class CheckpointManager:
         self.restored_words = 0
         #: seconds spent inside restore calls
         self.restore_seconds = 0.0
-        #: the held checkpoint's copy of each slab, by array name: the
-        #: next take copies into it when the geometry is unchanged
-        self._slab_copies: dict[str, Slab] = {}
+        #: the epoch's live slabs (None between epochs), and the held
+        #: copy of each by name
+        self._live: Optional[dict[str, Slab]] = None
+        self._held: dict[str, Slab] = {}
+        #: per rank: its views of the held copies
+        self._held_views: list[Env] = []
 
     def reset_epoch(self) -> None:
         """Drop the held checkpoint at a migration-epoch boundary.
@@ -173,29 +148,61 @@ class CheckpointManager:
         after entities moved would resurrect arrays whose shapes and
         slots no longer match the live schedules — so it must never be a
         restore target.  The executor calls this immediately before
-        taking the fresh post-migration checkpoint.
+        taking the fresh post-migration checkpoint, which starts a new
+        epoch: a new base image and new buffers.
         """
         self.last = None
-        self._slab_copies = {}
+        self._live = None
 
     def due(self, event_count: int) -> bool:
         """Is a checkpoint due at this event count?"""
         return (self.last is None
                 or event_count - self.last.event_count >= self.every)
 
+    def _begin_epoch(self, envs: list[Env], slabs: dict[str, Slab]) -> None:
+        """Check that every env array is its slab's view, then copy every
+        slab once: the base image read-only, the written ones into the
+        buffers later takes of the epoch copy into."""
+        for rank, env in enumerate(envs):
+            views = {name: slab.views[rank] for name, slab in slabs.items()}
+            arrays = {k for k, v in env.items() if isinstance(v, np.ndarray)}
+            for name in sorted(arrays | views.keys()):
+                if env.get(name) is not views.get(name):
+                    raise RuntimeFault(f"checkpoint: array {name!r} of rank "
+                                       f"{rank} is not a view of its slab")
+        self._live = dict(slabs)
+        self._held = {}
+        for name, slab in slabs.items():
+            flat = slab.flat.copy()
+            flat.flags.writeable = name not in self.unwritten
+            self._held[name] = Slab.over(flat, slab.rows)
+        self._held_views = [{name: held.views[rank]
+                             for name, held in self._held.items()}
+                            for rank in range(len(envs))]
+
+    def _rewind(self, rank: int, env: Env, state: MachineState) -> None:
+        """Rewind one rank's scalars and ``state`` in place from the held
+        checkpoint and bind each array name to its live slab view."""
+        snap = self.last.ranks[rank]
+        for key in [k for k in env if k not in snap.env]:
+            del env[key]
+        env.update(snap.env)
+        env.update({name: slab.views[rank]
+                    for name, slab in self._live.items()})
+        vars(state).update(vars(snap.state.copy()))
+
     def take(self, comm, envs: list[Env], states: list[MachineState],
-             event_count: int, span_count: int, log_mark: int = 0,
-             slabs: Optional[dict[str, Slab]] = None) -> Checkpoint:
+             event_count: int, span_count: int, *,
+             slabs: dict[str, Slab], log_mark: int = 0) -> Checkpoint:
         """Snapshot a quiescent point (caller guarantees quiescence).
 
-        ``slabs`` names the all-ranks buffers the envs bind views of; each
-        one still installed is copied once — into the held checkpoint's
-        copy when its rows, trailing shape and dtype are unchanged — and
-        every rank snapshot views its rows of the copy.  Other arrays are
-        copied rank by rank.
+        ``slabs`` names the all-ranks slab each env array is a view of.
+        Over new slab objects the take begins an epoch (see the module
+        docstring); otherwise it copies each written slab into its held
+        buffer.  Every rank snapshot views its rows of the held copies.
         Raises a structured CC104 diagnostic when the point is not
-        actually quiescent (messages in flight).  The new
-        checkpoint replaces the held one.
+        actually quiescent (messages in flight).  The new checkpoint
+        replaces the held one.
         """
         n_msgs = comm.pending_messages()
         if n_msgs:
@@ -211,38 +218,24 @@ class CheckpointManager:
             err = RuntimeFault(f"CC104: {diag.message}")
             err.diagnostic = diag
             raise err
-        saved = [dict(env) for env in envs]
-        copies = []
-        held = {}
-        for name, slab in (slabs or {}).items():
-            if not slab.installed_in(envs, name):
-                continue
-            live = slab.flat[:sum(slab.rows)]
-            copy = self._slab_copies.get(name)
-            if (copy is not None and copy.rows == slab.rows
-                    and copy.flat.shape == live.shape
-                    and copy.flat.dtype == live.dtype):
-                np.copyto(copy.flat, live)
-            else:
-                copy = Slab.over(live.copy(), slab.rows)
-            held[name] = copy
-            copies.append(copy.flat)
-            for env, view in zip(saved, copy.views):
-                env[name] = view
-        self._slab_copies = held
-        for env, own in zip(saved, envs):
-            for key, val in own.items():
-                if isinstance(val, np.ndarray) and env[key] is val:
-                    env[key] = val.copy()
-                    copies.append(env[key])
+        if self._live is None or len(slabs) != len(self._live) or any(
+                self._live.get(name) is not slab
+                for name, slab in slabs.items()):
+            self._begin_epoch(envs, slabs)
+        else:
+            for name, held in self._held.items():
+                if name not in self.unwritten:
+                    np.copyto(held.flat, self._live[name].flat)
+        held = self._held.values()
         cp = Checkpoint(
             event_count=event_count,
             span_count=span_count,
-            ranks=[RankSnapshot(env=env, state=state.copy())
-                   for env, state in zip(saved, states)],
+            ranks=[RankSnapshot(env={**env, **views}, state=state.copy())
+                   for env, views, state
+                   in zip(envs, self._held_views, states)],
             transport=comm.transport_snapshot(),
-            words=sum(a.size for a in copies),
-            nbytes=sum(a.nbytes for a in copies),
+            words=sum(copy.flat.size for copy in held),
+            nbytes=sum(copy.flat.nbytes for copy in held),
             log_mark=log_mark)
         self.last = cp
         self.taken += 1
@@ -258,9 +251,11 @@ class CheckpointManager:
         if cp is None:
             raise RuntimeFault("no checkpoint to restore from")
         start = time.perf_counter()
-        for rank, snap in enumerate(cp.ranks):
-            self.restored_words += restore_rank_snapshot(
-                snap, envs[rank], states[rank])
+        for name, held in self._held.items():
+            np.copyto(self._live[name].flat, held.flat)
+        for rank, (env, state) in enumerate(zip(envs, states)):
+            self._rewind(rank, env, state)
+        self.restored_words += cp.words
         comm.transport_restore(cp.transport)
         self.restores += 1
         self.restore_seconds += time.perf_counter() - start
@@ -273,7 +268,7 @@ class CheckpointManager:
         The localized-restart half of :meth:`restore`: the transport, the
         surviving ranks and the caller's timeline are left untouched; the
         executor re-drives the restored rank against the message log.
-        Restored words are O(one rank's env), not O(P).
+        Restored words are O(one rank's rows), not O(P).
         """
         cp = self.last
         if cp is None:
@@ -282,8 +277,10 @@ class CheckpointManager:
             raise RuntimeFault(f"rank {rank} out of range "
                                f"0..{len(cp.ranks) - 1}")
         start = time.perf_counter()
-        self.restored_words += restore_rank_snapshot(
-            cp.ranks[rank], envs[rank], states[rank])
+        for name, held in self._held.items():
+            np.copyto(self._live[name].views[rank], held.views[rank])
+        self._rewind(rank, envs[rank], states[rank])
+        self.restored_words += cp.ranks[rank].words
         self.rank_restores += 1
         self.restore_seconds += time.perf_counter() - start
         return cp

@@ -47,6 +47,7 @@ from typing import Any, Optional
 
 import numpy as np
 
+from ..analysis.accesses import AccessMap
 from ..errors import CommTimeout, RankKilled, RuntimeFault
 from ..lang.ast import DoLoop, Subroutine
 from ..lang.cfg import EXIT
@@ -61,11 +62,7 @@ from ..lang.interp import (
 from ..lang.lower import lower_subroutine
 from ..lang.vectorize import RankBatch, Slab, build_vector_kernels
 from ..automata.automaton import KERNEL
-from ..mesh.migrate import (
-    RebalancePolicy,
-    build_migration_schedule,
-    migrate,
-)
+from ..mesh.migrate import Migration, RebalancePolicy
 from ..mesh.overlap import MeshPartition, SubMesh
 from ..mesh.schedule import (
     HaloSchedule,
@@ -182,6 +179,18 @@ class _Run:
         "dirty_ranks": 0, "schedules_repaired": 0})
 
 
+def unwritten_arrays(sub: Subroutine, spec: PartitionSpec,
+                     comms: list[CommOp]) -> frozenset:
+    """The declared arrays of ``sub`` that no statement defines (an
+    element assignment or a CALL argument) and no overlap or combine
+    communicates: TESTIV writes ``old``, ``new`` and ``result`` only."""
+    written = {acc.name for stmt in AccessMap(sub, spec)
+               for acc in stmt.defs if acc.is_array()}
+    written |= {op.var for op in comms if op.kind in (K_OVERLAP, K_COMBINE)}
+    return frozenset(name for name, decl in sub.decls.items()
+                     if decl.is_array and name not in written)
+
+
 class SPMDExecutor:
     """Runs one placed subroutine over a partitioned mesh."""
 
@@ -210,6 +219,8 @@ class SPMDExecutor:
                 if ent is not None:
                     self.loop_entity[st.sid] = ent
         self._scheds: dict[str, HaloSchedule] = {}
+        #: the arrays a checkpoint copies once per epoch
+        self.unwritten = unwritten_arrays(sub, spec, placement.comms)
         #: each anchor's (phase, op) events: one payload object per event,
         #: shared by every rank — the lockstep check compares identities
         self._events = placed_schedule(placement.comms)
@@ -446,7 +457,8 @@ class SPMDExecutor:
                    for sub_mesh in self.partition.subs]
         if checkpoint is None:
             checkpoint = bool(kills)
-        ckpt = CheckpointManager(every=checkpoint_every) \
+        ckpt = CheckpointManager(every=checkpoint_every,
+                                 unwritten=self.unwritten) \
             if checkpoint else None
         if ckpt is not None and recovery == RECOVERY_LOCAL:
             # arm sender-side message logging: localized restart replays a
@@ -832,11 +844,12 @@ class SPMDExecutor:
                        event_count: int) -> None:
         """Move the running solve onto ``new_part`` at a quiescent boundary.
 
-        In order: count the entities whose owner or owner slot moved, ship
-        entity values owner→new-holder as one wave per array (message
-        logging paused — epoch traffic is never replayed), bind every
-        entity array and index map to a fresh slab sized to the new
-        sub-meshes and rebuild the extent vars, build each cached
+        In order: count the entities whose owner or owner slot moved,
+        move each entity array from its slab to a fresh slab sized to the
+        new sub-meshes (:class:`~repro.mesh.migrate.Migration`: owner →
+        new holder as one wave per array, message logging paused — epoch
+        traffic is never replayed), bind every index map to a fresh slab
+        and rebuild the extent vars, build each cached
         entity's halo schedule afresh on the new partition, rebind loop
         bounds, and — when
         checkpointing is armed — start a fresh recovery epoch
@@ -854,35 +867,34 @@ class SPMDExecutor:
             moved[ent] = moved_entity_gids(old_part, new_part, ent)
             totals["moved_entities"] += len(moved[ent])
         fills = self._index_map_fills(new_part.subs)
+        moved_slabs: dict[str, Slab] = {}
         if comm.msglog is not None:
             comm.msglog.pause()
         try:
-            mig_scheds: dict[str, HaloSchedule] = {}
+            moves: dict[str, Migration] = {}
             for name, decl in self.sub.decls.items():
                 ent = self.spec.entity_of_array(name)
                 if not decl.is_array or ent is None or name in fills:
                     continue  # replicated arrays stay; maps are rebuilt
-                sched = mig_scheds.get(ent)
-                if sched is None:
-                    sched = build_migration_schedule(old_part, new_part,
-                                                     ent)
-                    mig_scheds[ent] = sched
-                    totals["messages"] += sched.message_count()
-                    totals["words"] += sched.volume()
-                vals = [env[name][:len(sub_mesh.l2g[ent])]
-                        for env, sub_mesh in zip(envs, old_part.subs)]
-                fills[name] = migrate(vals, old_part, new_part, ent, comm,
-                                      schedule=sched)
+                move = moves.get(ent)
+                if move is None:
+                    move = moves[ent] = Migration(old_part, new_part, ent)
+                    totals["messages"] += move.schedule.message_count()
+                    totals["words"] += move.schedule.volume()
+                moved_slabs[name] = move.move(run.slabs[name], comm,
+                                              extent=decl.dims[0])
         finally:
             if comm.msglog is not None:
                 comm.msglog.resume()
         for env, sub_mesh in zip(envs, new_part.subs):
             env.update(self._rank_extents(sub_mesh))
-        rebuilt = self._bind_slabs(envs, fills)
-        run.slabs.update(rebuilt)
+        for name, slab in moved_slabs.items():
+            for env, view in zip(envs, slab.views):
+                env[name] = view
+        run.slabs.update(moved_slabs)
+        run.slabs.update(self._bind_slabs(envs, fills))
         totals["repacked_words"] += sum(
-            slab.flat.size for name, slab in rebuilt.items()
-            if self.spec.index_map(name) is None)
+            slab.flat.size for slab in moved_slabs.values())
         dirty_seen = 0
         for ent in entities:
             dirty = schedule_dirty_ranks(old_part, new_part, ent, moved[ent])

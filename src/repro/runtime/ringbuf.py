@@ -461,6 +461,10 @@ class RingTransport:
         fabric snapshots mid-flight delay ledgers through the same
         mechanism).
         """
+        if not self._nlive:
+            return {"headers": self._h[:0].copy(),
+                    "wave": (self._slab[:0].copy(), np.zeros(0, np.int64)),
+                    "seq": self._seq}
         li = np.flatnonzero(self._live)
         li = li[np.argsort(self._col["seq"][li], kind="stable")]
         wave = self._read(li)

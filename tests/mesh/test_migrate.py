@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MeshError
+from repro.lang.vectorize import Slab
 from repro.mesh import (
     HaloSchedule,
     build_halo_schedule,
@@ -21,6 +22,7 @@ from repro.mesh import (
 from repro.runtime import SimComm
 from repro.spec import spec_for_testiv
 from tests.halo_views import plans
+from tests.mesh import reference_migrate
 
 
 @pytest.fixture(scope="module")
@@ -35,12 +37,23 @@ def partitions(mesh):
     return old, new
 
 
+def _slab(values, rows=None):
+    """An all-ranks slab holding each rank's values, zero padded to
+    ``rows[r]`` rows (default: no padding)."""
+    rows = rows or [len(v) for v in values]
+    slab = Slab.zeros(rows, values[0].shape[1:], values[0].dtype)
+    for view, vals in zip(slab.views, values):
+        view[:len(vals)] = vals
+    return slab
+
+
 def _migrate(values, old, new, entity):
-    """``migrate`` over a fresh communicator, checked drained."""
+    """``migrate`` of the ranks' values over a fresh communicator, checked
+    drained; returns the new slab's per-rank views."""
     comm = SimComm(old.nparts)
-    out = migrate(values, old, new, entity, comm)
+    out = migrate(_slab(values), old, new, entity, comm)
     comm.assert_drained()
-    return out
+    return list(out.views)
 
 
 class TestSchedule:
@@ -164,7 +177,7 @@ class TestMigrate:
         values = [sub.localize("node", glob).astype(float)
                   for sub in old.subs]
         comm = SimComm(old.nparts)
-        moved = migrate(values, old, new, "node", comm=comm)
+        moved = migrate(_slab(values), old, new, "node", comm=comm).views
         comm.assert_drained()
         assert comm.stats.total_messages() > 0
         for sub, arr in zip(new.subs, moved):
@@ -206,7 +219,7 @@ class TestMigrate:
             values.append(arr)
         sched = build_migration_schedule(old, new, "node")
         comm = SimComm(old.nparts)
-        moved = migrate(values, old, new, "node", comm, schedule=sched)
+        moved = migrate(_slab(values), old, new, "node", comm).views
         comm.assert_drained()
         # a fabric word is one array element: a 2-D row is ``width`` words
         width = glob[0].size
@@ -323,3 +336,44 @@ def test_clean_ranks_have_identical_profiles(dims, nparts, entity, seed,
             np.testing.assert_array_equal(getattr(rows_b, col),
                                           getattr(rows_a, col))
         np.testing.assert_array_equal(before.idx[rank], after.idx[rank])
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.tuples(st.integers(3, 7), st.integers(3, 7)), st.integers(2, 5),
+       st.sampled_from(["node", "triangle"]),
+       st.sampled_from(["float", "int", "2d"]),
+       st.integers(0, 2 ** 31 - 1), st.integers(0, 3), st.integers(0, 40))
+def test_slab_migration_equals_the_per_rank_reference(dims, nparts, entity,
+                                                      kind, seed, pad,
+                                                      extent):
+    """Slab to slab, on a random repartition, with padded rows on both
+    sides: the rows the reference fills are bit-equal, the padding is
+    zero, and the wire carries the same messages and words."""
+    mesh = structured_tri_mesh(*dims)
+    old = build_partition(mesh, min(nparts, mesh.n_triangles), _pattern,
+                          method="rcb")
+    new = repartition(old, _perturbed_ranks(old, seed, 0.3))
+    rng = np.random.default_rng(seed)
+    n = mesh.entity_count(entity)
+    glob = {"float": rng.standard_normal(n),
+            "int": rng.integers(-50, 50, n),
+            "2d": rng.standard_normal((n, 2))}[kind]
+    values = []
+    for sub in old.subs:
+        arr = glob[sub.l2g[entity]].copy()
+        arr[sub.kernel_count[entity]:] = -7   # stale overlap copies
+        values.append(arr)
+    old_rows = [len(v) + pad for v in values]
+    new_rows = [max(extent, len(sub.l2g[entity])) for sub in new.subs]
+    comm, ref_comm = SimComm(old.nparts), SimComm(old.nparts)
+    out = migrate(_slab(values, old_rows), old, new, entity, comm,
+                  extent=extent)
+    want = reference_migrate.migrate(values, old, new, entity, ref_comm)
+    comm.assert_drained()
+    assert out.rows == tuple(new_rows) and out.flat.dtype == glob.dtype
+    for view, ref in zip(out.views, want):
+        assert view[:len(ref)].tobytes() == ref.tobytes()
+        assert not view[len(ref):].any()
+    assert comm.stats.total_messages() == ref_comm.stats.total_messages()
+    assert comm.stats.total_words() == ref_comm.stats.total_words()

@@ -140,17 +140,22 @@ class TestCopyEnv:
 
 class TestCheckpointManager:
     def _world(self):
+        """Two ranks whose array ``a`` is a view of one all-ranks slab."""
         comm = SimComm(2)
-        envs = [{"a": np.arange(3.0), "k": 1},
-                {"a": np.arange(3.0) * 2, "k": 2}]
+        slab = Slab.zeros((3, 3), (), np.float64)
+        slab.views[0][...] = np.arange(3.0)
+        slab.views[1][...] = np.arange(3.0) * 2
+        envs = [{"a": slab.views[0], "k": 1},
+                {"a": slab.views[1], "k": 2}]
         states = [MachineState(pc=3, steps=10),
                   MachineState(pc=3, steps=12)]
-        return comm, envs, states
+        return comm, envs, states, {"a": slab}
 
     def test_take_restore_round_trip(self):
-        comm, envs, states = self._world()
+        comm, envs, states, slabs = self._world()
         mgr = CheckpointManager()
-        cp = mgr.take(comm, envs, states, event_count=4, span_count=1)
+        cp = mgr.take(comm, envs, states, event_count=4, span_count=1,
+                      slabs=slabs)
         envs[0]["a"][:] = -9.0
         envs[1]["k"] = 99
         states[0].pc = 77
@@ -158,6 +163,7 @@ class TestCheckpointManager:
 
         mgr.restore(comm, envs, states)
         np.testing.assert_array_equal(envs[0]["a"], np.arange(3.0))
+        assert envs[0]["a"] is slabs["a"].views[0]
         assert envs[1]["k"] == 2
         # the *same* state objects are rewound in place — the executor
         # hands them to fresh generators
@@ -165,31 +171,43 @@ class TestCheckpointManager:
         assert cp.event_count == 4 and cp.span_count == 1
         assert mgr.taken == 1 and mgr.restores == 1
 
-    def test_restore_is_repeatable(self):
-        comm, envs, states = self._world()
+    def test_envs_without_arrays_round_trip(self):
+        comm = SimComm(2)
+        envs = [{"k": 1}, {"k": 2}]
+        states = [MachineState(pc=3), MachineState(pc=4)]
         mgr = CheckpointManager()
-        mgr.take(comm, envs, states, 0, 0)
+        cp = mgr.take(comm, envs, states, 0, 0, slabs={})
+        assert len(cp.ranks) == 2 and cp.words == 0
+        envs[1]["k"] = 99
+        states[0].pc = 77
+        mgr.restore(comm, envs, states)
+        assert envs == [{"k": 1}, {"k": 2}] and states[0].pc == 3
+
+    def test_restore_is_repeatable(self):
+        comm, envs, states, slabs = self._world()
+        mgr = CheckpointManager()
+        mgr.take(comm, envs, states, 0, 0, slabs=slabs)
         for _ in range(2):
             envs[0]["a"][:] = 5.0
             mgr.restore(comm, envs, states)
             assert envs[0]["a"][0] == 0.0
 
     def test_non_quiescent_take_rejected(self):
-        comm, envs, states = self._world()
+        comm, envs, states, slabs = self._world()
         mgr = CheckpointManager()
         comm.view(0).send(1.0, dest=1)
         with pytest.raises(RuntimeFault, match="non-quiescent") as exc:
-            mgr.take(comm, envs, states, 0, 0)
+            mgr.take(comm, envs, states, 0, 0, slabs=slabs)
         assert exc.value.diagnostic.data["messages"] == 1
         comm.view(1).recv(0)
-        mgr.take(comm, envs, states, 0, 0)
+        mgr.take(comm, envs, states, 0, 0, slabs=slabs)
         assert mgr.taken == 1
 
     def test_cadence(self):
-        comm, envs, states = self._world()
+        comm, envs, states, slabs = self._world()
         mgr = CheckpointManager(every=3)
         assert mgr.due(0)
-        mgr.take(comm, envs, states, 0, 0)
+        mgr.take(comm, envs, states, 0, 0, slabs=slabs)
         assert not mgr.due(2)
         assert mgr.due(3)
 
@@ -199,19 +217,20 @@ class TestCheckpointManager:
                 CheckpointManager(every=every)
 
     def test_restore_without_checkpoint_rejected(self):
-        comm, envs, states = self._world()
+        comm, envs, states, _slabs = self._world()
         with pytest.raises(RuntimeFault, match="no checkpoint"):
             CheckpointManager().restore(comm, envs, states)
 
     def test_restore_rewinds_to_newest_take_after_poison(self):
         # one checkpoint is held: whatever came before, and however the
         # live state was clobbered since, restore lands on the last take
-        comm, envs, states = self._world()
+        comm, envs, states, slabs = self._world()
         mgr = CheckpointManager()
         for ev in range(5):
             states[0].pc = ev
             envs[0]["a"][:] = float(ev)
-            cp = mgr.take(comm, envs, states, ev, 0, log_mark=ev)
+            cp = mgr.take(comm, envs, states, ev, 0, log_mark=ev,
+                          slabs=slabs)
             assert mgr.last is cp
         states[0].pc = 1 << 30
         envs[0]["a"][:] = -1.0
@@ -223,9 +242,9 @@ class TestCheckpointManager:
         assert mgr.taken == 5 and mgr.restores == 1
 
     def test_reset_epoch_leaves_nothing_to_restore(self):
-        comm, envs, states = self._world()
+        comm, envs, states, slabs = self._world()
         mgr = CheckpointManager(every=3)
-        mgr.take(comm, envs, states, 0, 0)
+        mgr.take(comm, envs, states, 0, 0, slabs=slabs)
         mgr.reset_epoch()
         assert mgr.last is None and mgr.due(1)
         with pytest.raises(RuntimeFault, match="no checkpoint"):
@@ -235,8 +254,8 @@ class TestCheckpointManager:
         assert mgr.taken == 1  # the counters survive the epoch
 
     def test_digest_names_event_and_ranks(self):
-        comm, envs, states = self._world()
-        cp = CheckpointManager().take(comm, envs, states, 7, 2)
+        comm, envs, states, slabs = self._world()
+        cp = CheckpointManager().take(comm, envs, states, 7, 2, slabs=slabs)
         text = snapshot_digest(cp)
         assert "event 7" in text and "2 rank(s)" in text
 
@@ -252,14 +271,12 @@ def slab_worlds(draw):
     """Rank envs whose arrays are what the executor binds — every array a
     view of its rows of one all-ranks slab: 1-D real, 2-D real and integer
     entity arrays, an index map and a replicated array (one full copy per
-    rank) — plus a per-rank 0-d array and scalars of every type, with the
-    slabs, one of whose views may have been rebound."""
+    rank) — plus scalars of every type, with the slabs and, when one
+    rank's view was rebound to a copy, that ``(rank, name)``."""
     nranks = draw(st.integers(1, 4))
     rows = [draw(st.integers(1, 6)) for _ in range(nranks)]
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    envs = [{"zero_d": np.array(rng.random()),
-             **{f"s{k}": draw(_SCALARS) for k in range(3)}}
-            for _ in rows]
+    envs = [{f"s{k}": draw(_SCALARS) for k in range(3)} for _ in rows]
     arrays = {"v": (rows, (), np.float64), "w": (rows, (), np.float64),
               "xy": (rows, (2,), np.float64), "ids": (rows, (), np.int64),
               "som": (rows, (3,), np.int64),
@@ -270,11 +287,20 @@ def slab_worlds(draw):
         slab.flat[...] = rng.integers(-9, 9, slab.flat.shape)
         for env, view in zip(envs, slab.views):
             env[name] = view
+    rebound = None
     if draw(st.booleans()):
-        r = draw(st.integers(0, nranks - 1))
-        var = draw(st.sampled_from(["v", "xy", "som"]))
+        rebound = (draw(st.integers(0, nranks - 1)),
+                   draw(st.sampled_from(["v", "xy", "som"])))
+        r, var = rebound
         envs[r][var] = envs[r][var].copy()   # rebound: no longer a view
-    return envs, slabs
+    return envs, slabs, rebound
+
+
+def _installed(envs, slabs):
+    """The slabs every rank env still binds its view of."""
+    return {name for name, slab in slabs.items()
+            if all(env.get(name) is view
+                   for env, view in zip(envs, slab.views))}
 
 
 def _env_bytes(env):
@@ -288,7 +314,7 @@ def _clobber(envs):
                 val[...] = 7
             else:
                 env[key] = "clobbered"
-        env["extra"] = np.ones(2)
+        env["extra"] = 1.5
 
 
 def _same_env(live, ref):
@@ -304,29 +330,34 @@ def _same_env(live, ref):
 
 
 class TestBufferLevelTake:
-    """A take copies each installed all-ranks buffer once and hands the
-    ranks views of it; that must be indistinguishable from copying every
-    rank's arrays one by one (``copy_env``)."""
+    """A take copies each all-ranks buffer once and hands the ranks views
+    of it; that must be indistinguishable from copying every rank's
+    arrays one by one (``copy_env``).  An env array that is not its
+    slab's view is a fault that names it."""
 
     @settings(max_examples=60, deadline=None)
     @given(slab_worlds())
     def test_take_restores_what_per_rank_copies_would(self, world):
-        envs, slabs = world
+        envs, slabs, rebound = world
         states = [MachineState(pc=r) for r in range(len(envs))]
         comm = SimComm(len(envs))
         mgr = CheckpointManager()
+        if rebound is not None:
+            rank, var = rebound
+            with pytest.raises(RuntimeFault,
+                               match=f"array '{var}' of rank {rank} "):
+                mgr.take(comm, envs, states, 0, 0, slabs=slabs)
+            assert mgr.last is None and mgr.taken == 0
+            return
         ref = [copy_env(env) for env in envs]
         cp = mgr.take(comm, envs, states, 0, 0, slabs=slabs)
         assert cp.words == sum(_env_words(env) for env in ref)
         assert cp.nbytes == sum(_env_bytes(env) for env in ref)
-        for name, slab in slabs.items():
-            # an installed buffer is copied once, the ranks view that copy
+        for name in slabs:
+            # a buffer is copied once, the ranks view that copy
             bases = {id(snap.env[name].base) for snap in cp.ranks}
-            if slab.installed_in(envs, name):
-                assert len(bases) == 1 and cp.ranks[0].env[name].base \
-                    is not None
-            else:
-                assert bases == {id(None)}
+            assert len(bases) == 1 and cp.ranks[0].env[name].base \
+                is not None
         # a second take replaces the first
         _clobber(envs)
         ref = [copy_env(env) for env in envs]
@@ -334,8 +365,7 @@ class TestBufferLevelTake:
         assert cp.words == sum(_env_words(env) for env in ref)
         ids = [{k: id(v) for k, v in env.items()
                 if isinstance(v, np.ndarray)} for env in envs]
-        installed = {name for name, slab in slabs.items()
-                     if slab.installed_in(envs, name)}
+        installed = _installed(envs, slabs)
 
         for _ in range(2):   # restores are repeatable
             for env in envs:
@@ -347,8 +377,7 @@ class TestBufferLevelTake:
                 _same_env(env, want)
                 # arrays restored in place: every view still aliases
                 assert {k: id(env[k]) for k in before} == before
-            assert {name for name, slab in slabs.items()
-                    if slab.installed_in(envs, name)} == installed
+            assert _installed(envs, slabs) == installed
         assert mgr.restored_words == 2 * cp.words
 
         rank = len(envs) - 1
@@ -360,21 +389,29 @@ class TestBufferLevelTake:
             _same_env(env, want)
         assert mgr.restored_words == 2 * cp.words + _env_words(ref[rank])
 
-    def test_rebound_view_falls_back_to_a_per_rank_copy(self):
+    def test_rebound_view_is_a_fault_naming_the_array(self):
         slab = Slab.zeros((3, 2), (), np.float64)
         envs = [{"v": view} for view in slab.views]
         envs[0]["v"][...] = np.arange(3.0)
         envs[1]["v"][...] = np.arange(2.0)
         envs[1]["v"] = np.full(4, 5.0)       # rebound, and resized
         mgr = CheckpointManager()
-        cp = mgr.take(SimComm(2), envs, [MachineState()] * 2, 0, 0,
-                      slabs={"v": slab})
-        assert cp.words == 7
-        assert [snap.env["v"].base for snap in cp.ranks] == [None] * 2
-        envs[1]["v"][...] = 0.0
-        mgr.restore(SimComm(2), envs, [MachineState(), MachineState()])
-        assert envs[1]["v"].tolist() == [5.0] * 4
-        assert envs[0]["v"] is slab.views[0]
+        with pytest.raises(RuntimeFault, match="array 'v' of rank 1 is "
+                                               "not a view of its slab"):
+            mgr.take(SimComm(2), envs, [MachineState()] * 2, 0, 0,
+                     slabs={"v": slab})
+        assert mgr.last is None and mgr.taken == 0
+        # an unbound view, and an array with no slab, fault the same way
+        del envs[1]["v"]
+        with pytest.raises(RuntimeFault, match="array 'v' of rank 1 "):
+            mgr.take(SimComm(2), envs, [MachineState()] * 2, 0, 0,
+                     slabs={"v": slab})
+        envs[1]["v"] = slab.views[1]
+        envs[0]["w"] = np.zeros(3)
+        with pytest.raises(RuntimeFault, match="array 'w' of rank 0 is "
+                                               "not a view of its slab"):
+            mgr.take(SimComm(2), envs, [MachineState()] * 2, 0, 0,
+                     slabs={"v": slab})
 
 
 class TestHeldBuffers:

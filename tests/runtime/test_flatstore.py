@@ -137,14 +137,16 @@ class _FakeComm:
 class TestCheckpointKeepsViews:
     def test_restore_copies_into_flat_views(self):
         envs = _envs()
-        slabs = {var: _slab([env[var] for env in envs]) for var in "vw"}
+        slabs = {var: _slab([env[var] for env in envs])
+                 for var in ("v", "w", "ints", "mat")}
         for var, slab in slabs.items():
             for env, view in zip(envs, slab.views):
                 env[var] = view
         comm = _FakeComm()
         states = [_FakeState() for _ in envs]
         mgr = CheckpointManager()
-        mgr.take(comm, envs, states, event_count=0, span_count=0)
+        mgr.take(comm, envs, states, event_count=0, span_count=0,
+                 slabs=slabs)
         saved = [copy_env(env) for env in envs]
         for env in envs:
             env["v"][...] = -1.0

@@ -28,6 +28,7 @@ from repro.runtime import (
     SimComm,
 )
 from repro.lang.interp import MachineState
+from repro.lang.vectorize import Slab
 from repro.spec import spec_for_testiv
 from tests.oracles import envs_bit_identical
 
@@ -336,26 +337,29 @@ class TestVectorBackend:
 
 class TestRetentionPolicy:
     def _world(self, nranks=2, words=16):
+        """Ranks whose array ``a`` is a view of one all-ranks slab."""
         comm = SimComm(nranks)
-        envs = [{"a": np.arange(float(words)), "k": r}
-                for r in range(nranks)]
+        slab = Slab.zeros([words] * nranks, (), np.float64)
+        for view in slab.views:
+            view[...] = np.arange(float(words))
+        envs = [{"a": view, "k": r} for r, view in enumerate(slab.views)]
         states = [MachineState(pc=r) for r in range(nranks)]
-        return comm, envs, states
+        return comm, envs, states, {"a": slab}
 
     def test_restore_rewinds_to_newest_retained(self):
-        comm, envs, states = self._world()
+        comm, envs, states, slabs = self._world()
         mgr = CheckpointManager()
         for ev in range(4):
             states[0].pc = ev
-            mgr.take(comm, envs, states, ev, 0)
+            mgr.take(comm, envs, states, ev, 0, slabs=slabs)
         states[0].pc = 99
         cp = mgr.restore(comm, envs, states)
         assert cp.event_count == 3 and states[0].pc == 3
 
     def test_restore_rank_touches_one_rank_only(self):
-        comm, envs, states = self._world(nranks=3)
+        comm, envs, states, slabs = self._world(nranks=3)
         mgr = CheckpointManager()
-        mgr.take(comm, envs, states, 2, 0)
+        mgr.take(comm, envs, states, 2, 0, slabs=slabs)
         for env in envs:
             env["a"][:] = -7.0
         cp = mgr.restore_rank(1, envs, states)
@@ -366,18 +370,18 @@ class TestRetentionPolicy:
         assert mgr.restored_words == 16
 
     def test_restore_rank_range_checked(self):
-        comm, envs, states = self._world()
+        comm, envs, states, slabs = self._world()
         mgr = CheckpointManager()
-        mgr.take(comm, envs, states, 0, 0)
+        mgr.take(comm, envs, states, 0, 0, slabs=slabs)
         with pytest.raises(RuntimeFault, match="out of range"):
             mgr.restore_rank(5, envs, states)
 
     def test_cc104_diagnostic_is_structured(self):
-        comm, envs, states = self._world()
+        comm, envs, states, slabs = self._world()
         comm.view(0).send(1.0, dest=1)
         mgr = CheckpointManager()
         with pytest.raises(RuntimeFault, match="CC104") as err:
-            mgr.take(comm, envs, states, 3, 0)
+            mgr.take(comm, envs, states, 3, 0, slabs=slabs)
         diag = err.value.diagnostic
         assert diag.code == "CC104"
         assert diag.name == "nonquiescent-checkpoint"
