@@ -18,9 +18,8 @@ from .io import (
 from .mesh2d import TriMesh
 from .mesh3d import TetMesh
 from .migrate import (
+    Migration,
     RebalancePolicy,
-    build_migration_schedule,
-    migrate,
     rebalance_elem_ranks,
     repartition,
 )
@@ -51,13 +50,13 @@ from .schedule import (
 )
 
 __all__ = [
-    "EntityPacking", "HaloSchedule", "MeshPartition", "RebalancePolicy",
-    "PackedIDSpace", "WaveSide",
+    "EntityPacking", "HaloSchedule", "MeshPartition", "Migration",
+    "RebalancePolicy", "PackedIDSpace", "WaveSide",
     "PartitionQuality", "SubMesh", "TetMesh", "TriMesh",
     "build_combine_schedule", "build_entity_packing",
     "build_halo_schedule", "build_overlap_schedule", "build_partition",
-    "build_migration_schedule", "element_dual_edges", "measure_partition",
-    "migrate", "moved_entity_gids", "partition_elements",
+    "element_dual_edges", "measure_partition",
+    "moved_entity_gids", "partition_elements",
     "partition_greedy", "partition_rcb", "partition_spectral",
     "permute_partition", "random_delaunay_mesh", "read_mesh",
     "read_triangle", "rebalance_elem_ranks", "refine_partition",

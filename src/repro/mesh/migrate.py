@@ -8,23 +8,23 @@ data."
 
 This module implements that extra step for *repartitioning* (the
 load-balance half; mesh refinement itself changes entity sets and is out
-of scope):  given two partitions of the same mesh,
-:func:`build_migration_schedule` states which entities every rank must
-ship where as a :class:`~repro.mesh.schedule.HaloSchedule` — the same
-two message tables an overlap update moves values over — and
-:class:`Migration` moves each all-ranks slab over it as one wave into a
-slab laid out for the new sub-meshes.  The paper's observation that "the
-placement of synchronizations needs not change, since this placement did
-not depend on the geometry of the sub-meshes" is honored by construction:
-after migration the same placed program simply resumes on the new
-partition (see ``tests/mesh/test_migrate.py::TestResume``).
+of scope): given two partitions of the same mesh, a :class:`Migration`
+states which entities every rank must ship where as a
+:class:`~repro.mesh.schedule.HaloSchedule` — the same two message tables
+an overlap update moves values over — and moves each all-ranks slab over
+it as one wave into a slab laid out for the new sub-meshes.  The paper's
+observation that "the placement of synchronizations needs not change,
+since this placement did not depend on the geometry of the sub-meshes"
+is honored by construction: after migration the same placed program
+simply resumes on the new partition (see
+``tests/mesh/test_migrate.py::TestResume``).
 
 Construction is packed-id arithmetic end to end: the *old* partition's
 packed table answers "which rank held entity ``g``, at which local slot"
 for every entity of every *new* sub-mesh with one fancy index plus shift
 and mask (:mod:`repro.mesh.packedid`) — no global→local dicts.  The rows
-are grouped per old owner by the very code that groups a halo
-schedule's overlap rows.
+whose old owner is another rank are the row set of the very builder
+that plans a halo schedule (:func:`~repro.mesh.schedule.row_set_schedule`).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from ..errors import MeshError
 from .overlap import MeshPartition, build_partition
-from .schedule import HaloSchedule, _assemble_tables, _group_by_owner
+from .schedule import local_rows, row_set_schedule
 
 if TYPE_CHECKING:
     from ..lang.vectorize import Slab
@@ -77,22 +77,6 @@ def _check_same_mesh(old: MeshPartition, new: MeshPartition,
             "differs")
 
 
-def build_migration_schedule(old: MeshPartition, new: MeshPartition,
-                             entity: str) -> HaloSchedule:
-    """Plan the move of one entity's values from ``old`` to ``new`` layout.
-
-    The owner table's plan ranks are the old kernel owners, who send
-    (indices: their old owner-local slots); the holder table's are the
-    new sub-meshes, which receive (indices: new local slots).  Values
-    always travel kernel-owner → new holder (owners are authoritative),
-    so migration also refreshes the new overlap copies — no separate
-    halo update is needed right after it.  Entities that stay on their
-    rank are not in the schedule: :class:`Migration` relabels them
-    locally.
-    """
-    return Migration(old, new, entity).schedule
-
-
 class Migration:
     """One entity's move from the ``old`` layout to the ``new`` one, built
     once and applied to each array of the entity, slab to slab.
@@ -101,27 +85,25 @@ class Migration:
     (the packed id's low field is the old owner-local slot, valid because
     the old owner *is* the rank); the rest travel as one wave over the
     migration :attr:`schedule`, owner table to holder table, so every
-    local copy — kernel *and* overlap — carries the authoritative value.
+    local copy — kernel *and* overlap — carries the authoritative value
+    and no halo update is needed right after the move.  The owner
+    table's plan ranks are the old kernel owners (indices: their old
+    owner-local slots); the holder table's are the new sub-meshes
+    (indices: new local slots).
     """
 
     def __init__(self, old: MeshPartition, new: MeshPartition, entity: str):
         _check_same_mesh(old, new, entity)
-        packing = old.packing(entity)
-        space = packing.space
-        self._counts = [len(sub.l2g[entity]) for sub in new.subs]
-        profiles, stays = [], []
-        for sub in new.subs:
-            pids = packing.pack(sub.l2g[entity])
-            owner = space.owner_of(pids)
-            rows = np.flatnonzero(owner != sub.rank)
-            profiles.append(_group_by_owner(rows, pids[rows], space))
-            stay = np.flatnonzero(owner == sub.rank)
-            stays.append((np.full(len(stay), sub.rank), stay,
-                          space.local_of(pids[stay])))
-        self.schedule = HaloSchedule(
-            entity, *_assemble_tables(profiles, new.nparts))
+        holder, row, owner, owner_row = local_rows(
+            new.subs, entity, old.packing(entity))
+        self._counts = np.bincount(holder, minlength=new.nparts).tolist()
+        away = owner != holder
+        self.schedule = row_set_schedule(
+            entity, holder[away], row[away], owner[away], owner_row[away],
+            new.nparts)
         #: the staying entities: rank, new local slot, old local slot
-        self._stay = tuple(np.concatenate(col) for col in zip(*stays))
+        stay = ~away
+        self._stay = (holder[stay], row[stay], owner_row[stay])
 
     def move(self, slab: Slab, comm, extent: int = 0) -> Slab:
         """``slab``'s values, each rank's segment kernel-first, as a new
@@ -141,13 +123,6 @@ class Migration:
         block, _words = comm.recv_block(recv.srcs, recv.dsts, tag=_TAG)
         recv.flat_scatter(out, block)
         return out
-
-
-def migrate(slab: Slab, old: MeshPartition, new: MeshPartition,
-            entity: str, comm, extent: int = 0) -> Slab:
-    """Move one entity array from the old layout to the new one: a
-    :class:`Migration` of one array."""
-    return Migration(old, new, entity).move(slab, comm, extent)
 
 
 # -- online rebalancing ------------------------------------------------------
@@ -218,9 +193,11 @@ class RebalancePolicy:
       ``max/mean - 1`` exceeds the threshold (``None`` disables).
 
     ``plans`` optionally pins the target layout per scheduled event:
-    a ready :class:`MeshPartition`, or an ``elem_ranks`` array handed
-    to :func:`repartition`.  Without a pinned plan the greedy
-    :func:`rebalance_elem_ranks` chooses the move set.
+    a ready :class:`MeshPartition` of the same mesh, rank count and
+    pattern (checked when the event fires, before anything is counted
+    or moved), or an ``elem_ranks`` array handed to :func:`repartition`.
+    Without a pinned plan the greedy :func:`rebalance_elem_ranks`
+    chooses the move set.
     """
 
     threshold: float | None = None
@@ -252,6 +229,11 @@ class RebalancePolicy:
         plan = (self.plans or {}).get(event)
         if plan is not None:
             if isinstance(plan, MeshPartition):
+                _check_same_mesh(partition, plan, "node")
+                if plan.pattern.name != partition.pattern.name:
+                    raise MeshError(
+                        f"pinned plan is a {plan.pattern.name!r} partition, "
+                        f"the run's is {partition.pattern.name!r}")
                 return plan
             return repartition(partition, plan)
         new_ranks = rebalance_elem_ranks(partition, loads)

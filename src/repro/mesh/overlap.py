@@ -66,10 +66,6 @@ class SubMesh:
         """(kernel, total) local extents of one entity."""
         return self.kernel_count[entity], len(self.l2g[entity])
 
-    def packed_ids(self, entity: str, packing: EntityPacking) -> np.ndarray:
-        """Packed ids of this rank's local entities, aligned with ``l2g``."""
-        return packing.pack(self.l2g[entity])
-
     def localize(self, entity: str, global_values: np.ndarray) -> np.ndarray:
         """Restrict a global per-entity array to this sub-mesh's numbering."""
         return np.asarray(global_values)[self.l2g[entity]]
@@ -107,22 +103,6 @@ class MeshPartition:
                 self.mesh.entity_count(entity))
             self._packings[entity] = packing
         return packing
-
-    def pack(self, entity: str, gids) -> np.ndarray:
-        """Packed ids of global ids (vectorized)."""
-        return self.packing(entity).pack(gids)
-
-    def unpack(self, entity: str, pids) -> tuple[np.ndarray, np.ndarray]:
-        """(owner ranks, owner-local indices) of packed ids (vectorized)."""
-        return self.packing(entity).space.unpack(pids)
-
-    def owner_of(self, entity: str, gids) -> np.ndarray:
-        """Owner rank of each global id (vectorized)."""
-        return self.packing(entity).owner_of(gids)
-
-    def local_of(self, entity: str, gids) -> np.ndarray:
-        """The owner's local index of each global id (vectorized)."""
-        return self.packing(entity).owner_local_of(gids)
 
     # -- overlap --------------------------------------------------------------
 

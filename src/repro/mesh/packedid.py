@@ -117,8 +117,8 @@ class EntityPacking:
     """Packed-id tables for one entity kind of one partition.
 
     ``g2p[g]`` is the packed id of global entity ``g``; the inverse
-    (origin) table is built lazily because only migration and debugging
-    ever go from packed ids back to global ids.
+    (origin) table is built lazily because only debugging ever goes from
+    packed ids back to global ids.
     """
 
     entity: str
@@ -130,14 +130,6 @@ class EntityPacking:
     def pack(self, gids) -> np.ndarray:
         """Packed ids of global ids (fancy index, no dict)."""
         return self.g2p[np.asarray(gids, dtype=np.int64)]
-
-    def owner_of(self, gids) -> np.ndarray:
-        """Owner rank of each global id."""
-        return self.space.owner_of(self.pack(gids))
-
-    def owner_local_of(self, gids) -> np.ndarray:
-        """The owner's local index of each global id."""
-        return self.space.local_of(self.pack(gids))
 
     def origin_of(self, pids) -> np.ndarray:
         """Global ids of packed ids (dense inverse table, built lazily)."""

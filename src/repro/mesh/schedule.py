@@ -27,10 +27,16 @@ gather/scatter index arrays, so the halo collectives move one
 concatenated block per wave (``SimComm.send_block``/``recv_block``).
 What ``check_schedules`` (CC008) verifies is these very tables.
 
-Construction is dict-free: every overlap entity's owner rank and
-owner-local index come from its **packed id** (``rank << SHIFT | local``,
-:mod:`repro.mesh.packedid`) by shift and mask, and one stable argsort by
-owner groups a rank's overlap into per-peer messages.
+Both tables come from one **row set** over all ranks (a star forest of
+leaf → root rows, as in Knepley–Lange–Gorman): rank ``holder`` keeps
+owner ``owner``'s row ``owner_row`` in its local ``row``.  Owner rank and
+owner row are read off each row's **packed id** (``rank << SHIFT |
+local``, :mod:`repro.mesh.packedid`) by shift and mask, and two stable
+sorts of the row set order the two tables (:func:`row_set_schedule`) —
+no dict, no Python loop per rank or per message.  A halo schedule's row
+set is every rank's overlap tail; a migration's
+(:class:`~repro.mesh.migrate.Migration`) is every new local row whose
+old owner is another rank.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ import numpy as np
 
 from ..errors import MeshError
 from .overlap import MeshPartition
+from .partition import run_starts
 
 _EMPTY = np.zeros(0, np.int64)
 
@@ -233,108 +240,85 @@ class HaloSchedule:
                             self.owner.for_rank(rank))
 
 
-#: one rank's holder-side slice of an entity's traffic: peer owner ranks
-#: (ascending), per-peer message words, the rank's concatenated
-#: holder-local indices, and the owner-local index segment it contributes
-#: to each peer — everything :func:`_assemble_tables` needs
-_HolderProfile = tuple[np.ndarray, np.ndarray, np.ndarray,
-                       dict[int, np.ndarray]]
+def local_rows(subs, entity: str, packing) -> tuple[np.ndarray, ...]:
+    """Every rank's local ``entity`` rows as one all-ranks row set.
 
-
-def _group_by_owner(rows: np.ndarray, pids: np.ndarray,
-                    space) -> _HolderProfile:
-    """One rank's local ``rows`` grouped per owner (the per-rank argsort).
-
-    ``pids[i]`` is the packed id naming the owner of ``rows[i]``: it
-    gives owner rank (``>> SHIFT``) and owner-local index (``& MASK``)
-    directly, and one stable argsort by owner yields the per-peer message
-    grouping with rows ascending inside each message (matching the
-    historical global-id iteration order).
+    Four columns, holder-ascending and row-ascending within a holder:
+    the rank holding a copy, its local row, and — decoded from
+    ``packing``'s packed id of the entity there — the owner rank and
+    the owner's local row.  ``subs`` and ``packing`` may come from two
+    partitions of one mesh (migration reads the new holders against the
+    old owners).
     """
-    owner_ranks = space.owner_of(pids)
-    order = np.argsort(owner_ranks, kind="stable")
-    owners_sorted = owner_ranks[order]
-    local_sorted = rows[order]
-    owner_local_sorted = space.local_of(pids)[order]
-    if len(owners_sorted):
-        cut = np.flatnonzero(owners_sorted[1:] != owners_sorted[:-1]) + 1
-        bounds = np.concatenate(
-            [np.zeros(1, np.int64), cut,
-             np.array([len(owners_sorted)], np.int64)])
-        peers = owners_sorted[bounds[:-1]]
-        words = bounds[1:] - bounds[:-1]
-    else:
-        bounds = np.zeros(1, np.int64)
-        peers = np.zeros(0, np.int64)
-        words = np.zeros(0, np.int64)
-    pieces = {int(peers[k]):
-              owner_local_sorted[int(bounds[k]):int(bounds[k + 1])]
-              for k in range(len(peers))}
-    return peers, words, local_sorted, pieces
+    l2g = [sub.l2g[entity] for sub in subs]
+    sizes = np.fromiter(map(len, l2g), np.int64, len(l2g))
+    holder = np.repeat(np.arange(len(l2g), dtype=np.int64), sizes)
+    row = np.arange(len(holder), dtype=np.int64) \
+        - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    owner, owner_row = packing.space.unpack(
+        packing.pack(np.concatenate(l2g)))
+    return holder, row, owner, owner_row
 
 
-def _overlap_profile(sub, entity: str, packing) -> _HolderProfile:
-    """One rank's overlap rows grouped per kernel owner."""
-    kern, total = sub.counts(entity)
-    pids = sub.packed_ids(entity, packing)[kern:]
-    if (packing.space.owner_of(pids) == sub.rank).any():
-        raise MeshError("overlap entity owned by its own rank")
-    return _group_by_owner(np.arange(kern, total, dtype=np.int64), pids,
-                           packing.space)
+def _side(rank, peer, idx, nranks: int, sends: bool) -> WaveSide:
+    """A table over rows sorted by (plan rank, peer): one message per run
+    of equal pairs, each rank's index block cut at the rank counts."""
+    first = run_starts(rank * nranks + peer)
+    counts = np.bincount(rank, minlength=nranks)
+    return _table(rank[first], peer[first], np.diff(first, append=len(rank)),
+                  np.split(idx, np.cumsum(counts[:-1])), counts, sends)
 
 
-def _assemble_tables(profiles: list[_HolderProfile],
-                     nranks: int) -> tuple[WaveSide, WaveSide]:
-    """Assemble the holder and the owner table from per-rank profiles.
+def row_set_schedule(entity: str, holder, row, owner, owner_row,
+                     nranks: int) -> HaloSchedule:
+    """Both message tables of an all-ranks row set.
 
-    Holder rows concatenate rank-ascending (profiles are indexed by
-    rank); owner rows group each owner's pieces with holders ascending —
-    exactly the historical plan order.
+    Row *i* says that rank ``holder[i]`` keeps, in its local row
+    ``row[i]``, a copy of owner rank ``owner[i]``'s row ``owner_row[i]``;
+    rows arrive holder-ascending, row-ascending within a holder.  One
+    stable argsort by (holder, owner) orders the holder table; that
+    order stably re-sorted by owner is the owner table, holders
+    ascending within each owner.  Every message keeps its rows in holder
+    row order on both ends.
+
+    The two-triangle mesh on two ranks: each rank holds the other's two
+    kernel nodes in its local rows 2 and 3.
+
+    >>> from repro.mesh import build_partition, two_triangle_mesh
+    >>> part = build_partition(two_triangle_mesh(), 2, "overlap-elements-2d")
+    >>> rows = local_rows(part.subs, "node", part.packing("node"))
+    >>> copies = rows[0] != rows[2]          # held here, owned elsewhere
+    >>> [col[copies].tolist() for col in rows]
+    [[0, 0, 1, 1], [2, 3, 2, 3], [1, 1, 0, 0], [0, 1, 0, 1]]
+    >>> sched = row_set_schedule("node", *(col[copies] for col in rows),
+    ...                          nranks=2)
+    >>> [idx.tolist() for idx in sched.owner.idx]
+    [[0, 1], [0, 1]]
+    >>> [idx.tolist() for idx in sched.holder.idx]
+    [[2, 3], [2, 3]]
     """
-    h_idx: list[np.ndarray] = []
-    h_rank: list[int] = []
-    h_peer: list[int] = []
-    h_words: list[int] = []
-    h_counts = np.zeros(nranks, np.int64)
-    #: per owner rank: (holder rank, owner-local index block) pieces
-    own_pieces: list[list[tuple[int, np.ndarray]]] = \
-        [[] for _ in range(nranks)]
-    for rank, (peers, words, local_sorted, pieces) in enumerate(profiles):
-        h_idx.append(local_sorted)
-        h_counts[rank] = len(local_sorted)
-        for owner, nwords in zip(peers.tolist(), words.tolist()):
-            h_rank.append(rank)
-            h_peer.append(int(owner))
-            h_words.append(int(nwords))
-            own_pieces[int(owner)].append((rank, pieces[int(owner)]))
-
-    o_idx: list[np.ndarray] = []
-    o_rank: list[int] = []
-    o_peer: list[int] = []
-    o_words: list[int] = []
-    o_counts = np.zeros(nranks, np.int64)
-    for owner in range(nranks):
-        pieces_o = own_pieces[owner]
-        o_idx.append(np.concatenate([seg for _h, seg in pieces_o])
-                     if pieces_o else np.zeros(0, np.int64))
-        o_counts[owner] = len(o_idx[owner])
-        for holder, seg in pieces_o:  # holders arrive rank-ascending
-            o_rank.append(owner)
-            o_peer.append(holder)
-            o_words.append(len(seg))
-
-    return (_table(h_rank, h_peer, h_words, h_idx, h_counts, sends=False),
-            _table(o_rank, o_peer, o_words, o_idx, o_counts, sends=True))
+    order = np.argsort(holder * nranks + owner, kind="stable")
+    by_owner = order[np.argsort(owner[order], kind="stable")]
+    return HaloSchedule(
+        entity,
+        _side(holder[order], owner[order], row[order], nranks, sends=False),
+        _side(owner[by_owner], holder[by_owner], owner_row[by_owner],
+              nranks, sends=True))
 
 
 def build_halo_schedule(partition: MeshPartition,
                         entity: str) -> HaloSchedule:
-    """Plan one entity's halo traffic, both directions, dict-free."""
-    packing = partition.packing(entity)
-    profiles = [_overlap_profile(sub, entity, packing)
-                for sub in partition.subs]
-    return HaloSchedule(entity,
-                        *_assemble_tables(profiles, partition.nparts))
+    """Plan one entity's halo traffic, both directions: the row set is
+    every rank's overlap tail."""
+    holder, row, owner, owner_row = local_rows(
+        partition.subs, entity, partition.packing(entity))
+    tail = row >= partition.kernel_sizes(entity)[holder]
+    holder, row, owner, owner_row = \
+        holder[tail], row[tail], owner[tail], owner_row[tail]
+    if (owner == holder).any():
+        raise MeshError("overlap entity owned by its own rank")
+    return row_set_schedule(entity, holder, row, owner, owner_row,
+                            partition.nparts)
 
 
 #: an overlap update and a combine run over the same schedule; the two

@@ -1,7 +1,8 @@
 """Structural rules of ``src/repro``, read off the syntax tree.
 
 A deleted name nothing imports needs no guard; a *shape* does: one halo
-schedule over two tables, one all-ranks layout (the slab), one body per
+schedule over two tables built without a Python loop, one all-ranks
+layout (the slab), one body per
 halo collective half, a boundary
 loop without closures, one kernel compiler, one interpreter compiler
 whose loops check at entry, one call per wire layer, one command line —
@@ -229,3 +230,17 @@ def test_the_wire_moves_waves_through_one_call_per_layer():
                 path.read_text(encoding="utf-8").splitlines(), 1)
             if retired.search(line)]
     assert not hits, hits
+
+
+def test_message_tables_are_built_without_a_python_loop():
+    # one builder over an all-ranks row set makes every halo and
+    # migration table: no loop per rank or per message builds a WaveSide
+    schedule = _defs(_tree("mesh/schedule.py"), ast.FunctionDef)
+    migration = _defs(_tree("mesh/migrate.py"), ast.ClassDef)["Migration"]
+    builders = [schedule[name] for name in
+                ("row_set_schedule", "_side", "_table", "build_halo_schedule")]
+    builders.append(_defs(migration, ast.FunctionDef)["__init__"])
+    for fn in builders:
+        loops = [n for n in ast.walk(fn)
+                 if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+        assert not loops, f"{fn.name} loops at line {loops[0].lineno}"

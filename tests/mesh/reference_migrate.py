@@ -5,13 +5,15 @@ migration went slab to slab: every rank's values are a list entry, the
 entities that stay are relabelled rank by rank, and the wave is gathered
 and scattered through the schedule's per-rank index arrays.  Obviously
 correct, and therefore the oracle: ``tests/mesh/test_migrate.py`` holds
-:func:`repro.mesh.migrate.migrate` to it bit for bit — values, dtypes and
-the traffic ledger.
+:meth:`repro.mesh.migrate.Migration.move` to it bit for bit — values,
+dtypes and the traffic ledger.  Its schedule is the rank-by-rank
+reference one (``tests/mesh/reference_schedule.py``).
 """
 
 import numpy as np
 
-from repro.mesh.migrate import _TAG, build_migration_schedule
+from repro.mesh.migrate import _TAG
+from tests.mesh.reference_schedule import build_migration
 
 
 def migrate(values, old, new, entity, comm, schedule=None):
@@ -22,8 +24,9 @@ def migrate(values, old, new, entity, comm, schedule=None):
     (kernel *and* overlap) carrying the authoritative value.
     """
     if schedule is None:
-        schedule = build_migration_schedule(old, new, entity)
-    space = old.packing(entity).space
+        schedule, _stay = build_migration(old, new, entity)
+    packing = old.packing(entity)
+    space = packing.space
     values = [np.asarray(v) for v in values]
     out = []
     for sub in new.subs:
@@ -33,7 +36,7 @@ def migrate(values, old, new, entity, comm, schedule=None):
         # same-rank entities relabel locally: the packed id's low field is
         # the old owner-local slot, valid here because the old owner *is*
         # this rank
-        pids = old.pack(entity, sub.l2g[entity])
+        pids = packing.pack(sub.l2g[entity])
         stay = np.flatnonzero(space.owner_of(pids) == sub.rank)
         arr[stay] = vals[space.local_of(pids[stay])]
         out.append(arr)

@@ -9,10 +9,9 @@ from repro.errors import MeshError
 from repro.lang.vectorize import Slab
 from repro.mesh import (
     HaloSchedule,
+    Migration,
     build_halo_schedule,
-    build_migration_schedule,
     build_partition,
-    migrate,
     moved_entity_gids,
     random_delaunay_mesh,
     repartition,
@@ -48,10 +47,10 @@ def _slab(values, rows=None):
 
 
 def _migrate(values, old, new, entity):
-    """``migrate`` of the ranks' values over a fresh communicator, checked
-    drained; returns the new slab's per-rank views."""
+    """A :class:`Migration` of the ranks' values over a fresh communicator,
+    checked drained; returns the new slab's per-rank views."""
     comm = SimComm(old.nparts)
-    out = migrate(_slab(values), old, new, entity, comm)
+    out = Migration(old, new, entity).move(_slab(values), comm)
     comm.assert_drained()
     return list(out.views)
 
@@ -59,7 +58,7 @@ def _migrate(values, old, new, entity):
 class TestSchedule:
     def test_send_recv_symmetric(self, partitions):
         old, new = partitions
-        sched = build_migration_schedule(old, new, "node")
+        sched = Migration(old, new, "node").schedule
         sends, recvs = plans(sched.send), plans(sched.recv)
         for r, plan in enumerate(sends):
             for dest, idx in plan.items():
@@ -67,13 +66,13 @@ class TestSchedule:
 
     def test_moves_exist_between_different_partitions(self, partitions):
         old, new = partitions
-        sched = build_migration_schedule(old, new, "node")
+        sched = Migration(old, new, "node").schedule
         assert sched.message_count() > 0
         assert sched.volume() > 0
 
     def test_identity_migration_is_free(self, mesh):
         part = build_partition(mesh, 3, "overlap-elements-2d")
-        sched = build_migration_schedule(part, part, "node")
+        sched = Migration(part, part, "node").schedule
         # owners never ship to themselves; only overlap copies move
         assert (sched.send.srcs != sched.send.dsts).all()
         # ... which makes it the overlap update's schedule, table for table
@@ -90,7 +89,7 @@ class TestSchedule:
         a = build_partition(mesh, 3, "overlap-elements-2d")
         b = build_partition(mesh, 4, "overlap-elements-2d")
         with pytest.raises(MeshError, match="rank count"):
-            build_migration_schedule(a, b, "node")
+            Migration(a, b, "node")
 
 
 class TestSameMeshCheck:
@@ -111,7 +110,7 @@ class TestSameMeshCheck:
         b = build_partition(structured_tri_mesh(5, 4),
                             3, "overlap-elements-2d", method="greedy")
         assert a.mesh is not b.mesh
-        sched = build_migration_schedule(a, b, "node")
+        sched = Migration(a, b, "node").schedule
         assert isinstance(sched, HaloSchedule)
 
     def test_rank_count_change_message_is_exact(self):
@@ -119,7 +118,7 @@ class TestSameMeshCheck:
         a = build_partition(mesh, 3, "overlap-elements-2d")
         b = build_partition(mesh, 4, "overlap-elements-2d")
         with pytest.raises(MeshError) as err:
-            build_migration_schedule(a, b, "node")
+            Migration(a, b, "node")
         assert str(err.value) == ("rank count changed (3 -> 4); "
                                   "migration requires a fixed communicator")
 
@@ -129,7 +128,7 @@ class TestSameMeshCheck:
         b = build_partition(structured_tri_mesh(4, 4),
                             2, "overlap-elements-2d")
         with pytest.raises(MeshError) as err:
-            build_migration_schedule(a, b, "node")
+            Migration(a, b, "node")
         assert str(err.value) == ("partitions describe different meshes: "
                                   "16 vs 25 node(s)")
 
@@ -142,7 +141,7 @@ class TestSameMeshCheck:
         a = build_partition(ma, 2, "overlap-elements-2d")
         b = build_partition(mb, 2, "overlap-elements-2d")
         with pytest.raises(MeshError) as err:
-            build_migration_schedule(a, b, "node")
+            Migration(a, b, "node")
         assert str(err.value) == ("partitions describe different meshes: "
                                   "element connectivity differs")
 
@@ -177,7 +176,7 @@ class TestMigrate:
         values = [sub.localize("node", glob).astype(float)
                   for sub in old.subs]
         comm = SimComm(old.nparts)
-        moved = migrate(_slab(values), old, new, "node", comm=comm).views
+        moved = Migration(old, new, "node").move(_slab(values), comm).views
         comm.assert_drained()
         assert comm.stats.total_messages() > 0
         for sub, arr in zip(new.subs, moved):
@@ -217,17 +216,18 @@ class TestMigrate:
             arr = glob[sub.l2g["node"]].copy()
             arr[sub.kernel_count["node"]:] = -7
             values.append(arr)
-        sched = build_migration_schedule(old, new, "node")
+        move = Migration(old, new, "node")
+        sched = move.schedule
         comm = SimComm(old.nparts)
-        moved = migrate(_slab(values), old, new, "node", comm).views
+        moved = move.move(_slab(values), comm).views
         comm.assert_drained()
         # a fabric word is one array element: a 2-D row is ``width`` words
         width = glob[0].size
         assert comm.stats.total_messages() == sched.message_count()
         assert comm.stats.total_words() == sched.volume() * width
+        packing = old.packing("node")
         for sub, arr in zip(new.subs, moved):
-            owner, slot = old.unpack("node", old.pack("node",
-                                                      sub.l2g["node"]))
+            owner, slot = packing.space.unpack(packing.pack(sub.l2g["node"]))
             direct = np.array([values[o][s] for o, s in
                                zip(owner.tolist(), slot.tolist())])
             assert arr.dtype == values[sub.rank].dtype
@@ -367,8 +367,8 @@ def test_slab_migration_equals_the_per_rank_reference(dims, nparts, entity,
     old_rows = [len(v) + pad for v in values]
     new_rows = [max(extent, len(sub.l2g[entity])) for sub in new.subs]
     comm, ref_comm = SimComm(old.nparts), SimComm(old.nparts)
-    out = migrate(_slab(values, old_rows), old, new, entity, comm,
-                  extent=extent)
+    out = Migration(old, new, entity).move(_slab(values, old_rows), comm,
+                                           extent=extent)
     want = reference_migrate.migrate(values, old, new, entity, ref_comm)
     comm.assert_drained()
     assert out.rows == tuple(new_rows) and out.flat.dtype == glob.dtype

@@ -18,6 +18,7 @@ from repro.mesh import (
     build_partition,
     structured_tri_mesh,
 )
+from repro.mesh.schedule import local_rows
 
 _spaces = st.builds(
     PackedIDSpace,
@@ -127,15 +128,16 @@ class TestEntityPackingOracle:
 
     def test_owner_and_local_match_dict_oracle(self, part, oracle):
         gids = np.arange(part.mesh.n_nodes)
-        owners = part.owner_of("node", gids)
-        locals_ = part.local_of("node", gids)
+        packing = part.packing("node")
+        owners, locals_ = packing.space.unpack(packing.pack(gids))
         for g in gids:
             assert (int(owners[g]), int(locals_[g])) == oracle[int(g)]
 
     def test_owner_table_matches_partition_owners(self, part):
         gids = np.arange(part.mesh.n_nodes)
-        np.testing.assert_array_equal(part.owner_of("node", gids),
-                                      part.owners["node"])
+        packing = part.packing("node")
+        np.testing.assert_array_equal(
+            packing.space.owner_of(packing.pack(gids)), part.owners["node"])
 
     def test_origin_round_trip(self, part):
         packing = part.packing("node")
@@ -154,8 +156,13 @@ class TestEntityPackingOracle:
 
     def test_packed_ids_align_with_l2g(self, part):
         packing = part.packing("node")
+        holder, row, owner, owner_row = local_rows(part.subs, "node",
+                                                   packing)
         for sub in part.subs:
-            pids = sub.packed_ids("node", packing)
+            mine = holder == sub.rank
+            np.testing.assert_array_equal(row[mine],
+                                          np.arange(len(sub.l2g["node"])))
+            pids = packing.space.pack(owner[mine], owner_row[mine])
             np.testing.assert_array_equal(pids, packing.pack(sub.l2g["node"]))
             kern = sub.kernel_count["node"]
             # kernel prefix: owned here, local slot = position

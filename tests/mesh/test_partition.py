@@ -28,6 +28,7 @@ from repro.mesh import (
     two_triangle_mesh,
 )
 from repro.mesh.overlap import _node_owners
+from repro.mesh.schedule import local_rows
 from repro.runtime import SimComm, combine_update, overlap_update
 from tests.halo_views import plans
 
@@ -273,21 +274,28 @@ class TestVectorizedHolderQueries:
 
 
 class TestG2LCacheInvalidation:
-    """``SubMesh.packed_ids`` must track ``l2g`` replacement.
+    """Schedule rows must track ``l2g`` replacement.
 
     Any pass that rewrites ``l2g`` (migration relabeling does) must get
-    packed ids of the new numbering: they are computed from the ``l2g``
-    array of the moment, nothing is cached on the sub-mesh.
+    the row set of the new numbering: the schedule builders read packed
+    ids of the ``l2g`` array of the moment, nothing is cached on the
+    sub-mesh.
     """
 
     def test_packed_ids_refresh_after_l2g_rewrite(self):
         part = build_partition(structured_tri_mesh(6, 6), 3,
                                "overlap-elements-2d")
         sub, packing = part.subs[1], part.packing("node")
-        first = sub.packed_ids("node", packing)
+
+        def packed_rows():
+            holder, _row, owner, owner_row = local_rows(part.subs, "node",
+                                                        packing)
+            return packing.space.pack(owner, owner_row)[holder == sub.rank]
+
+        first = packed_rows()
+        np.testing.assert_array_equal(first, packing.pack(sub.l2g["node"]))
         sub.l2g["node"] = sub.l2g["node"][::-1].copy()
-        np.testing.assert_array_equal(
-            sub.packed_ids("node", packing), first[::-1])
+        np.testing.assert_array_equal(packed_rows(), first[::-1])
         assert not hasattr(sub, "_packed")
 
 
@@ -788,3 +796,56 @@ class TestHostileElemRanks:
         part.check_invariants()
         assert part.elem_ranks.dtype == np.int64
         assert part.kernel_sizes().tolist()[2] == 0
+
+
+class TestHostilePinnedPartition:
+    """A pinned ``MeshPartition`` plan of another mesh, over another rank
+    count or under another pattern ends the run in the ``MeshError``
+    naming the mismatch — checked before the migration epoch counts
+    anything, not in a numpy broadcast error from comparing two meshes'
+    packed tables, nor in a silently wrong result."""
+
+    MESH = structured_tri_mesh(8, 8)
+
+    def _run(self, target):
+        from repro.corpus import TESTIV_SOURCE
+        from repro.placement import enumerate_placements
+        from repro.runtime import SPMDExecutor
+        from repro.spec import spec_for_testiv
+
+        spec = spec_for_testiv()
+        placements = enumerate_placements(TESTIV_SOURCE, spec)
+        part = build_partition(self.MESH, 4, spec.pattern)
+        values = {"init": np.zeros(self.MESH.n_nodes),
+                  "airetri": self.MESH.triangle_areas,
+                  "airesom": self.MESH.node_areas,
+                  "epsilon": 1e-8, "maxloop": 3}
+        ex = SPMDExecutor(placements.sub, spec,
+                          placements.ranked[0].placement, part)
+        policy = RebalancePolicy(rebalance_at=(2,),
+                                 plans={2: target(spec.pattern)})
+        return ex.run(values, rebalance=policy)
+
+    def test_another_mesh(self):
+        with pytest.raises(MeshError) as err:
+            self._run(lambda pattern: build_partition(
+                structured_tri_mesh(9, 9), 4, pattern))
+        assert str(err.value) == ("partitions describe different meshes: "
+                                  "81 vs 100 node(s)")
+
+    def test_another_pattern(self):
+        # the placement is pattern-bound: migrating onto a shared-nodes
+        # layout under an overlap-elements placement computes a wrong
+        # result without any error
+        with pytest.raises(MeshError) as err:
+            self._run(lambda pattern: build_partition(
+                self.MESH, 4, "shared-nodes-2d"))
+        assert str(err.value) == ("pinned plan is a 'shared-nodes-2d' "
+                                  "partition, the run's is "
+                                  "'overlap-elements-2d'")
+
+    def test_another_rank_count(self):
+        with pytest.raises(MeshError) as err:
+            self._run(lambda pattern: build_partition(self.MESH, 3, pattern))
+        assert str(err.value) == ("rank count changed (4 -> 3); "
+                                  "migration requires a fixed communicator")
